@@ -7,7 +7,7 @@ use gcnp_datasets::{oversample, parse_spam_factor, Dataset, DatasetKind, Partiti
 use gcnp_infer::{
     format_stage_table, serve_multi, serve_sharded, simulate_tiered, stage_breakdown,
     BatchedEngine, EngineMetrics, FaultPlan, FeatureStore, FullEngine, LadderPolicy, PipelineMode,
-    Precision, QuantizedGnn, ServingConfig, ShardedStore, StorePolicy,
+    Precision, QuantizedGnn, ServingConfig, ServingResult, ShardedStore, StorePolicy,
 };
 use gcnp_models::{zoo, GnnModel, Metrics, TrainConfig, Trainer};
 use gcnp_obs::MetricsRegistry;
@@ -153,6 +153,25 @@ pub fn quantize(args: &Args) -> Result<String, String> {
     ))
 }
 
+/// The paper's offline store fill: hidden features of the train +
+/// validation nodes from one full-graph pass, handed row by row to `put` —
+/// a single store's, or a sharded store's (which routes each row to its
+/// owner shard).
+fn prewarm(
+    model: &GnnModel,
+    data: &Dataset,
+    put: impl Fn(usize, usize, &[f32]) -> ServingResult<()>,
+) -> Result<(), String> {
+    let adj = data.adj.normalized(Normalization::Row);
+    let hs = FullEngine::new(model, Some(&adj)).hidden(&data.features);
+    for level in 1..model.n_layers() {
+        for &v in data.train.iter().chain(&data.val) {
+            put(level, v, hs[level - 1].row(v)).map_err(|e| e.to_string())?;
+        }
+    }
+    Ok(())
+}
+
 /// `gcnp eval --data file --model file [--batched] [--store] [--batch n]
 ///  [--quantized]`
 pub fn eval(args: &Args) -> Result<String, String> {
@@ -179,18 +198,11 @@ pub fn eval(args: &Args) -> Result<String, String> {
         ));
     }
     // Batched path.
-    let store_holder;
+    let store_holder = FeatureStore::new(data.n_nodes(), model.n_layers() - 1);
     let store = if args.has("store") {
-        let engine = FullEngine::new(&model, Some(&adj));
-        let hs = engine.hidden(&data.features);
-        let s = FeatureStore::new(data.n_nodes(), model.n_layers() - 1);
-        let mut offline: Vec<usize> = data.train.iter().chain(&data.val).copied().collect();
-        offline.sort_unstable();
-        for level in 1..model.n_layers() {
-            s.put_rows(level, &offline, &hs[level - 1].gather_rows(&offline))
-                .map_err(|e| e.to_string())?;
-        }
-        store_holder = s;
+        prewarm(&model, &data, |level, v, row| {
+            store_holder.put(level, v, row)
+        })?;
         Some(&store_holder)
     } else {
         None
@@ -278,7 +290,8 @@ fn write_metrics(path: &str, registry: &Arc<MetricsRegistry>) -> Result<String, 
 /// than `f` ms is stolen, requeued, and its stage pair respawned) and
 /// `--hedge k` arms hedged re-execution (a batch busy past `k ×` the EWMA
 /// compute estimate is speculatively duplicated; first completion wins) —
-/// both are multi-worker features and ignored by single-worker simulation.
+/// both are fleet features (`--workers` or `--shards`) and ignored by
+/// single-worker simulation.
 ///
 /// `--shards n` (n > 1, mutually exclusive with `--workers`) hash-partitions
 /// the graph into `n` shards (plus two greedy edge-cut refinement passes),
@@ -308,29 +321,11 @@ pub fn serve(args: &Args) -> Result<String, String> {
     let model = load_model(args.require("model")?)?;
     let seed: u64 = args.get_or("seed", 0)?;
     let shards: usize = args.get_or("shards", 1)?;
-    // One registry shared by every engine replica / tier and the store.
-    let metrics = args
-        .get("metrics-out")
-        .map(|p| (p.to_string(), Arc::new(MetricsRegistry::new())));
-    let store_holder;
-    let store = if args.has("store") && shards <= 1 {
-        let adj = data.adj.normalized(Normalization::Row);
-        let engine = FullEngine::new(&model, Some(&adj));
-        let hs = engine.hidden(&data.features);
-        let s = FeatureStore::new(data.n_nodes(), model.n_layers() - 1);
-        let mut offline: Vec<usize> = data.train.iter().chain(&data.val).copied().collect();
-        offline.sort_unstable();
-        for level in 1..model.n_layers() {
-            s.put_rows(level, &offline, &hs[level - 1].gather_rows(&offline))
-                .map_err(|e| e.to_string())?;
-        }
-        store_holder = s;
-        Some(&store_holder)
-    } else {
-        None
-    };
-    if let (Some((_, reg)), Some(s)) = (&metrics, store) {
-        s.attach_metrics(reg);
+    let workers: usize = args.get_or("workers", 1)?;
+    if shards > 1 && workers > 1 {
+        return Err(
+            "--shards and --workers are mutually exclusive: each shard owns one worker".into(),
+        );
     }
     let pipeline = match args.get("pipeline").unwrap_or("pipelined") {
         "sequential" => PipelineMode::Sequential,
@@ -356,121 +351,125 @@ pub fn serve(args: &Args) -> Result<String, String> {
         hedge: args.get_opt("hedge")?,
         ..Default::default()
     };
-    let policy = if store.is_some() {
+    // One registry shared by every engine replica / tier and the store.
+    let metrics = args
+        .get("metrics-out")
+        .map(|p| (p.to_string(), Arc::new(MetricsRegistry::new())));
+
+    // The store: one per shard behind a partition, or a single one.
+    let n_levels = model.n_layers() - 1;
+    let part = (shards > 1).then(|| {
+        let mut part = Partition::hash(data.n_nodes(), shards, seed);
+        let moved = part.refine_greedy(&data.adj, 2);
+        (part, moved)
+    });
+    let sharded = part
+        .as_ref()
+        .map(|(part, _)| ShardedStore::new(&part.assign, shards, n_levels));
+    let single = (args.has("store") && sharded.is_none())
+        .then(|| FeatureStore::new(data.n_nodes(), n_levels));
+    let policy = if args.has("store") {
+        prewarm(&model, &data, |level, v, row| match (&sharded, &single) {
+            (Some(s), _) => s.put(level, v, row),
+            (_, Some(s)) => s.put(level, v, row),
+            _ => Ok(()),
+        })?;
         StorePolicy::Roots
     } else {
         StorePolicy::None
     };
-    let workers: usize = args.get_or("workers", 1)?;
-    if shards > 1 {
-        if workers > 1 {
-            return Err(
-                "--shards and --workers are mutually exclusive: each shard owns one worker".into(),
-            );
+    if let Some((_, reg)) = &metrics {
+        if let Some(s) = &sharded {
+            s.attach_metrics(reg);
         }
-        let mut part = Partition::hash(data.n_nodes(), shards, seed);
-        let moved = part.refine_greedy(&data.adj, 2);
-        let sharded = ShardedStore::new(&part.assign, shards, model.n_layers() - 1);
-        if let Some((_, reg)) = &metrics {
-            sharded.attach_metrics(reg);
+        if let Some(s) = &single {
+            s.attach_metrics(reg);
         }
-        let policy = if args.has("store") {
-            // Same offline pre-warm as the single-store path, routed to
-            // each row's owner shard.
-            let adj = data.adj.normalized(Normalization::Row);
-            let engine = FullEngine::new(&model, Some(&adj));
-            let hs = engine.hidden(&data.features);
-            let mut offline: Vec<usize> = data.train.iter().chain(&data.val).copied().collect();
-            offline.sort_unstable();
-            for level in 1..model.n_layers() {
-                for &v in &offline {
-                    sharded
-                        .put(level, v, hs[level - 1].row(v))
-                        .map_err(|e| e.to_string())?;
-                }
-            }
-            StorePolicy::Roots
-        } else {
-            StorePolicy::None
-        };
-        let mut engines: Vec<BatchedEngine<'_>> = (0..shards)
-            .map(|k| {
-                let mut e = BatchedEngine::new_sharded(
-                    &model,
-                    &data.adj,
-                    &data.features,
-                    vec![None, Some(32)],
-                    &sharded,
-                    k,
-                    policy,
-                    seed ^ k as u64,
-                );
-                if let Some(inj) = &faults {
-                    e.set_faults(Arc::clone(inj));
-                }
-                if let Some((_, reg)) = &metrics {
-                    e.set_metrics(EngineMetrics::new(reg));
-                }
-                e
-            })
-            .collect();
-        let rep = serve_sharded(&mut engines, &part.assign, &data.test, &cfg)
-            .map_err(|e| e.to_string())?;
-        let mut msg = format!(
-            "served {}/{} requests in {} batches (mean size {:.1}) on {} shards ({} nodes moved by refinement, edge cut {}): {:.0} req/s wall-clock, p99 {:.1} ms, occupancy {:.2}",
-            rep.served,
-            rep.n_requests,
-            rep.n_batches,
-            rep.mean_batch_size,
-            shards,
-            moved,
-            part.edge_cut(&data.adj),
-            rep.throughput,
-            rep.p99_ms,
-            rep.pipeline_occupancy,
-        );
-        if rep.shed + rep.recoveries + rep.failures + rep.retries > 0 {
-            msg.push_str(&format!(
-                "; shed {}, recovered {} panics ({} workers lost), {} clean failures, {} retries",
-                rep.shed, rep.recoveries, rep.workers_lost, rep.failures, rep.retries
-            ));
-        }
-        if let Some((path, reg)) = &metrics {
-            sharded.refresh_gauges();
-            msg.push_str(&write_metrics(path, reg)?);
-        }
-        return Ok(msg);
     }
-    if workers > 1 {
-        let mut engines: Vec<BatchedEngine<'_>> = (0..workers)
-            .map(|w| {
-                let mut e = BatchedEngine::new(
-                    &model,
-                    &data.adj,
-                    &data.features,
-                    vec![None, Some(32)],
-                    store,
+
+    // A fleet (one replica per worker, or one engine per shard) serves the
+    // model as is; a single worker optionally builds the degradation
+    // ladder from successively heavier batched-scheme pruning of it.
+    let n_fleet = shards.max(workers).max(1);
+    let ladder = args.has("ladder") && n_fleet == 1;
+    let tier_models: Vec<GnnModel> = if ladder {
+        let (tadj, tnodes) = data.train_adj();
+        let tadj = tadj.normalized(Normalization::Row);
+        let tx = data.features.gather_rows(&tnodes);
+        let pcfg = PrunerConfig {
+            beta_epochs: 10,
+            w_epochs: 10,
+            batch_size: 128,
+            seed,
+            ..Default::default()
+        };
+        [0.5f32, 0.25]
+            .iter()
+            .map(|&b| prune_model(&model, &tadj, &tx, b, Scheme::BatchedInference, &pcfg).0)
+            .collect()
+    } else {
+        vec![]
+    };
+    // Engine specs: the fleet's replicas, or the ladder's f32 rungs and then
+    // the quantized floor — the heaviest-pruned model's weights re-run as
+    // int8, compounding the 4x channel pruning with 4x weight compression.
+    let mut specs: Vec<(&GnnModel, Precision)> = vec![(&model, Precision::F32); n_fleet];
+    specs.extend(tier_models.iter().map(|m| (m, Precision::F32)));
+    if ladder {
+        specs.push((tier_models.last().unwrap_or(&model), Precision::Int8));
+    }
+    let mut engines: Vec<BatchedEngine<'_>> = specs
+        .into_iter()
+        .enumerate()
+        .map(|(k, (m, precision))| {
+            let caps = vec![None, Some(32)];
+            // Fleet replicas sample with distinct seeds; ladder rungs share one.
+            let seed = if n_fleet > 1 { seed ^ k as u64 } else { seed };
+            let (adj, x) = (&data.adj, &data.features);
+            let mut e = match &sharded {
+                Some(s) => BatchedEngine::new_sharded(m, adj, x, caps, s, k, policy, seed),
+                None => BatchedEngine::new_with_precision(
+                    m,
+                    adj,
+                    x,
+                    caps,
+                    single.as_ref(),
                     policy,
-                    seed ^ w as u64,
-                );
-                if let Some(inj) = &faults {
-                    e.set_faults(Arc::clone(inj));
-                }
-                if let Some((_, reg)) = &metrics {
-                    e.set_metrics(EngineMetrics::new(reg));
-                }
-                e
-            })
-            .collect();
-        let rep = serve_multi(&mut engines, &data.test, &cfg).map_err(|e| e.to_string())?;
+                    seed,
+                    precision,
+                ),
+            };
+            if let Some(inj) = &faults {
+                e.set_faults(Arc::clone(inj));
+            }
+            if let Some((_, reg)) = &metrics {
+                e.set_metrics(EngineMetrics::new(reg));
+            }
+            e
+        })
+        .collect();
+
+    if n_fleet > 1 {
+        let (rep, fleet) = match &part {
+            Some((part, moved)) => (
+                serve_sharded(&mut engines, &part.assign, &data.test, &cfg),
+                format!(
+                    "{shards} shards ({moved} nodes moved by refinement, edge cut {})",
+                    part.edge_cut(&data.adj)
+                ),
+            ),
+            None => (
+                serve_multi(&mut engines, &data.test, &cfg),
+                format!("{workers} {:?} workers", cfg.pipeline),
+            ),
+        };
+        let rep = rep.map_err(|e| e.to_string())?;
         let mut msg = format!(
-            "served {}/{} requests in {} batches (mean size {:.1}) on {} {:?} workers: {:.0} req/s wall-clock, {:.0} req/s compute-bound, p99 {:.1} ms, occupancy {:.2}",
+            "served {}/{} requests in {} batches (mean size {:.1}) on {fleet}: {:.0} req/s wall-clock, {:.0} req/s compute-bound, p99 {:.1} ms, occupancy {:.2}",
             rep.served,
             rep.n_requests,
             rep.n_batches,
             rep.mean_batch_size,
-            rep.n_workers,
-            cfg.pipeline,
             rep.throughput,
             rep.compute_throughput,
             rep.p99_ms,
@@ -489,69 +488,16 @@ pub fn serve(args: &Args) -> Result<String, String> {
             ));
         }
         if let Some((path, reg)) = &metrics {
+            if let Some(s) = &sharded {
+                s.refresh_gauges();
+            }
             msg.push_str(&write_metrics(path, reg)?);
         }
         return Ok(msg);
     }
-    // Single worker: optionally build the degradation ladder from
-    // successively heavier batched-scheme pruning of the served model.
-    let tier_models: Vec<GnnModel> = if args.has("ladder") {
-        let (tadj, tnodes) = data.train_adj();
-        let tadj = tadj.normalized(Normalization::Row);
-        let tx = data.features.gather_rows(&tnodes);
-        let pcfg = PrunerConfig {
-            beta_epochs: 10,
-            w_epochs: 10,
-            batch_size: 128,
-            seed,
-            ..Default::default()
-        };
-        [0.5f32, 0.25]
-            .iter()
-            .map(|&b| prune_model(&model, &tadj, &tx, b, Scheme::BatchedInference, &pcfg).0)
-            .collect()
-    } else {
-        vec![]
-    };
-    // Rung specs: the f32 rungs, then (with --ladder) the quantized floor —
-    // the heaviest-pruned model's weights re-run as int8, compounding the
-    // 4x channel pruning with 4x weight compression.
-    let mut specs: Vec<(&GnnModel, Precision)> = std::iter::once((&model, Precision::F32))
-        .chain(tier_models.iter().map(|m| (m, Precision::F32)))
-        .collect();
-    if args.has("ladder") {
-        specs.push((tier_models.last().unwrap_or(&model), Precision::Int8));
-    }
-    let mut tiers: Vec<BatchedEngine<'_>> = specs
-        .into_iter()
-        .map(|(m, precision)| {
-            let mut e = BatchedEngine::new_with_precision(
-                m,
-                &data.adj,
-                &data.features,
-                vec![None, Some(32)],
-                store,
-                policy,
-                seed,
-                precision,
-            );
-            if let Some(inj) = &faults {
-                e.set_faults(Arc::clone(inj));
-            }
-            if let Some((_, reg)) = &metrics {
-                e.set_metrics(EngineMetrics::new(reg));
-            }
-            e
-        })
-        .collect();
-    let ladder = LadderPolicy::default();
-    let rep = simulate_tiered(
-        &mut tiers,
-        &data.test,
-        &cfg,
-        args.has("ladder").then_some(&ladder),
-    )
-    .map_err(|e| e.to_string())?;
+    let policy = LadderPolicy::default();
+    let rep = simulate_tiered(&mut engines, &data.test, &cfg, ladder.then_some(&policy))
+        .map_err(|e| e.to_string())?;
     let mut msg = format!(
         "served {}/{} requests in {} batches (mean size {:.1}): p50 {:.1} ms, p95 {:.1} ms, p99 {:.1} ms, max {:.1} ms, {:.0} req/s wall-clock ({:.0} req/s compute-bound)",
         rep.served,

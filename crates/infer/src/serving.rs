@@ -1,6 +1,6 @@
 //! Real-time serving: Poisson request arrivals, micro-batching, bounded
-//! admission, per-request deadlines, and a pruning-tiered degradation
-//! ladder.
+//! admission, per-request deadlines, a pruning-tiered degradation ladder,
+//! and one fleet executor with two routings.
 //!
 //! The paper's real-time applications (Table 1: recommendation, spam
 //! detection) serve *requests*, not pre-formed batches. This module models
@@ -19,40 +19,57 @@
 //! engines built from successively heavier pruning schemes, stepping to a
 //! cheaper tier when the queue deepens and back up when load recedes
 //! (channel pruning's bounded-accuracy-loss models, Fig. 5, are exactly the
-//! right lever for graceful degradation). [`serve_multi`] scales the trace
-//! across engine replicas sharing one feature store and **survives worker
-//! panics**: a crashed worker's in-flight batch is requeued with a retry
-//! cap, and the fleet finishes the trace with fewer workers.
+//! right lever for graceful degradation).
 //!
-//! # Unified batch-window anchoring
+//! # Batch-window anchoring
 //!
-//! Both serving loops form batches with one shared [`BatchFormer`]: a
+//! Every serving loop forms batches with the one [`BatchFormer`]: a
 //! micro-batch opens when its first request has arrived **and a server slot
 //! is free** (`open = max(first_arrival, free_at)`), closes `max_wait`
 //! later (or as soon as it fills to `max_batch`), admits arrivals inside
 //! the window subject to the bounded queue, and sheds members whose
 //! projected completion is past their deadline. [`simulate`] anchors
-//! `free_at` on its measured single-server clock; [`serve_multi`] anchors
-//! on the earliest-free **virtual** worker clock advanced by an EWMA
-//! compute estimate (with K real threads there is no single measured free
-//! clock). An earlier revision pre-formed `serve_multi` batches from the
-//! trace alone (`close = first_arrival + max_wait`, no busy term), which
-//! made the same trace yield systematically more, smaller batches than
-//! `simulate` under load; the former is now shared and the divergence is
-//! retired (pinned by `serve_multi_anchoring_matches_simulate`).
+//! `free_at` on its measured single-server clock; the fleet anchors on the
+//! earliest-free **virtual** worker clock advanced by an EWMA compute
+//! estimate (with K real threads there is no single measured free clock).
+//! On a trace where anchoring cannot depend on compute timing the loops form
+//! identical batches (pinned by `serve_multi_anchoring_matches_simulate`).
 //!
-//! # The `serve_multi` event loop
+//! # One fleet executor, two routings
 //!
-//! The dispatcher thread forms batches and submits them through a bounded
-//! condvar [`DispatchQueue`]; workers block on the queue (no polling — the
-//! old loop slept 100 µs per idle iteration) and the queue bound is the
-//! admission backpressure. Under [`PipelineMode::Pipelined`] (the default)
-//! each worker runs a **front** thread (`EngineCore::prepare`: expansion +
-//! gather + store probes) and a **back** thread (`EngineCore::execute`:
-//! SpMM + GEMM + write-back) connected by a bounded `StageQueue`, so batch
-//! N+1's gather overlaps batch N's GEMM; [`PipelineMode::Sequential`] is
-//! the one-thread-per-worker escape hatch. Both modes run exactly the same
-//! prepare/execute code, so outputs are bitwise identical.
+//! [`serve_multi`] and [`serve_sharded`] are the same executor
+//! (`run_fleet`); they differ only in how engines are grouped and how a
+//! sealed window is routed. A fleet is a list of *routing groups*:
+//! `AnyWorker` is one group holding every engine (any idle replica takes
+//! the next batch), `OwnerShard(assign)` is one group per engine (engine
+//! `s` serves shard `s`, and the dispatcher splits each window by its
+//! targets' owners — a stable partition, so one shard is the single-group
+//! fleet, not a special case).
+//!
+//! * **Per group** — the bounded condvar [`DispatchQueue`] (the queue bound
+//!   is the admission backpressure; workers block on it, no polling), the
+//!   liveness count (the last worker of a group to die aborts only that
+//!   group's queue: its routed requests are shed and counted, the other
+//!   groups keep serving), and one virtual free-clock per worker.
+//! * **Shared** — the batch former, the compute-estimate EWMA, every
+//!   accounting cell of the report, and the supervisor. A batch carries its
+//!   group index, so retries, watchdog steals and hedge duplicates re-enter
+//!   the queue of the batch's own group: write-backs and store probes keep
+//!   their owner routing, and supervision works under every routing.
+//!
+//! Each worker runs the executor [`ServingConfig::pipeline`] selects: under
+//! [`PipelineMode::Pipelined`] (the default) a **front** thread
+//! (`EngineCore::prepare`: expansion + gather + store probes) and a **back**
+//! thread (`EngineCore::execute`: SpMM + GEMM + write-back) connected by a
+//! bounded `StageQueue`, so batch N+1's gather overlaps batch N's GEMM;
+//! [`PipelineMode::Sequential`] is one thread per worker. Both modes run
+//! exactly the same prepare/execute code, so outputs are bitwise identical.
+//!
+//! The fleet **survives worker panics**: each stage runs under
+//! `catch_unwind`, a crashed worker's in-flight batch is requeued with a
+//! retry cap, and the fleet finishes the trace with fewer workers. Every
+//! request is served or shed and counted: `served + shed + shed_queue +
+//! shed_deadline == n_requests`.
 
 use crate::batched::{BackStage, BatchedEngine, EngineCore, FrontStage, PreparedBatch};
 use crate::error::{ServingError, ServingResult};
@@ -63,6 +80,7 @@ use crate::pipeline::{
 use crate::supervisor::{
     supervise, PendingEntry, PendingSlot, SupervisorPolicy, SupervisorStats, WorkerWatch,
 };
+use gcnp_obs::percentile;
 use gcnp_tensor::init::seeded_rng;
 use gcnp_tensor::Matrix;
 use rand::RngExt;
@@ -107,40 +125,39 @@ pub struct ServingConfig {
     pub deadline: Option<f64>,
     /// Bound on the admission queue (requests waiting to be batched).
     /// Arrivals beyond it are shed on admission and counted in
-    /// [`ServingReport::shed_queue`]. `None` means unbounded (the
-    /// pre-resilience behavior).
+    /// [`ServingReport::shed_queue`]. `None` means unbounded.
     pub queue_cap: Option<usize>,
-    /// [`serve_multi`]: how many times a batch whose worker panicked (or
-    /// whose `try_infer` errored) is re-queued before being shed.
+    /// Fleet: how many times a batch whose worker panicked (or whose
+    /// `try_infer` errored) is re-queued before being shed.
     pub retry_cap: u32,
-    /// [`serve_multi`]: base backoff before a failed batch is re-queued
+    /// Fleet: base backoff before a failed batch is re-queued
     /// (milliseconds, doubled per retry) — a poison-pill batch cannot spin
     /// the fleet. Non-finite or negative values are clamped to zero
     /// backoff ([`saturating_backoff`]), never a panic.
     pub backoff_ms: f64,
-    /// [`serve_multi`]: executor selection per worker (see
-    /// [`PipelineMode`]). The default pipelined executor overlaps batch
-    /// N+1's front end with batch N's back end; `Sequential` is the
-    /// escape hatch for A/B benchmarking.
+    /// Fleet: executor selection per worker (see [`PipelineMode`]). The
+    /// default pipelined executor overlaps batch N+1's front end with
+    /// batch N's back end; `Sequential` is the escape hatch for A/B
+    /// benchmarking.
     pub pipeline: PipelineMode,
-    /// [`serve_multi`]: when true, the dispatcher replays the arrival
-    /// trace in real time (sleeping until each batch's start time), so the
-    /// reported latency percentiles are wall-clock meaningful. When false
-    /// (default) the trace is drained as fast as the fleet allows —
+    /// Fleet: when true, the dispatcher replays the arrival trace in real
+    /// time (sleeping until each batch's start time), so the reported
+    /// latency percentiles are wall-clock meaningful. When false (default)
+    /// the trace is drained as fast as the fleet allows —
     /// throughput-oriented, percentiles only relative.
     pub pace: bool,
-    /// [`serve_multi`]: watchdog bound in seconds. A batch whose stage has
-    /// made no progress for longer than this is presumed wedged: the
-    /// supervisor tears the stage pair down, requeues the batch through the
-    /// normal retry path, and (pipelined mode) respawns the pair. `None`
-    /// (default) disables the watchdog entirely — no supervisor thread is
-    /// spawned and the executor behaves exactly as before.
+    /// Fleet: watchdog bound in seconds. A batch whose stage has made no
+    /// progress for longer than this is presumed wedged: the supervisor
+    /// tears the stage pair down, requeues the batch through the normal
+    /// retry path, and (pipelined mode) respawns the pair. `None` (default)
+    /// disables the watchdog; with [`ServingConfig::hedge`] also `None` no
+    /// supervisor thread is spawned.
     pub watchdog: Option<f64>,
-    /// [`serve_multi`]: hedging multiplier `k`. A batch busy for more than
-    /// `k ×` the fleet's EWMA compute estimate is speculatively
-    /// re-dispatched; the first attempt to finish wins and the loser's
-    /// write-back is suppressed, so results stay bitwise identical to an
-    /// unhedged run. `None` (default) disables hedging.
+    /// Fleet: hedging multiplier `k`. A batch busy for more than `k ×` the
+    /// fleet's EWMA compute estimate is speculatively re-dispatched; the
+    /// first attempt to finish wins and the loser's write-back is
+    /// suppressed, so results stay bitwise identical to an unhedged run.
+    /// `None` (default) disables hedging.
     pub hedge: Option<f64>,
 }
 
@@ -215,7 +232,7 @@ impl ServingConfig {
     }
 
     /// The seeded Poisson arrival trace `(arrival_time, node)` shared by
-    /// [`simulate`] and [`serve_multi`].
+    /// [`simulate`] and the fleet.
     fn arrivals(&self, pool: &[usize]) -> Vec<(f64, usize)> {
         let mut rng = seeded_rng(self.seed);
         let mut arrivals = Vec::with_capacity(self.n_requests);
@@ -288,16 +305,8 @@ pub struct ServingReport {
     pub throughput: f64,
     /// Compute-bound requests/second: `served` divided by the summed batch
     /// compute time. This is the server's capacity ceiling, ignoring
-    /// arrival gaps (the quantity previously misreported as `throughput`).
+    /// arrival gaps.
     pub compute_throughput: f64,
-}
-
-/// Nearest-rank percentile of an ascending-sorted sample — delegates to the
-/// workspace's one shared implementation in [`gcnp_obs::percentile`] (the
-/// previous truncating formula under-reported tail percentiles; the pinned
-/// regression tests below keep guarding the semantics).
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    gcnp_obs::percentile(sorted, p)
 }
 
 /// One admission window produced by [`BatchFormer::admit`]: the batch being
@@ -308,10 +317,22 @@ struct Window {
     close: f64,
 }
 
-/// The one batch former shared by [`simulate_tiered`] and [`serve_multi`]
-/// (see the module docs: the anchoring rule is identical; only the
-/// `free_at` clock differs). Owns the admission queue, the trace cursor,
-/// and the formation-time shed accounting.
+/// A sealed, non-empty micro-batch out of [`BatchFormer::next_batch`].
+struct FormedBatch {
+    nodes: Vec<usize>,
+    /// Arrival time of each member (latency accounting).
+    arrivals: Vec<f64>,
+    /// When its compute may start on the serving loop's clock.
+    start: f64,
+    /// The compute estimate it was projected with (the fleet advances its
+    /// virtual clocks by the same number).
+    est: f64,
+}
+
+/// The one batch former shared by [`simulate_tiered`] and the fleet (see
+/// the module docs: the anchoring rule is identical; only the `free_at`
+/// clock differs). Owns the admission queue, the trace cursor, and the
+/// formation-time shed accounting.
 struct BatchFormer<'c> {
     arrivals: &'c [(f64, usize)],
     cfg: &'c ServingConfig,
@@ -336,10 +357,49 @@ impl<'c> BatchFormer<'c> {
         }
     }
 
+    /// Form the next batch against the server-free clock: admit a window,
+    /// ask `estimate` for the compute seconds to project with, seal, and
+    /// fix the start time. `estimate` sees the admitted queue depth (the
+    /// ladder's load signal) and says whether its number is *measured* or
+    /// still the analytic seed. A window whose members were all shed is
+    /// skipped and the next one anchors on the next survivor. Returns
+    /// `None` when the trace is exhausted and nothing is queued — the
+    /// serving loop is done.
+    fn next_batch(
+        &mut self,
+        free_at: f64,
+        mut estimate: impl FnMut(usize) -> (f64, bool),
+        obs: Option<&ServingMetrics>,
+    ) -> Option<FormedBatch> {
+        loop {
+            let w = self.admit(free_at, obs)?;
+            let (est, measured) = estimate(self.queue.len());
+            let (nodes, arrivals) = self.seal(&w, est, measured, obs);
+            if nodes.is_empty() {
+                continue;
+            }
+            // Compute starts when the batch is sealed: a batch that filled
+            // to `max_batch` is sealed by its last (latest-arriving)
+            // member, a non-full batch only when its window closes at
+            // `open + max_wait`.
+            let start = if nodes.len() == self.cfg.max_batch {
+                arrivals.iter().fold(w.open, |acc, &t| acc.max(t))
+            } else {
+                w.close
+            };
+            return Some(FormedBatch {
+                nodes,
+                arrivals,
+                start,
+                est,
+            });
+        }
+    }
+
     /// Open the next batch window against the server-free clock and admit
     /// every arrival inside it (bounded queue; overflow is shed and
     /// counted). Returns `None` when the trace is exhausted and nothing is
-    /// queued — the serving loop is done.
+    /// queued.
     fn admit(&mut self, free_at: f64, obs: Option<&ServingMetrics>) -> Option<Window> {
         // The window anchors on the oldest waiting request; pull one from
         // the trace when the queue is idle.
@@ -371,25 +431,35 @@ impl<'c> BatchFormer<'c> {
         Some(Window { open, close })
     }
 
-    /// Requests currently queued (the ladder's load signal).
-    fn depth(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Seal a batch out of the queue, shedding members whose projected
-    /// completion is already past their deadline (they are counted, not
-    /// stretched). The projected start matches the post-formation start
-    /// rule: a batch that will fill starts as soon as it does (~`open`
-    /// under the backlog that fills it), a non-full batch waits out the
-    /// window. May return an empty batch when the whole window was shed.
+    /// completion (`est × DEADLINE_EST_SAFETY` after the projected start)
+    /// is already past their deadline — they are counted, not stretched.
+    /// The projected start matches the post-formation start rule: a batch
+    /// that will fill starts as soon as it does (~`open` under the backlog
+    /// that fills it), a non-full batch waits out the window. May return an
+    /// empty batch when the whole window was shed.
     fn seal(
         &mut self,
         w: &Window,
-        projected_compute: f64,
+        est: f64,
+        measured: bool,
         obs: Option<&ServingMetrics>,
     ) -> (Vec<usize>, Vec<f64>) {
         let will_fill = self.queue.len() >= self.cfg.max_batch;
         let projected_start = if will_fill { w.open } else { w.close };
+        let mut projected_compute = est * DEADLINE_EST_SAFETY;
+        // An unmeasured seed may trim a window but never empty it: a seed
+        // that sheds even the youngest member sheds every window, so no
+        // batch ever runs and the estimate never earns the measurement
+        // that would correct it. Such a seed is dropped from the
+        // projection; members are then shed on time already waited only.
+        if let (false, Some(d), Some(&(youngest, _))) =
+            (measured, self.cfg.deadline, self.queue.back())
+        {
+            if (projected_start - youngest) + projected_compute > d {
+                projected_compute = 0.0;
+            }
+        }
         let mut nodes = Vec::with_capacity(self.cfg.max_batch);
         let mut when = Vec::with_capacity(self.cfg.max_batch);
         while nodes.len() < self.cfg.max_batch {
@@ -486,10 +556,8 @@ pub fn simulate_tiered(
     let mut tier_switches = 0usize;
     let mut dwell = 0usize;
     // Per-tier EWMA of batch compute seconds: the completion estimate used
-    // for deadline projection. Seeded from the analytic cost model so the
-    // very first windows project against a real (if rough) number instead
-    // of the old 0.0 sentinel, which admitted every request into batch #1
-    // regardless of deadline and then missed on all of them.
+    // for deadline projection, seeded from the analytic cost model so the
+    // first windows project against a real (if rough) number.
     let mut est_compute: Vec<f64> = tiers
         .iter()
         .map(|t| t.cold_compute_estimate(cfg.max_batch))
@@ -500,49 +568,39 @@ pub fn simulate_tiered(
     let mut est_warm = vec![false; n_tiers];
 
     let mut former = BatchFormer::new(&arrivals, cfg);
-    while let Some(w) = former.admit(server_free_at, obs.as_ref()) {
+    loop {
         // Ladder: pick the tier for this batch from the backlog *before*
         // computing, so a deep queue is served cheaply right away.
-        if let Some(pol) = ladder.filter(|_| n_tiers > 1) {
-            let depth = former.depth();
-            let before = tier;
-            while depth >= pol.step_down_depth.max(1) && tier + 1 < n_tiers {
-                tier += 1;
-            }
-            if tier == before && depth <= pol.step_up_depth && tier > 0 && dwell >= pol.min_dwell {
-                tier -= 1;
-            }
-            if tier != before {
-                tier_switches += 1;
-                dwell = 0;
+        let pick_tier = |depth: usize| {
+            if let Some(pol) = ladder.filter(|_| n_tiers > 1) {
+                let before = tier;
+                while depth >= pol.step_down_depth.max(1) && tier + 1 < n_tiers {
+                    tier += 1;
+                }
+                if tier == before
+                    && depth <= pol.step_up_depth
+                    && tier > 0
+                    && dwell >= pol.min_dwell
+                {
+                    tier -= 1;
+                }
+                if tier != before {
+                    tier_switches += 1;
+                    dwell = 0;
+                    if let Some(o) = &obs {
+                        o.tier_switches.inc();
+                    }
+                }
                 if let Some(o) = &obs {
-                    o.tier_switches.inc();
+                    o.tier.set(tier as f64);
                 }
             }
-            if let Some(o) = &obs {
-                o.tier.set(tier as f64);
-            }
-        }
-
-        let projected_compute = est_compute[tier] * DEADLINE_EST_SAFETY; // audit: allow(no-fail-stop) — the ladder steps keep tier within 0..n_tiers
-        let (batch, batch_arrivals) = former.seal(&w, projected_compute, obs.as_ref());
-        if batch.is_empty() {
-            continue; // whole window shed; re-anchor on the next survivor
-        }
-
-        // Compute starts when the batch is sealed: a batch that filled to
-        // `max_batch` is sealed by its last (latest-arriving) member, a
-        // non-full batch only when its window closes at `open + max_wait`.
-        // (The previous rule started *every* batch at its last member's
-        // arrival, under-reporting the window wait of non-full batches and
-        // making deadline projection optimistic.)
-        let fill_time = batch_arrivals.iter().fold(w.open, |acc, &t| acc.max(t));
-        let start = if batch.len() == cfg.max_batch {
-            fill_time
-        } else {
-            w.close
+            (est_compute[tier], est_warm[tier]) // audit: allow(no-fail-stop) — the ladder steps keep tier within 0..n_tiers
         };
-        let res = tiers[tier].try_infer(&batch)?; // audit: allow(no-fail-stop) — the ladder steps keep tier within 0..n_tiers
+        let Some(batch) = former.next_batch(server_free_at, pick_tier, obs.as_ref()) else {
+            break;
+        };
+        let res = tiers[tier].try_infer(&batch.nodes)?; // audit: allow(no-fail-stop) — the ladder steps keep tier within 0..n_tiers
         let compute = res.seconds;
         total_compute += compute;
         // audit: allow(no-fail-stop) — the ladder steps keep tier within 0..n_tiers
@@ -552,21 +610,21 @@ pub fn simulate_tiered(
             est_warm[tier] = true; // audit: allow(no-fail-stop) — same tier bound
             compute
         };
-        let done = start + compute;
+        let done = batch.start + compute;
         server_free_at = done;
         n_batches += 1;
         dwell += 1;
-        served += batch.len();
-        tier_served[tier] += batch.len(); // audit: allow(no-fail-stop) — the ladder steps keep tier within 0..n_tiers
+        served += batch.nodes.len();
+        tier_served[tier] += batch.nodes.len(); // audit: allow(no-fail-stop) — the ladder steps keep tier within 0..n_tiers
         if let Some(c) = tier_served_ctrs.get(tier) {
-            c.add(batch.len() as u64);
+            c.add(batch.nodes.len() as u64);
         }
         if let Some(o) = &obs {
             o.batches.inc();
-            o.batch_size.observe(batch.len() as f64);
-            o.served.add(batch.len() as u64);
+            o.batch_size.observe(batch.nodes.len() as f64);
+            o.served.add(batch.nodes.len() as u64);
         }
-        for &arr in &batch_arrivals {
+        for &arr in &batch.arrivals {
             let lat = done - arr;
             if cfg.deadline.is_some_and(|d| lat > d) {
                 deadline_misses += 1;
@@ -709,7 +767,11 @@ impl MultiServingReport {
 }
 
 /// One queued unit of work: a micro-batch, its members' arrival times (for
-/// latency accounting), and how many times it has been attempted already.
+/// latency accounting), the routing group it belongs to, and how many times
+/// it has been attempted already.
+///
+/// `group` never changes: a retry, a watchdog steal and a hedge duplicate
+/// all re-enter the queue of the group the dispatcher routed the batch to.
 ///
 /// `claim` is the hedge race token. A batch the supervisor speculatively
 /// re-dispatched shares one `AtomicBool` between the primary attempt (via
@@ -721,6 +783,7 @@ impl MultiServingReport {
 struct QueuedBatch {
     nodes: Vec<usize>,
     arrivals: Vec<f64>,
+    group: usize,
     attempt: u32,
     claim: Option<Arc<AtomicBool>>,
 }
@@ -728,22 +791,8 @@ struct QueuedBatch {
 /// A batch staged by a worker's front thread, waiting on the inter-stage
 /// queue for its back thread.
 struct StagedJob {
-    nodes: Vec<usize>,
-    arrivals: Vec<f64>,
-    attempt: u32,
-    claim: Option<Arc<AtomicBool>>,
+    batch: QueuedBatch,
     prep: PreparedBatch,
-}
-
-impl StagedJob {
-    fn unstage(self) -> QueuedBatch {
-        QueuedBatch {
-            nodes: self.nodes,
-            arrivals: self.arrivals,
-            attempt: self.attempt,
-            claim: self.claim,
-        }
-    }
 }
 
 /// Per-worker plumbing of the two-stage executor: the bounded inter-stage
@@ -782,6 +831,12 @@ impl WorkerLink {
         }
     }
 
+    /// Whether the stage pair is winding down (retired for good, or torn
+    /// down by the watchdog for a respawn).
+    fn winding_down(&self) -> bool {
+        self.retired.load(Ordering::Acquire) || self.torn.load(Ordering::Acquire)
+    }
+
     /// Re-arm the link for a fresh stage-pair generation after a watchdog
     /// teardown: reopen the closed stage queue and reset the barrier gate
     /// (the new front restarts its staged count from zero).
@@ -791,40 +846,69 @@ impl WorkerLink {
     }
 }
 
-/// Shared state of one `serve_multi` fleet: the dispatch queue plus every
-/// cross-thread accounting cell, passed by copy to the worker threads.
-#[derive(Clone, Copy)]
+/// How a fleet groups its engines and routes a sealed window (see the
+/// module docs).
+enum Routing<'a> {
+    /// One group holding every engine: any idle replica takes the batch.
+    AnyWorker,
+    /// One group per engine: engine `s` serves the nodes `assign` maps to
+    /// shard `s`.
+    OwnerShard(&'a [u32]),
+}
+
+/// One routing group: the queue its workers drain and their liveness.
+struct Group {
+    dispatch: DispatchQueue<QueuedBatch>,
+    /// Live workers; the last one to die aborts `dispatch`.
+    live: AtomicUsize,
+}
+
+/// Shared state of one fleet run: the routing groups plus every
+/// cross-thread accounting cell, borrowed by the worker threads.
 struct Fleet<'f> {
-    dispatch: &'f DispatchQueue<QueuedBatch>,
     cfg: &'f ServingConfig,
-    obs: Option<&'f ServingMetrics>,
+    obs: Option<ServingMetrics>,
+    groups: Vec<Group>,
     /// EWMA of per-batch busy seconds — the dispatcher's virtual-clock
-    /// advance and deadline projection (guarded against non-finite
-    /// observations).
-    est: &'f Mutex<f64>, // lock: fleet.est
-    compute_seconds: &'f Mutex<f64>, // lock: fleet.compute
-    /// Summed stage-thread busy time (occupancy numerator).
-    busy_seconds: &'f Mutex<f64>, // lock: fleet.busy
-    latencies: &'f Mutex<Vec<f64>>,  // lock: fleet.latencies
-    served: &'f AtomicUsize,
-    shed: &'f AtomicUsize,
-    recoveries: &'f AtomicUsize,
-    failures: &'f AtomicUsize,
-    retries: &'f AtomicUsize,
-    workers_lost: &'f AtomicUsize,
-    workers_live: &'f AtomicUsize,
+    /// advance, the deadline projection and the hedge bound (guarded
+    /// against non-finite observations). Starts from the analytic cost
+    /// model (`cold_compute_estimate`), so the virtual clocks advance and
+    /// the hedge bound is meaningful from batch #1.
+    est: Mutex<f64>, // lock: fleet.est
     /// Whether `est` holds a measured observation (vs the analytic cold
     /// seed, which the first real measurement replaces outright).
-    est_warm: &'f AtomicBool,
-    hedges_won: &'f AtomicUsize,
-    hedges_wasted: &'f AtomicUsize,
+    est_warm: AtomicBool,
+    compute_seconds: Mutex<f64>, // lock: fleet.compute
+    /// Summed stage-thread busy time (occupancy numerator).
+    busy_seconds: Mutex<f64>, // lock: fleet.busy
+    latencies: Mutex<Vec<f64>>,  // lock: fleet.latencies
+    served: AtomicUsize,
+    shed: AtomicUsize,
+    recoveries: AtomicUsize,
+    failures: AtomicUsize,
+    retries: AtomicUsize,
+    workers_lost: AtomicUsize,
+    hedges_won: AtomicUsize,
+    hedges_wasted: AtomicUsize,
     t0: Instant,
 }
 
 impl Fleet<'_> {
-    fn add_busy(&self, secs: f64) {
-        let _order = gcnp_tensor::lockcheck::acquire("fleet.busy");
-        *relock(self.busy_seconds.lock()) += secs;
+    fn group(&self, g: usize) -> &Group {
+        &self.groups[g] // audit: allow(no-fail-stop) — every group index is minted by run_fleet from 0..groups.len() (worker spawn, window split) and travels unchanged on QueuedBatch
+    }
+
+    fn now(&self) -> f64 {
+        self.t0.elapsed().as_secs_f64()
+    }
+
+    /// The current compute estimate (0.0 when unusable) and whether it is
+    /// measured.
+    fn estimate(&self) -> (f64, bool) {
+        let _order = gcnp_tensor::lockcheck::acquire("fleet.est");
+        let e = *relock(self.est.lock());
+        let e = if e.is_finite() && e > 0.0 { e } else { 0.0 };
+        (e, self.est_warm.load(Ordering::Acquire))
     }
 
     fn update_est(&self, secs: f64) {
@@ -842,57 +926,137 @@ impl Fleet<'_> {
         };
     }
 
-    fn on_success(&self, nodes: &[usize], arrivals: &[f64], compute: f64, busy: f64) {
+    /// Run one stage body under `catch_unwind`, timed into the fleet's busy
+    /// seconds, so an injected panic retires the replica, not the fleet.
+    /// Returns the outcome and the busy seconds. A panic is classified
+    /// here: chaos-injected faults carry the `"gcnp-faults:"` marker in
+    /// their message; anything else is a genuine bug surfacing through the
+    /// recovery machinery and is counted under `serving.panics.unexpected`
+    /// so chaos runs cannot silently mask real defects behind the recovery
+    /// path.
+    ///
+    /// `AssertUnwindSafe`: the engine state a body mutates is only reused
+    /// after a *clean* result (its scratch self-heals via the dirty flag
+    /// anyway), and a panicking stage retires its worker with itself.
+    fn attempt<T>(
+        &self,
+        body: impl FnOnce() -> ServingResult<T>,
+    ) -> (std::thread::Result<ServingResult<T>>, f64) {
+        let tb = Instant::now();
+        let outcome = panic::catch_unwind(AssertUnwindSafe(body));
+        let busy = tb.elapsed().as_secs_f64();
+        {
+            let _order = gcnp_tensor::lockcheck::acquire("fleet.busy");
+            *relock(self.busy_seconds.lock()) += busy;
+        }
+        if let Err(payload) = &outcome {
+            let msg = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+            if !msg.is_some_and(|m| m.contains("gcnp-faults:")) {
+                if let Some(o) = &self.obs {
+                    o.panics_unexpected.inc();
+                }
+            }
+        }
+        (outcome, busy)
+    }
+
+    /// The one settlement of a finished stage attempt, shared by every
+    /// stage loop: decide whether this attempt still owns its batch,
+    /// account the outcome exactly once, and pair the pop. `outcome` is
+    /// the stage body's result under `catch_unwind` (a success carries the
+    /// batch's compute seconds) and `est_busy` the busy seconds a success
+    /// feeds to the estimate. Returns whether the worker was lost to a
+    /// panic.
+    fn settle(
+        &self,
+        slot: &PendingSlot<QueuedBatch>,
+        batch: QueuedBatch,
+        outcome: std::thread::Result<ServingResult<f64>>,
+        est_busy: f64,
+    ) -> bool {
+        // An empty slot means the watchdog stole this batch: it was already
+        // requeued and resolved, and this attempt's outcome is void.
+        let pending = slot.finish();
+        let stolen = pending.is_none();
+        // The race token: ours if this attempt *is* the hedge duplicate,
+        // or installed into the slot if a duplicate was fired against us.
+        let token = batch
+            .claim
+            .clone()
+            .or_else(|| pending.and_then(|p| p.hedge));
+        let owns = !stolen
+            && token
+                .as_ref()
+                .is_none_or(|t| !t.swap(true, Ordering::AcqRel));
+        if owns && token.is_some() {
+            // Only a duplicate that *served* the batch won its race.
+            self.hedge_settled(batch.claim.is_some() && matches!(outcome, Ok(Ok(_))));
+        }
+        let dispatch = &self.group(batch.group).dispatch;
+        let lost = outcome.is_err();
+        match outcome {
+            Ok(Ok(compute)) => {
+                if owns {
+                    self.on_success(&batch, compute, est_busy);
+                }
+            }
+            // Clean serving error: the worker survives; the batch retries
+            // or sheds.
+            Ok(Err(_)) => {
+                if owns {
+                    self.failures.fetch_add(1, Ordering::Relaxed);
+                    if let Some(o) = &self.obs {
+                        o.failures.inc();
+                    }
+                    self.retry_or_shed(batch);
+                }
+            }
+            // Worker panic: count the lost replica and recover the batch —
+            // unless another attempt owns it (watchdog steal, lost hedge
+            // race): then its owner accounts for it.
+            Err(_) => {
+                self.recoveries.fetch_add(1, Ordering::Relaxed);
+                self.workers_lost.fetch_add(1, Ordering::Relaxed);
+                if let Some(o) = &self.obs {
+                    o.recoveries.inc();
+                    o.workers_lost.inc();
+                }
+                if owns {
+                    self.retry_or_shed(batch);
+                }
+            }
+        }
+        // Resolve AFTER any requeue so idle peers never see "queue empty,
+        // nothing in flight" while work remains. A stolen batch was
+        // already resolved by the watchdog.
+        if !stolen {
+            dispatch.resolve();
+        }
+        lost
+    }
+
+    fn on_success(&self, batch: &QueuedBatch, compute: f64, est_busy: f64) {
         {
             let _order = gcnp_tensor::lockcheck::acquire("fleet.compute");
             *relock(self.compute_seconds.lock()) += compute;
         }
-        self.update_est(busy);
-        let done = self.t0.elapsed().as_secs_f64();
+        self.update_est(est_busy);
+        let done = self.now();
         {
             let _order = gcnp_tensor::lockcheck::acquire("fleet.latencies");
             let mut lat = relock(self.latencies.lock());
-            for &arr in arrivals {
+            for &arr in &batch.arrivals {
                 lat.push((done - arr).max(0.0) * 1e3);
             }
         }
-        self.served.fetch_add(nodes.len(), Ordering::Relaxed);
-        if let Some(o) = self.obs {
-            o.served.add(nodes.len() as u64);
+        self.served.fetch_add(batch.nodes.len(), Ordering::Relaxed);
+        if let Some(o) = &self.obs {
+            o.served.add(batch.nodes.len() as u64);
             o.batches.inc();
-            o.batch_size.observe(nodes.len() as f64);
-        }
-    }
-
-    /// Clean serving error: the worker survives; the batch retries or sheds.
-    fn on_clean_failure(&self, batch: QueuedBatch) {
-        self.failures.fetch_add(1, Ordering::Relaxed);
-        if let Some(o) = self.obs {
-            o.failures.inc();
-        }
-        self.retry_or_shed(batch);
-    }
-
-    /// Worker panic: recover the batch, count the lost replica.
-    fn on_panic(&self, batch: QueuedBatch) {
-        self.recoveries.fetch_add(1, Ordering::Relaxed);
-        self.workers_lost.fetch_add(1, Ordering::Relaxed);
-        if let Some(o) = self.obs {
-            o.recoveries.inc();
-            o.workers_lost.inc();
-        }
-        self.retry_or_shed(batch);
-    }
-
-    /// Worker panic on a batch some other attempt already owns (it was
-    /// stolen by the watchdog or lost a hedge race): the replica is still
-    /// lost, but the batch needs no recovery — its owner accounts for it.
-    fn on_panic_unowned(&self) {
-        self.recoveries.fetch_add(1, Ordering::Relaxed);
-        self.workers_lost.fetch_add(1, Ordering::Relaxed);
-        if let Some(o) = self.obs {
-            o.recoveries.inc();
-            o.workers_lost.inc();
+            o.batch_size.observe(batch.nodes.len() as f64);
         }
     }
 
@@ -905,7 +1069,7 @@ impl Fleet<'_> {
         } else {
             self.hedges_wasted.fetch_add(1, Ordering::Relaxed);
         }
-        if let Some(o) = self.obs {
+        if let Some(o) = &self.obs {
             if duplicate_won {
                 o.hedge_won.inc();
             } else {
@@ -917,7 +1081,7 @@ impl Fleet<'_> {
     fn retry_or_shed(&self, batch: QueuedBatch) {
         if batch.attempt < self.cfg.retry_cap {
             self.retries.fetch_add(1, Ordering::Relaxed);
-            if let Some(o) = self.obs {
+            if let Some(o) = &self.obs {
                 o.retries.inc();
             }
             // Exponential backoff, saturating on pathological configs; a
@@ -929,7 +1093,7 @@ impl Fleet<'_> {
             }
             // A retry is a fresh attempt: it never inherits a hedge token
             // (the race that token tracked is settled by now).
-            self.dispatch.requeue(QueuedBatch {
+            self.group(batch.group).dispatch.requeue(QueuedBatch {
                 attempt: batch.attempt + 1,
                 claim: None,
                 ..batch
@@ -941,117 +1105,51 @@ impl Fleet<'_> {
 
     fn shed_requests(&self, n: usize) {
         self.shed.fetch_add(n, Ordering::Relaxed);
-        if let Some(o) = self.obs {
+        if let Some(o) = &self.obs {
             o.shed_exhausted.add(n as u64);
         }
     }
 
-    /// Retire one worker; when the last live worker dies, abort the
-    /// dispatch queue so nothing (dispatcher included) blocks forever.
-    fn retire_worker(&self) {
-        if self.workers_live.fetch_sub(1, Ordering::SeqCst) == 1 {
-            self.dispatch.abort();
+    /// Hand a popped but unattempted batch back to its group (the stage
+    /// pair is winding down): requeue before resolve, so the queue is never
+    /// observed empty while the batch is in neither place.
+    fn hand_back(&self, batch: QueuedBatch) {
+        let dispatch = &self.group(batch.group).dispatch;
+        dispatch.requeue(batch);
+        dispatch.resolve();
+    }
+
+    /// Retire one worker of group `g`; when the group's last live worker
+    /// dies, abort its queue so nothing (dispatcher included) blocks on it
+    /// forever.
+    fn retire_worker(&self, g: usize) {
+        let group = self.group(g);
+        if group.live.fetch_sub(1, Ordering::SeqCst) == 1 {
+            group.dispatch.abort();
         }
     }
 }
 
-/// Classify a caught panic payload: chaos-injected faults carry the
-/// `"gcnp-faults:"` marker in their message; anything else is a genuine
-/// bug surfacing through the recovery machinery and is counted under
-/// `serving.panics.unexpected` so chaos runs cannot silently mask real
-/// defects behind the recovery path.
-fn record_panic(fleet: &Fleet<'_>, payload: &(dyn std::any::Any + Send)) {
-    let msg = payload
-        .downcast_ref::<&str>()
-        .copied()
-        .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
-    if !msg.is_some_and(|m| m.contains("gcnp-faults:")) {
-        if let Some(o) = fleet.obs {
-            o.panics_unexpected.inc();
-        }
-    }
-}
-
-/// One-thread-per-worker executor: pop → `try_infer` → account, under
-/// `catch_unwind` so an injected panic retires the replica, not the fleet.
-fn sequential_worker(engine: &mut BatchedEngine<'_>, link: &WorkerLink, fleet: Fleet<'_>) {
-    let mut lost = false;
-    while !lost {
-        let Some(batch) = fleet.dispatch.pop() else {
-            break;
-        };
+/// One-thread-per-worker executor: pop → `try_infer` → settle.
+fn sequential_worker(
+    engine: &mut BatchedEngine<'_>,
+    link: &WorkerLink,
+    fleet: &Fleet<'_>,
+    g: usize,
+) {
+    while let Some(batch) = fleet.group(g).dispatch.pop() {
         // Publish the in-flight batch for the supervisor (hedgeable: the
         // whole try_infer counts as one stage here).
-        link.front_pending
-            .begin(&batch, fleet.t0.elapsed().as_secs_f64(), true);
-        let tb = Instant::now();
-        // `catch_unwind` needs `AssertUnwindSafe`: the engine is only
-        // reused after a *clean* result (its scratch self-heals via the
-        // dirty flag anyway), and a panicking worker retires its engine
-        // with itself.
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| engine.try_infer(&batch.nodes)));
-        let busy = tb.elapsed().as_secs_f64();
-        fleet.add_busy(busy);
-        // An empty slot means the watchdog stole this batch: it was already
-        // requeued and resolved, and this attempt's outcome is void.
-        let pending = link.front_pending.finish();
-        let stolen = pending.is_none();
-        // The race token: ours if this attempt *is* the hedge duplicate,
-        // or installed into the slot if a duplicate was fired against us.
-        let token = batch
-            .claim
-            .clone()
-            .or_else(|| pending.and_then(|p| p.hedge));
-        let owns = !stolen
-            && token
-                .as_ref()
-                .is_none_or(|t| !t.swap(true, Ordering::AcqRel));
-        match outcome {
-            Ok(Ok(res)) => {
-                if owns {
-                    if token.is_some() {
-                        fleet.hedge_settled(batch.claim.is_some());
-                    }
-                    // ClockSkew chaos inflates only the *estimate* feed,
-                    // never the served latency.
-                    fleet.on_success(
-                        &batch.nodes,
-                        &batch.arrivals,
-                        res.seconds,
-                        busy * engine.last_est_skew(),
-                    );
-                }
-            }
-            Ok(Err(_e)) => {
-                if owns {
-                    if token.is_some() {
-                        fleet.hedge_settled(false);
-                    }
-                    fleet.on_clean_failure(batch);
-                }
-            }
-            Err(payload) => {
-                record_panic(&fleet, payload.as_ref());
-                if owns {
-                    if token.is_some() {
-                        fleet.hedge_settled(false);
-                    }
-                    fleet.on_panic(batch);
-                } else {
-                    fleet.on_panic_unowned();
-                }
-                lost = true;
-            }
+        link.front_pending.begin(&batch, fleet.now(), true);
+        let (outcome, busy) = fleet.attempt(|| engine.try_infer(&batch.nodes));
+        // ClockSkew chaos inflates only the *estimate* feed, never the
+        // served latency.
+        let est_busy = busy * engine.last_est_skew();
+        let outcome = outcome.map(|r| r.map(|res| res.seconds));
+        if fleet.settle(&link.front_pending, batch, outcome, est_busy) {
+            fleet.retire_worker(g);
+            break;
         }
-        // Resolve AFTER any requeue so idle peers never see "queue empty,
-        // nothing in flight" while work remains. A stolen batch was
-        // already resolved by the watchdog.
-        if !stolen {
-            fleet.dispatch.resolve();
-        }
-    }
-    if lost {
-        fleet.retire_worker();
     }
 }
 
@@ -1062,32 +1160,25 @@ fn pipelined_front(
     core: EngineCore<'_, '_>,
     mut front: FrontStage<'_>,
     link: &WorkerLink,
-    fleet: Fleet<'_>,
+    fleet: &Fleet<'_>,
+    g: usize,
 ) {
     let barrier = core.needs_store_barrier();
     let mut staged: u64 = 0; // batches handed to the back stage
     let mut lost = false;
-    loop {
-        if link.retired.load(Ordering::Acquire) || link.torn.load(Ordering::Acquire) {
-            break;
-        }
-        let Some(batch) = fleet.dispatch.pop() else {
+    while !link.winding_down() {
+        let Some(batch) = fleet.group(g).dispatch.pop() else {
             break;
         };
         // The back stage may have died (or the watchdog torn the pair
-        // down) while we were blocked in pop: hand the batch back for a
-        // live worker instead of preparing into a closed stage queue.
-        if link.retired.load(Ordering::Acquire) || link.torn.load(Ordering::Acquire) {
-            fleet.dispatch.requeue(batch);
-            fleet.dispatch.resolve();
-            break;
-        }
-        // Store-write visibility (same rule as `run_batches`): preparing
-        // batch N+1 before batch N's write-backs land would change what
-        // the store probes observe versus the sequential executor.
-        if barrier && staged > 0 && !link.gate.wait_done(staged) {
-            fleet.dispatch.requeue(batch);
-            fleet.dispatch.resolve();
+        // down) while we were blocked in pop — or dies while we wait out
+        // the store-write visibility barrier (same rule as `run_batches`:
+        // preparing batch N+1 before batch N's write-backs land would
+        // change what the store probes observe versus the sequential
+        // executor). Either way hand the batch back for a live worker
+        // instead of preparing into a closed stage queue.
+        if link.winding_down() || (barrier && staged > 0 && !link.gate.wait_done(staged)) {
+            fleet.hand_back(batch);
             break;
         }
         {
@@ -1099,213 +1190,89 @@ fn pipelined_front(
         // Not hedgeable mid-prepare: the estimate the hedge races against
         // covers the whole prepare+execute span, so speculation is decided
         // at the back stage. The watchdog still covers this slot.
-        link.front_pending
-            .begin(&batch, fleet.t0.elapsed().as_secs_f64(), false);
-        let tb = Instant::now();
-        // AssertUnwindSafe: on panic the front's scratch is abandoned with
-        // the worker (the engine behind it heals via the dirty flag).
-        let outcome =
-            panic::catch_unwind(AssertUnwindSafe(|| core.prepare(&batch.nodes, &mut front)));
-        fleet.add_busy(tb.elapsed().as_secs_f64());
-        let stolen = link.front_pending.finish().is_none();
-        match outcome {
-            Ok(Ok(prep)) => {
-                if stolen {
-                    // The watchdog already requeued + resolved this batch;
-                    // the prepared scratch goes straight back to the pool
-                    // and the torn check above winds the generation down.
-                    prep.recycle_into(front.pool);
-                    continue;
-                }
-                staged += 1;
-                let staged_job = StagedJob {
-                    nodes: batch.nodes,
-                    arrivals: batch.arrivals,
-                    attempt: batch.attempt,
-                    claim: batch.claim,
-                    prep,
-                };
-                if let Err(job) = link.stage.push(staged_job) {
-                    // Back stage died and closed the queue: hand back.
-                    fleet.dispatch.requeue(job.unstage());
-                    fleet.dispatch.resolve();
-                    break;
-                }
-                // The back stage resolves this batch after executing it.
-            }
-            Ok(Err(_e)) => {
-                if !stolen {
-                    // Terminal for this attempt: claim the race token (a
-                    // hedge duplicate that already lost stays silent).
-                    let owns = batch
-                        .claim
-                        .as_ref()
-                        .is_none_or(|t| !t.swap(true, Ordering::AcqRel));
-                    if owns {
-                        if batch.claim.is_some() {
-                            fleet.hedge_settled(false);
-                        }
-                        fleet.on_clean_failure(batch);
-                    }
-                    fleet.dispatch.resolve();
-                }
+        link.front_pending.begin(&batch, fleet.now(), false);
+        let (outcome, _) = fleet.attempt(|| core.prepare(&batch.nodes, &mut front));
+        let prep = match outcome {
+            Ok(Ok(prep)) => prep,
+            // A failed prepare is terminal for this attempt.
+            Ok(Err(e)) => {
+                fleet.settle(&link.front_pending, batch, Ok(Err(e)), 0.0);
+                continue;
             }
             Err(payload) => {
-                record_panic(&fleet, payload.as_ref());
-                if stolen {
-                    fleet.on_panic_unowned();
-                } else {
-                    let owns = batch
-                        .claim
-                        .as_ref()
-                        .is_none_or(|t| !t.swap(true, Ordering::AcqRel));
-                    if owns {
-                        if batch.claim.is_some() {
-                            fleet.hedge_settled(false);
-                        }
-                        fleet.on_panic(batch);
-                    } else {
-                        fleet.on_panic_unowned();
-                    }
-                    fleet.dispatch.resolve();
-                }
-                lost = true;
+                lost = fleet.settle(&link.front_pending, batch, Err(payload), 0.0);
                 break;
             }
+        };
+        if link.front_pending.finish().is_none() {
+            // The watchdog already requeued + resolved this batch; the
+            // prepared scratch goes straight back to the pool and the
+            // winding-down check above ends the generation.
+            prep.recycle_into(front.pool);
+            continue;
         }
+        staged += 1;
+        if let Err(job) = link.stage.push(StagedJob { batch, prep }) {
+            // Back stage died and closed the queue: hand back.
+            fleet.hand_back(job.batch);
+            break;
+        }
+        // The back stage settles this batch after executing it.
     }
     // Always close: the back stage drains what was staged, then exits.
     link.stage.close();
     if lost && !link.retired.swap(true, Ordering::AcqRel) {
-        fleet.retire_worker();
+        fleet.retire_worker(g);
     }
 }
 
-/// Back stage of one pipelined worker: unstage → `execute` → account. On
+/// Back stage of one pipelined worker: unstage → `execute` → settle. On
 /// death it kills the gate, drains the stage queue back to the dispatcher
 /// (those batches were popped and never resolved), and retires the worker.
 fn pipelined_back(
     core: EngineCore<'_, '_>,
     mut back: BackStage<'_>,
     link: &WorkerLink,
-    fleet: Fleet<'_>,
+    fleet: &Fleet<'_>,
+    g: usize,
 ) {
-    let mut lost = false;
-    while let Some(job) = link.stage.pop() {
-        let StagedJob {
-            nodes,
-            arrivals,
-            attempt,
-            claim,
-            prep,
-        } = job;
+    while let Some(StagedJob { batch, prep }) = link.stage.pop() {
         // Publish for the supervisor: the back stage is where a straggling
         // batch becomes hedgeable (the EWMA the hedge races against covers
         // the whole prepare+execute span, and execute dominates it).
-        let batch = QueuedBatch {
-            nodes,
-            arrivals,
-            attempt,
-            claim,
-        };
-        link.back_pending
-            .begin(&batch, fleet.t0.elapsed().as_secs_f64(), true);
-        let tb = Instant::now();
+        link.back_pending.begin(&batch, fleet.now(), true);
         let mut spent = Vec::new();
-        // AssertUnwindSafe: same contract as the sequential worker — the
-        // engine is only reused after a clean result.
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            core.execute(prep, &mut back, &mut spent)
-        }));
-        let busy = tb.elapsed().as_secs_f64();
-        fleet.add_busy(busy);
+        let (outcome, busy) = fleet.attempt(|| core.execute(prep, &mut back, &mut spent));
         // Return the front-pool buffers the batch carried even on failure:
         // the rail is the only route back to the front's scratch pool.
         {
             let _order = gcnp_tensor::lockcheck::acquire("worker.rail");
             relock(link.rail.lock()).extend(spent);
         }
-        // An empty slot means the watchdog stole the batch (it was already
-        // requeued + resolved); otherwise any hedge token the supervisor
-        // installed against us rides back in the entry.
-        let pending = link.back_pending.finish();
-        let stolen = pending.is_none();
-        let token = batch
-            .claim
-            .clone()
-            .or_else(|| pending.and_then(|p| p.hedge));
-        let owns = !stolen
-            && token
-                .as_ref()
-                .is_none_or(|t| !t.swap(true, Ordering::AcqRel));
-        match outcome {
-            Ok(Ok(res)) => {
-                if owns {
-                    if token.is_some() {
-                        fleet.hedge_settled(batch.claim.is_some());
-                    }
-                    // ClockSkew chaos inflates only the estimate feed,
-                    // never the served latency.
-                    fleet.on_success(
-                        &batch.nodes,
-                        &batch.arrivals,
-                        res.seconds,
-                        busy * *back.skew,
-                    );
-                }
-                // Bump even when not owning: the gate tracks *staged*
-                // batches so the front's visibility barrier stays in sync.
-                link.gate.bump();
-                if !stolen {
-                    fleet.dispatch.resolve();
-                }
+        // ClockSkew chaos inflates only the estimate feed, never the
+        // served latency.
+        let est_busy = busy * *back.skew;
+        let outcome = outcome.map(|r| r.map(|res| res.seconds));
+        if fleet.settle(&link.back_pending, batch, outcome, est_busy) {
+            // Release the front wherever it blocks (gate or stage push),
+            // then hand every already-staged batch back to the dispatcher:
+            // each was popped from the dispatch queue and never resolved.
+            link.gate.kill();
+            link.stage.close();
+            while let Some(job) = link.stage.pop() {
+                fleet.hand_back(job.batch);
             }
-            Ok(Err(_e)) => {
-                if owns {
-                    if token.is_some() {
-                        fleet.hedge_settled(false);
-                    }
-                    // The batch reached a terminal state for this attempt:
-                    // its write-backs (if any) did not happen, but the
-                    // front may proceed — a retry re-runs both stages.
-                    fleet.on_clean_failure(batch);
-                }
-                link.gate.bump();
-                if !stolen {
-                    fleet.dispatch.resolve();
-                }
+            if !link.retired.swap(true, Ordering::AcqRel) {
+                fleet.retire_worker(g);
             }
-            Err(payload) => {
-                record_panic(&fleet, payload.as_ref());
-                if owns {
-                    if token.is_some() {
-                        fleet.hedge_settled(false);
-                    }
-                    fleet.on_panic(batch);
-                } else {
-                    fleet.on_panic_unowned();
-                }
-                if !stolen {
-                    fleet.dispatch.resolve();
-                }
-                lost = true;
-                break;
-            }
+            break;
         }
-    }
-    if lost {
-        // Release the front wherever it blocks (gate or stage push), then
-        // hand every already-staged batch back to the dispatcher: each was
-        // popped from the dispatch queue and never resolved.
-        link.gate.kill();
-        link.stage.close();
-        while let Some(job) = link.stage.pop() {
-            fleet.dispatch.requeue(job.unstage());
-            fleet.dispatch.resolve();
-        }
-        if !link.retired.swap(true, Ordering::AcqRel) {
-            fleet.retire_worker();
-        }
+        // The batch reached a terminal state for this attempt (a clean
+        // failure wrote nothing back, and its retry re-runs both stages).
+        // Bump even when the attempt did not own the batch: the gate
+        // tracks *staged* batches so the front's visibility barrier stays
+        // in sync.
+        link.gate.bump();
     }
 }
 
@@ -1314,12 +1281,17 @@ fn pipelined_back(
 /// (not retirement) ended the generation — re-arm the link and respawn a
 /// fresh stage pair on the same engine. A worker retired by a genuine
 /// panic stays down; a worker torn down for being wedged comes back.
-fn pipelined_worker(engine: &mut BatchedEngine<'_>, link: &WorkerLink, fleet: Fleet<'_>) {
+fn pipelined_worker(
+    engine: &mut BatchedEngine<'_>,
+    link: &WorkerLink,
+    fleet: &Fleet<'_>,
+    g: usize,
+) {
     loop {
         let (core, front, back) = engine.split();
         std::thread::scope(|inner| {
-            inner.spawn(move || pipelined_front(core, front, link, fleet));
-            pipelined_back(core, back, link, fleet);
+            inner.spawn(move || pipelined_front(core, front, link, fleet, g));
+            pipelined_back(core, back, link, fleet, g);
         });
         if link.retired.load(Ordering::Acquire) || !link.torn.swap(false, Ordering::AcqRel) {
             break;
@@ -1330,13 +1302,11 @@ fn pipelined_worker(engine: &mut BatchedEngine<'_>, link: &WorkerLink, fleet: Fl
 
 /// Multi-worker serving: replay the same Poisson request trace as
 /// [`simulate`], but drain it with `engines.len()` engine replicas running
-/// on real threads. The replicas typically share one [`crate::FeatureStore`]
-/// (pass the same store to each [`BatchedEngine::new`]); the dispatcher
-/// forms micro-batches with the same [`BatchFormer`] as [`simulate`]
-/// (anchored on the earliest-free virtual worker clock) and submits them
-/// through a bounded condvar [`DispatchQueue`] — event-driven handoff, no
-/// polling — from which each idle worker takes the next batch, so a slow
-/// batch on one worker never stalls the others.
+/// on real threads — the fleet executor under `AnyWorker` routing (see the
+/// module docs). The replicas typically share one [`crate::FeatureStore`]
+/// (pass the same store to each [`BatchedEngine::new`]); each idle worker
+/// takes the next batch, so a slow batch on one worker never stalls the
+/// others.
 ///
 /// Executor: [`ServingConfig::pipeline`] selects the default two-stage
 /// pipelined executor (per worker, prepare overlaps the previous batch's
@@ -1360,67 +1330,95 @@ pub fn serve_multi(
     pool: &[usize],
     cfg: &ServingConfig,
 ) -> ServingResult<MultiServingReport> {
-    if engines.is_empty() {
-        return Err(ServingError::NoEngines);
+    run_fleet(engines, Routing::AnyWorker, pool, cfg)
+}
+
+/// Sharded serving — the fleet executor under `OwnerShard` routing: engine
+/// `s` is pinned to shard `s` of a [`crate::ShardedStore`] (built via
+/// [`crate::BatchedEngine::new_sharded`]), `assign` maps every node to its
+/// owner, and the dispatcher routes each sealed window's requests *by
+/// target-node shard* — one sub-batch per shard per window, each through
+/// its own bounded dispatch queue, so a shard's backlog never blocks its
+/// siblings.
+///
+/// Windows are anchored and sealed exactly as in [`serve_multi`]; the
+/// compute estimate, the accounting and the supervisor
+/// ([`ServingConfig::watchdog`], [`ServingConfig::hedge`]) are shared. A
+/// panic storm that kills shard `s`'s replica aborts only queue `s`: its
+/// requests are shed as routed, and the surviving shards keep serving.
+/// Retries, steals and hedge duplicates stay on-shard, so write-backs and
+/// store probes keep their owner routing.
+pub fn serve_sharded(
+    engines: &mut [BatchedEngine<'_>],
+    assign: &[u32],
+    pool: &[usize],
+    cfg: &ServingConfig,
+) -> ServingResult<MultiServingReport> {
+    let n_shards = engines.len();
+    let unowned = |v: &&usize| assign.get(**v).is_none_or(|&s| (s as usize) >= n_shards);
+    match pool.iter().find(unowned) {
+        // (With no engines at all, `run_fleet` reports `NoEngines`.)
+        Some(v) if n_shards > 0 => Err(ServingError::InvalidConfig(format!(
+            "pool node {v} has no shard assignment below {n_shards}"
+        ))),
+        _ => run_fleet(engines, Routing::OwnerShard(assign), pool, cfg),
     }
+}
+
+/// The one fleet executor behind [`serve_multi`] and [`serve_sharded`]:
+/// spawn a worker per engine into its routing group, run the supervisor
+/// when armed, form and route batches on this thread, then settle the
+/// report. Under `OwnerShard` the caller has checked that `assign` covers
+/// every pool node with a shard below `engines.len()`.
+fn run_fleet(
+    engines: &mut [BatchedEngine<'_>],
+    routing: Routing<'_>,
+    pool: &[usize],
+    cfg: &ServingConfig,
+) -> ServingResult<MultiServingReport> {
+    let Some(first) = engines.first() else {
+        return Err(ServingError::NoEngines);
+    };
     cfg.validate(pool)?;
     let n_workers = engines.len();
-    // Counter bundle shared by every worker (all record paths take `&self`
-    // over atomics); resolved from the first instrumented engine's registry.
-    let obs = engines
-        .iter()
-        .find_map(|e| e.metrics())
-        .map(|m| ServingMetrics::new(m.registry()));
-    let arrivals = cfg.arrivals(pool);
-
-    // Event-loop plumbing: the bounded dispatch queue is the admission
-    // backpressure (the dispatcher blocks while the fleet is saturated),
-    // and every shared accounting cell the workers update.
-    let dispatch: DispatchQueue<QueuedBatch> = DispatchQueue::new((2 * n_workers).max(4));
-    // The compute-estimate EWMA starts from the analytic cost model (see
-    // `cold_compute_estimate`) instead of the old 0.0 sentinel, so the
-    // first windows already project deadlines and the supervisor's hedge
-    // bound is meaningful from batch #1. The first measurement replaces it.
-    // lock: fleet.est
-    let est = Mutex::new(
-        engines
-            .first()
-            .map_or(0.0, |e| e.cold_compute_estimate(cfg.max_batch)),
-    );
-    let est_warm = AtomicBool::new(false);
-    let compute_seconds = Mutex::new(0.0f64); // lock: fleet.compute
-    let busy_seconds = Mutex::new(0.0f64); // lock: fleet.busy
-    let latencies = Mutex::new(Vec::<f64>::new()); // lock: fleet.latencies
-    let served = AtomicUsize::new(0);
-    let shed = AtomicUsize::new(0);
-    let recoveries = AtomicUsize::new(0);
-    let failures = AtomicUsize::new(0);
-    let retries = AtomicUsize::new(0);
-    let workers_lost = AtomicUsize::new(0);
-    let workers_live = AtomicUsize::new(n_workers);
-    let hedges_won = AtomicUsize::new(0);
-    let hedges_wasted = AtomicUsize::new(0);
-    let t0 = Instant::now();
-    let fleet = Fleet {
-        dispatch: &dispatch,
-        cfg,
-        obs: obs.as_ref(),
-        est: &est,
-        compute_seconds: &compute_seconds,
-        busy_seconds: &busy_seconds,
-        latencies: &latencies,
-        served: &served,
-        shed: &shed,
-        recoveries: &recoveries,
-        failures: &failures,
-        retries: &retries,
-        workers_lost: &workers_lost,
-        workers_live: &workers_live,
-        est_warm: &est_warm,
-        hedges_won: &hedges_won,
-        hedges_wasted: &hedges_wasted,
-        t0,
+    let (n_groups, per_group) = match routing {
+        Routing::AnyWorker => (1, n_workers),
+        Routing::OwnerShard(_) => (n_workers, 1),
     };
+    let arrivals = cfg.arrivals(pool);
+    let fleet = Fleet {
+        cfg,
+        // Counter bundle shared by every worker (all record paths take
+        // `&self` over atomics); resolved from the first instrumented
+        // engine's registry.
+        obs: engines
+            .iter()
+            .find_map(|e| e.metrics())
+            .map(|m| ServingMetrics::new(m.registry())),
+        // The bounded queue is the admission backpressure: the dispatcher
+        // blocks while a group is saturated.
+        groups: (0..n_groups)
+            .map(|_| Group {
+                dispatch: DispatchQueue::new((2 * per_group).max(4)),
+                live: AtomicUsize::new(per_group),
+            })
+            .collect(),
+        est: Mutex::new(first.cold_compute_estimate(cfg.max_batch)),
+        est_warm: AtomicBool::new(false),
+        compute_seconds: Mutex::new(0.0),
+        busy_seconds: Mutex::new(0.0),
+        latencies: Mutex::new(Vec::new()),
+        served: AtomicUsize::new(0),
+        shed: AtomicUsize::new(0),
+        recoveries: AtomicUsize::new(0),
+        failures: AtomicUsize::new(0),
+        retries: AtomicUsize::new(0),
+        workers_lost: AtomicUsize::new(0),
+        hedges_won: AtomicUsize::new(0),
+        hedges_wasted: AtomicUsize::new(0),
+        t0: Instant::now(),
+    };
+    let obs = fleet.obs.as_ref();
     let links: Vec<WorkerLink> = (0..n_workers).map(|_| WorkerLink::new()).collect();
 
     // Supervision plumbing (inert when both knobs are None): per-worker
@@ -1457,36 +1455,25 @@ pub fn serve_multi(
         .collect();
 
     let (n_batches, shed_queue, shed_deadline) = std::thread::scope(|scope| {
-        let finished = &finished;
-        for (engine, link) in engines.iter_mut().zip(&links) {
-            match cfg.pipeline {
-                PipelineMode::Sequential => {
-                    scope.spawn(move || {
-                        sequential_worker(engine, link, fleet);
-                        finished.fetch_add(1, Ordering::Release);
-                    });
+        let (fleet, finished) = (&fleet, &finished);
+        for (k, (engine, link)) in engines.iter_mut().zip(&links).enumerate() {
+            let g = k / per_group;
+            scope.spawn(move || {
+                match cfg.pipeline {
+                    PipelineMode::Sequential => sequential_worker(engine, link, fleet, g),
+                    PipelineMode::Pipelined => pipelined_worker(engine, link, fleet, g),
                 }
-                PipelineMode::Pipelined => {
-                    scope.spawn(move || {
-                        pipelined_worker(engine, link, fleet);
-                        finished.fetch_add(1, Ordering::Release);
-                    });
-                }
-            }
+                finished.fetch_add(1, Ordering::Release);
+            });
         }
         if policy.active() {
-            let watches = &watches;
-            let policy = &policy;
-            let sup_stats = &sup_stats;
+            let (watches, policy, sup_stats) = (&watches, &policy, &sup_stats);
             scope.spawn(move || {
                 supervise(
                     watches,
                     policy,
-                    &|| fleet.t0.elapsed().as_secs_f64(),
-                    &|| {
-                        let _order = gcnp_tensor::lockcheck::acquire("fleet.est");
-                        *relock(fleet.est.lock())
-                    },
+                    &|| fleet.now(),
+                    &|| fleet.estimate().0,
                     &|| finished.load(Ordering::Acquire) >= n_workers,
                     &|entry: PendingEntry<QueuedBatch>| {
                         // Watchdog steal: the wedged attempt's slot is
@@ -1494,6 +1481,7 @@ pub fn serve_multi(
                         // Claim any hedge token first — if a duplicate
                         // already owns the batch, stealing must not
                         // re-serve it through the retry path.
+                        let dispatch = &fleet.group(entry.item.group).dispatch;
                         let token = entry.item.claim.clone().or(entry.hedge);
                         let owns = token
                             .as_ref()
@@ -1504,26 +1492,23 @@ pub fn serve_multi(
                                 // have produced: the hedge is wasted.
                                 fleet.hedge_settled(false);
                             }
-                            fleet.retry_or_shed(QueuedBatch {
-                                claim: None,
-                                ..entry.item
-                            });
+                            fleet.retry_or_shed(entry.item);
                         }
                         // Pair the wedged worker's pop (it will skip its
                         // own resolve once it sees the empty slot).
-                        fleet.dispatch.resolve();
-                        if let Some(o) = fleet.obs {
+                        dispatch.resolve();
+                        if let Some(o) = obs {
                             o.watchdog_restarts.inc();
                         }
                     },
                     &|item: QueuedBatch, token: Arc<AtomicBool>| {
-                        // Hedge: speculative duplicate through the normal
-                        // dispatch path, sharing the race token with the
+                        // Hedge: speculative duplicate through the batch's
+                        // own group queue, sharing the race token with the
                         // straggling primary.
-                        if let Some(o) = fleet.obs {
+                        if let Some(o) = obs {
                             o.hedge_fired.inc();
                         }
-                        fleet.dispatch.requeue(QueuedBatch {
+                        fleet.group(item.group).dispatch.requeue(QueuedBatch {
                             claim: Some(token),
                             ..item
                         });
@@ -1534,58 +1519,65 @@ pub fn serve_multi(
         }
 
         // Dispatcher (this thread): form batches with the shared former,
-        // anchored on the earliest-free virtual worker slot, and submit
-        // them through the bounded queue.
+        // anchored on the earliest-free virtual worker clock, and submit
+        // each through the queue of the group that owns it.
         let mut former = BatchFormer::new(&arrivals, cfg);
-        let mut free = vec![0.0f64; n_workers];
+        let mut free = vec![vec![0.0f64; per_group]; n_groups];
         let mut n_batches = 0usize;
         loop {
-            let mut slot = 0usize;
-            let mut free_at = f64::INFINITY;
-            for (k, &f) in free.iter().enumerate() {
-                if f < free_at {
-                    slot = k;
-                    free_at = f;
-                }
+            let free_at = free.iter().flatten().copied().fold(f64::INFINITY, f64::min);
+            if free_at.is_infinite() {
+                break; // every group's workers are gone
             }
-            let Some(w) = former.admit(free_at, obs.as_ref()) else {
+            let Some(batch) = former.next_batch(free_at, |_| fleet.estimate(), obs) else {
                 break; // trace exhausted and queue drained
-            };
-            let _order = gcnp_tensor::lockcheck::acquire("fleet.est");
-            let e = *relock(est.lock());
-            let est_c = if e.is_finite() && e > 0.0 { e } else { 0.0 };
-            let (nodes, when) = former.seal(&w, est_c * DEADLINE_EST_SAFETY, obs.as_ref());
-            if nodes.is_empty() {
-                continue; // whole window shed; re-anchor on the next survivor
-            }
-            let fill = when.iter().fold(w.open, |acc, &t| acc.max(t));
-            let start = if nodes.len() == cfg.max_batch {
-                fill
-            } else {
-                w.close
             };
             if cfg.pace {
                 // Real-time replay: hold the batch until its start time.
-                let wait = start - t0.elapsed().as_secs_f64();
+                let wait = batch.start - fleet.now();
                 if wait.is_finite() && wait > 0.0 {
                     std::thread::sleep(Duration::from_secs_f64(wait));
                 }
             }
-            if let Some(f) = free.get_mut(slot) {
-                *f = start + est_c;
+            // The one routing-dependent step: a stable split of the window
+            // by owner group (arrival order is preserved within each
+            // sub-batch).
+            let mut split = vec![(Vec::new(), Vec::new()); n_groups];
+            match routing {
+                Routing::AnyWorker => split[0] = (batch.nodes, batch.arrivals), // audit: allow(no-fail-stop) — AnyWorker has exactly one group
+                Routing::OwnerShard(assign) => {
+                    for (&v, &t) in batch.nodes.iter().zip(&batch.arrivals) {
+                        // audit: allow(no-fail-stop) — the caller validated every pool node's assignment below n_groups, and the former only emits pool nodes
+                        let sub = &mut split[assign[v] as usize];
+                        sub.0.push(v);
+                        sub.1.push(t);
+                    }
+                }
             }
-            match dispatch.push(QueuedBatch {
-                nodes,
-                arrivals: when,
-                attempt: 0,
-                claim: None,
-            }) {
-                Ok(()) => n_batches += 1,
-                Err(b) => {
-                    // Fleet died mid-trace: shed this batch here and the
-                    // rest below.
-                    fleet.shed_requests(b.nodes.len());
-                    break;
+            for (g, ((nodes, arrivals), clocks)) in split.into_iter().zip(&mut free).enumerate() {
+                if nodes.is_empty() {
+                    continue;
+                }
+                // The group's earliest-free worker takes the batch.
+                if let Some(f) = clocks.iter_mut().min_by(|a, b| a.total_cmp(b)) {
+                    *f = batch.start + batch.est;
+                }
+                let queued = QueuedBatch {
+                    nodes,
+                    arrivals,
+                    group: g,
+                    attempt: 0,
+                    claim: None,
+                };
+                match fleet.group(g).dispatch.push(queued) {
+                    Ok(()) => n_batches += 1,
+                    Err(b) => {
+                        // The group's last worker died and aborted its
+                        // queue: shed what was routed there, park its
+                        // clocks, and keep serving the surviving groups.
+                        fleet.shed_requests(b.nodes.len());
+                        clocks.fill(f64::INFINITY);
+                    }
                 }
             }
         }
@@ -1593,25 +1585,32 @@ pub fn serve_multi(
         if rest > 0 {
             fleet.shed_requests(rest);
         }
-        dispatch.close();
+        for group in &fleet.groups {
+            group.dispatch.close();
+        }
         (n_batches, former.shed_queue, former.shed_deadline)
     });
 
-    // If the whole fleet died, the queued batches are shed — accounted,
-    // not lost. A leftover hedge duplicate whose primary already reached a
-    // terminal outcome (its token is claimed) is a ghost, not a request.
-    for b in dispatch.drain() {
-        let owns = b
-            .claim
-            .as_ref()
-            .is_none_or(|t| !t.swap(true, Ordering::AcqRel));
-        if owns {
-            fleet.shed_requests(b.nodes.len());
+    // Whatever a dead group left queued is shed — accounted, not lost. A
+    // leftover hedge duplicate whose primary already reached a terminal
+    // outcome (its token is claimed) is a ghost, not a request.
+    let mut wakeups = 0;
+    for group in &fleet.groups {
+        wakeups += group.dispatch.wakeups();
+        for b in group.dispatch.drain() {
+            let owns = b
+                .claim
+                .as_ref()
+                .is_none_or(|t| !t.swap(true, Ordering::AcqRel));
+            if owns {
+                fleet.shed_requests(b.nodes.len());
+            }
         }
     }
 
-    let wall = t0.elapsed().as_secs_f64().max(f64::EPSILON);
-    let busy = busy_seconds
+    let wall = fleet.now().max(f64::EPSILON);
+    let busy = fleet
+        .busy_seconds
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner);
     let stage_threads = match cfg.pipeline {
@@ -1619,20 +1618,22 @@ pub fn serve_multi(
         PipelineMode::Pipelined => 2.0,
     };
     let pipeline_occupancy = (busy / (stage_threads * n_workers as f64 * wall)).clamp(0.0, 1.0);
-    if let Some(o) = &obs {
+    if let Some(o) = obs {
         o.pipeline_occupancy.set(pipeline_occupancy);
-        o.dispatch_wakeups.add(dispatch.wakeups());
+        o.dispatch_wakeups.add(wakeups);
     }
-    let compute = compute_seconds
+    let compute = fleet
+        .compute_seconds
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner)
         .max(f64::EPSILON);
-    let mut latencies_ms = latencies
+    let mut latencies_ms = fleet
+        .latencies
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner);
     latencies_ms.sort_by(f64::total_cmp);
-    let served = served.into_inner();
-    let shed = shed.into_inner();
+    let served = fleet.served.into_inner();
+    let shed = fleet.shed.into_inner();
     debug_assert_eq!(
         served + shed + shed_queue + shed_deadline,
         cfg.n_requests,
@@ -1649,10 +1650,10 @@ pub fn serve_multi(
         shed,
         shed_queue,
         shed_deadline,
-        recoveries: recoveries.into_inner(),
-        failures: failures.into_inner(),
-        retries: retries.into_inner(),
-        workers_lost: workers_lost.into_inner(),
+        recoveries: fleet.recoveries.into_inner(),
+        failures: fleet.failures.into_inner(),
+        retries: fleet.retries.into_inner(),
+        workers_lost: fleet.workers_lost.into_inner(),
         wall_seconds: wall,
         compute_seconds: compute,
         throughput: served as f64 / wall,
@@ -1664,284 +1665,8 @@ pub fn serve_multi(
         pipeline_occupancy,
         watchdog_restarts: sup_stats.restarts.into_inner(),
         hedges_fired: sup_stats.hedges_fired.into_inner(),
-        hedges_won: hedges_won.into_inner(),
-        hedges_wasted: hedges_wasted.into_inner(),
-    })
-}
-
-/// Sharded fleet executor: engine `s` is pinned to shard `s` of a
-/// [`crate::ShardedStore`] (built via [`crate::BatchedEngine::new_sharded`]),
-/// `assign` maps every node to its owner, and the dispatcher routes each
-/// sealed window's requests *by target-node shard* — one sub-batch per
-/// shard per window, each through its own bounded dispatch queue, so a
-/// shard's backlog never blocks its siblings.
-///
-/// What is shared and what is per-shard:
-/// * **shared** — the [`BatchFormer`] (windows are anchored and sealed
-///   exactly as in [`serve_multi`], so `S = 1` degenerates to the
-///   single-queue executor), the compute-estimate EWMA, and every
-///   accounting cell of the report;
-/// * **per-shard** — the dispatch queue, the worker (sequential or
-///   pipelined per [`ServingConfig::pipeline`]), and its liveness: a panic
-///   storm that kills shard `s`'s replica aborts only queue `s`, its
-///   requests are shed as routed, and the surviving shards keep serving.
-///
-/// Retries stay on-shard: a failed sub-batch re-enters its own shard's
-/// queue, so write-backs and store probes keep their owner-routing.
-///
-/// Not yet supported with `S > 1`: [`ServingConfig::watchdog`] and
-/// [`ServingConfig::hedge`] (the supervisor assumes one dispatch queue);
-/// setting either is a typed [`ServingError::InvalidConfig`].
-pub fn serve_sharded(
-    engines: &mut [BatchedEngine<'_>],
-    assign: &[u32],
-    pool: &[usize],
-    cfg: &ServingConfig,
-) -> ServingResult<MultiServingReport> {
-    if engines.is_empty() {
-        return Err(ServingError::NoEngines);
-    }
-    cfg.validate(pool)?;
-    if cfg.watchdog.is_some() || cfg.hedge.is_some() {
-        return Err(ServingError::InvalidConfig(
-            "watchdog/hedge supervision is not yet supported by serve_sharded".into(),
-        ));
-    }
-    let n_shards = engines.len();
-    for &v in pool {
-        if assign.get(v).is_none_or(|&s| (s as usize) >= n_shards) {
-            return Err(ServingError::InvalidConfig(format!(
-                "pool node {v} has no shard assignment below {n_shards}"
-            )));
-        }
-    }
-    let obs = engines
-        .iter()
-        .find_map(|e| e.metrics())
-        .map(|m| ServingMetrics::new(m.registry()));
-    let arrivals = cfg.arrivals(pool);
-
-    // Per-shard bounded queues (same per-worker depth as serve_multi's
-    // fleet-wide formula at one worker per queue).
-    let dispatches: Vec<DispatchQueue<QueuedBatch>> =
-        (0..n_shards).map(|_| DispatchQueue::new(4)).collect();
-    // lock: fleet.est
-    let est = Mutex::new(
-        engines
-            .first()
-            .map_or(0.0, |e| e.cold_compute_estimate(cfg.max_batch)),
-    );
-    let est_warm = AtomicBool::new(false);
-    let compute_seconds = Mutex::new(0.0f64); // lock: fleet.compute
-    let busy_seconds = Mutex::new(0.0f64); // lock: fleet.busy
-    let latencies = Mutex::new(Vec::<f64>::new()); // lock: fleet.latencies
-    let served = AtomicUsize::new(0);
-    let shed = AtomicUsize::new(0);
-    let recoveries = AtomicUsize::new(0);
-    let failures = AtomicUsize::new(0);
-    let retries = AtomicUsize::new(0);
-    let workers_lost = AtomicUsize::new(0);
-    // One liveness cell per shard: `retire_worker` then aborts only that
-    // shard's queue (the `== 1` fast path holds — each fleet copy sees a
-    // single-worker fleet over the shared counters).
-    let live: Vec<AtomicUsize> = (0..n_shards).map(|_| AtomicUsize::new(1)).collect();
-    let hedges_won = AtomicUsize::new(0);
-    let hedges_wasted = AtomicUsize::new(0);
-    let t0 = Instant::now();
-    let fleets: Vec<Fleet<'_>> = (0..n_shards)
-        .map(|s| Fleet {
-            // audit: allow(no-fail-stop) — s < n_shards == dispatches.len() by the map's range
-            dispatch: &dispatches[s],
-            cfg,
-            obs: obs.as_ref(),
-            est: &est,
-            compute_seconds: &compute_seconds,
-            busy_seconds: &busy_seconds,
-            latencies: &latencies,
-            served: &served,
-            shed: &shed,
-            recoveries: &recoveries,
-            failures: &failures,
-            retries: &retries,
-            workers_lost: &workers_lost,
-            // audit: allow(no-fail-stop) — s < n_shards == live.len() by the map's range
-            workers_live: &live[s],
-            est_warm: &est_warm,
-            hedges_won: &hedges_won,
-            hedges_wasted: &hedges_wasted,
-            t0,
-        })
-        .collect();
-    let fleet0 = fleets[0]; // audit: allow(no-fail-stop) — n_shards >= 1 was checked at entry
-    let links: Vec<WorkerLink> = (0..n_shards).map(|_| WorkerLink::new()).collect();
-
-    let (n_batches, shed_queue, shed_deadline) = std::thread::scope(|scope| {
-        for ((engine, link), &fleet) in engines.iter_mut().zip(&links).zip(&fleets) {
-            match cfg.pipeline {
-                PipelineMode::Sequential => {
-                    scope.spawn(move || sequential_worker(engine, link, fleet));
-                }
-                PipelineMode::Pipelined => {
-                    scope.spawn(move || pipelined_worker(engine, link, fleet));
-                }
-            }
-        }
-
-        // Dispatcher (this thread): one shared former, windows anchored on
-        // the earliest-free shard's virtual clock, sealed batches split by
-        // target-node owner and routed per shard.
-        let mut former = BatchFormer::new(&arrivals, cfg);
-        let mut free = vec![0.0f64; n_shards];
-        let mut n_batches = 0usize;
-        loop {
-            let free_at = free.iter().copied().fold(f64::INFINITY, f64::min);
-            if free_at.is_infinite() {
-                break; // every shard's replica is gone
-            }
-            let Some(w) = former.admit(free_at, obs.as_ref()) else {
-                break; // trace exhausted and queue drained
-            };
-            let est_c = {
-                let _order = gcnp_tensor::lockcheck::acquire("fleet.est");
-                let e = *relock(est.lock());
-                if e.is_finite() && e > 0.0 {
-                    e
-                } else {
-                    0.0
-                }
-            };
-            let (nodes, when) = former.seal(&w, est_c * DEADLINE_EST_SAFETY, obs.as_ref());
-            if nodes.is_empty() {
-                continue; // whole window shed; re-anchor on the next survivor
-            }
-            let fill = when.iter().fold(w.open, |acc, &t| acc.max(t));
-            let start = if nodes.len() == cfg.max_batch {
-                fill
-            } else {
-                w.close
-            };
-            if cfg.pace {
-                let wait = start - t0.elapsed().as_secs_f64();
-                if wait.is_finite() && wait > 0.0 {
-                    std::thread::sleep(Duration::from_secs_f64(wait));
-                }
-            }
-            // Route by owner shard, preserving arrival order within each
-            // sub-batch (the split is a stable partition of the window).
-            let mut split: Vec<(Vec<usize>, Vec<f64>)> =
-                (0..n_shards).map(|_| (Vec::new(), Vec::new())).collect();
-            for (i, &v) in nodes.iter().enumerate() {
-                // audit: allow(no-fail-stop) — every pool node's assignment was validated at entry, and the former only emits pool nodes
-                let s = assign[v] as usize;
-                // audit: allow(no-fail-stop) — s < n_shards == split.len(): validated at entry
-                split[s].0.push(v);
-                // audit: allow(no-fail-stop) — s < n_shards == split.len(): validated at entry
-                split[s].1.push(when[i]);
-            }
-            for (s, (sub, when)) in split.into_iter().enumerate() {
-                if sub.is_empty() {
-                    continue;
-                }
-                if let Some(f) = free.get_mut(s) {
-                    if f.is_finite() {
-                        *f = start + est_c;
-                    }
-                }
-                // audit: allow(no-fail-stop) — s enumerates split, whose len is n_shards == dispatches.len()
-                match dispatches[s].push(QueuedBatch {
-                    nodes: sub,
-                    arrivals: when,
-                    attempt: 0,
-                    claim: None,
-                }) {
-                    Ok(()) => n_batches += 1,
-                    Err(b) => {
-                        // Shard s's replica died and aborted its queue:
-                        // shed what was routed there, park its clock, and
-                        // keep serving the surviving shards.
-                        fleet0.shed_requests(b.nodes.len());
-                        if let Some(f) = free.get_mut(s) {
-                            *f = f64::INFINITY;
-                        }
-                    }
-                }
-            }
-        }
-        let rest = former.shed_rest();
-        if rest > 0 {
-            fleet0.shed_requests(rest);
-        }
-        for d in &dispatches {
-            d.close();
-        }
-        (n_batches, former.shed_queue, former.shed_deadline)
-    });
-
-    // Queued batches of dead shards are shed — accounted, not lost. (No
-    // hedge ghosts here: serve_sharded rejects hedging at entry.)
-    for d in &dispatches {
-        for b in d.drain() {
-            fleet0.shed_requests(b.nodes.len());
-        }
-    }
-
-    let wall = t0.elapsed().as_secs_f64().max(f64::EPSILON);
-    let busy = busy_seconds
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-    let stage_threads = match cfg.pipeline {
-        PipelineMode::Sequential => 1.0,
-        PipelineMode::Pipelined => 2.0,
-    };
-    let pipeline_occupancy = (busy / (stage_threads * n_shards as f64 * wall)).clamp(0.0, 1.0);
-    if let Some(o) = &obs {
-        o.pipeline_occupancy.set(pipeline_occupancy);
-        o.dispatch_wakeups
-            .add(dispatches.iter().map(|d| d.wakeups()).sum());
-    }
-    let compute = compute_seconds
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .max(f64::EPSILON);
-    let mut latencies_ms = latencies
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-    latencies_ms.sort_by(f64::total_cmp);
-    let served = served.into_inner();
-    let shed = shed.into_inner();
-    debug_assert_eq!(
-        served + shed + shed_queue + shed_deadline,
-        cfg.n_requests,
-        "request accounting"
-    );
-    let dispatched = cfg.n_requests.saturating_sub(shed_queue + shed_deadline);
-
-    Ok(MultiServingReport {
-        n_workers: n_shards,
-        n_requests: cfg.n_requests,
-        n_batches,
-        mean_batch_size: dispatched as f64 / n_batches.max(1) as f64,
-        served,
-        shed,
-        shed_queue,
-        shed_deadline,
-        recoveries: recoveries.into_inner(),
-        failures: failures.into_inner(),
-        retries: retries.into_inner(),
-        workers_lost: workers_lost.into_inner(),
-        wall_seconds: wall,
-        compute_seconds: compute,
-        throughput: served as f64 / wall,
-        compute_throughput: served as f64 / compute,
-        p50_ms: percentile(&latencies_ms, 0.50),
-        p95_ms: percentile(&latencies_ms, 0.95),
-        p99_ms: percentile(&latencies_ms, 0.99),
-        max_ms: latencies_ms.last().copied().unwrap_or(0.0),
-        pipeline_occupancy,
-        watchdog_restarts: 0,
-        hedges_fired: 0,
-        hedges_won: hedges_won.into_inner(),
-        hedges_wasted: hedges_wasted.into_inner(),
+        hedges_won: fleet.hedges_won.into_inner(),
+        hedges_wasted: fleet.hedges_wasted.into_inner(),
     })
 }
 

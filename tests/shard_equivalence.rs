@@ -341,27 +341,70 @@ fn sharded_serving_is_lossless_and_deterministic_under_gen2_faults() {
     }
 }
 
-/// Supervision is rejected with a typed error, not silently ignored.
+/// A dead shard takes only its own traffic with it. Shard 0's replica
+/// panics on its first attempt (only its engine carries the injector), so
+/// its queue is aborted: every request routed there is shed and counted,
+/// while shard 1 — its own queue, its own liveness — serves all of its own.
 #[test]
-fn sharded_serving_rejects_supervision_config() {
-    let n = 40;
+fn dead_shard_sheds_its_routed_requests_and_its_sibling_serves_on() {
+    let n = 200;
     let (adj, x, model) = serving_setup(n);
     let pool: Vec<usize> = (0..n).collect();
-    let assign = Partition::hash(n, 2, 0).assign;
-    let store = ShardedStore::new(&assign, 2, model.n_layers() - 1);
-    let mut engines: Vec<BatchedEngine<'_>> = (0..2)
-        .map(|s| {
-            BatchedEngine::new_sharded(&model, &adj, &x, vec![], &store, s, StorePolicy::Roots, 0)
-        })
-        .collect();
-    let cfg = ServingConfig {
-        watchdog: Some(0.5),
-        ..Default::default()
-    };
-    assert!(matches!(
-        serve_sharded(&mut engines, &assign, &pool, &cfg),
-        Err(ServingError::InvalidConfig(_))
-    ));
+    let p = Partition::hash(n, 2, 3);
+    for mode in [PipelineMode::Sequential, PipelineMode::Pipelined] {
+        let cfg = ServingConfig {
+            arrival_rate: 1e6,
+            max_batch: 32,
+            n_requests: 300,
+            seed: 5,
+            pipeline: mode,
+            ..Default::default()
+        };
+        // The seeded trace, draw for draw (an exponential gap, then the
+        // target): how many requests the dispatcher routes to shard 0.
+        let mut rng = seeded_rng(cfg.seed);
+        let routed_to_dead = (0..cfg.n_requests)
+            .filter(|_| {
+                let _gap: f64 = rng.random_range(f64::EPSILON..1.0);
+                p.assign[pool[rng.random_range(0..pool.len())]] == 0
+            })
+            .count();
+        assert!(routed_to_dead > 0 && routed_to_dead < cfg.n_requests);
+
+        let store = ShardedStore::new(&p.assign, 2, model.n_layers() - 1);
+        let storm = FaultPlan {
+            panics: 4,
+            horizon: 4,
+            seed: 1,
+            ..Default::default()
+        }
+        .build()
+        .unwrap();
+        let mut engines: Vec<BatchedEngine<'_>> = (0..2)
+            .map(|s| {
+                BatchedEngine::new_sharded(
+                    &model,
+                    &adj,
+                    &x,
+                    vec![],
+                    &store,
+                    s,
+                    StorePolicy::Roots,
+                    s as u64,
+                )
+            })
+            .collect();
+        engines[0].set_faults(storm);
+        let rep = serve_sharded(&mut engines, &p.assign, &pool, &cfg).unwrap();
+        assert_eq!(rep.workers_lost, 1, "{mode:?}: shard 0's replica died");
+        assert_eq!(rep.shed, routed_to_dead, "{mode:?}: its traffic is shed");
+        assert_eq!(
+            rep.served,
+            cfg.n_requests - routed_to_dead,
+            "{mode:?}: shard 1 serves all of its own"
+        );
+        assert_eq!(rep.shed_queue + rep.shed_deadline, 0, "{mode:?}");
+    }
 }
 
 /// Accretion acceptance: appending edges invalidates exactly the reverse

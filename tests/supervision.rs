@@ -58,52 +58,76 @@ fn fleet<'a>(
 /// Tentpole acceptance: a stage wedged by a deterministic `StageStall` far
 /// past the watchdog bound is detected, its batch stolen and requeued, and
 /// (in pipelined mode) the stage pair torn down and respawned — the run
-/// stays lossless and the stolen batch is eventually served.
+/// stays lossless and the stolen batch is eventually served. The routing
+/// is one more input: two replicas behind one queue (`serve_multi`), or two
+/// owner shards with a queue each (`serve_sharded`), where the stolen batch
+/// must re-enter its own shard's queue.
 #[test]
 fn watchdog_recovers_a_wedged_stage() {
     let (adj, x, model) = setup(120, 8, 16);
     let pool: Vec<usize> = (0..120).collect();
-    for mode in [PipelineMode::Sequential, PipelineMode::Pipelined] {
-        let cfg = ServingConfig {
-            arrival_rate: 1e6,
-            max_batch: 32,
-            n_requests: 240,
-            seed: 19,
-            pipeline: mode,
-            watchdog: Some(0.1),
-            ..Default::default()
-        };
-        // The very first attempt goes silent for 600 ms — six watchdog
-        // bounds, so detection is guaranteed (the scan cadence is a quarter
-        // of the bound) while normal sub-millisecond batches stay far
-        // inside it.
-        let plan = FaultPlan {
-            stalls: 1,
-            stall_ms: 600.0,
-            horizon: 1,
-            seed: 23,
-            ..Default::default()
-        };
-        let inj = plan.build().unwrap();
-        let mut engines = fleet(2, &model, &adj, &x, None, Some(&inj));
-        let rep = serve_multi(&mut engines, &pool, &cfg).unwrap();
-        assert_eq!(inj.fired_gen2(), (1, 0, 0, 0), "{mode:?}: the stall fired");
-        assert!(
-            rep.watchdog_restarts >= 1,
-            "{mode:?}: the watchdog must steal the wedged batch (restarts {})",
-            rep.watchdog_restarts
-        );
-        assert_eq!(
-            rep.served + rep.shed,
-            240,
-            "{mode:?}: recovery loses nothing"
-        );
-        assert_eq!(rep.shed, 0, "{mode:?}: the stolen batch is re-served");
-        assert!(
-            rep.retries >= 1,
-            "{mode:?}: the steal requeues through the retry path"
-        );
-        assert_eq!(rep.failures, 0, "{mode:?}: a steal is not a failure");
+    let assign = Partition::hash(120, 2, 0).assign;
+    for sharded in [false, true] {
+        for mode in [PipelineMode::Sequential, PipelineMode::Pipelined] {
+            let cfg = ServingConfig {
+                arrival_rate: 1e6,
+                max_batch: 32,
+                n_requests: 240,
+                seed: 19,
+                pipeline: mode,
+                watchdog: Some(0.1),
+                ..Default::default()
+            };
+            // The very first attempt goes silent for 600 ms — six watchdog
+            // bounds, so detection is guaranteed (the scan cadence is a
+            // quarter of the bound) while normal sub-millisecond batches
+            // stay far inside it.
+            let plan = FaultPlan {
+                stalls: 1,
+                stall_ms: 600.0,
+                horizon: 1,
+                seed: 23,
+                ..Default::default()
+            };
+            let inj = plan.build().unwrap();
+            let shards = ShardedStore::new(&assign, 2, model.n_layers() - 1);
+            let rep = if sharded {
+                let mut engines: Vec<BatchedEngine<'_>> = (0..2)
+                    .map(|s| {
+                        let mut e = BatchedEngine::new_sharded(
+                            &model,
+                            &adj,
+                            &x,
+                            vec![],
+                            &shards,
+                            s,
+                            StorePolicy::None,
+                            s as u64,
+                        );
+                        e.set_faults(std::sync::Arc::clone(&inj));
+                        e
+                    })
+                    .collect();
+                serve_sharded(&mut engines, &assign, &pool, &cfg).unwrap()
+            } else {
+                let mut engines = fleet(2, &model, &adj, &x, None, Some(&inj));
+                serve_multi(&mut engines, &pool, &cfg).unwrap()
+            };
+            let tag = format!("{mode:?} sharded={sharded}");
+            assert_eq!(inj.fired_gen2(), (1, 0, 0, 0), "{tag}: the stall fired");
+            assert!(
+                rep.watchdog_restarts >= 1,
+                "{tag}: the watchdog must steal the wedged batch (restarts {})",
+                rep.watchdog_restarts
+            );
+            assert_eq!(rep.served + rep.shed, 240, "{tag}: recovery loses nothing");
+            assert_eq!(rep.shed, 0, "{tag}: the stolen batch is re-served");
+            assert!(
+                rep.retries >= 1,
+                "{tag}: the steal requeues through the retry path"
+            );
+            assert_eq!(rep.failures, 0, "{tag}: a steal is not a failure");
+        }
     }
 }
 
@@ -334,6 +358,61 @@ fn cold_start_estimate_seeds_the_virtual_clock() {
         assert_eq!(rep.served, 96, "{mode:?}: cold fleet admits its trace");
         assert_eq!(rep.shed, 0, "{mode:?}");
     }
+}
+
+/// Regression (cold fleet + deadline shed 100 %): the analytic seed can be
+/// far above what a batch measures — the cost model expands `degree^hops`
+/// supporting nodes per target, the engine at most `n`, so a deep model on
+/// a small dense graph is over-estimated a few hundred times — and a
+/// deadline between the two used to shed every window, so no batch ever ran
+/// and the estimate never got its first measurement. An unmeasured seed
+/// must not be able to do that, in either serving loop.
+#[test]
+fn cold_seed_above_the_deadline_cannot_shed_every_window() {
+    let n = 40;
+    let complete: Vec<(u32, u32)> = (0..n as u32)
+        .flat_map(|i| (0..n as u32).filter(move |&j| j != i).map(move |j| (i, j)))
+        .collect();
+    let adj = CsrMatrix::adjacency(n, &complete);
+    let mut rng = seeded_rng(11);
+    let x = Matrix::rand_uniform(n, 8, -1.0, 1.0, &mut rng);
+    let mut layers = vec![zoo::sage_layer(8, 16, Activation::Relu, &mut rng)];
+    layers.extend((0..3).map(|_| zoo::sage_layer(16, 16, Activation::Relu, &mut rng)));
+    let model = GnnModel::new(layers);
+    let pool: Vec<usize> = (0..n).collect();
+
+    let mut probe = BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 0);
+    let cold = probe.cold_compute_estimate(32);
+    let measured = probe.try_infer(&pool[..32]).unwrap().seconds;
+    let deadline = cold / 2.0;
+    assert!(
+        measured * 4.0 < deadline,
+        "scenario needs measured {measured}s well below deadline {deadline}s (cold seed {cold}s)"
+    );
+    let cfg = ServingConfig {
+        arrival_rate: 1e6,
+        max_batch: 32,
+        n_requests: 320,
+        seed: 7,
+        deadline: Some(deadline),
+        ..Default::default()
+    };
+
+    let mut engine = BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 0);
+    let rep = simulate(&mut engine, &pool, &cfg).unwrap();
+    assert!(rep.served > 0, "simulate: the cold seed shed every window");
+    assert_eq!(rep.served + rep.shed_queue + rep.shed_deadline, 320);
+
+    let mut engines = fleet(1, &model, &adj, &x, None, None);
+    let rep = serve_multi(&mut engines, &pool, &cfg).unwrap();
+    assert!(
+        rep.served > 0,
+        "serve_multi: the cold seed shed every window"
+    );
+    assert_eq!(
+        rep.served + rep.shed + rep.shed_queue + rep.shed_deadline,
+        320
+    );
 }
 
 // --- gen-2 fault matrix -------------------------------------------------
