@@ -2,19 +2,36 @@
 //! the hidden-feature store (§2.2.2, §3.3.2).
 //!
 //! Unlike full inference, only the features actually reachable from the
-//! batch targets are gathered and transformed. Aggregation is a uniform mean
+//! batch targets are read and transformed. Aggregation is a uniform mean
 //! over the (possibly capped) neighbor sample, matching GraphSAGE's `D⁻¹A`
 //! semantics when uncapped.
+//!
+//! # Level 0 is read in place
+//!
+//! The raw attributes are never copied per batch. Layer 1's branches read
+//! attribute rows straight out of the borrowed `features` matrix by global
+//! node id; hidden levels read the per-batch level table through the
+//! relabel table. Both go through one private row source (matrix, optional
+//! relabel table, optional `keep`), so `gather_selected` and
+//! `aggregate_mean` have one body each for every level. A layer-1 branch
+//! that carries a runtime `keep` list (the pruner leaves one only there:
+//! the attributes themselves are never rewritten) gets its kept channels
+//! packed once at engine construction — `features.select_cols(keep)`,
+//! stored beside the weight packs — so its aggregation adds contiguous
+//! kept-width rows with no index list. Values, neighbour order and
+//! per-channel add order are those of a materialised, index-selected
+//! level 0, so logits are bitwise identical to it.
 //!
 //! # Two-stage decomposition
 //!
 //! Every batch is served in two stages that share no mutable state:
 //!
 //! * **prepare** (front end): fault draw, target validation, neighborhood
-//!   expansion ([`BatchSupport`]), the level-0 feature gather, and all store
-//!   probes, staged into owned buffers ([`PreparedBatch`]);
-//! * **execute** (back end): relabel-table maintenance, SpMM + GEMM +
-//!   combine, store write-backs, and target-logit extraction.
+//!   expansion ([`BatchSupport`]), and all store probes, staged into owned
+//!   buffers ([`PreparedBatch`]);
+//! * **execute** (back end): aggregation + GEMM + combine, level-table and
+//!   relabel-table maintenance, store write-backs, and target-logit
+//!   extraction.
 //!
 //! [`BatchedEngine::try_infer`] runs them back-to-back (the sequential
 //! path). The pipelined executor in [`crate::pipeline`] runs the front
@@ -206,10 +223,14 @@ pub struct BatchResult {
     pub seconds: f64,
     /// MACs actually executed.
     pub macs: u64,
-    /// Bytes of features touched (gathered inputs, intermediates, store
-    /// reads) plus weights — the paper's per-batch memory metric.
+    /// Bytes of features touched plus weights — the paper's per-batch memory
+    /// metric. The sum of: the weights (4 bytes each, 1 under int8); the
+    /// attribute bytes layer 1 reads, per branch `rows × in_dim × 4` with
+    /// `in_dim` the branch's kept width and `rows` the computed nodes for a
+    /// `k = 0` branch, the supporting nodes for a `k = 1` branch; every
+    /// staged store row; and every layer's output table.
     pub mem_bytes: usize,
-    /// Distinct nodes whose raw attributes were gathered.
+    /// Distinct nodes whose raw attributes were read.
     pub n_supporting: usize,
     /// Store reads that avoided expansion.
     pub store_hits: usize,
@@ -222,6 +243,12 @@ pub struct BatchedEngine<'a> {
     /// (f32 or int8 per the engine's [`Precision`]), so per-batch GEMMs skip
     /// the operand-pack step entirely.
     packed: WeightPacks<'a>,
+    /// Attribute packs, one slot per layer-1 branch: `Some(features[:,
+    /// keep])` where the branch carries a runtime `keep` list, built once at
+    /// construction (`n_nodes × kept × 4` bytes), so the per-batch loops
+    /// never index-select attribute channels. `None` = the branch reads
+    /// `features` itself.
+    attr_packs: Vec<Option<Matrix>>,
     /// Raw (unnormalized) adjacency; the engine applies mean aggregation.
     adj: &'a CsrMatrix,
     features: &'a Matrix,
@@ -231,8 +258,8 @@ pub struct BatchedEngine<'a> {
     pub policy: StorePolicy,
     seed: u64,
     batch_counter: u64,
-    /// Front-stage matrix free list: level-0 gathers and staged store reads
-    /// are drawn from here; the back end returns them via its `spent` list
+    /// Front-stage matrix free list: staged store reads are drawn from
+    /// here; the back end returns them via its `spent` list
     /// (double-buffered circulation under the pipelined executor).
     front_pool: ScratchPool,
     /// Back-stage scratch (relabel table, touched list, matrix pool).
@@ -360,12 +387,11 @@ fn lap(clock: &mut Option<StageClock>, stage: Stage) {
 /// executor (see [`crate::pipeline`]).
 pub(crate) struct PreparedBatch {
     pub(crate) support: BatchSupport,
-    /// Level-0 raw attributes of the supporting nodes (a front-pool buffer;
-    /// the back end retires it through its `spent` list).
-    level0: Matrix,
     /// Staged store reads per level: `staged[li - 1]` holds the rows of
     /// `support.layers[li - 1].stored` in order, `None` when that level has
-    /// no stored rows.
+    /// no stored rows. Front-pool buffers; the back end retires them
+    /// through its `spent` list. (Level 0 is not staged: execute reads the
+    /// attributes in place.)
     staged: Vec<Option<Matrix>>,
     /// A store-miss storm was drawn: the back end must skip write-backs and
     /// the store clock tick, exactly as if the store were absent.
@@ -376,7 +402,8 @@ pub(crate) struct PreparedBatch {
     /// is latched into `bypass_store`, and `Straggle` is applied by the
     /// back end at the end of execute.
     fault: Fault,
-    /// Feature bytes touched so far (weights + level-0 gather + store reads).
+    /// Feature bytes touched so far (weights + layer 1's attribute reads +
+    /// store reads; see [`BatchResult::mem_bytes`]).
     mem_bytes: usize,
     store_hits: usize,
     /// Batch admission instant: [`BatchResult::seconds`] spans prepare, any
@@ -396,7 +423,6 @@ impl PreparedBatch {
     /// Return this batch's front-pool buffers to `pool` — the abandon path
     /// when a supervisor steal voids the attempt after prepare finished.
     pub(crate) fn recycle_into(self, pool: &mut ScratchPool) {
-        pool.recycle(self.level0);
         for rows in self.staged.into_iter().flatten() {
             pool.recycle(rows);
         }
@@ -409,6 +435,7 @@ impl PreparedBatch {
 pub(crate) struct EngineCore<'e, 'a> {
     model: &'a GnnModel,
     packed: &'e WeightPacks<'a>,
+    attr_packs: &'e [Option<Matrix>],
     adj: &'a CsrMatrix,
     features: &'a Matrix,
     caps: &'e [Option<usize>],
@@ -541,12 +568,24 @@ impl<'a> BatchedEngine<'a> {
         }
         // audit: allow(no-fail-stop) — constructor misuse is a programmer error (see above)
         assert!(!model.jk, "BatchedEngine: JK models not supported");
+        // The attribute-side twin of the mask-folded weight packs: select a
+        // layer-1 branch's kept attribute channels once, here, instead of
+        // per channel per edge in every batch. A plain copy — non-finite
+        // attributes pass through and are trapped per batch in `prepare`.
+        let attr_packs = model.layers.first().map_or_else(Vec::new, |layer| {
+            layer
+                .branches
+                .iter()
+                .map(|b| b.keep.as_deref().map(|keep| features.select_cols(keep)))
+                .collect()
+        });
         Self {
             model,
             packed: match precision {
                 Precision::F32 => WeightPacks::F32(PackedModel::new(model)),
                 Precision::Int8 => WeightPacks::Int8(QuantPackedModel::new(model)),
             },
+            attr_packs,
             adj,
             features,
             caps,
@@ -621,6 +660,7 @@ impl<'a> BatchedEngine<'a> {
         let core = EngineCore {
             model: self.model,
             packed: &self.packed,
+            attr_packs: &self.attr_packs,
             adj: self.adj,
             features: self.features,
             caps: &self.caps,
@@ -683,8 +723,8 @@ impl<'e, 'a> EngineCore<'e, 'a> {
     }
 
     /// Front-end stage: draw the attempt's fault, validate targets, expand
-    /// the supporting-node structure, gather level-0 attributes, and stage
-    /// every store read into owned buffers.
+    /// the supporting-node structure, and stage every store read into owned
+    /// buffers. Attributes are not copied: execute reads them in place.
     pub(crate) fn prepare(
         &self,
         targets: &[usize],
@@ -755,29 +795,34 @@ impl<'e, 'a> EngineCore<'e, 'a> {
             batch_seed,
             |level, node| store.has(level, node),
         );
-        lap(&mut clock, Stage::Expand);
 
-        let mut mem_bytes: usize = self.packed.weight_bytes(self.model);
-        let mut store_hits = 0usize;
-
-        // Level 0: raw attributes of the input nodes, gathered into a pooled
-        // buffer instead of a fresh allocation per batch.
-        let mut level0 = front
-            .pool
-            .take_matrix(support.input_nodes.len(), self.features.cols());
-        for (i, &v) in support.input_nodes.iter().enumerate() {
-            level0.row_mut(i).copy_from_slice(self.features.row(v));
+        // Trap NaN/Inf attribute rows at the engine boundary (before any
+        // kernel or store access consumes them) so a poisoned row degrades
+        // into a typed, retryable error. The rows are scanned where they
+        // live; without `strict-invariants` nothing is read.
+        if gcnp_tensor::check::enabled() {
+            for &v in &support.input_nodes {
+                gcnp_tensor::check::assert_finite(
+                    "engine.features.finite",
+                    "level-0 feature rows",
+                    self.features.row(v),
+                )?;
+            }
         }
-        // Trap NaN/Inf feature rows at the engine boundary (before any
-        // kernel consumes them) so a poisoned row degrades into a typed,
-        // retryable error. No-op without `strict-invariants`.
-        gcnp_tensor::check::assert_finite(
-            "engine.features.finite",
-            "gathered level-0 feature rows",
-            level0.as_slice(),
-        )?;
-        mem_bytes += level0.nbytes();
-        lap(&mut clock, Stage::Relabel);
+        let mut mem_bytes: usize = self.packed.weight_bytes(self.model);
+        // Level 0 is read in place by execute; its memory term is the
+        // attribute bytes layer 1's branches read (kept width per branch).
+        if let (Some(layer), Some(ls)) = (self.model.layers.first(), support.layers.first()) {
+            for branch in &layer.branches {
+                let rows = match branch.k {
+                    0 => ls.compute.len(),
+                    _ => support.input_nodes.len(),
+                };
+                mem_bytes += rows * branch.in_dim() * 4;
+            }
+        }
+        let mut store_hits = 0usize;
+        lap(&mut clock, Stage::Expand);
 
         // Stage every store read. The level-li table is `out_dim()` wide,
         // so a stored row of any other width is a poisoned entry and
@@ -825,7 +870,6 @@ impl<'e, 'a> EngineCore<'e, 'a> {
 
         Ok(PreparedBatch {
             support,
-            level0,
             staged,
             bypass_store,
             fault,
@@ -836,12 +880,12 @@ impl<'e, 'a> EngineCore<'e, 'a> {
         })
     }
 
-    /// Back-end stage: relabel, aggregate, transform, write back, and
+    /// Back-end stage: aggregate, transform, relabel, write back, and
     /// extract the target logits for a prepared batch.
     ///
-    /// Buffers that originated in the front pool (the level-0 gather and
-    /// staged store reads) are pushed onto `spent` instead of this stage's
-    /// pool, so the caller can circulate them back to the front stage.
+    /// Buffers that originated in the front pool (the staged store reads)
+    /// are pushed onto `spent` instead of this stage's pool, so the caller
+    /// can circulate them back to the front stage.
     pub(crate) fn execute(
         &self,
         prep: PreparedBatch,
@@ -850,7 +894,6 @@ impl<'e, 'a> EngineCore<'e, 'a> {
     ) -> ServingResult<BatchResult> {
         let PreparedBatch {
             support,
-            level0,
             mut staged,
             bypass_store,
             fault,
@@ -892,18 +935,11 @@ impl<'e, 'a> EngineCore<'e, 'a> {
         let relabel: &mut [u32] = relabel;
         let n_layers = self.model.layers.len();
         let mut macs: u64 = 0;
-        let mut level_mat = level0;
-        // The level-0 table came from the front pool; every later level
-        // table is drawn from (and retired to) this stage's own pool.
-        let mut level_from_front = true;
-        for v in touched.drain(..) {
-            relabel[v] = ABSENT; // audit: allow(no-fail-stop) — touched only ever holds ids previously checked against the graph
-        }
-        for (i, &v) in support.input_nodes.iter().enumerate() {
-            relabel[v] = i as u32; // audit: allow(no-fail-stop) — BatchSupport expands within this graph, so v < n_nodes
-            touched.push(v);
-        }
-        lap(&mut clock, Stage::Relabel);
+        // The table of the level below the layer being computed. `None` is
+        // level 0, which is never materialised: layer 1 reads `features`
+        // (or a branch's attribute pack) by global node id, so `relabel`
+        // first matters — and is first reset — when level 1 is assembled.
+        let mut level_mat: Option<Matrix> = None;
 
         for li in 1..=n_layers {
             let ls = &support.layers[li - 1]; // audit: allow(no-fail-stop) — li ranges over 1..=n_layers and support has one entry per layer
@@ -911,9 +947,21 @@ impl<'e, 'a> EngineCore<'e, 'a> {
                                                     // --- compute branch outputs for ls.compute --------------------
             let mut parts: Vec<Matrix> = Vec::with_capacity(layer.branches.len());
             for (bi, branch) in layer.branches.iter().enumerate() {
+                let src = match (level_mat.as_ref(), self.attr_packs.get(bi)) {
+                    // Level 0 with the kept channels packed at construction:
+                    // contiguous kept-width rows, no index list.
+                    (None, Some(Some(pack))) => RowSource {
+                        mat: pack,
+                        relabel: None,
+                        keep: None,
+                    },
+                    (level, _) => {
+                        RowSource::level(level, self.features, relabel, branch.keep.as_deref())
+                    }
+                };
                 let gathered = match branch.k {
-                    0 => gather_selected(&level_mat, relabel, &ls.compute, branch, pool),
-                    1 => aggregate_mean(&level_mat, relabel, ls, branch, pool),
+                    0 => gather_selected(src, &ls.compute, pool),
+                    1 => aggregate_mean(src, ls, pool),
                     // audit: allow(no-fail-stop) — k ∈ {0,1} is enforced by the constructor assert
                     _ => unreachable!("validated in constructor"),
                 };
@@ -921,46 +969,12 @@ impl<'e, 'a> EngineCore<'e, 'a> {
                 if branch.k == 1 {
                     macs += (ls.neigh_ids.len() * branch.in_dim()) as u64;
                 }
-                let branch_macs = gathered.rows() * branch.in_dim() * branch.out_dim();
-                macs += branch_macs as u64;
+                macs += (gathered.rows() * branch.in_dim() * branch.out_dim()) as u64;
                 lap(&mut clock, Stage::Spmm);
                 // Pre-packed weights (no per-call operand pack) into a pooled
                 // output buffer; the gathered operand goes back to the pool.
                 let mut prod = pool.take_matrix(gathered.rows(), branch.out_dim());
-                match self.packed {
-                    WeightPacks::Int8(qm) => {
-                        // Quantized tier: the blocked int8 kernel over the
-                        // mask-folded per-column-quantized pack.
-                        // audit: allow(no-fail-stop) — packs are built 1:1 with model branches at construction
-                        qgemm_packed_into(&gathered, &qm.branch_packs(li - 1)[bi], &mut prod);
-                        if let Some(m) = self.metrics {
-                            m.dispatch_int8.inc();
-                        }
-                    }
-                    WeightPacks::F32(pm) => {
-                        // Density probe: ReLU-sparsified (or pruned-gather)
-                        // operands above the zero-fraction threshold route to
-                        // the column-blocked CSR SpMM; everything else takes
-                        // the dense blocked GEMM. The probe is a fixed-stride
-                        // sample, so the decision is deterministic and
-                        // independent of thread count.
-                        if branch_macs >= SPARSE_DISPATCH_MIN_MACS
-                            && gathered.zero_fraction_sampled(DENSITY_PROBE_SAMPLES)
-                                >= SPARSE_DISPATCH_ZERO_FRAC
-                        {
-                            CsrMatrix::from_dense(&gathered).spmm_into(&branch.weight, &mut prod);
-                            if let Some(m) = self.metrics {
-                                m.dispatch_sparse.inc();
-                            }
-                        } else {
-                            // audit: allow(no-fail-stop) — packs are built 1:1 with model branches at construction
-                            gathered.matmul_packed_into(&pm.branch_packs(li - 1)[bi], &mut prod);
-                            if let Some(m) = self.metrics {
-                                m.dispatch_dense.inc();
-                            }
-                        }
-                    }
-                }
+                self.transform(li, bi, branch, &gathered, &mut prod);
                 pool.recycle(gathered);
                 parts.push(prod);
                 lap(&mut clock, Stage::Gemm);
@@ -1061,31 +1075,22 @@ impl<'e, 'a> EngineCore<'e, 'a> {
                 }
                 lap(&mut clock, Stage::WriteBack);
             }
-            let prev = std::mem::replace(&mut level_mat, mat);
-            if level_from_front {
-                spent.push(prev);
-                level_from_front = false;
-            } else {
+            if let Some(prev) = level_mat.replace(mat) {
                 pool.recycle(prev);
             }
         }
         store.tick();
 
         // --- extract target logits ---------------------------------------
-        let rows: Vec<usize> = support
-            .targets
-            .iter()
-            .map(|&v| {
-                let r = relabel[v]; // audit: allow(no-fail-stop) — targets were range-checked in prepare
-                debug_assert_ne!(r, ABSENT, "targets are computed at the output layer");
-                r as usize
-            })
-            .collect();
-        let logits = level_mat.gather_rows(&rows);
-        if level_from_front {
-            spent.push(level_mat);
-        } else {
-            pool.recycle(level_mat);
+        // Targets are computed at the output layer, so each has a row in
+        // the top level table.
+        let top = RowSource::level(level_mat.as_ref(), self.features, relabel, None);
+        let mut logits = Matrix::zeros(support.targets.len(), top.width());
+        for (i, &v) in support.targets.iter().enumerate() {
+            top.copy_row(v, logits.row_mut(i));
+        }
+        if let Some(mat) = level_mat {
+            pool.recycle(mat);
         }
         lap(&mut clock, Stage::Relabel); // tick + target extraction
         if let (Some(c), Some(m)) = (clock.as_ref(), self.metrics) {
@@ -1123,25 +1128,111 @@ impl<'e, 'a> EngineCore<'e, 'a> {
             store_hits,
         })
     }
+
+    /// `prod = gathered · W` for branch `bi` of layer `li` (1-based), on the
+    /// kernel the engine's precision and the operand's density select.
+    fn transform(
+        &self,
+        li: usize,
+        bi: usize,
+        branch: &Branch,
+        gathered: &Matrix,
+        prod: &mut Matrix,
+    ) {
+        match self.packed {
+            WeightPacks::Int8(qm) => {
+                // Quantized tier: the blocked int8 kernel over the
+                // mask-folded per-column-quantized pack.
+                // audit: allow(no-fail-stop) — packs are built 1:1 with model branches at construction
+                qgemm_packed_into(gathered, &qm.branch_packs(li - 1)[bi], prod);
+                if let Some(m) = self.metrics {
+                    m.dispatch_int8.inc();
+                }
+            }
+            WeightPacks::F32(pm) => {
+                // Density probe: ReLU-sparsified (or pruned-gather) operands
+                // above the zero-fraction threshold route to the
+                // column-blocked CSR SpMM; everything else takes the dense
+                // blocked GEMM. The probe is a fixed-stride sample, so the
+                // decision is deterministic and independent of thread count.
+                let macs = gathered.rows() * branch.in_dim() * branch.out_dim();
+                if macs >= SPARSE_DISPATCH_MIN_MACS
+                    && gathered.zero_fraction_sampled(DENSITY_PROBE_SAMPLES)
+                        >= SPARSE_DISPATCH_ZERO_FRAC
+                {
+                    CsrMatrix::from_dense(gathered).spmm_into(&branch.weight, prod);
+                    if let Some(m) = self.metrics {
+                        m.dispatch_sparse.inc();
+                    }
+                } else {
+                    // audit: allow(no-fail-stop) — packs are built 1:1 with model branches at construction
+                    gathered.matmul_packed_into(&pm.branch_packs(li - 1)[bi], prod);
+                    if let Some(m) = self.metrics {
+                        m.dispatch_dense.inc();
+                    }
+                }
+            }
+        }
+    }
 }
 
-/// Gather rows for `nodes`, selecting the branch's kept channels. `relabel`
-/// is the dense node-id → row table for the current level.
-// audit: allow(no-fail-stop) — relabel slots and kept-channel indices are built by BatchSupport and the pruner from in-graph ids; a miss is a programmer error caught by the debug_asserts
-fn gather_selected(
-    mat: &Matrix,
-    relabel: &[u32],
-    nodes: &[usize],
-    branch: &Branch,
-    pool: &mut ScratchPool,
-) -> Matrix {
-    let width = branch.in_dim();
-    let mut out = pool.take_matrix(nodes.len(), width);
-    for (i, &v) in nodes.iter().enumerate() {
-        debug_assert_ne!(relabel[v], ABSENT, "node {v} missing from level table");
-        let src = mat.row(relabel[v] as usize);
-        let dst = out.row_mut(i);
-        match &branch.keep {
+/// Where a layer's branches read their input rows: `mat`, reached through
+/// the per-batch `relabel` table (node id → row; `None` = `mat` is indexed
+/// by node id itself, i.e. level 0 in place), with the channels in `keep`
+/// selected from each row (`None` = the whole row).
+#[derive(Clone, Copy)]
+struct RowSource<'s> {
+    mat: &'s Matrix,
+    relabel: Option<&'s [u32]>,
+    keep: Option<&'s [usize]>,
+}
+
+impl<'s> RowSource<'s> {
+    /// Level `table` of a batch; `None` is level 0, `features` by node id.
+    fn level(
+        table: Option<&'s Matrix>,
+        features: &'s Matrix,
+        relabel: &'s [u32],
+        keep: Option<&'s [usize]>,
+    ) -> Self {
+        match table {
+            None => Self {
+                mat: features,
+                relabel: None,
+                keep,
+            },
+            Some(mat) => Self {
+                mat,
+                relabel: Some(relabel),
+                keep,
+            },
+        }
+    }
+
+    /// Channels per selected row.
+    fn width(&self) -> usize {
+        self.keep.map_or(self.mat.cols(), <[usize]>::len)
+    }
+
+    /// The full-width row of node `v`.
+    // audit: allow(no-fail-stop) — node ids come from BatchSupport over this graph and every node a layer reads was given a relabel slot when its level was assembled; a miss is a programmer error caught by the debug_assert
+    #[inline]
+    fn row(&self, v: usize) -> &'s [f32] {
+        match self.relabel {
+            None => self.mat.row(v),
+            Some(table) => {
+                debug_assert_ne!(table[v], ABSENT, "node {v} missing from level table");
+                self.mat.row(table[v] as usize)
+            }
+        }
+    }
+
+    /// `dst = row(v)[keep]`.
+    // audit: allow(no-fail-stop) — kept-channel indices are built by the pruner from this level's width
+    #[inline]
+    fn copy_row(&self, v: usize, dst: &mut [f32]) {
+        let src = self.row(v);
+        match self.keep {
             Some(keep) => {
                 for (d, &c) in dst.iter_mut().zip(keep) {
                     *d = src[c];
@@ -1150,24 +1241,47 @@ fn gather_selected(
             None => dst.copy_from_slice(src),
         }
     }
+
+    /// `dst += row(v)[keep]`, channel by channel in `dst` order.
+    // audit: allow(no-fail-stop) — kept-channel indices are built by the pruner from this level's width
+    #[inline]
+    fn add_row(&self, v: usize, dst: &mut [f32]) {
+        let src = self.row(v);
+        match self.keep {
+            Some(keep) => {
+                for (d, &c) in dst.iter_mut().zip(keep) {
+                    *d += src[c];
+                }
+            }
+            None => {
+                for (d, &s) in dst.iter_mut().zip(src) {
+                    *d += s;
+                }
+            }
+        }
+    }
+}
+
+/// Gather the selected rows of `nodes` from `src`.
+fn gather_selected(src: RowSource<'_>, nodes: &[usize], pool: &mut ScratchPool) -> Matrix {
+    let mut out = pool.take_matrix(nodes.len(), src.width());
+    for (i, &v) in nodes.iter().enumerate() {
+        src.copy_row(v, out.row_mut(i));
+    }
     out
 }
 
-/// Mean-aggregate the (capped) neighbor rows for each computed node,
-/// selecting the branch's kept channels. Nodes without neighbors get zeros
-/// (matching row-normalized SpMM on isolated nodes). Parallel across
-/// computed nodes; each output row accumulates its neighbors in support
-/// order regardless of thread count, so results are bitwise identical
-/// across `GCNP_THREADS` settings.
-// audit: allow(no-fail-stop) — relabel slots and kept-channel indices are built by BatchSupport and the pruner from in-graph ids; a miss is a programmer error caught by the debug_asserts
+/// Mean-aggregate the (capped) neighbor rows of `src` for each computed
+/// node. Nodes without neighbors get zeros (matching row-normalized SpMM on
+/// isolated nodes). Parallel across computed nodes; each output row
+/// accumulates its neighbors in support order regardless of thread count,
+/// so results are bitwise identical across `GCNP_THREADS` settings.
 fn aggregate_mean(
-    mat: &Matrix,
-    relabel: &[u32],
+    src: RowSource<'_>,
     ls: &gcnp_sparse::LayerSupport,
-    branch: &Branch,
     pool: &mut ScratchPool,
 ) -> Matrix {
-    let width = branch.in_dim();
+    let width = src.width();
     let n = ls.compute.len();
     let mut out = pool.take_matrix(n, width);
     parallel_row_chunks(out.as_mut_slice(), n, width, |start, chunk| {
@@ -1177,20 +1291,7 @@ fn aggregate_mean(
                 continue;
             }
             for &u in nbrs {
-                debug_assert_ne!(relabel[u], ABSENT, "neighbor {u} missing from level table");
-                let src = mat.row(relabel[u] as usize);
-                match &branch.keep {
-                    Some(keep) => {
-                        for (d, &c) in dst.iter_mut().zip(keep) {
-                            *d += src[c];
-                        }
-                    }
-                    None => {
-                        for (d, &s) in dst.iter_mut().zip(src) {
-                            *d += s;
-                        }
-                    }
-                }
+                src.add_row(u, dst);
             }
             let inv = 1.0 / nbrs.len() as f32;
             for d in dst.iter_mut() {
@@ -1225,28 +1326,86 @@ mod tests {
         (adj, x, model)
     }
 
+    /// `model` with a runtime `keep` list (and the matching weight rows) on
+    /// each `(layer, branch, channels)` site — keep lists the pruner would
+    /// never leave on a hidden level, in an order it would never produce.
+    fn with_keep(model: &GnnModel, sites: &[(usize, usize, &[usize])]) -> GnnModel {
+        let mut pruned = model.clone();
+        for &(li, bi, keep) in sites {
+            let b = &mut pruned.layers[li].branches[bi];
+            b.weight = b.weight.select_rows(keep);
+            b.keep = Some(keep.to_vec());
+        }
+        pruned
+    }
+
+    /// Unsorted `keep` lists on both layer-1 branches (attribute packs) and
+    /// on layer 2's aggregation branch (the indexed hidden-level loop).
+    fn hand_pruned(model: &GnnModel) -> GnnModel {
+        with_keep(
+            model,
+            &[
+                (0, 0, &[5, 0, 3, 1]),
+                (0, 1, &[4, 2, 0]),
+                (1, 1, &[7, 1, 6, 2, 4]),
+            ],
+        )
+    }
+
     #[test]
     fn batched_equals_full_inference_without_caps() {
         // With no fan-out caps and no store, batched inference must produce
-        // exactly the full-inference embeddings for the targets.
+        // exactly the full-inference embeddings for the targets — for the
+        // unpruned model, for one pruned by the batched scheme (runtime
+        // `keep` on layer 1's aggregation branch, served from the attribute
+        // pack), and for hand-placed unsorted `keep` lists.
         let (adj, x, model) = setup();
         let norm = adj.normalized(Normalization::Row);
-        let full = model.forward_full(Some(&norm), &x);
-        let mut engine = BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 0);
-        let targets = vec![4usize, 17, 25];
-        let res = engine.infer(&targets);
-        for (i, &t) in targets.iter().enumerate() {
-            for c in 0..4 {
-                assert!(
-                    (res.logits.get(i, c) - full.get(t, c)).abs() < 1e-4,
-                    "target {t} class {c}: {} vs {}",
-                    res.logits.get(i, c),
-                    full.get(t, c)
-                );
+        let cfg = gcnp_core::PrunerConfig {
+            beta_epochs: 3,
+            w_epochs: 3,
+            ..Default::default()
+        };
+        let (scheme_pruned, _) = gcnp_core::prune_model(
+            &model,
+            &norm,
+            &x,
+            0.5,
+            gcnp_core::Scheme::BatchedInference,
+            &cfg,
+        );
+        assert_eq!(
+            scheme_pruned.layers[0].branches[1]
+                .keep
+                .as_ref()
+                .map(Vec::len),
+            Some(3),
+            "the batched scheme leaves a runtime keep on layer 1's aggregation branch"
+        );
+        let hand = hand_pruned(&model);
+        for (name, model) in [
+            ("unpruned", &model),
+            ("batched-scheme pruned", &scheme_pruned),
+            ("hand-built keep", &hand),
+        ] {
+            let full = model.forward_full(Some(&norm), &x);
+            let mut engine =
+                BatchedEngine::new(model, &adj, &x, vec![], None, StorePolicy::None, 0);
+            let targets = vec![4usize, 17, 25];
+            let res = engine.infer(&targets);
+            for (i, &t) in targets.iter().enumerate() {
+                for c in 0..4 {
+                    assert!(
+                        (res.logits.get(i, c) - full.get(t, c)).abs() < 1e-4,
+                        "{name}: target {t} class {c}: {} vs {}",
+                        res.logits.get(i, c),
+                        full.get(t, c)
+                    );
+                }
             }
+            assert_eq!(res.store_hits, 0, "{name}");
+            assert!(res.macs > 0, "{name}");
         }
-        assert_eq!(res.store_hits, 0);
-        assert!(res.macs > 0);
     }
 
     #[test]
@@ -1364,6 +1523,248 @@ mod tests {
         let res = engine.infer(&[3, 4]);
         assert_eq!(res.logits.shape(), (2, 4));
         assert!(res.logits.as_slice().iter().all(|v| v.is_finite()));
+    }
+
+    /// Reference with a materialised level 0: copy every supporting node's
+    /// full attribute row into a per-batch level-0 table, reach it through a
+    /// node → row index, and select a branch's kept channels with one
+    /// indexed load per channel per edge. Everything past the gathered
+    /// operand is the engine's own kernel dispatch.
+    /// Computes the logits of the engine's *next* batch without serving it
+    /// (read-only store policies only; `Concat` layers only).
+    fn materialised_level_zero_logits(engine: &mut BatchedEngine<'_>, targets: &[usize]) -> Matrix {
+        let batch_seed = engine.seed ^ (engine.batch_counter + 1);
+        let (core, _, _) = engine.split();
+        let flags: Vec<bool> = core.model.layers.iter().map(|l| l.uses_graph()).collect();
+        let support =
+            BatchSupport::build(core.adj, targets, &flags, core.caps, batch_seed, |l, v| {
+                core.store.has(l, v)
+            });
+        let mut table = core.features.gather_rows(&support.input_nodes);
+        let mut index: std::collections::HashMap<usize, usize> = support
+            .input_nodes
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (v, i))
+            .collect();
+        for (li, (layer, ls)) in core.model.layers.iter().zip(&support.layers).enumerate() {
+            let mut parts = Vec::new();
+            for (bi, branch) in layer.branches.iter().enumerate() {
+                let mut gathered = Matrix::zeros(ls.compute.len(), branch.in_dim());
+                for (r, &v) in ls.compute.iter().enumerate() {
+                    let dst = gathered.row_mut(r);
+                    if branch.k == 0 {
+                        let src = table.row(index[&v]);
+                        match &branch.keep {
+                            Some(keep) => {
+                                for (d, &c) in dst.iter_mut().zip(keep) {
+                                    *d = src[c];
+                                }
+                            }
+                            None => dst.copy_from_slice(src),
+                        }
+                        continue;
+                    }
+                    let nbrs = ls.neighbors(r);
+                    for &u in nbrs {
+                        let src = table.row(index[&u]);
+                        match &branch.keep {
+                            Some(keep) => {
+                                for (d, &c) in dst.iter_mut().zip(keep) {
+                                    *d += src[c];
+                                }
+                            }
+                            None => {
+                                for (d, &s) in dst.iter_mut().zip(src) {
+                                    *d += s;
+                                }
+                            }
+                        }
+                    }
+                    if !nbrs.is_empty() {
+                        let inv = 1.0 / nbrs.len() as f32;
+                        for d in dst.iter_mut() {
+                            *d *= inv;
+                        }
+                    }
+                }
+                let mut prod = Matrix::zeros(gathered.rows(), branch.out_dim());
+                core.transform(li + 1, bi, branch, &gathered, &mut prod);
+                parts.push(prod);
+            }
+            let refs: Vec<&Matrix> = parts.iter().collect();
+            let mut out = Matrix::concat_cols_all(&refs);
+            if let Some(b) = &layer.bias {
+                out.add_row_vector_assign(b.row(0));
+            }
+            if matches!(layer.activation, gcnp_models::Activation::Relu) {
+                out.relu_assign();
+            }
+            // Level table: computed rows first, then the stored rows.
+            index.clear();
+            let mut next = Matrix::zeros(ls.compute.len() + ls.stored.len(), out.cols());
+            for (i, &v) in ls.compute.iter().enumerate() {
+                next.row_mut(i).copy_from_slice(out.row(i));
+                index.insert(v, i);
+            }
+            for (j, &v) in ls.stored.iter().enumerate() {
+                let i = ls.compute.len() + j;
+                core.store
+                    .with_row(li + 1, v, |row| next.row_mut(i).copy_from_slice(row))
+                    .expect("the support builder probed this row");
+                index.insert(v, i);
+            }
+            table = next;
+        }
+        let rows: Vec<usize> = support.targets.iter().map(|v| index[v]).collect();
+        table.gather_rows(&rows)
+    }
+
+    #[test]
+    fn in_place_reads_are_bitwise_identical_to_a_materialised_level_zero() {
+        // Ring with chords over nodes 0..59; node 59 has no neighbours.
+        let n = 60;
+        let mut edges = Vec::new();
+        for i in 0..(n - 1) as u32 {
+            for hop in [1u32, 7] {
+                let j = (i + hop) % (n - 1) as u32;
+                edges.push((i, j));
+                edges.push((j, i));
+            }
+        }
+        let adj = CsrMatrix::adjacency(n, &edges);
+        let x = Matrix::rand_uniform(n, 6, -1.0, 1.0, &mut seeded_rng(21));
+        let model = hand_pruned(&zoo::graphsage(6, 8, 4, 7));
+        let caps = vec![None, Some(2)];
+
+        // Two stores holding the same rows, warmed by a root write-through
+        // pass: a single store and a 2-shard view.
+        let warm: Vec<usize> = (0..n).step_by(2).collect();
+        let single = FeatureStore::new(n, 2);
+        BatchedEngine::new(
+            &model,
+            &adj,
+            &x,
+            vec![],
+            Some(&single),
+            StorePolicy::Roots,
+            1,
+        )
+        .infer(&warm);
+        let assign: Vec<u32> = (0..n as u32).map(|v| v % 2).collect();
+        let sharded = ShardedStore::new(&assign, 2, 2);
+        BatchedEngine::new_sharded(&model, &adj, &x, vec![], &sharded, 0, StorePolicy::Roots, 1)
+            .infer(&warm);
+
+        let engines = vec![
+            (
+                "fan-out caps",
+                false,
+                BatchedEngine::new(&model, &adj, &x, caps.clone(), None, StorePolicy::None, 5),
+            ),
+            (
+                "warm read-only store",
+                true,
+                BatchedEngine::new(
+                    &model,
+                    &adj,
+                    &x,
+                    vec![],
+                    Some(&single),
+                    StorePolicy::None,
+                    5,
+                ),
+            ),
+            (
+                "sharded store view, caps",
+                true,
+                BatchedEngine::new_sharded(
+                    &model,
+                    &adj,
+                    &x,
+                    caps.clone(),
+                    &sharded,
+                    1,
+                    StorePolicy::None,
+                    5,
+                ),
+            ),
+            (
+                "int8, caps, warm store",
+                true,
+                BatchedEngine::new_with_precision(
+                    &model,
+                    &adj,
+                    &x,
+                    caps,
+                    Some(&single),
+                    StorePolicy::None,
+                    5,
+                    Precision::Int8,
+                ),
+            ),
+        ];
+        // The second batch runs on recycled scratch and a relabel table that
+        // still holds the first batch's top level.
+        let batches: [&[usize]; 2] = [&[3, 59, 20, 41, 20], &[59, 8, 33, 9]];
+        for (name, stored, mut engine) in engines {
+            for targets in batches {
+                let want = materialised_level_zero_logits(&mut engine, targets);
+                let got = engine.infer(targets);
+                assert_eq!(got.store_hits > 0, stored, "{name}: staged store rows");
+                assert_eq!(got.logits.shape(), want.shape(), "{name}");
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got.logits), bits(&want), "{name}: {targets:?}");
+                assert!(
+                    got.logits.as_slice().iter().any(|&v| v != 0.0),
+                    "{name}: the comparison must cover real compute"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn mem_bytes_counts_the_attribute_bytes_layer_one_reads() {
+        // Ring of 30, targets {3, 4, 20}, no caps, no store: layer 1
+        // computes the 7 nodes within one hop and reads the 11 within two.
+        let (adj, x, model) = setup();
+        let pruned = with_keep(&model, &[(0, 1, &[0, 2, 4])]);
+        let infer = |m: &GnnModel| {
+            BatchedEngine::new(m, &adj, &x, vec![], None, StorePolicy::None, 0).infer(&[3, 4, 20])
+        };
+        let (full, slim) = (infer(&model), infer(&pruned));
+        assert_eq!((full.n_supporting, slim.n_supporting), (11, 11));
+        // Past level 0 the two batches touch the same bytes, so they differ
+        // by the level-0 term — k = 0 branch: 7 computed rows × 6 channels;
+        // k = 1 branch: 11 supporting rows × 6 (unpruned) or 3 (kept)
+        // channels — and by the 3 weight rows the pruned branch dropped.
+        let attr_bytes = |kept: usize| (7 * 6 + 11 * kept) * 4;
+        let dropped_weights = 3 * model.layers[0].branches[1].out_dim() * 4;
+        assert!(slim.mem_bytes < full.mem_bytes);
+        assert_eq!(
+            full.mem_bytes - slim.mem_bytes,
+            attr_bytes(6) - attr_bytes(3) + dropped_weights
+        );
+    }
+
+    #[test]
+    fn attribute_pack_copies_non_finite_features_without_panicking() {
+        // The one-off channel select at construction is a plain copy: a NaN
+        // attribute must not panic there. It is trapped per batch under
+        // `strict-invariants` and served as-is otherwise.
+        let (adj, mut x, model) = setup();
+        x.set(4, 2, f32::NAN);
+        let pruned = with_keep(&model, &[(0, 1, &[0, 2, 4])]);
+        let mut engine = BatchedEngine::new(&pruned, &adj, &x, vec![], None, StorePolicy::None, 0);
+        match engine.try_infer(&[3]) {
+            Err(ServingError::InvariantViolation { check, .. }) => {
+                assert!(gcnp_tensor::check::enabled());
+                assert_eq!(check, "engine.features.finite");
+            }
+            Ok(_) => assert!(!gcnp_tensor::check::enabled()),
+            Err(other) => panic!("unexpected error: {other:?}"),
+        }
     }
 
     #[test]

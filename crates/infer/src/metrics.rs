@@ -43,7 +43,8 @@ pub const STAGES: [&str; 6] = [
 /// should share one registry (same metric names accumulate across replicas).
 pub struct EngineMetrics {
     registry: Arc<MetricsRegistry>,
-    /// Seconds spent building the [`gcnp_sparse::BatchSupport`] expansion.
+    /// Seconds spent building the [`gcnp_sparse::BatchSupport`] expansion,
+    /// and everything else `prepare` does before its first store read.
     pub expand: Arc<Histogram>,
     /// Seconds in dense relabel-table maintenance and level assembly.
     pub relabel: Arc<Histogram>,

@@ -57,27 +57,56 @@ fn pipelined_outputs_are_bitwise_identical_across_configs() {
     let x = Matrix::rand_uniform(n, 8, -1.0, 1.0, &mut seeded_rng(2));
     let model = zoo::graphsage(8, 12, 4, 19);
     let work = batches(n, 10, 9, 33);
+    // A runtime `keep` on layer 1's aggregation branch, as
+    // `Scheme::BatchedInference` leaves it: served from the engine's
+    // attribute pack.
+    let mut pruned = model.clone();
+    let keep = vec![6usize, 1, 4, 3];
+    let agg = &mut pruned.layers[0].branches[1];
+    agg.weight = agg.weight.select_rows(&keep);
+    agg.keep = Some(keep);
 
     // Each config builds a fresh pair of identically-seeded engines (and
     // identically pre-warmed stores) and compares full outputs.
-    type Cfg = (&'static str, Option<bool>, StorePolicy, Vec<Option<usize>>);
+    type Cfg<'m> = (
+        &'static str,
+        Option<bool>,
+        StorePolicy,
+        Vec<Option<usize>>,
+        &'m GnnModel,
+    );
     let configs: Vec<Cfg> = vec![
-        ("no store", None, StorePolicy::None, vec![]),
+        ("no store", None, StorePolicy::None, vec![], &model),
         (
             "write-through roots",
             Some(false),
             StorePolicy::Roots,
             vec![],
+            &model,
         ),
         (
             "warm read-only store",
             Some(true),
             StorePolicy::None,
             vec![],
+            &model,
         ),
-        ("fan-out caps", None, StorePolicy::None, vec![Some(6); 4]),
+        (
+            "fan-out caps",
+            None,
+            StorePolicy::None,
+            vec![Some(6); 4],
+            &model,
+        ),
+        (
+            "pruned, runtime keep",
+            Some(true),
+            StorePolicy::None,
+            vec![Some(6); 4],
+            &pruned,
+        ),
     ];
-    for (name, store_kind, policy, caps) in configs {
+    for (name, store_kind, policy, caps, model) in configs {
         let run = |mode: PipelineMode| -> Vec<BatchResult> {
             let store = store_kind.map(|warm| {
                 let s = FeatureStore::new(n, model.n_layers() - 1);
@@ -85,7 +114,7 @@ fn pipelined_outputs_are_bitwise_identical_across_configs() {
                     // Pre-warm by running the batches once with root
                     // write-backs, then serve read-only against it.
                     let mut w = BatchedEngine::new(
-                        &model,
+                        model,
                         &adj,
                         &x,
                         vec![],
@@ -100,7 +129,7 @@ fn pipelined_outputs_are_bitwise_identical_across_configs() {
                 s
             });
             let mut engine =
-                BatchedEngine::new(&model, &adj, &x, caps.clone(), store.as_ref(), policy, 7);
+                BatchedEngine::new(model, &adj, &x, caps.clone(), store.as_ref(), policy, 7);
             run_batches(&mut engine, &work, mode).unwrap()
         };
         let seq = run(PipelineMode::Sequential);
