@@ -303,7 +303,7 @@ fn write_metrics(path: &str, registry: &Arc<MetricsRegistry>) -> Result<String, 
 /// (`store.shard{i}.resident_rows`).
 ///
 /// Multi-worker runs default to the two-stage **pipelined** executor
-/// (per-worker gather/GEMM overlap); `--pipeline sequential` selects the
+/// (per-worker aggregation/GEMM overlap); `--pipeline sequential` selects the
 /// one-thread-per-worker escape hatch for A/B comparison, and `--pace`
 /// replays the arrival trace in real time so the reported percentiles are
 /// wall-clock meaningful.

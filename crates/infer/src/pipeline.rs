@@ -1,6 +1,6 @@
 //! Staged pipeline executor: overlap batch N+1's front end (expansion +
-//! gather + store probes) with batch N's back end (SpMM + GEMM +
-//! write-back) on separate threads.
+//! store probes + layer 1's neighbour aggregation) with batch N's back end
+//! (`k = 0` read + GEMMs + hidden levels + write-back) on separate threads.
 //!
 //! The split lives in [`crate::batched`]: `EngineCore::prepare` produces an
 //! owned, `Send` `PreparedBatch`; `EngineCore::execute` consumes it. This
@@ -8,7 +8,7 @@
 //!
 //! * [`StageQueue`] — the bounded ([`PIPELINE_DEPTH`]) condvar channel
 //!   between the stages. The bound is the backpressure: a front end that
-//!   runs ahead blocks instead of staging unbounded gathers.
+//!   runs ahead blocks instead of staging unbounded operands.
 //! * [`BarrierGate`] — store-write visibility. When the engine writes to a
 //!   store ([`EngineCore::needs_store_barrier`]), batch N+1's store probes
 //!   must observe batch N's write-backs, so the gate serializes prepare(N+1)
@@ -47,7 +47,7 @@ use crate::error::{ServingError, ServingResult};
 
 /// Bound on the inter-stage queue: how many prepared batches the front end
 /// may run ahead of the back end. Two is enough to hide the shorter stage
-/// behind the longer one; more only grows staged-gather memory.
+/// behind the longer one; more only grows staged-operand memory.
 pub(crate) const PIPELINE_DEPTH: usize = 2;
 
 /// How long a blocked stage waits before re-checking queue/gate state. The

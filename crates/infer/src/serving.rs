@@ -59,11 +59,14 @@
 //!
 //! Each worker runs the executor [`ServingConfig::pipeline`] selects: under
 //! [`PipelineMode::Pipelined`] (the default) a **front** thread
-//! (`EngineCore::prepare`: expansion + gather + store probes) and a **back**
-//! thread (`EngineCore::execute`: SpMM + GEMM + write-back) connected by a
-//! bounded `StageQueue`, so batch N+1's gather overlaps batch N's GEMM;
+//! (`EngineCore::prepare`: expansion + store probes + layer 1's neighbour
+//! aggregation) and a **back** thread (`EngineCore::execute`: `k = 0` read +
+//! GEMMs + hidden levels + write-back) connected by a bounded `StageQueue`,
+//! so batch N+1's neighbour sum overlaps batch N's GEMMs;
 //! [`PipelineMode::Sequential`] is one thread per worker. Both modes run
-//! exactly the same prepare/execute code, so outputs are bitwise identical.
+//! exactly the same prepare/execute code, so outputs are bitwise identical,
+//! and both feed the compute estimate a batch's whole prepare + execute
+//! busy span.
 //!
 //! The fleet **survives worker panics**: each stage runs under
 //! `catch_unwind`, a crashed worker's in-flight batch is requeued with a
@@ -798,7 +801,7 @@ struct StagedJob {
 /// Per-worker plumbing of the two-stage executor: the bounded inter-stage
 /// queue, the store-visibility barrier, the scratch-return rail (front-pool
 /// matrices the back stage finished with, recycled by the front before its
-/// next gather), and the retired flag (either stage dying loses the worker
+/// next prepare), and the retired flag (either stage dying loses the worker
 /// exactly once).
 struct WorkerLink {
     stage: StageQueue<StagedJob>,
@@ -869,11 +872,12 @@ struct Fleet<'f> {
     cfg: &'f ServingConfig,
     obs: Option<ServingMetrics>,
     groups: Vec<Group>,
-    /// EWMA of per-batch busy seconds — the dispatcher's virtual-clock
-    /// advance, the deadline projection and the hedge bound (guarded
-    /// against non-finite observations). Starts from the analytic cost
-    /// model (`cold_compute_estimate`), so the virtual clocks advance and
-    /// the hedge bound is meaningful from batch #1.
+    /// EWMA of per-batch busy seconds (prepare + execute, under either
+    /// executor) — the dispatcher's virtual-clock advance, the deadline
+    /// projection and the hedge bound (guarded against non-finite
+    /// observations). Starts from the analytic cost model
+    /// (`cold_compute_estimate`), so the virtual clocks advance and the
+    /// hedge bound is meaningful from batch #1.
     est: Mutex<f64>, // lock: fleet.est
     /// Whether `est` holds a measured observation (vs the analytic cold
     /// seed, which the first real measurement replaces outright).
@@ -893,7 +897,44 @@ struct Fleet<'f> {
     t0: Instant,
 }
 
-impl Fleet<'_> {
+impl<'f> Fleet<'f> {
+    /// A fleet of `n_groups` routing groups of `per_group` workers each,
+    /// nothing served yet, its compute estimate seeded with `cold_est`.
+    fn new(
+        cfg: &'f ServingConfig,
+        obs: Option<ServingMetrics>,
+        n_groups: usize,
+        per_group: usize,
+        cold_est: f64,
+    ) -> Self {
+        Fleet {
+            cfg,
+            obs,
+            // The bounded queue is the admission backpressure: the
+            // dispatcher blocks while a group is saturated.
+            groups: (0..n_groups)
+                .map(|_| Group {
+                    dispatch: DispatchQueue::new((2 * per_group).max(4)),
+                    live: AtomicUsize::new(per_group),
+                })
+                .collect(),
+            est: Mutex::new(cold_est),
+            est_warm: AtomicBool::new(false),
+            compute_seconds: Mutex::new(0.0),
+            busy_seconds: Mutex::new(0.0),
+            latencies: Mutex::new(Vec::new()),
+            served: AtomicUsize::new(0),
+            shed: AtomicUsize::new(0),
+            recoveries: AtomicUsize::new(0),
+            failures: AtomicUsize::new(0),
+            retries: AtomicUsize::new(0),
+            workers_lost: AtomicUsize::new(0),
+            hedges_won: AtomicUsize::new(0),
+            hedges_wasted: AtomicUsize::new(0),
+            t0: Instant::now(),
+        }
+    }
+
     fn group(&self, g: usize) -> &Group {
         &self.groups[g] // audit: allow(no-fail-stop) — every group index is minted by run_fleet from 0..groups.len() (worker spawn, window split) and travels unchanged on QueuedBatch
     }
@@ -1238,9 +1279,12 @@ fn pipelined_back(
 ) {
     while let Some(StagedJob { batch, prep }) = link.stage.pop() {
         // Publish for the supervisor: the back stage is where a straggling
-        // batch becomes hedgeable (the EWMA the hedge races against covers
-        // the whole prepare+execute span, and execute dominates it).
+        // batch becomes hedgeable. The EWMA the hedge races against covers
+        // the whole prepare+execute span while this slot's clock starts at
+        // execute, so a hedge fires no earlier than it would on a
+        // sequential worker.
         link.back_pending.begin(&batch, fleet.now(), true);
+        let front_busy = prep.front_seconds();
         let mut spent = Vec::new();
         let (outcome, busy) = fleet.attempt(|| core.execute(prep, &mut back, &mut spent));
         // Return the front-pool buffers the batch carried even on failure:
@@ -1249,9 +1293,10 @@ fn pipelined_back(
             let _order = gcnp_tensor::lockcheck::acquire("worker.rail");
             relock(link.rail.lock()).extend(spent);
         }
-        // ClockSkew chaos inflates only the estimate feed, never the
-        // served latency.
-        let est_busy = busy * *back.skew;
+        // The estimate is the batch's whole busy span, as on a sequential
+        // worker: prepare's seconds rode in with the batch. ClockSkew chaos
+        // inflates only this feed, never the served latency.
+        let est_busy = (front_busy + busy) * *back.skew;
         let outcome = outcome.map(|r| r.map(|res| res.seconds));
         if fleet.settle(&link.back_pending, batch, outcome, est_busy) {
             // Release the front wherever it blocks (gate or stage push),
@@ -1386,38 +1431,14 @@ fn run_fleet(
         Routing::OwnerShard(_) => (n_workers, 1),
     };
     let arrivals = cfg.arrivals(pool);
-    let fleet = Fleet {
-        cfg,
-        // Counter bundle shared by every worker (all record paths take
-        // `&self` over atomics); resolved from the first instrumented
-        // engine's registry.
-        obs: engines
-            .iter()
-            .find_map(|e| e.metrics())
-            .map(|m| ServingMetrics::new(m.registry())),
-        // The bounded queue is the admission backpressure: the dispatcher
-        // blocks while a group is saturated.
-        groups: (0..n_groups)
-            .map(|_| Group {
-                dispatch: DispatchQueue::new((2 * per_group).max(4)),
-                live: AtomicUsize::new(per_group),
-            })
-            .collect(),
-        est: Mutex::new(first.cold_compute_estimate(cfg.max_batch)),
-        est_warm: AtomicBool::new(false),
-        compute_seconds: Mutex::new(0.0),
-        busy_seconds: Mutex::new(0.0),
-        latencies: Mutex::new(Vec::new()),
-        served: AtomicUsize::new(0),
-        shed: AtomicUsize::new(0),
-        recoveries: AtomicUsize::new(0),
-        failures: AtomicUsize::new(0),
-        retries: AtomicUsize::new(0),
-        workers_lost: AtomicUsize::new(0),
-        hedges_won: AtomicUsize::new(0),
-        hedges_wasted: AtomicUsize::new(0),
-        t0: Instant::now(),
-    };
+    // Counter bundle shared by every worker (all record paths take `&self`
+    // over atomics); resolved from the first instrumented engine's registry.
+    let metrics = engines
+        .iter()
+        .find_map(|e| e.metrics())
+        .map(|m| ServingMetrics::new(m.registry()));
+    let cold_est = first.cold_compute_estimate(cfg.max_batch);
+    let fleet = Fleet::new(cfg, metrics, n_groups, per_group, cold_est);
     let obs = fleet.obs.as_ref();
     let links: Vec<WorkerLink> = (0..n_workers).map(|_| WorkerLink::new()).collect();
 
@@ -1886,6 +1907,67 @@ mod tests {
         for rep in [&seq, &pip] {
             assert!(rep.pipeline_occupancy > 0.0 && rep.pipeline_occupancy <= 1.0);
         }
+    }
+
+    #[test]
+    fn both_executors_feed_the_estimate_the_whole_batch_span() {
+        // Every prepare sleeps 30 ms (a `StageStall` on each attempt) and
+        // execute is sub-millisecond on this model, so an estimate fed from
+        // execute alone would sit two orders of magnitude below one fed
+        // from `try_infer`. Both executors must feed prepare + execute. The
+        // stall is long so that a descheduled test thread cannot move the
+        // EWMA by the tolerance below.
+        const STALL: f64 = 0.030;
+        let (adj, x) = setup();
+        let model = zoo::graphsage(8, 8, 3, 2);
+        let cfg = ServingConfig::default();
+        let n_batches = 8;
+        let estimate_after = |mode: PipelineMode| {
+            let plan = crate::FaultPlan {
+                stalls: n_batches,
+                stall_ms: STALL * 1e3,
+                horizon: n_batches as u64,
+                ..Default::default()
+            };
+            let mut engine =
+                BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 0);
+            engine.set_faults(plan.build().unwrap());
+            let fleet = Fleet::new(&cfg, None, 1, 1, engine.cold_compute_estimate(2));
+            let link = WorkerLink::new();
+            std::thread::scope(|s| {
+                let (fleet, link, engine) = (&fleet, &link, &mut engine);
+                s.spawn(move || match mode {
+                    PipelineMode::Sequential => sequential_worker(engine, link, fleet, 0),
+                    PipelineMode::Pipelined => pipelined_worker(engine, link, fleet, 0),
+                });
+                for b in 0..n_batches {
+                    let queued = QueuedBatch {
+                        nodes: vec![b, b + 50],
+                        arrivals: vec![0.0; 2],
+                        group: 0,
+                        attempt: 0,
+                        claim: None,
+                    };
+                    assert!(fleet.group(0).dispatch.push(queued).is_ok());
+                }
+                fleet.group(0).dispatch.close();
+            });
+            assert_eq!(fleet.served.load(Ordering::Relaxed), 2 * n_batches);
+            fleet.estimate()
+        };
+        let (seq, seq_measured) = estimate_after(PipelineMode::Sequential);
+        let (pip, pip_measured) = estimate_after(PipelineMode::Pipelined);
+        assert!(seq_measured && pip_measured);
+        for (mode, est) in [("sequential", seq), ("pipelined", pip)] {
+            assert!(
+                est >= STALL,
+                "{mode}: every batch slept {STALL} s in prepare, the estimate says {est} s"
+            );
+        }
+        assert!(
+            (1.0 / 3.0..=3.0).contains(&(pip / seq)),
+            "the two executors fed different estimates: sequential {seq} s, pipelined {pip} s"
+        );
     }
 
     #[test]

@@ -49,7 +49,8 @@ fn assert_bitwise_equal(seq: &[BatchResult], pip: &[BatchResult], what: &str) {
 /// Acceptance: the pipelined executor produces bitwise-identical
 /// `BatchResult` outputs to the sequential executor across engine
 /// configurations — no store, write-through store (with the inter-batch
-/// visibility barrier), a pre-warmed read-only store, and fan-out caps.
+/// visibility barrier), a pre-warmed read-only store, fan-out caps, and the
+/// model shapes that move what the front stage builds for layer 1.
 #[test]
 fn pipelined_outputs_are_bitwise_identical_across_configs() {
     let n = 120;
@@ -65,6 +66,20 @@ fn pipelined_outputs_are_bitwise_identical_across_configs() {
     let agg = &mut pruned.layers[0].branches[1];
     agg.weight = agg.weight.select_rows(&keep);
     agg.keep = Some(keep);
+    // The front stage builds layer 1's aggregated operand: a first layer
+    // with nothing to aggregate, and a model whose only layer consumes the
+    // operand and emits the logits.
+    let mut rng = seeded_rng(23);
+    let dense_first = GnnModel::new(vec![
+        BranchLayer::dense(
+            Matrix::glorot(8, 12, &mut rng),
+            Some(Matrix::zeros(1, 12)),
+            Activation::Relu,
+        ),
+        zoo::sage_layer(12, 12, Activation::Relu, &mut rng),
+        BranchLayer::dense(Matrix::glorot(12, 4, &mut rng), None, Activation::None),
+    ]);
+    let one_layer = GnnModel::new(vec![zoo::sage_layer(8, 4, Activation::None, &mut rng)]);
 
     // Each config builds a fresh pair of identically-seeded engines (and
     // identically pre-warmed stores) and compares full outputs.
@@ -104,6 +119,20 @@ fn pipelined_outputs_are_bitwise_identical_across_configs() {
             StorePolicy::None,
             vec![Some(6); 4],
             &pruned,
+        ),
+        (
+            "dense first layer",
+            Some(true),
+            StorePolicy::None,
+            vec![],
+            &dense_first,
+        ),
+        (
+            "one layer, caps",
+            None,
+            StorePolicy::None,
+            vec![Some(3)],
+            &one_layer,
         ),
     ];
     for (name, store_kind, policy, caps, model) in configs {
