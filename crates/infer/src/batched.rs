@@ -4,7 +4,10 @@
 //! Unlike full inference, only the features actually reachable from the
 //! batch targets are read and transformed. Aggregation is a uniform mean
 //! over the (possibly capped) neighbor sample, matching GraphSAGE's `D⁻¹A`
-//! semantics when uncapped.
+//! semantics when uncapped; each aggregated row is one
+//! [`gcnp_tensor::row_sum`] (the register-tiled kernel CSR SpMM also runs
+//! on) over the node's neighbor list with `scale = 1 / deg`, reading level 0
+//! by node id and hidden levels through the relabel table.
 //!
 //! # Level 0 is read in place
 //!
@@ -17,8 +20,10 @@
 //! that carries a runtime `keep` list (the pruner leaves one only there:
 //! the attributes themselves are never rewritten) gets its kept channels
 //! packed once at engine construction — `features.select_cols(keep)`,
-//! stored beside the weight packs — so its aggregation adds contiguous
-//! kept-width rows with no index list. Values, neighbour order and
+//! stored beside the weight packs — so its aggregation sums contiguous
+//! kept-width rows on the shared kernel with no index list (a `keep` on a
+//! hidden level, which only a hand-built model carries, keeps the indexed
+//! row-at-a-time loop). Values, neighbour order and
 //! per-channel add order are those of a materialised, index-selected
 //! level 0, so logits are bitwise identical to it.
 //!
@@ -54,7 +59,8 @@
 
 use gcnp_models::{Branch, CombineMode, GnnModel, PackedModel, QuantPackedModel};
 use gcnp_sparse::{BatchSupport, CsrMatrix};
-use gcnp_tensor::{parallel_row_chunks, qgemm_packed_into, Matrix, ScratchPool};
+use gcnp_tensor::rowsum::ABSENT;
+use gcnp_tensor::{parallel_row_chunks, qgemm_packed_into, row_sum, Matrix, ScratchPool};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
@@ -64,9 +70,6 @@ use crate::faults::{Fault, FaultInjector};
 use crate::metrics::EngineMetrics;
 use crate::shard::ShardedStore;
 use crate::store::FeatureStore;
-
-/// Sentinel in the dense relabel table: node not present at this level.
-const ABSENT: u32 = u32::MAX;
 
 /// Optimistic throughput assumed by [`BatchedEngine::cold_compute_estimate`]
 /// before any real compute observation exists. Biased high (fast machine)
@@ -1067,7 +1070,15 @@ impl<'e, 'a> EngineCore<'e, 'a> {
             }
             let refs: Vec<&Matrix> = parts.iter().collect();
             let mut out = match layer.combine {
-                CombineMode::Concat => Matrix::concat_cols_all(&refs),
+                CombineMode::Concat => {
+                    // Out of the pool like every other intermediate: a fresh
+                    // allocation recycled below would evict a pooled buffer
+                    // every batch.
+                    let width = refs.iter().map(|p| p.cols()).sum();
+                    let mut cat = pool.take_matrix(ls.compute.len(), width);
+                    Matrix::concat_cols_into(&refs, &mut cat);
+                    cat
+                }
                 CombineMode::Mean => {
                     let (first, rest) =
                         parts
@@ -1327,25 +1338,6 @@ impl<'s> RowSource<'s> {
             None => dst.copy_from_slice(src),
         }
     }
-
-    /// `dst += row(v)[keep]`, channel by channel in `dst` order.
-    // audit: allow(no-fail-stop) — kept-channel indices are built by the pruner from this level's width
-    #[inline]
-    fn add_row(&self, v: usize, dst: &mut [f32]) {
-        let src = self.row(v);
-        match self.keep {
-            Some(keep) => {
-                for (d, &c) in dst.iter_mut().zip(keep) {
-                    *d += src[c];
-                }
-            }
-            None => {
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    *d += s;
-                }
-            }
-        }
-    }
 }
 
 /// Layer 1's aggregated operand for branch `bi`, out of the prepared batch.
@@ -1369,10 +1361,11 @@ fn gather_selected(src: RowSource<'_>, nodes: &[usize], pool: &mut ScratchPool) 
 }
 
 /// Mean-aggregate the (capped) neighbor rows of `src` for each computed
-/// node. Nodes without neighbors get zeros (matching row-normalized SpMM on
-/// isolated nodes). Parallel across computed nodes; each output row
-/// accumulates its neighbors in support order regardless of thread count,
-/// so results are bitwise identical across `GCNP_THREADS` settings.
+/// node: one [`row_sum`] per node with `scale = 1 / deg`. Nodes without
+/// neighbors get zeros (matching row-normalized SpMM on isolated nodes).
+/// Parallel across computed nodes; each output row accumulates its
+/// neighbors in support order regardless of thread count, so results are
+/// bitwise identical across `GCNP_THREADS` settings.
 fn aggregate_mean(
     src: RowSource<'_>,
     ls: &gcnp_sparse::LayerSupport,
@@ -1384,15 +1377,24 @@ fn aggregate_mean(
     parallel_row_chunks(out.as_mut_slice(), n, width, |start, chunk| {
         for (r, dst) in chunk.chunks_mut(width).enumerate() {
             let nbrs = ls.neighbors(start + r);
-            if nbrs.is_empty() {
-                continue;
-            }
-            for &u in nbrs {
-                src.add_row(u, dst);
-            }
-            let inv = 1.0 / nbrs.len() as f32;
-            for d in dst.iter_mut() {
-                *d *= inv;
+            let inv = 1.0 / nbrs.len().max(1) as f32;
+            match src.keep {
+                None => row_sum(dst, src.mat, src.relabel, nbrs, None, inv),
+                // Only a hand-built model prunes a hidden level (layer 1's
+                // kept channels are packed at construction): add the
+                // selected channels of one neighbor row at a time into the
+                // zeroed output row.
+                Some(keep) => {
+                    for &u in nbrs {
+                        let row = src.row(u);
+                        for (d, &c) in dst.iter_mut().zip(keep) {
+                            *d += row[c]; // audit: allow(no-fail-stop) — kept-channel indices are built by the pruner from this level's width
+                        }
+                    }
+                    for d in dst.iter_mut() {
+                        *d *= inv;
+                    }
+                }
             }
         }
     });
@@ -2195,6 +2197,36 @@ mod tests {
                 steady,
                 "after batch {batch}"
             );
+        }
+    }
+
+    #[test]
+    fn back_pool_is_steady_after_warm_up() {
+        // Every back-stage intermediate — gathers, aggregates, branch
+        // products, the combined layer output, level tables — is leased
+        // from the back pool and returned to it, so once the pool has seen
+        // a batch's shapes no further batch grows, shrinks or reshuffles
+        // it. A buffer allocated outside the pool and recycled into it
+        // shows up here as a retained count that climbs every batch.
+        let (adj, x, model) = setup();
+        assert_eq!(model.layers[0].combine, CombineMode::Concat);
+        let mut engine = BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 0);
+        let targets = [3usize, 11, 12, 27];
+        for _ in 0..3 {
+            engine.try_infer(&targets).unwrap();
+        }
+        let steady = (
+            engine.back.pool.retained(),
+            engine.back.pool.retained_bytes(),
+        );
+        assert!(steady.0 > 0);
+        for batch in 0..20 {
+            engine.try_infer(&targets).unwrap();
+            let now = (
+                engine.back.pool.retained(),
+                engine.back.pool.retained_bytes(),
+            );
+            assert_eq!(now, steady, "after batch {batch}");
         }
     }
 

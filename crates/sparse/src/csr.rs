@@ -1,11 +1,12 @@
-//! Compressed-sparse-row matrices and the SpMM kernel.
+//! Compressed-sparse-row matrices and SpMM (`Ã · H`), one
+//! [`gcnp_tensor::row_sum`] per output row.
 //!
 //! `CsrMatrix` doubles as the graph adjacency representation: node `u`'s
 //! out-neighbors are `indices[indptr[u]..indptr[u+1]]`. Indices are `u32`
 //! (4 bytes) because graph node ids fit comfortably and halving index memory
 //! matters for SpMM bandwidth on large graphs.
 
-use gcnp_tensor::{parallel_row_chunks, Matrix};
+use gcnp_tensor::{parallel_row_chunks, row_sum, Matrix};
 use serde::{Deserialize, Serialize};
 
 /// Adjacency normalization mode for GNN propagation.
@@ -238,9 +239,10 @@ impl CsrMatrix {
     }
 
     /// Sparse·dense product `self · rhs` — the GNN aggregation kernel
-    /// `Ã · H`. Parallel across output rows; wide feature matrices are
-    /// processed in column blocks so the active `rhs` panel stays
-    /// cache-resident across a row's whole neighbor list.
+    /// `Ã · H`. Parallel across output rows; each row is one
+    /// [`gcnp_tensor::row_sum`] over the row's columns and values, so the
+    /// output row accumulates in registers, tile by tile, across the whole
+    /// neighbor list.
     ///
     /// # Panics
     /// Panics if `rhs.rows() != n_cols`.
@@ -266,52 +268,14 @@ impl CsrMatrix {
             "spmm_into: output shape mismatch"
         );
         let f = rhs.cols();
-        let rhs_data = rhs.as_slice();
         parallel_row_chunks(out.as_mut_slice(), self.n_rows, f, |start, chunk| {
-            chunk.fill(0.0);
             for (r, out_row) in chunk.chunks_mut(f).enumerate() {
                 let row = start + r;
-                accumulate_row_blocked(
-                    self.row_indices(row),
-                    self.row_values(row),
-                    rhs_data,
-                    f,
-                    out_row,
-                );
+                let (ids, weights) = (self.row_indices(row), self.row_values(row));
+                row_sum(out_row, rhs, None, ids, Some(weights), 1.0);
             }
         });
         gcnp_tensor::check::guard_finite("sparse.spmm.finite", "spmm output", out.as_slice());
-    }
-
-    /// Sparse·dense product restricted to a set of output rows: returns a
-    /// `rows.len() × rhs.cols()` dense matrix where row `i` is
-    /// `self.row(rows[i]) · rhs`. This is the batched-inference aggregation
-    /// (only supporting nodes are computed). Parallel across output rows.
-    ///
-    /// Shapes: `rhs` is `(n_cols, f)` and every entry of `rows` `< n_rows`; the result is `(rows.len(), f)`.
-    pub fn spmm_rows(&self, rows: &[usize], rhs: &Matrix) -> Matrix {
-        assert_eq!(rhs.rows(), self.n_cols, "spmm_rows: dimension mismatch");
-        let f = rhs.cols();
-        let mut out = Matrix::zeros(rows.len(), f);
-        let rhs_data = rhs.as_slice();
-        parallel_row_chunks(out.as_mut_slice(), rows.len(), f, |start, chunk| {
-            for (i, out_row) in chunk.chunks_mut(f).enumerate() {
-                let row = rows[start + i];
-                accumulate_row_blocked(
-                    self.row_indices(row),
-                    self.row_values(row),
-                    rhs_data,
-                    f,
-                    out_row,
-                );
-            }
-        });
-        gcnp_tensor::check::guard_finite(
-            "sparse.spmm_rows.finite",
-            "spmm_rows output",
-            out.as_slice(),
-        );
-        out
     }
 
     /// Dense transpose-free CSR transpose (CSC-to-CSR flip).
@@ -466,47 +430,6 @@ impl CsrMatrix {
     }
 }
 
-/// Column width of one SpMM feature block: 128 f32 = 512 B per gathered
-/// `rhs` row slice, so a whole neighbor list's worth of panels fits in L1
-/// even for high-degree rows.
-const SPMM_NC: usize = 128;
-
-/// Accumulate one sparse row into `out_row`: `out_row += Σ values[e] ·
-/// rhs[indices[e]]`. Wide feature dimensions are walked in `SPMM_NC`-column
-/// blocks — the neighbor loop re-runs per block against a cache-resident
-/// output slice. The per-element accumulation order over neighbors is
-/// identical to the unblocked loop, so results are bitwise unchanged.
-fn accumulate_row_blocked(
-    indices: &[u32],
-    values: &[f32],
-    rhs: &[f32],
-    f: usize,
-    out_row: &mut [f32],
-) {
-    debug_assert_eq!(out_row.len(), f);
-    if f <= SPMM_NC {
-        for (&c, &v) in indices.iter().zip(values) {
-            let src = &rhs[c as usize * f..(c as usize + 1) * f];
-            for (o, &s) in out_row.iter_mut().zip(src) {
-                *o += v * s;
-            }
-        }
-        return;
-    }
-    let mut bs = 0;
-    while bs < f {
-        let be = (bs + SPMM_NC).min(f);
-        let dst = &mut out_row[bs..be];
-        for (&c, &v) in indices.iter().zip(values) {
-            let src = &rhs[c as usize * f + bs..c as usize * f + be];
-            for (o, &s) in dst.iter_mut().zip(src) {
-                *o += v * s;
-            }
-        }
-        bs = be;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -541,20 +464,11 @@ mod tests {
     }
 
     #[test]
-    fn spmm_rows_matches_full_spmm() {
-        let m = sample();
-        let h = Matrix::rand_uniform(4, 3, -1.0, 1.0, &mut gcnp_tensor::init::seeded_rng(1));
-        let full = m.spmm(&h);
-        let some = m.spmm_rows(&[3, 0], &h);
-        assert_eq!(some.row(0), full.row(3));
-        assert_eq!(some.row(1), full.row(0));
-    }
-
-    #[test]
     fn spmm_wide_features_bitwise_match_unblocked_order() {
-        // Column blocking kicks in above SPMM_NC features; the per-element
-        // neighbor accumulation order is unchanged, so the result must be
-        // bitwise identical to a plain unblocked walk.
+        // Above 64 features a row spans several register tiles plus both
+        // tails; the per-element neighbor accumulation order is unchanged,
+        // so the result must be bitwise identical to a plain row-at-a-time
+        // walk — weighted, and with a neighbor-less row (3) in the middle.
         let m = CsrMatrix::adjacency(
             6,
             &[
@@ -567,10 +481,13 @@ mod tests {
                 (4, 4),
                 (5, 0),
             ],
-        );
-        let f = SPMM_NC + 37;
+        )
+        .normalized(Normalization::Row);
+        let f = 128 + 37;
         let h = Matrix::rand_uniform(6, f, -1.0, 1.0, &mut gcnp_tensor::init::seeded_rng(7));
-        let got = m.spmm(&h);
+        // spmm_into fully overwrites a dirty output.
+        let mut got = Matrix::filled(6, f, f32::NAN);
+        m.spmm_into(&h, &mut got);
         let mut want = Matrix::zeros(6, f);
         for r in 0..6 {
             let row = want.row_mut(r);
@@ -580,10 +497,8 @@ mod tests {
                 }
             }
         }
-        assert_eq!(got.as_slice(), want.as_slice(), "blocking changed bits");
-        let some = m.spmm_rows(&[2, 0], &h);
-        assert_eq!(some.row(0), got.row(2));
-        assert_eq!(some.row(1), got.row(0));
+        assert_eq!(got.as_slice(), want.as_slice(), "tiling changed bits");
+        assert!(got.row(3).iter().all(|&v| v == 0.0));
     }
 
     #[test]

@@ -14,14 +14,25 @@
 //! * a blocked int8 GEMM ([`quant`]) against a [`QuantPackedB`] weight pack
 //!   with a runtime-dispatched AVX2 `pmaddwd` microkernel, overflow-safe
 //!   i32→i64 accumulation, and a bitwise-identical scalar fallback,
+//! * the row-sum kernel ([`rowsum`]) behind every neighbour aggregation —
+//!   CSR SpMM and the batched engine's mean aggregator alike:
+//!   `dst[c] = scale · Σ_j w_j · src[row_j][c]` accumulated in 64-column
+//!   register tiles across the whole neighbour list, with a
+//!   runtime-dispatched AVX2 twin and a bitwise-identical scalar body,
 //! * a [`ScratchPool`] recycling hot-path intermediate buffers,
 //! * elementwise and row/column-wise operations,
 //! * seeded random initializers (uniform, normal, Glorot),
 //! * a persistent worker pool for row-parallel kernels.
 //!
 //! Everything is deterministic given a seed, which the experiment harness
-//! relies on for reproducibility; GEMM results are additionally bitwise
-//! identical across thread counts and across the scalar/SIMD microkernels.
+//! relies on for reproducibility, and every kernel is bitwise identical
+//! across thread counts and across its scalar/SIMD twins. The two float
+//! kernels round differently from each other, each consistently: GEMM is a
+//! per-element **fused** multiply-add chain over `k` (`f32::mul_add` /
+//! `vfmadd`), aggregation a per-channel **separate** multiply then add in
+//! neighbour order (`*` then `+` / `vmulps` then `vaddps`, never
+//! contracted) — the sequence of the row-at-a-time loops it replaced, so
+//! moving an aggregation onto the kernel changes no bit of any output.
 
 pub mod check;
 pub mod gemm;
@@ -32,6 +43,7 @@ pub mod matrix;
 pub mod ops;
 pub mod parallel;
 pub mod quant;
+pub mod rowsum;
 pub mod scratch;
 
 pub use check::CheckError;
@@ -41,4 +53,5 @@ pub use parallel::{
     num_threads, parallel_row_chunks, parallel_row_chunks_aligned, set_num_threads,
 };
 pub use quant::{activation_scale, qgemm_packed_into, qmatmul, QuantMatrix, QuantPackedB};
+pub use rowsum::row_sum;
 pub use scratch::ScratchPool;

@@ -249,19 +249,31 @@ impl Matrix {
     /// Shapes: every part shares one row count `r`; the result is `(r, sum of part cols)`.
     pub fn concat_cols_all(parts: &[&Matrix]) -> Matrix {
         assert!(!parts.is_empty(), "concat_cols_all: empty input");
-        let rows = parts[0].rows;
         let total: usize = parts.iter().map(|p| p.cols).sum();
-        let mut out = Matrix::zeros(rows, total);
-        for r in 0..rows {
+        let mut out = Matrix::zeros(parts[0].rows, total);
+        Matrix::concat_cols_into(parts, &mut out);
+        out
+    }
+
+    /// [`Matrix::concat_cols_all`] into a caller-provided output (typically
+    /// scratch leased from a [`crate::ScratchPool`]). `out` is fully
+    /// overwritten.
+    ///
+    /// Shapes: every part is `(r, c_i)` and `out` must be `(r, sum of c_i)`.
+    pub fn concat_cols_into(parts: &[&Matrix], out: &mut Matrix) {
+        let total: usize = parts.iter().map(|p| p.cols).sum();
+        assert_eq!(out.cols, total, "concat_cols_into: output width mismatch");
+        for p in parts {
+            assert_eq!(p.rows, out.rows, "concat_cols_into: row mismatch");
+        }
+        for r in 0..out.rows {
             let dst = out.row_mut(r);
             let mut off = 0;
             for p in parts {
-                assert_eq!(p.rows, rows, "concat_cols_all: row mismatch");
                 dst[off..off + p.cols].copy_from_slice(p.row(r));
                 off += p.cols;
             }
         }
-        out
     }
 
     /// Vertical concatenation of many matrices.

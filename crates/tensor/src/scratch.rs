@@ -5,7 +5,9 @@
 //! batch. [`ScratchPool`] keeps the backing `Vec<f32>` buffers of retired
 //! intermediates and hands them back (cleared and re-zeroed, capacity
 //! intact) on the next request, so steady-state serving performs no
-//! allocator round-trips for its dense temporaries.
+//! allocator round-trips for its dense temporaries — which holds only while
+//! every buffer recycled into a pool was leased from it (the engine's
+//! `back_pool_is_steady_after_warm_up` test pins that).
 //!
 //! The pool is engine-owned and checked out of the engine with
 //! `std::mem::take` for the duration of a batch — the same dirty-scratch
