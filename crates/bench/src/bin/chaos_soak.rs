@@ -1,7 +1,7 @@
 //! Self-healing chaos soak: all seven fault kinds — worker panic,
 //! straggler, store-miss storm, stage stall, store-row bit flip, clock
-//! skew, queue wedge — injected into `serve_multi` under both executors,
-//! with the supervision layer (watchdog + hedging) both off and on.
+//! skew, queue wedge — injected into `serve_multi`, with the supervision
+//! layer (watchdog + hedging) both off and on.
 //!
 //! ```sh
 //! cargo run --release -p gcnp-bench --bin chaos_soak            # full
@@ -17,9 +17,7 @@
 
 use gcnp_bench::harness::{fnum, print_table};
 use gcnp_bench::Ctx;
-use gcnp_infer::{
-    serve_multi, BatchedEngine, FaultPlan, FeatureStore, PipelineMode, ServingConfig, StorePolicy,
-};
+use gcnp_infer::{serve_multi, BatchedEngine, FaultPlan, FeatureStore, ServingConfig, StorePolicy};
 use gcnp_models::zoo;
 use gcnp_sparse::CsrMatrix;
 use gcnp_tensor::init::seeded_rng;
@@ -28,7 +26,6 @@ use serde::{Deserialize, Serialize};
 
 #[derive(Serialize, Deserialize)]
 struct RunRow {
-    mode: String,
     supervised: bool,
     seed: u64,
     n_requests: usize,
@@ -109,120 +106,114 @@ fn main() {
     let mut rows: Vec<RunRow> = Vec::new();
     let mut table = Vec::new();
     for seed in 0..seeds {
-        for mode in [PipelineMode::Sequential, PipelineMode::Pipelined] {
-            for supervised in [false, true] {
-                let cfg = ServingConfig {
-                    arrival_rate: 1e6,
-                    max_batch: 32,
-                    n_requests,
-                    seed: ctx.seed ^ seed,
-                    pipeline: mode,
-                    watchdog: supervised.then_some(0.2),
-                    hedge: supervised.then_some(4.0),
-                    ..Default::default()
-                };
-                // All seven fault kinds in one schedule. The horizon stays
-                // below the trace's minimum attempt count so every fault is
-                // guaranteed to fire.
-                let plan = FaultPlan {
-                    panics: 3,
-                    stragglers: 4,
-                    straggle_multiplier: 2.0,
-                    storms: 2,
-                    stalls: 2,
-                    stall_ms: 25.0,
-                    row_flips: 2,
-                    skews: 2,
-                    skew: 3.0,
-                    wedges: 2,
-                    horizon,
-                    seed: seed ^ 0xc0ffee,
-                };
-                let inj = plan.build().expect("valid plan");
-                let store = FeatureStore::new(n, model.n_layers() - 1);
-                let mut engines: Vec<BatchedEngine<'_>> = (0..workers)
-                    .map(|w| {
-                        let mut e = BatchedEngine::new(
-                            &model,
-                            &adj,
-                            &x,
-                            vec![],
-                            Some(&store),
-                            StorePolicy::Roots,
-                            ctx.seed ^ w as u64,
-                        );
-                        e.set_faults(std::sync::Arc::clone(&inj));
-                        e
-                    })
-                    .collect();
-                let rep = serve_multi(&mut engines, &pool, &cfg).expect("chaos run");
-                let tag = format!("{mode:?}/supervised={supervised}/seed={seed}");
+        for supervised in [false, true] {
+            let cfg = ServingConfig {
+                arrival_rate: 1e6,
+                max_batch: 32,
+                n_requests,
+                seed: ctx.seed ^ seed,
+                watchdog: supervised.then_some(0.2),
+                hedge: supervised.then_some(4.0),
+                ..Default::default()
+            };
+            // All seven fault kinds in one schedule. The horizon stays
+            // below the trace's minimum attempt count so every fault is
+            // guaranteed to fire.
+            let plan = FaultPlan {
+                panics: 3,
+                stragglers: 4,
+                straggle_multiplier: 2.0,
+                storms: 2,
+                stalls: 2,
+                stall_ms: 25.0,
+                row_flips: 2,
+                skews: 2,
+                skew: 3.0,
+                wedges: 2,
+                horizon,
+                seed: seed ^ 0xc0ffee,
+            };
+            let inj = plan.build().expect("valid plan");
+            let store = FeatureStore::new(n, model.n_layers() - 1);
+            let mut engines: Vec<BatchedEngine<'_>> = (0..workers)
+                .map(|w| {
+                    let mut e = BatchedEngine::new(
+                        &model,
+                        &adj,
+                        &x,
+                        vec![],
+                        Some(&store),
+                        StorePolicy::Roots,
+                        ctx.seed ^ w as u64,
+                    );
+                    e.set_faults(std::sync::Arc::clone(&inj));
+                    e
+                })
+                .collect();
+            let rep = serve_multi(&mut engines, &pool, &cfg).expect("chaos run");
+            let tag = format!("supervised={supervised}/seed={seed}");
 
-                // Hard gates: zero lost or duplicated requests, the full
-                // schedule fired, the retry cap absorbed every fault, and
-                // the hedge ledger balances.
-                assert_eq!(rep.served + rep.shed, n_requests, "{tag}: lossless");
-                assert_eq!(rep.shed, 0, "{tag}: retry cap covers the schedule");
-                let fired = inj.fired();
-                let gen2 = inj.fired_gen2();
-                assert_eq!(fired, (3, 4, 2), "{tag}: gen-1 schedule fired");
-                assert_eq!(gen2, (2, 2, 2, 2), "{tag}: gen-2 schedule fired");
-                assert_eq!(
-                    rep.hedges_fired,
-                    rep.hedges_won + rep.hedges_wasted,
-                    "{tag}: hedge ledger balances"
-                );
-                if !supervised {
-                    assert_eq!(rep.watchdog_restarts, 0, "{tag}: supervisor off");
-                    assert_eq!(rep.hedges_fired, 0, "{tag}: supervisor off");
-                }
-
-                table.push(vec![
-                    format!("{mode:?}"),
-                    supervised.to_string(),
-                    seed.to_string(),
-                    rep.served.to_string(),
-                    rep.recoveries.to_string(),
-                    rep.retries.to_string(),
-                    rep.watchdog_restarts.to_string(),
-                    format!(
-                        "{}/{}/{}",
-                        rep.hedges_fired, rep.hedges_won, rep.hedges_wasted
-                    ),
-                    fnum(rep.p99_ms, 2),
-                    fnum(rep.wall_seconds * 1e3, 0),
-                ]);
-                rows.push(RunRow {
-                    mode: format!("{mode:?}"),
-                    supervised,
-                    seed,
-                    n_requests,
-                    served: rep.served,
-                    shed: rep.shed,
-                    recoveries: rep.recoveries,
-                    retries: rep.retries,
-                    workers_lost: rep.workers_lost,
-                    watchdog_restarts: rep.watchdog_restarts,
-                    hedges_fired: rep.hedges_fired,
-                    hedges_won: rep.hedges_won,
-                    hedges_wasted: rep.hedges_wasted,
-                    fired_panics: fired.0,
-                    fired_stragglers: fired.1,
-                    fired_storms: fired.2,
-                    fired_stalls: gen2.0,
-                    fired_row_flips: gen2.1,
-                    fired_skews: gen2.2,
-                    fired_wedges: gen2.3,
-                    p99_ms: rep.p99_ms,
-                    wall_seconds: rep.wall_seconds,
-                });
+            // Hard gates: zero lost or duplicated requests, the full
+            // schedule fired, the retry cap absorbed every fault, and
+            // the hedge ledger balances.
+            assert_eq!(rep.served + rep.shed, n_requests, "{tag}: lossless");
+            assert_eq!(rep.shed, 0, "{tag}: retry cap covers the schedule");
+            let fired = inj.fired();
+            let gen2 = inj.fired_gen2();
+            assert_eq!(fired, (3, 4, 2), "{tag}: gen-1 schedule fired");
+            assert_eq!(gen2, (2, 2, 2, 2), "{tag}: gen-2 schedule fired");
+            assert_eq!(
+                rep.hedges_fired,
+                rep.hedges_won + rep.hedges_wasted,
+                "{tag}: hedge ledger balances"
+            );
+            if !supervised {
+                assert_eq!(rep.watchdog_restarts, 0, "{tag}: supervisor off");
+                assert_eq!(rep.hedges_fired, 0, "{tag}: supervisor off");
             }
+
+            table.push(vec![
+                supervised.to_string(),
+                seed.to_string(),
+                rep.served.to_string(),
+                rep.recoveries.to_string(),
+                rep.retries.to_string(),
+                rep.watchdog_restarts.to_string(),
+                format!(
+                    "{}/{}/{}",
+                    rep.hedges_fired, rep.hedges_won, rep.hedges_wasted
+                ),
+                fnum(rep.p99_ms, 2),
+                fnum(rep.wall_seconds * 1e3, 0),
+            ]);
+            rows.push(RunRow {
+                supervised,
+                seed,
+                n_requests,
+                served: rep.served,
+                shed: rep.shed,
+                recoveries: rep.recoveries,
+                retries: rep.retries,
+                workers_lost: rep.workers_lost,
+                watchdog_restarts: rep.watchdog_restarts,
+                hedges_fired: rep.hedges_fired,
+                hedges_won: rep.hedges_won,
+                hedges_wasted: rep.hedges_wasted,
+                fired_panics: fired.0,
+                fired_stragglers: fired.1,
+                fired_storms: fired.2,
+                fired_stalls: gen2.0,
+                fired_row_flips: gen2.1,
+                fired_skews: gen2.2,
+                fired_wedges: gen2.3,
+                p99_ms: rep.p99_ms,
+                wall_seconds: rep.wall_seconds,
+            });
         }
     }
 
     print_table(
         &[
-            "mode",
             "supervised",
             "seed",
             "served",

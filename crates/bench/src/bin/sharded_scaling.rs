@@ -14,8 +14,7 @@
 //! one thread so the shard workers *are* the parallelism: on a multi-core
 //! host served throughput should rise monotonically 1 → 4 shards, while on
 //! a single-core host the workers time-share one CPU and the report's
-//! `cores` / `scaling_capable` fields mark the run as exempt (the same
-//! idiom as BENCH_serving.json's `overlap_capable`).
+//! `cores` / `scaling_capable` fields mark the run as exempt.
 //!
 //! The report also carries the shard-router traffic
 //! (`shard.remote.{requests,rows,bytes}`), per-shard residency, and one
@@ -29,9 +28,7 @@
 use gcnp_bench::harness::{fnum, print_table};
 use gcnp_bench::{pipeline, Ctx};
 use gcnp_datasets::{oversample, spam_factor_from_env, DatasetKind, GrowingGraph, Partition};
-use gcnp_infer::{
-    serve_sharded, BatchedEngine, PipelineMode, ServingConfig, ShardedStore, StorePolicy,
-};
+use gcnp_infer::{serve_sharded, BatchedEngine, ServingConfig, ShardedStore, StorePolicy};
 use gcnp_models::zoo;
 use gcnp_obs::MetricsRegistry;
 use gcnp_tensor::set_num_threads;
@@ -95,7 +92,7 @@ struct Report {
     cores: usize,
     /// Whether the host can actually run shard workers in parallel
     /// (`cores >= 2`); single-core runs are exempt from the monotonicity
-    /// acceptance check, as in BENCH_serving.json.
+    /// acceptance check.
     scaling_capable: bool,
     /// Served throughput non-decreasing across `rows` (1 → 4 shards).
     /// Meaningful only when `scaling_capable`.
@@ -134,7 +131,6 @@ fn main() {
         max_batch: 32,
         n_requests: pool.len(),
         seed: ctx.seed,
-        pipeline: PipelineMode::Sequential,
         ..Default::default()
     };
 

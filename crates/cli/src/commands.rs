@@ -6,8 +6,8 @@ use gcnp_core::{prune_model, PruneMethod, PrunerConfig, Scheme};
 use gcnp_datasets::{oversample, parse_spam_factor, Dataset, DatasetKind, Partition};
 use gcnp_infer::{
     format_stage_table, serve_multi, serve_sharded, simulate_tiered, stage_breakdown,
-    BatchedEngine, EngineMetrics, FaultPlan, FeatureStore, FullEngine, LadderPolicy, PipelineMode,
-    Precision, QuantizedGnn, ServingConfig, ServingResult, ShardedStore, StorePolicy,
+    BatchedEngine, EngineMetrics, FaultPlan, FeatureStore, FullEngine, LadderPolicy, Precision,
+    QuantizedGnn, ServingConfig, ServingResult, ShardedStore, StorePolicy,
 };
 use gcnp_models::{zoo, GnnModel, Metrics, TrainConfig, Trainer};
 use gcnp_obs::MetricsRegistry;
@@ -269,8 +269,8 @@ fn write_metrics(path: &str, registry: &Arc<MetricsRegistry>) -> Result<String, 
 /// `gcnp serve --data file --model file [--rate f] [--requests n]
 ///  [--max-batch n] [--max-wait-ms f] [--store] [--workers n]
 ///  [--deadline-ms f] [--queue-cap n] [--retry-cap n] [--faults spec]
-///  [--watchdog-ms f] [--hedge k] [--ladder] [--shards n]
-///  [--pipeline sequential|pipelined] [--pace] [--metrics-out file]`
+///  [--watchdog-ms f] [--hedge k] [--ladder] [--shards n] [--pace]
+///  [--metrics-out file]`
 ///
 /// With `--workers n` (n > 1) the request trace is drained by `n` engine
 /// replicas sharing one feature store (throughput mode, no latency
@@ -289,9 +289,10 @@ fn write_metrics(path: &str, registry: &Arc<MetricsRegistry>) -> Result<String, 
 /// `--watchdog-ms f` arms the supervision watchdog (a batch busy longer
 /// than `f` ms is stolen, requeued, and its stage pair respawned) and
 /// `--hedge k` arms hedged re-execution (a batch busy past `k ×` the EWMA
-/// compute estimate is speculatively duplicated; first completion wins) —
-/// both are fleet features (`--workers` or `--shards`) and ignored by
-/// single-worker simulation.
+/// compute estimate is speculatively duplicated; first completion wins).
+/// Both, like `--pace`, are fleet features: without `--workers n` (n > 1)
+/// or `--shards n` they are rejected, since the single-worker run is a
+/// virtual-clock simulation with nothing to pace, watch or hedge.
 ///
 /// `--shards n` (n > 1, mutually exclusive with `--workers`) hash-partitions
 /// the graph into `n` shards (plus two greedy edge-cut refinement passes),
@@ -302,11 +303,9 @@ fn write_metrics(path: &str, registry: &Arc<MetricsRegistry>) -> Result<String, 
 /// traffic (`shard.remote.*`) and per-shard residency gauges
 /// (`store.shard{i}.resident_rows`).
 ///
-/// Multi-worker runs default to the two-stage **pipelined** executor
-/// (per-worker aggregation/GEMM overlap); `--pipeline sequential` selects the
-/// one-thread-per-worker escape hatch for A/B comparison, and `--pace`
-/// replays the arrival trace in real time so the reported percentiles are
-/// wall-clock meaningful.
+/// Every fleet worker is a two-stage pair (batch N+1's aggregation overlaps
+/// batch N's GEMMs), and `--pace` replays the arrival trace in real time so
+/// the reported percentiles are wall-clock meaningful.
 pub fn serve(args: &Args) -> Result<String, String> {
     // Validate the chaos spec before any file I/O so typos fail instantly.
     let faults = match args.get("faults") {
@@ -317,9 +316,6 @@ pub fn serve(args: &Args) -> Result<String, String> {
                 .map_err(|e| e.to_string())?,
         ),
     };
-    let data = load_dataset(args.require("data")?)?;
-    let model = load_model(args.require("model")?)?;
-    let seed: u64 = args.get_or("seed", 0)?;
     let shards: usize = args.get_or("shards", 1)?;
     let workers: usize = args.get_or("workers", 1)?;
     if shards > 1 && workers > 1 {
@@ -327,15 +323,20 @@ pub fn serve(args: &Args) -> Result<String, String> {
             "--shards and --workers are mutually exclusive: each shard owns one worker".into(),
         );
     }
-    let pipeline = match args.get("pipeline").unwrap_or("pipelined") {
-        "sequential" => PipelineMode::Sequential,
-        "pipelined" => PipelineMode::Pipelined,
-        other => {
-            return Err(format!(
-                "unknown --pipeline mode {other}; expected sequential or pipelined"
-            ))
+    let n_fleet = shards.max(workers).max(1);
+    if n_fleet == 1 {
+        for flag in ["pace", "watchdog-ms", "hedge"] {
+            if args.has(flag) || args.get(flag).is_some() {
+                return Err(format!(
+                    "--{flag} needs `--workers ≥ 2` or `--shards`: a single worker is a \
+                     virtual-clock simulation with no fleet to pace, watch or hedge"
+                ));
+            }
         }
-    };
+    }
+    let data = load_dataset(args.require("data")?)?;
+    let model = load_model(args.require("model")?)?;
+    let seed: u64 = args.get_or("seed", 0)?;
     let cfg = ServingConfig {
         arrival_rate: args.get_or("rate", 500.0)?,
         max_batch: args.get_or("max-batch", 64)?,
@@ -345,7 +346,6 @@ pub fn serve(args: &Args) -> Result<String, String> {
         deadline: args.get_opt::<f64>("deadline-ms")?.map(|ms| ms / 1e3),
         queue_cap: args.get_opt("queue-cap")?,
         retry_cap: args.get_or("retry-cap", 3)?,
-        pipeline,
         pace: args.has("pace"),
         watchdog: args.get_opt::<f64>("watchdog-ms")?.map(|ms| ms / 1e3),
         hedge: args.get_opt("hedge")?,
@@ -390,7 +390,6 @@ pub fn serve(args: &Args) -> Result<String, String> {
     // A fleet (one replica per worker, or one engine per shard) serves the
     // model as is; a single worker optionally builds the degradation
     // ladder from successively heavier batched-scheme pruning of it.
-    let n_fleet = shards.max(workers).max(1);
     let ladder = args.has("ladder") && n_fleet == 1;
     let tier_models: Vec<GnnModel> = if ladder {
         let (tadj, tnodes) = data.train_adj();
@@ -460,7 +459,7 @@ pub fn serve(args: &Args) -> Result<String, String> {
             ),
             None => (
                 serve_multi(&mut engines, &data.test, &cfg),
-                format!("{workers} {:?} workers", cfg.pipeline),
+                format!("{workers} workers"),
             ),
         };
         let rep = rep.map_err(|e| e.to_string())?;
@@ -727,6 +726,19 @@ mod tests {
             .is_err(),
             "bad fault spec is rejected before any file I/O matters"
         );
+        // Fleet-only flags on the single-worker simulation are refused by
+        // name, not silently ignored.
+        for flag in ["--pace", "--watchdog-ms 50", "--hedge 4"] {
+            let err = run(&parse(&format!(
+                "serve --data x.json --model y.json {flag}"
+            )))
+            .unwrap_err();
+            let name = flag.split(' ').next().unwrap();
+            assert!(
+                err.contains(name) && err.contains("needs `--workers ≥ 2` or `--shards`"),
+                "{flag}: {err}"
+            );
+        }
         assert!(run(&parse("generate --dataset nope --out /tmp/x.json")).is_err());
         assert!(run(&parse(
             "prune --data missing.json --model also-missing.json --out /tmp/x"

@@ -47,8 +47,8 @@
 //! seam with the GEMM it feeds: moved forward as well it over-fills the
 //! front stage (6–18 % less drain throughput on the 2-vCPU reference box).
 //!
-//! [`BatchedEngine::try_infer`] runs them back-to-back (the sequential
-//! path). The pipelined executor in [`crate::pipeline`] runs the front
+//! [`BatchedEngine::try_infer`] runs them back-to-back on the caller's
+//! thread. The stage pair in [`crate::pipeline`] runs the front
 //! stage of batch N+1 concurrently with the back stage of batch N on
 //! separate threads — which is why the split routes every front-stage
 //! buffer through the owned, `Send` [`PreparedBatch`], and why the back end
@@ -289,9 +289,8 @@ pub struct BatchedEngine<'a> {
     metrics: Option<Arc<EngineMetrics>>,
     /// EWMA-observation skew factor latched by the most recent execute
     /// (`Fault::ClockSkew` perturbs only the compute-estimate observation,
-    /// never latency accounting); 1.0 otherwise. The sequential serving
-    /// worker reads it through [`BatchedEngine::last_est_skew`], the
-    /// pipelined back stage through its [`BackStage::skew`] borrow.
+    /// never latency accounting); 1.0 otherwise. The serving worker's
+    /// back stage reads it through its [`BackStage::skew`] borrow.
     last_skew: f64,
 }
 
@@ -428,9 +427,9 @@ pub(crate) struct PreparedBatch {
     t0: Instant,
     /// Stage stopwatch carried across the queue (see [`StageClock`]).
     clock: Option<StageClock>,
-    /// Busy seconds prepare itself took. The pipelined back stage adds them
-    /// to execute's, so the serving layer's compute estimate covers the
-    /// whole batch in both executor modes.
+    /// Busy seconds prepare itself took. The serving worker's back stage
+    /// adds them to execute's, so the compute estimate covers the whole
+    /// batch.
     front_seconds: f64,
 }
 
@@ -490,8 +489,9 @@ pub(crate) struct FrontStage<'e> {
 pub(crate) struct BackStage<'e> {
     scratch: &'e mut BackScratch,
     dirty: &'e mut bool,
-    /// Skew-factor latch written by every execute (see
-    /// [`BatchedEngine::last_est_skew`]).
+    /// Skew-factor latch written by every execute: the factor the serving
+    /// layer multiplies into its compute-estimate observation (1.0 unless
+    /// the batch drew [`Fault::ClockSkew`]).
     pub(crate) skew: &'e mut f64,
 }
 
@@ -664,13 +664,6 @@ impl<'a> BatchedEngine<'a> {
         self.packed.precision()
     }
 
-    /// Skew factor the most recent execute latched for the EWMA
-    /// compute-estimate observation (1.0 unless that batch drew
-    /// [`Fault::ClockSkew`]).
-    pub(crate) fn last_est_skew(&self) -> f64 {
-        self.last_skew
-    }
-
     /// Analytic compute-seconds estimate for a cold batch of `batch`
     /// targets, from the cost model (Eqs. 2–3) at an optimistic throughput.
     /// Seeds the serving layer's EWMA virtual clock and deadline projection
@@ -730,9 +723,9 @@ impl<'a> BatchedEngine<'a> {
     /// instead of panicking. After an error *or* a caught panic the engine
     /// stays usable: the next call rebuilds its scratch state.
     ///
-    /// This is the sequential path: prepare and execute run back-to-back on
-    /// the caller's thread, so outputs are identical to the pipelined
-    /// executor's by construction (both run exactly this code).
+    /// This is the one-thread path: prepare and execute run back-to-back on
+    /// the caller's thread, so outputs are identical to the stage pair's
+    /// by construction (both run exactly this code).
     pub fn try_infer(&mut self, targets: &[usize]) -> ServingResult<BatchResult> {
         let (core, mut front, mut back) = self.split();
         let prep = core.prepare(targets, &mut front)?;
@@ -749,9 +742,9 @@ impl<'a> BatchedEngine<'a> {
 }
 
 impl<'e, 'a> EngineCore<'e, 'a> {
-    /// True when batches write to a store: the pipelined executor must then
+    /// True when batches write to a store: the stage pair must then
     /// serialize batch N+1's store probes (prepare) behind batch N's
-    /// write-backs (execute) to keep outputs identical to sequential.
+    /// write-backs (execute) to keep outputs identical to `try_infer`'s.
     pub(crate) fn needs_store_barrier(&self) -> bool {
         self.store.active() && !matches!(self.policy, StorePolicy::None)
     }

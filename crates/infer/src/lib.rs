@@ -43,7 +43,7 @@ pub use metrics::{
     format_stage_table, stage_breakdown, EngineMetrics, ServingMetrics, ShardMetrics, StageRow,
     StoreMetrics, STAGES,
 };
-pub use pipeline::{run_batches, PipelineMode};
+pub use pipeline::run_batches;
 pub use quantized::QuantizedGnn;
 pub use serving::{
     serve_multi, serve_sharded, simulate, simulate_tiered, LadderPolicy, MultiServingReport,

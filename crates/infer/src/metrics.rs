@@ -136,9 +136,9 @@ pub struct ServingMetrics {
     pub batch_size: Arc<Histogram>,
     /// Active ladder tier (0 = unpruned).
     pub tier: Arc<Gauge>,
-    /// Fraction of available stage-thread time the pipeline spent busy
-    /// (front + back busy seconds over thread-seconds, 0..=1). Sequential
-    /// runs report their single-threaded duty cycle.
+    /// Fraction of available stage-thread time the fleet spent busy, 0..=1
+    /// (see [`crate::MultiServingReport::pipeline_occupancy`] for the
+    /// denominator).
     pub pipeline_occupancy: Arc<Gauge>,
     /// Condvar wakeups of blocked dispatch-queue consumers over the run —
     /// the observable replacing the old 100 µs polling loop (which "woke"

@@ -20,35 +20,46 @@
 //!   visibility between shard replicas is the sharded store's own concern —
 //!   its stripe locks make rows atomically visible, and `serve_sharded`
 //!   routes each target to exactly one shard's worker.
+//! * [`StageLink`] — the stage pair's protocol, written once: queue, gate
+//!   and the scratch-return rail, with one method per protocol step. The
+//!   fleet worker in [`crate::serving`] and [`run_batches`] both drive
+//!   their two stage threads through it; each keeps its own control flow
+//!   (supervision and accounting there, first-error-wins here) around the
+//!   calls.
 //! * [`DispatchQueue`] — the condvar work queue behind `serve_multi`'s
 //!   event loop (admission, retries, abort on fleet death); replaces the
 //!   old 100 µs sleep-polling loop.
-//! * [`run_batches`] — a mode-switched batch runner, the smallest surface
-//!   on which "pipelined output ≡ sequential output" is pinned by test.
+//! * [`run_batches`] — the stage pair over a fixed batch list, the smallest
+//!   surface on which "stage-pair output ≡ [`BatchedEngine::try_infer`]
+//!   output" is pinned by test.
 //!
-//! # Determinism
+//! # One executor, one reference
 //!
-//! Both modes run *exactly* the same prepare/execute code against the same
-//! engine state. Batches enter prepare in submission order on a single
-//! front thread, so the fault draws, batch seeds, and store write-backs
-//! happen in the same order as the sequential loop — outputs are bitwise
-//! identical by construction, and the equivalence tests hold the executor
-//! to it.
+//! The stage pair is the only executor. `BatchedEngine::try_infer` —
+//! prepare then execute on the caller's thread — is the engine's public
+//! one-thread path and the reference every equivalence suite compares the
+//! pair against (DESIGN §10 records the measurement that retired the
+//! one-thread *serving* worker). The pair runs *exactly* the code
+//! `try_infer` runs, and batches enter prepare in submission order on a
+//! single front thread, so fault draws, batch seeds and store write-backs
+//! happen in the order of a `try_infer` loop: outputs are bitwise identical
+//! by construction, and the equivalence tests hold the executor to it.
 
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, WaitTimeoutResult};
 use std::time::Duration;
 
-use gcnp_tensor::Matrix;
-use serde::{Deserialize, Serialize};
+use gcnp_tensor::{Matrix, ScratchPool};
 
 use crate::batched::{BatchResult, BatchedEngine};
 use crate::error::{ServingError, ServingResult};
+use crate::faults::Fault;
 
 /// Bound on the inter-stage queue: how many prepared batches the front end
 /// may run ahead of the back end. Two is enough to hide the shorter stage
 /// behind the longer one; more only grows staged-operand memory.
-pub(crate) const PIPELINE_DEPTH: usize = 2;
+const PIPELINE_DEPTH: usize = 2;
 
 /// How long a blocked stage waits before re-checking queue/gate state. The
 /// inter-stage channels tolerate a *lost wakeup* (the `QueueWedge` fault, or
@@ -56,19 +67,7 @@ pub(crate) const PIPELINE_DEPTH: usize = 2;
 /// a dropped notification costs at most one recheck interval, never a
 /// permanent wedge. The `DispatchQueue` keeps unbounded waits — its wakeup
 /// count is a pinned observable and its notify paths are fault-free.
-pub(crate) const STAGE_RECHECK: Duration = Duration::from_millis(10);
-
-/// Executor selection for batched serving — the `GemmPath::Naive`-style
-/// escape hatch for A/B benchmarking and bisection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum PipelineMode {
-    /// Prepare and execute run back-to-back on one thread per worker.
-    Sequential,
-    /// Prepare (front) and execute (back) run on separate threads per
-    /// worker, connected by a bounded [`StageQueue`].
-    #[default]
-    Pipelined,
-}
+const STAGE_RECHECK: Duration = Duration::from_millis(10);
 
 pub(crate) fn relock<'a, T>(
     r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
@@ -100,7 +99,7 @@ struct StageState<T> {
 /// Bounded condvar channel between a front (producer) and back (consumer)
 /// stage thread. Push blocks at the bound; pop blocks when empty; close
 /// wakes everyone and drains to `None`.
-pub(crate) struct StageQueue<T> {
+struct StageQueue<T> {
     state: Mutex<StageState<T>>, // lock: stage.state
     can_pop: Condvar,            // lock: stage.can_pop pairs stage.state
     can_push: Condvar,           // lock: stage.can_push pairs stage.state
@@ -108,7 +107,7 @@ pub(crate) struct StageQueue<T> {
 }
 
 impl<T> StageQueue<T> {
-    pub(crate) fn new(cap: usize) -> Self {
+    fn new(cap: usize) -> Self {
         Self {
             state: Mutex::new(StageState {
                 items: VecDeque::new(),
@@ -124,7 +123,7 @@ impl<T> StageQueue<T> {
     /// item back if the queue was closed — the producer should stop. The
     /// wait is bounded by [`STAGE_RECHECK`], so a lost `can_push` wakeup
     /// delays the producer instead of wedging it.
-    pub(crate) fn push(&self, item: T) -> Result<(), T> {
+    fn push(&self, item: T) -> Result<(), T> {
         let _order = gcnp_tensor::lockcheck::acquire("stage.state");
         let mut s = relock(self.state.lock());
         while s.items.len() >= self.cap && !s.closed {
@@ -143,7 +142,7 @@ impl<T> StageQueue<T> {
     /// hook. The item is queued correctly; only the wakeup is dropped, so
     /// recovery is entirely down to the consumer's bounded re-check wait.
     /// Blocks at the bound like [`StageQueue::push`].
-    pub(crate) fn push_quiet(&self, item: T) -> Result<(), T> {
+    fn push_quiet(&self, item: T) -> Result<(), T> {
         let _order = gcnp_tensor::lockcheck::acquire("stage.state");
         let mut s = relock(self.state.lock());
         while s.items.len() >= self.cap && !s.closed {
@@ -160,7 +159,7 @@ impl<T> StageQueue<T> {
     /// and fully drained. The wait is bounded by [`STAGE_RECHECK`]: a
     /// dropped `can_pop` notification (the `QueueWedge` fault) costs at
     /// most one recheck interval.
-    pub(crate) fn pop(&self) -> Option<T> {
+    fn pop(&self) -> Option<T> {
         let _order = gcnp_tensor::lockcheck::acquire("stage.state");
         let mut s = relock(self.state.lock());
         loop {
@@ -178,7 +177,7 @@ impl<T> StageQueue<T> {
 
     /// Close the queue: producers get their item back, consumers drain the
     /// remainder and then see `None`. Idempotent.
-    pub(crate) fn close(&self) {
+    fn close(&self) {
         let _order = gcnp_tensor::lockcheck::acquire("stage.state");
         let mut s = relock(self.state.lock());
         s.closed = true;
@@ -190,7 +189,7 @@ impl<T> StageQueue<T> {
     /// Reopen a closed queue for the next stage-pair generation after a
     /// watchdog teardown. Both stage threads must have exited (the worker
     /// manager joins them first); queued items, if any, carry over.
-    pub(crate) fn reopen(&self) {
+    fn reopen(&self) {
         let _order = gcnp_tensor::lockcheck::acquire("stage.state");
         relock(self.state.lock()).closed = false;
     }
@@ -209,13 +208,13 @@ struct GateState {
 /// batch; the front stage `wait_done(n)`s before preparing batch n when the
 /// engine writes to a store. `kill` releases all waiters permanently (back
 /// stage died).
-pub(crate) struct BarrierGate {
+struct BarrierGate {
     state: Mutex<GateState>, // lock: gate.state
     cv: Condvar,             // lock: gate.cv pairs gate.state
 }
 
 impl BarrierGate {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self {
             state: Mutex::new(GateState {
                 done: 0,
@@ -226,7 +225,7 @@ impl BarrierGate {
     }
 
     /// One more batch fully executed (write-backs visible).
-    pub(crate) fn bump(&self) {
+    fn bump(&self) {
         let _order = gcnp_tensor::lockcheck::acquire("gate.state");
         let mut s = relock(self.state.lock());
         s.done += 1;
@@ -235,7 +234,7 @@ impl BarrierGate {
     }
 
     /// Release all waiters permanently; `wait_done` reports failure.
-    pub(crate) fn kill(&self) {
+    fn kill(&self) {
         let _order = gcnp_tensor::lockcheck::acquire("gate.state");
         let mut s = relock(self.state.lock());
         s.dead = true;
@@ -247,7 +246,7 @@ impl BarrierGate {
     /// if the gate was killed before the target was reached. Bounded wait
     /// ([`STAGE_RECHECK`]) for the same lost-wakeup tolerance as
     /// [`StageQueue`].
-    pub(crate) fn wait_done(&self, target: u64) -> bool {
+    fn wait_done(&self, target: u64) -> bool {
         let _order = gcnp_tensor::lockcheck::acquire("gate.state");
         let mut s = relock(self.state.lock());
         while s.done < target && !s.dead {
@@ -259,11 +258,101 @@ impl BarrierGate {
     /// Rearm a killed gate for the next stage-pair generation (watchdog
     /// respawn): completion count restarts with the fresh front's staged
     /// count. Only called between generations, with both stages joined.
-    pub(crate) fn reset(&self) {
+    fn reset(&self) {
         let _order = gcnp_tensor::lockcheck::acquire("gate.state");
         let mut s = relock(self.state.lock());
         s.done = 0;
         s.dead = false;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// StageLink: the stage pair's protocol, written once
+// ---------------------------------------------------------------------------
+
+/// Plumbing of one front/back stage pair: the bounded inter-stage queue, the
+/// store-visibility barrier, and the scratch-return rail (front-pool
+/// matrices the back stage finished with, recycled by the front before its
+/// next prepare). Every step of the pair's protocol is one method here, so
+/// the fleet worker and [`run_batches`] cannot drift apart on it.
+pub(crate) struct StageLink<J> {
+    stage: StageQueue<J>,
+    gate: BarrierGate,
+    rail: Mutex<Vec<Matrix>>, // lock: pipeline.rail
+}
+
+impl<J> StageLink<J> {
+    pub(crate) fn new() -> Self {
+        Self {
+            stage: StageQueue::new(PIPELINE_DEPTH),
+            gate: BarrierGate::new(),
+            rail: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Front, before each prepare: when the engine writes to a store
+    /// (`barrier`), wait until the back stage has executed all `staged`
+    /// batches handed off so far, then recycle the buffers it returned into
+    /// the front `pool`. False when the back stage died first — preparing
+    /// now would probe a store the missing write-backs never reached.
+    pub(crate) fn admit(&self, barrier: bool, staged: u64, pool: &mut ScratchPool) -> bool {
+        if barrier && staged > 0 && !self.gate.wait_done(staged) {
+            return false;
+        }
+        let _order = gcnp_tensor::lockcheck::acquire("pipeline.rail");
+        for m in relock(self.rail.lock()).drain(..) {
+            pool.recycle(m);
+        }
+        true
+    }
+
+    /// Front, after a prepare that drew `fault`: stage the job for the back
+    /// stage. `QueueWedge` chaos stages it without the wakeup; the back's
+    /// bounded re-check wait must recover. Returns the job if the pair is
+    /// winding down.
+    pub(crate) fn hand_off(&self, job: J, fault: Fault) -> Result<(), J> {
+        if matches!(fault, Fault::QueueWedge) {
+            self.stage.push_quiet(job)
+        } else {
+            self.stage.push(job)
+        }
+    }
+
+    /// Front, on exit: the back stage drains what was staged, then stops.
+    pub(crate) fn close(&self) {
+        self.stage.close();
+    }
+
+    /// Back: the next staged job, `None` once the pair has wound down.
+    pub(crate) fn next(&self) -> Option<J> {
+        self.stage.pop()
+    }
+
+    /// Back, after each execute that left the stage alive: return the
+    /// front-pool buffers the batch carried, then let the front past the
+    /// barrier (the write-backs are visible).
+    pub(crate) fn retire(&self, spent: Vec<Matrix>) {
+        {
+            let _order = gcnp_tensor::lockcheck::acquire("pipeline.rail");
+            relock(self.rail.lock()).extend(spent);
+        }
+        self.gate.bump();
+    }
+
+    /// Wind the pair down from outside the front (back-stage death, or the
+    /// watchdog's teardown): release the front wherever it blocks — gate or
+    /// stage push — and stop the back once it has drained the queue.
+    pub(crate) fn kill(&self) {
+        self.gate.kill();
+        self.stage.close();
+    }
+
+    /// Re-arm a wound-down link for a fresh stage-pair generation; the new
+    /// front restarts its staged count from zero. Only between generations,
+    /// with both stage threads joined.
+    pub(crate) fn reopen(&self) {
+        self.stage.reopen();
+        self.gate.reset();
     }
 }
 
@@ -422,117 +511,80 @@ impl<T> DispatchQueue<T> {
 }
 
 // ---------------------------------------------------------------------------
-// run_batches: mode-switched batch runner
+// run_batches: the stage pair over a fixed batch list
 // ---------------------------------------------------------------------------
 
-// lock: acquires pipeline.first_err
-fn record_first(slot: &Mutex<Option<(usize, ServingError)>>, index: usize, err: ServingError) {
-    let _order = gcnp_tensor::lockcheck::acquire("pipeline.first_err");
-    let mut g = relock(slot.lock());
-    // Smallest batch index wins, so both modes surface the same error: the
-    // sequential loop can only ever reach the earliest failing batch.
-    if g.as_ref().is_none_or(|(i, _)| index < *i) {
-        *g = Some((index, err));
-    }
-}
-
-/// Serve `batches` on one engine under the selected executor, returning the
-/// per-batch results in submission order. The first failing batch (by
-/// submission index) aborts the run and surfaces its typed error — in both
-/// modes, so the executors are interchangeable for callers.
+/// Serve `batches` on one engine through the stage pair — prepare on a front
+/// thread, execute on the calling thread — returning the per-batch results
+/// in submission order. The first failing batch (by submission index)
+/// aborts the run and surfaces its typed error, exactly the error a
+/// [`BatchedEngine::try_infer`] loop over the same batches stops at.
 ///
 /// Injected panics are *not* caught here (that is `serve_multi`'s job);
-/// they unwind through the scope in either mode.
+/// they unwind to the caller.
 pub fn run_batches(
-    engine: &mut BatchedEngine<'_>,
-    batches: &[Vec<usize>],
-    mode: PipelineMode,
-) -> ServingResult<Vec<BatchResult>> {
-    match mode {
-        PipelineMode::Sequential => batches.iter().map(|b| engine.try_infer(b)).collect(),
-        PipelineMode::Pipelined => run_pipelined(engine, batches),
-    }
-}
-
-fn run_pipelined(
     engine: &mut BatchedEngine<'_>,
     batches: &[Vec<usize>],
 ) -> ServingResult<Vec<BatchResult>> {
     let (core, mut front, mut back) = engine.split();
     let barrier = core.needs_store_barrier();
-    let queue = StageQueue::new(PIPELINE_DEPTH);
-    let gate = BarrierGate::new();
-    // Return rail for front-pool buffers the back stage retired; the front
-    // drains it before each prepare (double-buffered scratch circulation).
-    let rail: Mutex<Vec<Matrix>> = Mutex::new(Vec::new()); // lock: pipeline.rail
-                                                           // lock: pipeline.first_err
-    let first_err: Mutex<Option<(usize, ServingError)>> = Mutex::new(None);
+    let link = StageLink::new();
 
-    let results = std::thread::scope(|s| {
-        let queue = &queue;
-        let gate = &gate;
-        let rail = &rail;
-        let first_err = &first_err;
-        s.spawn(move || {
-            // Front stage: prepare batches in submission order.
-            for (i, targets) in batches.iter().enumerate() {
-                if barrier && i > 0 && !gate.wait_done(i as u64) {
-                    break; // back stage died
-                }
-                {
-                    let _order = gcnp_tensor::lockcheck::acquire("pipeline.rail");
-                    for m in relock(rail.lock()).drain(..) {
-                        front.pool.recycle(m);
+    let (results, front_err, back_err) = std::thread::scope(|s| {
+        let link = &link;
+        let front_stage = s.spawn(move || {
+            // Front stage: prepare batches in submission order. A panic in
+            // prepare must still close the link, or the back stage below
+            // would wait on it forever instead of letting the panic out.
+            let front_err = panic::catch_unwind(AssertUnwindSafe(|| {
+                for (i, targets) in batches.iter().enumerate() {
+                    if !link.admit(barrier, i as u64, front.pool) {
+                        break; // back stage died
                     }
-                }
-                match core.prepare(targets, &mut front) {
-                    Ok(prep) => {
-                        // QueueWedge chaos: stage without the wakeup; the
-                        // consumer's bounded re-check wait must recover.
-                        let wedged = matches!(prep.fault(), crate::faults::Fault::QueueWedge);
-                        let pushed = if wedged {
-                            queue.push_quiet((i, prep))
-                        } else {
-                            queue.push((i, prep))
-                        };
-                        if pushed.is_err() {
-                            break; // back stage closed the queue
+                    match core.prepare(targets, &mut front) {
+                        Ok(prep) => {
+                            let fault = prep.fault();
+                            if link.hand_off((i, prep), fault).is_err() {
+                                break; // back stage wound the pair down
+                            }
                         }
-                    }
-                    Err(e) => {
-                        record_first(first_err, i, e);
-                        break;
+                        Err(e) => return Some((i, e)),
                     }
                 }
-            }
-            queue.close();
+                None
+            }));
+            link.close();
+            front_err.unwrap_or_else(|payload| panic::resume_unwind(payload))
         });
 
         // Back stage runs on the calling thread.
         let mut results = Vec::with_capacity(batches.len());
-        while let Some((i, prep)) = queue.pop() {
+        let mut back_err = None;
+        while let Some((i, prep)) = link.next() {
             let mut spent = Vec::new();
             match core.execute(prep, &mut back, &mut spent) {
                 Ok(res) => results.push(res),
                 Err(e) => {
-                    record_first(first_err, i, e);
-                    queue.close();
-                    gate.kill();
+                    back_err = Some((i, e));
+                    link.kill();
                     break;
                 }
             }
-            {
-                let _order = gcnp_tensor::lockcheck::acquire("pipeline.rail");
-                relock(rail.lock()).extend(spent);
-            }
-            gate.bump();
+            link.retire(spent);
         }
-        results
+        let front_err = front_stage
+            .join()
+            .unwrap_or_else(|payload| panic::resume_unwind(payload));
+        (results, front_err, back_err)
     });
 
-    let _order = gcnp_tensor::lockcheck::acquire("pipeline.first_err");
-    let err = relock(first_err.lock()).take();
-    match err {
+    // Smallest batch index wins: the error a `try_infer` loop, which can
+    // only ever reach the earliest failing batch, would have surfaced.
+    let first: Option<(usize, ServingError)> = [front_err, back_err]
+        .into_iter()
+        .flatten()
+        .min_by_key(|(i, _)| *i);
+    match first {
         Some((_, e)) => Err(e),
         None => Ok(results),
     }
@@ -581,16 +633,16 @@ mod tests {
 
     #[test]
     fn stage_queue_recovers_from_lost_wakeup() {
-        // push_quiet drops the consumer notification (the QueueWedge
-        // fault). The bounded recheck wait must deliver the item anyway,
-        // within a few recheck intervals rather than wedging forever.
-        let q: StageQueue<u32> = StageQueue::new(2);
+        // A `QueueWedge` hand-off drops the consumer notification. The
+        // bounded recheck wait must deliver the item anyway, within a few
+        // recheck intervals rather than wedging forever.
+        let link: StageLink<u32> = StageLink::new();
         std::thread::scope(|s| {
-            let consumer = s.spawn(|| q.pop());
+            let consumer = s.spawn(|| link.next());
             std::thread::sleep(Duration::from_millis(20));
             assert!(!consumer.is_finished(), "consumer blocks while idle");
             let t = Instant::now();
-            q.push_quiet(9).unwrap();
+            link.hand_off(9, Fault::QueueWedge).unwrap();
             assert_eq!(consumer.join().unwrap(), Some(9));
             assert!(
                 t.elapsed() < STAGE_RECHECK * 20,
@@ -598,6 +650,33 @@ mod tests {
                 t.elapsed()
             );
         });
+        // That hand-off really is silent, and every other one notifies. A
+        // waiter parks on `can_pop` holding the state lock until its wait
+        // releases it, so the hand-off cannot slip in before it is parked:
+        // it times out under `QueueWedge` and is woken otherwise.
+        let notified = |fault: Fault| {
+            std::thread::scope(|s| {
+                let (ready, parked) = std::sync::mpsc::channel();
+                let link = &link;
+                let waiter = s.spawn(move || {
+                    let guard = relock(link.stage.state.lock());
+                    ready.send(()).unwrap();
+                    let (_guard, wait) = link
+                        .stage
+                        .can_pop
+                        .wait_timeout(guard, STAGE_RECHECK * 5)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    !wait.timed_out()
+                });
+                parked.recv().unwrap();
+                link.hand_off(1, fault).unwrap();
+                let woken = waiter.join().unwrap();
+                assert_eq!(link.next(), Some(1), "queued either way");
+                woken
+            })
+        };
+        assert!(!notified(Fault::QueueWedge), "a wedged hand-off is silent");
+        assert!(notified(Fault::None), "a plain hand-off wakes the consumer");
     }
 
     #[test]
@@ -680,6 +759,15 @@ mod tests {
         assert_eq!(q.drain(), vec![1], "queued work remains for shedding");
     }
 
+    /// The reference side of every equivalence check: prepare then execute
+    /// on one thread, batch by batch.
+    fn try_infer_loop(
+        engine: &mut BatchedEngine<'_>,
+        batches: &[Vec<usize>],
+    ) -> ServingResult<Vec<BatchResult>> {
+        batches.iter().map(|b| engine.try_infer(b)).collect()
+    }
+
     #[test]
     fn pipelined_matches_sequential_bitwise_with_store_writes() {
         // The barrier path: Roots write-backs make batch N+1's expansion
@@ -693,21 +781,12 @@ mod tests {
             .map(|b| vec![(b * 5) % n, (b * 5 + 2) % n])
             .collect();
 
-        let run = |mode: PipelineMode| {
-            let store = FeatureStore::new(n, 2);
-            let mut engine = crate::BatchedEngine::new(
-                &model,
-                &adj,
-                &x,
-                vec![],
-                Some(&store),
-                StorePolicy::Roots,
-                0,
-            );
-            run_batches(&mut engine, &batches, mode).unwrap()
+        let engine = |store| {
+            crate::BatchedEngine::new(&model, &adj, &x, vec![], Some(store), StorePolicy::Roots, 0)
         };
-        let seq = run(PipelineMode::Sequential);
-        let pip = run(PipelineMode::Pipelined);
+        let (seq_store, pip_store) = (FeatureStore::new(n, 2), FeatureStore::new(n, 2));
+        let seq = try_infer_loop(&mut engine(&seq_store), &batches).unwrap();
+        let pip = run_batches(&mut engine(&pip_store), &batches).unwrap();
         assert_eq!(seq.len(), pip.len());
         for (a, b) in seq.iter().zip(&pip) {
             assert_eq!(a.targets, b.targets);
@@ -725,9 +804,10 @@ mod tests {
 
     #[test]
     fn pipelined_matches_sequential_bitwise_with_int8_engine() {
-        // The quantized tier rides the same scratch rails: pipelined and
-        // sequential execution of an int8 engine must agree bitwise (integer
-        // accumulation is exact, so there is no ordering slack to hide in).
+        // The quantized tier rides the same scratch rails: the stage pair
+        // and a `try_infer` loop over an int8 engine must agree bitwise
+        // (integer accumulation is exact, so there is no ordering slack to
+        // hide in).
         let n = 60;
         let adj = ring(n);
         let x = gcnp_tensor::Matrix::rand_uniform(n, 6, -1.0, 1.0, &mut seeded_rng(3));
@@ -736,8 +816,8 @@ mod tests {
             .map(|b| vec![(b * 5) % n, (b * 5 + 2) % n])
             .collect();
 
-        let run = |mode: PipelineMode| {
-            let mut engine = crate::BatchedEngine::new_with_precision(
+        let engine = || {
+            crate::BatchedEngine::new_with_precision(
                 &model,
                 &adj,
                 &x,
@@ -746,11 +826,10 @@ mod tests {
                 StorePolicy::None,
                 0,
                 crate::Precision::Int8,
-            );
-            run_batches(&mut engine, &batches, mode).unwrap()
+            )
         };
-        let seq = run(PipelineMode::Sequential);
-        let pip = run(PipelineMode::Pipelined);
+        let seq = try_infer_loop(&mut engine(), &batches).unwrap();
+        let pip = run_batches(&mut engine(), &batches).unwrap();
         assert_eq!(seq.len(), pip.len());
         for (a, b) in seq.iter().zip(&pip) {
             assert_eq!(a.targets, b.targets);
@@ -772,17 +851,20 @@ mod tests {
         // Batch 3 contains an out-of-range target.
         let mut batches: Vec<Vec<usize>> = (0..8).map(|b| vec![b, b + 1]).collect();
         batches[3] = vec![2, 999];
-        for mode in [PipelineMode::Sequential, PipelineMode::Pipelined] {
+        type Runner = fn(&mut BatchedEngine<'_>, &[Vec<usize>]) -> ServingResult<Vec<BatchResult>>;
+        let runners: [(&str, Runner); 2] =
+            [("try_infer", try_infer_loop), ("stage pair", run_batches)];
+        for (name, run) in runners {
             let mut engine =
                 crate::BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 0);
-            let err = run_batches(&mut engine, &batches, mode).unwrap_err();
+            let err = run(&mut engine, &batches).unwrap_err();
             assert_eq!(
                 err,
                 ServingError::TargetOutOfRange {
                     node: 999,
                     n_nodes: n
                 },
-                "mode {mode:?}"
+                "{name}"
             );
         }
     }
@@ -790,11 +872,11 @@ mod tests {
     #[test]
     fn pipelined_overlaps_without_store_writes() {
         // Smoke check that the store-less path actually runs front and back
-        // concurrently: with an injected straggle-free workload the
-        // pipelined wall clock must not exceed the sequential one by more
-        // than noise. (The p99 win is measured by the serving bench; this
-        // only guards against accidental serialization, so the margin is
-        // generous.)
+        // concurrently: with a straggle-free workload the stage pair's wall
+        // clock must not exceed a one-thread `try_infer` loop's by more
+        // than noise. (The throughput win is measured by the benchmark;
+        // this only guards against accidental serialization, so the margin
+        // is generous.)
         let n = 256;
         let adj = ring(n);
         let x = gcnp_tensor::Matrix::rand_uniform(n, 16, -1.0, 1.0, &mut seeded_rng(11));
@@ -805,17 +887,42 @@ mod tests {
         let mut engine =
             crate::BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 0);
         // Warm both pools.
-        run_batches(&mut engine, &batches, PipelineMode::Pipelined).unwrap();
+        run_batches(&mut engine, &batches).unwrap();
         let t = Instant::now();
-        let seq = run_batches(&mut engine, &batches, PipelineMode::Sequential).unwrap();
+        let seq = try_infer_loop(&mut engine, &batches).unwrap();
         let t_seq = t.elapsed();
         let t = Instant::now();
-        let pip = run_batches(&mut engine, &batches, PipelineMode::Pipelined).unwrap();
+        let pip = run_batches(&mut engine, &batches).unwrap();
         let t_pip = t.elapsed();
         assert_eq!(seq.len(), pip.len());
         assert!(
             t_pip <= t_seq * 3,
-            "pipelined ({t_pip:?}) should not be drastically slower than sequential ({t_seq:?})"
+            "stage pair ({t_pip:?}) should not be drastically slower than one thread ({t_seq:?})"
         );
+    }
+
+    #[test]
+    fn an_injected_panic_unwinds_to_the_caller() {
+        // A `Panic` fault fires inside prepare, on the front thread. The
+        // run must end — the back stage sees the link close — and hand the
+        // panic to the caller, as a `try_infer` loop would.
+        let n = 30;
+        let adj = ring(n);
+        let x = gcnp_tensor::Matrix::rand_uniform(n, 6, -1.0, 1.0, &mut seeded_rng(5));
+        let model = zoo::graphsage(6, 8, 4, 9);
+        let batches: Vec<Vec<usize>> = (0..8).map(|b| vec![b, b + 1]).collect();
+        let mut engine =
+            crate::BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 0);
+        let plan = crate::FaultPlan {
+            panics: 1,
+            horizon: 3,
+            seed: 1,
+            ..Default::default()
+        };
+        engine.set_faults(plan.build().unwrap());
+        let run = panic::catch_unwind(AssertUnwindSafe(|| run_batches(&mut engine, &batches)));
+        let payload = run.expect_err("the injected panic reaches the caller");
+        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert!(msg.contains("gcnp-faults:"), "unexpected panic: {msg}");
     }
 }

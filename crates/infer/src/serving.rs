@@ -57,16 +57,14 @@
 //!   the queue of the batch's own group: write-backs and store probes keep
 //!   their owner routing, and supervision works under every routing.
 //!
-//! Each worker runs the executor [`ServingConfig::pipeline`] selects: under
-//! [`PipelineMode::Pipelined`] (the default) a **front** thread
+//! There is one executor. Every worker is a stage pair: a **front** thread
 //! (`EngineCore::prepare`: expansion + store probes + layer 1's neighbour
 //! aggregation) and a **back** thread (`EngineCore::execute`: `k = 0` read +
-//! GEMMs + hidden levels + write-back) connected by a bounded `StageQueue`,
-//! so batch N+1's neighbour sum overlaps batch N's GEMMs;
-//! [`PipelineMode::Sequential`] is one thread per worker. Both modes run
-//! exactly the same prepare/execute code, so outputs are bitwise identical,
-//! and both feed the compute estimate a batch's whole prepare + execute
-//! busy span.
+//! GEMMs + hidden levels + write-back) joined by a `pipeline::StageLink`,
+//! so batch N+1's neighbour sum overlaps batch N's GEMMs. The pair runs
+//! exactly the prepare/execute code [`BatchedEngine::try_infer`] runs on
+//! one thread, so outputs are bitwise identical to it, and it feeds the
+//! compute estimate a batch's whole prepare + execute busy span.
 //!
 //! The fleet **survives worker panics**: each stage runs under
 //! `catch_unwind`, a crashed worker's in-flight batch is requeued with a
@@ -77,15 +75,12 @@
 use crate::batched::{BackStage, BatchedEngine, EngineCore, FrontStage, PreparedBatch};
 use crate::error::{ServingError, ServingResult};
 use crate::metrics::ServingMetrics;
-use crate::pipeline::{
-    relock, BarrierGate, DispatchQueue, PipelineMode, StageQueue, PIPELINE_DEPTH,
-};
+use crate::pipeline::{relock, DispatchQueue, StageLink};
 use crate::supervisor::{
     supervise, PendingEntry, PendingSlot, SupervisorPolicy, SupervisorStats, WorkerWatch,
 };
 use gcnp_obs::percentile;
 use gcnp_tensor::init::seeded_rng;
-use gcnp_tensor::Matrix;
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -138,11 +133,6 @@ pub struct ServingConfig {
     /// the fleet. Non-finite or negative values are clamped to zero
     /// backoff ([`saturating_backoff`]), never a panic.
     pub backoff_ms: f64,
-    /// Fleet: executor selection per worker (see [`PipelineMode`]). The
-    /// default pipelined executor overlaps batch N+1's front end with
-    /// batch N's back end; `Sequential` is the escape hatch for A/B
-    /// benchmarking.
-    pub pipeline: PipelineMode,
     /// Fleet: when true, the dispatcher replays the arrival trace in real
     /// time (sleeping until each batch's start time), so the reported
     /// latency percentiles are wall-clock meaningful. When false (default)
@@ -152,7 +142,7 @@ pub struct ServingConfig {
     /// Fleet: watchdog bound in seconds. A batch whose stage has made no
     /// progress for longer than this is presumed wedged: the supervisor
     /// tears the stage pair down, requeues the batch through the normal
-    /// retry path, and (pipelined mode) respawns the pair. `None` (default)
+    /// retry path, and respawns the pair. `None` (default)
     /// disables the watchdog; with [`ServingConfig::hedge`] also `None` no
     /// supervisor thread is spawned.
     pub watchdog: Option<f64>,
@@ -176,7 +166,6 @@ impl Default for ServingConfig {
             queue_cap: None,
             retry_cap: 3,
             backoff_ms: 1.0,
-            pipeline: PipelineMode::default(),
             pace: false,
             watchdog: None,
             hedge: None,
@@ -734,9 +723,9 @@ pub struct MultiServingReport {
     pub p99_ms: f64,
     pub max_ms: f64,
     /// Fraction of the fleet's stage-thread time spent busy: summed
-    /// prepare/execute (or `try_infer`) busy seconds over `stage_threads ×
-    /// n_workers × wall`. Under the pipelined executor a value near the
-    /// sequential baseline's means the stages genuinely overlap.
+    /// prepare and execute busy seconds over `2 × n_workers × wall` — every
+    /// worker is two stage threads, so the denominator is a constant of the
+    /// fleet size. Above 0.5 the two stages genuinely overlap.
     pub pipeline_occupancy: f64,
     /// Wedged stage pairs the watchdog tore down and respawned (0 when
     /// [`ServingConfig::watchdog`] is `None`).
@@ -798,23 +787,17 @@ struct StagedJob {
     prep: PreparedBatch,
 }
 
-/// Per-worker plumbing of the two-stage executor: the bounded inter-stage
-/// queue, the store-visibility barrier, the scratch-return rail (front-pool
-/// matrices the back stage finished with, recycled by the front before its
-/// next prepare), and the retired flag (either stage dying loses the worker
-/// exactly once).
+/// Per-worker state of the stage pair: the [`StageLink`] its two threads
+/// talk through, the fleet's view of the worker's life (either stage dying
+/// loses the worker exactly once), and the slots the supervisor watches.
 struct WorkerLink {
-    stage: StageQueue<StagedJob>,
-    gate: BarrierGate,
-    rail: Mutex<Vec<Matrix>>, // lock: worker.rail
+    pair: StageLink<StagedJob>,
     retired: AtomicBool,
     /// Set by the watchdog's teardown: the stage pair must wind down (the
-    /// stage queue is closed, the gate killed) and the managing worker
-    /// thread respawns a fresh generation. Distinct from `retired`, which
-    /// is permanent.
+    /// link is killed) and the managing worker thread respawns a fresh
+    /// generation. Distinct from `retired`, which is permanent.
     torn: AtomicBool,
-    /// The batch the front stage is currently preparing (sequential mode
-    /// uses this slot for its whole `try_infer`), watched by the
+    /// The batch the front stage is currently preparing, watched by the
     /// supervisor.
     front_pending: PendingSlot<QueuedBatch>,
     /// The batch the back stage is currently executing.
@@ -824,9 +807,7 @@ struct WorkerLink {
 impl WorkerLink {
     fn new() -> Self {
         Self {
-            stage: StageQueue::new(PIPELINE_DEPTH),
-            gate: BarrierGate::new(),
-            rail: Mutex::new(Vec::new()),
+            pair: StageLink::new(),
             retired: AtomicBool::new(false),
             torn: AtomicBool::new(false),
             front_pending: PendingSlot::new(),
@@ -838,14 +819,6 @@ impl WorkerLink {
     /// down by the watchdog for a respawn).
     fn winding_down(&self) -> bool {
         self.retired.load(Ordering::Acquire) || self.torn.load(Ordering::Acquire)
-    }
-
-    /// Re-arm the link for a fresh stage-pair generation after a watchdog
-    /// teardown: reopen the closed stage queue and reset the barrier gate
-    /// (the new front restarts its staged count from zero).
-    fn reopen(&self) {
-        self.stage.reopen();
-        self.gate.reset();
     }
 }
 
@@ -872,8 +845,8 @@ struct Fleet<'f> {
     cfg: &'f ServingConfig,
     obs: Option<ServingMetrics>,
     groups: Vec<Group>,
-    /// EWMA of per-batch busy seconds (prepare + execute, under either
-    /// executor) — the dispatcher's virtual-clock advance, the deadline
+    /// EWMA of per-batch busy seconds (prepare + execute) — the
+    /// dispatcher's virtual-clock advance, the deadline
     /// projection and the hedge bound (guarded against non-finite
     /// observations). Starts from the analytic cost model
     /// (`cold_compute_estimate`), so the virtual clocks advance and the
@@ -1171,33 +1144,11 @@ impl<'f> Fleet<'f> {
     }
 }
 
-/// One-thread-per-worker executor: pop → `try_infer` → settle.
-fn sequential_worker(
-    engine: &mut BatchedEngine<'_>,
-    link: &WorkerLink,
-    fleet: &Fleet<'_>,
-    g: usize,
-) {
-    while let Some(batch) = fleet.group(g).dispatch.pop() {
-        // Publish the in-flight batch for the supervisor (hedgeable: the
-        // whole try_infer counts as one stage here).
-        link.front_pending.begin(&batch, fleet.now(), true);
-        let (outcome, busy) = fleet.attempt(|| engine.try_infer(&batch.nodes));
-        // ClockSkew chaos inflates only the *estimate* feed, never the
-        // served latency.
-        let est_busy = busy * engine.last_est_skew();
-        let outcome = outcome.map(|r| r.map(|res| res.seconds));
-        if fleet.settle(&link.front_pending, batch, outcome, est_busy) {
-            fleet.retire_worker(g);
-            break;
-        }
-    }
-}
-
-/// Front stage of one pipelined worker: pop → `prepare` → stage. Runs the
-/// store-visibility barrier (batch N+1's probes wait for batch N's
-/// write-backs) and recycles the back stage's spent buffers from the rail.
-fn pipelined_front(
+/// Front stage of one worker: pop → admit → `prepare` → hand off. The
+/// [`StageLink`] owns the pair's protocol; this loop owns what the fleet
+/// adds to it — the pending slot, settlement, and handing a batch back
+/// when the pair winds down under it.
+fn front_stage(
     core: EngineCore<'_, '_>,
     mut front: FrontStage<'_>,
     link: &WorkerLink,
@@ -1213,20 +1164,11 @@ fn pipelined_front(
         };
         // The back stage may have died (or the watchdog torn the pair
         // down) while we were blocked in pop — or dies while we wait out
-        // the store-write visibility barrier (same rule as `run_batches`:
-        // preparing batch N+1 before batch N's write-backs land would
-        // change what the store probes observe versus the sequential
-        // executor). Either way hand the batch back for a live worker
-        // instead of preparing into a closed stage queue.
-        if link.winding_down() || (barrier && staged > 0 && !link.gate.wait_done(staged)) {
+        // the store-write visibility barrier. Either way hand the batch
+        // back for a live worker instead of preparing into a closed link.
+        if link.winding_down() || !link.pair.admit(barrier, staged, front.pool) {
             fleet.hand_back(batch);
             break;
-        }
-        {
-            let _order = gcnp_tensor::lockcheck::acquire("worker.rail");
-            for m in relock(link.rail.lock()).drain(..) {
-                front.pool.recycle(m);
-            }
         }
         // Not hedgeable mid-prepare: the estimate the hedge races against
         // covers the whole prepare+execute span, so speculation is decided
@@ -1253,58 +1195,51 @@ fn pipelined_front(
             continue;
         }
         staged += 1;
-        if let Err(job) = link.stage.push(StagedJob { batch, prep }) {
-            // Back stage died and closed the queue: hand back.
+        let fault = prep.fault();
+        if let Err(job) = link.pair.hand_off(StagedJob { batch, prep }, fault) {
+            // Back stage died and killed the link: hand back.
             fleet.hand_back(job.batch);
             break;
         }
         // The back stage settles this batch after executing it.
     }
     // Always close: the back stage drains what was staged, then exits.
-    link.stage.close();
+    link.pair.close();
     if lost && !link.retired.swap(true, Ordering::AcqRel) {
         fleet.retire_worker(g);
     }
 }
 
-/// Back stage of one pipelined worker: unstage → `execute` → settle. On
-/// death it kills the gate, drains the stage queue back to the dispatcher
-/// (those batches were popped and never resolved), and retires the worker.
-fn pipelined_back(
+/// Back stage of one worker: unstage → `execute` → settle → retire. On
+/// death it kills the link, drains the staged batches back to the
+/// dispatcher (they were popped and never resolved), and retires the worker.
+fn back_stage(
     core: EngineCore<'_, '_>,
     mut back: BackStage<'_>,
     link: &WorkerLink,
     fleet: &Fleet<'_>,
     g: usize,
 ) {
-    while let Some(StagedJob { batch, prep }) = link.stage.pop() {
+    while let Some(StagedJob { batch, prep }) = link.pair.next() {
         // Publish for the supervisor: the back stage is where a straggling
         // batch becomes hedgeable. The EWMA the hedge races against covers
         // the whole prepare+execute span while this slot's clock starts at
-        // execute, so a hedge fires no earlier than it would on a
-        // sequential worker.
+        // execute, so the hedge bound errs late, never early.
         link.back_pending.begin(&batch, fleet.now(), true);
         let front_busy = prep.front_seconds();
         let mut spent = Vec::new();
         let (outcome, busy) = fleet.attempt(|| core.execute(prep, &mut back, &mut spent));
-        // Return the front-pool buffers the batch carried even on failure:
-        // the rail is the only route back to the front's scratch pool.
-        {
-            let _order = gcnp_tensor::lockcheck::acquire("worker.rail");
-            relock(link.rail.lock()).extend(spent);
-        }
-        // The estimate is the batch's whole busy span, as on a sequential
-        // worker: prepare's seconds rode in with the batch. ClockSkew chaos
-        // inflates only this feed, never the served latency.
+        // The estimate is the batch's whole busy span: prepare's seconds
+        // rode in with the batch. ClockSkew chaos inflates only this feed,
+        // never the served latency.
         let est_busy = (front_busy + busy) * *back.skew;
         let outcome = outcome.map(|r| r.map(|res| res.seconds));
         if fleet.settle(&link.back_pending, batch, outcome, est_busy) {
-            // Release the front wherever it blocks (gate or stage push),
-            // then hand every already-staged batch back to the dispatcher:
-            // each was popped from the dispatch queue and never resolved.
-            link.gate.kill();
-            link.stage.close();
-            while let Some(job) = link.stage.pop() {
+            // Release the front wherever it blocks, then hand every
+            // already-staged batch back to the dispatcher: each was popped
+            // from the dispatch queue and never resolved.
+            link.pair.kill();
+            while let Some(job) = link.pair.next() {
                 fleet.hand_back(job.batch);
             }
             if !link.retired.swap(true, Ordering::AcqRel) {
@@ -1314,34 +1249,30 @@ fn pipelined_back(
         }
         // The batch reached a terminal state for this attempt (a clean
         // failure wrote nothing back, and its retry re-runs both stages).
-        // Bump even when the attempt did not own the batch: the gate
-        // tracks *staged* batches so the front's visibility barrier stays
-        // in sync.
-        link.gate.bump();
+        // Retire even when the attempt failed or did not own the batch:
+        // the rail is the only route back to the front's scratch pool, and
+        // the gate counts *staged* batches so the front's visibility
+        // barrier stays in sync.
+        link.pair.retire(spent);
     }
 }
 
-/// One pipelined worker across watchdog generations: split the engine,
-/// run front + back until they wind down, and — when the teardown flag
-/// (not retirement) ended the generation — re-arm the link and respawn a
-/// fresh stage pair on the same engine. A worker retired by a genuine
-/// panic stays down; a worker torn down for being wedged comes back.
-fn pipelined_worker(
-    engine: &mut BatchedEngine<'_>,
-    link: &WorkerLink,
-    fleet: &Fleet<'_>,
-    g: usize,
-) {
+/// One worker across watchdog generations: split the engine, run front +
+/// back until they wind down, and — when the teardown flag (not retirement)
+/// ended the generation — re-arm the link and respawn a fresh stage pair on
+/// the same engine. A worker retired by a genuine panic stays down; a
+/// worker torn down for being wedged comes back.
+fn worker(engine: &mut BatchedEngine<'_>, link: &WorkerLink, fleet: &Fleet<'_>, g: usize) {
     loop {
         let (core, front, back) = engine.split();
         std::thread::scope(|inner| {
-            inner.spawn(move || pipelined_front(core, front, link, fleet, g));
-            pipelined_back(core, back, link, fleet, g);
+            inner.spawn(move || front_stage(core, front, link, fleet, g));
+            back_stage(core, back, link, fleet, g);
         });
         if link.retired.load(Ordering::Acquire) || !link.torn.swap(false, Ordering::AcqRel) {
             break;
         }
-        link.reopen();
+        link.pair.reopen();
     }
 }
 
@@ -1353,10 +1284,9 @@ fn pipelined_worker(
 /// takes the next batch, so a slow batch on one worker never stalls the
 /// others.
 ///
-/// Executor: [`ServingConfig::pipeline`] selects the default two-stage
-/// pipelined executor (per worker, prepare overlaps the previous batch's
-/// execute) or the sequential escape hatch; outputs and accounting are
-/// identical across modes.
+/// Executor: every worker is a two-stage pair (prepare overlaps the
+/// previous batch's execute); outputs are bitwise identical to
+/// [`BatchedEngine::try_infer`] on the same batches.
 ///
 /// Resilience: each stage runs under `catch_unwind`. A panicking worker
 /// requeues its in-flight batch (bounded by [`ServingConfig::retry_cap`]
@@ -1451,17 +1381,13 @@ fn run_fleet(
     };
     let sup_stats = SupervisorStats::default();
     let finished = AtomicUsize::new(0);
-    let is_pipelined = matches!(cfg.pipeline, PipelineMode::Pipelined);
     let teardowns: Vec<Box<dyn Fn() + Send + Sync>> = links
         .iter()
         .map(|link| {
             Box::new(move || {
-                // Wind the stage pair down; `pipelined_worker` respawns it.
-                // Sequential workers cannot be respawned mid-`try_infer`,
-                // so the steal alone (requeue + resolve) recovers there.
-                if is_pipelined && !link.torn.swap(true, Ordering::AcqRel) {
-                    link.gate.kill();
-                    link.stage.close();
+                // Wind the stage pair down; `worker` respawns it.
+                if !link.torn.swap(true, Ordering::AcqRel) {
+                    link.pair.kill();
                 }
             }) as Box<dyn Fn() + Send + Sync>
         })
@@ -1480,10 +1406,7 @@ fn run_fleet(
         for (k, (engine, link)) in engines.iter_mut().zip(&links).enumerate() {
             let g = k / per_group;
             scope.spawn(move || {
-                match cfg.pipeline {
-                    PipelineMode::Sequential => sequential_worker(engine, link, fleet, g),
-                    PipelineMode::Pipelined => pipelined_worker(engine, link, fleet, g),
-                }
+                worker(engine, link, fleet, g);
                 finished.fetch_add(1, Ordering::Release);
             });
         }
@@ -1634,11 +1557,7 @@ fn run_fleet(
         .busy_seconds
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner);
-    let stage_threads = match cfg.pipeline {
-        PipelineMode::Sequential => 1.0,
-        PipelineMode::Pipelined => 2.0,
-    };
-    let pipeline_occupancy = (busy / (stage_threads * n_workers as f64 * wall)).clamp(0.0, 1.0);
+    let pipeline_occupancy = (busy / (2.0 * n_workers as f64 * wall)).clamp(0.0, 1.0);
     if let Some(o) = obs {
         o.pipeline_occupancy.set(pipeline_occupancy);
         o.dispatch_wakeups.add(wakeups);
@@ -1878,95 +1797,57 @@ mod tests {
     }
 
     #[test]
-    fn sequential_mode_matches_pipelined_accounting() {
-        // The escape hatch serves the exact same trace with the same
-        // deterministic counters — executors are interchangeable. The
-        // pre-arrived burst makes batch formation independent of worker
-        // timing, so even `n_batches` is pinned across modes.
-        let (adj, x) = setup();
-        let model = zoo::graphsage(8, 8, 3, 2);
-        let pool: Vec<usize> = (0..100).collect();
-        let run = |mode: PipelineMode| {
-            let cfg = ServingConfig {
-                arrival_rate: 1e6,
-                max_batch: 32,
-                n_requests: 320,
-                pipeline: mode,
-                ..Default::default()
-            };
-            let mut engines: Vec<BatchedEngine<'_>> = (0..2)
-                .map(|w| BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, w))
-                .collect();
-            serve_multi(&mut engines, &pool, &cfg).unwrap()
-        };
-        let seq = run(PipelineMode::Sequential);
-        let pip = run(PipelineMode::Pipelined);
-        assert_eq!(seq.counters(), pip.counters());
-        assert_eq!(seq.served, 320);
-        assert_eq!(seq.n_batches, 10, "320 pre-arrived requests / 32 per batch");
-        for rep in [&seq, &pip] {
-            assert!(rep.pipeline_occupancy > 0.0 && rep.pipeline_occupancy <= 1.0);
-        }
-    }
-
-    #[test]
-    fn both_executors_feed_the_estimate_the_whole_batch_span() {
+    fn the_fleet_feeds_the_estimate_front_plus_back_busy_seconds() {
         // Every prepare sleeps 30 ms (a `StageStall` on each attempt) and
         // execute is sub-millisecond on this model, so an estimate fed from
-        // execute alone would sit two orders of magnitude below one fed
-        // from `try_infer`. Both executors must feed prepare + execute. The
-        // stall is long so that a descheduled test thread cannot move the
-        // EWMA by the tolerance below.
+        // execute alone would sit two orders of magnitude below the batch's
+        // real cost. The worker must feed prepare + execute: what the same
+        // warm engine's `try_infer` — both stages on one thread — reports
+        // as the batch's seconds. The stall is long so that a descheduled
+        // test thread cannot move the EWMA by the tolerance below.
         const STALL: f64 = 0.030;
         let (adj, x) = setup();
         let model = zoo::graphsage(8, 8, 3, 2);
         let cfg = ServingConfig::default();
         let n_batches = 8;
-        let estimate_after = |mode: PipelineMode| {
-            let plan = crate::FaultPlan {
-                stalls: n_batches,
-                stall_ms: STALL * 1e3,
-                horizon: n_batches as u64,
-                ..Default::default()
-            };
-            let mut engine =
-                BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 0);
-            engine.set_faults(plan.build().unwrap());
-            let fleet = Fleet::new(&cfg, None, 1, 1, engine.cold_compute_estimate(2));
-            let link = WorkerLink::new();
-            std::thread::scope(|s| {
-                let (fleet, link, engine) = (&fleet, &link, &mut engine);
-                s.spawn(move || match mode {
-                    PipelineMode::Sequential => sequential_worker(engine, link, fleet, 0),
-                    PipelineMode::Pipelined => pipelined_worker(engine, link, fleet, 0),
-                });
-                for b in 0..n_batches {
-                    let queued = QueuedBatch {
-                        nodes: vec![b, b + 50],
-                        arrivals: vec![0.0; 2],
-                        group: 0,
-                        attempt: 0,
-                        claim: None,
-                    };
-                    assert!(fleet.group(0).dispatch.push(queued).is_ok());
-                }
-                fleet.group(0).dispatch.close();
-            });
-            assert_eq!(fleet.served.load(Ordering::Relaxed), 2 * n_batches);
-            fleet.estimate()
+        let plan = crate::FaultPlan {
+            stalls: n_batches + 1,
+            stall_ms: STALL * 1e3,
+            horizon: n_batches as u64 + 1,
+            ..Default::default()
         };
-        let (seq, seq_measured) = estimate_after(PipelineMode::Sequential);
-        let (pip, pip_measured) = estimate_after(PipelineMode::Pipelined);
-        assert!(seq_measured && pip_measured);
-        for (mode, est) in [("sequential", seq), ("pipelined", pip)] {
-            assert!(
-                est >= STALL,
-                "{mode}: every batch slept {STALL} s in prepare, the estimate says {est} s"
-            );
-        }
+        let mut engine = BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 0);
+        engine.set_faults(plan.build().unwrap());
+        let fleet = Fleet::new(&cfg, None, 1, 1, engine.cold_compute_estimate(2));
+        let link = WorkerLink::new();
+        std::thread::scope(|s| {
+            let (fleet, link, engine) = (&fleet, &link, &mut engine);
+            s.spawn(move || worker(engine, link, fleet, 0));
+            for b in 0..n_batches {
+                let queued = QueuedBatch {
+                    nodes: vec![b, b + 50],
+                    arrivals: vec![0.0; 2],
+                    group: 0,
+                    attempt: 0,
+                    claim: None,
+                };
+                assert!(fleet.group(0).dispatch.push(queued).is_ok());
+            }
+            fleet.group(0).dispatch.close();
+        });
+        assert_eq!(fleet.served.load(Ordering::Relaxed), 2 * n_batches);
+        let (est, measured) = fleet.estimate();
+        assert!(measured);
         assert!(
-            (1.0 / 3.0..=3.0).contains(&(pip / seq)),
-            "the two executors fed different estimates: sequential {seq} s, pipelined {pip} s"
+            est >= STALL,
+            "every batch slept {STALL} s in prepare, the estimate says {est} s"
+        );
+        // The schedule's last stall lands on this reference batch.
+        let reference = engine.try_infer(&[0, 50]).unwrap().seconds;
+        assert!(reference >= STALL);
+        assert!(
+            (1.0 / 3.0..=3.0).contains(&(est / reference)),
+            "the worker fed {est} s, one thread measures {reference} s"
         );
     }
 

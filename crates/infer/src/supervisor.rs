@@ -1,6 +1,6 @@
 //! Supervision layer for the serving fleets: watchdog + hedged re-execution.
 //!
-//! The pipelined executor (PR 6) introduced surfaces that can wedge without
+//! The stage-pair executor has surfaces that can wedge without
 //! dying — a front stage asleep inside `prepare`, a back stage stuck behind a
 //! straggling GEMM, a `StageQueue` that lost a wakeup. The supervisor is a
 //! single low-frequency thread per fleet that watches every worker's
@@ -110,8 +110,8 @@ impl<T: Clone> PendingSlot<T> {
     }
 }
 
-/// One supervised worker: its two stage slots (sequential workers use only
-/// the first) and the teardown hook the watchdog fires after a steal.
+/// One supervised worker: its two stage slots (front, back) and the
+/// teardown hook the watchdog fires after a steal.
 pub(crate) struct WorkerWatch<'w, T> {
     pub(crate) slots: [&'w PendingSlot<T>; 2],
     pub(crate) teardown: &'w (dyn Fn() + Sync),

@@ -22,13 +22,11 @@ pub static LOCK_NODES: &[&str] = &[
     "obs.gauges",
     "obs.histograms",
     "pending.slot",
-    "pipeline.first_err",
     "pipeline.rail",
     "pool.jobs",
     "pool.spawned",
     "stage.state",
     "store.stripe",
-    "worker.rail",
 ];
 
 /// Transitive closure of the acquisition-order graph as sorted

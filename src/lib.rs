@@ -58,8 +58,8 @@ pub mod prelude {
     pub use gcnp_infer::{
         run_batches, serve_multi, serve_sharded, simulate, simulate_tiered, AccretionReport,
         BatchResult, BatchedEngine, CostModel, Fault, FaultInjector, FaultPlan, FeatureStore,
-        FullEngine, LadderPolicy, MultiServingReport, PipelineMode, QuantizedGnn, ServingConfig,
-        ServingError, ServingReport, ServingResult, ShardedStore, StorePolicy,
+        FullEngine, LadderPolicy, MultiServingReport, QuantizedGnn, ServingConfig, ServingError,
+        ServingReport, ServingResult, ShardedStore, StorePolicy,
     };
     pub use gcnp_models::{
         zoo, Activation, Branch, BranchLayer, CombineMode, GnnModel, Metrics, TrainConfig, Trainer,

@@ -34,104 +34,85 @@ fn setup(n: usize, dim: usize, hidden: usize) -> (CsrMatrix, Matrix, GnnModel) {
 fn chaos_run_is_lossless_and_deterministic() {
     let (adj, x, model) = setup(300, 8, 16);
     let pool: Vec<usize> = (0..300).collect();
-    // The whole schedule must behave identically under both executors:
-    // faults key on the batch attempt index, not on which stage runs it.
-    let mut per_mode = Vec::new();
-    for mode in [PipelineMode::Sequential, PipelineMode::Pipelined] {
-        let cfg = ServingConfig {
-            arrival_rate: 1e6, // pre-arrived: batch formation is purely size-capped
-            max_batch: 64,
-            n_requests: 400,
-            seed: 21,
-            pipeline: mode,
-            ..Default::default()
-        };
+    let cfg = ServingConfig {
+        arrival_rate: 1e6, // pre-arrived: batch formation is purely size-capped
+        max_batch: 64,
+        n_requests: 400,
+        seed: 21,
+        ..Default::default()
+    };
 
-        // Learn the (deterministic) batch count of this trace from a fault-free
-        // run, then size the fault horizon so the whole schedule fires:
-        // attempts = batches + one retry per panic.
-        let store = FeatureStore::new(300, model.n_layers() - 1);
-        let mk_engines =
-            |faults: Option<&std::sync::Arc<FaultInjector>>| -> Vec<BatchedEngine<'_>> {
-                (0..4)
-                    .map(|w| {
-                        let mut e = BatchedEngine::new(
-                            &model,
-                            &adj,
-                            &x,
-                            vec![],
-                            Some(&store),
-                            StorePolicy::Roots,
-                            w as u64,
-                        );
-                        if let Some(inj) = faults {
-                            e.set_faults(std::sync::Arc::clone(inj));
-                        }
-                        e
-                    })
-                    .collect()
-            };
-        let clean = serve_multi(&mut mk_engines(None), &pool, &cfg).unwrap();
-        assert_eq!(clean.served, 400);
-        assert_eq!(
-            clean.shed + clean.recoveries + clean.failures + clean.retries + clean.workers_lost,
-            0
-        );
-
-        let plan = FaultPlan {
-            panics: 3,
-            stragglers: 5,
-            straggle_multiplier: 2.0,
-            storms: 2,
-            horizon: clean.n_batches as u64 + 3,
-            seed: 77,
-            ..Default::default()
-        };
-        assert!(
-            clean.n_batches >= 7,
-            "trace must be long enough to absorb the 10-fault schedule"
-        );
-        let run = || {
-            let inj = plan.build().unwrap();
-            let rep = serve_multi(&mut mk_engines(Some(&inj)), &pool, &cfg).unwrap();
-            (rep, inj.fired(), inj.attempts())
-        };
-        let (a, fired_a, attempts_a) = run();
-
-        // Nothing lost, every fault in the schedule fired, counters match it.
-        assert_eq!(a.served + a.shed, 400, "every request served or shed");
-        assert_eq!(a.shed, 0, "retry cap covers all three panics");
-        assert_eq!(fired_a, (3, 5, 2), "full schedule fired: {fired_a:?}");
-        assert_eq!(a.recoveries, 3, "one recovery per injected panic");
-        assert_eq!(a.retries, 3, "each panicked batch retried once per failure");
-        assert_eq!(a.workers_lost, 3, "each panic retires one of the 4 workers");
-        assert_eq!(a.failures, 0, "panics are not clean failures");
-        assert_eq!(a.n_batches, clean.n_batches);
-        assert_eq!(
-            attempts_a,
-            clean.n_batches as u64 + 3,
-            "attempts = batches + retried panics"
-        );
-
-        // Same seed ⇒ identical report (all deterministic fields).
-        let (b, fired_b, attempts_b) = run();
-        assert_eq!(a.counters(), b.counters(), "same-seed chaos runs agree");
-        assert_eq!(a.workers_lost, b.workers_lost);
-        assert_eq!(fired_a, fired_b);
-        assert_eq!(attempts_a, attempts_b);
-        per_mode.push((
-            a.served,
-            a.shed,
-            a.recoveries,
-            a.retries,
-            a.workers_lost,
-            a.n_batches,
-        ));
-    }
+    // Learn the (deterministic) batch count of this trace from a fault-free
+    // run, then size the fault horizon so the whole schedule fires:
+    // attempts = batches + one retry per panic.
+    let store = FeatureStore::new(300, model.n_layers() - 1);
+    let mk_engines = |faults: Option<&std::sync::Arc<FaultInjector>>| -> Vec<BatchedEngine<'_>> {
+        (0..4)
+            .map(|w| {
+                let mut e = BatchedEngine::new(
+                    &model,
+                    &adj,
+                    &x,
+                    vec![],
+                    Some(&store),
+                    StorePolicy::Roots,
+                    w as u64,
+                );
+                if let Some(inj) = faults {
+                    e.set_faults(std::sync::Arc::clone(inj));
+                }
+                e
+            })
+            .collect()
+    };
+    let clean = serve_multi(&mut mk_engines(None), &pool, &cfg).unwrap();
+    assert_eq!(clean.served, 400);
     assert_eq!(
-        per_mode[0], per_mode[1],
-        "sequential and pipelined executors agree on the chaos accounting"
+        clean.shed + clean.recoveries + clean.failures + clean.retries + clean.workers_lost,
+        0
     );
+
+    let plan = FaultPlan {
+        panics: 3,
+        stragglers: 5,
+        straggle_multiplier: 2.0,
+        storms: 2,
+        horizon: clean.n_batches as u64 + 3,
+        seed: 77,
+        ..Default::default()
+    };
+    assert!(
+        clean.n_batches >= 7,
+        "trace must be long enough to absorb the 10-fault schedule"
+    );
+    let run = || {
+        let inj = plan.build().unwrap();
+        let rep = serve_multi(&mut mk_engines(Some(&inj)), &pool, &cfg).unwrap();
+        (rep, inj.fired(), inj.attempts())
+    };
+    let (a, fired_a, attempts_a) = run();
+
+    // Nothing lost, every fault in the schedule fired, counters match it.
+    assert_eq!(a.served + a.shed, 400, "every request served or shed");
+    assert_eq!(a.shed, 0, "retry cap covers all three panics");
+    assert_eq!(fired_a, (3, 5, 2), "full schedule fired: {fired_a:?}");
+    assert_eq!(a.recoveries, 3, "one recovery per injected panic");
+    assert_eq!(a.retries, 3, "each panicked batch retried once per failure");
+    assert_eq!(a.workers_lost, 3, "each panic retires one of the 4 workers");
+    assert_eq!(a.failures, 0, "panics are not clean failures");
+    assert_eq!(a.n_batches, clean.n_batches);
+    assert_eq!(
+        attempts_a,
+        clean.n_batches as u64 + 3,
+        "attempts = batches + retried panics"
+    );
+
+    // Same seed ⇒ identical report (all deterministic fields).
+    let (b, fired_b, attempts_b) = run();
+    assert_eq!(a.counters(), b.counters(), "same-seed chaos runs agree");
+    assert_eq!(a.workers_lost, b.workers_lost);
+    assert_eq!(fired_a, fired_b);
+    assert_eq!(attempts_a, attempts_b);
 }
 
 /// If every worker dies, the leftover queue is shed and accounted — the
@@ -140,45 +121,36 @@ fn chaos_run_is_lossless_and_deterministic() {
 fn fleet_wipeout_sheds_the_remaining_queue() {
     let (adj, x, model) = setup(100, 6, 8);
     let pool: Vec<usize> = (0..100).collect();
-    for mode in [PipelineMode::Sequential, PipelineMode::Pipelined] {
-        let cfg = ServingConfig {
-            arrival_rate: 1e6,
-            max_batch: 8,
-            n_requests: 200,
-            seed: 3,
-            retry_cap: 0, // a panicked batch is shed immediately
-            pipeline: mode,
-            ..Default::default()
-        };
-        // Both workers panic on their very first attempts.
-        let plan = FaultPlan {
-            panics: 2,
-            horizon: 2,
-            seed: 5,
-            ..Default::default()
-        };
-        let inj = plan.build().unwrap();
-        let mut engines: Vec<BatchedEngine<'_>> = (0..2)
-            .map(|w| {
-                let mut e =
-                    BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, w as u64);
-                e.set_faults(std::sync::Arc::clone(&inj));
-                e
-            })
-            .collect();
-        let rep = serve_multi(&mut engines, &pool, &cfg).unwrap();
-        assert_eq!(rep.workers_lost, 2, "{mode:?}: the whole fleet dies");
-        assert_eq!(rep.served, 0, "{mode:?}");
-        assert_eq!(
-            rep.shed, 200,
-            "{mode:?}: every request is explicitly shed, none lost"
-        );
-        assert_eq!(rep.recoveries, 2, "{mode:?}");
-        assert_eq!(
-            rep.retries, 0,
-            "{mode:?}: retry_cap 0 sheds without re-queueing"
-        );
-    }
+    let cfg = ServingConfig {
+        arrival_rate: 1e6,
+        max_batch: 8,
+        n_requests: 200,
+        seed: 3,
+        retry_cap: 0, // a panicked batch is shed immediately
+        ..Default::default()
+    };
+    // Both workers panic on their very first attempts.
+    let plan = FaultPlan {
+        panics: 2,
+        horizon: 2,
+        seed: 5,
+        ..Default::default()
+    };
+    let inj = plan.build().unwrap();
+    let mut engines: Vec<BatchedEngine<'_>> = (0..2)
+        .map(|w| {
+            let mut e =
+                BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, w as u64);
+            e.set_faults(std::sync::Arc::clone(&inj));
+            e
+        })
+        .collect();
+    let rep = serve_multi(&mut engines, &pool, &cfg).unwrap();
+    assert_eq!(rep.workers_lost, 2, "the whole fleet dies");
+    assert_eq!(rep.served, 0);
+    assert_eq!(rep.shed, 200, "every request is explicitly shed, none lost");
+    assert_eq!(rep.recoveries, 2);
+    assert_eq!(rep.retries, 0, "retry_cap 0 sheds without re-queueing");
 }
 
 /// Acceptance: under an overload trace with a deadline, the degradation
@@ -323,31 +295,17 @@ fn edge_cases_complete_with_full_accounting() {
             );
             assert_eq!(rep.served, cfg.n_requests, "{name}: nothing to shed");
 
-            for mode in [PipelineMode::Sequential, PipelineMode::Pipelined] {
-                let mut engines: Vec<BatchedEngine<'_>> = (0..2)
-                    .map(|w| {
-                        BatchedEngine::new(
-                            &model,
-                            &adj,
-                            &x,
-                            vec![],
-                            None,
-                            StorePolicy::None,
-                            w as u64,
-                        )
-                    })
-                    .collect();
-                let mcfg = ServingConfig {
-                    pipeline: mode,
-                    ..*cfg
-                };
-                let rep = serve_multi(&mut engines, pool, &mcfg).unwrap();
-                assert_eq!(
-                    rep.served + rep.shed,
-                    cfg.n_requests,
-                    "serve_multi ({mode:?}) accounting for {name}"
-                );
-            }
+            let mut engines: Vec<BatchedEngine<'_>> = (0..2)
+                .map(|w| {
+                    BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, w as u64)
+                })
+                .collect();
+            let rep = serve_multi(&mut engines, pool, cfg).unwrap();
+            assert_eq!(
+                rep.served + rep.shed,
+                cfg.n_requests,
+                "serve_multi accounting for {name}"
+            );
         }
     }
     // max_batch=1 really does one request per batch.
@@ -367,21 +325,14 @@ fn chaos_soak_across_seeds() {
     let store = FeatureStore::new(300, model.n_layers() - 1);
     let pool: Vec<usize> = (0..300).collect();
     for seed in 0..5u64 {
-        // Alternate executors across seeds so the soak covers both, and
-        // turn the supervisor on for alternating seeds so both the bare
+        // Turn the supervisor on for alternating seeds so both the bare
         // retry path and the watchdog/hedge path soak.
-        let mode = if seed % 2 == 0 {
-            PipelineMode::Pipelined
-        } else {
-            PipelineMode::Sequential
-        };
         let supervised = seed % 2 == 1;
         let cfg = ServingConfig {
             arrival_rate: 1e6,
             max_batch: 32,
             n_requests: 1000,
             seed,
-            pipeline: mode,
             watchdog: supervised.then_some(0.25),
             hedge: supervised.then_some(8.0),
             ..Default::default()

@@ -115,39 +115,32 @@ fn supervised_faulted_serving_runs_clean_under_the_tracker() {
         seed: 41,
         ..Default::default()
     };
-    for mode in [PipelineMode::Sequential, PipelineMode::Pipelined] {
-        let cfg = ServingConfig {
-            arrival_rate: 1e6,
-            max_batch: 32,
-            n_requests: 320,
-            seed: 37,
-            pipeline: mode,
-            watchdog: Some(0.5),
-            hedge: Some(8.0),
-            ..Default::default()
-        };
-        let store = FeatureStore::new(n, model.n_layers() - 1);
-        let inj = plan.build().unwrap();
-        let mut engines: Vec<BatchedEngine> = (0..3)
-            .map(|w| {
-                let mut e = BatchedEngine::new(
-                    &model,
-                    &adj,
-                    &x,
-                    vec![],
-                    Some(&store),
-                    StorePolicy::Roots,
-                    w as u64,
-                );
-                e.set_faults(std::sync::Arc::clone(&inj));
-                e
-            })
-            .collect();
-        let rep = serve_multi(&mut engines, &pool, &cfg).unwrap();
-        assert_eq!(
-            rep.served + rep.shed,
-            320,
-            "{mode:?}: the tracked run stays lossless"
-        );
-    }
+    let cfg = ServingConfig {
+        arrival_rate: 1e6,
+        max_batch: 32,
+        n_requests: 320,
+        seed: 37,
+        watchdog: Some(0.5),
+        hedge: Some(8.0),
+        ..Default::default()
+    };
+    let store = FeatureStore::new(n, model.n_layers() - 1);
+    let inj = plan.build().unwrap();
+    let mut engines: Vec<BatchedEngine> = (0..3)
+        .map(|w| {
+            let mut e = BatchedEngine::new(
+                &model,
+                &adj,
+                &x,
+                vec![],
+                Some(&store),
+                StorePolicy::Roots,
+                w as u64,
+            );
+            e.set_faults(std::sync::Arc::clone(&inj));
+            e
+        })
+        .collect();
+    let rep = serve_multi(&mut engines, &pool, &cfg).unwrap();
+    assert_eq!(rep.served + rep.shed, 320, "the tracked run stays lossless");
 }

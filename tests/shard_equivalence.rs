@@ -153,93 +153,72 @@ fn serving_setup(n: usize) -> (CsrMatrix, Matrix, GnnModel) {
 }
 
 /// `serve_sharded` at one shard is `serve_multi` at one worker: identical
-/// deterministic counters, clean and under a gen-2 fault schedule, in both
-/// executors.
+/// deterministic counters, clean and under a gen-2 fault schedule.
 #[test]
 fn one_shard_serving_matches_single_worker_serve_multi() {
     let n = 200;
     let (adj, x, model) = serving_setup(n);
     let pool: Vec<usize> = (0..n).collect();
     let assign = Partition::hash(n, 1, 0).assign;
-    for mode in [PipelineMode::Sequential, PipelineMode::Pipelined] {
-        let cfg = ServingConfig {
-            arrival_rate: 1e6,
-            max_batch: 32,
-            n_requests: 300,
-            seed: 21,
-            pipeline: mode,
-            ..Default::default()
+    let cfg = ServingConfig {
+        arrival_rate: 1e6,
+        max_batch: 32,
+        n_requests: 300,
+        seed: 21,
+        ..Default::default()
+    };
+    let run = |plan: Option<&FaultPlan>, sharded: bool| -> MultiServingReport {
+        let levels = model.n_layers() - 1;
+        let single = FeatureStore::new(n, levels);
+        let shards = ShardedStore::new(&assign, 1, levels);
+        let inj = plan.map(|p| p.build().unwrap());
+        let mut engine = if sharded {
+            BatchedEngine::new_sharded(&model, &adj, &x, vec![], &shards, 0, StorePolicy::Roots, 0)
+        } else {
+            BatchedEngine::new(
+                &model,
+                &adj,
+                &x,
+                vec![],
+                Some(&single),
+                StorePolicy::Roots,
+                0,
+            )
         };
-        let run = |plan: Option<&FaultPlan>, sharded: bool| -> MultiServingReport {
-            let levels = model.n_layers() - 1;
-            let single = FeatureStore::new(n, levels);
-            let shards = ShardedStore::new(&assign, 1, levels);
-            let inj = plan.map(|p| p.build().unwrap());
-            let mut engine = if sharded {
-                BatchedEngine::new_sharded(
-                    &model,
-                    &adj,
-                    &x,
-                    vec![],
-                    &shards,
-                    0,
-                    StorePolicy::Roots,
-                    0,
-                )
-            } else {
-                BatchedEngine::new(
-                    &model,
-                    &adj,
-                    &x,
-                    vec![],
-                    Some(&single),
-                    StorePolicy::Roots,
-                    0,
-                )
-            };
-            if let Some(inj) = &inj {
-                engine.set_faults(std::sync::Arc::clone(inj));
-            }
-            let mut engines = vec![engine];
-            if sharded {
-                serve_sharded(&mut engines, &assign, &pool, &cfg).unwrap()
-            } else {
-                serve_multi(&mut engines, &pool, &cfg).unwrap()
-            }
-        };
-        let clean_multi = run(None, false);
-        let clean_shard = run(None, true);
-        assert_eq!(
-            clean_multi.counters(),
-            clean_shard.counters(),
-            "{mode:?} clean"
-        );
-        assert_eq!(clean_shard.served, 300);
+        if let Some(inj) = &inj {
+            engine.set_faults(std::sync::Arc::clone(inj));
+        }
+        let mut engines = vec![engine];
+        if sharded {
+            serve_sharded(&mut engines, &assign, &pool, &cfg).unwrap()
+        } else {
+            serve_multi(&mut engines, &pool, &cfg).unwrap()
+        }
+    };
+    let clean_multi = run(None, false);
+    let clean_shard = run(None, true);
+    assert_eq!(clean_multi.counters(), clean_shard.counters(), "clean");
+    assert_eq!(clean_shard.served, 300);
 
-        // Gen-2 grammar: silent row corruption, clock skew, a store-miss
-        // storm. Same seeded schedule on both paths.
-        let plan = FaultPlan {
-            row_flips: 2,
-            skews: 2,
-            skew: 3.0,
-            storms: 1,
-            horizon: clean_multi.n_batches as u64 + 4,
-            seed: 77,
-            ..Default::default()
-        };
-        let chaos_multi = run(Some(&plan), false);
-        let chaos_shard = run(Some(&plan), true);
-        assert_eq!(
-            chaos_multi.counters(),
-            chaos_shard.counters(),
-            "{mode:?} chaos"
-        );
-        assert_eq!(
-            chaos_shard.served + chaos_shard.shed,
-            300,
-            "every request served or shed"
-        );
-    }
+    // Gen-2 grammar: silent row corruption, clock skew, a store-miss
+    // storm. Same seeded schedule on both paths.
+    let plan = FaultPlan {
+        row_flips: 2,
+        skews: 2,
+        skew: 3.0,
+        storms: 1,
+        horizon: clean_multi.n_batches as u64 + 4,
+        seed: 77,
+        ..Default::default()
+    };
+    let chaos_multi = run(Some(&plan), false);
+    let chaos_shard = run(Some(&plan), true);
+    assert_eq!(chaos_multi.counters(), chaos_shard.counters(), "chaos");
+    assert_eq!(
+        chaos_shard.served + chaos_shard.shed,
+        300,
+        "every request served or shed"
+    );
 }
 
 /// Sharded serving at 2 and 4 shards is lossless and deterministic under
@@ -351,60 +330,57 @@ fn dead_shard_sheds_its_routed_requests_and_its_sibling_serves_on() {
     let (adj, x, model) = serving_setup(n);
     let pool: Vec<usize> = (0..n).collect();
     let p = Partition::hash(n, 2, 3);
-    for mode in [PipelineMode::Sequential, PipelineMode::Pipelined] {
-        let cfg = ServingConfig {
-            arrival_rate: 1e6,
-            max_batch: 32,
-            n_requests: 300,
-            seed: 5,
-            pipeline: mode,
-            ..Default::default()
-        };
-        // The seeded trace, draw for draw (an exponential gap, then the
-        // target): how many requests the dispatcher routes to shard 0.
-        let mut rng = seeded_rng(cfg.seed);
-        let routed_to_dead = (0..cfg.n_requests)
-            .filter(|_| {
-                let _gap: f64 = rng.random_range(f64::EPSILON..1.0);
-                p.assign[pool[rng.random_range(0..pool.len())]] == 0
-            })
-            .count();
-        assert!(routed_to_dead > 0 && routed_to_dead < cfg.n_requests);
+    let cfg = ServingConfig {
+        arrival_rate: 1e6,
+        max_batch: 32,
+        n_requests: 300,
+        seed: 5,
+        ..Default::default()
+    };
+    // The seeded trace, draw for draw (an exponential gap, then the
+    // target): how many requests the dispatcher routes to shard 0.
+    let mut rng = seeded_rng(cfg.seed);
+    let routed_to_dead = (0..cfg.n_requests)
+        .filter(|_| {
+            let _gap: f64 = rng.random_range(f64::EPSILON..1.0);
+            p.assign[pool[rng.random_range(0..pool.len())]] == 0
+        })
+        .count();
+    assert!(routed_to_dead > 0 && routed_to_dead < cfg.n_requests);
 
-        let store = ShardedStore::new(&p.assign, 2, model.n_layers() - 1);
-        let storm = FaultPlan {
-            panics: 4,
-            horizon: 4,
-            seed: 1,
-            ..Default::default()
-        }
-        .build()
-        .unwrap();
-        let mut engines: Vec<BatchedEngine<'_>> = (0..2)
-            .map(|s| {
-                BatchedEngine::new_sharded(
-                    &model,
-                    &adj,
-                    &x,
-                    vec![],
-                    &store,
-                    s,
-                    StorePolicy::Roots,
-                    s as u64,
-                )
-            })
-            .collect();
-        engines[0].set_faults(storm);
-        let rep = serve_sharded(&mut engines, &p.assign, &pool, &cfg).unwrap();
-        assert_eq!(rep.workers_lost, 1, "{mode:?}: shard 0's replica died");
-        assert_eq!(rep.shed, routed_to_dead, "{mode:?}: its traffic is shed");
-        assert_eq!(
-            rep.served,
-            cfg.n_requests - routed_to_dead,
-            "{mode:?}: shard 1 serves all of its own"
-        );
-        assert_eq!(rep.shed_queue + rep.shed_deadline, 0, "{mode:?}");
+    let store = ShardedStore::new(&p.assign, 2, model.n_layers() - 1);
+    let storm = FaultPlan {
+        panics: 4,
+        horizon: 4,
+        seed: 1,
+        ..Default::default()
     }
+    .build()
+    .unwrap();
+    let mut engines: Vec<BatchedEngine<'_>> = (0..2)
+        .map(|s| {
+            BatchedEngine::new_sharded(
+                &model,
+                &adj,
+                &x,
+                vec![],
+                &store,
+                s,
+                StorePolicy::Roots,
+                s as u64,
+            )
+        })
+        .collect();
+    engines[0].set_faults(storm);
+    let rep = serve_sharded(&mut engines, &p.assign, &pool, &cfg).unwrap();
+    assert_eq!(rep.workers_lost, 1, "shard 0's replica died");
+    assert_eq!(rep.shed, routed_to_dead, "its traffic is shed");
+    assert_eq!(
+        rep.served,
+        cfg.n_requests - routed_to_dead,
+        "shard 1 serves all of its own"
+    );
+    assert_eq!(rep.shed_queue + rep.shed_deadline, 0);
 }
 
 /// Accretion acceptance: appending edges invalidates exactly the reverse

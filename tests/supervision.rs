@@ -57,7 +57,7 @@ fn fleet<'a>(
 
 /// Tentpole acceptance: a stage wedged by a deterministic `StageStall` far
 /// past the watchdog bound is detected, its batch stolen and requeued, and
-/// (in pipelined mode) the stage pair torn down and respawned — the run
+/// the stage pair torn down and respawned — the run
 /// stays lossless and the stolen batch is eventually served. The routing
 /// is one more input: two replicas behind one queue (`serve_multi`), or two
 /// owner shards with a queue each (`serve_sharded`), where the stolen batch
@@ -68,114 +68,101 @@ fn watchdog_recovers_a_wedged_stage() {
     let pool: Vec<usize> = (0..120).collect();
     let assign = Partition::hash(120, 2, 0).assign;
     for sharded in [false, true] {
-        for mode in [PipelineMode::Sequential, PipelineMode::Pipelined] {
-            let cfg = ServingConfig {
-                arrival_rate: 1e6,
-                max_batch: 32,
-                n_requests: 240,
-                seed: 19,
-                pipeline: mode,
-                watchdog: Some(0.1),
-                ..Default::default()
-            };
-            // The very first attempt goes silent for 600 ms — six watchdog
-            // bounds, so detection is guaranteed (the scan cadence is a
-            // quarter of the bound) while normal sub-millisecond batches
-            // stay far inside it.
-            let plan = FaultPlan {
-                stalls: 1,
-                stall_ms: 600.0,
-                horizon: 1,
-                seed: 23,
-                ..Default::default()
-            };
-            let inj = plan.build().unwrap();
-            let shards = ShardedStore::new(&assign, 2, model.n_layers() - 1);
-            let rep = if sharded {
-                let mut engines: Vec<BatchedEngine<'_>> = (0..2)
-                    .map(|s| {
-                        let mut e = BatchedEngine::new_sharded(
-                            &model,
-                            &adj,
-                            &x,
-                            vec![],
-                            &shards,
-                            s,
-                            StorePolicy::None,
-                            s as u64,
-                        );
-                        e.set_faults(std::sync::Arc::clone(&inj));
-                        e
-                    })
-                    .collect();
-                serve_sharded(&mut engines, &assign, &pool, &cfg).unwrap()
-            } else {
-                let mut engines = fleet(2, &model, &adj, &x, None, Some(&inj));
-                serve_multi(&mut engines, &pool, &cfg).unwrap()
-            };
-            let tag = format!("{mode:?} sharded={sharded}");
-            assert_eq!(inj.fired_gen2(), (1, 0, 0, 0), "{tag}: the stall fired");
-            assert!(
-                rep.watchdog_restarts >= 1,
-                "{tag}: the watchdog must steal the wedged batch (restarts {})",
-                rep.watchdog_restarts
-            );
-            assert_eq!(rep.served + rep.shed, 240, "{tag}: recovery loses nothing");
-            assert_eq!(rep.shed, 0, "{tag}: the stolen batch is re-served");
-            assert!(
-                rep.retries >= 1,
-                "{tag}: the steal requeues through the retry path"
-            );
-            assert_eq!(rep.failures, 0, "{tag}: a steal is not a failure");
-        }
+        let cfg = ServingConfig {
+            arrival_rate: 1e6,
+            max_batch: 32,
+            n_requests: 240,
+            seed: 19,
+            watchdog: Some(0.1),
+            ..Default::default()
+        };
+        // The very first attempt goes silent for 600 ms — six watchdog
+        // bounds, so detection is guaranteed (the scan cadence is a
+        // quarter of the bound) while normal sub-millisecond batches
+        // stay far inside it.
+        let plan = FaultPlan {
+            stalls: 1,
+            stall_ms: 600.0,
+            horizon: 1,
+            seed: 23,
+            ..Default::default()
+        };
+        let inj = plan.build().unwrap();
+        let shards = ShardedStore::new(&assign, 2, model.n_layers() - 1);
+        let rep = if sharded {
+            let mut engines: Vec<BatchedEngine<'_>> = (0..2)
+                .map(|s| {
+                    let mut e = BatchedEngine::new_sharded(
+                        &model,
+                        &adj,
+                        &x,
+                        vec![],
+                        &shards,
+                        s,
+                        StorePolicy::None,
+                        s as u64,
+                    );
+                    e.set_faults(std::sync::Arc::clone(&inj));
+                    e
+                })
+                .collect();
+            serve_sharded(&mut engines, &assign, &pool, &cfg).unwrap()
+        } else {
+            let mut engines = fleet(2, &model, &adj, &x, None, Some(&inj));
+            serve_multi(&mut engines, &pool, &cfg).unwrap()
+        };
+        let tag = format!("sharded={sharded}");
+        assert_eq!(inj.fired_gen2(), (1, 0, 0, 0), "{tag}: the stall fired");
+        assert!(
+            rep.watchdog_restarts >= 1,
+            "{tag}: the watchdog must steal the wedged batch (restarts {})",
+            rep.watchdog_restarts
+        );
+        assert_eq!(rep.served + rep.shed, 240, "{tag}: recovery loses nothing");
+        assert_eq!(rep.shed, 0, "{tag}: the stolen batch is re-served");
+        assert!(
+            rep.retries >= 1,
+            "{tag}: the steal requeues through the retry path"
+        );
+        assert_eq!(rep.failures, 0, "{tag}: a steal is not a failure");
     }
 }
 
 /// Hedged re-execution: straggler batches trigger speculative duplicates;
 /// first completion wins the claim token, the loser is discarded, and the
 /// fired/won/wasted ledger stays exactly consistent — with zero lost or
-/// double-counted requests in either executor.
+/// double-counted requests.
 #[test]
 fn hedged_stragglers_keep_accounting_consistent() {
     let (adj, x, model) = setup(200, 8, 16);
     let pool: Vec<usize> = (0..200).collect();
-    for mode in [PipelineMode::Sequential, PipelineMode::Pipelined] {
-        let cfg = ServingConfig {
-            arrival_rate: 1e6,
-            max_batch: 32,
-            n_requests: 320,
-            seed: 29,
-            pipeline: mode,
-            hedge: Some(2.0),
-            ..Default::default()
-        };
-        let plan = FaultPlan {
-            stragglers: 4,
-            straggle_multiplier: 50.0,
-            horizon: 8,
-            seed: 31,
-            ..Default::default()
-        };
-        let inj = plan.build().unwrap();
-        let mut engines = fleet(4, &model, &adj, &x, None, Some(&inj));
-        let rep = serve_multi(&mut engines, &pool, &cfg).unwrap();
-        assert_eq!(inj.fired().1, 4, "{mode:?}: all stragglers fired");
-        assert!(
-            rep.hedges_fired >= 1,
-            "{mode:?}: 50x stragglers under k=2 must hedge"
-        );
-        assert_eq!(
-            rep.hedges_fired,
-            rep.hedges_won + rep.hedges_wasted,
-            "{mode:?}: every hedge settles exactly once"
-        );
-        assert_eq!(
-            rep.served + rep.shed,
-            320,
-            "{mode:?}: duplicates never double-serve"
-        );
-        assert_eq!(rep.shed, 0, "{mode:?}");
-    }
+    let cfg = ServingConfig {
+        arrival_rate: 1e6,
+        max_batch: 32,
+        n_requests: 320,
+        seed: 29,
+        hedge: Some(2.0),
+        ..Default::default()
+    };
+    let plan = FaultPlan {
+        stragglers: 4,
+        straggle_multiplier: 50.0,
+        horizon: 8,
+        seed: 31,
+        ..Default::default()
+    };
+    let inj = plan.build().unwrap();
+    let mut engines = fleet(4, &model, &adj, &x, None, Some(&inj));
+    let rep = serve_multi(&mut engines, &pool, &cfg).unwrap();
+    assert_eq!(inj.fired().1, 4, "all stragglers fired");
+    assert!(rep.hedges_fired >= 1, "50x stragglers under k=2 must hedge");
+    assert_eq!(
+        rep.hedges_fired,
+        rep.hedges_won + rep.hedges_wasted,
+        "every hedge settles exactly once"
+    );
+    assert_eq!(rep.served + rep.shed, 320, "duplicates never double-serve");
+    assert_eq!(rep.shed, 0);
 }
 
 /// Corruption quarantine acceptance: a deterministic bit flip in a resident
@@ -244,8 +231,8 @@ fn row_flip_retry_serves_bitwise_identical_logits() {
 }
 
 /// All seven fault kinds — panic, straggle, store-miss, stage-stall,
-/// row-flip, clock-skew, queue-wedge — injected into one schedule, run
-/// under both executors, with and without the supervisor: zero requests
+/// row-flip, clock-skew, queue-wedge — injected into one schedule, run with
+/// and without the supervisor (the two modes of the name): zero requests
 /// lost or duplicated, every fault fires, and the hedge ledger balances.
 #[test]
 fn all_seven_fault_kinds_are_lossless_in_both_modes() {
@@ -265,51 +252,48 @@ fn all_seven_fault_kinds_are_lossless_in_both_modes() {
         horizon: 12, // 480 requests / 32 per batch = 15 attempts minimum
         seed: 41,
     };
-    for mode in [PipelineMode::Sequential, PipelineMode::Pipelined] {
-        for supervised in [false, true] {
-            let cfg = ServingConfig {
-                arrival_rate: 1e6,
-                max_batch: 32,
-                n_requests: 480,
-                seed: 37,
-                pipeline: mode,
-                // Supervised pass: watchdog far above the 40 ms stall and a
-                // high hedge multiplier — the supervisor thread runs but
-                // recovery still comes from the retry path, and whatever
-                // hedges the cold-start window fires must settle.
-                watchdog: supervised.then_some(0.5),
-                hedge: supervised.then_some(8.0),
-                ..Default::default()
-            };
-            let store = FeatureStore::new(300, model.n_layers() - 1);
-            let inj = plan.build().unwrap();
-            let mut engines = fleet(4, &model, &adj, &x, Some(&store), Some(&inj));
-            let rep = serve_multi(&mut engines, &pool, &cfg).unwrap();
-            let tag = format!("{mode:?} supervised={supervised}");
-            assert_eq!(inj.fired(), (2, 2, 1), "{tag}: gen-1 schedule fired");
-            assert_eq!(
-                inj.fired_gen2(),
-                (1, 1, 1, 1),
-                "{tag}: gen-2 schedule fired"
-            );
-            assert_eq!(
-                rep.served + rep.shed,
-                480,
-                "{tag}: nothing lost, nothing duplicated"
-            );
-            assert_eq!(rep.shed, 0, "{tag}: the retry cap covers every fault");
-            assert_eq!(rep.recoveries, 2, "{tag}: both panics recovered");
-            assert_eq!(rep.workers_lost, 2, "{tag}");
-            assert!(rep.retries >= 2, "{tag}: panicked batches retried");
-            assert_eq!(
-                rep.hedges_fired,
-                rep.hedges_won + rep.hedges_wasted,
-                "{tag}: hedge ledger balances"
-            );
-            if !supervised {
-                assert_eq!(rep.watchdog_restarts, 0, "{tag}: supervisor off");
-                assert_eq!(rep.hedges_fired, 0, "{tag}: supervisor off");
-            }
+    for supervised in [false, true] {
+        let cfg = ServingConfig {
+            arrival_rate: 1e6,
+            max_batch: 32,
+            n_requests: 480,
+            seed: 37,
+            // Supervised pass: watchdog far above the 40 ms stall and a
+            // high hedge multiplier — the supervisor thread runs but
+            // recovery still comes from the retry path, and whatever
+            // hedges the cold-start window fires must settle.
+            watchdog: supervised.then_some(0.5),
+            hedge: supervised.then_some(8.0),
+            ..Default::default()
+        };
+        let store = FeatureStore::new(300, model.n_layers() - 1);
+        let inj = plan.build().unwrap();
+        let mut engines = fleet(4, &model, &adj, &x, Some(&store), Some(&inj));
+        let rep = serve_multi(&mut engines, &pool, &cfg).unwrap();
+        let tag = format!("supervised={supervised}");
+        assert_eq!(inj.fired(), (2, 2, 1), "{tag}: gen-1 schedule fired");
+        assert_eq!(
+            inj.fired_gen2(),
+            (1, 1, 1, 1),
+            "{tag}: gen-2 schedule fired"
+        );
+        assert_eq!(
+            rep.served + rep.shed,
+            480,
+            "{tag}: nothing lost, nothing duplicated"
+        );
+        assert_eq!(rep.shed, 0, "{tag}: the retry cap covers every fault");
+        assert_eq!(rep.recoveries, 2, "{tag}: both panics recovered");
+        assert_eq!(rep.workers_lost, 2, "{tag}");
+        assert!(rep.retries >= 2, "{tag}: panicked batches retried");
+        assert_eq!(
+            rep.hedges_fired,
+            rep.hedges_won + rep.hedges_wasted,
+            "{tag}: hedge ledger balances"
+        );
+        if !supervised {
+            assert_eq!(rep.watchdog_restarts, 0, "{tag}: supervisor off");
+            assert_eq!(rep.hedges_fired, 0, "{tag}: supervisor off");
         }
     }
 }
@@ -348,16 +332,10 @@ fn cold_start_estimate_seeds_the_virtual_clock() {
     assert_eq!(rep.served, 96);
 
     // Multi-worker fleets seed the shared EWMA the same way.
-    for mode in [PipelineMode::Sequential, PipelineMode::Pipelined] {
-        let mcfg = ServingConfig {
-            pipeline: mode,
-            ..cfg
-        };
-        let mut engines = fleet(2, &model, &adj, &x, None, None);
-        let rep = serve_multi(&mut engines, &pool, &mcfg).unwrap();
-        assert_eq!(rep.served, 96, "{mode:?}: cold fleet admits its trace");
-        assert_eq!(rep.shed, 0, "{mode:?}");
-    }
+    let mut engines = fleet(2, &model, &adj, &x, None, None);
+    let rep = serve_multi(&mut engines, &pool, &cfg).unwrap();
+    assert_eq!(rep.served, 96, "cold fleet admits its trace");
+    assert_eq!(rep.shed, 0);
 }
 
 /// Regression (cold fleet + deadline shed 100 %): the analytic seed can be
@@ -417,14 +395,10 @@ fn cold_seed_above_the_deadline_cannot_shed_every_window() {
 
 // --- gen-2 fault matrix -------------------------------------------------
 //
-// One small lossless run per (fault kind, executor) cell; the CI chaos job
-// selects these by the `gen2_` prefix.
+// One small lossless run per fault kind; the CI chaos job selects these by
+// the `gen2_` prefix.
 
-fn gen2_case(
-    mode: PipelineMode,
-    mutate: impl Fn(&mut FaultPlan),
-    expect_gen2: (usize, usize, usize, usize),
-) {
+fn gen2_case(mutate: impl Fn(&mut FaultPlan), expect_gen2: (usize, usize, usize, usize)) {
     let (adj, x, model) = setup(120, 8, 16);
     let store = FeatureStore::new(120, model.n_layers() - 1);
     let pool: Vec<usize> = (0..120).collect();
@@ -433,7 +407,6 @@ fn gen2_case(
         max_batch: 32,
         n_requests: 160, // 5 batch attempts minimum, horizon is 4
         seed: 43,
-        pipeline: mode,
         ..Default::default()
     };
     let mut plan = FaultPlan {
@@ -445,27 +418,14 @@ fn gen2_case(
     let inj = plan.build().unwrap();
     let mut engines = fleet(2, &model, &adj, &x, Some(&store), Some(&inj));
     let rep = serve_multi(&mut engines, &pool, &cfg).unwrap();
-    assert_eq!(rep.served + rep.shed, 160, "{mode:?}: lossless");
-    assert_eq!(rep.shed, 0, "{mode:?}");
-    assert_eq!(inj.fired_gen2(), expect_gen2, "{mode:?}: schedule fired");
-}
-
-#[test]
-fn gen2_stall_sequential() {
-    gen2_case(
-        PipelineMode::Sequential,
-        |p| {
-            p.stalls = 1;
-            p.stall_ms = 30.0;
-        },
-        (1, 0, 0, 0),
-    );
+    assert_eq!(rep.served + rep.shed, 160, "lossless");
+    assert_eq!(rep.shed, 0);
+    assert_eq!(inj.fired_gen2(), expect_gen2, "schedule fired");
 }
 
 #[test]
 fn gen2_stall_pipelined() {
     gen2_case(
-        PipelineMode::Pipelined,
         |p| {
             p.stalls = 1;
             p.stall_ms = 30.0;
@@ -475,31 +435,13 @@ fn gen2_stall_pipelined() {
 }
 
 #[test]
-fn gen2_rowflip_sequential() {
-    gen2_case(PipelineMode::Sequential, |p| p.row_flips = 1, (0, 1, 0, 0));
-}
-
-#[test]
 fn gen2_rowflip_pipelined() {
-    gen2_case(PipelineMode::Pipelined, |p| p.row_flips = 1, (0, 1, 0, 0));
-}
-
-#[test]
-fn gen2_skew_sequential() {
-    gen2_case(
-        PipelineMode::Sequential,
-        |p| {
-            p.skews = 1;
-            p.skew = 3.0;
-        },
-        (0, 0, 1, 0),
-    );
+    gen2_case(|p| p.row_flips = 1, (0, 1, 0, 0));
 }
 
 #[test]
 fn gen2_skew_pipelined() {
     gen2_case(
-        PipelineMode::Pipelined,
         |p| {
             p.skews = 1;
             p.skew = 3.0;
@@ -509,11 +451,6 @@ fn gen2_skew_pipelined() {
 }
 
 #[test]
-fn gen2_wedge_sequential() {
-    gen2_case(PipelineMode::Sequential, |p| p.wedges = 1, (0, 0, 0, 1));
-}
-
-#[test]
 fn gen2_wedge_pipelined() {
-    gen2_case(PipelineMode::Pipelined, |p| p.wedges = 1, (0, 0, 0, 1));
+    gen2_case(|p| p.wedges = 1, (0, 0, 0, 1));
 }
