@@ -15,8 +15,15 @@
 //! attribute rows straight out of the borrowed `features` matrix by global
 //! node id; hidden levels read the per-batch level table through the
 //! relabel table. Both go through one private row source (matrix, optional
-//! relabel table, optional `keep`), so `gather_selected` and
-//! `aggregate_mean` have one body each for every level. A layer-1 branch
+//! relabel table, optional `keep`), so each read has one body for every
+//! level. A `k = 0` branch builds no operand at all: its GEMM takes the row
+//! source and the computed nodes' ids
+//! ([`Matrix::matmul_packed_rows_into`]) and broadcasts each row from where
+//! it lies — the product is the gather — and under `Concat` every branch's
+//! GEMM stores into its own column window of the layer's combined output —
+//! the product is the concatenation. (`gather_selected` builds an operand
+//! only where a kernel needs one as a tensor: a `keep` on a hidden level,
+//! the int8 tier, a sparse-dispatch hit.) A layer-1 branch
 //! that carries a runtime `keep` list (the pruner leaves one only there:
 //! the attributes themselves are never rewritten) gets its kept channels
 //! packed once at engine construction — `features.select_cols(keep)`,
@@ -36,16 +43,18 @@
 //!   aggregation** — the `k = 1` neighbour mean over the attributes, a pure
 //!   function of the support and read-only data — staged into owned buffers
 //!   ([`PreparedBatch`]);
-//! * **execute** (back end): layer 1's `k = 0` read, every GEMM + combine,
-//!   the hidden levels' aggregation, level-table and relabel-table
-//!   maintenance, store write-backs, and target-logit extraction.
+//! * **execute** (back end): every GEMM (the `k = 0` ones reading their
+//!   rows in place) + combine, the hidden levels' aggregation, level-table
+//!   and relabel-table maintenance, store write-backs, and target-logit
+//!   extraction.
 //!
 //! The seam sits between a batch's irregular memory reads and its FMAs:
 //! aggregation over level 0 is the largest single read of a batch and needs
 //! nothing execute produces, so a pipelined worker overlaps batch N+1's
-//! neighbour sum with batch N's GEMMs. The `k = 0` gather stays behind the
-//! seam with the GEMM it feeds: moved forward as well it over-fills the
-//! front stage (6–18 % less drain throughput on the 2-vCPU reference box).
+//! neighbour sum with batch N's GEMMs. The `k = 0` read stays behind the
+//! seam, inside the GEMM it feeds: as a gather moved forward it over-filled
+//! the front stage (6–18 % less drain throughput on the 2-vCPU reference
+//! box).
 //!
 //! [`BatchedEngine::try_infer`] runs them back-to-back on the caller's
 //! thread. The stage pair in [`crate::pipeline`] runs the front
@@ -60,7 +69,7 @@
 use gcnp_models::{Branch, CombineMode, GnnModel, PackedModel, QuantPackedModel};
 use gcnp_sparse::{BatchSupport, CsrMatrix};
 use gcnp_tensor::rowsum::ABSENT;
-use gcnp_tensor::{parallel_row_chunks, qgemm_packed_into, row_sum, Matrix, ScratchPool};
+use gcnp_tensor::{parallel_row_chunks, qgemm_packed_into, row_sum, Matrix, RowIds, ScratchPool};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
@@ -306,9 +315,9 @@ pub(crate) struct BackScratch {
     /// Node ids currently set in `relabel`, so resetting between levels is
     /// O(nodes touched), not O(graph).
     touched: Vec<usize>,
-    /// Matrix free list: level tables, gathered operands, and branch GEMM
-    /// outputs are drawn from (and returned to) this pool instead of hitting
-    /// the allocator once per intermediate per batch.
+    /// Matrix free list: level tables, aggregated operands, and combined
+    /// layer outputs are drawn from (and returned to) this pool instead of
+    /// hitting the allocator once per intermediate per batch.
     pool: ScratchPool,
 }
 
@@ -406,7 +415,7 @@ pub(crate) struct PreparedBatch {
     staged: Vec<Option<Matrix>>,
     /// Layer 1's aggregated operands, one slot per layer-1 branch: the
     /// mean-aggregated attribute rows of the computed nodes for a `k = 1`
-    /// branch, `None` for a `k = 0` branch (execute gathers those itself).
+    /// branch, `None` for a `k = 0` branch (its GEMM reads the rows in place).
     /// Front-pool buffers, retired through `spent` like `staged`.
     aggregated: Vec<Option<Matrix>>,
     /// A store-miss storm was drawn: the back end must skip write-backs and
@@ -754,7 +763,7 @@ impl<'e, 'a> EngineCore<'e, 'a> {
     /// buffers, and build layer 1's aggregated operands — the batch's
     /// largest irregular read, and a pure function of the support and the
     /// read-only attributes. Attribute rows themselves are not copied: the
-    /// `k = 0` gather stays in execute and reads them in place.
+    /// `k = 0` GEMM in execute reads them in place.
     pub(crate) fn prepare(
         &self,
         targets: &[usize],
@@ -946,7 +955,7 @@ impl<'e, 'a> EngineCore<'e, 'a> {
         }
     }
 
-    /// Back-end stage: gather, transform, relabel, write back, and extract
+    /// Back-end stage: transform, relabel, write back, and extract
     /// the target logits for a prepared batch. Layer 1's aggregated operands
     /// arrive built; hidden levels aggregate here.
     ///
@@ -1025,7 +1034,18 @@ impl<'e, 'a> EngineCore<'e, 'a> {
             let ls = &support.layers[li - 1]; // audit: allow(no-fail-stop) — li ranges over 1..=n_layers and support has one entry per layer
             let layer = &self.model.layers[li - 1]; // audit: allow(no-fail-stop) — same loop bound
                                                     // --- compute branch outputs for ls.compute --------------------
-            let mut parts: Vec<Matrix> = Vec::with_capacity(layer.branches.len());
+            if layer.branches.is_empty() && layer.combine == CombineMode::Mean {
+                return Err(ServingError::InvariantViolation {
+                    check: "engine.combine.branches",
+                    detail: format!("layer {li} has no branches to combine"),
+                });
+            }
+            // The combined output, out of the pool like every other
+            // intermediate. Under Concat each branch's GEMM fills its own
+            // column window of it; under Mean the first product lands in it
+            // (at column 0) and the later ones are added to it.
+            let mut out = pool.take_matrix(ls.compute.len(), layer.out_dim());
+            let mut col0 = 0;
             for (bi, branch) in layer.branches.iter().enumerate() {
                 let src = match level_mat.as_ref() {
                     None => self.attributes(bi, branch),
@@ -1034,12 +1054,15 @@ impl<'e, 'a> EngineCore<'e, 'a> {
                     }
                 };
                 // Layer 1's aggregated operand was built by prepare, in a
-                // front-pool buffer.
+                // front-pool buffer. A `k = 0` branch builds none: its GEMM
+                // reads the computed nodes' rows where they lie.
                 let prepared = li == 1 && branch.k == 1;
-                let gathered = match branch.k {
-                    _ if prepared => take_aggregated(aggregated, bi)?,
-                    0 => gather_selected(src, &ls.compute, pool),
-                    1 => aggregate_mean(src, ls, pool),
+                let built = match branch.k {
+                    _ if prepared => Some(take_aggregated(aggregated, bi)?),
+                    0 if src.keep.is_none() => None,
+                    // Only a hand-built model prunes a hidden level.
+                    0 => Some(gather_selected(src, &ls.compute, pool)),
+                    1 => Some(aggregate_mean(src, ls, pool)),
                     // audit: allow(no-fail-stop) — k ∈ {0,1} is enforced by the constructor assert
                     _ => unreachable!("validated in constructor"),
                 };
@@ -1047,53 +1070,31 @@ impl<'e, 'a> EngineCore<'e, 'a> {
                 if branch.k == 1 {
                     macs += (ls.neigh_ids.len() * branch.in_dim()) as u64;
                 }
-                macs += (gathered.rows() * branch.in_dim() * branch.out_dim()) as u64;
+                macs += (ls.compute.len() * branch.in_dim() * branch.out_dim()) as u64;
                 lap(clock, Stage::Spmm);
-                // Pre-packed weights (no per-call operand pack) into a pooled
-                // output buffer; the gathered operand goes back to the pool.
-                let mut prod = pool.take_matrix(gathered.rows(), branch.out_dim());
-                self.transform(li, bi, branch, &gathered, &mut prod);
-                if prepared {
-                    spent.push(gathered);
+                // Pre-packed weights (no per-call operand pack).
+                let operand = match &built {
+                    Some(m) => (m, None),
+                    None => (src.mat, Some((src.relabel, ls.compute.as_slice()))),
+                };
+                if bi == 0 || layer.combine == CombineMode::Concat {
+                    self.transform(li, bi, branch, operand, &mut out, col0, pool);
+                    col0 += branch.out_dim();
                 } else {
-                    pool.recycle(gathered);
+                    let mut prod = pool.take_matrix(ls.compute.len(), branch.out_dim());
+                    self.transform(li, bi, branch, operand, &mut prod, 0, pool);
+                    out.add_assign(&prod);
+                    pool.recycle(prod);
                 }
-                parts.push(prod);
+                match built {
+                    Some(m) if prepared => spent.push(m),
+                    Some(m) => pool.recycle(m),
+                    None => {}
+                }
                 lap(clock, Stage::Gemm);
             }
-            let refs: Vec<&Matrix> = parts.iter().collect();
-            let mut out = match layer.combine {
-                CombineMode::Concat => {
-                    // Out of the pool like every other intermediate: a fresh
-                    // allocation recycled below would evict a pooled buffer
-                    // every batch.
-                    let width = refs.iter().map(|p| p.cols()).sum();
-                    let mut cat = pool.take_matrix(ls.compute.len(), width);
-                    Matrix::concat_cols_into(&refs, &mut cat);
-                    cat
-                }
-                CombineMode::Mean => {
-                    let (first, rest) =
-                        parts
-                            .split_first()
-                            .ok_or(ServingError::InvariantViolation {
-                                check: "engine.combine.branches",
-                                detail: format!("layer {li} has no branches to combine"),
-                            })?;
-                    let mut acc = pool.take_matrix(first.rows(), first.cols());
-                    acc.as_mut_slice().copy_from_slice(first.as_slice());
-                    for p in rest {
-                        acc.add_assign(p);
-                    }
-                    let inv = 1.0 / parts.len() as f32;
-                    for v in acc.as_mut_slice() {
-                        *v *= inv;
-                    }
-                    acc
-                }
-            };
-            for p in parts.drain(..) {
-                pool.recycle(p);
+            if layer.combine == CombineMode::Mean {
+                out.scale_assign(1.0 / layer.branches.len() as f32);
             }
             if let Some(b) = &layer.bias {
                 out.add_row_vector_assign(b.row(0));
@@ -1219,51 +1220,102 @@ impl<'e, 'a> EngineCore<'e, 'a> {
         })
     }
 
-    /// `prod = gathered · W` for branch `bi` of layer `li` (1-based), on the
-    /// kernel the engine's precision and the operand's density select.
+    /// `out[..][col0 .. col0 + out_dim] = operand · W` for branch `bi` of layer
+    /// `li` (1-based), on the kernel the engine's precision and the
+    /// operand's density select. The operand is `mat`, or the rows `ids` of
+    /// it read in place, which the dense f32 GEMM multiplies as they lie and
+    /// stores straight into the window.
+    #[allow(clippy::too_many_arguments)]
     fn transform(
         &self,
         li: usize,
         bi: usize,
         branch: &Branch,
-        gathered: &Matrix,
-        prod: &mut Matrix,
+        (mat, ids): (&Matrix, Option<RowIds<'_>>),
+        out: &mut Matrix,
+        col0: usize,
+        pool: &mut ScratchPool,
     ) {
+        if let WeightPacks::F32(pm) = self.packed {
+            // Density probe: ReLU-sparsified (or pruned-gather) operands
+            // above the zero-fraction threshold route to the
+            // column-blocked CSR SpMM; everything else takes the dense
+            // blocked GEMM. The probe is a fixed-stride sample, so the
+            // decision is deterministic and independent of thread count.
+            let rows = ids.map_or(mat.rows(), |(_, ids)| ids.len());
+            let macs = rows * branch.in_dim() * branch.out_dim();
+            if macs < SPARSE_DISPATCH_MIN_MACS
+                || zero_fraction_sampled(mat, ids, DENSITY_PROBE_SAMPLES)
+                    < SPARSE_DISPATCH_ZERO_FRAC
+            {
+                // audit: allow(no-fail-stop) — packs are built 1:1 with model branches at construction
+                mat.matmul_packed_rows_into(ids, &pm.branch_packs(li - 1)[bi], out, col0);
+                if let Some(m) = self.metrics {
+                    m.dispatch_dense.inc();
+                }
+                return;
+            }
+        }
+        // The int8 kernel quantizes its operand as one tensor and the sparse
+        // one compresses it, and both fill a whole matrix: build an in-place
+        // operand first, take the product in a pooled buffer, copy it into
+        // the window.
+        if let Some((relabel, ids)) = ids {
+            let src = RowSource {
+                mat,
+                relabel,
+                keep: None,
+            };
+            let built = gather_selected(src, ids, pool);
+            self.transform(li, bi, branch, (&built, None), out, col0, pool);
+            return pool.recycle(built);
+        }
+        let mut prod = pool.take_matrix(mat.rows(), branch.out_dim());
         match self.packed {
             WeightPacks::Int8(qm) => {
                 // Quantized tier: the blocked int8 kernel over the
                 // mask-folded per-column-quantized pack.
                 // audit: allow(no-fail-stop) — packs are built 1:1 with model branches at construction
-                qgemm_packed_into(gathered, &qm.branch_packs(li - 1)[bi], prod);
+                qgemm_packed_into(mat, &qm.branch_packs(li - 1)[bi], &mut prod);
                 if let Some(m) = self.metrics {
                     m.dispatch_int8.inc();
                 }
             }
-            WeightPacks::F32(pm) => {
-                // Density probe: ReLU-sparsified (or pruned-gather) operands
-                // above the zero-fraction threshold route to the
-                // column-blocked CSR SpMM; everything else takes the dense
-                // blocked GEMM. The probe is a fixed-stride sample, so the
-                // decision is deterministic and independent of thread count.
-                let macs = gathered.rows() * branch.in_dim() * branch.out_dim();
-                if macs >= SPARSE_DISPATCH_MIN_MACS
-                    && gathered.zero_fraction_sampled(DENSITY_PROBE_SAMPLES)
-                        >= SPARSE_DISPATCH_ZERO_FRAC
-                {
-                    CsrMatrix::from_dense(gathered).spmm_into(&branch.weight, prod);
-                    if let Some(m) = self.metrics {
-                        m.dispatch_sparse.inc();
-                    }
-                } else {
-                    // audit: allow(no-fail-stop) — packs are built 1:1 with model branches at construction
-                    gathered.matmul_packed_into(&pm.branch_packs(li - 1)[bi], prod);
-                    if let Some(m) = self.metrics {
-                        m.dispatch_dense.inc();
-                    }
+            WeightPacks::F32(_) => {
+                CsrMatrix::from_dense(mat).spmm_into(&branch.weight, &mut prod);
+                if let Some(m) = self.metrics {
+                    m.dispatch_sparse.inc();
                 }
             }
         }
+        for i in 0..prod.rows() {
+            // audit: allow(no-fail-stop) — `out` is `layer.out_dim()` wide (or this branch's own product), which holds every branch's window
+            out.row_mut(i)[col0..col0 + prod.cols()].copy_from_slice(prod.row(i));
+        }
+        pool.recycle(prod);
     }
+}
+
+/// [`Matrix::zero_fraction_sampled`] of an operand as if it were built: the
+/// same fixed-stride positions, read through the row ids when it is not.
+fn zero_fraction_sampled(mat: &Matrix, ids: Option<RowIds<'_>>, max_samples: usize) -> f32 {
+    let Some((relabel, ids)) = ids else {
+        return mat.zero_fraction_sampled(max_samples);
+    };
+    let src = RowSource {
+        mat,
+        relabel,
+        keep: None,
+    };
+    let len = ids.len() * mat.cols();
+    if len == 0 || max_samples == 0 {
+        return 0.0;
+    }
+    let at = (0..len).step_by((len / max_samples).max(1));
+    let seen = at.len();
+    // audit: allow(no-fail-stop) — `i < ids.len() · cols`, and every row is `cols` wide
+    let zeros = at.filter(|i| src.row(ids[i / mat.cols()])[i % mat.cols()] == 0.0);
+    zeros.count() as f32 / seen as f32
 }
 
 /// Where a layer's branches read their input rows: `mat`, reached through
@@ -1432,14 +1484,41 @@ mod tests {
     }
 
     /// Unsorted `keep` lists on both layer-1 branches (attribute packs) and
-    /// on layer 2's aggregation branch (the indexed hidden-level loop).
+    /// on both of layer 2's (the hidden-level gather and the indexed
+    /// aggregation loop).
     fn hand_pruned(model: &GnnModel) -> GnnModel {
         with_keep(
             model,
             &[
                 (0, 0, &[5, 0, 3, 1]),
                 (0, 1, &[4, 2, 0]),
+                (1, 0, &[6, 0, 5]),
                 (1, 1, &[7, 1, 6, 2, 4]),
+            ],
+        )
+    }
+
+    /// `model` with its two GraphSAGE layers combining by mean instead of
+    /// concatenation — half the width, so the layer after each keeps the
+    /// first half of its weight rows — under its own unsorted `keep` lists.
+    fn hand_pruned_mean(model: &GnnModel) -> GnnModel {
+        let mut mean = model.clone();
+        for li in 0..2 {
+            let half: Vec<usize> = (0..mean.layers[li].branches[0].out_dim()).collect();
+            let layer = &mut mean.layers[li];
+            layer.combine = CombineMode::Mean;
+            layer.bias = layer.bias.as_ref().map(|b| b.select_cols(&half));
+            for b in &mut mean.layers[li + 1].branches {
+                b.weight = b.weight.select_rows(&half);
+            }
+        }
+        with_keep(
+            &mean,
+            &[
+                (0, 0, &[5, 0, 3, 1]),
+                (0, 1, &[4, 2, 0]),
+                (1, 0, &[2, 0]),
+                (1, 1, &[3, 1, 2]),
             ],
         )
     }
@@ -1620,10 +1699,12 @@ mod tests {
     /// Reference with a materialised level 0: copy every supporting node's
     /// full attribute row into a per-batch level-0 table, reach it through a
     /// node → row index, and select a branch's kept channels with one
-    /// indexed load per channel per edge. Everything past the gathered
-    /// operand is the engine's own kernel dispatch.
+    /// indexed load per channel per edge. Every operand is built (the
+    /// `k = 0` gather included), every branch product is a whole matrix of
+    /// its own, and the combine is a separate pass — `concat_cols_into`, or
+    /// copy-add-scale for `Mean`.
     /// Computes the logits of the engine's *next* batch without serving it
-    /// (read-only store policies only; `Concat` layers only).
+    /// (read-only store policies only; below the sparse-dispatch MAC floor).
     fn materialised_level_zero_logits(engine: &mut BatchedEngine<'_>, targets: &[usize]) -> Matrix {
         let batch_seed = engine.seed ^ (engine.batch_counter + 1);
         let (core, _, _) = engine.split();
@@ -1681,11 +1762,28 @@ mod tests {
                     }
                 }
                 let mut prod = Matrix::zeros(gathered.rows(), branch.out_dim());
-                core.transform(li + 1, bi, branch, &gathered, &mut prod);
+                match core.packed {
+                    WeightPacks::F32(pm) => {
+                        gathered.matmul_packed_into(&pm.branch_packs(li)[bi], &mut prod)
+                    }
+                    WeightPacks::Int8(qm) => {
+                        qgemm_packed_into(&gathered, &qm.branch_packs(li)[bi], &mut prod)
+                    }
+                }
                 parts.push(prod);
             }
             let refs: Vec<&Matrix> = parts.iter().collect();
-            let mut out = Matrix::concat_cols_all(&refs);
+            let mut out = Matrix::zeros(ls.compute.len(), layer.out_dim());
+            match layer.combine {
+                CombineMode::Concat => Matrix::concat_cols_into(&refs, &mut out),
+                CombineMode::Mean => {
+                    out.as_mut_slice().copy_from_slice(parts[0].as_slice());
+                    for p in &parts[1..] {
+                        out.add_assign(p);
+                    }
+                    out.scale_assign(1.0 / parts.len() as f32);
+                }
+            }
             if let Some(b) = &layer.bias {
                 out.add_row_vector_assign(b.row(0));
             }
@@ -1726,54 +1824,56 @@ mod tests {
         }
         let adj = CsrMatrix::adjacency(n, &edges);
         let x = Matrix::rand_uniform(n, 6, -1.0, 1.0, &mut seeded_rng(21));
-        let model = hand_pruned(&zoo::graphsage(6, 8, 4, 7));
         let caps = vec![None, Some(2)];
+        let mut base = zoo::graphsage(6, 8, 4, 7);
+        for layer in &mut base.layers {
+            // A bias the combine order shows in.
+            let bias = layer.bias.as_mut().expect("zoo layers carry a bias");
+            *bias = Matrix::rand_uniform(1, bias.cols(), -0.5, 0.5, &mut seeded_rng(22));
+        }
+        for model in [hand_pruned(&base), hand_pruned_mean(&base)] {
+            in_place_matches_materialised(&model, &adj, &x, caps.clone());
+        }
+    }
+
+    fn in_place_matches_materialised(
+        model: &GnnModel,
+        adj: &CsrMatrix,
+        x: &Matrix,
+        caps: Vec<Option<usize>>,
+    ) {
+        let n = adj.n_rows();
+        let combine = model.layers[0].combine;
 
         // Two stores holding the same rows, warmed by a root write-through
         // pass: a single store and a 2-shard view.
         let warm: Vec<usize> = (0..n).step_by(2).collect();
         let single = FeatureStore::new(n, 2);
-        BatchedEngine::new(
-            &model,
-            &adj,
-            &x,
-            vec![],
-            Some(&single),
-            StorePolicy::Roots,
-            1,
-        )
-        .infer(&warm);
+        BatchedEngine::new(model, adj, x, vec![], Some(&single), StorePolicy::Roots, 1)
+            .infer(&warm);
         let assign: Vec<u32> = (0..n as u32).map(|v| v % 2).collect();
         let sharded = ShardedStore::new(&assign, 2, 2);
-        BatchedEngine::new_sharded(&model, &adj, &x, vec![], &sharded, 0, StorePolicy::Roots, 1)
+        BatchedEngine::new_sharded(model, adj, x, vec![], &sharded, 0, StorePolicy::Roots, 1)
             .infer(&warm);
 
         let engines = vec![
             (
                 "fan-out caps",
                 false,
-                BatchedEngine::new(&model, &adj, &x, caps.clone(), None, StorePolicy::None, 5),
+                BatchedEngine::new(model, adj, x, caps.clone(), None, StorePolicy::None, 5),
             ),
             (
                 "warm read-only store",
                 true,
-                BatchedEngine::new(
-                    &model,
-                    &adj,
-                    &x,
-                    vec![],
-                    Some(&single),
-                    StorePolicy::None,
-                    5,
-                ),
+                BatchedEngine::new(model, adj, x, vec![], Some(&single), StorePolicy::None, 5),
             ),
             (
                 "sharded store view, caps",
                 true,
                 BatchedEngine::new_sharded(
-                    &model,
-                    &adj,
-                    &x,
+                    model,
+                    adj,
+                    x,
                     caps.clone(),
                     &sharded,
                     1,
@@ -1785,9 +1885,9 @@ mod tests {
                 "int8, caps, warm store",
                 true,
                 BatchedEngine::new_with_precision(
-                    &model,
-                    &adj,
-                    &x,
+                    model,
+                    adj,
+                    x,
                     caps,
                     Some(&single),
                     StorePolicy::None,
@@ -1803,11 +1903,19 @@ mod tests {
             for targets in batches {
                 let want = materialised_level_zero_logits(&mut engine, targets);
                 let got = engine.infer(targets);
-                assert_eq!(got.store_hits > 0, stored, "{name}: staged store rows");
-                assert_eq!(got.logits.shape(), want.shape(), "{name}");
+                assert_eq!(
+                    got.store_hits > 0,
+                    stored,
+                    "{combine:?} {name}: staged store rows"
+                );
+                assert_eq!(got.logits.shape(), want.shape(), "{combine:?} {name}");
                 let bits =
                     |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&got.logits), bits(&want), "{name}: {targets:?}");
+                assert_eq!(
+                    bits(&got.logits),
+                    bits(&want),
+                    "{combine:?} {name}: {targets:?}"
+                );
                 assert!(
                     got.logits.as_slice().iter().any(|&v| v != 0.0),
                     "{name}: the comparison must cover real compute"
@@ -2195,8 +2303,8 @@ mod tests {
 
     #[test]
     fn back_pool_is_steady_after_warm_up() {
-        // Every back-stage intermediate — gathers, aggregates, branch
-        // products, the combined layer output, level tables — is leased
+        // Every back-stage intermediate — aggregates, the combined layer
+        // output, level tables — is leased
         // from the back pool and returned to it, so once the pool has seen
         // a batch's shapes no further batch grows, shrinks or reshuffles
         // it. A buffer allocated outside the pool and recycled into it

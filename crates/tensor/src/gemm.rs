@@ -1,16 +1,24 @@
-//! Cache-blocked, register-tiled GEMM with packed operands.
+//! Cache-blocked, register-tiled GEMM: `B` packed, `A` read where it lies,
+//! `C` stored where it belongs.
 //!
-//! This is the classic Goto/BLIS decomposition of `C = A · B`:
+//! The Goto/BLIS decomposition of `C = A · B`, with BLIS's unpacked ("sup")
+//! treatment of the left operand — the serving shapes are tall and skinny
+//! (`m` in the thousands, `n` = 128 or 32), so a packed copy of `A` is read
+//! back a handful of times and never repays its strided scatter:
 //!
-//! * the shared dimension is cut into `KC`-deep slabs so one packed panel of
-//!   each operand fits in cache while the microkernel streams over it;
-//! * `A` rows are packed into `MR`-row strips (k-major) sized so a strip
-//!   (`MR·KC` floats) stays L1-resident;
-//! * `B` columns are packed into `NR`-column panels (k-major) — one panel is
-//!   `KC·NR` floats, also L1-resident — grouped into `NC`-wide outer blocks
-//!   bounding the packed working set;
+//! * the shared dimension is cut into `KC`-deep slabs;
+//! * `B` columns are packed into `NR`-column panels (k-major); one panel,
+//!   `KC·NR` floats, stays L1-resident across an `MC`-row block's strips;
+//! * a row-major `A` is **not packed**: the microkernel broadcasts each
+//!   element from its source row through `MR` row offsets, which need not be
+//!   consecutive — a row-indexed product
+//!   ([`Matrix::matmul_packed_rows_into`](crate::Matrix::matmul_packed_rows_into))
+//!   is the gather. Only a transposed `A` (`AᵀB`, training), whose rows are
+//!   strided in the source, is packed into `MR`-lane k-major strips;
 //! * the innermost unit is an `MR×NR` register tile accumulated with
-//!   `f32::mul_add` (scalar) or AVX2/FMA intrinsics (runtime-dispatched).
+//!   `f32::mul_add` (scalar) or AVX2/FMA intrinsics (runtime-dispatched) and
+//!   stored straight into `C` at its row stride `ldc`, which need not equal
+//!   `n`: a product can fill a column window of a wider output.
 //!
 //! Transposed orientations (`AᵀB`, `ABᵀ`) fold the transpose into the pack
 //! step: the packer reads the source with a strided [`View`] instead of
@@ -18,11 +26,15 @@
 //!
 //! **Determinism.** For a given shape, every path that the auto dispatcher
 //! can pick on its own produces an identical sequence of per-element fused
-//! multiply-adds over `k` (blocked slabs accumulate in ascending `ks`
-//! order), so results are bitwise identical across thread counts and across
-//! the scalar/SIMD microkernels. The [`GemmPath::Naive`] reference — the
-//! pre-blocking i-k-j kernel with its zero-skip branch — is kept only behind
-//! an explicit override for benchmarking and equivalence tests.
+//! multiply-adds over `k` (a chain from `0.0` inside each `KC` slab, slabs
+//! added in ascending `ks` order), so results are bitwise identical across
+//! thread counts and across the scalar/SIMD microkernels. Tile shape, where
+//! `A` is read from and where `C` lives are not part of that contract, and
+//! `tests/gemm_equivalence.rs` pins golden output hashes so a re-tile that
+//! perturbs a bit fails loudly. The [`GemmPath::Naive`]
+//! reference — the pre-blocking i-k-j kernel with its zero-skip branch — is
+//! kept only behind an explicit override for benchmarking and equivalence
+//! tests.
 //!
 //! The zero-channel skip that the old kernel applied unconditionally (a
 //! branch per `a[i][k]`, poison for dense data) survives only in the explicit
@@ -35,19 +47,17 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Microkernel tile height (rows of `A` per register tile).
-pub const MR: usize = 8;
-/// Microkernel tile width (columns of `B` per register tile); one AVX2
-/// `f32x8` vector.
-pub const NR: usize = 8;
-/// Rows of `A` packed per block. `MC·KC` floats ≈ 64 KiB keeps the packed
-/// A-block L2-resident while its strips stream through L1.
-pub const MC: usize = 64;
-/// Depth of one packed slab. `KC·NR` floats = 8 KiB per B-panel and
-/// `KC·MR` floats = 8 KiB per A-strip — both comfortably L1-resident.
+pub const MR: usize = 6;
+/// Microkernel tile width (columns of `B` per register tile): two AVX2
+/// `f32x8` vectors, so a tile is twelve accumulators fed by two `B` loads
+/// and six broadcasts per depth step.
+pub const NR: usize = 16;
+/// Rows of `A` per block (a multiple of `MR`). One B panel is swept over the
+/// block's `MC / MR` strips while it sits in L1, and the block's `MC·KC`
+/// floats = 96 KiB of `A` stay L2-resident across the panels.
+pub const MC: usize = 96;
+/// Depth of one slab. `KC·NR` floats = 16 KiB per B panel, L1-resident.
 pub const KC: usize = 256;
-/// Columns of `B` per outer block (multiple of `NR`); bounds the packed-B
-/// working set swept per A-block to `KC·NC` floats ≈ 1 MiB.
-pub const NC: usize = 1024;
 
 /// Below this many scalar multiply-adds (`m·k·n`), packing overhead beats
 /// blocking gains and the auto dispatcher uses a plain fused i-k-j loop.
@@ -129,6 +139,9 @@ pub(crate) struct View<'a> {
     data: &'a [f32],
     ld: usize,
     trans: bool,
+    /// Element offset of each logical row, when the rows are not the stored
+    /// ones in order (never with `trans`).
+    rows: Option<&'a [usize]>,
 }
 
 impl<'a> View<'a> {
@@ -137,15 +150,35 @@ impl<'a> View<'a> {
             data: m.as_slice(),
             ld: m.cols(),
             trans: false,
+            rows: None,
         }
     }
 
     /// Logical transpose of `m`: element `(r, c)` reads `m[c][r]`.
     pub(crate) fn transposed(m: &'a Matrix) -> Self {
         View {
-            data: m.as_slice(),
-            ld: m.cols(),
             trans: true,
+            ..View::normal(m)
+        }
+    }
+
+    /// Logical row `i` is the stored row starting at element `offsets[i]`.
+    /// Every offset must be `row · m.cols()` for a `row < m.rows()`
+    /// ([`crate::rowsum::resolve`] produces exactly that); the kernels
+    /// re-check what they index either way.
+    pub(crate) fn indexed(m: &'a Matrix, offsets: &'a [usize]) -> Self {
+        View {
+            rows: Some(offsets),
+            ..View::normal(m)
+        }
+    }
+
+    /// Element offset of logical row `i` of a non-transposed view.
+    #[inline]
+    fn row_at(&self, i: usize) -> usize {
+        match self.rows {
+            Some(offsets) => offsets[i],
+            None => i * self.ld,
         }
     }
 
@@ -154,7 +187,7 @@ impl<'a> View<'a> {
         if self.trans {
             self.data[c * self.ld + r]
         } else {
-            self.data[r * self.ld + c]
+            self.data[self.row_at(r) + c]
         }
     }
 }
@@ -164,40 +197,34 @@ impl<'a> View<'a> {
 // ---------------------------------------------------------------------------
 
 thread_local! {
-    /// Per-thread packed-A buffer, reused across GEMM calls (persistent pool
-    /// workers keep theirs alive for the process lifetime).
+    /// Per-thread packed-A buffer for transposed left operands (`AᵀB`, the
+    /// training backward pass) — the only `A` that is packed. Reused across
+    /// GEMM calls (persistent pool workers keep theirs alive for the process
+    /// lifetime).
     static PACK_A_BUF: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     /// Per-thread packed-B buffer for calls without a [`PackedB`] cache.
     static PACK_B_BUF: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Pack rows `i0..i0+mc` / depth `p0..p0+kc` of `a` into `MR`-row strips,
-/// k-major within each strip (`buf[strip][p][lane]`). Rows past the operand
-/// edge are zero-filled so the microkernel never branches on the boundary.
+/// Pack rows `i0..i0+mc` / depth `p0..p0+kc` of the transposed operand `a`
+/// into `MR`-lane strips, k-major within each strip (`buf[strip][p][lane]`).
+/// Logical `A[r][p] = data[p·ld + r]`: for fixed `p` a strip's rows are
+/// contiguous in the source, so packing the transpose is a straight slab
+/// copy — no transposed intermediate needed. Lanes past the operand edge are
+/// zero-filled. (A row-major `A` is never packed: the microkernel reads it in
+/// place.)
 fn pack_a(a: View, i0: usize, mc: usize, p0: usize, kc: usize, buf: &mut Vec<f32>) {
+    debug_assert!(a.trans);
     let strips = mc.div_ceil(MR);
     buf.clear();
     buf.resize(strips * kc * MR, 0.0);
     for s in 0..strips {
         let rows = MR.min(mc - s * MR);
         let base = s * kc * MR;
-        if a.trans {
-            // Logical A[r][p] = data[p·ld + r]: for fixed p the strip's rows
-            // are contiguous in the source, so packing the transpose is a
-            // straight slab copy — no transposed intermediate needed.
-            for p in 0..kc {
-                let src_at = (p0 + p) * a.ld + i0 + s * MR;
-                let src = &a.data[src_at..src_at + rows];
-                buf[base + p * MR..base + p * MR + rows].copy_from_slice(src);
-            }
-        } else {
-            for i in 0..rows {
-                let src_at = (i0 + s * MR + i) * a.ld + p0;
-                let src = &a.data[src_at..src_at + kc];
-                for (p, &v) in src.iter().enumerate() {
-                    buf[base + p * MR + i] = v;
-                }
-            }
+        for p in 0..kc {
+            let src_at = (p0 + p) * a.ld + i0 + s * MR;
+            let src = &a.data[src_at..src_at + rows];
+            buf[base + p * MR..base + p * MR + rows].copy_from_slice(src);
         }
     }
 }
@@ -370,172 +397,217 @@ impl PackedB {
 // Microkernels
 // ---------------------------------------------------------------------------
 
-/// Accumulate an `MR×NR` tile: `acc[i][j] += Σ_p a[p][i] · b[p][j]` over the
-/// packed strip/panel, as a sequential per-element fma chain over `p`.
-fn microkernel_scalar(kc: usize, a: &[f32], b: &[f32], acc: &mut [f32; MR * NR]) {
-    debug_assert!(a.len() >= kc * MR && b.len() >= kc * NR);
-    for p in 0..kc {
-        let av = &a[p * MR..p * MR + MR];
-        let bv = &b[p * NR..p * NR + NR];
-        for (i, &ai) in av.iter().enumerate() {
+/// What one microkernel call multiplies: row `i` of the tile reads
+/// `a[rows[i] + p·step]` for `p` over the depth of the B panel `b` (`kc·NR`
+/// floats). `rows` are element offsets into `a` — the source rows themselves
+/// at the slab's depth (`step` 1), or the lanes of a packed transposed strip
+/// (`step` `MR`).
+#[derive(Clone, Copy)]
+struct TileIn<'a> {
+    a: &'a [f32],
+    rows: [usize; MR],
+    step: usize,
+    b: &'a [f32],
+}
+
+/// One `MR×NR` tile over one `KC` slab: `c[i][j] (+)= Σ_p a_i[p] · b[p][j]`,
+/// each element a sequential fma chain over `p` from `0.0`. Tile row `i`
+/// lands at `c[i·ldc ..][..NR]`: stored when `first` (the first slab), added
+/// to what is there otherwise.
+fn microkernel_scalar(t: TileIn, c: &mut [f32], ldc: usize, first: bool) {
+    let mut acc = [0.0f32; MR * NR];
+    for (p, bv) in t.b.chunks_exact(NR).enumerate() {
+        for (i, &r) in t.rows.iter().enumerate() {
+            let ai = t.a[r + p * t.step];
             let row = &mut acc[i * NR..i * NR + NR];
             for (o, &bj) in row.iter_mut().zip(bv) {
                 *o = ai.mul_add(bj, *o);
             }
         }
     }
+    writeback(&acc, c, 0, (MR, NR), ldc, first);
 }
 
-/// AVX2/FMA microkernel: eight `f32x8` accumulators (one per tile row), one
-/// broadcast-fma per row per depth step. `_mm256_fmadd_ps` rounds once like
-/// `f32::mul_add`, and the per-element accumulation order over `p` matches
-/// [`microkernel_scalar`], so the two kernels agree bitwise.
+/// AVX2/FMA twin of [`microkernel_scalar`]: twelve `f32x8` accumulators (two
+/// per tile row), two `B` loads and six broadcasts per depth step, and the
+/// tile stored (or loaded, added and stored) without leaving the registers.
+/// `_mm256_fmadd_ps` rounds once like `f32::mul_add`, the per-element order
+/// over `p` is the scalar twin's, and `vaddps` is its `+=`, so the two
+/// kernels agree bitwise.
 ///
 /// # Safety
 /// Caller must ensure avx2 and fma are available (checked at dispatch via
-/// `is_x86_feature_detected!`) and that `a`/`b` hold at least `kc·MR` /
-/// `kc·NR` elements.
+/// `is_x86_feature_detected!`). Every range the kernel touches is asserted
+/// against the slices' lengths before the first access.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 // SAFETY: `unsafe fn` per target_feature; all memory access below is through
-// checked-slice-derived pointers kept in bounds by the asserted lengths.
-unsafe fn microkernel_avx2(kc: usize, a: &[f32], b: &[f32], acc: &mut [f32; MR * NR]) {
+// slice-derived pointers kept in bounds by the asserted lengths.
+unsafe fn microkernel_avx2(t: TileIn, c: &mut [f32], ldc: usize, first: bool) {
     use std::arch::x86_64::{
-        __m256, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps,
+        _mm256_add_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps,
         _mm256_storeu_ps,
     };
-    assert!(a.len() >= kc * MR && b.len() >= kc * NR);
-    // SAFETY: every load reads 8 floats at offsets `p·NR` (< kc·NR, asserted
-    // above) from `b` and scalars at `p·MR + i` (i < 8) from `a`; stores
-    // write the 64-float `acc` array at offsets 0, 8, .., 56.
+    const H: usize = NR / 2;
+    let kc = t.b.len() / NR;
+    assert!(kc > 0 && c.len() >= (MR - 1) * ldc + NR);
+    assert!(t.rows.iter().all(|&r| r + (kc - 1) * t.step < t.a.len()));
+    // SAFETY: `b` is read 8 floats at a time at `p·NR` and `p·NR + 8` for
+    // `p < kc = b.len() / NR`; `a` one float at `rows[i] + p·step`, at most
+    // `rows[i] + (kc − 1)·step`; `c` 8 floats at `i·ldc` and `i·ldc + 8`, at
+    // most `(MR − 1)·ldc + NR` — the last two bounds asserted just above.
     unsafe {
-        let mut c: [__m256; MR] = [_mm256_setzero_ps(); MR];
+        let ap = t.rows.map(|r| t.a.as_ptr().add(r));
+        let mut acc = [[_mm256_setzero_ps(); 2]; MR];
         for p in 0..kc {
-            let bv = _mm256_loadu_ps(b.as_ptr().add(p * NR));
-            let ap = a.as_ptr().add(p * MR);
-            c[0] = _mm256_fmadd_ps(_mm256_set1_ps(*ap), bv, c[0]);
-            c[1] = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(1)), bv, c[1]);
-            c[2] = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(2)), bv, c[2]);
-            c[3] = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(3)), bv, c[3]);
-            c[4] = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(4)), bv, c[4]);
-            c[5] = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(5)), bv, c[5]);
-            c[6] = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(6)), bv, c[6]);
-            c[7] = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(7)), bv, c[7]);
+            let bp = t.b.as_ptr().add(p * NR);
+            let (b0, b1) = (_mm256_loadu_ps(bp), _mm256_loadu_ps(bp.add(H)));
+            for (row, ai) in acc.iter_mut().zip(ap) {
+                let av = _mm256_set1_ps(*ai.add(p * t.step));
+                row[0] = _mm256_fmadd_ps(av, b0, row[0]);
+                row[1] = _mm256_fmadd_ps(av, b1, row[1]);
+            }
         }
-        for (i, ci) in c.iter().enumerate() {
-            _mm256_storeu_ps(acc.as_mut_ptr().add(i * NR), *ci);
+        for (i, row) in acc.iter().enumerate() {
+            for (h, &v) in row.iter().enumerate() {
+                let cp = c.as_mut_ptr().add(i * ldc + h * H);
+                let sum = if first {
+                    v
+                } else {
+                    _mm256_add_ps(_mm256_loadu_ps(cp), v)
+                };
+                _mm256_storeu_ps(cp, sum);
+            }
         }
     }
 }
 
 #[inline]
-fn run_microkernel(simd: bool, kc: usize, a: &[f32], b: &[f32], acc: &mut [f32; MR * NR]) {
+fn run_microkernel(simd: bool, t: TileIn, c: &mut [f32], ldc: usize, first: bool) {
     #[cfg(target_arch = "x86_64")]
     if simd {
         // SAFETY: `simd` is only set when `gemm_path()` resolved to
         // `BlockedSimd`, which requires `is_x86_feature_detected!` to have
         // confirmed avx2+fma on this CPU; slice lengths are asserted inside.
-        unsafe { microkernel_avx2(kc, a, b, acc) };
+        unsafe { microkernel_avx2(t, c, ldc, first) };
         return;
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = simd;
-    microkernel_scalar(kc, a, b, acc);
+    microkernel_scalar(t, c, ldc, first);
 }
 
 // ---------------------------------------------------------------------------
 // Blocked driver
 // ---------------------------------------------------------------------------
 
-/// Write a microkernel tile back into the output chunk. The first `KC` slab
-/// stores (no pre-zeroed `C` needed); later slabs accumulate.
+/// Write the top-left `dims` of a tile into `out` at element `at`, rows
+/// `ldc` apart. The first `KC` slab stores (no pre-zeroed `C` needed); later
+/// slabs accumulate.
 fn writeback(
-    acc: &[f32; MR * NR],
+    tile: &[f32; MR * NR],
     out: &mut [f32],
-    pos: (usize, usize),
+    at: usize,
     dims: (usize, usize),
-    n: usize,
+    ldc: usize,
     first: bool,
 ) {
-    let (row0, col0) = pos;
     let (tile_rows, tile_cols) = dims;
     for i in 0..tile_rows {
-        let orow = &mut out[(row0 + i) * n + col0..(row0 + i) * n + col0 + tile_cols];
-        let arow = &acc[i * NR..i * NR + tile_cols];
+        let orow = &mut out[at + i * ldc..at + i * ldc + tile_cols];
+        let trow = &tile[i * NR..i * NR + tile_cols];
         if first {
-            orow.copy_from_slice(arow);
+            orow.copy_from_slice(trow);
         } else {
-            for (o, &v) in orow.iter_mut().zip(arow) {
+            for (o, &v) in orow.iter_mut().zip(trow) {
                 *o += v;
             }
         }
     }
 }
 
-/// Blocked GEMM over one contiguous chunk of output rows (`start..start+rows`
-/// of the logical product). Loop order: `KC` slab → `MC` row block (packing
-/// A once per block per slab) → `NC` panel group → panel → `MR` strip.
+/// Blocked GEMM over one contiguous chunk of output rows (`start..` of the
+/// logical product; `out` holds them `ldc` apart and the product fills
+/// columns `col0..col0 + n` of each). Loop order: `KC` slab → `MC` row block
+/// → B panel → `MR` strip, so a panel is swept over the block's strips while
+/// it sits in L1 and the block's `A` rows are re-read from L2 per panel.
+/// Full tiles go from registers straight into `out`; ragged edge tiles
+/// (`rows < MR`, repeating the last row, or `cols < NR`, the panel's zero
+/// padding) go through a stack tile.
 fn gemm_blocked_rows(
     a: View,
     pb: PackedPanels,
     start: usize,
-    rows: usize,
     out: &mut [f32],
+    ldc: usize,
+    col0: usize,
     simd: bool,
 ) {
     let (k, n) = (pb.k, pb.n);
-    let n_panels = n.div_ceil(NR);
-    let panels_per_group = NC / NR;
+    let rows = out.len() / ldc;
     PACK_A_BUF.with(|cell| {
         let mut abuf = cell.borrow_mut();
-        let mut first = true;
         let mut ks = 0;
         while ks < k {
             let kl = KC.min(k - ks);
+            let first = ks == 0;
             let mut ic = 0;
             while ic < rows {
                 let ml = MC.min(rows - ic);
-                pack_a(a, start + ic, ml, ks, kl, &mut abuf);
-                let strips = ml.div_ceil(MR);
-                let mut t0 = 0;
-                while t0 < n_panels {
-                    let t1 = (t0 + panels_per_group).min(n_panels);
-                    for t in t0..t1 {
-                        let bpanel = pb.panel(ks, kl, t);
-                        let cols = NR.min(n - t * NR);
-                        for s in 0..strips {
-                            let apanel = &abuf[s * kl * MR..(s + 1) * kl * MR];
-                            let mut acc = [0.0f32; MR * NR];
-                            run_microkernel(simd, kl, apanel, bpanel, &mut acc);
-                            let tile_rows = MR.min(ml - s * MR);
-                            writeback(
-                                &acc,
-                                out,
-                                (ic + s * MR, t * NR),
-                                (tile_rows, cols),
-                                n,
-                                first,
-                            );
+                // Where tile row `i` of strip `s` starts in `adata`: a lane
+                // of the packed transposed strip, or the source row itself.
+                let (adata, step) = if a.trans {
+                    pack_a(a, start + ic, ml, ks, kl, &mut abuf);
+                    (abuf.as_slice(), MR)
+                } else {
+                    (a.data, 1)
+                };
+                let row_at = |s: usize, i: usize| match a.trans {
+                    true => s * kl * MR + i,
+                    false => a.row_at(start + ic + s * MR + i) + ks,
+                };
+                for t in 0..n.div_ceil(NR) {
+                    let cols = NR.min(n - t * NR);
+                    for s in 0..ml.div_ceil(MR) {
+                        let tile_rows = MR.min(ml - s * MR);
+                        let tile = TileIn {
+                            a: adata,
+                            rows: std::array::from_fn(|i| row_at(s, i.min(tile_rows - 1))),
+                            step,
+                            b: pb.panel(ks, kl, t),
+                        };
+                        let at = (ic + s * MR) * ldc + col0 + t * NR;
+                        if tile_rows == MR && cols == NR {
+                            run_microkernel(simd, tile, &mut out[at..], ldc, first);
+                        } else {
+                            let mut edge = [0.0f32; MR * NR];
+                            run_microkernel(simd, tile, &mut edge, NR, true);
+                            writeback(&edge, out, at, (tile_rows, cols), ldc, first);
                         }
                     }
-                    t0 = t1;
                 }
                 ic += ml;
             }
-            first = false;
             ks += kl;
         }
     });
 }
 
-/// Parallel blocked GEMM against pre-packed panels. Chunk boundaries align
-/// to `MR` so strips never straddle threads; per-row arithmetic is
+/// Parallel blocked GEMM against pre-packed panels into columns
+/// `col0..col0 + n` of the `m × ldc` buffer `out`. Chunk boundaries align to
+/// `MR` so strips never straddle threads; per-row arithmetic is
 /// chunk-independent, keeping results bitwise identical across thread counts.
-fn gemm_blocked(a: View, pb: PackedPanels, m: usize, out: &mut [f32], simd: bool) {
-    let n = pb.n;
-    parallel_row_chunks_aligned(out, m, n, MR, |start, chunk| {
-        let rows = chunk.len() / n;
-        gemm_blocked_rows(a, pb, start, rows, chunk, simd);
+fn gemm_blocked(
+    a: View,
+    pb: PackedPanels,
+    m: usize,
+    out: &mut [f32],
+    ldc: usize,
+    col0: usize,
+    simd: bool,
+) {
+    parallel_row_chunks_aligned(out, m, ldc, MR, |start, chunk| {
+        gemm_blocked_rows(a, pb, start, chunk, ldc, col0, simd);
     });
 }
 
@@ -587,7 +659,7 @@ fn gemm_naive(a: View, b: View, m: usize, k: usize, n: usize, out: &mut [f32]) {
     parallel_row_chunks(out, m, n, |start, chunk| {
         for (r, out_row) in chunk.chunks_mut(n).enumerate() {
             let i = start + r;
-            let a_row = &a.data[i * a.ld..i * a.ld + k];
+            let a_row = &a.data[a.row_at(i)..a.row_at(i) + k];
             if b.trans {
                 for (j, o) in out_row.iter_mut().enumerate() {
                     let b_row = &b.data[j * b.ld..j * b.ld + k];
@@ -634,32 +706,51 @@ pub(crate) fn gemm_into(a: View, b: View, m: usize, k: usize, n: usize, out: &mu
                     let mut bbuf = cell.borrow_mut();
                     pack_b_into(b, k, n, &mut bbuf);
                     let pb = PackedPanels { k, n, data: &bbuf };
-                    gemm_blocked(a, pb, m, out, simd);
+                    gemm_blocked(a, pb, m, out, n, 0, simd);
                 });
             }
         }
     }
 }
 
-/// Dispatch one GEMM against a cached [`PackedB`] (`out = A·pack`), skipping
-/// the per-call B pack entirely. `out` is fully overwritten. On the `Naive`
+/// Dispatch one GEMM against a cached [`PackedB`], skipping the per-call B
+/// pack entirely: columns `col0..col0 + pack.n` of the `m × ldc` buffer
+/// `out` become `A·pack`, the others are left as they are. On the `Naive`
 /// benchmarking path the panels are unpacked back to row-major first so the
 /// reference kernel's cost profile is preserved.
-pub(crate) fn gemm_packed_into(a: View, pb: &PackedB, m: usize, out: &mut [f32]) {
-    debug_assert_eq!(out.len(), m * pb.n);
-    if m == 0 || pb.n == 0 {
+pub(crate) fn gemm_packed_into(
+    a: View,
+    pb: &PackedB,
+    m: usize,
+    out: &mut [f32],
+    ldc: usize,
+    col0: usize,
+) {
+    let n = pb.n;
+    assert!(
+        out.len() == m * ldc && col0 + n <= ldc,
+        "gemm: output window out of bounds"
+    );
+    if m == 0 || n == 0 {
         return;
     }
+    let window = |i: usize| i * ldc + col0..i * ldc + col0 + n;
     if pb.k == 0 {
-        out.fill(0.0);
-        return;
+        return (0..m).for_each(|i| out[window(i)].fill(0.0));
     }
     match gemm_path() {
         GemmPath::Naive => {
             let b = pb.unpack();
-            gemm_naive(a, View::normal(&b), m, pb.k, pb.n, out);
+            let mut full = vec![0.0f32; m * n];
+            gemm_naive(a, View::normal(&b), m, pb.k, n, &mut full);
+            for (i, row) in full.chunks_exact(n).enumerate() {
+                out[window(i)].copy_from_slice(row);
+            }
         }
-        path => gemm_blocked(a, pb.panels(), m, out, path == GemmPath::BlockedSimd),
+        path => {
+            let simd = path == GemmPath::BlockedSimd;
+            gemm_blocked(a, pb.panels(), m, out, ldc, col0, simd);
+        }
     }
 }
 
@@ -688,11 +779,12 @@ mod tests {
 
     #[test]
     fn pack_a_folds_transpose() {
-        // Packing a transposed view must equal packing the materialized
-        // transpose with a normal view.
+        // Packing a transposed view must lay out the materialized
+        // transpose: `buf[strip][p][lane] = mt[strip·MR + lane][p]`, lanes
+        // past the edge zero.
         let m = seq(11, 9, 0.23);
         let mt = m.transpose();
-        let (mut via_view, mut via_copy) = (Vec::new(), Vec::new());
+        let mut via_view = Vec::new();
         pack_a(
             View::transposed(&m),
             0,
@@ -701,8 +793,14 @@ mod tests {
             mt.cols(),
             &mut via_view,
         );
-        pack_a(View::normal(&mt), 0, mt.rows(), 0, mt.cols(), &mut via_copy);
-        assert_eq!(via_view, via_copy);
+        let (rows, kc) = mt.shape();
+        assert_eq!(via_view.len(), rows.div_ceil(MR) * kc * MR);
+        for (at, &v) in via_view.iter().enumerate() {
+            let (s, p, lane) = (at / (kc * MR), at / MR % kc, at % MR);
+            let r = s * MR + lane;
+            let want = if r < rows { mt.get(r, p) } else { 0.0 };
+            assert_eq!(v, want, "strip {s} depth {p} lane {lane}");
+        }
         let (mut bv, mut bc) = (Vec::new(), Vec::new());
         pack_b_into(View::transposed(&m), mt.rows(), mt.cols(), &mut bv);
         pack_b_into(View::normal(&mt), mt.rows(), mt.cols(), &mut bc);

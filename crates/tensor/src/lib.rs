@@ -53,5 +53,5 @@ pub use parallel::{
     num_threads, parallel_row_chunks, parallel_row_chunks_aligned, set_num_threads,
 };
 pub use quant::{activation_scale, qgemm_packed_into, qmatmul, QuantMatrix, QuantPackedB};
-pub use rowsum::row_sum;
+pub use rowsum::{row_sum, RowIds};
 pub use scratch::ScratchPool;

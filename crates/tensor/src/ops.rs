@@ -10,6 +10,14 @@
 use crate::gemm::{self, View};
 use crate::matrix::Matrix;
 use crate::parallel::parallel_row_chunks;
+use crate::rowsum::{resolve, RowIds};
+use std::cell::RefCell;
+
+thread_local! {
+    /// Per-thread element offsets of a row-indexed product's source rows,
+    /// reused across calls like the GEMM pack buffers.
+    static ROW_OFFSETS: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+}
 
 impl Matrix {
     /// `self · other` — the workhorse GEMM, cache-blocked and register-tiled.
@@ -103,7 +111,8 @@ impl Matrix {
     }
 
     /// [`Matrix::matmul_packed`] writing into caller-provided storage (e.g. a
-    /// [`crate::ScratchPool`] matrix); `out` is fully overwritten.
+    /// [`crate::ScratchPool`] matrix); `out` is fully overwritten. The
+    /// every-row, full-width case of [`Matrix::matmul_packed_rows_into`].
     ///
     /// # Panics
     /// Panics on inner-dimension or output-shape mismatch.
@@ -111,6 +120,34 @@ impl Matrix {
     /// Shapes: `self` is `(m, k)` with `k == pack.k()`; `out` must be
     /// `(m, pack.n())`.
     pub fn matmul_packed_into(&self, pack: &crate::PackedB, out: &mut Matrix) {
+        assert_eq!(out.cols(), pack.n(), "matmul_packed: output shape mismatch");
+        self.matmul_packed_rows_into(None, pack, out, 0);
+    }
+
+    /// `out[i][col0 .. col0 + n] = row_i · pack`, the product read and
+    /// written where the data lives: `row_i` is row `i` of `self` when
+    /// `rows` is `None`, else row `ids[i]` — `relabel[ids[i]]` when
+    /// `rows = Some((Some(relabel), ids))` — the way [`crate::row_sum`]
+    /// names its source rows, so the GEMM is the gather (ids may repeat and
+    /// come in any order); and `out` may be wider than the product, which
+    /// fills its column window and leaves every other column untouched, so
+    /// the GEMM is the concatenation. Bitwise equal to gathering the rows,
+    /// [`Matrix::matmul_packed`], and copying the product into the window.
+    ///
+    /// # Panics
+    /// Panics, before reading a row or writing an element, on
+    /// inner-dimension or output-shape mismatch, a window past `out`'s
+    /// width, an id outside the relabel table or mapped to
+    /// [`ABSENT`](crate::rowsum::ABSENT), or a row outside `self`.
+    ///
+    /// Shapes: `self` is `(r, k)` with `k == pack.k()`; `out` is `(m, w)` with `m` = `ids.len()` (`r` when `rows` is `None`) and `col0 + pack.n() <= w`; every resolved row is `< r`.
+    pub fn matmul_packed_rows_into(
+        &self,
+        rows: Option<RowIds<'_>>,
+        pack: &crate::PackedB,
+        out: &mut Matrix,
+        col0: usize,
+    ) {
         assert_eq!(
             self.cols(),
             pack.k(),
@@ -120,17 +157,32 @@ impl Matrix {
             pack.k(),
             pack.n()
         );
-        assert_eq!(
-            out.shape(),
-            (self.rows(), pack.n()),
+        let m = rows.map_or(self.rows(), |(_, ids)| ids.len());
+        assert!(
+            out.rows() == m && col0 + pack.n() <= out.cols(),
             "matmul_packed: output shape mismatch"
         );
-        gemm::gemm_packed_into(View::normal(self), pack, self.rows(), out.as_mut_slice());
-        crate::check::guard_finite(
-            "tensor.matmul_packed.finite",
-            "matmul_packed output",
-            out.as_slice(),
-        );
+        let ldc = out.cols();
+        match rows {
+            None => {
+                gemm::gemm_packed_into(View::normal(self), pack, m, out.as_mut_slice(), ldc, col0)
+            }
+            Some((relabel, ids)) => ROW_OFFSETS.with(|cell| {
+                let mut offsets = cell.borrow_mut();
+                resolve(&mut offsets, pack.k(), self, relabel, ids, None);
+                let a = View::indexed(self, &offsets);
+                gemm::gemm_packed_into(a, pack, m, out.as_mut_slice(), ldc, col0);
+            }),
+        }
+        if crate::check::enabled() {
+            for i in 0..m {
+                crate::check::guard_finite(
+                    "tensor.matmul_packed.finite",
+                    "matmul_packed output",
+                    &out.row(i)[col0..col0 + pack.n()],
+                );
+            }
+        }
     }
 
     /// `self · other` skipping zero entries of `self` — a reference kernel,

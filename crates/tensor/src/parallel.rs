@@ -196,10 +196,10 @@ where
 }
 
 /// [`parallel_row_chunks`] with chunk boundaries rounded up to a multiple of
-/// `align` rows. The blocked GEMM uses `align = MR` so no microkernel strip
-/// ever straddles two threads' chunks (the last chunk may still be ragged —
-/// the kernel zero-pads its edge strip). `align = 1` is exactly
-/// [`parallel_row_chunks`].
+/// `align` rows. The blocked GEMMs use `align =` their tile height (`MR`,
+/// `QMR`) so no microkernel strip ever straddles two threads' chunks (the
+/// last chunk may still be ragged — its edge strip goes through the
+/// kernel's stack tile). `align = 1` is exactly [`parallel_row_chunks`].
 ///
 /// # Panics
 /// Re-raises the first panic raised by `f`, with its original payload.

@@ -27,11 +27,23 @@
 //! and rounds to f32 once.
 
 use crate::check::{assert_finite, guard_finite, CheckError};
-use crate::gemm::{gemm_path, GemmPath, KC, MC, MR, NC, NR};
+use crate::gemm::{gemm_path, GemmPath, KC};
 use crate::matrix::Matrix;
 use crate::parallel::parallel_row_chunks_aligned;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
+
+/// The int8 kernel's own tile: an `8 × 8` register tile (one `madd_epi16`
+/// i32x8 accumulator per row) over `64`-row blocks. The pack layout and the
+/// microkernels are written for these values, so they do not follow the f32
+/// kernel's `MR`/`NR`/`MC` when that is re-tiled; only the slab depth `KC`
+/// is shared.
+#[doc(hidden)]
+pub const QMR: usize = 8;
+#[doc(hidden)]
+pub const QNR: usize = 8;
+#[doc(hidden)]
+pub const QMC: usize = 64;
 
 /// An int8-quantized matrix with per-column scales (weights) — symmetric
 /// quantization: `q = round(x / scale)`, `x ≈ q * scale`.
@@ -305,10 +317,11 @@ fn quant_simd() -> bool {
 }
 
 /// An int8 weight pack with per-column scales: the quantized sibling of
-/// [`PackedB`](crate::PackedB). Columns are packed into `NR`-wide panels
-/// grouped by `KC`-deep slab — same geometry as the f32 pack — but within a
-/// panel consecutive **depth pairs** are interleaved (`b[p][j]`, `b[p+1][j]`
-/// adjacent) so the AVX2 microkernel can consume them with one `pmaddwd`.
+/// [`PackedB`](crate::PackedB). Columns are packed into `QNR`-wide panels
+/// grouped by `KC`-deep slab — the f32 pack's scheme at this kernel's own
+/// panel width — but within a panel consecutive **depth pairs** are
+/// interleaved (`b[p][j]`, `b[p+1][j]` adjacent) so the AVX2 microkernel can
+/// consume them with one `pmaddwd`.
 /// Odd slab depths zero-pad the trailing pair.
 ///
 /// Engines build one per branch weight at construction (channel-pruning
@@ -400,25 +413,25 @@ impl QuantPackedB {
     }
 
     /// Panel `t` of the slab starting at depth `ks` (slab depth `kl`), as
-    /// `kl.div_ceil(2)` depth-pair rows of `NR·2` interleaved bytes.
+    /// `kl.div_ceil(2)` depth-pair rows of `QNR·2` interleaved bytes.
     #[inline]
     fn panel(&self, ks: usize, kl: usize, t: usize) -> &[i8] {
-        let n_panels = self.n.div_ceil(NR);
+        let n_panels = self.n.div_ceil(QNR);
         let pairs = kl.div_ceil(2);
-        let at = ks * n_panels * NR + t * pairs * NR * 2;
-        &self.data[at..at + pairs * NR * 2]
+        let at = ks * n_panels * QNR + t * pairs * QNR * 2;
+        &self.data[at..at + pairs * QNR * 2]
     }
 }
 
 /// Lay `k × n` int8 values (yielded by `get(p, col)`) into the paired-depth
 /// panel format described on [`QuantPackedB`].
 fn pack_layout(k: usize, n: usize, get: impl Fn(usize, usize) -> i8) -> Vec<i8> {
-    let n_panels = n.div_ceil(NR);
+    let n_panels = n.div_ceil(QNR);
     let mut len = 0usize;
     let mut ks = 0;
     while ks < k {
         let kl = KC.min(k - ks);
-        len += n_panels * kl.div_ceil(2) * NR * 2;
+        len += n_panels * kl.div_ceil(2) * QNR * 2;
         ks += kl;
     }
     let mut data = vec![0i8; len];
@@ -427,15 +440,15 @@ fn pack_layout(k: usize, n: usize, get: impl Fn(usize, usize) -> i8) -> Vec<i8> 
         let kl = KC.min(k - ks);
         let pairs = kl.div_ceil(2);
         // `KC` is even, so every preceding (full) slab holds exactly
-        // `kl · n_panels · NR` bytes and the slab base is the same
+        // `kl · n_panels · QNR` bytes and the slab base is the same
         // expression as the f32 pack's.
-        let slab_base = ks * n_panels * NR;
+        let slab_base = ks * n_panels * QNR;
         for p in 0..kl {
             for t in 0..n_panels {
-                let cols = NR.min(n - t * NR);
-                let pbase = slab_base + t * pairs * NR * 2;
+                let cols = QNR.min(n - t * QNR);
+                let pbase = slab_base + t * pairs * QNR * 2;
                 for j in 0..cols {
-                    data[pbase + (p / 2) * NR * 2 + j * 2 + (p % 2)] = get(ks + p, t * NR + j);
+                    data[pbase + (p / 2) * QNR * 2 + j * 2 + (p % 2)] = get(ks + p, t * QNR + j);
                 }
             }
         }
@@ -448,17 +461,17 @@ fn pack_layout(k: usize, n: usize, get: impl Fn(usize, usize) -> i8) -> Vec<i8> 
 /// packed strip/panel, consuming depth **pairs** exactly like the AVX2
 /// kernel (`x0·b0 + x1·b1` per step). Integer adds are exact, so this is
 /// bitwise identical to [`qmicrokernel_avx2`] by construction.
-fn qmicrokernel_scalar(pairs: usize, a: &[i16], b: &[i8], acc: &mut [i32; MR * NR]) {
-    debug_assert!(a.len() >= pairs * MR * 2 && b.len() >= pairs * NR * 2);
+fn qmicrokernel_scalar(pairs: usize, a: &[i16], b: &[i8], acc: &mut [i32; QMR * QNR]) {
+    debug_assert!(a.len() >= pairs * QMR * 2 && b.len() >= pairs * QNR * 2);
     for pp in 0..pairs {
-        let arow = &a[pp * MR * 2..(pp + 1) * MR * 2];
-        let bp = &b[pp * NR * 2..(pp + 1) * NR * 2];
-        for i in 0..MR {
+        let arow = &a[pp * QMR * 2..(pp + 1) * QMR * 2];
+        let bp = &b[pp * QNR * 2..(pp + 1) * QNR * 2];
+        for i in 0..QMR {
             let (x0, x1) = (arow[i * 2] as i32, arow[i * 2 + 1] as i32);
             if x0 == 0 && x1 == 0 {
                 continue;
             }
-            let row = &mut acc[i * NR..i * NR + NR];
+            let row = &mut acc[i * QNR..i * QNR + QNR];
             for (j, o) in row.iter_mut().enumerate() {
                 *o += x0 * bp[2 * j] as i32 + x1 * bp[2 * j + 1] as i32;
             }
@@ -476,42 +489,42 @@ fn qmicrokernel_scalar(pairs: usize, a: &[i16], b: &[i8], acc: &mut [i32; MR * N
 ///
 /// # Safety
 /// Caller must ensure avx2 is available (checked at dispatch via
-/// `is_x86_feature_detected!`) and that `a`/`b` hold at least `pairs·MR·2` /
-/// `pairs·NR·2` elements.
+/// `is_x86_feature_detected!`) and that `a`/`b` hold at least `pairs·QMR·2` /
+/// `pairs·QNR·2` elements.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 // SAFETY: `unsafe fn` per target_feature; all memory access below is through
 // checked-slice-derived pointers kept in bounds by the asserted lengths.
-unsafe fn qmicrokernel_avx2(pairs: usize, a: &[i16], b: &[i8], acc: &mut [i32; MR * NR]) {
+unsafe fn qmicrokernel_avx2(pairs: usize, a: &[i16], b: &[i8], acc: &mut [i32; QMR * QNR]) {
     use std::arch::x86_64::{
         __m128i, __m256i, _mm256_add_epi32, _mm256_cvtepi8_epi16, _mm256_madd_epi16,
         _mm256_set1_epi32, _mm256_setzero_si256, _mm256_storeu_si256, _mm_loadu_si128,
     };
-    assert!(a.len() >= pairs * MR * 2 && b.len() >= pairs * NR * 2);
-    // SAFETY: every load reads 16 bytes at offsets `pp·NR·2` (< pairs·NR·2,
+    assert!(a.len() >= pairs * QMR * 2 && b.len() >= pairs * QNR * 2);
+    // SAFETY: every load reads 16 bytes at offsets `pp·QNR·2` (< pairs·QNR·2,
     // asserted above) from `b` and one unaligned i32 (the little-endian
-    // `(x₂ₚ, x₂ₚ₊₁)` i16 pair) at i16 offset `pp·MR·2 + i·2` from `a`;
+    // `(x₂ₚ, x₂ₚ₊₁)` i16 pair) at i16 offset `pp·QMR·2 + i·2` from `a`;
     // stores write the 64-int `acc` array at offsets 0, 8, .., 56.
     unsafe {
-        let mut c: [__m256i; MR] = [_mm256_setzero_si256(); MR];
+        let mut c: [__m256i; QMR] = [_mm256_setzero_si256(); QMR];
         for pp in 0..pairs {
             let bw = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                b.as_ptr().add(pp * NR * 2) as *const __m128i
+                b.as_ptr().add(pp * QNR * 2) as *const __m128i
             ));
-            let ap = a.as_ptr().add(pp * MR * 2) as *const i32;
+            let ap = a.as_ptr().add(pp * QMR * 2) as *const i32;
             for (i, ci) in c.iter_mut().enumerate() {
                 let av = _mm256_set1_epi32(core::ptr::read_unaligned(ap.add(i)));
                 *ci = _mm256_add_epi32(*ci, _mm256_madd_epi16(av, bw));
             }
         }
         for (i, ci) in c.iter().enumerate() {
-            _mm256_storeu_si256(acc.as_mut_ptr().add(i * NR) as *mut __m256i, *ci);
+            _mm256_storeu_si256(acc.as_mut_ptr().add(i * QNR) as *mut __m256i, *ci);
         }
     }
 }
 
 #[inline]
-fn run_qmicrokernel(simd: bool, pairs: usize, a: &[i16], b: &[i8], acc: &mut [i32; MR * NR]) {
+fn run_qmicrokernel(simd: bool, pairs: usize, a: &[i16], b: &[i8], acc: &mut [i32; QMR * QNR]) {
     #[cfg(target_arch = "x86_64")]
     if simd {
         // SAFETY: `simd` is only set when `gemm_path()` resolved to
@@ -526,33 +539,33 @@ fn run_qmicrokernel(simd: bool, pairs: usize, a: &[i16], b: &[i8], acc: &mut [i3
 }
 
 /// Reorder rows `i0..i0+mc` / depth `p0..p0+kc` of the pre-quantized
-/// activations `xq` (row-major `… × k` i16) into `MR`-row strips of
+/// activations `xq` (row-major `… × k` i16) into `QMR`-row strips of
 /// **depth pairs**: within a pair-row, row `i`'s `(x₂ₚ, x₂ₚ₊₁)` sit
 /// adjacent, so the AVX2 kernel broadcasts them with one 4-byte load. Odd
 /// depths zero-pad the trailing phantom lane, so the paired microkernels
 /// never branch on the boundary. Quantization happened once up front
 /// ([`qgemm_packed_into`]); this pass moves integers only.
 fn qpack_a(xq: &[i16], k: usize, i0: usize, mc: usize, p0: usize, kc: usize, buf: &mut Vec<i16>) {
-    let strips = mc.div_ceil(MR);
+    let strips = mc.div_ceil(QMR);
     let pairs = kc.div_ceil(2);
     buf.clear();
-    buf.resize(strips * pairs * MR * 2, 0);
+    buf.resize(strips * pairs * QMR * 2, 0);
     for s in 0..strips {
-        let rows = MR.min(mc - s * MR);
-        let base = s * pairs * MR * 2;
+        let rows = QMR.min(mc - s * QMR);
+        let base = s * pairs * QMR * 2;
         for i in 0..rows {
-            let row = (i0 + s * MR + i) * k;
+            let row = (i0 + s * QMR + i) * k;
             let src = &xq[row + p0..row + p0 + kc];
             for (p, &v) in src.iter().enumerate() {
-                buf[base + (p / 2) * MR * 2 + i * 2 + (p % 2)] = v;
+                buf[base + (p / 2) * QMR * 2 + i * 2 + (p % 2)] = v;
             }
         }
     }
 }
 
 /// Blocked int8 GEMM over one contiguous chunk of output rows. Same loop
-/// order as the f32 driver (`KC` slab → `MC` row block → `NC` panel group →
-/// panel → `MR` strip); each microkernel tile's i32 partial folds into a
+/// order as the f32 driver (`KC` slab → `QMC` row block → panel → `QMR`
+/// strip); each microkernel tile's i32 partial folds into a
 /// chunk-wide i64 accumulator, dequantized once after the last slab.
 fn qgemm_rows(
     xq: &[i16],
@@ -564,8 +577,7 @@ fn qgemm_rows(
     simd: bool,
 ) {
     let (k, n) = (pb.k, pb.n);
-    let n_panels = n.div_ceil(NR);
-    let panels_per_group = NC / NR;
+    let n_panels = n.div_ceil(QNR);
     QPACK_A_BUF.with(|acell| {
         QACC64_BUF.with(|ccell| {
             let mut abuf = acell.borrow_mut();
@@ -578,31 +590,26 @@ fn qgemm_rows(
                 let pairs = kl.div_ceil(2);
                 let mut ic = 0;
                 while ic < rows {
-                    let ml = MC.min(rows - ic);
+                    let ml = QMC.min(rows - ic);
                     qpack_a(xq, k, start + ic, ml, ks, kl, &mut abuf);
-                    let strips = ml.div_ceil(MR);
-                    let mut t0 = 0;
-                    while t0 < n_panels {
-                        let t1 = (t0 + panels_per_group).min(n_panels);
-                        for t in t0..t1 {
-                            let bpanel = pb.panel(ks, kl, t);
-                            let cols = NR.min(n - t * NR);
-                            for s in 0..strips {
-                                let apanel = &abuf[s * pairs * 2 * MR..(s + 1) * pairs * 2 * MR];
-                                let mut acc = [0i32; MR * NR];
-                                run_qmicrokernel(simd, pairs, apanel, bpanel, &mut acc);
-                                let tile_rows = MR.min(ml - s * MR);
-                                for i in 0..tile_rows {
-                                    let r0 = (ic + s * MR + i) * n + t * NR;
-                                    let orow = &mut acc64[r0..r0 + cols];
-                                    let arow = &acc[i * NR..i * NR + cols];
-                                    for (o, &v) in orow.iter_mut().zip(arow) {
-                                        *o += v as i64;
-                                    }
+                    let strips = ml.div_ceil(QMR);
+                    for t in 0..n_panels {
+                        let bpanel = pb.panel(ks, kl, t);
+                        let cols = QNR.min(n - t * QNR);
+                        for s in 0..strips {
+                            let apanel = &abuf[s * pairs * 2 * QMR..(s + 1) * pairs * 2 * QMR];
+                            let mut acc = [0i32; QMR * QNR];
+                            run_qmicrokernel(simd, pairs, apanel, bpanel, &mut acc);
+                            let tile_rows = QMR.min(ml - s * QMR);
+                            for i in 0..tile_rows {
+                                let r0 = (ic + s * QMR + i) * n + t * QNR;
+                                let orow = &mut acc64[r0..r0 + cols];
+                                let arow = &acc[i * QNR..i * QNR + cols];
+                                for (o, &v) in orow.iter_mut().zip(arow) {
+                                    *o += v as i64;
                                 }
                             }
                         }
-                        t0 = t1;
                     }
                     ic += ml;
                 }
@@ -652,7 +659,7 @@ pub fn qgemm_packed_into(x: &Matrix, pb: &QuantPackedB, out: &mut Matrix) {
         // downstream are integer reorders.
         quantize_slice_i16(x.as_slice(), sx, &mut xq);
         let xq: &[i16] = &xq;
-        parallel_row_chunks_aligned(out.as_mut_slice(), m, n, MR, |start, chunk| {
+        parallel_row_chunks_aligned(out.as_mut_slice(), m, n, QMR, |start, chunk| {
             let rows = chunk.len() / n;
             qgemm_rows(xq, pb, sx, start, rows, chunk, simd);
         });

@@ -57,6 +57,10 @@ impl RowId for usize {
     }
 }
 
+/// The rows of a matrix a kernel reads, named the way [`row_sum`] names
+/// them: row `ids[i]`, or row `relabel[ids[i]]` through a relabel table.
+pub type RowIds<'a> = (Option<&'a [u32]>, &'a [usize]);
+
 thread_local! {
     /// Per-thread element offsets (`row · stride`) of the list being summed,
     /// reused across calls like the GEMM pack buffers.
@@ -128,8 +132,10 @@ fn simd_available() -> bool {
 
 /// Validate one call and turn its ids into element offsets into
 /// `src.as_slice()`. Everything either twin later indexes with is checked
-/// here, once, before any row is read.
-fn resolve<I: RowId>(
+/// here, once, before any row is read. The row-indexed GEMM
+/// ([`Matrix::matmul_packed_rows_into`]) resolves its row ids through this
+/// too, with `width` the depth it reads of each row.
+pub(crate) fn resolve<I: RowId>(
     offsets: &mut Vec<usize>,
     width: usize,
     src: &Matrix,
@@ -153,17 +159,17 @@ fn resolve<I: RowId>(
             Some(table) => {
                 assert!(
                     id < table.len(),
-                    "row_sum: id {id} outside the relabel table ({} entries)",
+                    "id {id} outside the relabel table ({} entries)",
                     table.len()
                 );
                 assert!(
                     table[id] != ABSENT,
-                    "row_sum: id {id} is absent from the relabel table"
+                    "id {id} is absent from the relabel table"
                 );
                 table[id] as usize
             }
         };
-        assert!(row < rows, "row_sum: row {row} out of range ({rows} rows)");
+        assert!(row < rows, "row {row} out of range ({rows} rows)");
         offsets.push(row * stride);
     }
 }

@@ -15,10 +15,21 @@
 //! Shapes are drawn from the tile-boundary set {0, 1, MR−1, MR, MR+1, MC±1,
 //! non-multiples} plus `KC`-straddling depths, the spots where panel edge
 //! handling goes wrong.
+//!
+//! Two more properties ride on the same shapes:
+//!
+//! 4. golden output hashes pin the blocked kernels **to the commit that
+//!    introduced them**, not only to each other — a re-tile or a `KC` change
+//!    that perturbs one bit fails here instead of drifting;
+//! 5. the row-indexed, column-windowed product
+//!    ([`Matrix::matmul_packed_rows_into`]) is bitwise the gather, the
+//!    product and the copy it replaces, touches nothing outside its window,
+//!    and validates every id before it writes.
 
 use gcnp_tensor::gemm::{KC, MC, MR, NR};
 use gcnp_tensor::init::seeded_rng;
-use gcnp_tensor::{set_gemm_path, GemmPath, Matrix, PackedB};
+use gcnp_tensor::rowsum::ABSENT;
+use gcnp_tensor::{set_gemm_path, set_num_threads, GemmPath, Matrix, PackedB};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -188,6 +199,159 @@ proptest! {
         let k = DIMS[ki] + (jitter ^ 1);
         let n = DIMS[ni] + (jitter ^ 2);
         check_shape(m, k, n, seed);
+    }
+}
+
+/// FNV-1a over the output's bit patterns.
+fn hash(out: &Matrix) -> u64 {
+    out.as_slice().iter().fold(0xcbf29ce484222325, |h, v| {
+        (h ^ v.to_bits() as u64).wrapping_mul(0x100000001b3)
+    })
+}
+
+#[test]
+fn golden_hashes_pin_the_blocked_kernels() {
+    // Values of the 8 × 8 packed-A kernel this one replaced; the contract
+    // (per element, an fma chain over `p` inside a `KC` slab, slabs added in
+    // ascending order) makes them independent of tile shape, A layout,
+    // microkernel twin and thread count.
+    let mut golden = vec![
+        (513, 256, 41, 0xc348557dc7484ace),
+        (700, 256, 128, 0x33687dd21d3586cc),
+        (4096, 150, 32, 0xd58a6ec79a076030),
+        (7, 300, 19, 0xcd4bb28d1651197d),
+    ];
+    if !cfg!(debug_assertions) {
+        // The unpruned serving shape: minutes on the unoptimised scalar twin.
+        golden.push((4781, 602, 128, 0x1881b31937d988d4u64));
+    }
+    let _forced = ForcedPath::lock();
+    for (m, k, n, want) in golden {
+        let a = Matrix::rand_uniform(m, k, -1.0, 1.0, &mut seeded_rng(1));
+        let b = Matrix::rand_uniform(k, n, -1.0, 1.0, &mut seeded_rng(2));
+        let pack = PackedB::pack(&b);
+        for path in [GemmPath::BlockedScalar, GemmPath::BlockedSimd] {
+            set_gemm_path(Some(path));
+            for threads in [1, 4] {
+                set_num_threads(threads);
+                let got = hash(&a.matmul_packed(&pack));
+                set_num_threads(0);
+                assert_eq!(
+                    got, want,
+                    "{m}x{k}x{n} {path:?} threads={threads}: {got:016x} != {want:016x}"
+                );
+            }
+        }
+    }
+}
+
+/// The row-indexed, column-windowed product against its materialised
+/// reference, under both microkernels. `ids` index `relabel` (when given),
+/// which indexes `src`. Caller holds the lock.
+fn check_rows_window(
+    src: &Matrix,
+    relabel: Option<&[u32]>,
+    ids: &[usize],
+    b: &Matrix,
+    col0: usize,
+    pad: usize,
+) {
+    let pack = PackedB::pack(b);
+    let (m, n) = (ids.len(), b.cols());
+    let resolved: Vec<usize> = ids
+        .iter()
+        .map(|&v| relabel.map_or(v, |t| t[v] as usize))
+        .collect();
+    // A NaN with a payload no product produces: any write outside the
+    // window, or a window element left unwritten, shows up bit for bit.
+    let fill = f32::from_bits(0x7fc0_beef);
+    for path in [GemmPath::BlockedScalar, GemmPath::BlockedSimd] {
+        set_gemm_path(Some(path));
+        let want = src.select_rows(&resolved).matmul_packed(&pack);
+        let mut out = Matrix::filled(m, col0 + n + pad, fill);
+        src.matmul_packed_rows_into(Some((relabel, ids)), &pack, &mut out, col0);
+        for i in 0..m {
+            for (c, v) in out.row(i).iter().enumerate() {
+                let want = match c.checked_sub(col0) {
+                    Some(j) if j < n => want.get(i, j),
+                    _ => fill,
+                };
+                assert_eq!(v.to_bits(), want.to_bits(), "{path:?} row {i} col {c}");
+            }
+        }
+    }
+}
+
+#[test]
+fn rows_window_accumulates_only_its_window_across_kc_slabs() {
+    let _forced = ForcedPath::lock();
+    // Later slabs load-add-store into `out`: with `ldc ≠ n` they must add
+    // into the window's columns and nothing else.
+    for k in [KC - 1, KC + 1, 2 * KC + 5] {
+        let src = Matrix::rand_uniform(MR + 3, k, -1.0, 1.0, &mut seeded_rng(k as u64));
+        let b = Matrix::rand_uniform(k, 2 * NR + 3, -1.0, 1.0, &mut seeded_rng(9));
+        let ids: Vec<usize> = (0..2 * MR + 1).map(|i| (i * 5) % src.rows()).collect();
+        check_rows_window(&src, None, &ids, &b, 3, 2);
+        check_rows_window(&src, None, &ids, &b, 0, 0);
+    }
+}
+
+#[test]
+fn rows_window_rejects_bad_ids_before_writing() {
+    let _forced = ForcedPath::lock();
+    let src = Matrix::rand_uniform(4, 5, -1.0, 1.0, &mut seeded_rng(5));
+    let pack = PackedB::pack(&Matrix::rand_uniform(5, 3, -1.0, 1.0, &mut seeded_rng(6)));
+    let relabel = [2u32, ABSENT, 0, 9];
+    let cases: [(Option<&[u32]>, &[usize]); 4] = [
+        (None, &[0, 4]),              // row outside src
+        (Some(&relabel), &[0, 1]),    // absent relabel slot
+        (Some(&relabel), &[2, 4]),    // id outside the relabel table
+        (Some(&relabel), &[0, 2, 3]), // relabelled row outside src
+    ];
+    for (relabel, ids) in cases {
+        let mut out = Matrix::filled(ids.len(), 3, 7.0);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            src.matmul_packed_rows_into(Some((relabel, ids)), &pack, &mut out, 0)
+        }));
+        assert!(caught.is_err(), "{relabel:?} {ids:?} must be rejected");
+        assert!(
+            out.as_slice().iter().all(|&v| v == 7.0),
+            "{relabel:?} {ids:?}: rejected after a write"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn rows_window_equals_gather_product_and_copy(
+        mi in 0usize..9,
+        ki in 1usize..9,
+        ni in 0usize..9,
+        col0 in 0usize..20,
+        pad in 0usize..3,
+        relabelled in 0usize..2,
+        seed in 0u64..u64::MAX,
+    ) {
+        let _forced = ForcedPath::lock();
+        let (m, k, n) = (DIMS[mi], DIMS[ki], DIMS[ni]);
+        let mut rng = seeded_rng(seed);
+        let src = Matrix::rand_uniform(MC / 2 + 1, k, -1.0, 1.0, &mut rng);
+        let b = Matrix::rand_uniform(k, n, -1.0, 1.0, &mut rng);
+        // Duplicated, unordered ids; through a relabel table they index a
+        // reversed, gappy mapping onto the source rows.
+        let span = src.rows();
+        let ids: Vec<usize> = (0..m).map(|i| (i * 7 + seed as usize % 5) % span).collect();
+        let relabel: Vec<u32> = (0..2 * span)
+            .map(|v| if v % 2 == 0 { (span - 1 - v / 2) as u32 } else { ABSENT })
+            .collect();
+        if relabelled == 1 {
+            let ids: Vec<usize> = ids.iter().map(|&v| 2 * v).collect();
+            check_rows_window(&src, Some(&relabel), &ids, &b, col0, pad);
+        } else {
+            check_rows_window(&src, None, &ids, &b, col0, pad);
+        }
     }
 }
 

@@ -13,8 +13,9 @@
 //!    count) and exact whenever the operand fits the sample budget —
 //!    the properties the engine's kernel dispatch relies on.
 
-use gcnp_tensor::gemm::{KC, MC, MR, NR};
+use gcnp_tensor::gemm::KC;
 use gcnp_tensor::init::seeded_rng;
+use gcnp_tensor::quant::{QMC as MC, QMR as MR, QNR as NR};
 use gcnp_tensor::{
     qgemm_packed_into, qmatmul, set_gemm_path, GemmPath, Matrix, QuantMatrix, QuantPackedB,
 };
