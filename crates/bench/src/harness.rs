@@ -107,7 +107,7 @@ impl Ctx {
 
 /// Locate the workspace root (directory containing the top-level Cargo.toml
 /// with a `[workspace]` section), falling back to the current directory.
-pub fn workspace_root() -> PathBuf {
+fn workspace_root() -> PathBuf {
     let mut dir = std::env::current_dir().expect("cwd");
     loop {
         let manifest = dir.join("Cargo.toml");

@@ -3,7 +3,8 @@
 //! The experiment harness. Each binary in `src/bin/` regenerates one table
 //! or figure of the paper (see DESIGN.md §4 for the index); shared
 //! train/prune/retrain plumbing lives in [`pipeline`], result persistence
-//! and table formatting in [`harness`].
+//! and table formatting in [`harness`]. Nothing here times a kernel or the
+//! serving stack: wall-clock numbers come from the `benchmark/` package.
 //!
 //! All binaries honor two environment variables:
 //!

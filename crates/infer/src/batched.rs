@@ -23,7 +23,7 @@
 //! GEMM stores into its own column window of the layer's combined output —
 //! the product is the concatenation. (`gather_selected` builds an operand
 //! only where a kernel needs one as a tensor: a `keep` on a hidden level,
-//! the int8 tier, a sparse-dispatch hit.) A layer-1 branch
+//! the int8 tier.) A layer-1 branch
 //! that carries a runtime `keep` list (the pruner leaves one only there:
 //! the attributes themselves are never rewritten) gets its kept channels
 //! packed once at engine construction — `features.select_cols(keep)`,
@@ -86,26 +86,10 @@ use crate::store::FeatureStore;
 /// batch, while a too-large one spuriously sheds a cold fleet's first batch.
 const COLD_MACS_PER_SEC: f64 = 2e9;
 
-/// Sampled zero fraction of a gathered operand above which the dense branch
-/// GEMM is routed to the column-blocked CSR SpMM instead. ReLU-sparsified
-/// hidden layers routinely exceed this; raw feature gathers rarely do. At
-/// 87.5% zeros the sparse kernel touches ⅛ of the multiply work, which
-/// comfortably covers the compression cost.
-const SPARSE_DISPATCH_ZERO_FRAC: f32 = 0.875;
-
-/// Minimum `rows · in · out` multiply-adds before the density probe runs at
-/// all: below this even a free sparse kernel cannot repay the probe and
-/// compression overhead, so small products always take the dense pack.
-const SPARSE_DISPATCH_MIN_MACS: usize = 1 << 15;
-
-/// Elements the density probe samples per gathered operand (fixed-stride,
-/// sequential — deterministic and thread-count invariant).
-const DENSITY_PROBE_SAMPLES: usize = 1024;
-
 /// Numeric precision an engine runs its branch transforms in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Precision {
-    /// f32 blocked GEMM with runtime sparsity dispatch (dense ↔ CSR SpMM).
+    /// f32 blocked GEMM.
     F32,
     /// Blocked int8 GEMM over per-column-quantized packed weights — the
     /// degradation ladder's cheapest rung.
@@ -564,10 +548,9 @@ impl<'a> BatchedEngine<'a> {
     }
 
     /// Create an engine whose branch transforms run in the given
-    /// [`Precision`]: `F32` packs the weights for the blocked f32 GEMM (with
-    /// runtime sparsity dispatch), `Int8` quantizes them per column and
-    /// packs for the blocked int8 kernel — the degradation ladder's
-    /// `quantized` rung.
+    /// [`Precision`]: `F32` packs the weights for the blocked f32 GEMM,
+    /// `Int8` quantizes them per column and packs for the blocked int8
+    /// kernel — the degradation ladder's `quantized` rung.
     #[allow(clippy::too_many_arguments)]
     pub fn new_with_precision(
         model: &'a GnnModel,
@@ -1078,11 +1061,11 @@ impl<'e, 'a> EngineCore<'e, 'a> {
                     None => (src.mat, Some((src.relabel, ls.compute.as_slice()))),
                 };
                 if bi == 0 || layer.combine == CombineMode::Concat {
-                    self.transform(li, bi, branch, operand, &mut out, col0, pool);
+                    self.transform(li, bi, operand, &mut out, col0, pool);
                     col0 += branch.out_dim();
                 } else {
                     let mut prod = pool.take_matrix(ls.compute.len(), branch.out_dim());
-                    self.transform(li, bi, branch, operand, &mut prod, 0, pool);
+                    self.transform(li, bi, operand, &mut prod, 0, pool);
                     out.add_assign(&prod);
                     pool.recycle(prod);
                 }
@@ -1221,101 +1204,58 @@ impl<'e, 'a> EngineCore<'e, 'a> {
     }
 
     /// `out[..][col0 .. col0 + out_dim] = operand · W` for branch `bi` of layer
-    /// `li` (1-based), on the kernel the engine's precision and the
-    /// operand's density select. The operand is `mat`, or the rows `ids` of
-    /// it read in place, which the dense f32 GEMM multiplies as they lie and
-    /// stores straight into the window.
-    #[allow(clippy::too_many_arguments)]
+    /// `li` (1-based), on the one kernel of the engine's precision. The
+    /// operand is `mat`, or the rows `ids` of it read in place, which the f32
+    /// GEMM multiplies as they lie and stores straight into the window.
     fn transform(
         &self,
         li: usize,
         bi: usize,
-        branch: &Branch,
         (mat, ids): (&Matrix, Option<RowIds<'_>>),
         out: &mut Matrix,
         col0: usize,
         pool: &mut ScratchPool,
     ) {
-        if let WeightPacks::F32(pm) = self.packed {
-            // Density probe: ReLU-sparsified (or pruned-gather) operands
-            // above the zero-fraction threshold route to the
-            // column-blocked CSR SpMM; everything else takes the dense
-            // blocked GEMM. The probe is a fixed-stride sample, so the
-            // decision is deterministic and independent of thread count.
-            let rows = ids.map_or(mat.rows(), |(_, ids)| ids.len());
-            let macs = rows * branch.in_dim() * branch.out_dim();
-            if macs < SPARSE_DISPATCH_MIN_MACS
-                || zero_fraction_sampled(mat, ids, DENSITY_PROBE_SAMPLES)
-                    < SPARSE_DISPATCH_ZERO_FRAC
-            {
+        match self.packed {
+            WeightPacks::F32(pm) => {
                 // audit: allow(no-fail-stop) — packs are built 1:1 with model branches at construction
                 mat.matmul_packed_rows_into(ids, &pm.branch_packs(li - 1)[bi], out, col0);
                 if let Some(m) = self.metrics {
                     m.dispatch_dense.inc();
                 }
-                return;
             }
-        }
-        // The int8 kernel quantizes its operand as one tensor and the sparse
-        // one compresses it, and both fill a whole matrix: build an in-place
-        // operand first, take the product in a pooled buffer, copy it into
-        // the window.
-        if let Some((relabel, ids)) = ids {
-            let src = RowSource {
-                mat,
-                relabel,
-                keep: None,
-            };
-            let built = gather_selected(src, ids, pool);
-            self.transform(li, bi, branch, (&built, None), out, col0, pool);
-            return pool.recycle(built);
-        }
-        let mut prod = pool.take_matrix(mat.rows(), branch.out_dim());
-        match self.packed {
             WeightPacks::Int8(qm) => {
-                // Quantized tier: the blocked int8 kernel over the
-                // mask-folded per-column-quantized pack.
+                // The int8 kernel quantizes its operand as one tensor and
+                // fills a whole matrix: gather a row-indexed operand first,
+                // take the product in a pooled buffer, copy it into the
+                // window.
                 // audit: allow(no-fail-stop) — packs are built 1:1 with model branches at construction
-                qgemm_packed_into(mat, &qm.branch_packs(li - 1)[bi], &mut prod);
+                let pack = &qm.branch_packs(li - 1)[bi];
+                let built = ids.map(|(relabel, ids)| {
+                    let src = RowSource {
+                        mat,
+                        relabel,
+                        keep: None,
+                    };
+                    gather_selected(src, ids, pool)
+                });
+                let x = built.as_ref().unwrap_or(mat);
+                let mut prod = pool.take_matrix(x.rows(), pack.n());
+                qgemm_packed_into(x, pack, &mut prod);
                 if let Some(m) = self.metrics {
                     m.dispatch_int8.inc();
                 }
-            }
-            WeightPacks::F32(_) => {
-                CsrMatrix::from_dense(mat).spmm_into(&branch.weight, &mut prod);
-                if let Some(m) = self.metrics {
-                    m.dispatch_sparse.inc();
+                for i in 0..prod.rows() {
+                    // audit: allow(no-fail-stop) — `out` is `layer.out_dim()` wide (or this branch's own product), which holds every branch's window
+                    out.row_mut(i)[col0..col0 + prod.cols()].copy_from_slice(prod.row(i));
+                }
+                pool.recycle(prod);
+                if let Some(b) = built {
+                    pool.recycle(b);
                 }
             }
         }
-        for i in 0..prod.rows() {
-            // audit: allow(no-fail-stop) — `out` is `layer.out_dim()` wide (or this branch's own product), which holds every branch's window
-            out.row_mut(i)[col0..col0 + prod.cols()].copy_from_slice(prod.row(i));
-        }
-        pool.recycle(prod);
     }
-}
-
-/// [`Matrix::zero_fraction_sampled`] of an operand as if it were built: the
-/// same fixed-stride positions, read through the row ids when it is not.
-fn zero_fraction_sampled(mat: &Matrix, ids: Option<RowIds<'_>>, max_samples: usize) -> f32 {
-    let Some((relabel, ids)) = ids else {
-        return mat.zero_fraction_sampled(max_samples);
-    };
-    let src = RowSource {
-        mat,
-        relabel,
-        keep: None,
-    };
-    let len = ids.len() * mat.cols();
-    if len == 0 || max_samples == 0 {
-        return 0.0;
-    }
-    let at = (0..len).step_by((len / max_samples).max(1));
-    let seen = at.len();
-    // audit: allow(no-fail-stop) — `i < ids.len() · cols`, and every row is `cols` wide
-    let zeros = at.filter(|i| src.row(ids[i / mat.cols()])[i % mat.cols()] == 0.0);
-    zeros.count() as f32 / seen as f32
 }
 
 /// Where a layer's branches read their input rows: `mat`, reached through
@@ -1470,6 +1410,19 @@ mod tests {
         (adj, x, model)
     }
 
+    /// A 128-node ring whose attribute rows are ≥ 98 % zeros (two non-dyadic
+    /// non-zeros of 96, so an fma chain and a multiply-then-add can round
+    /// apart) under a 96 → 16 → 4 GraphSAGE.
+    fn sparse_setup() -> (CsrMatrix, Matrix, GnnModel) {
+        let (n, d) = (128, 96);
+        let mut x = Matrix::zeros(n, d);
+        for v in 0..n {
+            x.set(v, v % d, 0.3);
+            x.set(v, (v * 7 + 3) % d, 0.7);
+        }
+        (ring(n), x, zoo::graphsage(d, 16, 4, 11))
+    }
+
     /// `model` with a runtime `keep` list (and the matching weight rows) on
     /// each `(layer, branch, channels)` site — keep lists the pruner would
     /// never leave on a hidden level, in an order it would never produce.
@@ -1529,7 +1482,8 @@ mod tests {
         // exactly the full-inference embeddings for the targets — for the
         // unpruned model, for one pruned by the batched scheme (runtime
         // `keep` on layer 1's aggregation branch, served from the attribute
-        // pack), and for hand-placed unsorted `keep` lists.
+        // pack), for hand-placed unsorted `keep` lists, and for a 64-target
+        // batch over nearly-empty attribute rows.
         let (adj, x, model) = setup();
         let norm = adj.normalized(Normalization::Row);
         let cfg = gcnp_core::PrunerConfig {
@@ -1554,16 +1508,25 @@ mod tests {
             "the batched scheme leaves a runtime keep on layer 1's aggregation branch"
         );
         let hand = hand_pruned(&model);
-        for (name, model) in [
-            ("unpruned", &model),
-            ("batched-scheme pruned", &scheme_pruned),
-            ("hand-built keep", &hand),
+        let (sparse_adj, sparse_x, sparse_model) = sparse_setup();
+        let few = [4usize, 17, 25];
+        let many: Vec<usize> = (0..64).collect();
+        for (name, adj, x, model, targets) in [
+            ("unpruned", &adj, &x, &model, &few[..]),
+            ("batched-scheme pruned", &adj, &x, &scheme_pruned, &few[..]),
+            ("hand-built keep", &adj, &x, &hand, &few[..]),
+            (
+                "sparse attributes",
+                &sparse_adj,
+                &sparse_x,
+                &sparse_model,
+                &many[..],
+            ),
         ] {
-            let full = model.forward_full(Some(&norm), &x);
-            let mut engine =
-                BatchedEngine::new(model, &adj, &x, vec![], None, StorePolicy::None, 0);
-            let targets = vec![4usize, 17, 25];
-            let res = engine.infer(&targets);
+            let norm = adj.normalized(Normalization::Row);
+            let full = model.forward_full(Some(&norm), x);
+            let mut engine = BatchedEngine::new(model, adj, x, vec![], None, StorePolicy::None, 0);
+            let res = engine.infer(targets);
             for (i, &t) in targets.iter().enumerate() {
                 for c in 0..4 {
                     assert!(
@@ -1704,7 +1667,7 @@ mod tests {
     /// its own, and the combine is a separate pass — `concat_cols_into`, or
     /// copy-add-scale for `Mean`.
     /// Computes the logits of the engine's *next* batch without serving it
-    /// (read-only store policies only; below the sparse-dispatch MAC floor).
+    /// (read-only store policies only).
     fn materialised_level_zero_logits(engine: &mut BatchedEngine<'_>, targets: &[usize]) -> Matrix {
         let batch_seed = engine.seed ^ (engine.batch_counter + 1);
         let (core, _, _) = engine.split();
@@ -2382,18 +2345,17 @@ mod tests {
         let (adj, x, model) = setup();
         let registry = Arc::new(gcnp_obs::MetricsRegistry::new());
         let metrics = crate::EngineMetrics::new(&registry);
+        let transforms: u64 = model.layers.iter().map(|l| l.branches.len() as u64).sum();
 
-        // Dense activations on a small model: every layer GEMM is below the
-        // MAC floor, so everything routes to the dense blocked kernel.
+        // An f32 engine runs every branch transform of a batch on the dense
+        // blocked kernel.
         let mut dense = BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 0);
         dense.set_metrics(Arc::clone(&metrics));
         dense.infer(&[4, 17, 25]);
-        assert!(metrics.dispatch_dense.get() > 0, "dense path must engage");
-        assert_eq!(metrics.dispatch_sparse.get(), 0);
+        assert_eq!(metrics.dispatch_dense.get(), transforms);
         assert_eq!(metrics.dispatch_int8.get(), 0);
 
-        // An int8 engine routes every branch GEMM to the quantized kernel.
-        let before_dense = metrics.dispatch_dense.get();
+        // An int8 engine runs every one of them on the quantized kernel.
         let mut q8 = BatchedEngine::new_with_precision(
             &model,
             &adj,
@@ -2406,69 +2368,24 @@ mod tests {
         );
         q8.set_metrics(Arc::clone(&metrics));
         q8.infer(&[4, 17, 25]);
-        assert!(metrics.dispatch_int8.get() > 0, "int8 path must engage");
-        assert_eq!(metrics.dispatch_dense.get(), before_dense);
-        assert_eq!(metrics.dispatch_sparse.get(), 0);
+        assert_eq!(metrics.dispatch_int8.get(), transforms);
+        assert_eq!(metrics.dispatch_dense.get(), transforms);
     }
 
+    /// f32 only: the int8 tier quantizes each operand as one tensor, so its
+    /// logits depend on the batch by design.
     #[test]
-    fn sparse_dispatch_engages_on_sparse_features_and_preserves_logits() {
-        // Nearly-empty feature rows (a few one-hot attributes) over a wide
-        // model: level-0 gathers clear both the zero-fraction threshold and
-        // the MAC floor, so layer 1 must take the CSR SpMM path — and the
-        // logits must still match full inference.
-        let n = 128;
-        let d = 96;
-        let adj = ring(n);
-        let mut x = Matrix::zeros(n, d);
-        for v in 0..n {
-            x.set(v, v % d, 1.0);
-            x.set(v, (v * 7 + 3) % d, 0.5);
-        }
-        let model = zoo::graphsage(d, 16, 4, 11);
-        let targets: Vec<usize> = (0..64).collect();
-
-        let registry = Arc::new(gcnp_obs::MetricsRegistry::new());
-        let metrics = crate::EngineMetrics::new(&registry);
+    fn f32_logits_do_not_depend_on_batch_mates() {
+        // Uncapped, no store: a node's logits are a function of the graph,
+        // whichever targets it is served beside — bit for bit, because each
+        // output row of the one dense kernel is its own fma chain.
+        let (adj, x, model) = sparse_setup();
         let mut engine = BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 0);
-        engine.set_metrics(Arc::clone(&metrics));
-        let res = engine.infer(&targets);
-
-        if gcnp_obs::enabled() {
-            assert!(
-                metrics.dispatch_sparse.get() > 0,
-                "sparse path must engage on 98%-zero gathers"
-            );
-            assert!(
-                metrics.dispatch_dense.get() > 0,
-                "narrow layer-2 GEMMs stay dense"
-            );
-        }
-        let norm = adj.normalized(Normalization::Row);
-        let full = model.forward_full(Some(&norm), &x);
-        for (i, &t) in targets.iter().enumerate() {
-            for c in 0..4 {
-                assert!(
-                    (res.logits.get(i, c) - full.get(t, c)).abs() < 1e-4,
-                    "target {t} class {c}: {} vs {}",
-                    res.logits.get(i, c),
-                    full.get(t, c)
-                );
-            }
-        }
-
-        // The probe is a fixed-stride sample over the gathered operand, so
-        // the kernel choice — and therefore the counters — are deterministic
-        // across runs and thread counts.
-        let registry2 = Arc::new(gcnp_obs::MetricsRegistry::new());
-        let metrics2 = crate::EngineMetrics::new(&registry2);
-        let mut engine2 = BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 0);
-        engine2.set_metrics(Arc::clone(&metrics2));
-        engine2.infer(&targets);
-        assert_eq!(
-            metrics.dispatch_sparse.get(),
-            metrics2.dispatch_sparse.get()
-        );
-        assert_eq!(metrics.dispatch_dense.get(), metrics2.dispatch_dense.get());
+        let t = 37;
+        let alone = engine.infer(&[t]);
+        let batch: Vec<usize> = (0..64).collect();
+        let beside = engine.infer(&batch);
+        let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(alone.logits.row(0)), bits(beside.logits.row(t)));
     }
 }

@@ -15,8 +15,8 @@
 //!   queue wait excluded), and per-stage busy time is bounded by the run's
 //!   wall clock rather than tiling it;
 //! * `engine.batch.seconds` / `engine.batch.size` / `engine.batches`;
-//! * `engine.dispatch.{dense|sparse|int8}` — per-branch kernel picks of the
-//!   runtime sparsity/precision dispatch;
+//! * `engine.dispatch.{dense|int8}` — branch transforms run on the f32 /
+//!   int8 kernel (one of the two per engine, fixed by its `Precision`);
 //! * `serving.tier{i}.served` — requests served on ladder tier `i`;
 //! * `store.{hit|miss|evict|write}.l{level}` + `store.poison_recovered`;
 //! * `serving.*` — loop counters (shed, retries, recoveries, tier switches),
@@ -66,13 +66,9 @@ pub struct EngineMetrics {
     /// batch (`scratch.resident_bytes`). Bounded by the pool's byte cap
     /// even under retry/hedge storms.
     pub scratch_resident: Arc<Gauge>,
-    /// Branch GEMMs routed to the dense blocked f32 kernel
-    /// (`engine.dispatch.dense`) by the runtime density probe.
+    /// Branch GEMMs executed on the dense blocked f32 kernel
+    /// (`engine.dispatch.dense`) — every branch of an f32 engine.
     pub dispatch_dense: Arc<Counter>,
-    /// Branch GEMMs routed to the column-blocked CSR SpMM
-    /// (`engine.dispatch.sparse`): the probe saw a mostly-zero gathered
-    /// operand (ReLU-sparsified activations).
-    pub dispatch_sparse: Arc<Counter>,
     /// Branch GEMMs executed on the blocked int8 kernel
     /// (`engine.dispatch.int8`) — every branch of a quantized-tier engine.
     pub dispatch_int8: Arc<Counter>,
@@ -94,7 +90,6 @@ impl EngineMetrics {
             batches: registry.counter("engine.batches"),
             scratch_resident: registry.gauge("scratch.resident_bytes"),
             dispatch_dense: registry.counter("engine.dispatch.dense"),
-            dispatch_sparse: registry.counter("engine.dispatch.sparse"),
             dispatch_int8: registry.counter("engine.dispatch.int8"),
         })
     }

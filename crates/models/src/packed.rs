@@ -240,9 +240,8 @@ mod tests {
     fn pruned_model_outputs_unchanged_by_kernel_path() {
         // Satellite pin: pruned models (keep lists + compacted weights) must
         // produce the same outputs through the blocked/packed kernels as
-        // through the plain forward — zero-channel skipping now lives only in
-        // the explicit `matmul_zero_skipping` path and pruning semantics come
-        // from `select_cols`, not from skipping zeros inside the GEMM.
+        // through the plain forward — pruning semantics come from
+        // `select_cols`, not from skipping zeros inside the GEMM.
         let mut model = zoo::graphsage(6, 8, 3, 21);
         let keep = vec![0, 2, 5];
         for layer in &mut model.layers {
@@ -274,7 +273,7 @@ mod tests {
             let zm = z.scale_cols(&mask);
             let l = &model_full.layers[0];
             let b0 = &l.branches[0];
-            zm.matmul_zero_skipping(&b0.weight)
+            zm.matmul(&b0.weight)
         };
         let compact = x
             .select_cols(&keep)

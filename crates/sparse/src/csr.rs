@@ -139,38 +139,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Compress a dense matrix, dropping exactly-zero entries. This feeds
-    /// the runtime sparsity dispatch: when the density probe reports a
-    /// ReLU-sparsified (or pruning-masked) operand as mostly zero, the
-    /// engine compresses it once and runs [`CsrMatrix::spmm`] instead of the
-    /// dense GEMM, so the zero entries are skipped structurally rather than
-    /// branch-by-branch.
-    ///
-    /// Shapes: `m` is `(r, c)` dense; the result is `(r, c)` sparse with `nnz` = count of non-zeros.
-    pub fn from_dense(m: &Matrix) -> Self {
-        let (n_rows, n_cols) = m.shape();
-        let mut indptr = Vec::with_capacity(n_rows + 1);
-        indptr.push(0);
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        for r in 0..n_rows {
-            for (c, &v) in m.row(r).iter().enumerate() {
-                if v != 0.0 {
-                    indices.push(c as u32);
-                    values.push(v);
-                }
-            }
-            indptr.push(indices.len());
-        }
-        Self {
-            n_rows,
-            n_cols,
-            indptr,
-            indices,
-            values,
-        }
-    }
-
     /// An empty `n_rows × n_cols` matrix.
     pub fn empty(n_rows: usize, n_cols: usize) -> Self {
         Self {
@@ -254,10 +222,8 @@ impl CsrMatrix {
         out
     }
 
-    /// [`CsrMatrix::spmm`] into a caller-provided output (typically scratch
-    /// leased from a [`gcnp_tensor::ScratchPool`], so the sparse dispatch
-    /// path of the serving engines performs no per-batch allocation). `out`
-    /// is fully overwritten.
+    /// [`CsrMatrix::spmm`] into a caller-provided output. `out` is fully
+    /// overwritten.
     ///
     /// Shapes: `self` is `(n_rows, n_cols)` sparse, `rhs` `(n_cols, f)` dense, and `out` must be `(n_rows, f)`.
     pub fn spmm_into(&self, rhs: &Matrix, out: &mut Matrix) {
@@ -580,28 +546,5 @@ mod tests {
         assert_eq!(m.nnz(), 0);
         let out = m.spmm(&Matrix::filled(3, 2, 1.0));
         assert_eq!(out, Matrix::zeros(3, 2));
-    }
-
-    #[test]
-    fn from_dense_roundtrips_through_spmm() {
-        // A ReLU-sparsified operand: mostly zeros, structured survivors.
-        let mut d = Matrix::zeros(5, 7);
-        d.set(0, 1, 2.0);
-        d.set(0, 6, -1.5);
-        d.set(3, 0, 0.25);
-        d.set(4, 4, 3.0);
-        let s = CsrMatrix::from_dense(&d);
-        assert_eq!(s.n_rows(), 5);
-        assert_eq!(s.n_cols(), 7);
-        assert_eq!(s.nnz(), 4);
-        assert_eq!(s.degree(1), 0);
-        let rhs = Matrix::from_vec(7, 2, (0..14).map(|i| i as f32 * 0.5 - 3.0).collect());
-        // The sparse product must equal the dense one exactly: each output
-        // element sums the same products in the same (column) order.
-        assert_eq!(s.spmm(&rhs).as_slice(), d.matmul(&rhs).as_slice());
-        // spmm_into fully overwrites a dirty scratch buffer.
-        let mut dirty = Matrix::filled(5, 2, 99.0);
-        s.spmm_into(&rhs, &mut dirty);
-        assert_eq!(dirty.as_slice(), d.matmul(&rhs).as_slice());
     }
 }

@@ -31,15 +31,9 @@
 //! thread counts and across the scalar/SIMD microkernels. Tile shape, where
 //! `A` is read from and where `C` lives are not part of that contract, and
 //! `tests/gemm_equivalence.rs` pins golden output hashes so a re-tile that
-//! perturbs a bit fails loudly. The [`GemmPath::Naive`]
-//! reference — the pre-blocking i-k-j kernel with its zero-skip branch — is
-//! kept only behind an explicit override for benchmarking and equivalence
-//! tests.
-//!
-//! The zero-channel skip that the old kernel applied unconditionally (a
-//! branch per `a[i][k]`, poison for dense data) survives only in the explicit
-//! [`Matrix::matmul_zero_skipping`](crate::Matrix::matmul_zero_skipping)
-//! entry point for masked/pruned operands.
+//! perturbs a bit fails loudly. The reference every kernel is held to is the
+//! f64 triple loop in that suite; no reference kernel is compiled into the
+//! library.
 
 use crate::matrix::Matrix;
 use crate::parallel::{parallel_row_chunks, parallel_row_chunks_aligned};
@@ -69,10 +63,6 @@ const BLOCKED_MIN_FLOPS: usize = 1 << 16;
 /// Dense GEMM implementation selector. See [`set_gemm_path`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GemmPath {
-    /// The pre-blocking i-k-j kernel (with its zero-skip branch), kept as the
-    /// benchmark reference for the blocked rewrite. `AᵀB` materializes a full
-    /// transpose per call on this path, exactly like the old code.
-    Naive,
     /// Blocked + packed kernels with the scalar `f32::mul_add` microkernel.
     BlockedScalar,
     /// Blocked + packed kernels with the AVX2/FMA microkernel. Resolves to
@@ -84,25 +74,22 @@ pub enum GemmPath {
 static PATH_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
 /// Force a specific GEMM implementation (`None` restores auto-dispatch).
-/// Benchmarks use this to record naive-vs-blocked numbers in one process;
-/// the equivalence suite uses it to pin each microkernel. Forcing a blocked
-/// path also disables the small-shape shortcut so tiny shapes exercise the
+/// The equivalence suite uses it to pin each microkernel. Forcing a path
+/// also disables the small-shape shortcut so tiny shapes exercise the
 /// packed kernels.
 pub fn set_gemm_path(path: Option<GemmPath>) {
     let v = match path {
         None => 0,
-        Some(GemmPath::Naive) => 1,
-        Some(GemmPath::BlockedScalar) => 2,
-        Some(GemmPath::BlockedSimd) => 3,
+        Some(GemmPath::BlockedScalar) => 1,
+        Some(GemmPath::BlockedSimd) => 2,
     };
     PATH_OVERRIDE.store(v, Ordering::Relaxed);
 }
 
 fn forced_path() -> Option<GemmPath> {
     match PATH_OVERRIDE.load(Ordering::Relaxed) {
-        1 => Some(GemmPath::Naive),
-        2 => Some(GemmPath::BlockedScalar),
-        3 => Some(GemmPath::BlockedSimd),
+        1 => Some(GemmPath::BlockedScalar),
+        2 => Some(GemmPath::BlockedSimd),
         _ => None,
     }
 }
@@ -114,10 +101,7 @@ fn forced_path() -> Option<GemmPath> {
 pub fn gemm_path() -> GemmPath {
     match forced_path() {
         Some(GemmPath::BlockedSimd) | None if simd_available() => GemmPath::BlockedSimd,
-        Some(GemmPath::Naive) => GemmPath::Naive,
-        Some(GemmPath::BlockedScalar) | Some(GemmPath::BlockedSimd) | None => {
-            GemmPath::BlockedScalar
-        }
+        _ => GemmPath::BlockedScalar,
     }
 }
 
@@ -319,7 +303,7 @@ impl PackedB {
     /// `PackedB::pack(&b.select_rows(keep))` without materializing the
     /// compacted matrix, so pruned channels are never packed (and therefore
     /// never multiplied): the pruning mask is folded into the pack step
-    /// instead of being re-applied by a zero-skipping kernel per batch.
+    /// instead of being re-applied per batch.
     ///
     /// Shapes: `b` is `(k_full, n)`, `keep` indexes rows of `b`; the pack is `(keep.len(), n)` and `a.matmul_packed(&pack)` requires `a.cols() == keep.len()`.
     pub fn pack_rows(b: &Matrix, keep: &[usize]) -> PackedB {
@@ -360,28 +344,6 @@ impl PackedB {
     /// Bytes held by the packed panels (capacity-independent).
     pub fn packed_bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<f32>()
-    }
-
-    /// Reconstruct the row-major source matrix from the panels (used by the
-    /// `Naive` benchmarking path and pack-layout tests).
-    pub fn unpack(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.k, self.n);
-        let panels = self.panels();
-        let n_panels = self.n.div_ceil(NR);
-        let mut ks = 0;
-        while ks < self.k {
-            let kl = KC.min(self.k - ks);
-            for t in 0..n_panels {
-                let cols = NR.min(self.n - t * NR);
-                let panel = panels.panel(ks, kl, t);
-                for p in 0..kl {
-                    let row = out.row_mut(ks + p);
-                    row[t * NR..t * NR + cols].copy_from_slice(&panel[p * NR..p * NR + cols]);
-                }
-            }
-            ks += kl;
-        }
-        out
     }
 
     fn panels(&self) -> PackedPanels<'_> {
@@ -639,51 +601,6 @@ fn gemm_small(a: View, b: View, m: usize, k: usize, n: usize, out: &mut [f32]) {
     });
 }
 
-/// The pre-blocking reference kernels, reproduced exactly: i-k-j with the
-/// zero-skip branch (plain `a*b + c`, no fma), `AᵀB` via a materialized
-/// transpose, `ABᵀ` via row dots.
-fn gemm_naive(a: View, b: View, m: usize, k: usize, n: usize, out: &mut [f32]) {
-    if a.trans {
-        // The old `matmul_at_b` allocated `self.transpose()` per call; the
-        // reference path keeps that behavior (including its cost).
-        let mut at = Matrix::zeros(m, k);
-        for (r, row) in at.as_mut_slice().chunks_exact_mut(k.max(1)).enumerate() {
-            for (c, v) in row.iter_mut().enumerate() {
-                *v = a.at(r, c);
-            }
-        }
-        let an = View::normal(&at);
-        return gemm_naive(an, b, m, k, n, out);
-    }
-    out.fill(0.0);
-    parallel_row_chunks(out, m, n, |start, chunk| {
-        for (r, out_row) in chunk.chunks_mut(n).enumerate() {
-            let i = start + r;
-            let a_row = &a.data[a.row_at(i)..a.row_at(i) + k];
-            if b.trans {
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    let b_row = &b.data[j * b.ld..j * b.ld + k];
-                    let mut acc = 0.0f32;
-                    for (x, y) in a_row.iter().zip(b_row) {
-                        acc += x * y;
-                    }
-                    *o = acc;
-                }
-            } else {
-                for (kk, &aik) in a_row.iter().enumerate() {
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let b_row = &b.data[kk * b.ld..kk * b.ld + n];
-                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                        *o += aik * bv;
-                    }
-                }
-            }
-        }
-    });
-}
-
 /// Dispatch one GEMM (`out = A·B`, operands possibly viewed transposed) to
 /// the active path. `out` is fully overwritten.
 pub(crate) fn gemm_into(a: View, b: View, m: usize, k: usize, n: usize, out: &mut [f32]) {
@@ -695,29 +612,21 @@ pub(crate) fn gemm_into(a: View, b: View, m: usize, k: usize, n: usize, out: &mu
         out.fill(0.0);
         return;
     }
-    match gemm_path() {
-        GemmPath::Naive => gemm_naive(a, b, m, k, n, out),
-        path => {
-            if forced_path().is_none() && m * k * n < BLOCKED_MIN_FLOPS {
-                gemm_small(a, b, m, k, n, out);
-            } else {
-                let simd = path == GemmPath::BlockedSimd;
-                PACK_B_BUF.with(|cell| {
-                    let mut bbuf = cell.borrow_mut();
-                    pack_b_into(b, k, n, &mut bbuf);
-                    let pb = PackedPanels { k, n, data: &bbuf };
-                    gemm_blocked(a, pb, m, out, n, 0, simd);
-                });
-            }
-        }
+    if forced_path().is_none() && m * k * n < BLOCKED_MIN_FLOPS {
+        return gemm_small(a, b, m, k, n, out);
     }
+    let simd = gemm_path() == GemmPath::BlockedSimd;
+    PACK_B_BUF.with(|cell| {
+        let mut bbuf = cell.borrow_mut();
+        pack_b_into(b, k, n, &mut bbuf);
+        let pb = PackedPanels { k, n, data: &bbuf };
+        gemm_blocked(a, pb, m, out, n, 0, simd);
+    });
 }
 
 /// Dispatch one GEMM against a cached [`PackedB`], skipping the per-call B
 /// pack entirely: columns `col0..col0 + pack.n` of the `m × ldc` buffer
-/// `out` become `A·pack`, the others are left as they are. On the `Naive`
-/// benchmarking path the panels are unpacked back to row-major first so the
-/// reference kernel's cost profile is preserved.
+/// `out` become `A·pack`, the others are left as they are.
 pub(crate) fn gemm_packed_into(
     a: View,
     pb: &PackedB,
@@ -738,20 +647,8 @@ pub(crate) fn gemm_packed_into(
     if pb.k == 0 {
         return (0..m).for_each(|i| out[window(i)].fill(0.0));
     }
-    match gemm_path() {
-        GemmPath::Naive => {
-            let b = pb.unpack();
-            let mut full = vec![0.0f32; m * n];
-            gemm_naive(a, View::normal(&b), m, pb.k, n, &mut full);
-            for (i, row) in full.chunks_exact(n).enumerate() {
-                out[window(i)].copy_from_slice(row);
-            }
-        }
-        path => {
-            let simd = path == GemmPath::BlockedSimd;
-            gemm_blocked(a, pb.panels(), m, out, ldc, col0, simd);
-        }
-    }
+    let simd = gemm_path() == GemmPath::BlockedSimd;
+    gemm_blocked(a, pb.panels(), m, out, ldc, col0, simd);
 }
 
 #[cfg(test)]
@@ -766,6 +663,26 @@ mod tests {
         )
     }
 
+    /// Reconstruct the row-major source matrix from a pack's panels.
+    fn unpack(pb: &PackedB) -> Matrix {
+        let mut out = Matrix::zeros(pb.k, pb.n);
+        let panels = pb.panels();
+        let mut ks = 0;
+        while ks < pb.k {
+            let kl = KC.min(pb.k - ks);
+            for t in 0..pb.n.div_ceil(NR) {
+                let cols = NR.min(pb.n - t * NR);
+                let panel = panels.panel(ks, kl, t);
+                for p in 0..kl {
+                    let row = out.row_mut(ks + p);
+                    row[t * NR..t * NR + cols].copy_from_slice(&panel[p * NR..p * NR + cols]);
+                }
+            }
+            ks += kl;
+        }
+        out
+    }
+
     #[test]
     fn packed_roundtrip_restores_source() {
         for (k, n) in [(1, 1), (7, 5), (KC, NR), (KC + 3, 2 * NR + 1), (300, 19)] {
@@ -773,7 +690,7 @@ mod tests {
             let packed = PackedB::pack(&b);
             assert_eq!(packed.k(), k);
             assert_eq!(packed.n(), n);
-            assert_eq!(packed.unpack().as_slice(), b.as_slice(), "k={k} n={n}");
+            assert_eq!(unpack(&packed).as_slice(), b.as_slice(), "k={k} n={n}");
         }
     }
 
@@ -821,21 +738,33 @@ mod tests {
         // Duplicated and unordered keeps are legal (gather semantics).
         let gather = PackedB::pack_rows(&b, &[5, 5, 2]);
         assert_eq!(
-            gather.unpack().as_slice(),
+            unpack(&gather).as_slice(),
             b.select_rows(&[5, 5, 2]).as_slice()
         );
     }
 
     #[test]
     fn path_override_roundtrip() {
-        // Serialized against other path-sensitive tests via the equivalence
-        // suite's own mutex; here only check resolution logic.
+        // `PATH_OVERRIDE` is process-global and this binary's other tests run
+        // on sibling threads while it is flipped. That is harmless: the two
+        // paths are bitwise twins and `gemm_packed_into` has no small-shape
+        // shortcut, so two packed products that straddle a flip (what
+        // `ops.rs::packed_matmul_matches_plain` compares bitwise) read the
+        // same bits; `gemm_into`'s shortcut keeps the same fma chain for
+        // `k ≤ KC`. The guard puts auto-dispatch back even if an assert below
+        // fails.
+        struct Restore;
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                set_gemm_path(None);
+            }
+        }
+        let _restore = Restore;
         let auto = gemm_path();
-        assert_ne!(auto, GemmPath::Naive, "auto never picks the reference");
-        set_gemm_path(Some(GemmPath::Naive));
-        assert_eq!(gemm_path(), GemmPath::Naive);
         set_gemm_path(Some(GemmPath::BlockedScalar));
         assert_eq!(gemm_path(), GemmPath::BlockedScalar);
+        set_gemm_path(Some(GemmPath::BlockedSimd));
+        assert_eq!(gemm_path(), auto, "forced SIMD degrades without avx2+fma");
         set_gemm_path(None);
         assert_eq!(gemm_path(), auto);
     }

@@ -9,7 +9,6 @@
 
 use crate::gemm::{self, View};
 use crate::matrix::Matrix;
-use crate::parallel::parallel_row_chunks;
 use crate::rowsum::{resolve, RowIds};
 use std::cell::RefCell;
 
@@ -183,82 +182,6 @@ impl Matrix {
                 );
             }
         }
-    }
-
-    /// `self · other` skipping zero entries of `self` — a reference kernel,
-    /// not a serving path. The main [`Matrix::matmul`] no longer branches
-    /// on `a[i][k] == 0`, and the serving engines get their pruned-model
-    /// speedup from mask-folded packing (`PackedB::pack_rows` — dead
-    /// channels are never packed or multiplied) plus the runtime
-    /// sparse-operand dispatch to CSR SpMM, never from this kernel. It
-    /// survives for the pin test and for explicit channel-masked (`H ⊙ β`)
-    /// experiments where the skip wins back more than the lost
-    /// vectorization.
-    ///
-    /// # Panics
-    /// Panics on inner-dimension mismatch.
-    ///
-    /// Shapes: `self` is `(m, k)` and `other` `(k, n)`; the result is `(m, n)`.
-    pub fn matmul_zero_skipping(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols(),
-            other.rows(),
-            "matmul_zero_skipping: {}x{} · {}x{}",
-            self.rows(),
-            self.cols(),
-            other.rows(),
-            other.cols()
-        );
-        let (m, k, n) = (self.rows(), self.cols(), other.cols());
-        let mut out = Matrix::zeros(m, n);
-        let a = self.as_slice();
-        let b = other.as_slice();
-        parallel_row_chunks(out.as_mut_slice(), m, n, |start, chunk| {
-            for (r, out_row) in chunk.chunks_mut(n).enumerate() {
-                let i = start + r;
-                let a_row = &a[i * k..(i + 1) * k];
-                for (kk, &aik) in a_row.iter().enumerate() {
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let b_row = &b[kk * n..(kk + 1) * n];
-                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                        *o += aik * bv;
-                    }
-                }
-            }
-        });
-        crate::check::guard_finite(
-            "tensor.matmul_zero_skipping.finite",
-            "matmul_zero_skipping output",
-            out.as_slice(),
-        );
-        out
-    }
-
-    /// Fraction of exactly-zero entries among up to `max_samples` elements
-    /// read at a fixed stride — the cheap density probe behind runtime
-    /// sparsity-aware kernel dispatch. The scan is sequential over fixed
-    /// positions, so the estimate is deterministic for a given matrix and
-    /// invariant across thread counts. Empty matrices report 0.0 (dense:
-    /// nothing to skip).
-    ///
-    /// Shapes: `self` is any matrix; the result is a scalar in `[0, 1]`.
-    pub fn zero_fraction_sampled(&self, max_samples: usize) -> f32 {
-        let data = self.as_slice();
-        if data.is_empty() || max_samples == 0 {
-            return 0.0;
-        }
-        let step = (data.len() / max_samples).max(1);
-        let mut seen = 0usize;
-        let mut zeros = 0usize;
-        let mut i = 0;
-        while i < data.len() {
-            seen += 1;
-            zeros += (data[i] == 0.0) as usize;
-            i += step;
-        }
-        zeros as f32 / seen as f32
     }
 
     /// Elementwise sum into a new matrix.
@@ -670,24 +593,6 @@ mod tests {
         let b = a.add_row_vector(&[1.0, 2.0, 3.0]);
         assert_eq!(b.row(0), &[1.0, 2.0, 3.0]);
         assert_eq!(b.row(1), &[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn zero_skipping_matches_dense_on_masked_operand() {
-        // The explicit pruned-path kernel must agree with the blocked dense
-        // kernel when whole channels are masked to zero (H ⊙ β).
-        let a = seq(20, 12, 0.31);
-        let mask: Vec<f32> = (0..12)
-            .map(|i| if i % 3 == 0 { 1.0 } else { 0.0 })
-            .collect();
-        let masked = a.scale_cols(&mask);
-        let b = seq(12, 9, 0.57);
-        assert!(masked
-            .matmul_zero_skipping(&b)
-            .approx_eq(&masked.matmul(&b), 1e-5));
-        assert!(masked
-            .matmul_zero_skipping(&b)
-            .approx_eq(&naive_matmul(&masked, &b), 1e-4));
     }
 
     #[test]

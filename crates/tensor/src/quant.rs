@@ -311,7 +311,7 @@ thread_local! {
 
 /// Whether the int8 microkernel may use AVX2. Rides the f32 dispatcher so
 /// [`crate::set_gemm_path`] pins the quantized kernels too (the equivalence
-/// suite relies on this); `Naive`/`BlockedScalar` force the scalar kernel.
+/// suite relies on this); `BlockedScalar` forces the scalar kernel.
 fn quant_simd() -> bool {
     gemm_path() == GemmPath::BlockedSimd
 }

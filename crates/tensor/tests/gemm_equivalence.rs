@@ -5,7 +5,7 @@
 //!
 //! 1. every blocked path (scalar and SIMD microkernels, packed-B fast path)
 //!    matches an independent f64 triple-loop reference to fma-rounding
-//!    tolerance, and matches the retired naive i-k-j kernel the same way;
+//!    tolerance;
 //! 2. the scalar and SIMD microkernels are **bitwise** identical (both run
 //!    the same sequential per-element fma chain over `k`);
 //! 3. for `k ≤ KC` the auto dispatcher (which may take the small-shape fused
@@ -83,9 +83,8 @@ fn assert_close(got: &Matrix, want: &[f64], k: usize, what: &str) {
     }
 }
 
-/// Random operands with a sprinkling of exact zeros, so the retired
-/// zero-skip branch of the naive path is exercised (skipped terms contribute
-/// nothing either way — outputs must still agree).
+/// Random operands with a sprinkling of exact zeros (post-ReLU activations
+/// are full of them; a zero term must contribute nothing on every path).
 fn operands(m: usize, k: usize, n: usize, seed: u64) -> (Matrix, Matrix) {
     let mut rng = seeded_rng(seed);
     let mut a = Matrix::rand_uniform(m, k, -1.0, 1.0, &mut rng);
@@ -135,14 +134,6 @@ fn check_shape(m: usize, k: usize, n: usize, seed: u64) {
         v_packed, s_packed,
         "{tag}: SIMD packed must be bitwise scalar"
     );
-
-    // The retired pre-blocking kernel (with its zero-skip branch) agrees to
-    // reference tolerance on all orientations.
-    let (n_ab, n_atb, n_abt, n_packed) = run(GemmPath::Naive);
-    assert_close(&n_ab, &want, k, &format!("{tag} naive A·B"));
-    assert_close(&n_atb, &want, k, &format!("{tag} naive Aᵀ·B"));
-    assert_close(&n_abt, &want, k, &format!("{tag} naive A·Bᵀ"));
-    assert_close(&n_packed, &want, k, &format!("{tag} naive packed"));
 
     // Auto dispatch (small-shape fused loop allowed) is bitwise identical to
     // the blocked kernels whenever the depth fits one KC slab.
