@@ -1079,13 +1079,10 @@ impl<'e, 'a> EngineCore<'e, 'a> {
             if layer.combine == CombineMode::Mean {
                 out.scale_assign(1.0 / layer.branches.len() as f32);
             }
-            if let Some(b) = &layer.bias {
-                out.add_row_vector_assign(b.row(0));
-            }
-            match layer.activation {
-                gcnp_models::Activation::Relu => out.relu_assign(),
-                gcnp_models::Activation::None => {}
-            }
+            out.bias_relu_assign(
+                layer.bias.as_ref().map(|b| b.row(0)),
+                layer.activation == gcnp_models::Activation::Relu,
+            );
             mem_bytes += out.nbytes();
             lap(clock, Stage::Gemm); // combine + bias + activation
 

@@ -4,6 +4,7 @@ use gcnp_models::{GnnModel, PackedModel};
 use gcnp_sparse::CsrMatrix;
 use gcnp_tensor::Matrix;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 
 use crate::costmodel::CostModel;
 use crate::timing::time_it;
@@ -25,32 +26,46 @@ pub struct FullResult {
 /// Full-inference engine: computes embeddings for **all** nodes layer by
 /// layer with batched SpMM aggregation (§2.2.1). Weights are packed once at
 /// construction (the weight-pack cache) so repeated passes skip the per-GEMM
-/// operand-pack step.
+/// operand-pack step, and every pass computes in the buffers the first one
+/// sized (see [`PackedModel::forward_reusing`]) — keep the engine across
+/// passes. The `RefCell` around those buffers makes the engine `!Sync`.
 pub struct FullEngine<'a> {
     model: &'a GnnModel,
-    packed: PackedModel<'a>,
+    packed: RefCell<PackedModel<'a>>,
     /// Normalized adjacency (`None` for pure MLPs).
     adj: Option<&'a CsrMatrix>,
 }
 
 impl<'a> FullEngine<'a> {
     /// Create an engine over a model and its normalized adjacency.
+    ///
+    /// # Panics
+    /// Panics if a layer aggregates over the graph and `adj` is `None`.
     pub fn new(model: &'a GnnModel, adj: Option<&'a CsrMatrix>) -> Self {
+        if let Some(i) = model.layers.iter().position(|l| l.uses_graph()) {
+            assert!(
+                adj.is_some(),
+                "FullEngine::new: layer {i} aggregates over the graph but no adjacency was given"
+            );
+        }
         Self {
             model,
-            packed: PackedModel::new(model),
+            packed: RefCell::new(PackedModel::new(model)),
             adj,
         }
     }
 
     /// One untimed forward pass.
     pub fn logits(&self, x: &Matrix) -> Matrix {
-        self.packed.forward_full(self.adj, x)
+        let mut packed = self.packed.borrow_mut();
+        let outputs = packed.forward_reusing(self.adj, x);
+        outputs.pop().expect("model has layers")
     }
 
     /// All hidden layers (for populating a [`crate::FeatureStore`]).
     pub fn hidden(&self, x: &Matrix) -> Vec<Matrix> {
-        self.packed.forward_collect(self.adj, x)
+        let mut packed = self.packed.borrow_mut();
+        std::mem::take(packed.forward_reusing(self.adj, x))
     }
 
     /// Timed run: `warmup` unmeasured passes, then the median of `iters`
@@ -114,5 +129,51 @@ mod tests {
         let (adj, x, model) = setup();
         let engine = FullEngine::new(&model, Some(&adj));
         assert_eq!(engine.hidden(&x).len(), 3);
+    }
+
+    #[test]
+    fn a_reused_engine_answers_like_a_fresh_one() {
+        // `logits` takes the last buffer out of the workspace and `hidden`
+        // all of them; whatever order they come in, the next pass must
+        // neither panic on the `RefCell` nor read a stale element.
+        let (adj, x, model) = setup();
+        let x2 = Matrix::rand_uniform(20, 6, -1.0, 1.0, &mut seeded_rng(3));
+        let fresh_logits = |x: &Matrix| FullEngine::new(&model, Some(&adj)).logits(x);
+        let fresh_hidden = |x: &Matrix| FullEngine::new(&model, Some(&adj)).hidden(x);
+        let engine = FullEngine::new(&model, Some(&adj));
+        assert_eq!(engine.logits(&x), fresh_logits(&x));
+        assert_eq!(engine.logits(&x), fresh_logits(&x));
+        assert_eq!(engine.hidden(&x2), fresh_hidden(&x2));
+        assert_eq!(engine.logits(&x2), fresh_logits(&x2));
+        assert_eq!(engine.hidden(&x), fresh_hidden(&x));
+        assert_eq!(engine.hidden(&x), model.forward_collect(Some(&adj), &x));
+    }
+
+    #[test]
+    fn workspace_follows_a_changed_row_count() {
+        // No adjacency pins an MLP's row count: the same engine serves 20
+        // rows, then 7, then 20 again, each on re-shaped buffers.
+        let model = zoo::mlp(6, 8, 3, 4);
+        let engine = FullEngine::new(&model, None);
+        for (rows, seed) in [(20, 5), (7, 6), (20, 7), (31, 8)] {
+            let x = Matrix::rand_uniform(rows, 6, -1.0, 1.0, &mut seeded_rng(seed));
+            assert_eq!(
+                engine.logits(&x),
+                model.forward_full(None, &x),
+                "{rows} rows"
+            );
+            assert_eq!(
+                engine.hidden(&x),
+                model.forward_collect(None, &x),
+                "{rows} rows"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "layer 0 aggregates over the graph but no adjacency was given")]
+    fn graph_model_without_adjacency_is_refused_at_construction() {
+        let (_, _, model) = setup();
+        let _ = FullEngine::new(&model, None);
     }
 }

@@ -134,17 +134,17 @@ impl BranchLayer {
             max_k == 0 || adj.is_some(),
             "branch_outputs: graph layer needs adjacency"
         );
-        // Progressive powers: z_k = Ã^k · input.
-        let mut powers: Vec<Matrix> = Vec::with_capacity(max_k + 1);
-        powers.push(input.clone());
+        // Progressive powers: z_k = Ã^k · input (`powers[k - 1]`; z_0 is
+        // the input itself).
+        let mut powers: Vec<Matrix> = Vec::with_capacity(max_k);
         for _ in 0..max_k {
-            let next = adj.unwrap().spmm(powers.last().unwrap());
+            let next = adj.unwrap().spmm(powers.last().unwrap_or(input));
             powers.push(next);
         }
         self.branches
             .iter()
             .map(|b| {
-                let z = &powers[b.k];
+                let z = if b.k == 0 { input } else { &powers[b.k - 1] };
                 match &b.keep {
                     // Select the surviving channels before the GEMM — the
                     // source of the pruned model's speedup.

@@ -56,15 +56,15 @@ impl GnnModel {
         let mut outputs: Vec<Matrix> = Vec::with_capacity(self.layers.len());
         let n = self.layers.len();
         for (i, layer) in self.layers.iter().enumerate() {
-            let input = if i == 0 {
-                x.clone()
+            let out = if i == 0 {
+                layer.forward(adj, x)
             } else if self.jk && i == n - 1 {
                 let refs: Vec<&Matrix> = outputs.iter().collect();
-                Matrix::concat_cols_all(&refs)
+                layer.forward(adj, &Matrix::concat_cols_all(&refs))
             } else {
-                outputs[i - 1].clone()
+                layer.forward(adj, &outputs[i - 1])
             };
-            outputs.push(layer.forward(adj, &input));
+            outputs.push(out);
         }
         outputs
     }

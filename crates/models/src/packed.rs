@@ -11,9 +11,14 @@
 //! staling) the source weights while any pack exists. Retraining or pruning
 //! a model means dropping the engines and re-packing — exactly the lifecycle
 //! the serving layer already has (engines are rebuilt per deployed tier).
+//!
+//! A full-graph pass computes in a workspace the `PackedModel` keeps:
+//! every layer reads its input where it lies (the caller's `x`, or the
+//! previous layer's output) and every result is written once, into a buffer
+//! that outlives the pass — see [`PackedModel::forward_reusing`].
 
 use gcnp_sparse::CsrMatrix;
-use gcnp_tensor::{Matrix, PackedB, QuantPackedB};
+use gcnp_tensor::{parallel_row_chunks, Matrix, PackedB, QuantPackedB};
 
 use crate::layer::{Activation, Branch, BranchLayer, CombineMode};
 use crate::model::GnnModel;
@@ -48,6 +53,8 @@ pub struct PackedModel<'m> {
     model: &'m GnnModel,
     /// `packs[layer][branch]`, parallel to `model.layers[..].branches[..]`.
     packs: Vec<Vec<PackedB>>,
+    /// Buffers of [`PackedModel::forward_reusing`]; empty until its first pass.
+    ws: Workspace,
 }
 
 impl<'m> PackedModel<'m> {
@@ -58,7 +65,11 @@ impl<'m> PackedModel<'m> {
             .iter()
             .map(|l| l.branches.iter().map(pack_branch).collect())
             .collect();
-        Self { model, packs }
+        Self {
+            model,
+            packs,
+            ws: Workspace::default(),
+        }
     }
 
     /// The source model.
@@ -88,26 +99,22 @@ impl<'m> PackedModel<'m> {
     }
 
     /// Every layer's post-activation output over packed weights; mirrors
-    /// [`GnnModel::forward_collect`].
+    /// [`GnnModel::forward_collect`]. One pass of
+    /// [`PackedModel::forward_reusing`] on a throw-away workspace.
     pub fn forward_collect(&self, adj: Option<&CsrMatrix>, x: &Matrix) -> Vec<Matrix> {
-        assert!(
-            !self.model.layers.is_empty(),
-            "forward_collect: empty model"
-        );
-        let mut outputs: Vec<Matrix> = Vec::with_capacity(self.model.layers.len());
-        let n = self.model.layers.len();
-        for (i, (layer, packs)) in self.model.layers.iter().zip(&self.packs).enumerate() {
-            let input = if i == 0 {
-                x.clone()
-            } else if self.model.jk && i == n - 1 {
-                let refs: Vec<&Matrix> = outputs.iter().collect();
-                Matrix::concat_cols_all(&refs)
-            } else {
-                outputs[i - 1].clone()
-            };
-            outputs.push(layer_forward_packed(layer, packs, adj, &input));
-        }
-        outputs
+        let mut ws = Workspace::default();
+        ws.forward(self.model, &self.packs, adj, x);
+        ws.outputs
+    }
+
+    /// [`PackedModel::forward_collect`] computed in buffers this model keeps
+    /// between passes: the returned vector holds every layer's output, and
+    /// whatever the caller leaves in it (by `pop`, `mem::take`, or not at
+    /// all) is the storage the next pass writes, so a caller that takes only
+    /// the logits makes every later pass allocate only those.
+    pub fn forward_reusing(&mut self, adj: Option<&CsrMatrix>, x: &Matrix) -> &mut Vec<Matrix> {
+        self.ws.forward(self.model, &self.packs, adj, x);
+        &mut self.ws.outputs
     }
 }
 
@@ -151,56 +158,182 @@ impl<'m> QuantPackedModel<'m> {
     }
 }
 
-/// One layer forward over packed branch weights; arithmetic-identical to
-/// [`BranchLayer::forward`].
+/// The buffers of one full-graph pass, kept from pass to pass. Each is given
+/// its shape by [`reshape`] right before the kernel that overwrites all of
+/// it and is never zeroed in between: no element is read before the pass
+/// that reads it has written it.
+#[derive(Default)]
+struct Workspace {
+    /// Layer `i`'s post-activation output, `n × layers[i].out_dim()`.
+    outputs: Vec<Matrix>,
+    scratch: Scratch,
+}
+
+/// What a layer computes through on the way to its output; shared by all
+/// layers, so each buffer grows to its widest use.
+struct Scratch {
+    /// `agg[k - 1]` is `z_k = Ã·z_{k-1}` of the layer being computed.
+    agg: Vec<Matrix>,
+    /// The kept columns of a branch operand (`select_cols`).
+    sel: Matrix,
+    /// A Mean layer's second and later branch products, on their way into
+    /// the sum.
+    prod: Matrix,
+}
+
+impl Default for Scratch {
+    fn default() -> Self {
+        Self {
+            agg: Vec::new(),
+            sel: empty(),
+            prod: empty(),
+        }
+    }
+}
+
+fn empty() -> Matrix {
+    Matrix::zeros(0, 0)
+}
+
+impl Workspace {
+    /// Compute every layer of `model` over `x` into `self.outputs`.
+    fn forward(
+        &mut self,
+        model: &GnnModel,
+        packs: &[Vec<PackedB>],
+        adj: Option<&CsrMatrix>,
+        x: &Matrix,
+    ) {
+        let n = model.layers.len();
+        assert!(n > 0, "forward_collect: empty model");
+        self.outputs.resize_with(n, empty);
+        for (i, (layer, packs)) in model.layers.iter().zip(packs).enumerate() {
+            let (done, rest) = self.outputs.split_at_mut(i);
+            // Jumping Knowledge: the classifier reads every earlier output
+            // side by side — the one copy a pass still makes.
+            let jk_input = (model.jk && i > 0 && i == n - 1)
+                .then(|| Matrix::concat_cols_all(&done.iter().collect::<Vec<_>>()));
+            let input = match (&jk_input, done.last()) {
+                (Some(all), _) => all,
+                (None, Some(prev)) => prev,
+                (None, None) => x,
+            };
+            layer_forward_packed(layer, packs, adj, input, &mut rest[0], &mut self.scratch);
+        }
+    }
+}
+
+/// Give `m` the shape `rows × cols` on the storage it already has (grown
+/// only when too small); its contents are unspecified and the caller
+/// overwrites every element. Under `strict-invariants` they are NaN, so an
+/// element a kernel's window missed trips the kernels' own finite guards
+/// (or the equivalence tests) instead of passing for a stale value.
+fn reshape(m: &mut Matrix, rows: usize, cols: usize) {
+    if m.shape() != (rows, cols) {
+        let mut buf = std::mem::replace(m, empty()).into_vec();
+        buf.resize(rows * cols, 0.0);
+        *m = Matrix::from_vec(rows, cols, buf);
+    }
+    if gcnp_tensor::check::enabled() {
+        m.as_mut_slice().fill(f32::NAN);
+    }
+}
+
+/// `out = src[:, keep]`, the values [`Matrix::select_cols`] returns.
+fn select_cols_into(src: &Matrix, keep: &[usize], out: &mut Matrix) {
+    assert!(
+        keep.iter().all(|&c| c < src.cols()),
+        "select_cols: column out of bounds"
+    );
+    let w = keep.len();
+    reshape(out, src.rows(), w);
+    parallel_row_chunks(out.as_mut_slice(), src.rows(), w, |start, chunk| {
+        for (r, dst) in chunk.chunks_exact_mut(w).enumerate() {
+            let row = src.row(start + r);
+            for (d, &c) in dst.iter_mut().zip(keep) {
+                *d = row[c];
+            }
+        }
+    });
+}
+
+/// One layer forward over packed branch weights into `out`;
+/// arithmetic-identical to [`BranchLayer::forward`].
 fn layer_forward_packed(
     layer: &BranchLayer,
     packs: &[PackedB],
     adj: Option<&CsrMatrix>,
     input: &Matrix,
-) -> Matrix {
+    out: &mut Matrix,
+    scratch: &mut Scratch,
+) {
     debug_assert_eq!(layer.branches.len(), packs.len());
+    let Scratch { agg, sel, prod } = scratch;
     let max_k = layer.max_k();
-    assert!(
-        max_k == 0 || adj.is_some(),
-        "layer_forward_packed: graph layer needs adjacency"
-    );
-    let mut powers: Vec<Matrix> = Vec::with_capacity(max_k + 1);
-    powers.push(input.clone());
-    for _ in 0..max_k {
-        let next = adj.unwrap().spmm(powers.last().unwrap());
-        powers.push(next);
-    }
-    let parts: Vec<Matrix> = layer
-        .branches
-        .iter()
-        .zip(packs)
-        .map(|(b, pb)| {
-            let z = &powers[b.k];
-            match &b.keep {
-                Some(keep) => z.select_cols(keep).matmul_packed(pb),
-                None => z.matmul_packed(pb),
-            }
-        })
-        .collect();
-    let refs: Vec<&Matrix> = parts.iter().collect();
-    let mut out = match layer.combine {
-        CombineMode::Concat => Matrix::concat_cols_all(&refs),
-        CombineMode::Mean => {
-            let mut acc = parts[0].clone();
-            for p in &parts[1..] {
-                acc.add_assign(p);
-            }
-            acc.scale(1.0 / parts.len() as f32)
-        }
+
+    // Select, then aggregate: when every graph branch keeps the same
+    // channels, only those go through the SpMM. `row_sum` sums each channel
+    // on its own, in list order, so `Ã·(X[:, keep])` is `(Ã·X)[:, keep]` bit
+    // for bit. Branches with differing lists (no model in the repo builds
+    // one) aggregate at full width and select per branch, as the plain
+    // forward does.
+    let mut graph_keeps = layer.branches.iter().filter(|b| b.k >= 1).map(|b| &b.keep);
+    let shared_keep = match graph_keeps.next() {
+        Some(Some(first)) if graph_keeps.all(|k| k.as_ref() == Some(first)) => Some(first),
+        _ => None,
     };
-    if let Some(b) = &layer.bias {
-        out.add_row_vector_assign(b.row(0));
+
+    // Progressive powers: z_k = Ã^k · input.
+    if max_k > 0 {
+        let adj = adj.expect("layer_forward_packed: graph layer needs adjacency");
+        if agg.len() < max_k {
+            agg.resize_with(max_k, empty);
+        }
+        let z0 = match shared_keep {
+            Some(keep) => {
+                select_cols_into(input, keep, sel);
+                &*sel
+            }
+            None => input,
+        };
+        for k in 0..max_k {
+            let (done, rest) = agg.split_at_mut(k);
+            let src = done.last().unwrap_or(z0);
+            reshape(&mut rest[0], adj.n_rows(), src.cols());
+            adj.spmm_into(src, &mut rest[0]);
+        }
     }
-    if layer.activation == Activation::Relu {
-        out.relu_assign();
+
+    // Concat is the GEMM's store: each product lands in its column window.
+    // Mean keeps the plain forward's float sequence: the first product lands
+    // in `out`, later ones are added to it in branch order, then one scale.
+    reshape(out, input.rows(), layer.out_dim());
+    let mut col0 = 0;
+    for (bi, (b, pack)) in layer.branches.iter().zip(packs).enumerate() {
+        let z = if b.k == 0 { input } else { &agg[b.k - 1] };
+        let operand = match &b.keep {
+            Some(keep) if b.k == 0 || shared_keep.is_none() => {
+                select_cols_into(z, keep, sel);
+                &*sel
+            }
+            _ => z,
+        };
+        if bi == 0 || layer.combine == CombineMode::Concat {
+            operand.matmul_packed_rows_into(None, pack, out, col0);
+            col0 += b.out_dim();
+        } else {
+            reshape(prod, input.rows(), b.out_dim());
+            operand.matmul_packed_rows_into(None, pack, prod, 0);
+            out.add_assign(prod);
+        }
     }
-    out
+    if layer.combine == CombineMode::Mean {
+        out.scale_assign(1.0 / layer.branches.len() as f32);
+    }
+    out.bias_relu_assign(
+        layer.bias.as_ref().map(|b| b.row(0)),
+        layer.activation == Activation::Relu,
+    );
 }
 
 #[cfg(test)]
@@ -331,6 +464,178 @@ mod tests {
             qc.branch_packs(0).len(),
             compact_model.layers[0].branches.len()
         );
+    }
+
+    /// A 23-node graph (not a multiple of the GEMM's 6-row tile) with
+    /// uneven degrees, and 150-wide features (past `row_sum`'s 64-column
+    /// tile, with an 8-column and a scalar tail).
+    fn ragged() -> (CsrMatrix, Matrix) {
+        let edges: Vec<(u32, u32)> = (0u32..23)
+            .flat_map(|i| [(i, (i + 1) % 23), ((i * 7 + 3) % 23, i), (i, (i * i) % 23)])
+            .collect();
+        let a = CsrMatrix::adjacency(23, &edges).normalized(Normalization::Row);
+        let x = Matrix::rand_uniform(23, 150, -1.0, 1.0, &mut seeded_rng(41));
+        (a, x)
+    }
+
+    /// `model` with non-zero biases (the zoo initialises them to zero).
+    fn biased(mut model: GnnModel, seed: u64) -> GnnModel {
+        let mut rng = seeded_rng(seed);
+        for l in &mut model.layers {
+            l.bias = Some(Matrix::rand_uniform(1, l.out_dim(), -0.5, 0.5, &mut rng));
+        }
+        model
+    }
+
+    /// Prune branch `bi` of layer 0 to `keep`, compacting its weight.
+    fn pruned(mut model: GnnModel, bi: usize, keep: &[usize]) -> GnnModel {
+        let b = &mut model.layers[0].branches[bi];
+        b.weight = b.weight.select_rows(keep);
+        b.keep = Some(keep.to_vec());
+        model
+    }
+
+    #[test]
+    fn selecting_channels_commutes_with_aggregation_bitwise() {
+        // What select-then-aggregate rests on: a channel's sum does not
+        // depend on which tile of the row it sits in.
+        let (a, x) = ragged();
+        let keep: Vec<usize> = (0..150).filter(|c| c % 2 == 1 || *c > 140).collect();
+        for threads in [1, 4] {
+            gcnp_tensor::set_num_threads(threads);
+            assert_eq!(
+                a.spmm(&x.select_cols(&keep)),
+                a.spmm(&x).select_cols(&keep),
+                "{threads} threads"
+            );
+        }
+        gcnp_tensor::set_num_threads(0);
+    }
+
+    #[test]
+    fn packed_forward_matches_plain_for_every_layer_shape() {
+        let (a, x) = ragged();
+        let keep: Vec<usize> = (0..150).step_by(4).collect();
+        let other: Vec<usize> = (1..150).step_by(3).collect();
+        let mean = {
+            let mut rng = seeded_rng(51);
+            let l1 = BranchLayer {
+                branches: (0..3)
+                    .map(|k| Branch::new(k % 2, Matrix::glorot(150, 10, &mut rng)))
+                    .collect(),
+                bias: None,
+                combine: CombineMode::Mean,
+                activation: Activation::Relu,
+            };
+            let cls = BranchLayer::dense(Matrix::glorot(10, 4, &mut rng), None, Activation::None);
+            GnnModel::new(vec![l1, cls])
+        };
+        // (name, the model the packed path runs, the model the plain
+        // reference runs when it is not the same one: it cannot multiply a
+        // full-width masked weight, so it gets the compacted twin).
+        let sage = || zoo::graphsage(150, 16, 5, 52);
+        let mixhop = || zoo::mixhop(150, 21, 5, 53);
+        let mut masked = sage();
+        masked.layers[0].branches[1].keep = Some(keep.clone());
+        let cases: Vec<(&str, GnnModel, Option<GnnModel>)> = vec![
+            ("sage", sage(), None),
+            ("mean", mean, None),
+            ("mixhop", mixhop(), None),
+            ("keep on k = 1", pruned(sage(), 1, &keep), None),
+            (
+                "masked keep on k = 1",
+                masked,
+                Some(pruned(sage(), 1, &keep)),
+            ),
+            (
+                "keep on k = 0 and k = 1",
+                pruned(pruned(sage(), 0, &other), 1, &keep),
+                None,
+            ),
+            (
+                "one keep list on k = 1 and k = 2",
+                pruned(pruned(mixhop(), 1, &keep), 2, &keep),
+                None,
+            ),
+            (
+                "two keep lists on k = 1 and k = 2",
+                pruned(pruned(mixhop(), 1, &keep), 2, &other),
+                None,
+            ),
+            ("single branch", zoo::gcn(150, 16, 5, 54), None),
+            ("jk", zoo::jk(150, 16, 5, 55), None),
+            ("mlp", zoo::mlp(150, 16, 5, 56), None),
+        ];
+        for threads in [1, 4] {
+            gcnp_tensor::set_num_threads(threads);
+            for (name, model, reference) in &cases {
+                let reference = biased(reference.as_ref().unwrap_or(model).clone(), 57);
+                let model = biased(model.clone(), 57);
+                let plain = reference.forward_collect(Some(&a), &x);
+                let mut packed = PackedModel::new(&model);
+                assert_eq!(
+                    packed.forward_collect(Some(&a), &x),
+                    plain,
+                    "{name}, {threads} threads"
+                );
+                // The kept workspace: first pass sizes it, second reuses it.
+                for pass in 0..2 {
+                    assert_eq!(
+                        *packed.forward_reusing(Some(&a), &x),
+                        plain,
+                        "{name}, {threads} threads, reusing pass {pass}"
+                    );
+                }
+            }
+        }
+        gcnp_tensor::set_num_threads(0);
+    }
+
+    #[test]
+    fn workspace_follows_a_second_graph() {
+        // One kept workspace, two graphs of different size: buffers are
+        // re-shaped, not trusted, so neither direction leaves a stale row.
+        let (big, x_big) = ragged();
+        let small = adj();
+        let x_small = Matrix::rand_uniform(5, 150, -1.0, 1.0, &mut seeded_rng(71));
+        let keep: Vec<usize> = (0..150).step_by(4).collect();
+        let model = biased(pruned(zoo::graphsage(150, 16, 5, 72), 1, &keep), 73);
+        let mut packed = PackedModel::new(&model);
+        for (a, x) in [(&big, &x_big), (&small, &x_small), (&big, &x_big)] {
+            assert_eq!(
+                *packed.forward_reusing(Some(a), x),
+                model.forward_collect(Some(a), x),
+                "{} nodes",
+                x.rows()
+            );
+        }
+    }
+
+    #[test]
+    fn workspace_is_steady_after_warm_up() {
+        // One pass sizes every buffer; later passes over the same shapes
+        // write the same storage (the analogue of the batched engine's
+        // `back_pool_is_steady_after_warm_up`).
+        let (a, x) = ragged();
+        let keep: Vec<usize> = (0..150).step_by(4).collect();
+        let model = pruned(zoo::graphsage(150, 16, 5, 61), 1, &keep);
+        let mut packed = PackedModel::new(&model);
+        let ptrs = |ws: &Workspace| -> Vec<*const f32> {
+            let Scratch { agg, sel, prod } = &ws.scratch;
+            ws.outputs
+                .iter()
+                .chain(agg)
+                .chain([sel, prod])
+                .map(|m| m.as_slice().as_ptr())
+                .collect()
+        };
+        let first = packed.forward_reusing(Some(&a), &x).clone();
+        let warm = ptrs(&packed.ws);
+        assert_eq!(warm.len(), 3 + 1 + 2);
+        for _ in 0..3 {
+            assert_eq!(*packed.forward_reusing(Some(&a), &x), first);
+            assert_eq!(ptrs(&packed.ws), warm);
+        }
     }
 
     #[test]

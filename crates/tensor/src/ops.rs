@@ -9,6 +9,7 @@
 
 use crate::gemm::{self, View};
 use crate::matrix::Matrix;
+use crate::parallel::parallel_row_chunks;
 use crate::rowsum::{resolve, RowIds};
 use std::cell::RefCell;
 
@@ -358,6 +359,39 @@ impl Matrix {
         }
     }
 
+    /// A layer's epilogue as one in-place sweep: broadcast-add `bias` to
+    /// every row, then ReLU when `relu` — per element `*v += b` then
+    /// `v.max(0.0)`, the expressions of [`Matrix::add_row_vector_assign`]
+    /// and [`Matrix::relu_assign`], so bitwise equal to calling the pair.
+    /// Row chunks run on the kernel pool (inline at one thread).
+    ///
+    /// Shapes: `bias.len()` must equal `self.cols()` when given.
+    pub fn bias_relu_assign(&mut self, bias: Option<&[f32]>, relu: bool) {
+        let (rows, cols) = self.shape();
+        if let Some(b) = bias {
+            assert_eq!(b.len(), cols, "bias_relu_assign: length mismatch");
+        }
+        if bias.is_none() && !relu {
+            return;
+        }
+        parallel_row_chunks(self.as_mut_slice(), rows, cols, |_, chunk| {
+            if let Some(bias) = bias {
+                for row in chunk.chunks_exact_mut(cols) {
+                    for (v, &b) in row.iter_mut().zip(bias) {
+                        *v += b;
+                        if relu {
+                            *v = v.max(0.0);
+                        }
+                    }
+                }
+            } else {
+                for v in chunk {
+                    *v = v.max(0.0);
+                }
+            }
+        });
+    }
+
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.as_slice().iter().sum()
@@ -620,6 +654,29 @@ mod tests {
             inplace.as_slice(),
             a.add_row_vector(&bias).relu().as_slice()
         );
+        // The fused sweep equals the pair for every (bias, relu) combination,
+        // whatever the kernel thread count (6 rows over 4 threads is ragged).
+        for threads in [1, 4] {
+            crate::set_num_threads(threads);
+            for (bias, relu) in [
+                (Some(&bias[..]), true),
+                (Some(&bias[..]), false),
+                (None, true),
+                (None, false),
+            ] {
+                let mut pair = a.clone();
+                if let Some(b) = bias {
+                    pair.add_row_vector_assign(b);
+                }
+                if relu {
+                    pair.relu_assign();
+                }
+                let mut fused = a.clone();
+                fused.bias_relu_assign(bias, relu);
+                assert_eq!(fused, pair, "bias {bias:?}, relu {relu}, {threads} threads");
+            }
+        }
+        crate::set_num_threads(0);
     }
 
     #[test]
