@@ -9,30 +9,40 @@
 //! on) over the node's neighbor list with `scale = 1 / deg`, reading level 0
 //! by node id and hidden levels through the relabel table.
 //!
-//! # Level 0 is read in place
+//! # Level 0 is read in place, and layer 1 aggregates its projection
 //!
-//! The raw attributes are never copied per batch. Layer 1's branches read
-//! attribute rows straight out of the borrowed `features` matrix by global
-//! node id; hidden levels read the per-batch level table through the
-//! relabel table. Both go through one private row source (matrix, optional
-//! relabel table, optional `keep`), so each read has one body for every
-//! level. A `k = 0` branch builds no operand at all: its GEMM takes the row
-//! source and the computed nodes' ids
+//! The raw attributes are never copied per batch. Hidden levels read the
+//! per-batch level table through the relabel table; layer 1 reads level 0
+//! by global node id. Every read goes through one private row source
+//! (matrix, optional relabel table, optional `keep`), so each read has one
+//! body for every level. A `k = 0` branch builds no operand at all: its
+//! GEMM takes the row source and the computed nodes' ids
 //! ([`Matrix::matmul_packed_rows_into`]) and broadcasts each row from where
 //! it lies — the product is the gather — and under `Concat` every branch's
 //! GEMM stores into its own column window of the layer's combined output —
 //! the product is the concatenation. (`gather_selected` builds an operand
 //! only where a kernel needs one as a tensor: a `keep` on a hidden level,
-//! the int8 tier.) A layer-1 branch
-//! that carries a runtime `keep` list (the pruner leaves one only there:
-//! the attributes themselves are never rewritten) gets its kept channels
-//! packed once at engine construction — `features.select_cols(keep)`,
-//! stored beside the weight packs — so its aggregation sums contiguous
-//! kept-width rows on the shared kernel with no index list (a `keep` on a
-//! hidden level, which only a hand-built model carries, keeps the indexed
-//! row-at-a-time loop). Values, neighbour order and
-//! per-channel add order are those of a materialised, index-selected
-//! level 0, so logits are bitwise identical to it.
+//! the int8 tier.)
+//!
+//! Layer 1's neighbour branches transform first. Level 0 is the static
+//! attribute matrix, so `mean(X_N)·W = mean((X·W)_N)` and `X·W` does not
+//! depend on the batch: each `k = 1` branch of layer 1 gets a **projection
+//! table** `P = features[:, keep] · W` (`n_nodes × out_dim`), computed once
+//! at engine construction on the f32 packed GEMM whatever the engine's
+//! precision. A batch then sums `out_dim`-wide rows of `P` (64 columns on
+//! the unpruned reddit-sim model, 3 on the 4×-pruned one, instead of 602 and
+//! 150 attribute channels) and stores the mean straight into the branch's
+//! column window: layer 1 runs no neighbour GEMM. Each row of the table is
+//! bitwise the row a per-batch [`Matrix::matmul_packed_rows_into`] would
+//! produce for that node (every output row is its own fma chain), so a
+//! node's logits still depend only on the graph, never on its batch-mates.
+//! Against the aggregate-then-transform order they move by rounding only
+//! (≤ 1e-4; `project_first_stays_within_rounding_of_aggregate_first`).
+//! Hidden levels keep aggregate-then-transform: there `|V_in| ≫ |V_out|`
+//! and the input changes every batch. A layer-1 `k = 0` branch with a
+//! runtime `keep` (only a hand-built model carries one) gets its kept
+//! channels packed once instead — `features.select_cols(keep)` — and a
+//! `keep` on a hidden level keeps the indexed row-at-a-time loop.
 //!
 //! # Two-stage decomposition
 //!
@@ -40,21 +50,21 @@
 //!
 //! * **prepare** (front end): fault draw, target validation, neighborhood
 //!   expansion ([`BatchSupport`]), all store probes, and **layer 1's
-//!   aggregation** — the `k = 1` neighbour mean over the attributes, a pure
-//!   function of the support and read-only data — staged into owned buffers
-//!   ([`PreparedBatch`]);
-//! * **execute** (back end): every GEMM (the `k = 0` ones reading their
-//!   rows in place) + combine, the hidden levels' aggregation, level-table
-//!   and relabel-table maintenance, store write-backs, and target-logit
-//!   extraction.
+//!   neighbour branches** — the `k = 1` mean over the projection table's
+//!   rows, a pure function of the support and read-only data, which *is*
+//!   the branch's product — staged into owned buffers ([`PreparedBatch`]);
+//! * **execute** (back end): layer 1's `k = 0` GEMM (reading its rows in
+//!   place) and the store of each prepared neighbour mean into its column
+//!   window, then every hidden level's aggregation, GEMMs and combine,
+//!   level-table and relabel-table maintenance, store write-backs, and
+//!   target-logit extraction.
 //!
 //! The seam sits between a batch's irregular memory reads and its FMAs:
-//! aggregation over level 0 is the largest single read of a batch and needs
-//! nothing execute produces, so a pipelined worker overlaps batch N+1's
-//! neighbour sum with batch N's GEMMs. The `k = 0` read stays behind the
-//! seam, inside the GEMM it feeds: as a gather moved forward it over-filled
-//! the front stage (6–18 % less drain throughput on the 2-vCPU reference
-//! box).
+//! level 0's neighbour sum is the largest irregular read of a batch and
+//! needs nothing execute produces, so a pipelined worker overlaps batch
+//! N+1's sum with batch N's GEMMs. The `k = 0` read stays behind the seam,
+//! inside the GEMM it feeds: as a gather moved forward it over-filled the
+//! front stage (6–18 % less drain throughput on the 2-vCPU reference box).
 //!
 //! [`BatchedEngine::try_infer`] runs them back-to-back on the caller's
 //! thread. The stage pair in [`crate::pipeline`] runs the front
@@ -69,7 +79,9 @@
 use gcnp_models::{Branch, CombineMode, GnnModel, PackedModel, QuantPackedModel};
 use gcnp_sparse::{BatchSupport, CsrMatrix};
 use gcnp_tensor::rowsum::ABSENT;
-use gcnp_tensor::{parallel_row_chunks, qgemm_packed_into, row_sum, Matrix, RowIds, ScratchPool};
+use gcnp_tensor::{
+    parallel_row_chunks, qgemm_packed_into, row_sum, Matrix, PackedB, RowIds, ScratchPool,
+};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
@@ -113,12 +125,19 @@ impl WeightPacks<'_> {
     }
 
     /// Bytes of weight data a batch streams through (the per-batch memory
-    /// metric's weight term): 4 bytes per f32 weight, 1 per int8.
+    /// metric's weight term): 4 bytes per f32 weight, 1 per int8. Layer 1's
+    /// neighbour-branch weights are not among them: a batch reads those
+    /// branches' projection tables instead.
     fn weight_bytes(&self, model: &GnnModel) -> usize {
-        match self {
-            WeightPacks::F32(_) => model.n_weights() * 4,
-            WeightPacks::Int8(_) => model.n_weights(),
-        }
+        let projected: usize = model.layers.first().map_or(0, |layer| {
+            let branches = layer.branches.iter().filter(|b| b.k == 1);
+            branches.map(|b| b.weight.len()).sum()
+        });
+        let per_weight = match self {
+            WeightPacks::F32(_) => 4,
+            WeightPacks::Int8(_) => 1,
+        };
+        (model.n_weights() - projected) * per_weight
     }
 }
 
@@ -226,14 +245,19 @@ pub struct BatchResult {
     /// Wall-clock seconds for this batch (gather + compute + store I/O; in
     /// the pipelined executor this also spans the inter-stage queue wait).
     pub seconds: f64,
-    /// MACs actually executed.
+    /// MACs actually executed: every per-batch branch transform
+    /// (`computed × in_dim × out_dim`) and aggregation (one add per edge per
+    /// channel). Layer 1's neighbour branch runs no transform — its
+    /// projection table was built with the engine — and costs `|E₁| ×
+    /// out_dim` adds over the table's rows.
     pub macs: u64,
     /// Bytes of features touched plus weights — the paper's per-batch memory
-    /// metric. The sum of: the weights (4 bytes each, 1 under int8); the
-    /// attribute bytes layer 1 reads, per branch `rows × in_dim × 4` with
-    /// `in_dim` the branch's kept width and `rows` the computed nodes for a
-    /// `k = 0` branch, the supporting nodes for a `k = 1` branch; every
-    /// staged store row; and every layer's output table.
+    /// metric. The sum of: the weights a batch transforms with (4 bytes
+    /// each, 1 under int8; layer 1's neighbour-branch weights are not read);
+    /// the level-0 bytes layer 1 reads, per branch `computed × in_dim × 4`
+    /// for a `k = 0` branch (`in_dim` its kept width) and `supporting ×
+    /// out_dim × 4` for a `k = 1` branch (rows of its projection table);
+    /// every staged store row; and every layer's output table.
     pub mem_bytes: usize,
     /// Distinct nodes whose raw attributes were read.
     pub n_supporting: usize,
@@ -248,12 +272,13 @@ pub struct BatchedEngine<'a> {
     /// (f32 or int8 per the engine's [`Precision`]), so per-batch GEMMs skip
     /// the operand-pack step entirely.
     packed: WeightPacks<'a>,
-    /// Attribute packs, one slot per layer-1 branch: `Some(features[:,
-    /// keep])` where the branch carries a runtime `keep` list, built once at
-    /// construction (`n_nodes × kept × 4` bytes), so the per-batch loops
-    /// never index-select attribute channels. `None` = the branch reads
-    /// `features` itself.
-    attr_packs: Vec<Option<Matrix>>,
+    /// What layer 1 reads in place of `features`, one slot per layer-1
+    /// branch, built once at construction and indexed by node id: for a
+    /// `k = 1` branch its projection table `features[:, keep] · W`
+    /// (`n_nodes × out_dim × 4` bytes); for a `k = 0` branch with a runtime
+    /// `keep`, its kept channels `features[:, keep]`; `None` = the branch
+    /// reads `features` itself.
+    level_zero: Vec<Option<Matrix>>,
     /// Raw (unnormalized) adjacency; the engine applies mean aggregation.
     adj: &'a CsrMatrix,
     features: &'a Matrix,
@@ -397,10 +422,11 @@ pub(crate) struct PreparedBatch {
     /// through its `spent` list. (Level 0 is not staged: execute reads the
     /// attributes in place.)
     staged: Vec<Option<Matrix>>,
-    /// Layer 1's aggregated operands, one slot per layer-1 branch: the
-    /// mean-aggregated attribute rows of the computed nodes for a `k = 1`
-    /// branch, `None` for a `k = 0` branch (its GEMM reads the rows in place).
-    /// Front-pool buffers, retired through `spent` like `staged`.
+    /// Layer 1's neighbour-branch products, one slot per layer-1 branch: for
+    /// a `k = 1` branch, the computed nodes' means over their neighbours'
+    /// projection-table rows (`computed × out_dim`); `None` for a `k = 0`
+    /// branch (its GEMM reads the rows in place). Front-pool buffers,
+    /// retired through `spent` like `staged`.
     aggregated: Vec<Option<Matrix>>,
     /// A store-miss storm was drawn: the back end must skip write-backs and
     /// the store clock tick, exactly as if the store were absent.
@@ -461,7 +487,7 @@ impl PreparedBatch {
 pub(crate) struct EngineCore<'e, 'a> {
     model: &'a GnnModel,
     packed: &'e WeightPacks<'a>,
-    attr_packs: &'e [Option<Matrix>],
+    level_zero: &'e [Option<Matrix>],
     adj: &'a CsrMatrix,
     features: &'a Matrix,
     caps: &'e [Option<usize>],
@@ -491,6 +517,15 @@ pub(crate) struct BackStage<'e> {
 impl<'a> BatchedEngine<'a> {
     /// Create an f32 engine. `store = None` disables the hidden-feature
     /// reuse. See [`BatchedEngine::new_with_precision`] for the int8 tier.
+    ///
+    /// Every constructor packs the weights and builds, for each `k = 1`
+    /// branch of layer 1, its projection table `features[:, keep] · W` —
+    /// a one-time `n_nodes × in_dim × out_dim` MACs and `n_nodes × out_dim
+    /// × 4` bytes per branch (unpruned reddit-sim: 12 000 × 602 × 64, 3 MB,
+    /// ≈ 13 ms on one core of the 2-vCPU reference box), which no
+    /// [`BatchResult::macs`] counts. Batches
+    /// then read that branch at `out_dim` instead of `in_dim` width and run
+    /// no GEMM for it.
     pub fn new(
         model: &'a GnnModel,
         adj: &'a CsrMatrix,
@@ -594,24 +629,32 @@ impl<'a> BatchedEngine<'a> {
         }
         // audit: allow(no-fail-stop) — constructor misuse is a programmer error (see above)
         assert!(!model.jk, "BatchedEngine: JK models not supported");
-        // The attribute-side twin of the mask-folded weight packs: select a
-        // layer-1 branch's kept attribute channels once, here, instead of
-        // per channel per edge in every batch. A plain copy — non-finite
-        // attributes pass through and are trapped per batch in `prepare`.
-        let attr_packs = model.layers.first().map_or_else(Vec::new, |layer| {
+        let packed = match precision {
+            Precision::F32 => WeightPacks::F32(PackedModel::new(model)),
+            Precision::Int8 => WeightPacks::Int8(QuantPackedModel::new(model)),
+        };
+        // Layer 1's reads of level 0, prepared once: a branch's kept
+        // attribute channels are selected here instead of per channel per
+        // edge in every batch, and a neighbour branch is transformed here,
+        // in f32 whatever the precision (the int8 rung quantizes per-batch
+        // transforms only), so batches aggregate its product.
+        let level_zero = model.layers.first().map_or_else(Vec::new, |layer| {
             layer
                 .branches
                 .iter()
-                .map(|b| b.keep.as_deref().map(|keep| features.select_cols(keep)))
+                .map(|b| {
+                    let kept = b.keep.as_deref().map(|keep| features.select_cols(keep));
+                    match b.k {
+                        0 => kept,
+                        _ => Some(projection_table(kept.as_ref().unwrap_or(features), b)),
+                    }
+                })
                 .collect()
         });
         Self {
             model,
-            packed: match precision {
-                Precision::F32 => WeightPacks::F32(PackedModel::new(model)),
-                Precision::Int8 => WeightPacks::Int8(QuantPackedModel::new(model)),
-            },
-            attr_packs,
+            packed,
+            level_zero,
             adj,
             features,
             caps,
@@ -679,7 +722,7 @@ impl<'a> BatchedEngine<'a> {
         let core = EngineCore {
             model: self.model,
             packed: &self.packed,
-            attr_packs: &self.attr_packs,
+            level_zero: &self.level_zero,
             adj: self.adj,
             features: self.features,
             caps: &self.caps,
@@ -743,10 +786,11 @@ impl<'e, 'a> EngineCore<'e, 'a> {
 
     /// Front-end stage: draw the attempt's fault, validate targets, expand
     /// the supporting-node structure, stage every store read into owned
-    /// buffers, and build layer 1's aggregated operands — the batch's
-    /// largest irregular read, and a pure function of the support and the
-    /// read-only attributes. Attribute rows themselves are not copied: the
-    /// `k = 0` GEMM in execute reads them in place.
+    /// buffers, and build layer 1's neighbour-branch products — the mean of
+    /// each branch's projection-table rows, the batch's largest irregular
+    /// read, and a pure function of the support and read-only tables.
+    /// Attribute rows themselves are not copied: the `k = 0` GEMM in execute
+    /// reads them in place.
     pub(crate) fn prepare(
         &self,
         targets: &[usize],
@@ -832,15 +876,15 @@ impl<'e, 'a> EngineCore<'e, 'a> {
             }
         }
         let mut mem_bytes: usize = self.packed.weight_bytes(self.model);
-        // Level 0 is read in place by execute; its memory term is the
-        // attribute bytes layer 1's branches read (kept width per branch).
+        // Level 0 is read in place; its memory term is the bytes layer 1's
+        // branches read: attribute rows at the kept width for `k = 0`,
+        // projection-table rows for `k = 1`.
         if let (Some(layer), Some(ls)) = (self.model.layers.first(), support.layers.first()) {
             for branch in &layer.branches {
-                let rows = match branch.k {
-                    0 => ls.compute.len(),
-                    _ => support.input_nodes.len(),
-                };
-                mem_bytes += rows * branch.in_dim() * 4;
+                mem_bytes += match branch.k {
+                    0 => ls.compute.len() * branch.in_dim(),
+                    _ => support.input_nodes.len() * branch.out_dim(),
+                } * 4;
             }
         }
         let mut store_hits = 0usize;
@@ -896,11 +940,13 @@ impl<'e, 'a> EngineCore<'e, 'a> {
         }
         lap(&mut clock, Stage::StoreProbe);
 
-        // Last, with no error return left: layer 1's aggregated operands.
+        // Last, with no error return left: layer 1's neighbour branches,
+        // each the mean of its projection table's rows.
         let mut aggregated: Vec<Option<Matrix>> = Vec::new();
         if let (Some(layer), Some(ls)) = (self.model.layers.first(), support.layers.first()) {
             aggregated.extend(layer.branches.iter().enumerate().map(|(bi, branch)| {
-                (branch.k == 1).then(|| aggregate_mean(self.attributes(bi, branch), ls, front.pool))
+                (branch.k == 1)
+                    .then(|| aggregate_mean(self.level_zero_source(bi, branch), ls, front.pool))
             }));
             lap(&mut clock, Stage::Spmm);
         }
@@ -919,12 +965,11 @@ impl<'e, 'a> EngineCore<'e, 'a> {
         })
     }
 
-    /// Where layer 1's branch `bi` reads level 0: its attribute pack when
-    /// the kept channels were packed at construction (contiguous kept-width
-    /// rows, no index list), else `features` through the branch's `keep`.
-    /// Both are indexed by global node id.
-    fn attributes(&self, bi: usize, branch: &'e Branch) -> RowSource<'e> {
-        match self.attr_packs.get(bi) {
+    /// Where layer 1's branch `bi` reads level 0: the table built for it at
+    /// construction (a `k = 1` branch's projection table, a `k = 0` branch's
+    /// kept channels), else `features` itself. Indexed by global node id.
+    fn level_zero_source(&self, bi: usize, branch: &'e Branch) -> RowSource<'e> {
+        match self.level_zero.get(bi) {
             Some(Some(pack)) => RowSource {
                 mat: pack,
                 relabel: None,
@@ -939,11 +984,11 @@ impl<'e, 'a> EngineCore<'e, 'a> {
     }
 
     /// Back-end stage: transform, relabel, write back, and extract
-    /// the target logits for a prepared batch. Layer 1's aggregated operands
-    /// arrive built; hidden levels aggregate here.
+    /// the target logits for a prepared batch. Layer 1's neighbour-branch
+    /// products arrive built; hidden levels aggregate here.
     ///
     /// Buffers that originated in the front pool (the staged store reads,
-    /// layer 1's aggregated operands) are pushed onto `spent` instead of
+    /// layer 1's neighbour-branch products) are pushed onto `spent` instead of
     /// this stage's pool — on error returns too — so the caller can
     /// circulate them back to the front stage.
     pub(crate) fn execute(
@@ -1009,8 +1054,8 @@ impl<'e, 'a> EngineCore<'e, 'a> {
         let mut macs: u64 = 0;
         // The table of the level below the layer being computed. `None` is
         // level 0, which is never materialised: layer 1 reads `features`
-        // (or a branch's attribute pack) by global node id, so `relabel`
-        // first matters — and is first reset — when level 1 is assembled.
+        // (or a branch's table) by global node id, so `relabel` first
+        // matters — and is first reset — when level 1 is assembled.
         let mut level_mat: Option<Matrix> = None;
 
         for li in 1..=n_layers {
@@ -1024,55 +1069,71 @@ impl<'e, 'a> EngineCore<'e, 'a> {
                 });
             }
             // The combined output, out of the pool like every other
-            // intermediate. Under Concat each branch's GEMM fills its own
+            // intermediate. Under Concat each branch's product fills its own
             // column window of it; under Mean the first product lands in it
-            // (at column 0) and the later ones are added to it.
+            // (at column 0) and the later ones are added to it in branch
+            // order.
             let mut out = pool.take_matrix(ls.compute.len(), layer.out_dim());
             let mut col0 = 0;
             for (bi, branch) in layer.branches.iter().enumerate() {
-                let src = match level_mat.as_ref() {
-                    None => self.attributes(bi, branch),
-                    level => {
-                        RowSource::level(level, self.features, relabel, branch.keep.as_deref())
+                let add = bi > 0 && layer.combine == CombineMode::Mean;
+                // Layer 1's neighbour branch arrives as its product: prepare
+                // averaged its projection table's rows into a front-pool
+                // buffer.
+                let prepared = (li == 1 && branch.k == 1)
+                    .then(|| take_aggregated(aggregated, bi))
+                    .transpose()?;
+                if let Some(mean) = prepared {
+                    // Adds only: one per edge per table column.
+                    macs += (ls.neigh_ids.len() * branch.out_dim()) as u64;
+                    if add {
+                        out.add_assign(&mean);
+                    } else {
+                        store_window(&mut out, col0, &mean);
                     }
-                };
-                // Layer 1's aggregated operand was built by prepare, in a
-                // front-pool buffer. A `k = 0` branch builds none: its GEMM
-                // reads the computed nodes' rows where they lie.
-                let prepared = li == 1 && branch.k == 1;
-                let built = match branch.k {
-                    _ if prepared => Some(take_aggregated(aggregated, bi)?),
-                    0 if src.keep.is_none() => None,
-                    // Only a hand-built model prunes a hidden level.
-                    0 => Some(gather_selected(src, &ls.compute, pool)),
-                    1 => Some(aggregate_mean(src, ls, pool)),
-                    // audit: allow(no-fail-stop) — k ∈ {0,1} is enforced by the constructor assert
-                    _ => unreachable!("validated in constructor"),
-                };
-                // Aggregation adds: one MAC-equivalent per edge per channel.
-                if branch.k == 1 {
-                    macs += (ls.neigh_ids.len() * branch.in_dim()) as u64;
-                }
-                macs += (ls.compute.len() * branch.in_dim() * branch.out_dim()) as u64;
-                lap(clock, Stage::Spmm);
-                // Pre-packed weights (no per-call operand pack).
-                let operand = match &built {
-                    Some(m) => (m, None),
-                    None => (src.mat, Some((src.relabel, ls.compute.as_slice()))),
-                };
-                if bi == 0 || layer.combine == CombineMode::Concat {
-                    self.transform(li, bi, operand, &mut out, col0, pool);
-                    col0 += branch.out_dim();
+                    spent.push(mean);
                 } else {
-                    let mut prod = pool.take_matrix(ls.compute.len(), branch.out_dim());
-                    self.transform(li, bi, operand, &mut prod, 0, pool);
-                    out.add_assign(&prod);
-                    pool.recycle(prod);
+                    let src = match level_mat.as_ref() {
+                        None => self.level_zero_source(bi, branch),
+                        level => {
+                            RowSource::level(level, self.features, relabel, branch.keep.as_deref())
+                        }
+                    };
+                    // A `k = 0` branch builds no operand: its GEMM reads the
+                    // computed nodes' rows where they lie.
+                    let built = match branch.k {
+                        0 if src.keep.is_none() => None,
+                        // Only a hand-built model prunes a hidden level.
+                        0 => Some(gather_selected(src, &ls.compute, pool)),
+                        1 => Some(aggregate_mean(src, ls, pool)),
+                        // audit: allow(no-fail-stop) — k ∈ {0,1} is enforced by the constructor assert
+                        _ => unreachable!("validated in constructor"),
+                    };
+                    // Aggregation adds: one MAC-equivalent per edge per channel.
+                    if branch.k == 1 {
+                        macs += (ls.neigh_ids.len() * branch.in_dim()) as u64;
+                    }
+                    macs += (ls.compute.len() * branch.in_dim() * branch.out_dim()) as u64;
+                    lap(clock, Stage::Spmm);
+                    // Pre-packed weights (no per-call operand pack).
+                    let operand = match &built {
+                        Some(m) => (m, None),
+                        None => (src.mat, Some((src.relabel, ls.compute.as_slice()))),
+                    };
+                    if add {
+                        let mut prod = pool.take_matrix(ls.compute.len(), branch.out_dim());
+                        self.transform(li, bi, operand, &mut prod, 0, pool);
+                        out.add_assign(&prod);
+                        pool.recycle(prod);
+                    } else {
+                        self.transform(li, bi, operand, &mut out, col0, pool);
+                    }
+                    if let Some(m) = built {
+                        pool.recycle(m);
+                    }
                 }
-                match built {
-                    Some(m) if prepared => spent.push(m),
-                    Some(m) => pool.recycle(m),
-                    None => {}
+                if !add {
+                    col0 += branch.out_dim();
                 }
                 lap(clock, Stage::Gemm);
             }
@@ -1242,10 +1303,7 @@ impl<'e, 'a> EngineCore<'e, 'a> {
                 if let Some(m) = self.metrics {
                     m.dispatch_int8.inc();
                 }
-                for i in 0..prod.rows() {
-                    // audit: allow(no-fail-stop) — `out` is `layer.out_dim()` wide (or this branch's own product), which holds every branch's window
-                    out.row_mut(i)[col0..col0 + prod.cols()].copy_from_slice(prod.row(i));
-                }
+                store_window(out, col0, &prod);
                 pool.recycle(prod);
                 if let Some(b) = built {
                     pool.recycle(b);
@@ -1322,15 +1380,63 @@ impl<'s> RowSource<'s> {
     }
 }
 
-/// Layer 1's aggregated operand for branch `bi`, out of the prepared batch.
+/// Layer 1's neighbour-branch product for branch `bi`, out of the prepared
+/// batch.
 fn take_aggregated(aggregated: &mut [Option<Matrix>], bi: usize) -> ServingResult<Matrix> {
     aggregated
         .get_mut(bi)
         .and_then(Option::take)
         .ok_or_else(|| ServingError::InvariantViolation {
             check: "engine.aggregated.branch",
-            detail: format!("layer 1 branch {bi} aggregates but prepare built no operand"),
+            detail: format!("layer 1 branch {bi} aggregates but prepare built no product"),
         })
+}
+
+/// `out[i][col0 .. col0 + part.cols()] = part[i]` for every row of `part`.
+fn store_window(out: &mut Matrix, col0: usize, part: &Matrix) {
+    for i in 0..part.rows() {
+        // audit: allow(no-fail-stop) — `out` is `layer.out_dim()` wide (or this branch's own product), which holds every branch's window
+        out.row_mut(i)[col0..col0 + part.cols()].copy_from_slice(part.row(i));
+    }
+}
+
+/// A layer-1 neighbour branch's projection table: `src · W` over every row
+/// of `src` (the attributes, or their kept channels), on the f32 pack
+/// [`PackedModel`] builds for `branch` (a full-width masked weight packs
+/// only its kept rows), so each row is the one a per-batch
+/// [`Matrix::matmul_packed_rows_into`] would produce for that node. A
+/// non-finite attribute row gives a non-finite table row, never a panic:
+/// under `strict-invariants`, where the GEMM nets its output, such a row is
+/// projected as zeros and then filled with NaN, and `prepare`'s raw-row scan
+/// rejects every batch that would read it.
+fn projection_table(src: &Matrix, branch: &Branch) -> Matrix {
+    let pack = match &branch.keep {
+        Some(keep) if branch.weight.rows() != keep.len() => {
+            PackedB::pack_rows(&branch.weight, keep)
+        }
+        _ => PackedB::pack(&branch.weight),
+    };
+    let mut table = Matrix::zeros(src.rows(), pack.n());
+    let non_finite: Vec<usize> = if gcnp_tensor::check::enabled() {
+        (0..src.rows())
+            .filter(|&v| gcnp_tensor::check::first_non_finite(src.row(v)).is_some())
+            .collect()
+    } else {
+        Vec::new()
+    };
+    if non_finite.is_empty() {
+        src.matmul_packed_into(&pack, &mut table);
+        return table;
+    }
+    let mut finite = src.clone();
+    for &v in &non_finite {
+        finite.row_mut(v).fill(0.0);
+    }
+    finite.matmul_packed_into(&pack, &mut table);
+    for &v in &non_finite {
+        table.row_mut(v).fill(f32::NAN);
+    }
+    table
 }
 
 /// Gather the selected rows of `nodes` from `src`.
@@ -1433,9 +1539,9 @@ mod tests {
         pruned
     }
 
-    /// Unsorted `keep` lists on both layer-1 branches (attribute packs) and
-    /// on both of layer 2's (the hidden-level gather and the indexed
-    /// aggregation loop).
+    /// Unsorted `keep` lists on both layer-1 branches (the `k = 0` attribute
+    /// pack and the `k = 1` projection table) and on both of layer 2's (the
+    /// hidden-level gather and the indexed aggregation loop).
     fn hand_pruned(model: &GnnModel) -> GnnModel {
         with_keep(
             model,
@@ -1478,8 +1584,8 @@ mod tests {
         // With no fan-out caps and no store, batched inference must produce
         // exactly the full-inference embeddings for the targets — for the
         // unpruned model, for one pruned by the batched scheme (runtime
-        // `keep` on layer 1's aggregation branch, served from the attribute
-        // pack), for hand-placed unsorted `keep` lists, and for a 64-target
+        // `keep` on layer 1's aggregation branch, served from its projection
+        // table), for hand-placed unsorted `keep` lists, and for a 64-target
         // batch over nearly-empty attribute rows.
         let (adj, x, model) = setup();
         let norm = adj.normalized(Normalization::Row);
@@ -1662,12 +1768,21 @@ mod tests {
     /// indexed load per channel per edge. Every operand is built (the
     /// `k = 0` gather included), every branch product is a whole matrix of
     /// its own, and the combine is a separate pass — `concat_cols_into`, or
-    /// copy-add-scale for `Mean`.
+    /// copy-add-scale for `Mean`. Layer 1's neighbour branches project the
+    /// kept rows of every supporting node through the branch's f32 pack and
+    /// then take the mean in neighbour-list order — or, with
+    /// `aggregate_first`, take the mean of the kept rows and then multiply,
+    /// the order every other branch runs in.
     /// Computes the logits of the engine's *next* batch without serving it
     /// (read-only store policies only).
-    fn materialised_level_zero_logits(engine: &mut BatchedEngine<'_>, targets: &[usize]) -> Matrix {
+    fn materialised_level_zero_logits(
+        engine: &mut BatchedEngine<'_>,
+        targets: &[usize],
+        aggregate_first: bool,
+    ) -> Matrix {
         let batch_seed = engine.seed ^ (engine.batch_counter + 1);
         let (core, _, _) = engine.split();
+        let f32_packs = PackedModel::new(core.model);
         let flags: Vec<bool> = core.model.layers.iter().map(|l| l.uses_graph()).collect();
         let support =
             BatchSupport::build(core.adj, targets, &flags, core.caps, batch_seed, |l, v| {
@@ -1683,12 +1798,25 @@ mod tests {
         for (li, (layer, ls)) in core.model.layers.iter().zip(&support.layers).enumerate() {
             let mut parts = Vec::new();
             for (bi, branch) in layer.branches.iter().enumerate() {
-                let mut gathered = Matrix::zeros(ls.compute.len(), branch.in_dim());
+                // A projected branch averages rows of `kept · W` (keep
+                // already applied) and needs no product afterwards.
+                let projected = (li == 0 && branch.k == 1 && !aggregate_first).then(|| {
+                    let kept = match &branch.keep {
+                        Some(keep) => table.select_cols(keep),
+                        None => table.clone(),
+                    };
+                    kept.matmul_packed(&f32_packs.branch_packs(0)[bi])
+                });
+                let (rows, keep, width) = match &projected {
+                    Some(p) => (p, None, branch.out_dim()),
+                    None => (&table, branch.keep.as_ref(), branch.in_dim()),
+                };
+                let mut gathered = Matrix::zeros(ls.compute.len(), width);
                 for (r, &v) in ls.compute.iter().enumerate() {
                     let dst = gathered.row_mut(r);
                     if branch.k == 0 {
-                        let src = table.row(index[&v]);
-                        match &branch.keep {
+                        let src = rows.row(index[&v]);
+                        match keep {
                             Some(keep) => {
                                 for (d, &c) in dst.iter_mut().zip(keep) {
                                     *d = src[c];
@@ -1700,8 +1828,8 @@ mod tests {
                     }
                     let nbrs = ls.neighbors(r);
                     for &u in nbrs {
-                        let src = table.row(index[&u]);
-                        match &branch.keep {
+                        let src = rows.row(index[&u]);
+                        match keep {
                             Some(keep) => {
                                 for (d, &c) in dst.iter_mut().zip(keep) {
                                     *d += src[c];
@@ -1720,6 +1848,10 @@ mod tests {
                             *d *= inv;
                         }
                     }
+                }
+                if projected.is_some() {
+                    parts.push(gathered);
+                    continue;
                 }
                 let mut prod = Matrix::zeros(gathered.rows(), branch.out_dim());
                 match core.packed {
@@ -1770,9 +1902,8 @@ mod tests {
         table.gather_rows(&rows)
     }
 
-    #[test]
-    fn in_place_reads_are_bitwise_identical_to_a_materialised_level_zero() {
-        // Ring with chords over nodes 0..59; node 59 has no neighbours.
+    /// Ring with chords over nodes 0..59; node 59 has no neighbours.
+    fn chords_and_an_isolated_node() -> CsrMatrix {
         let n = 60;
         let mut edges = Vec::new();
         for i in 0..(n - 1) as u32 {
@@ -1782,18 +1913,78 @@ mod tests {
                 edges.push((j, i));
             }
         }
-        let adj = CsrMatrix::adjacency(n, &edges);
-        let x = Matrix::rand_uniform(n, 6, -1.0, 1.0, &mut seeded_rng(21));
-        let caps = vec![None, Some(2)];
-        let mut base = zoo::graphsage(6, 8, 4, 7);
-        for layer in &mut base.layers {
-            // A bias the combine order shows in.
+        CsrMatrix::adjacency(n, &edges)
+    }
+
+    /// `model` with random biases, which the combine order shows in.
+    fn biased(mut model: GnnModel) -> GnnModel {
+        for layer in &mut model.layers {
             let bias = layer.bias.as_mut().expect("zoo layers carry a bias");
             *bias = Matrix::rand_uniform(1, bias.cols(), -0.5, 0.5, &mut seeded_rng(22));
         }
+        model
+    }
+
+    /// Two batches, the second on recycled scratch and a relabel table that
+    /// still holds the first batch's top level; both serve the isolated node.
+    const BATCHES: [&[usize]; 2] = [&[3, 59, 20, 41, 20], &[59, 8, 33, 9]];
+
+    #[test]
+    fn in_place_reads_are_bitwise_identical_to_a_materialised_level_zero() {
+        let adj = chords_and_an_isolated_node();
+        let x = Matrix::rand_uniform(adj.n_rows(), 6, -1.0, 1.0, &mut seeded_rng(21));
+        let caps = vec![None, Some(2)];
+        let base = biased(zoo::graphsage(6, 8, 4, 7));
         for model in [hand_pruned(&base), hand_pruned_mean(&base)] {
             in_place_matches_materialised(&model, &adj, &x, caps.clone());
         }
+    }
+
+    #[test]
+    fn project_first_stays_within_rounding_of_aggregate_first() {
+        // Layer 1's neighbour branches compute `mean((X·W)_N)` where every
+        // other branch computes `mean(X_N)·W`: the same sum in another float
+        // order. Against that order — the reference's `aggregate_first` arm —
+        // the logits may move by rounding only.
+        let adj = chords_and_an_isolated_node();
+        let n = adj.n_rows();
+        let x = Matrix::rand_uniform(n, 6, -1.0, 1.0, &mut seeded_rng(21));
+        let wide_x = Matrix::rand_uniform(n, 150, -1.0, 1.0, &mut seeded_rng(23));
+        let base = biased(zoo::graphsage(6, 8, 4, 7));
+        let cfg = gcnp_core::PrunerConfig {
+            beta_epochs: 3,
+            w_epochs: 3,
+            ..Default::default()
+        };
+        let (scheme_pruned, _) = gcnp_core::prune_model(
+            &base,
+            &adj.normalized(Normalization::Row),
+            &x,
+            0.5,
+            gcnp_core::Scheme::BatchedInference,
+            &cfg,
+        );
+        assert!(scheme_pruned.layers[0].branches[1].keep.is_some());
+        let wide = biased(zoo::graphsage(150, 64, 8, 24));
+        let mut worst = 0.0f32;
+        for (name, model, x) in [
+            ("unpruned", &base, &x),
+            ("unpruned, 150 attributes", &wide, &wide_x),
+            ("batched-scheme pruned", &scheme_pruned, &x),
+            ("keep on k = 0 and k = 1", &hand_pruned(&base), &x),
+            ("Mean combine", &hand_pruned_mean(&base), &x),
+        ] {
+            let caps = vec![None, Some(2)];
+            let mut engine = BatchedEngine::new(model, &adj, x, caps, None, StorePolicy::None, 5);
+            for targets in BATCHES {
+                let want = materialised_level_zero_logits(&mut engine, targets, true);
+                let got = engine.infer(targets).logits;
+                let diff = got.max_abs_diff(&want);
+                assert!(diff <= 1e-4, "{name} {targets:?}: max |Δ| = {diff:e}");
+                worst = worst.max(diff);
+            }
+        }
+        println!("max |logit difference| against aggregate-first: {worst:e}");
     }
 
     fn in_place_matches_materialised(
@@ -1856,12 +2047,9 @@ mod tests {
                 ),
             ),
         ];
-        // The second batch runs on recycled scratch and a relabel table that
-        // still holds the first batch's top level.
-        let batches: [&[usize]; 2] = [&[3, 59, 20, 41, 20], &[59, 8, 33, 9]];
         for (name, stored, mut engine) in engines {
-            for targets in batches {
-                let want = materialised_level_zero_logits(&mut engine, targets);
+            for targets in BATCHES {
+                let want = materialised_level_zero_logits(&mut engine, targets, false);
                 let got = engine.infer(targets);
                 assert_eq!(
                     got.store_hits > 0,
@@ -1885,9 +2073,11 @@ mod tests {
     }
 
     #[test]
-    fn mem_bytes_counts_the_attribute_bytes_layer_one_reads() {
+    fn accounting_counts_what_layer_one_runs() {
         // Ring of 30, targets {3, 4, 20}, no caps, no store: layer 1
-        // computes the 7 nodes within one hop and reads the 11 within two.
+        // computes the 7 nodes within one hop over the 11 within two; layer
+        // 2 and the classifier compute the 3 targets. SAGE 6 → 8 → 8 → 4,
+        // each layer-1 and layer-2 branch 4 wide.
         let (adj, x, model) = setup();
         let pruned = with_keep(&model, &[(0, 1, &[0, 2, 4])]);
         let infer = |m: &GnnModel| {
@@ -1895,35 +2085,42 @@ mod tests {
         };
         let (full, slim) = (infer(&model), infer(&pruned));
         assert_eq!((full.n_supporting, slim.n_supporting), (11, 11));
-        // Past level 0 the two batches touch the same bytes, so they differ
-        // by the level-0 term — k = 0 branch: 7 computed rows × 6 channels;
-        // k = 1 branch: 11 supporting rows × 6 (unpruned) or 3 (kept)
-        // channels — and by the 3 weight rows the pruned branch dropped.
-        let attr_bytes = |kept: usize| (7 * 6 + 11 * kept) * 4;
-        let dropped_weights = 3 * model.layers[0].branches[1].out_dim() * 4;
-        assert!(slim.mem_bytes < full.mem_bytes);
-        assert_eq!(
-            full.mem_bytes - slim.mem_bytes,
-            attr_bytes(6) - attr_bytes(3) + dropped_weights
-        );
+        // Every ring node has two neighbours. Layer 1: the k = 0 GEMM
+        // (7 × 6 × 4) and one add per edge per table column (14 edges × 4);
+        // no transform of the k = 1 branch. Layer 2: k = 0 (3 × 8 × 4),
+        // k = 1 (6 edges × 8 + 3 × 8 × 4). Classifier: 3 × 8 × 4.
+        let macs = 7 * 6 * 4 + 14 * 4 + 3 * 8 * 4 + 6 * 8 + 3 * 8 * 4 + 3 * 8 * 4;
+        assert_eq!(full.macs, macs as u64);
+        // Weights a batch transforms with (all 164 but the 6 × 4 it reads a
+        // table for), the k = 0 branch's 7 attribute rows × 6, the k = 1
+        // branch's 11 table rows × 4, and the three layer outputs.
+        let floats = (164 - 6 * 4) + 7 * 6 + 11 * 4 + (7 * 8 + 3 * 8 + 3 * 4);
+        assert_eq!(model.n_weights(), 164);
+        assert_eq!(full.mem_bytes, floats * 4);
+        // Pruning the k = 1 branch's inputs shrinks its table's one-time
+        // construction, not what a batch reads or runs.
+        assert_eq!((slim.macs, slim.mem_bytes), (full.macs, full.mem_bytes));
     }
 
     #[test]
-    fn attribute_pack_copies_non_finite_features_without_panicking() {
-        // The one-off channel select at construction is a plain copy: a NaN
-        // attribute must not panic there. It is trapped per batch under
-        // `strict-invariants` and served as-is otherwise.
+    fn projection_table_takes_non_finite_features_without_panicking() {
+        // Constructing an engine projects every attribute row: a NaN
+        // attribute must not panic there, pruned or not. It is trapped per
+        // batch under `strict-invariants` and served as-is otherwise.
         let (adj, mut x, model) = setup();
-        x.set(4, 2, f32::NAN);
+        x.set(5, 2, f32::NAN); // two hops from target 3: read only through a table
         let pruned = with_keep(&model, &[(0, 1, &[0, 2, 4])]);
-        let mut engine = BatchedEngine::new(&pruned, &adj, &x, vec![], None, StorePolicy::None, 0);
-        match engine.try_infer(&[3]) {
-            Err(ServingError::InvariantViolation { check, .. }) => {
-                assert!(gcnp_tensor::check::enabled());
-                assert_eq!(check, "engine.features.finite");
+        for model in [&model, &pruned] {
+            let mut engine =
+                BatchedEngine::new(model, &adj, &x, vec![], None, StorePolicy::None, 0);
+            match engine.try_infer(&[3]) {
+                Err(ServingError::InvariantViolation { check, .. }) => {
+                    assert!(gcnp_tensor::check::enabled());
+                    assert_eq!(check, "engine.features.finite");
+                }
+                Ok(_) => assert!(!gcnp_tensor::check::enabled()),
+                Err(other) => panic!("unexpected error: {other:?}"),
             }
-            Ok(_) => assert!(!gcnp_tensor::check::enabled()),
-            Err(other) => panic!("unexpected error: {other:?}"),
         }
     }
 
@@ -2184,7 +2381,7 @@ mod tests {
     #[test]
     fn front_pool_buffers_stay_in_circulation() {
         // Ring of 30 with h¹ stored for the odd nodes: every batch stages
-        // three store rows and carries one aggregated operand, all drawn
+        // three store rows and carries one neighbour-branch product, all drawn
         // from the front pool. Between batches the pool must hold every one
         // of them again, whatever the batch before ran into.
         let (adj, x, model) = setup();
@@ -2342,7 +2539,11 @@ mod tests {
         let (adj, x, model) = setup();
         let registry = Arc::new(gcnp_obs::MetricsRegistry::new());
         let metrics = crate::EngineMetrics::new(&registry);
-        let transforms: u64 = model.layers.iter().map(|l| l.branches.len() as u64).sum();
+        // A batch dispatches one GEMM per branch, bar layer 1's aggregation
+        // branch: its product is the mean of its projection table's rows.
+        let branches: u64 = model.layers.iter().map(|l| l.branches.len() as u64).sum();
+        assert_eq!(model.layers[0].branches[1].k, 1);
+        let transforms = branches - 1;
 
         // An f32 engine runs every branch transform of a batch on the dense
         // blocked kernel.

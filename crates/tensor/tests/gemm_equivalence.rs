@@ -24,7 +24,11 @@
 //! 5. the row-indexed, column-windowed product
 //!    ([`Matrix::matmul_packed_rows_into`]) is bitwise the gather, the
 //!    product and the copy it replaces, touches nothing outside its window,
-//!    and validates every id before it writes.
+//!    and validates every id before it writes;
+//! 6. each output row is its own: a row of the row-indexed product is
+//!    bitwise the same row of the whole-matrix product, whichever rows share
+//!    its call and at any thread count — what lets the batched engine's
+//!    per-engine projection table stand in for a per-batch product.
 
 use gcnp_tensor::gemm::{KC, MC, MR, NR};
 use gcnp_tensor::init::seeded_rng;
@@ -309,6 +313,52 @@ fn rows_window_rejects_bad_ids_before_writing() {
             out.as_slice().iter().all(|&v| v == 7.0),
             "{relabel:?} {ids:?}: rejected after a write"
         );
+    }
+}
+
+#[test]
+fn indexed_rows_equal_the_rows_of_the_whole_product() {
+    let _forced = ForcedPath::lock();
+    // A ragged row count past one `MC` block; depths inside one `KC` slab
+    // and across three; widths of one partial `NR` panel, a ragged two and
+    // four whole ones.
+    let m = MC + MR + 1;
+    let lists: [Vec<usize>; 4] = [
+        vec![m - 1],
+        vec![7, 2, MC + 3, 0, 64],
+        (0..2 * MR + 1)
+            .map(|i| (i * 37) % m)
+            .chain([5, 5])
+            .collect(),
+        (0..m).rev().collect(),
+    ];
+    for k in [6, 150, 602] {
+        for n in [3, 29, 64] {
+            let src = Matrix::rand_uniform(m, k, -1.0, 1.0, &mut seeded_rng((k * n) as u64));
+            let pack = PackedB::pack(&Matrix::rand_uniform(k, n, -1.0, 1.0, &mut seeded_rng(3)));
+            for path in [GemmPath::BlockedScalar, GemmPath::BlockedSimd] {
+                set_gemm_path(Some(path));
+                for threads in [1, 4] {
+                    set_num_threads(threads);
+                    let whole = src.matmul_packed(&pack);
+                    for ids in &lists {
+                        let mut out = Matrix::zeros(ids.len(), n);
+                        src.matmul_packed_rows_into(Some((None, ids)), &pack, &mut out, 0);
+                        for (i, &v) in ids.iter().enumerate() {
+                            let bits =
+                                |r: &[f32]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                            assert_eq!(
+                                bits(out.row(i)),
+                                bits(whole.row(v)),
+                                "{k}x{n} {path:?} threads={threads}: row {v} of {} ids",
+                                ids.len()
+                            );
+                        }
+                    }
+                    set_num_threads(0);
+                }
+            }
+        }
     }
 }
 

@@ -66,15 +66,15 @@ fn pipelined_outputs_are_bitwise_identical_across_configs() {
     let work = batches(n, 10, 9, 33);
     // A runtime `keep` on layer 1's aggregation branch, as
     // `Scheme::BatchedInference` leaves it: served from the engine's
-    // attribute pack.
+    // projection table.
     let mut pruned = model.clone();
     let keep = vec![6usize, 1, 4, 3];
     let agg = &mut pruned.layers[0].branches[1];
     agg.weight = agg.weight.select_rows(&keep);
     agg.keep = Some(keep);
-    // The front stage builds layer 1's aggregated operand: a first layer
-    // with nothing to aggregate, and a model whose only layer consumes the
-    // operand and emits the logits.
+    // The front stage builds layer 1's neighbour-branch product: a first
+    // layer with nothing to aggregate, and a model whose only layer stores
+    // the product and emits the logits.
     let mut rng = seeded_rng(23);
     let dense_first = GnnModel::new(vec![
         BranchLayer::dense(

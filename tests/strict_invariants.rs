@@ -22,20 +22,39 @@ fn nan_feature_row_yields_typed_error_not_panic() {
     let n = 12;
     let adj = ring(n);
     let mut rng = gcnp_tensor::init::seeded_rng(7);
-    let mut x = Matrix::rand_uniform(n, 8, -1.0, 1.0, &mut rng);
-    // Poison one feature of a node inside the batch's support.
-    x.set(3, 2, f32::NAN);
     let model = zoo::graphsage(8, 8, 3, 7);
-    let mut engine = BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 7);
-    let err = engine
-        .try_infer(&[2, 3, 4])
-        .expect_err("NaN input must be rejected");
-    match err {
-        ServingError::InvariantViolation { check, detail } => {
-            assert_eq!(check, "engine.features.finite");
-            assert!(detail.contains("NaN"), "detail should name NaN: {detail}");
+    // Layer 1's aggregation branch pruned to a runtime `keep`, as the
+    // batched scheme leaves it.
+    let mut pruned = model.clone();
+    let keep = vec![6usize, 2, 0];
+    let agg = &mut pruned.layers[0].branches[1];
+    agg.weight = agg.weight.select_rows(&keep);
+    agg.keep = Some(keep);
+    let clean = Matrix::rand_uniform(n, 8, -1.0, 1.0, &mut rng);
+    // (model, poisoned node, targets): a node inside the batch's support;
+    // and one two hops from the only target, whose row the batch reads only
+    // through the aggregation branch's projection table — the engine builds
+    // that table from the poisoned matrix without panicking.
+    for (name, model, node, targets) in [
+        ("unpruned", &model, 3, &[2usize, 3, 4][..]),
+        ("pruned, read only through the table", &pruned, 0, &[2][..]),
+    ] {
+        let mut x = clean.clone();
+        x.set(node, 2, f32::NAN);
+        let mut engine = BatchedEngine::new(model, &adj, &x, vec![], None, StorePolicy::None, 7);
+        let err = engine
+            .try_infer(targets)
+            .expect_err("NaN input must be rejected");
+        match err {
+            ServingError::InvariantViolation { check, detail } => {
+                assert_eq!(check, "engine.features.finite", "{name}");
+                assert!(
+                    detail.contains("NaN"),
+                    "{name}: detail should name NaN: {detail}"
+                );
+            }
+            other => panic!("{name}: expected InvariantViolation, got {other:?}"),
         }
-        other => panic!("expected InvariantViolation, got {other:?}"),
     }
 }
 
