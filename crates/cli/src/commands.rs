@@ -5,9 +5,9 @@ use crate::args::Args;
 use gcnp_core::{prune_model, PruneMethod, PrunerConfig, Scheme};
 use gcnp_datasets::{oversample, parse_spam_factor, Dataset, DatasetKind, Partition};
 use gcnp_infer::{
-    format_stage_table, serve_multi, serve_sharded, simulate_tiered, stage_breakdown,
-    BatchedEngine, EngineMetrics, FaultPlan, FeatureStore, FullEngine, LadderPolicy, Precision,
-    QuantizedGnn, ServingConfig, ServingResult, ShardedStore, StorePolicy,
+    format_stage_table, serve_multi, serve_sharded, serve_tiered, stage_breakdown, BatchedEngine,
+    EngineMetrics, FaultPlan, FeatureStore, FullEngine, LadderPolicy, Precision, QuantizedGnn,
+    ServingConfig, ServingResult, ShardedStore, StorePolicy,
 };
 use gcnp_models::{zoo, GnnModel, Metrics, TrainConfig, Trainer};
 use gcnp_obs::MetricsRegistry;
@@ -272,40 +272,31 @@ fn write_metrics(path: &str, registry: &Arc<MetricsRegistry>) -> Result<String, 
 ///  [--watchdog-ms f] [--hedge k] [--ladder] [--shards n] [--pace]
 ///  [--metrics-out file]`
 ///
-/// With `--workers n` (n > 1) the request trace is drained by `n` engine
-/// replicas sharing one feature store (throughput mode, no latency
-/// percentiles); worker panics are recovered and counted. `--faults`
-/// injects a deterministic chaos schedule (see
-/// [`gcnp_infer::FaultPlan::parse`]), `--deadline-ms`/`--queue-cap` turn on
-/// deadline and admission shedding, and `--ladder` (single-worker) serves
-/// through a full → pruned-2x → pruned-4x → quantized degradation ladder
-/// (the bottom rung re-runs the 4x-pruned weights through the blocked int8
-/// kernel, ≈16x smaller weight memory than the full model).
+/// Every run is the fleet executor, and every worker a two-stage pair
+/// (batch N+1's aggregation overlaps batch N's GEMMs). `--workers n`
+/// replicas (default 1) share one feature store; worker panics are
+/// recovered and counted. `--pace` replays the arrival trace in real time
+/// so the percentiles are wall-clock meaningful. `--faults` injects a
+/// deterministic chaos schedule (see [`gcnp_infer::FaultPlan::parse`]),
+/// `--deadline-ms`/`--queue-cap` turn on deadline and admission shedding,
+/// `--watchdog-ms f` steals, requeues and respawns a batch's stage pair
+/// busy longer than `f` ms, and `--hedge k` duplicates a batch busy past
+/// `k ×` the EWMA compute estimate (first completion wins).
+///
+/// `--ladder` (one worker, no shards) serves through a full → pruned-2x →
+/// pruned-4x → quantized ladder via `serve_tiered`, one engine per tier
+/// (the bottom rung re-runs the 4x-pruned weights through the int8 kernel,
+/// ≈16x smaller weight memory than the full model). `--shards n` (n > 1,
+/// exclusive with `--workers`) hash-partitions the graph (plus two greedy
+/// edge-cut refinement passes), gives each shard its own feature-store
+/// slice and worker, and routes every request to its target's owner shard
+/// via `serve_sharded`; `--store` pre-warm rows go to their owner shards.
+///
 /// `--metrics-out file` attaches a `gcnp-obs` registry to the engines and
-/// feature store, writes the end-of-run snapshot as JSON to `file` and
-/// Prometheus text to `file.prom`, and appends a per-stage engine timing
-/// table to the summary.
-///
-/// `--watchdog-ms f` arms the supervision watchdog (a batch busy longer
-/// than `f` ms is stolen, requeued, and its stage pair respawned) and
-/// `--hedge k` arms hedged re-execution (a batch busy past `k ×` the EWMA
-/// compute estimate is speculatively duplicated; first completion wins).
-/// Both, like `--pace`, are fleet features: without `--workers n` (n > 1)
-/// or `--shards n` they are rejected, since the single-worker run is a
-/// virtual-clock simulation with nothing to pace, watch or hedge.
-///
-/// `--shards n` (n > 1, mutually exclusive with `--workers`) hash-partitions
-/// the graph into `n` shards (plus two greedy edge-cut refinement passes),
-/// gives each shard its own striped feature-store slice and serving worker,
-/// and routes every request to its target's owner shard via `serve_sharded`.
-/// With `--store` the offline pre-warm rows are routed to their owner
-/// shards; with `--metrics-out` the snapshot includes the shard-router
-/// traffic (`shard.remote.*`) and per-shard residency gauges
-/// (`store.shard{i}.resident_rows`).
-///
-/// Every fleet worker is a two-stage pair (batch N+1's aggregation overlaps
-/// batch N's GEMMs), and `--pace` replays the arrival trace in real time so
-/// the reported percentiles are wall-clock meaningful.
+/// store, writes the end-of-run snapshot as JSON to `file` and Prometheus
+/// text to `file.prom` (with shards: router traffic `shard.remote.*` and
+/// residency gauges `store.shard{i}.resident_rows`), and appends a
+/// per-stage engine timing table to the summary.
 pub fn serve(args: &Args) -> Result<String, String> {
     // Validate the chaos spec before any file I/O so typos fail instantly.
     let faults = match args.get("faults") {
@@ -324,15 +315,9 @@ pub fn serve(args: &Args) -> Result<String, String> {
         );
     }
     let n_fleet = shards.max(workers).max(1);
-    if n_fleet == 1 {
-        for flag in ["pace", "watchdog-ms", "hedge"] {
-            if args.has(flag) || args.get(flag).is_some() {
-                return Err(format!(
-                    "--{flag} needs `--workers ≥ 2` or `--shards`: a single worker is a \
-                     virtual-clock simulation with no fleet to pace, watch or hedge"
-                ));
-            }
-        }
+    let ladder = args.has("ladder");
+    if ladder && n_fleet > 1 {
+        return Err("--ladder is one server switching models: no --workers/--shards".into());
     }
     let data = load_dataset(args.require("data")?)?;
     let model = load_model(args.require("model")?)?;
@@ -388,9 +373,8 @@ pub fn serve(args: &Args) -> Result<String, String> {
     }
 
     // A fleet (one replica per worker, or one engine per shard) serves the
-    // model as is; a single worker optionally builds the degradation
-    // ladder from successively heavier batched-scheme pruning of it.
-    let ladder = args.has("ladder") && n_fleet == 1;
+    // model as is; a ladder builds its tiers from successively heavier
+    // batched-scheme pruning of it.
     let tier_models: Vec<GnnModel> = if ladder {
         let (tadj, tnodes) = data.train_adj();
         let tadj = tadj.normalized(Normalization::Row);
@@ -448,67 +432,39 @@ pub fn serve(args: &Args) -> Result<String, String> {
         })
         .collect();
 
-    if n_fleet > 1 {
-        let (rep, fleet) = match &part {
-            Some((part, moved)) => (
-                serve_sharded(&mut engines, &part.assign, &data.test, &cfg),
-                format!(
-                    "{shards} shards ({moved} nodes moved by refinement, edge cut {})",
-                    part.edge_cut(&data.adj)
-                ),
+    let n_engines = engines.len();
+    let (rep, fleet) = match &part {
+        Some((part, moved)) => (
+            serve_sharded(&mut engines, &part.assign, &data.test, &cfg),
+            format!(
+                "{shards} shards ({moved} nodes moved by refinement, edge cut {})",
+                part.edge_cut(&data.adj)
             ),
-            None => (
-                serve_multi(&mut engines, &data.test, &cfg),
-                format!("{workers} workers"),
+        ),
+        None if ladder => (
+            serve_tiered(&mut engines, &data.test, &cfg, &LadderPolicy::default()),
+            format!("{n_engines} ladder tiers"),
+        ),
+        None => (
+            serve_multi(&mut engines, &data.test, &cfg),
+            format!(
+                "{n_engines} worker{}",
+                if n_engines == 1 { "" } else { "s" }
             ),
-        };
-        let rep = rep.map_err(|e| e.to_string())?;
-        let mut msg = format!(
-            "served {}/{} requests in {} batches (mean size {:.1}) on {fleet}: {:.0} req/s wall-clock, {:.0} req/s compute-bound, p99 {:.1} ms, occupancy {:.2}",
-            rep.served,
-            rep.n_requests,
-            rep.n_batches,
-            rep.mean_batch_size,
-            rep.throughput,
-            rep.compute_throughput,
-            rep.p99_ms,
-            rep.pipeline_occupancy
-        );
-        if rep.shed + rep.recoveries + rep.failures + rep.retries > 0 {
-            msg.push_str(&format!(
-                "; shed {}, recovered {} panics ({} workers lost), {} clean failures, {} retries",
-                rep.shed, rep.recoveries, rep.workers_lost, rep.failures, rep.retries
-            ));
-        }
-        if rep.watchdog_restarts + rep.hedges_fired > 0 {
-            msg.push_str(&format!(
-                "; supervisor: {} watchdog restarts, {} hedges ({} won, {} wasted)",
-                rep.watchdog_restarts, rep.hedges_fired, rep.hedges_won, rep.hedges_wasted
-            ));
-        }
-        if let Some((path, reg)) = &metrics {
-            if let Some(s) = &sharded {
-                s.refresh_gauges();
-            }
-            msg.push_str(&write_metrics(path, reg)?);
-        }
-        return Ok(msg);
-    }
-    let policy = LadderPolicy::default();
-    let rep = simulate_tiered(&mut engines, &data.test, &cfg, ladder.then_some(&policy))
-        .map_err(|e| e.to_string())?;
+        ),
+    };
+    let rep = rep.map_err(|e| e.to_string())?;
     let mut msg = format!(
-        "served {}/{} requests in {} batches (mean size {:.1}): p50 {:.1} ms, p95 {:.1} ms, p99 {:.1} ms, max {:.1} ms, {:.0} req/s wall-clock ({:.0} req/s compute-bound)",
+        "served {}/{} requests in {} batches (mean size {:.1}) on {fleet}: {:.0} req/s wall-clock, {:.0} req/s compute-bound, p50 {:.1} ms, p99 {:.1} ms, occupancy {:.2}",
         rep.served,
         rep.n_requests,
         rep.n_batches,
         rep.mean_batch_size,
-        rep.p50_ms,
-        rep.p95_ms,
-        rep.p99_ms,
-        rep.max_ms,
         rep.throughput,
-        rep.compute_throughput
+        rep.compute_throughput,
+        rep.p50_ms,
+        rep.p99_ms,
+        rep.pipeline_occupancy
     );
     if rep.shed_queue + rep.shed_deadline + rep.deadline_misses > 0 {
         msg.push_str(&format!(
@@ -516,13 +472,28 @@ pub fn serve(args: &Args) -> Result<String, String> {
             rep.shed_queue, rep.shed_deadline, rep.deadline_misses
         ));
     }
-    if rep.tier_served.len() > 1 {
+    if rep.shed + rep.recoveries + rep.failures + rep.retries > 0 {
+        msg.push_str(&format!(
+            "; shed {}, recovered {} panics ({} workers lost), {} clean failures, {} retries",
+            rep.shed, rep.recoveries, rep.workers_lost, rep.failures, rep.retries
+        ));
+    }
+    if rep.watchdog_restarts + rep.hedges_fired > 0 {
+        msg.push_str(&format!(
+            "; supervisor: {} watchdog restarts, {} hedges ({} won, {} wasted)",
+            rep.watchdog_restarts, rep.hedges_fired, rep.hedges_won, rep.hedges_wasted
+        ));
+    }
+    if ladder {
         msg.push_str(&format!(
             "; ladder traffic {:?} across {} switches",
-            rep.tier_served, rep.tier_switches
+            rep.group_served, rep.tier_switches
         ));
     }
     if let Some((path, reg)) = &metrics {
+        if let Some(s) = &sharded {
+            s.refresh_gauges();
+        }
         msg.push_str(&write_metrics(path, reg)?);
     }
     Ok(msg)
@@ -647,6 +618,15 @@ mod tests {
         .unwrap();
         assert!(msg.contains("served 60/60"), "{msg}");
         assert!(msg.contains("watchdog restarts"), "{msg}");
+
+        // One worker runs the same fleet, paced and supervised.
+        let msg = run(&parse(&format!(
+            "serve --data {d} --model {p} --requests 40 --rate 2000 --pace \
+             --watchdog-ms 500 --hedge 8"
+        )))
+        .unwrap();
+        assert!(msg.contains("served 40/40"), "{msg}");
+        assert!(msg.contains("on 1 worker:"), "{msg}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -726,18 +706,23 @@ mod tests {
             .is_err(),
             "bad fault spec is rejected before any file I/O matters"
         );
-        // Fleet-only flags on the single-worker simulation are refused by
-        // name, not silently ignored.
+        // A ladder is one server switching models: with a multi-worker or
+        // sharded fleet it is refused by name, not silently ignored.
+        for fleet in ["--workers 2", "--shards 2"] {
+            let err = run(&parse(&format!(
+                "serve --data x.json --model y.json --ladder {fleet}"
+            )))
+            .unwrap_err();
+            assert!(err.contains("--ladder"), "{fleet}: {err}");
+        }
+        // One worker is a fleet too: its pacing and supervision flags pass
+        // validation, and the run fails only on the missing data file.
         for flag in ["--pace", "--watchdog-ms 50", "--hedge 4"] {
             let err = run(&parse(&format!(
                 "serve --data x.json --model y.json {flag}"
             )))
             .unwrap_err();
-            let name = flag.split(' ').next().unwrap();
-            assert!(
-                err.contains(name) && err.contains("needs `--workers ≥ 2` or `--shards`"),
-                "{flag}: {err}"
-            );
+            assert!(err.contains("read x.json"), "{flag}: {err}");
         }
         assert!(run(&parse("generate --dataset nope --out /tmp/x.json")).is_err());
         assert!(run(&parse(

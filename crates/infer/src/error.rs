@@ -4,8 +4,8 @@
 //! detection) cannot afford fail-stop semantics: a malformed request or a
 //! stale store row must degrade into a *counted* failure, not a process
 //! abort. This module is the error vocabulary shared by
-//! [`crate::BatchedEngine::try_infer`], [`crate::serving::simulate`] and
-//! [`crate::serving::serve_multi`]: recoverable conditions surface as
+//! [`crate::BatchedEngine::try_infer`] and the fleet executor
+//! ([`crate::serving::serve_multi`] and its siblings): recoverable conditions surface as
 //! [`ServingError`] values; `panic!` is reserved for programmer errors
 //! (constructor misuse) and injected faults (see [`crate::faults`]).
 

@@ -15,6 +15,9 @@
 //! * [`CostModel`] — the analytic per-node complexity and memory of
 //!   Eqs. 2–3, reproducing the paper's #kMACs/node and Mem. columns.
 
+//! * [`serve_multi`] / [`serve_sharded`] / [`serve_tiered`] — one fleet
+//!   executor under three routings (any worker, owner shard, degradation
+//!   ladder);
 //! * [`ServingError`] / [`faults`] — the overload-resilience layer: typed
 //!   serving errors, bounded admission with deadlines, worker panic
 //!   recovery, the pruning-tiered degradation ladder, and deterministic
@@ -46,8 +49,7 @@ pub use metrics::{
 pub use pipeline::run_batches;
 pub use quantized::QuantizedGnn;
 pub use serving::{
-    serve_multi, serve_sharded, simulate, simulate_tiered, LadderPolicy, MultiServingReport,
-    ServingConfig, ServingReport,
+    serve_multi, serve_sharded, serve_tiered, LadderPolicy, MultiServingReport, ServingConfig,
 };
 pub use shard::{AccretionReport, ShardedStore};
 pub use store::FeatureStore;

@@ -100,8 +100,8 @@ impl EngineMetrics {
     }
 }
 
-/// Pre-resolved metrics of the serving loops ([`crate::simulate_tiered`] /
-/// [`crate::serve_multi`]).
+/// Pre-resolved metrics of the fleet executor ([`crate::serve_multi`],
+/// [`crate::serve_sharded`], [`crate::serve_tiered`]).
 pub struct ServingMetrics {
     /// Requests served to completion.
     pub served: Arc<Counter>,

@@ -1,61 +1,53 @@
 //! Real-time serving: Poisson request arrivals, micro-batching, bounded
-//! admission, per-request deadlines, a pruning-tiered degradation ladder,
-//! and one fleet executor with two routings.
+//! admission, per-request deadlines, and one fleet executor with three
+//! routings — any worker, owner shard, and a degradation ladder.
 //!
 //! The paper's real-time applications (Table 1: recommendation, spam
-//! detection) serve *requests*, not pre-formed batches. This module models
-//! the serving loop: requests arrive as a Poisson process, the server
-//! coalesces them into micro-batches bounded by `max_batch` and `max_wait`,
-//! and each request's latency is its queue wait plus its batch's compute
-//! time. The simulation is driven by the *measured* per-batch compute times
-//! of a [`crate::BatchedEngine`], so pruning and the feature store shift
-//! the whole latency distribution.
-//!
-//! Overload behavior is explicit rather than fail-stop: the admission queue
-//! is bounded ([`ServingConfig::queue_cap`], arrivals beyond it are shed),
-//! requests carry deadlines ([`ServingConfig::deadline`], a request whose
-//! projected completion is past its deadline is shed and counted — never
-//! silently stretched), and [`simulate_tiered`] holds a **ladder** of
-//! engines built from successively heavier pruning schemes, stepping to a
-//! cheaper tier when the queue deepens and back up when load recedes
-//! (channel pruning's bounded-accuracy-loss models, Fig. 5, are exactly the
-//! right lever for graceful degradation).
+//! detection) serve *requests*, not pre-formed batches. A seeded Poisson
+//! trace is coalesced into micro-batches bounded by `max_batch` and
+//! `max_wait` and executed by engines on real threads; a request's latency
+//! runs from its arrival to its batch's commit (wall-clock meaningful under
+//! [`ServingConfig::pace`]). Overload is explicit, never fail-stop: the
+//! admission queue is bounded ([`ServingConfig::queue_cap`]), a request
+//! projected past its [`ServingConfig::deadline`] is shed and counted, and
+//! one served late anyway is counted too.
 //!
 //! # Batch-window anchoring
 //!
-//! Every serving loop forms batches with the one [`BatchFormer`]: a
+//! The dispatcher forms every batch with the one [`BatchFormer`]: a
 //! micro-batch opens when its first request has arrived **and a server slot
 //! is free** (`open = max(first_arrival, free_at)`), closes `max_wait`
 //! later (or as soon as it fills to `max_batch`), admits arrivals inside
 //! the window subject to the bounded queue, and sheds members whose
-//! projected completion is past their deadline. [`simulate`] anchors
-//! `free_at` on its measured single-server clock; the fleet anchors on the
-//! earliest-free **virtual** worker clock advanced by an EWMA compute
-//! estimate (with K real threads there is no single measured free clock).
-//! On a trace where anchoring cannot depend on compute timing the loops form
-//! identical batches (pinned by `serve_multi_anchoring_matches_simulate`).
+//! projected completion is past their deadline. `free_at` is the
+//! earliest-free **virtual** worker clock, advanced per dispatched batch by
+//! an EWMA compute estimate. On a pre-arrived burst anchoring cannot depend
+//! on compute timing, so formation is exact and repeatable.
 //!
-//! # One fleet executor, two routings
+//! # One fleet executor, three routings
 //!
-//! [`serve_multi`] and [`serve_sharded`] are the same executor
-//! (`run_fleet`); they differ only in how engines are grouped and how a
-//! sealed window is routed. A fleet is a list of *routing groups*:
-//! `AnyWorker` is one group holding every engine (any idle replica takes
-//! the next batch), `OwnerShard(assign)` is one group per engine (engine
-//! `s` serves shard `s`, and the dispatcher splits each window by its
-//! targets' owners — a stable partition, so one shard is the single-group
-//! fleet, not a special case).
+//! [`serve_multi`], [`serve_sharded`] and [`serve_tiered`] are the same
+//! executor (`run_fleet`); they differ only in how engines are grouped into
+//! *routing groups* and how a sealed window is routed. `AnyWorker` is one
+//! group holding every engine (any idle replica takes the next batch).
+//! `OwnerShard(assign)` is one group per engine: the dispatcher splits each
+//! window stably by its targets' owner shard, so one shard is the
+//! single-group fleet, not a special case. `Ladder(policy)` is one group
+//! per tier of successively heavier-pruned engines (channel pruning's
+//! bounded-accuracy-loss lever, Fig. 5): the dispatcher picks a tier from
+//! the queue depth and routes the whole window there, and the tiers share
+//! one virtual free clock, since they model one server switching models.
 //!
-//! * **Per group** — the bounded condvar [`DispatchQueue`] (the queue bound
-//!   is the admission backpressure; workers block on it, no polling), the
-//!   liveness count (the last worker of a group to die aborts only that
-//!   group's queue: its routed requests are shed and counted, the other
-//!   groups keep serving), and one virtual free-clock per worker.
-//! * **Shared** — the batch former, the compute-estimate EWMA, every
-//!   accounting cell of the report, and the supervisor. A batch carries its
-//!   group index, so retries, watchdog steals and hedge duplicates re-enter
-//!   the queue of the batch's own group: write-backs and store probes keep
-//!   their owner routing, and supervision works under every routing.
+//! * **Per group** — the bounded condvar [`DispatchQueue`] (the admission
+//!   backpressure; workers block on it, no polling), the liveness count (the
+//!   last worker of a group to die aborts only that group's queue: its
+//!   routed requests are shed and counted), the compute-estimate EWMA fed
+//!   by the group's own workers, and the served count.
+//! * **Shared** — the batch former, every other accounting cell of the
+//!   report, and the supervisor. A batch carries its group index, so
+//!   retries, watchdog steals and hedge duplicates re-enter its own group's
+//!   queue: write-backs and store probes keep their owner routing, and
+//!   supervision works under every routing.
 //!
 //! There is one executor. Every worker is a stage pair: a **front** thread
 //! (`EngineCore::prepare`: expansion + store probes + layer 1's neighbour
@@ -79,7 +71,7 @@ use crate::pipeline::{relock, DispatchQueue, StageLink};
 use crate::supervisor::{
     supervise, PendingEntry, PendingSlot, SupervisorPolicy, SupervisorStats, WorkerWatch,
 };
-use gcnp_obs::percentile;
+use gcnp_obs::{percentile, Counter};
 use gcnp_tensor::init::seeded_rng;
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
@@ -89,13 +81,13 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Safety factor applied to the per-tier compute-time estimate when
+/// Safety factor applied to the per-group compute-time estimate when
 /// projecting a queued request's completion against its deadline: shedding
 /// slightly early keeps the *served* latency distribution under the
 /// deadline even when a batch runs somewhat over its estimate.
 const DEADLINE_EST_SAFETY: f64 = 1.25;
 
-/// EWMA weight of the newest batch compute observation in the per-tier
+/// EWMA weight of the newest batch compute observation in the per-group
 /// compute-time estimate (the "p99 estimate" driving deadline projection).
 const EST_ALPHA: f64 = 0.3;
 
@@ -113,41 +105,43 @@ pub struct ServingConfig {
     pub max_batch: usize,
     /// Maximum time a request may wait for batch-mates (seconds).
     pub max_wait: f64,
-    /// Number of requests to simulate.
+    /// Number of requests in the arrival trace.
     pub n_requests: usize,
     pub seed: u64,
     /// Per-request deadline (seconds from arrival). A queued request whose
     /// projected completion (batch open + estimated compute) is past its
     /// deadline is shed at batch formation and counted in
-    /// [`ServingReport::shed_deadline`]. `None` disables deadlines.
+    /// [`MultiServingReport::shed_deadline`]; a served request whose
+    /// latency still exceeds it is counted in
+    /// [`MultiServingReport::deadline_misses`]. `None` disables deadlines.
     pub deadline: Option<f64>,
     /// Bound on the admission queue (requests waiting to be batched).
     /// Arrivals beyond it are shed on admission and counted in
-    /// [`ServingReport::shed_queue`]. `None` means unbounded.
+    /// [`MultiServingReport::shed_queue`]. `None` means unbounded.
     pub queue_cap: Option<usize>,
-    /// Fleet: how many times a batch whose worker panicked (or whose
-    /// `try_infer` errored) is re-queued before being shed.
+    /// How many times a batch whose worker panicked (or whose `try_infer`
+    /// errored) is re-queued before being shed.
     pub retry_cap: u32,
-    /// Fleet: base backoff before a failed batch is re-queued
-    /// (milliseconds, doubled per retry) — a poison-pill batch cannot spin
-    /// the fleet. Non-finite or negative values are clamped to zero
-    /// backoff ([`saturating_backoff`]), never a panic.
+    /// Base backoff before a failed batch is re-queued (milliseconds,
+    /// doubled per retry) — a poison-pill batch cannot spin the fleet.
+    /// Non-finite or negative values are clamped to zero backoff
+    /// ([`saturating_backoff`]), never a panic.
     pub backoff_ms: f64,
-    /// Fleet: when true, the dispatcher replays the arrival trace in real
-    /// time (sleeping until each batch's start time), so the reported
-    /// latency percentiles are wall-clock meaningful. When false (default)
-    /// the trace is drained as fast as the fleet allows —
-    /// throughput-oriented, percentiles only relative.
+    /// When true, the dispatcher replays the arrival trace in real time
+    /// (sleeping until each batch's start time), so the reported latency
+    /// percentiles are wall-clock meaningful. When false (default) the
+    /// trace is drained as fast as the fleet allows — throughput-oriented,
+    /// percentiles only relative.
     pub pace: bool,
-    /// Fleet: watchdog bound in seconds. A batch whose stage has made no
+    /// Watchdog bound in seconds. A batch whose stage has made no
     /// progress for longer than this is presumed wedged: the supervisor
     /// tears the stage pair down, requeues the batch through the normal
     /// retry path, and respawns the pair. `None` (default)
     /// disables the watchdog; with [`ServingConfig::hedge`] also `None` no
     /// supervisor thread is spawned.
     pub watchdog: Option<f64>,
-    /// Fleet: hedging multiplier `k`. A batch busy for more than `k ×` the
-    /// fleet's EWMA compute estimate is speculatively re-dispatched; the
+    /// Hedging multiplier `k`. A batch busy for more than `k ×` its routing
+    /// group's EWMA compute estimate is speculatively re-dispatched; the
     /// first attempt to finish wins and the loser's write-back is
     /// suppressed, so results stay bitwise identical to an unhedged run.
     /// `None` (default) disables hedging.
@@ -223,8 +217,8 @@ impl ServingConfig {
         Ok(())
     }
 
-    /// The seeded Poisson arrival trace `(arrival_time, node)` shared by
-    /// [`simulate`] and the fleet.
+    /// The seeded Poisson arrival trace `(arrival_time, node)` the fleet
+    /// replays.
     fn arrivals(&self, pool: &[usize]) -> Vec<(f64, usize)> {
         let mut rng = seeded_rng(self.seed);
         let mut arrivals = Vec::with_capacity(self.n_requests);
@@ -238,13 +232,13 @@ impl ServingConfig {
     }
 }
 
-/// Tier-switch policy for the degradation ladder (see [`simulate_tiered`]).
+/// Tier-switch policy for the degradation ladder (see [`serve_tiered`]).
 #[derive(Debug, Clone, Copy)]
 pub struct LadderPolicy {
-    /// Queue depth (requests still waiting after a batch is formed) at or
-    /// above which the server steps down to the next cheaper tier. Stepping
-    /// down repeats while the depth stays above the threshold, so a sudden
-    /// overload drops straight to the cheapest tier.
+    /// Queue depth (requests admitted and waiting when a batch is formed)
+    /// at or above which the server steps down to the next cheaper tier.
+    /// Stepping down repeats while the depth stays above the threshold, so
+    /// a sudden overload drops straight to the cheapest tier.
     pub step_down_depth: usize,
     /// Queue depth at or below which the server steps back up one tier.
     pub step_up_depth: usize,
@@ -263,44 +257,6 @@ impl Default for LadderPolicy {
     }
 }
 
-/// Latency distribution + accounting of a serving run. Every submitted
-/// request is either served or shed: `served + shed_queue + shed_deadline ==
-/// n_requests`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ServingReport {
-    pub n_requests: usize,
-    /// Requests actually served (latency percentiles cover these only).
-    pub served: usize,
-    /// Requests shed on admission (bounded queue full).
-    pub shed_queue: usize,
-    /// Requests shed at batch formation (projected completion past the
-    /// deadline).
-    pub shed_deadline: usize,
-    /// Served requests whose measured latency still exceeded the deadline
-    /// (compute ran over its estimate).
-    pub deadline_misses: usize,
-    pub n_batches: usize,
-    pub mean_batch_size: f64,
-    pub p50_ms: f64,
-    pub p95_ms: f64,
-    pub p99_ms: f64,
-    pub max_ms: f64,
-    /// Requests served on each ladder tier (index 0 = unpruned). Length =
-    /// number of tiers (1 for plain [`simulate`]).
-    pub tier_served: Vec<usize>,
-    /// Ladder tier switches performed during the run.
-    pub tier_switches: usize,
-    /// Achieved end-to-end requests/second: `served` divided by the
-    /// **makespan** (first arrival to last batch completion). This is what a
-    /// client observes; it includes idle gaps where the server waited for
-    /// arrivals, so it saturates at the offered `arrival_rate`.
-    pub throughput: f64,
-    /// Compute-bound requests/second: `served` divided by the summed batch
-    /// compute time. This is the server's capacity ceiling, ignoring
-    /// arrival gaps.
-    pub compute_throughput: f64,
-}
-
 /// One admission window produced by [`BatchFormer::admit`]: the batch being
 /// formed opened at `open = max(first_arrival, free_at)` and closes at
 /// `open + max_wait` (or as soon as it fills).
@@ -314,17 +270,16 @@ struct FormedBatch {
     nodes: Vec<usize>,
     /// Arrival time of each member (latency accounting).
     arrivals: Vec<f64>,
-    /// When its compute may start on the serving loop's clock.
+    /// When its compute may start on the dispatcher's virtual clock.
     start: f64,
-    /// The compute estimate it was projected with (the fleet advances its
-    /// virtual clocks by the same number).
+    /// The compute estimate it was projected with (the dispatcher advances
+    /// its virtual clocks by the same number).
     est: f64,
 }
 
-/// The one batch former shared by [`simulate_tiered`] and the fleet (see
-/// the module docs: the anchoring rule is identical; only the `free_at`
-/// clock differs). Owns the admission queue, the trace cursor, and the
-/// formation-time shed accounting.
+/// The fleet dispatcher's batch former (see the module docs). Owns the
+/// admission queue, the trace cursor, and the formation-time shed
+/// accounting.
 struct BatchFormer<'c> {
     arrivals: &'c [(f64, usize)],
     cfg: &'c ServingConfig,
@@ -484,178 +439,6 @@ impl<'c> BatchFormer<'c> {
     }
 }
 
-/// Simulate serving `cfg.n_requests` single-node requests drawn uniformly
-/// from `pool`, coalesced into micro-batches, executed on `engine`.
-/// Single-tier wrapper over [`simulate_tiered`].
-pub fn simulate(
-    engine: &mut BatchedEngine<'_>,
-    pool: &[usize],
-    cfg: &ServingConfig,
-) -> ServingResult<ServingReport> {
-    simulate_tiered(std::slice::from_mut(engine), pool, cfg, None)
-}
-
-/// [`simulate`] with a degradation ladder: `tiers[0]` is the full model and
-/// each later entry a successively heavier-pruned engine (e.g. full →
-/// pruned-2x → pruned-4x built with `gcnp_core::prune_model`). When the
-/// post-batch queue depth crosses `ladder.step_down_depth` the server moves
-/// to the next cheaper tier (repeating while the queue stays deep), and
-/// steps back up after `ladder.min_dwell` batches once the depth falls to
-/// `ladder.step_up_depth`. Per-tier served counts in
-/// [`ServingReport::tier_served`] make the accuracy cost of degradation
-/// measurable. `ladder: None` (or a single tier) pins tier 0.
-pub fn simulate_tiered(
-    tiers: &mut [BatchedEngine<'_>],
-    pool: &[usize],
-    cfg: &ServingConfig,
-    ladder: Option<&LadderPolicy>,
-) -> ServingResult<ServingReport> {
-    if tiers.is_empty() {
-        return Err(ServingError::NoEngines);
-    }
-    cfg.validate(pool)?;
-    // Loop counters record into the registry of the first instrumented
-    // tier's engine metrics (the whole ladder should share one registry);
-    // uninstrumented runs skip every record site.
-    let obs = tiers
-        .iter()
-        .find_map(|t| t.metrics())
-        .map(|m| ServingMetrics::new(m.registry()));
-    // Per-tier served counters (`serving.tier{i}.served`): the rung-level
-    // view of the degradation ladder, so operators can see how much traffic
-    // ran pruned or quantized without parsing a report.
-    let tier_served_ctrs: Vec<_> = tiers
-        .iter()
-        .find_map(|t| t.metrics())
-        .map(|m| {
-            (0..tiers.len())
-                .map(|i| m.registry().counter(&format!("serving.tier{i}.served")))
-                .collect::<Vec<_>>()
-        })
-        .unwrap_or_default();
-    let arrivals = cfg.arrivals(pool);
-    let n = arrivals.len();
-    let n_tiers = tiers.len();
-
-    let mut server_free_at = 0.0f64;
-    let mut total_compute = 0.0f64;
-    let mut latencies_ms: Vec<f64> = Vec::with_capacity(n);
-    let mut n_batches = 0usize;
-    let mut served = 0usize;
-    let mut deadline_misses = 0usize;
-    let mut tier = 0usize;
-    let mut tier_served = vec![0usize; n_tiers];
-    let mut tier_switches = 0usize;
-    let mut dwell = 0usize;
-    // Per-tier EWMA of batch compute seconds: the completion estimate used
-    // for deadline projection, seeded from the analytic cost model so the
-    // first windows project against a real (if rough) number.
-    let mut est_compute: Vec<f64> = tiers
-        .iter()
-        .map(|t| t.cold_compute_estimate(cfg.max_batch))
-        .collect();
-    // Whether a tier has a *measured* observation yet: the first real
-    // measurement replaces the analytic seed outright (one measurement
-    // beats the model); later ones blend via the EWMA.
-    let mut est_warm = vec![false; n_tiers];
-
-    let mut former = BatchFormer::new(&arrivals, cfg);
-    loop {
-        // Ladder: pick the tier for this batch from the backlog *before*
-        // computing, so a deep queue is served cheaply right away.
-        let pick_tier = |depth: usize| {
-            if let Some(pol) = ladder.filter(|_| n_tiers > 1) {
-                let before = tier;
-                while depth >= pol.step_down_depth.max(1) && tier + 1 < n_tiers {
-                    tier += 1;
-                }
-                if tier == before
-                    && depth <= pol.step_up_depth
-                    && tier > 0
-                    && dwell >= pol.min_dwell
-                {
-                    tier -= 1;
-                }
-                if tier != before {
-                    tier_switches += 1;
-                    dwell = 0;
-                    if let Some(o) = &obs {
-                        o.tier_switches.inc();
-                    }
-                }
-                if let Some(o) = &obs {
-                    o.tier.set(tier as f64);
-                }
-            }
-            (est_compute[tier], est_warm[tier]) // audit: allow(no-fail-stop) — the ladder steps keep tier within 0..n_tiers
-        };
-        let Some(batch) = former.next_batch(server_free_at, pick_tier, obs.as_ref()) else {
-            break;
-        };
-        let res = tiers[tier].try_infer(&batch.nodes)?; // audit: allow(no-fail-stop) — the ladder steps keep tier within 0..n_tiers
-        let compute = res.seconds;
-        total_compute += compute;
-        // audit: allow(no-fail-stop) — the ladder steps keep tier within 0..n_tiers
-        est_compute[tier] = if est_warm[tier] {
-            EST_ALPHA * compute + (1.0 - EST_ALPHA) * est_compute[tier] // audit: allow(no-fail-stop) — same tier bound
-        } else {
-            est_warm[tier] = true; // audit: allow(no-fail-stop) — same tier bound
-            compute
-        };
-        let done = batch.start + compute;
-        server_free_at = done;
-        n_batches += 1;
-        dwell += 1;
-        served += batch.nodes.len();
-        tier_served[tier] += batch.nodes.len(); // audit: allow(no-fail-stop) — the ladder steps keep tier within 0..n_tiers
-        if let Some(c) = tier_served_ctrs.get(tier) {
-            c.add(batch.nodes.len() as u64);
-        }
-        if let Some(o) = &obs {
-            o.batches.inc();
-            o.batch_size.observe(batch.nodes.len() as f64);
-            o.served.add(batch.nodes.len() as u64);
-        }
-        for &arr in &batch.arrivals {
-            let lat = done - arr;
-            if cfg.deadline.is_some_and(|d| lat > d) {
-                deadline_misses += 1;
-                if let Some(o) = &obs {
-                    o.deadline_miss.inc();
-                }
-            }
-            latencies_ms.push(lat * 1e3);
-        }
-    }
-    let (shed_queue, shed_deadline) = (former.shed_queue, former.shed_deadline);
-
-    debug_assert_eq!(served + shed_queue + shed_deadline, n, "request accounting");
-    // total_cmp is panic-free on NaN (unlike partial_cmp().unwrap()); the
-    // latencies are finite anyway, but the serving path must not be able to
-    // abort on a comparison.
-    latencies_ms.sort_by(f64::total_cmp);
-    // Makespan: the arrival clock starts at 0, the last batch finishes at
-    // `server_free_at`.
-    let makespan = server_free_at.max(f64::EPSILON);
-    Ok(ServingReport {
-        n_requests: n,
-        served,
-        shed_queue,
-        shed_deadline,
-        deadline_misses,
-        n_batches,
-        mean_batch_size: served as f64 / n_batches.max(1) as f64,
-        p50_ms: percentile(&latencies_ms, 0.50),
-        p95_ms: percentile(&latencies_ms, 0.95),
-        p99_ms: percentile(&latencies_ms, 0.99),
-        max_ms: latencies_ms.last().copied().unwrap_or(0.0),
-        tier_served,
-        tier_switches,
-        throughput: served as f64 / makespan,
-        compute_throughput: served as f64 / total_compute.max(f64::EPSILON),
-    })
-}
-
 /// Clamp a computed backoff (milliseconds) into a `Duration` that can never
 /// panic: non-finite or non-positive inputs become zero backoff (retry
 /// immediately rather than crash or stall), positive infinity and
@@ -665,18 +448,14 @@ pub fn simulate_tiered(
 /// inputs, and `cfg.backoff_ms` is user-supplied (an EWMA-derived or
 /// config-injected NaN must degrade, not abort the fleet).
 fn saturating_backoff(ms: f64) -> Duration {
-    if !ms.is_finite() || ms <= 0.0 {
-        // NaN, ±inf below, negatives, zero: no backoff. +inf is handled
-        // here too (not finite) — saturate instead of sleeping forever.
-        if ms == f64::INFINITY {
-            return Duration::from_secs_f64(MAX_BACKOFF_SECS);
-        }
+    if ms.is_nan() || ms <= 0.0 {
         return Duration::ZERO;
     }
+    // +inf saturates here too, instead of sleeping forever.
     Duration::from_secs_f64((ms / 1e3).min(MAX_BACKOFF_SECS))
 }
 
-/// Throughput + resilience summary of a multi-worker serving run. Every
+/// Throughput, latency and resilience summary of a fleet serving run. Every
 /// submitted request is either served or shed: `served + shed + shed_queue
 /// + shed_deadline == n_requests`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -688,6 +467,15 @@ pub struct MultiServingReport {
     pub mean_batch_size: f64,
     /// Requests served to completion.
     pub served: usize,
+    /// Requests served per routing group: one entry under [`serve_multi`],
+    /// one per shard under [`serve_sharded`], one per tier (index 0 =
+    /// unpruned) under [`serve_tiered`]. Sums to `served`.
+    pub group_served: Vec<usize>,
+    /// Served requests whose latency still exceeded
+    /// [`ServingConfig::deadline`] (compute ran over its estimate).
+    pub deadline_misses: usize,
+    /// Ladder tier switches (0 unless [`serve_tiered`]).
+    pub tier_switches: usize,
     /// Requests shed after dispatch: their batch exhausted its retries, or
     /// no live worker remained to serve them.
     pub shed: usize,
@@ -824,19 +612,27 @@ impl WorkerLink {
 
 /// How a fleet groups its engines and routes a sealed window (see the
 /// module docs).
+#[derive(Clone, Copy)]
 enum Routing<'a> {
     /// One group holding every engine: any idle replica takes the batch.
     AnyWorker,
     /// One group per engine: engine `s` serves the nodes `assign` maps to
     /// shard `s`.
     OwnerShard(&'a [u32]),
+    /// One group per engine: engine `i` is ladder tier `i`, and each whole
+    /// window goes to the tier the policy picks from the queue depth.
+    Ladder(&'a LadderPolicy),
 }
 
-/// One routing group: the queue its workers drain and their liveness.
+/// One routing group: the queue its workers drain, their liveness, and
+/// what they served.
 struct Group {
     dispatch: DispatchQueue<QueuedBatch>,
     /// Live workers; the last one to die aborts `dispatch`.
     live: AtomicUsize,
+    served: AtomicUsize,
+    /// `serving.tier{i}.served` under a ladder.
+    served_ctr: Option<Arc<Counter>>,
 }
 
 /// Shared state of one fleet run: the routing groups plus every
@@ -845,21 +641,20 @@ struct Fleet<'f> {
     cfg: &'f ServingConfig,
     obs: Option<ServingMetrics>,
     groups: Vec<Group>,
-    /// EWMA of per-batch busy seconds (prepare + execute) — the
-    /// dispatcher's virtual-clock advance, the deadline
-    /// projection and the hedge bound (guarded against non-finite
-    /// observations). Starts from the analytic cost model
+    /// Per group: EWMA of the per-batch busy seconds (prepare + execute)
+    /// of the group's own workers, and whether it is measured — the
+    /// dispatcher's virtual-clock advance, the deadline projection and the
+    /// hedge bound (guarded against non-finite observations). Each starts
+    /// from its group's engine's analytic cost model
     /// (`cold_compute_estimate`), so the virtual clocks advance and the
-    /// hedge bound is meaningful from batch #1.
-    est: Mutex<f64>, // lock: fleet.est
-    /// Whether `est` holds a measured observation (vs the analytic cold
-    /// seed, which the first real measurement replaces outright).
-    est_warm: AtomicBool,
+    /// hedge bound is meaningful from batch #1; the first measurement
+    /// replaces that seed outright.
+    est: Mutex<Vec<(f64, bool)>>, // lock: fleet.est
     compute_seconds: Mutex<f64>, // lock: fleet.compute
     /// Summed stage-thread busy time (occupancy numerator).
     busy_seconds: Mutex<f64>, // lock: fleet.busy
     latencies: Mutex<Vec<f64>>,  // lock: fleet.latencies
-    served: AtomicUsize,
+    deadline_misses: AtomicUsize,
     shed: AtomicUsize,
     recoveries: AtomicUsize,
     failures: AtomicUsize,
@@ -871,32 +666,33 @@ struct Fleet<'f> {
 }
 
 impl<'f> Fleet<'f> {
-    /// A fleet of `n_groups` routing groups of `per_group` workers each,
-    /// nothing served yet, its compute estimate seeded with `cold_est`.
+    /// A fleet of one routing group of `per_group` workers per entry of
+    /// `cold_est` (the group's compute-estimate seed), nothing served yet.
     fn new(
         cfg: &'f ServingConfig,
         obs: Option<ServingMetrics>,
-        n_groups: usize,
         per_group: usize,
-        cold_est: f64,
+        cold_est: &[f64],
     ) -> Self {
         Fleet {
             cfg,
             obs,
             // The bounded queue is the admission backpressure: the
             // dispatcher blocks while a group is saturated.
-            groups: (0..n_groups)
+            groups: cold_est
+                .iter()
                 .map(|_| Group {
                     dispatch: DispatchQueue::new((2 * per_group).max(4)),
                     live: AtomicUsize::new(per_group),
+                    served: AtomicUsize::new(0),
+                    served_ctr: None,
                 })
                 .collect(),
-            est: Mutex::new(cold_est),
-            est_warm: AtomicBool::new(false),
+            est: Mutex::new(cold_est.iter().map(|&secs| (secs, false)).collect()),
             compute_seconds: Mutex::new(0.0),
             busy_seconds: Mutex::new(0.0),
             latencies: Mutex::new(Vec::new()),
-            served: AtomicUsize::new(0),
+            deadline_misses: AtomicUsize::new(0),
             shed: AtomicUsize::new(0),
             recoveries: AtomicUsize::new(0),
             failures: AtomicUsize::new(0),
@@ -916,28 +712,35 @@ impl<'f> Fleet<'f> {
         self.t0.elapsed().as_secs_f64()
     }
 
-    /// The current compute estimate (0.0 when unusable) and whether it is
-    /// measured.
-    fn estimate(&self) -> (f64, bool) {
+    /// Group `g`'s current compute estimate (0.0 when unusable) and whether
+    /// it is measured.
+    fn estimate(&self, g: usize) -> (f64, bool) {
         let _order = gcnp_tensor::lockcheck::acquire("fleet.est");
-        let e = *relock(self.est.lock());
-        let e = if e.is_finite() && e > 0.0 { e } else { 0.0 };
-        (e, self.est_warm.load(Ordering::Acquire))
+        // audit: allow(no-fail-stop) — every group index is minted by run_fleet from 0..groups.len(), and `est` has one entry per group
+        let (secs, measured) = relock(self.est.lock())[g];
+        let secs = if secs.is_finite() && secs > 0.0 {
+            secs
+        } else {
+            0.0
+        };
+        (secs, measured)
     }
 
-    fn update_est(&self, secs: f64) {
+    fn update_est(&self, g: usize, secs: f64) {
         // A non-finite observation (e.g. a poisoned timing under fault
         // storms) must not corrupt the estimate the dispatcher sleeps on.
         if !secs.is_finite() || secs <= 0.0 {
             return;
         }
         let _order = gcnp_tensor::lockcheck::acquire("fleet.est");
-        let mut e = relock(self.est.lock());
-        *e = if self.est_warm.swap(true, Ordering::AcqRel) {
+        let mut est = relock(self.est.lock());
+        let (e, measured) = &mut est[g]; // audit: allow(no-fail-stop) — same group bound as `estimate`
+        *e = if *measured {
             EST_ALPHA * secs + (1.0 - EST_ALPHA) * *e
         } else {
             secs
         };
+        *measured = true;
     }
 
     /// Run one stage body under `catch_unwind`, timed into the fleet's busy
@@ -1057,20 +860,32 @@ impl<'f> Fleet<'f> {
             let _order = gcnp_tensor::lockcheck::acquire("fleet.compute");
             *relock(self.compute_seconds.lock()) += compute;
         }
-        self.update_est(est_busy);
+        self.update_est(batch.group, est_busy);
         let done = self.now();
-        {
+        let late = {
             let _order = gcnp_tensor::lockcheck::acquire("fleet.latencies");
             let mut lat = relock(self.latencies.lock());
+            let mut late = 0;
             for &arr in &batch.arrivals {
-                lat.push((done - arr).max(0.0) * 1e3);
+                let secs = (done - arr).max(0.0);
+                late += usize::from(self.cfg.deadline.is_some_and(|d| secs > d));
+                lat.push(secs * 1e3);
             }
+            late
+        };
+        let n = batch.nodes.len();
+        // audit: allow(atomic-ordering) — a pure counter, read only after every worker joined
+        self.deadline_misses.fetch_add(late, Ordering::Relaxed);
+        let group = self.group(batch.group);
+        group.served.fetch_add(n, Ordering::Relaxed);
+        if let Some(c) = &group.served_ctr {
+            c.add(n as u64);
         }
-        self.served.fetch_add(batch.nodes.len(), Ordering::Relaxed);
         if let Some(o) = &self.obs {
-            o.served.add(batch.nodes.len() as u64);
+            o.served.add(n as u64);
             o.batches.inc();
-            o.batch_size.observe(batch.nodes.len() as f64);
+            o.batch_size.observe(n as f64);
+            o.deadline_miss.add(late as u64);
         }
     }
 
@@ -1276,11 +1091,12 @@ fn worker(engine: &mut BatchedEngine<'_>, link: &WorkerLink, fleet: &Fleet<'_>, 
     }
 }
 
-/// Multi-worker serving: replay the same Poisson request trace as
-/// [`simulate`], but drain it with `engines.len()` engine replicas running
-/// on real threads — the fleet executor under `AnyWorker` routing (see the
-/// module docs). The replicas typically share one [`crate::FeatureStore`]
-/// (pass the same store to each [`BatchedEngine::new`]); each idle worker
+/// Serve `cfg.n_requests` single-node requests drawn uniformly from `pool`
+/// with `engines.len()` engine replicas running on real threads — the
+/// fleet executor under `AnyWorker` routing (see the module docs); one
+/// engine is a one-worker fleet. The replicas typically share one
+/// [`crate::FeatureStore`] (pass the same store to each
+/// [`BatchedEngine::new`]); each idle worker
 /// takes the next batch, so a slow batch on one worker never stalls the
 /// others.
 ///
@@ -1316,13 +1132,12 @@ pub fn serve_multi(
 /// its own bounded dispatch queue, so a shard's backlog never blocks its
 /// siblings.
 ///
-/// Windows are anchored and sealed exactly as in [`serve_multi`]; the
-/// compute estimate, the accounting and the supervisor
-/// ([`ServingConfig::watchdog`], [`ServingConfig::hedge`]) are shared. A
-/// panic storm that kills shard `s`'s replica aborts only queue `s`: its
-/// requests are shed as routed, and the surviving shards keep serving.
-/// Retries, steals and hedge duplicates stay on-shard, so write-backs and
-/// store probes keep their owner routing.
+/// Windows are anchored and sealed exactly as in [`serve_multi`], and
+/// projected with the slowest shard's compute estimate. A panic storm that
+/// kills shard `s`'s replica aborts only queue `s`: its requests are shed
+/// as routed, and the surviving shards keep serving. Retries, steals and
+/// hedge duplicates stay on-shard, so write-backs and store probes keep
+/// their owner routing.
 pub fn serve_sharded(
     engines: &mut [BatchedEngine<'_>],
     assign: &[u32],
@@ -1340,35 +1155,65 @@ pub fn serve_sharded(
     }
 }
 
-/// The one fleet executor behind [`serve_multi`] and [`serve_sharded`]:
-/// spawn a worker per engine into its routing group, run the supervisor
-/// when armed, form and route batches on this thread, then settle the
-/// report. Under `OwnerShard` the caller has checked that `assign` covers
-/// every pool node with a shard below `engines.len()`.
+/// Serving through a degradation ladder — the fleet executor under `Ladder`
+/// routing, one worker per tier: `tiers[0]` is the full model and each
+/// later entry a successively heavier-pruned engine (e.g. built with
+/// `gcnp_core::prune_model`, or a quantized floor). Each sealed window goes
+/// whole to the tier [`LadderPolicy`] picks from the admitted queue depth
+/// and is projected with that tier's own compute estimate. Per-tier served
+/// counts in [`MultiServingReport::group_served`] make the accuracy cost of
+/// degradation measurable.
+pub fn serve_tiered(
+    tiers: &mut [BatchedEngine<'_>],
+    pool: &[usize],
+    cfg: &ServingConfig,
+    ladder: &LadderPolicy,
+) -> ServingResult<MultiServingReport> {
+    run_fleet(tiers, Routing::Ladder(ladder), pool, cfg)
+}
+
+/// The one fleet executor behind [`serve_multi`], [`serve_sharded`] and
+/// [`serve_tiered`]: spawn a worker per engine into its routing group, run
+/// the supervisor when armed, form and route batches on this thread, then
+/// settle the report. Under `OwnerShard` the caller has checked that
+/// `assign` covers every pool node with a shard below `engines.len()`.
 fn run_fleet(
     engines: &mut [BatchedEngine<'_>],
     routing: Routing<'_>,
     pool: &[usize],
     cfg: &ServingConfig,
 ) -> ServingResult<MultiServingReport> {
-    let Some(first) = engines.first() else {
+    if engines.is_empty() {
         return Err(ServingError::NoEngines);
-    };
+    }
     cfg.validate(pool)?;
     let n_workers = engines.len();
     let (n_groups, per_group) = match routing {
         Routing::AnyWorker => (1, n_workers),
-        Routing::OwnerShard(_) => (n_workers, 1),
+        Routing::OwnerShard(_) | Routing::Ladder(_) => (n_workers, 1),
     };
     let arrivals = cfg.arrivals(pool);
     // Counter bundle shared by every worker (all record paths take `&self`
     // over atomics); resolved from the first instrumented engine's registry.
-    let metrics = engines
+    let registry = engines
         .iter()
         .find_map(|e| e.metrics())
-        .map(|m| ServingMetrics::new(m.registry()));
-    let cold_est = first.cold_compute_estimate(cfg.max_batch);
-    let fleet = Fleet::new(cfg, metrics, n_groups, per_group, cold_est);
+        .map(|m| m.registry());
+    // Each group's estimate seeds from its first engine's cost model.
+    let cold_est: Vec<f64> = engines
+        .iter()
+        .step_by(per_group)
+        .map(|e| e.cold_compute_estimate(cfg.max_batch))
+        .collect();
+    let mut fleet = Fleet::new(cfg, registry.map(ServingMetrics::new), per_group, &cold_est);
+    if let (Routing::Ladder(_), Some(reg)) = (routing, registry) {
+        // Per-tier served counters: the rung-level view of the ladder, so
+        // operators can see how much traffic ran pruned or quantized
+        // without parsing a report.
+        for (i, group) in fleet.groups.iter_mut().enumerate() {
+            group.served_ctr = Some(reg.counter(&format!("serving.tier{i}.served")));
+        }
+    }
     let obs = fleet.obs.as_ref();
     let links: Vec<WorkerLink> = (0..n_workers).map(|_| WorkerLink::new()).collect();
 
@@ -1395,13 +1240,15 @@ fn run_fleet(
     let watches: Vec<WorkerWatch<'_, QueuedBatch>> = links
         .iter()
         .zip(&teardowns)
-        .map(|(link, td)| WorkerWatch {
+        .enumerate()
+        .map(|(k, (link, td))| WorkerWatch {
             slots: [&link.front_pending, &link.back_pending],
+            group: k / per_group,
             teardown: &**td,
         })
         .collect();
 
-    let (n_batches, shed_queue, shed_deadline) = std::thread::scope(|scope| {
+    let (n_batches, shed_queue, shed_deadline, tier_switches) = std::thread::scope(|scope| {
         let (fleet, finished) = (&fleet, &finished);
         for (k, (engine, link)) in engines.iter_mut().zip(&links).enumerate() {
             let g = k / per_group;
@@ -1417,7 +1264,7 @@ fn run_fleet(
                     watches,
                     policy,
                     &|| fleet.now(),
-                    &|| fleet.estimate().0,
+                    &|g| fleet.estimate(g).0,
                     &|| finished.load(Ordering::Acquire) >= n_workers,
                     &|entry: PendingEntry<QueuedBatch>| {
                         // Watchdog steal: the wedged attempt's slot is
@@ -1464,16 +1311,55 @@ fn run_fleet(
 
         // Dispatcher (this thread): form batches with the shared former,
         // anchored on the earliest-free virtual worker clock, and submit
-        // each through the queue of the group that owns it.
+        // each through the queue of the group that owns it. A ladder's
+        // tiers model one server switching models: they share one clock.
         let mut former = BatchFormer::new(&arrivals, cfg);
-        let mut free = vec![vec![0.0f64; per_group]; n_groups];
+        let shared_clock = matches!(routing, Routing::Ladder(_));
+        let mut free = vec![vec![0.0f64; per_group]; if shared_clock { 1 } else { n_groups }];
+        let (mut tier, mut dwell, mut tier_switches) = (0usize, 0usize, 0usize);
         let mut n_batches = 0usize;
         loop {
             let free_at = free.iter().flatten().copied().fold(f64::INFINITY, f64::min);
             if free_at.is_infinite() {
                 break; // every group's workers are gone
             }
-            let Some(batch) = former.next_batch(free_at, |_| fleet.estimate(), obs) else {
+            // The estimate a window is projected with: that of the group
+            // it is routed to. A split window is done when its slowest
+            // shard is. A ladder picks the tier from the admitted queue
+            // depth *before* computing, so a deep queue is served cheaply
+            // right away.
+            let estimate = |depth: usize| match routing {
+                Routing::AnyWorker => fleet.estimate(0),
+                Routing::OwnerShard(_) => (0..n_groups)
+                    .map(|g| fleet.estimate(g))
+                    .max_by(|a, b| a.0.total_cmp(&b.0))
+                    .unwrap_or((0.0, false)),
+                Routing::Ladder(pol) => {
+                    let before = tier;
+                    while depth >= pol.step_down_depth.max(1) && tier + 1 < n_groups {
+                        tier += 1;
+                    }
+                    if tier == before
+                        && depth <= pol.step_up_depth
+                        && tier > 0
+                        && dwell >= pol.min_dwell
+                    {
+                        tier -= 1;
+                    }
+                    if tier != before {
+                        tier_switches += 1;
+                        dwell = 0;
+                        if let Some(o) = obs {
+                            o.tier_switches.inc();
+                        }
+                    }
+                    if let Some(o) = obs {
+                        o.tier.set(tier as f64);
+                    }
+                    fleet.estimate(tier)
+                }
+            };
+            let Some(batch) = former.next_batch(free_at, estimate, obs) else {
                 break; // trace exhausted and queue drained
             };
             if cfg.pace {
@@ -1483,12 +1369,17 @@ fn run_fleet(
                     std::thread::sleep(Duration::from_secs_f64(wait));
                 }
             }
-            // The one routing-dependent step: a stable split of the window
-            // by owner group (arrival order is preserved within each
-            // sub-batch).
+            // The one routing-dependent step: a split of the window by
+            // group — whole to the only group or the chosen tier, or
+            // stably by owner shard (arrival order is preserved within
+            // each sub-batch).
             let mut split = vec![(Vec::new(), Vec::new()); n_groups];
             match routing {
                 Routing::AnyWorker => split[0] = (batch.nodes, batch.arrivals), // audit: allow(no-fail-stop) — AnyWorker has exactly one group
+                Routing::Ladder(_) => {
+                    dwell += 1;
+                    split[tier] = (batch.nodes, batch.arrivals); // audit: allow(no-fail-stop) — the ladder steps keep tier within 0..n_groups
+                }
                 Routing::OwnerShard(assign) => {
                     for (&v, &t) in batch.nodes.iter().zip(&batch.arrivals) {
                         // audit: allow(no-fail-stop) — the caller validated every pool node's assignment below n_groups, and the former only emits pool nodes
@@ -1498,11 +1389,13 @@ fn run_fleet(
                     }
                 }
             }
-            for (g, ((nodes, arrivals), clocks)) in split.into_iter().zip(&mut free).enumerate() {
+            for (g, (nodes, arrivals)) in split.into_iter().enumerate() {
                 if nodes.is_empty() {
                     continue;
                 }
-                // The group's earliest-free worker takes the batch.
+                // audit: allow(no-fail-stop) — `free` holds one clock set per group, or the single set a ladder's tiers share
+                let clocks = &mut free[if shared_clock { 0 } else { g }];
+                // The earliest-free worker takes the batch.
                 if let Some(f) = clocks.iter_mut().min_by(|a, b| a.total_cmp(b)) {
                     *f = batch.start + batch.est;
                 }
@@ -1517,10 +1410,14 @@ fn run_fleet(
                     Ok(()) => n_batches += 1,
                     Err(b) => {
                         // The group's last worker died and aborted its
-                        // queue: shed what was routed there, park its
-                        // clocks, and keep serving the surviving groups.
+                        // queue: shed what was routed there and keep
+                        // serving the surviving groups. Its clocks park
+                        // once no group sharing them is left.
                         fleet.shed_requests(b.nodes.len());
-                        clocks.fill(f64::INFINITY);
+                        let dead = |grp: &Group| grp.live.load(Ordering::Acquire) == 0;
+                        if !shared_clock || fleet.groups.iter().all(dead) {
+                            clocks.fill(f64::INFINITY);
+                        }
                     }
                 }
             }
@@ -1532,7 +1429,12 @@ fn run_fleet(
         for group in &fleet.groups {
             group.dispatch.close();
         }
-        (n_batches, former.shed_queue, former.shed_deadline)
+        (
+            n_batches,
+            former.shed_queue,
+            former.shed_deadline,
+            tier_switches,
+        )
     });
 
     // Whatever a dead group left queued is shed — accounted, not lost. A
@@ -1572,7 +1474,12 @@ fn run_fleet(
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner);
     latencies_ms.sort_by(f64::total_cmp);
-    let served = fleet.served.into_inner();
+    let group_served: Vec<usize> = fleet
+        .groups
+        .iter()
+        .map(|g| g.served.load(Ordering::Relaxed))
+        .collect();
+    let served = group_served.iter().sum();
     let shed = fleet.shed.into_inner();
     debug_assert_eq!(
         served + shed + shed_queue + shed_deadline,
@@ -1587,6 +1494,9 @@ fn run_fleet(
         n_batches,
         mean_batch_size: dispatched as f64 / n_batches.max(1) as f64,
         served,
+        group_served,
+        deadline_misses: fleet.deadline_misses.into_inner(),
+        tier_switches,
         shed,
         shed_queue,
         shed_deadline,
@@ -1642,21 +1552,18 @@ mod tests {
             n_requests: 200,
             ..Default::default()
         };
-        let rep = simulate(&mut engine, &pool, &cfg).unwrap();
+        let rep = serve_multi(std::slice::from_mut(&mut engine), &pool, &cfg).unwrap();
         assert_eq!(rep.n_requests, 200);
         assert_eq!(rep.served, 200, "no deadline/cap: everything served");
-        assert_eq!(rep.shed_queue + rep.shed_deadline, 0);
+        assert_eq!(rep.shed + rep.shed_queue + rep.shed_deadline, 0);
         assert!(rep.p50_ms <= rep.p95_ms);
         assert!(rep.p95_ms <= rep.p99_ms);
         assert!(rep.p99_ms <= rep.max_ms);
         assert!(rep.n_batches >= 1);
         assert!(rep.mean_batch_size >= 1.0);
         assert!(rep.throughput > 0.0);
-        assert_eq!(rep.tier_served, vec![200], "single tier serves everything");
-        assert!(
-            rep.compute_throughput >= rep.throughput,
-            "wall-clock rate includes arrival gaps, so it cannot exceed the compute-bound rate"
-        );
+        assert_eq!(rep.group_served, vec![200], "one group serves everything");
+        assert_eq!((rep.deadline_misses, rep.tier_switches), (0, 0));
     }
 
     #[test]
@@ -1683,21 +1590,22 @@ mod tests {
         // Regression pin for the batch start-time accounting bug: compute
         // for a non-full batch used to start at its *last request's
         // arrival*, erasing the `max_wait` window the requests actually sat
-        // through. With sparse arrivals (5 req/s, 20 ms window → singleton
-        // batches) every request now waits out its full window, so p50 must
-        // be at least `max_wait` (20 ms) plus compute. The buggy accounting
-        // reported pure compute (~a millisecond on this tiny model).
+        // through. With sparse paced arrivals (100 req/s, 5 ms window →
+        // near-singleton batches) every window opener now waits out its
+        // full window, so p50 must be at least `max_wait` plus compute. The
+        // buggy accounting reported pure compute.
         let (adj, x) = setup();
         let model = zoo::graphsage(8, 8, 3, 2);
         let mut engine = BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 0);
         let pool: Vec<usize> = (0..100).collect();
         let cfg = ServingConfig {
-            arrival_rate: 5.0,
-            max_wait: 0.02,
-            n_requests: 40,
+            arrival_rate: 100.0,
+            max_wait: 0.005,
+            n_requests: 30,
+            pace: true,
             ..Default::default()
         };
-        let rep = simulate(&mut engine, &pool, &cfg).unwrap();
+        let rep = serve_multi(std::slice::from_mut(&mut engine), &pool, &cfg).unwrap();
         assert!(
             rep.mean_batch_size < 1.5,
             "sparse arrivals must form (near-)singleton batches, got {}",
@@ -1717,10 +1625,11 @@ mod tests {
             max_batch: 8,
             max_wait: 0.05,
             n_requests: 64,
+            pace: true,
             ..Default::default()
         };
         let mut engine2 = BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 0);
-        let rep2 = simulate(&mut engine2, &pool, &burst).unwrap();
+        let rep2 = serve_multi(std::slice::from_mut(&mut engine2), &pool, &burst).unwrap();
         assert!(
             rep2.p50_ms < burst.max_wait * 1e3,
             "full batches must not serve the window out (p50 {} ms)",
@@ -1730,19 +1639,21 @@ mod tests {
 
     #[test]
     fn wall_clock_throughput_saturates_at_arrival_rate() {
-        // With a tiny compute load and sparse arrivals, the makespan is
-        // dominated by waiting for requests: end-to-end throughput must stay
-        // at (or below) the offered rate while compute throughput soars.
+        // With a tiny compute load and sparse paced arrivals, the wall
+        // clock is dominated by waiting for requests: end-to-end throughput
+        // must stay at (or below) the offered rate while compute throughput
+        // soars.
         let (adj, x) = setup();
         let model = zoo::graphsage(8, 8, 3, 2);
         let mut engine = BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 0);
         let pool: Vec<usize> = (0..100).collect();
         let cfg = ServingConfig {
-            arrival_rate: 50.0,
+            arrival_rate: 400.0,
             n_requests: 100,
+            pace: true,
             ..Default::default()
         };
-        let rep = simulate(&mut engine, &pool, &cfg).unwrap();
+        let rep = serve_multi(std::slice::from_mut(&mut engine), &pool, &cfg).unwrap();
         assert!(
             rep.throughput < 2.0 * cfg.arrival_rate,
             "wall-clock throughput {} cannot greatly exceed the offered rate {}",
@@ -1818,7 +1729,7 @@ mod tests {
         };
         let mut engine = BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 0);
         engine.set_faults(plan.build().unwrap());
-        let fleet = Fleet::new(&cfg, None, 1, 1, engine.cold_compute_estimate(2));
+        let fleet = Fleet::new(&cfg, None, 1, &[engine.cold_compute_estimate(2)]);
         let link = WorkerLink::new();
         std::thread::scope(|s| {
             let (fleet, link, engine) = (&fleet, &link, &mut engine);
@@ -1835,8 +1746,8 @@ mod tests {
             }
             fleet.group(0).dispatch.close();
         });
-        assert_eq!(fleet.served.load(Ordering::Relaxed), 2 * n_batches);
-        let (est, measured) = fleet.estimate();
+        assert_eq!(fleet.group(0).served.load(Ordering::Relaxed), 2 * n_batches);
+        let (est, measured) = fleet.estimate(0);
         assert!(measured);
         assert!(
             est >= STALL,
@@ -1863,7 +1774,7 @@ mod tests {
             n_requests: 30,
             ..Default::default()
         };
-        let rep = simulate(&mut engine, &pool, &cfg).unwrap();
+        let rep = serve_multi(std::slice::from_mut(&mut engine), &pool, &cfg).unwrap();
         assert!(
             rep.mean_batch_size < 2.0,
             "mean batch {}",
@@ -1873,19 +1784,24 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
+        // A pre-arrived burst: formation cannot depend on compute timing.
         let (adj, x) = setup();
         let model = zoo::graphsage(8, 8, 3, 2);
         let pool: Vec<usize> = (0..100).collect();
         let cfg = ServingConfig {
+            arrival_rate: 1e6,
+            max_batch: 24,
             n_requests: 100,
             seed: 5,
             ..Default::default()
         };
+        assert_eq!(cfg.arrivals(&pool), cfg.arrivals(&pool), "seeded trace");
         let mut e1 = BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 0);
-        let a = simulate(&mut e1, &pool, &cfg).unwrap();
+        let a = serve_multi(std::slice::from_mut(&mut e1), &pool, &cfg).unwrap();
         let mut e2 = BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 0);
-        let b = simulate(&mut e2, &pool, &cfg).unwrap();
-        assert_eq!(a.n_batches, b.n_batches);
+        let b = serve_multi(std::slice::from_mut(&mut e2), &pool, &cfg).unwrap();
+        assert_eq!(a.n_batches, 5, "100 pre-arrived / 24 per batch");
+        assert_eq!(a.counters(), b.counters());
         assert_eq!(a.mean_batch_size, b.mean_batch_size);
     }
 
@@ -1897,7 +1813,7 @@ mod tests {
         let pool: Vec<usize> = (0..100).collect();
         let base = ServingConfig::default();
         assert_eq!(
-            simulate(&mut engine, &[], &base).unwrap_err(),
+            serve_multi(std::slice::from_mut(&mut engine), &[], &base).unwrap_err(),
             ServingError::EmptyPool
         );
         for bad in [
@@ -1927,16 +1843,25 @@ mod tests {
             },
         ] {
             assert!(matches!(
-                simulate(&mut engine, &pool, &bad),
+                serve_multi(std::slice::from_mut(&mut engine), &pool, &bad),
                 Err(ServingError::InvalidConfig(_))
             ));
             assert!(matches!(
-                serve_multi(std::slice::from_mut(&mut engine), &pool, &bad),
+                serve_tiered(
+                    std::slice::from_mut(&mut engine),
+                    &pool,
+                    &bad,
+                    &LadderPolicy::default()
+                ),
                 Err(ServingError::InvalidConfig(_))
             ));
         }
         assert_eq!(
             serve_multi(&mut [], &pool, &base).unwrap_err(),
+            ServingError::NoEngines
+        );
+        assert_eq!(
+            serve_tiered(&mut [], &pool, &base, &LadderPolicy::default()).unwrap_err(),
             ServingError::NoEngines
         );
     }
@@ -1956,14 +1881,8 @@ mod tests {
             queue_cap: Some(16),
             ..Default::default()
         };
-        let rep = simulate(&mut engine, &pool, &cfg).unwrap();
-        assert!(rep.shed_queue > 0, "overload must shed");
-        assert_eq!(rep.served + rep.shed_queue + rep.shed_deadline, 400);
-        // The same accounting holds for the multi-worker loop, which now
-        // shares the same former (queue-cap shedding included).
-        let mut engine2 = BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 0);
-        let multi = serve_multi(std::slice::from_mut(&mut engine2), &pool, &cfg).unwrap();
-        assert!(multi.shed_queue > 0, "serve_multi sheds on admission too");
+        let multi = serve_multi(std::slice::from_mut(&mut engine), &pool, &cfg).unwrap();
+        assert!(multi.shed_queue > 0, "overload must shed on admission");
         assert_eq!(
             multi.served + multi.shed + multi.shed_queue + multi.shed_deadline,
             400
@@ -1986,9 +1905,12 @@ mod tests {
             deadline: Some(2e-4), // 0.2 ms: only the first batches make it
             ..Default::default()
         };
-        let rep = simulate(&mut engine, &pool, &cfg).unwrap();
+        let rep = serve_multi(std::slice::from_mut(&mut engine), &pool, &cfg).unwrap();
         assert!(rep.shed_deadline > 0, "stale requests are shed");
-        assert_eq!(rep.served + rep.shed_queue + rep.shed_deadline, 600);
+        assert_eq!(
+            rep.served + rep.shed + rep.shed_queue + rep.shed_deadline,
+            600
+        );
         assert!(
             rep.served < 600,
             "an overloaded server with deadlines cannot serve everything"
@@ -2021,10 +1943,10 @@ mod tests {
         let mut tiers: Vec<BatchedEngine<'_>> = (0..3)
             .map(|w| BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, w))
             .collect();
-        let rep = simulate_tiered(&mut tiers, &pool, &cfg, Some(&ladder)).unwrap();
+        let rep = serve_tiered(&mut tiers, &pool, &cfg, &ladder).unwrap();
         assert_eq!(rep.served, 520);
         assert_eq!(
-            rep.tier_served,
+            rep.group_served,
             vec![0, 8, 512],
             "overload serves on the cheapest tier, the drained tail one tier up"
         );
@@ -2076,17 +1998,17 @@ mod tests {
             })
             .collect();
         assert_eq!(tiers[3].precision(), crate::Precision::Int8);
-        let rep = simulate_tiered(&mut tiers, &pool, &cfg, Some(&ladder)).unwrap();
+        let rep = serve_tiered(&mut tiers, &pool, &cfg, &ladder).unwrap();
         assert_eq!(rep.served, 520);
         assert_eq!(
-            rep.tier_served,
+            rep.group_served,
             vec![0, 0, 8, 512],
             "the quantized rung absorbs the overload, the tail drains one rung up"
         );
         assert_eq!(rep.tier_switches, 2);
         if gcnp_obs::enabled() {
             let snap = registry.snapshot();
-            for (i, &served) in rep.tier_served.iter().enumerate() {
+            for (i, &served) in rep.group_served.iter().enumerate() {
                 assert_eq!(
                     snap.counters[&format!("serving.tier{i}.served")] as usize,
                     served,
@@ -2101,17 +2023,16 @@ mod tests {
     }
 
     #[test]
-    fn simulate_metrics_match_report() {
-        // The serving-loop counters must agree with the report's own
-        // accounting when a registry is attached through the engine.
+    fn fleet_metrics_match_report() {
+        // The fleet's counters must agree with the report's own accounting
+        // when a registry is attached through the engines — deadline
+        // misses included, and under a ladder the tier gauge, switches and
+        // per-tier served counts too.
         if !gcnp_obs::enabled() {
             return;
         }
         let (adj, x) = setup();
         let model = zoo::graphsage(8, 8, 3, 2);
-        let registry = std::sync::Arc::new(gcnp_obs::MetricsRegistry::new());
-        let mut engine = BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 0);
-        engine.set_metrics(crate::EngineMetrics::new(&registry));
         let pool: Vec<usize> = (0..100).collect();
         let cfg = ServingConfig {
             arrival_rate: 1e6,
@@ -2121,26 +2042,71 @@ mod tests {
             deadline: Some(5e-3),
             ..Default::default()
         };
-        let rep = simulate(&mut engine, &pool, &cfg).unwrap();
-        let snap = registry.snapshot();
-        assert_eq!(snap.counters["serving.served"] as usize, rep.served);
-        assert_eq!(snap.counters["serving.shed.queue"] as usize, rep.shed_queue);
-        assert_eq!(
-            snap.counters["serving.shed.deadline"] as usize,
-            rep.shed_deadline
-        );
-        assert_eq!(
-            snap.counters["serving.deadline_miss"] as usize,
-            rep.deadline_misses
-        );
-        assert_eq!(snap.counters["serving.batches"] as usize, rep.n_batches);
-        assert_eq!(
-            snap.histograms["serving.batch.size"].count as usize,
-            rep.n_batches
-        );
-        assert!(snap.histograms["serving.queue.depth"].count > 0);
-        // Engine-side batch accounting lines up too.
-        assert_eq!(snap.counters["engine.batches"] as usize, rep.n_batches);
+        let burst = ServingConfig {
+            arrival_rate: 1e6,
+            max_batch: 64,
+            n_requests: 520,
+            seed: 1,
+            deadline: Some(2.0),
+            ..Default::default()
+        };
+        let ladder = LadderPolicy {
+            step_down_depth: 64,
+            step_up_depth: 8,
+            min_dwell: 4,
+        };
+        for (cfg, tiered) in [(cfg, false), (burst, true)] {
+            let registry = std::sync::Arc::new(gcnp_obs::MetricsRegistry::new());
+            let mut engines: Vec<BatchedEngine<'_>> = (0..if tiered { 3 } else { 1 })
+                .map(|w| {
+                    let mut e =
+                        BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, w);
+                    e.set_metrics(crate::EngineMetrics::new(&registry));
+                    e
+                })
+                .collect();
+            let rep = if tiered {
+                serve_tiered(&mut engines, &pool, &cfg, &ladder).unwrap()
+            } else {
+                serve_multi(&mut engines, &pool, &cfg).unwrap()
+            };
+            let snap = registry.snapshot();
+            assert_eq!(snap.counters["serving.served"] as usize, rep.served);
+            assert_eq!(snap.counters["serving.shed.queue"] as usize, rep.shed_queue);
+            assert_eq!(
+                snap.counters["serving.shed.deadline"] as usize,
+                rep.shed_deadline
+            );
+            assert_eq!(
+                snap.counters["serving.deadline_miss"] as usize,
+                rep.deadline_misses
+            );
+            assert_eq!(snap.counters["serving.batches"] as usize, rep.n_batches);
+            assert_eq!(
+                snap.histograms["serving.batch.size"].count as usize,
+                rep.n_batches
+            );
+            assert!(snap.histograms["serving.queue.depth"].count > 0);
+            // Engine-side batch accounting lines up too.
+            assert_eq!(snap.counters["engine.batches"] as usize, rep.n_batches);
+            assert_eq!(
+                snap.counters["serving.tier_switches"] as usize,
+                rep.tier_switches
+            );
+            if tiered {
+                assert_eq!(rep.tier_switches, 2);
+                for (i, &served) in rep.group_served.iter().enumerate() {
+                    assert_eq!(
+                        snap.counters[&format!("serving.tier{i}.served")] as usize,
+                        served
+                    );
+                }
+                // The drained tail stepped up one tier from the floor.
+                assert_eq!(snap.gauges["serving.tier"], 1.0);
+            } else {
+                assert!(!snap.counters.contains_key("serving.tier0.served"));
+            }
+        }
     }
 
     #[test]
@@ -2237,11 +2203,9 @@ mod tests {
     }
 
     #[test]
-    fn serve_multi_anchoring_matches_simulate() {
-        // Anchoring-equivalence (replaces the retired divergence pin): both
-        // loops share one former, so on a pre-arrived burst — where window
-        // anchoring cannot depend on compute timing — a single-worker
-        // serve_multi forms *exactly* the batches simulate forms.
+    fn busy_anchoring_coalesces_at_least_as_much_as_trace_only_windows() {
+        // On a pre-arrived burst — where window anchoring cannot depend on
+        // compute timing — formation is purely size-capped and repeatable.
         let (adj, x) = setup();
         let model = zoo::graphsage(8, 8, 3, 2);
         let pool: Vec<usize> = (0..100).collect();
@@ -2251,8 +2215,6 @@ mod tests {
             n_requests: 320,
             ..Default::default()
         };
-        let mut engine = BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 0);
-        let sim = simulate(&mut engine, &pool, &burst).unwrap();
         let run_multi = |cfg: &ServingConfig| {
             let mut engines: Vec<BatchedEngine<'_>> = (0..2)
                 .map(|w| BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, w))
@@ -2260,12 +2222,8 @@ mod tests {
             serve_multi(&mut engines, &pool, cfg).unwrap()
         };
         let multi = run_multi(&burst);
-        assert_eq!(sim.n_batches, 20, "320 pre-arrived / 16 per batch");
-        assert_eq!(
-            multi.n_batches, sim.n_batches,
-            "shared former: identical batch formation on a burst"
-        );
-        assert_eq!(multi.mean_batch_size, sim.mean_batch_size);
+        assert_eq!(multi.n_batches, 20, "320 pre-arrived / 16 per batch");
+        assert_eq!(multi.mean_batch_size, 16.0);
         let ma = run_multi(&burst);
         assert_eq!(
             ma.counters(),

@@ -13,10 +13,10 @@
 //!   per-worker manager can respawn a fresh generation. The wedged thread,
 //!   when it eventually wakes, finds its slot empty and abandons the
 //!   attempt without double-resolving.
-//! * **Hedge** — a batch busy past `k×` the fleet's EWMA compute estimate is
-//!   speculatively re-dispatched to a free worker. Both copies share a
-//!   claim token (`Arc<AtomicBool>`); the first terminal outcome (success
-//!   *or* failure) claims it and owns the batch's accounting, the loser
+//! * **Hedge** — a batch busy past `k×` its routing group's EWMA compute
+//!   estimate is speculatively re-dispatched to a free worker. Both copies
+//!   share a claim token (`Arc<AtomicBool>`); the first terminal outcome
+//!   (success *or* failure) claims it and owns the batch's accounting, the loser
 //!   discards its result. Store write-backs are deterministic per batch, so
 //!   a duplicate write-back is idempotent.
 //!
@@ -47,7 +47,7 @@ fn relock<'a, T>(
 pub(crate) struct SupervisorPolicy {
     /// Steal a batch busy longer than this many seconds (watchdog bound).
     pub(crate) watchdog: Option<f64>,
-    /// Hedge a batch busy longer than `k ×` the fleet's EWMA estimate.
+    /// Hedge a batch busy longer than `k ×` its group's EWMA estimate.
     pub(crate) hedge: Option<f64>,
 }
 
@@ -110,29 +110,34 @@ impl<T: Clone> PendingSlot<T> {
     }
 }
 
-/// One supervised worker: its two stage slots (front, back) and the
-/// teardown hook the watchdog fires after a steal.
+/// One supervised worker: its two stage slots (front, back), the routing
+/// group whose estimate bounds its hedges, and the teardown hook the
+/// watchdog fires after a steal.
 pub(crate) struct WorkerWatch<'w, T> {
     pub(crate) slots: [&'w PendingSlot<T>; 2],
+    pub(crate) group: usize,
     pub(crate) teardown: &'w (dyn Fn() + Sync),
 }
 
 /// A single supervision scan over every worker slot at fleet-clock `now`.
 ///
-/// `est` is the fleet's current EWMA compute estimate in seconds (`<= 0`
-/// disables hedging for this tick). `steal` receives the full stolen entry
-/// (the caller claims any hedge token before requeueing); `hedge_fire`
-/// receives a clone of the batch plus the freshly installed claim token.
+/// `est(g)` is routing group `g`'s current EWMA compute estimate in
+/// seconds (`<= 0` disables hedging of that group's workers for this
+/// tick); a worker's batches all belong to its own group. `steal` receives
+/// the full stolen entry (the caller claims any hedge token before
+/// requeueing); `hedge_fire` receives a clone of the batch plus the freshly
+/// installed claim token.
 pub(crate) fn tick<T: Clone>(
     watches: &[WorkerWatch<'_, T>],
     policy: &SupervisorPolicy,
     now: f64,
-    est: f64,
+    est: &dyn Fn(usize) -> f64,
     steal: &dyn Fn(PendingEntry<T>),
     hedge_fire: &dyn Fn(T, Arc<AtomicBool>),
     stats: &SupervisorStats,
 ) {
     for watch in watches {
+        let est = est(watch.group);
         for slot in watch.slots {
             let mut fired: Option<PendingEntry<T>> = None;
             let mut hedged: Option<(T, Arc<AtomicBool>)> = None;
@@ -174,7 +179,7 @@ pub(crate) fn supervise<T: Clone>(
     watches: &[WorkerWatch<'_, T>],
     policy: &SupervisorPolicy,
     clock: &dyn Fn() -> f64,
-    est: &dyn Fn() -> f64,
+    est: &dyn Fn(usize) -> f64,
     done: &dyn Fn() -> bool,
     steal: &dyn Fn(PendingEntry<T>),
     hedge_fire: &dyn Fn(T, Arc<AtomicBool>),
@@ -182,7 +187,7 @@ pub(crate) fn supervise<T: Clone>(
 ) {
     let interval = policy.interval();
     while !done() {
-        tick(watches, policy, clock(), est(), steal, hedge_fire, stats);
+        tick(watches, policy, clock(), est, steal, hedge_fire, stats);
         std::thread::sleep(interval);
     }
 }
@@ -225,18 +230,19 @@ mod tests {
         };
         let watches = [WorkerWatch {
             slots: [&slot, &slot],
+            group: 0,
             teardown: &teardown,
         }];
         let steal = |e: PendingEntry<u32>| relock(stolen.lock()).push(e.item);
         let hedge = |_: u32, _: Arc<AtomicBool>| {};
 
         // Inside the bound: nothing fires.
-        tick(&watches, &policy, 0.005, 0.0, &steal, &hedge, &stats);
+        tick(&watches, &policy, 0.005, &|_| 0.0, &steal, &hedge, &stats);
         assert!(relock(stolen.lock()).is_empty());
         // One tick past the bound: stolen, torn down, counted — once, even
         // though the worker appears in two slots and we tick again after.
-        tick(&watches, &policy, 0.011, 0.0, &steal, &hedge, &stats);
-        tick(&watches, &policy, 0.020, 0.0, &steal, &hedge, &stats);
+        tick(&watches, &policy, 0.011, &|_| 0.0, &steal, &hedge, &stats);
+        tick(&watches, &policy, 0.020, &|_| 0.0, &steal, &hedge, &stats);
         assert_eq!(*relock(stolen.lock()), vec![3]);
         assert_eq!(torn.load(Ordering::Relaxed), 1);
         assert_eq!(stats.restarts.load(Ordering::Relaxed), 1);
@@ -256,6 +262,7 @@ mod tests {
         let tokens = Mutex::new(Vec::new());
         let watches = [WorkerWatch {
             slots: [&slot, &slot],
+            group: 0,
             teardown: no_teardown(),
         }];
         let steal = |_: PendingEntry<u32>| {};
@@ -266,12 +273,12 @@ mod tests {
         };
 
         // est == 0 (cold fleet) never hedges.
-        tick(&watches, &policy, 10.0, 0.0, &steal, &hedge, &stats);
+        tick(&watches, &policy, 10.0, &|_| 0.0, &steal, &hedge, &stats);
         assert_eq!(fired.load(Ordering::Relaxed), 0);
         // Busy 10s > 3 × 1s: hedge fires, token installed, and repeat ticks
         // don't re-fire on the same entry.
-        tick(&watches, &policy, 10.0, 1.0, &steal, &hedge, &stats);
-        tick(&watches, &policy, 20.0, 1.0, &steal, &hedge, &stats);
+        tick(&watches, &policy, 10.0, &|_| 1.0, &steal, &hedge, &stats);
+        tick(&watches, &policy, 20.0, &|_| 1.0, &steal, &hedge, &stats);
         assert_eq!(fired.load(Ordering::Relaxed), 1);
         assert_eq!(stats.hedges_fired.load(Ordering::Relaxed), 1);
         let entry = slot.finish().expect("still pending");
@@ -280,8 +287,42 @@ mod tests {
 
         // A hedge duplicate (hedgeable = false) is never hedged again.
         slot.begin(&9, 0.0, false);
-        tick(&watches, &policy, 30.0, 1.0, &steal, &hedge, &stats);
+        tick(&watches, &policy, 30.0, &|_| 1.0, &steal, &hedge, &stats);
         assert_eq!(fired.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn hedge_bound_reads_the_watched_workers_group() {
+        // Two workers busy equally long on groups with different estimates:
+        // only the one whose own group's bound is exceeded hedges.
+        let (fast, slow): (PendingSlot<u32>, PendingSlot<u32>) =
+            (PendingSlot::new(), PendingSlot::new());
+        fast.begin(&1, 0.0, true);
+        slow.begin(&2, 0.0, true);
+        let policy = SupervisorPolicy {
+            watchdog: None,
+            hedge: Some(2.0),
+        };
+        let stats = SupervisorStats::default();
+        let hedged = Mutex::new(Vec::new());
+        let watches = [
+            WorkerWatch {
+                slots: [&fast, &fast],
+                group: 0,
+                teardown: no_teardown(),
+            },
+            WorkerWatch {
+                slots: [&slow, &slow],
+                group: 1,
+                teardown: no_teardown(),
+            },
+        ];
+        let steal = |_: PendingEntry<u32>| {};
+        let hedge = |item: u32, _: Arc<AtomicBool>| relock(hedged.lock()).push(item);
+        // Busy 1 s: past 2 × 0.1 s (group 0), inside 2 × 1 s (group 1).
+        let est = |g: usize| if g == 0 { 0.1 } else { 1.0 };
+        tick(&watches, &policy, 1.0, &est, &steal, &hedge, &stats);
+        assert_eq!(*relock(hedged.lock()), vec![1]);
     }
 
     #[test]
@@ -297,6 +338,7 @@ mod tests {
         let hedged = AtomicU64::new(0);
         let watches = [WorkerWatch {
             slots: [&slot, &slot],
+            group: 0,
             teardown: no_teardown(),
         }];
         let steal = |_: PendingEntry<u32>| {
@@ -307,7 +349,7 @@ mod tests {
         };
         // Past both thresholds: the steal takes priority (the batch is
         // requeued, so duplicating it as well would double-serve).
-        tick(&watches, &policy, 1.0, 0.1, &steal, &hedge, &stats);
+        tick(&watches, &policy, 1.0, &|_| 0.1, &steal, &hedge, &stats);
         assert_eq!(stolen.load(Ordering::Relaxed), 1);
         assert_eq!(hedged.load(Ordering::Relaxed), 0);
     }

@@ -56,10 +56,10 @@ pub mod prelude {
     };
     pub use gcnp_datasets::{Dataset, DatasetKind, GrowingGraph, Labels, Partition, SpamStream};
     pub use gcnp_infer::{
-        run_batches, serve_multi, serve_sharded, simulate, simulate_tiered, AccretionReport,
-        BatchResult, BatchedEngine, CostModel, Fault, FaultInjector, FaultPlan, FeatureStore,
-        FullEngine, LadderPolicy, MultiServingReport, QuantizedGnn, ServingConfig, ServingError,
-        ServingReport, ServingResult, ShardedStore, StorePolicy,
+        run_batches, serve_multi, serve_sharded, serve_tiered, AccretionReport, BatchResult,
+        BatchedEngine, CostModel, Fault, FaultInjector, FaultPlan, FeatureStore, FullEngine,
+        LadderPolicy, MultiServingReport, QuantizedGnn, ServingConfig, ServingError, ServingResult,
+        ShardedStore, StorePolicy,
     };
     pub use gcnp_models::{
         zoo, Activation, Branch, BranchLayer, CombineMode, GnnModel, Metrics, TrainConfig, Trainer,

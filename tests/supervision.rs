@@ -315,8 +315,8 @@ fn cold_start_estimate_seeds_the_virtual_clock() {
         "cold seed stays optimistic so a cold fleet admits ({est64}s for 64 targets)"
     );
 
-    // Single-engine simulation with a generous deadline: the cold estimate
-    // must not project a first-batch miss.
+    // A fleet with a generous deadline: the cold estimate must not project
+    // a first-batch miss.
     let pool: Vec<usize> = (0..100).collect();
     let cfg = ServingConfig {
         arrival_rate: 1e6,
@@ -326,14 +326,9 @@ fn cold_start_estimate_seeds_the_virtual_clock() {
         deadline: Some(1.0),
         ..Default::default()
     };
-    let mut engine = BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 0);
-    let rep = simulate(&mut engine, &pool, &cfg).unwrap();
-    assert_eq!(rep.shed_deadline, 0, "no spurious cold-start shedding");
-    assert_eq!(rep.served, 96);
-
-    // Multi-worker fleets seed the shared EWMA the same way.
     let mut engines = fleet(2, &model, &adj, &x, None, None);
     let rep = serve_multi(&mut engines, &pool, &cfg).unwrap();
+    assert_eq!(rep.shed_deadline, 0, "no spurious cold-start shedding");
     assert_eq!(rep.served, 96, "cold fleet admits its trace");
     assert_eq!(rep.shed, 0);
 }
@@ -344,7 +339,7 @@ fn cold_start_estimate_seeds_the_virtual_clock() {
 /// a small dense graph is over-estimated a few hundred times — and a
 /// deadline between the two used to shed every window, so no batch ever ran
 /// and the estimate never got its first measurement. An unmeasured seed
-/// must not be able to do that, in either serving loop.
+/// must not be able to do that.
 #[test]
 fn cold_seed_above_the_deadline_cannot_shed_every_window() {
     let n = 40;
@@ -375,11 +370,6 @@ fn cold_seed_above_the_deadline_cannot_shed_every_window() {
         deadline: Some(deadline),
         ..Default::default()
     };
-
-    let mut engine = BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 0);
-    let rep = simulate(&mut engine, &pool, &cfg).unwrap();
-    assert!(rep.served > 0, "simulate: the cold seed shed every window");
-    assert_eq!(rep.served + rep.shed_queue + rep.shed_deadline, 320);
 
     let mut engines = fleet(1, &model, &adj, &x, None, None);
     let rep = serve_multi(&mut engines, &pool, &cfg).unwrap();
