@@ -321,6 +321,18 @@ pub fn serve(args: &Args) -> Result<String, String> {
     }
     let data = load_dataset(args.require("data")?)?;
     let model = load_model(args.require("model")?)?;
+    let pruned = model
+        .layers
+        .iter()
+        .flat_map(|l| &l.branches)
+        .any(|b| b.keep.is_some());
+    if ladder && pruned {
+        return Err(
+            "--ladder prunes its tiers from the model it is given: pass the unpruned model, \
+             not one with keep lists"
+                .into(),
+        );
+    }
     let seed: u64 = args.get_or("seed", 0)?;
     let cfg = ServingConfig {
         arrival_rate: args.get_or("rate", 500.0)?,
@@ -724,6 +736,30 @@ mod tests {
             .unwrap_err();
             assert!(err.contains("read x.json"), "{flag}: {err}");
         }
+        // A ladder prunes its own tiers: a model that already carries keep
+        // lists is refused by name before any pruning starts.
+        let dir = std::env::temp_dir().join("gcnp_cli_bad_inputs_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let d = dir.join("d.json").display().to_string();
+        let m = dir.join("m.json").display().to_string();
+        run(&parse(&format!(
+            "generate --dataset yelpchi-sim --scale 0.05 --seed 2 --out {d}"
+        )))
+        .unwrap();
+        let mut pruned = zoo::graphsage(load_dataset(&d).unwrap().attr_dim(), 16, 2, 1);
+        let b = &mut pruned.layers[0].branches[1];
+        b.weight = b.weight.select_rows(&[0, 1]);
+        b.keep = Some(vec![0, 1]);
+        save(&m, &pruned).unwrap();
+        let err = run(&parse(&format!(
+            "serve --data {d} --model {m} --requests 10 --ladder"
+        )))
+        .unwrap_err();
+        assert!(
+            err.contains("--ladder") && err.contains("unpruned"),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
         assert!(run(&parse("generate --dataset nope --out /tmp/x.json")).is_err());
         assert!(run(&parse(
             "prune --data missing.json --model also-missing.json --out /tmp/x"

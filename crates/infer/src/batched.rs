@@ -24,25 +24,30 @@
 //! only where a kernel needs one as a tensor: a `keep` on a hidden level,
 //! the int8 tier.)
 //!
-//! Layer 1's neighbour branches transform first. Level 0 is the static
-//! attribute matrix, so `mean(X_N)·W = mean((X·W)_N)` and `X·W` does not
-//! depend on the batch: each `k = 1` branch of layer 1 gets a **projection
-//! table** `P = features[:, keep] · W` (`n_nodes × out_dim`), computed once
-//! at engine construction on the f32 packed GEMM whatever the engine's
-//! precision. A batch then sums `out_dim`-wide rows of `P` (64 columns on
-//! the unpruned reddit-sim model, 3 on the 4×-pruned one, instead of 602 and
-//! 150 attribute channels) and stores the mean straight into the branch's
-//! column window: layer 1 runs no neighbour GEMM. Each row of the table is
-//! bitwise the row a per-batch [`Matrix::matmul_packed_rows_into`] would
-//! produce for that node (every output row is its own fma chain), so a
-//! node's logits still depend only on the graph, never on its batch-mates.
-//! Against the aggregate-then-transform order they move by rounding only
-//! (≤ 1e-4; `project_first_stays_within_rounding_of_aggregate_first`).
-//! Hidden levels keep aggregate-then-transform: there `|V_in| ≫ |V_out|`
-//! and the input changes every batch. A layer-1 `k = 0` branch with a
-//! runtime `keep` (only a hand-built model carries one) gets its kept
-//! channels packed once instead — `features.select_cols(keep)` — and a
-//! `keep` on a hidden level keeps the indexed row-at-a-time loop.
+//! Layer 1's neighbour branches follow Eq. 2's `min`, the rule the
+//! full-graph pass runs too ([`gcnp_models::Branch::projects_first`]). Level
+//! 0 is the static attribute matrix, so `mean(X_N)·W = mean((X·W)_N)` and
+//! `X·W` does not depend on the batch: a `k = 1` branch of layer 1 that is
+//! no wider out than in gets a **projection table** `P = features[:, keep]
+//! · W` (`n_nodes × out_dim`), computed once at engine construction on the
+//! f32 packed GEMM whatever the engine's precision. A batch then sums
+//! `out_dim`-wide rows of `P` (64 columns on the unpruned reddit-sim model,
+//! 3 on the 4×-pruned one, instead of 602 and 150 attribute channels) and
+//! stores the mean straight into the branch's column window: that branch
+//! runs no GEMM. Each row of the table is bitwise the row a per-batch
+//! [`Matrix::matmul_packed_rows_into`] would produce for that node (every
+//! output row is its own fma chain), so a node's logits still depend only on
+//! the graph, never on its batch-mates. Against the aggregate-then-transform
+//! order they move by rounding only (≤ 1e-4;
+//! `project_first_stays_within_rounding_of_aggregate_first`). A branch
+//! wider out than in (products-sim's 100 → 128) builds no table: a batch
+//! sums its kept attribute rows and multiplies the mean, the cheaper order
+//! there. Hidden levels keep aggregate-then-transform whatever the
+//! widths: there `|V_in| ≫ |V_out|` and the input changes every batch. A
+//! layer-1 branch that reads attributes with a runtime `keep` and builds no
+//! table gets its kept channels packed once instead —
+//! `features.select_cols(keep)` — and a `keep` on a hidden level keeps the
+//! indexed row-at-a-time loop.
 //!
 //! # Two-stage decomposition
 //!
@@ -51,13 +56,15 @@
 //! * **prepare** (front end): fault draw, target validation, neighborhood
 //!   expansion ([`BatchSupport`]), all store probes, and **layer 1's
 //!   neighbour branches** — the `k = 1` mean over the projection table's
-//!   rows, a pure function of the support and read-only data, which *is*
-//!   the branch's product — staged into owned buffers ([`PreparedBatch`]);
+//!   rows (which *is* the branch's product) or over the kept attribute rows
+//!   (its operand), a pure function of the support and read-only data —
+//!   staged into owned buffers ([`PreparedBatch`]);
 //! * **execute** (back end): layer 1's `k = 0` GEMM (reading its rows in
-//!   place) and the store of each prepared neighbour mean into its column
-//!   window, then every hidden level's aggregation, GEMMs and combine,
-//!   level-table and relabel-table maintenance, store write-backs, and
-//!   target-logit extraction.
+//!   place), the store of each prepared neighbour product into its column
+//!   window or the GEMM of each prepared neighbour operand, then every
+//!   hidden level's aggregation, GEMMs and combine, level-table and
+//!   relabel-table maintenance, store write-backs, and target-logit
+//!   extraction.
 //!
 //! The seam sits between a batch's irregular memory reads and its FMAs:
 //! level 0's neighbour sum is the largest irregular read of a batch and
@@ -125,12 +132,12 @@ impl WeightPacks<'_> {
     }
 
     /// Bytes of weight data a batch streams through (the per-batch memory
-    /// metric's weight term): 4 bytes per f32 weight, 1 per int8. Layer 1's
-    /// neighbour-branch weights are not among them: a batch reads those
-    /// branches' projection tables instead.
+    /// metric's weight term): 4 bytes per f32 weight, 1 per int8. The
+    /// weights of layer 1's projecting neighbour branches are not among
+    /// them: a batch reads those branches' projection tables instead.
     fn weight_bytes(&self, model: &GnnModel) -> usize {
         let projected: usize = model.layers.first().map_or(0, |layer| {
-            let branches = layer.branches.iter().filter(|b| b.k == 1);
+            let branches = layer.branches.iter().filter(|b| b.projects_first());
             branches.map(|b| b.weight.len()).sum()
         });
         let per_weight = match self {
@@ -247,17 +254,18 @@ pub struct BatchResult {
     pub seconds: f64,
     /// MACs actually executed: every per-batch branch transform
     /// (`computed × in_dim × out_dim`) and aggregation (one add per edge per
-    /// channel). Layer 1's neighbour branch runs no transform — its
-    /// projection table was built with the engine — and costs `|E₁| ×
+    /// channel). A projecting neighbour branch of layer 1 runs no transform
+    /// — its projection table was built with the engine — and costs `|E₁| ×
     /// out_dim` adds over the table's rows.
     pub macs: u64,
     /// Bytes of features touched plus weights — the paper's per-batch memory
     /// metric. The sum of: the weights a batch transforms with (4 bytes
-    /// each, 1 under int8; layer 1's neighbour-branch weights are not read);
-    /// the level-0 bytes layer 1 reads, per branch `computed × in_dim × 4`
-    /// for a `k = 0` branch (`in_dim` its kept width) and `supporting ×
-    /// out_dim × 4` for a `k = 1` branch (rows of its projection table);
-    /// every staged store row; and every layer's output table.
+    /// each, 1 under int8; the weights of layer 1's projecting neighbour
+    /// branches are not read); the level-0 bytes layer 1 reads, per branch
+    /// `computed × in_dim × 4` for a `k = 0` branch (`in_dim` its kept
+    /// width), `supporting × out_dim × 4` for a projecting `k = 1` branch
+    /// (rows of its projection table) and `supporting × in_dim × 4` for any
+    /// other; every staged store row; and every layer's output table.
     pub mem_bytes: usize,
     /// Distinct nodes whose raw attributes were read.
     pub n_supporting: usize,
@@ -274,10 +282,10 @@ pub struct BatchedEngine<'a> {
     packed: WeightPacks<'a>,
     /// What layer 1 reads in place of `features`, one slot per layer-1
     /// branch, built once at construction and indexed by node id: for a
-    /// `k = 1` branch its projection table `features[:, keep] · W`
-    /// (`n_nodes × out_dim × 4` bytes); for a `k = 0` branch with a runtime
-    /// `keep`, its kept channels `features[:, keep]`; `None` = the branch
-    /// reads `features` itself.
+    /// projecting `k = 1` branch its projection table `features[:, keep] ·
+    /// W` (`n_nodes × out_dim × 4` bytes); for any other branch with a
+    /// runtime `keep`, its kept channels `features[:, keep]`; `None` = the
+    /// branch reads `features` itself.
     level_zero: Vec<Option<Matrix>>,
     /// Raw (unnormalized) adjacency; the engine applies mean aggregation.
     adj: &'a CsrMatrix,
@@ -422,9 +430,11 @@ pub(crate) struct PreparedBatch {
     /// through its `spent` list. (Level 0 is not staged: execute reads the
     /// attributes in place.)
     staged: Vec<Option<Matrix>>,
-    /// Layer 1's neighbour-branch products, one slot per layer-1 branch: for
-    /// a `k = 1` branch, the computed nodes' means over their neighbours'
-    /// projection-table rows (`computed × out_dim`); `None` for a `k = 0`
+    /// Layer 1's neighbour-branch means, one slot per layer-1 branch: for a
+    /// projecting `k = 1` branch, the computed nodes' means over their
+    /// neighbours' projection-table rows (`computed × out_dim`, the branch's
+    /// product); for any other `k = 1` branch, over their kept attribute
+    /// rows (`computed × in_dim`, its GEMM's operand); `None` for a `k = 0`
     /// branch (its GEMM reads the rows in place). Front-pool buffers,
     /// retired through `spent` like `staged`.
     aggregated: Vec<Option<Matrix>>,
@@ -519,13 +529,14 @@ impl<'a> BatchedEngine<'a> {
     /// reuse. See [`BatchedEngine::new_with_precision`] for the int8 tier.
     ///
     /// Every constructor packs the weights and builds, for each `k = 1`
-    /// branch of layer 1, its projection table `features[:, keep] · W` —
-    /// a one-time `n_nodes × in_dim × out_dim` MACs and `n_nodes × out_dim
-    /// × 4` bytes per branch (unpruned reddit-sim: 12 000 × 602 × 64, 3 MB,
-    /// ≈ 13 ms on one core of the 2-vCPU reference box), which no
-    /// [`BatchResult::macs`] counts. Batches
-    /// then read that branch at `out_dim` instead of `in_dim` width and run
-    /// no GEMM for it.
+    /// branch of layer 1 that is no wider out than in
+    /// ([`gcnp_models::Branch::projects_first`]), its projection table
+    /// `features[:, keep] · W` — a one-time `n_nodes × in_dim × out_dim`
+    /// MACs and `n_nodes × out_dim × 4` bytes per branch (unpruned
+    /// reddit-sim: 12 000 × 602 × 64, 3 MB, ≈ 13 ms on one core of the
+    /// 2-vCPU reference box), which no [`BatchResult::macs`] counts.
+    /// Batches then read that branch at `out_dim` instead of `in_dim` width
+    /// and run no GEMM for it.
     pub fn new(
         model: &'a GnnModel,
         adj: &'a CsrMatrix,
@@ -635,18 +646,20 @@ impl<'a> BatchedEngine<'a> {
         };
         // Layer 1's reads of level 0, prepared once: a branch's kept
         // attribute channels are selected here instead of per channel per
-        // edge in every batch, and a neighbour branch is transformed here,
-        // in f32 whatever the precision (the int8 rung quantizes per-batch
-        // transforms only), so batches aggregate its product.
+        // edge in every batch, and a projecting neighbour branch is
+        // transformed here, in f32 whatever the precision (the int8 rung
+        // quantizes per-batch transforms only), so batches aggregate its
+        // product.
         let level_zero = model.layers.first().map_or_else(Vec::new, |layer| {
             layer
                 .branches
                 .iter()
                 .map(|b| {
                     let kept = b.keep.as_deref().map(|keep| features.select_cols(keep));
-                    match b.k {
-                        0 => kept,
-                        _ => Some(projection_table(kept.as_ref().unwrap_or(features), b)),
+                    if b.projects_first() {
+                        Some(projection_table(kept.as_ref().unwrap_or(features), b))
+                    } else {
+                        kept
                     }
                 })
                 .collect()
@@ -786,11 +799,12 @@ impl<'e, 'a> EngineCore<'e, 'a> {
 
     /// Front-end stage: draw the attempt's fault, validate targets, expand
     /// the supporting-node structure, stage every store read into owned
-    /// buffers, and build layer 1's neighbour-branch products — the mean of
-    /// each branch's projection-table rows, the batch's largest irregular
-    /// read, and a pure function of the support and read-only tables.
-    /// Attribute rows themselves are not copied: the `k = 0` GEMM in execute
-    /// reads them in place.
+    /// buffers, and build layer 1's neighbour-branch means — over each
+    /// branch's projection-table rows, or its kept attribute rows when it
+    /// builds no table: the batch's largest irregular read, and a pure
+    /// function of the support and read-only tables. Attribute rows
+    /// themselves are not copied: the `k = 0` GEMM in execute reads them in
+    /// place.
     pub(crate) fn prepare(
         &self,
         targets: &[usize],
@@ -878,12 +892,14 @@ impl<'e, 'a> EngineCore<'e, 'a> {
         let mut mem_bytes: usize = self.packed.weight_bytes(self.model);
         // Level 0 is read in place; its memory term is the bytes layer 1's
         // branches read: attribute rows at the kept width for `k = 0`,
-        // projection-table rows for `k = 1`.
+        // projection-table rows for a projecting `k = 1` branch, kept
+        // attribute rows for any other.
         if let (Some(layer), Some(ls)) = (self.model.layers.first(), support.layers.first()) {
             for branch in &layer.branches {
                 mem_bytes += match branch.k {
                     0 => ls.compute.len() * branch.in_dim(),
-                    _ => support.input_nodes.len() * branch.out_dim(),
+                    _ if branch.projects_first() => support.input_nodes.len() * branch.out_dim(),
+                    _ => support.input_nodes.len() * branch.in_dim(),
                 } * 4;
             }
         }
@@ -941,7 +957,8 @@ impl<'e, 'a> EngineCore<'e, 'a> {
         lap(&mut clock, Stage::StoreProbe);
 
         // Last, with no error return left: layer 1's neighbour branches,
-        // each the mean of its projection table's rows.
+        // each the mean of its projection table's rows or of its kept
+        // attribute rows.
         let mut aggregated: Vec<Option<Matrix>> = Vec::new();
         if let (Some(layer), Some(ls)) = (self.model.layers.first(), support.layers.first()) {
             aggregated.extend(layer.branches.iter().enumerate().map(|(bi, branch)| {
@@ -966,8 +983,9 @@ impl<'e, 'a> EngineCore<'e, 'a> {
     }
 
     /// Where layer 1's branch `bi` reads level 0: the table built for it at
-    /// construction (a `k = 1` branch's projection table, a `k = 0` branch's
-    /// kept channels), else `features` itself. Indexed by global node id.
+    /// construction (a projecting branch's projection table, another
+    /// branch's kept channels), else `features` itself. Indexed by global
+    /// node id.
     fn level_zero_source(&self, bi: usize, branch: &'e Branch) -> RowSource<'e> {
         match self.level_zero.get(bi) {
             Some(Some(pack)) => RowSource {
@@ -985,10 +1003,10 @@ impl<'e, 'a> EngineCore<'e, 'a> {
 
     /// Back-end stage: transform, relabel, write back, and extract
     /// the target logits for a prepared batch. Layer 1's neighbour-branch
-    /// products arrive built; hidden levels aggregate here.
+    /// means arrive built; hidden levels aggregate here.
     ///
     /// Buffers that originated in the front pool (the staged store reads,
-    /// layer 1's neighbour-branch products) are pushed onto `spent` instead of
+    /// layer 1's neighbour-branch means) are pushed onto `spent` instead of
     /// this stage's pool — on error returns too — so the caller can
     /// circulate them back to the front stage.
     pub(crate) fn execute(
@@ -1077,13 +1095,14 @@ impl<'e, 'a> EngineCore<'e, 'a> {
             let mut col0 = 0;
             for (bi, branch) in layer.branches.iter().enumerate() {
                 let add = bi > 0 && layer.combine == CombineMode::Mean;
-                // Layer 1's neighbour branch arrives as its product: prepare
-                // averaged its projection table's rows into a front-pool
+                // Layer 1's neighbour branch arrives averaged: prepare took
+                // the mean of its projection table's rows (its product) or
+                // of its kept attribute rows (its operand) into a front-pool
                 // buffer.
-                let prepared = (li == 1 && branch.k == 1)
+                let mut prepared = (li == 1 && branch.k == 1)
                     .then(|| take_aggregated(aggregated, bi))
                     .transpose()?;
-                if let Some(mean) = prepared {
+                if let Some(mean) = prepared.take_if(|_| branch.projects_first()) {
                     // Adds only: one per edge per table column.
                     macs += (ls.neigh_ids.len() * branch.out_dim()) as u64;
                     if add {
@@ -1093,6 +1112,7 @@ impl<'e, 'a> EngineCore<'e, 'a> {
                     }
                     spent.push(mean);
                 } else {
+                    let from_front = prepared.is_some();
                     let src = match level_mat.as_ref() {
                         None => self.level_zero_source(bi, branch),
                         level => {
@@ -1102,6 +1122,7 @@ impl<'e, 'a> EngineCore<'e, 'a> {
                     // A `k = 0` branch builds no operand: its GEMM reads the
                     // computed nodes' rows where they lie.
                     let built = match branch.k {
+                        _ if from_front => prepared,
                         0 if src.keep.is_none() => None,
                         // Only a hand-built model prunes a hidden level.
                         0 => Some(gather_selected(src, &ls.compute, pool)),
@@ -1128,8 +1149,11 @@ impl<'e, 'a> EngineCore<'e, 'a> {
                     } else {
                         self.transform(li, bi, operand, &mut out, col0, pool);
                     }
-                    if let Some(m) = built {
-                        pool.recycle(m);
+                    // Prepare's mean goes back to the front pool.
+                    match built {
+                        Some(m) if from_front => spent.push(m),
+                        Some(m) => pool.recycle(m),
+                        None => {}
                     }
                 }
                 if !add {
@@ -1540,14 +1564,15 @@ mod tests {
     }
 
     /// Unsorted `keep` lists on both layer-1 branches (the `k = 0` attribute
-    /// pack and the `k = 1` projection table) and on both of layer 2's (the
-    /// hidden-level gather and the indexed aggregation loop).
+    /// pack and, five channels into four outputs, the `k = 1` projection
+    /// table) and on both of layer 2's (the hidden-level gather and the
+    /// indexed aggregation loop).
     fn hand_pruned(model: &GnnModel) -> GnnModel {
         with_keep(
             model,
             &[
                 (0, 0, &[5, 0, 3, 1]),
-                (0, 1, &[4, 2, 0]),
+                (0, 1, &[4, 2, 0, 5, 1]),
                 (1, 0, &[6, 0, 5]),
                 (1, 1, &[7, 1, 6, 2, 4]),
             ],
@@ -1557,6 +1582,9 @@ mod tests {
     /// `model` with its two GraphSAGE layers combining by mean instead of
     /// concatenation — half the width, so the layer after each keeps the
     /// first half of its weight rows — under its own unsorted `keep` lists.
+    /// Layer 1's `k = 1` branch keeps three channels for four outputs, so it
+    /// builds no projection table: prepare averages its kept attribute rows
+    /// and execute adds their product into the mean.
     fn hand_pruned_mean(model: &GnnModel) -> GnnModel {
         let mut mean = model.clone();
         for li in 0..2 {
@@ -1768,8 +1796,9 @@ mod tests {
     /// indexed load per channel per edge. Every operand is built (the
     /// `k = 0` gather included), every branch product is a whole matrix of
     /// its own, and the combine is a separate pass — `concat_cols_into`, or
-    /// copy-add-scale for `Mean`. Layer 1's neighbour branches project the
-    /// kept rows of every supporting node through the branch's f32 pack and
+    /// copy-add-scale for `Mean`. Layer 1's projecting neighbour branches
+    /// project the kept rows of every supporting node through the branch's
+    /// f32 pack and
     /// then take the mean in neighbour-list order — or, with
     /// `aggregate_first`, take the mean of the kept rows and then multiply,
     /// the order every other branch runs in.
@@ -1800,13 +1829,14 @@ mod tests {
             for (bi, branch) in layer.branches.iter().enumerate() {
                 // A projected branch averages rows of `kept · W` (keep
                 // already applied) and needs no product afterwards.
-                let projected = (li == 0 && branch.k == 1 && !aggregate_first).then(|| {
-                    let kept = match &branch.keep {
-                        Some(keep) => table.select_cols(keep),
-                        None => table.clone(),
-                    };
-                    kept.matmul_packed(&f32_packs.branch_packs(0)[bi])
-                });
+                let projected =
+                    (li == 0 && branch.projects_first() && !aggregate_first).then(|| {
+                        let kept = match &branch.keep {
+                            Some(keep) => table.select_cols(keep),
+                            None => table.clone(),
+                        };
+                        kept.matmul_packed(&f32_packs.branch_packs(0)[bi])
+                    });
                 let (rows, keep, width) = match &projected {
                     Some(p) => (p, None, branch.out_dim()),
                     None => (&table, branch.keep.as_ref(), branch.in_dim()),
@@ -1935,7 +1965,11 @@ mod tests {
         let x = Matrix::rand_uniform(adj.n_rows(), 6, -1.0, 1.0, &mut seeded_rng(21));
         let caps = vec![None, Some(2)];
         let base = biased(zoo::graphsage(6, 8, 4, 7));
-        for model in [hand_pruned(&base), hand_pruned_mean(&base)] {
+        // 6 → 2 × 8: layer 1's neighbour branch is wider out than in, so it
+        // builds no table and averages the attribute rows in place.
+        let widening = biased(zoo::graphsage(6, 16, 4, 8));
+        assert!(!widening.layers[0].branches[1].projects_first());
+        for model in [hand_pruned(&base), hand_pruned_mean(&base), widening] {
             in_place_matches_materialised(&model, &adj, &x, caps.clone());
         }
     }
@@ -2079,12 +2113,16 @@ mod tests {
         // 2 and the classifier compute the 3 targets. SAGE 6 → 8 → 8 → 4,
         // each layer-1 and layer-2 branch 4 wide.
         let (adj, x, model) = setup();
-        let pruned = with_keep(&model, &[(0, 1, &[0, 2, 4])]);
+        let pruned = with_keep(&model, &[(0, 1, &[0, 2, 4, 5, 1])]);
+        let narrow = with_keep(&model, &[(0, 1, &[0, 2, 4])]);
         let infer = |m: &GnnModel| {
             BatchedEngine::new(m, &adj, &x, vec![], None, StorePolicy::None, 0).infer(&[3, 4, 20])
         };
-        let (full, slim) = (infer(&model), infer(&pruned));
-        assert_eq!((full.n_supporting, slim.n_supporting), (11, 11));
+        let (full, slim, agg) = (infer(&model), infer(&pruned), infer(&narrow));
+        assert_eq!(
+            (full.n_supporting, slim.n_supporting, agg.n_supporting),
+            (11, 11, 11)
+        );
         // Every ring node has two neighbours. Layer 1: the k = 0 GEMM
         // (7 × 6 × 4) and one add per edge per table column (14 edges × 4);
         // no transform of the k = 1 branch. Layer 2: k = 0 (3 × 8 × 4),
@@ -2097,9 +2135,16 @@ mod tests {
         let floats = (164 - 6 * 4) + 7 * 6 + 11 * 4 + (7 * 8 + 3 * 8 + 3 * 4);
         assert_eq!(model.n_weights(), 164);
         assert_eq!(full.mem_bytes, floats * 4);
-        // Pruning the k = 1 branch's inputs shrinks its table's one-time
-        // construction, not what a batch reads or runs.
+        // Pruning the k = 1 branch's inputs to 5 channels shrinks its
+        // table's one-time construction, not what a batch reads or runs.
         assert_eq!((slim.macs, slim.mem_bytes), (full.macs, full.mem_bytes));
+        // Pruned to 3 channels for 4 outputs it builds no table: 14 edges ×
+        // 3 kept channels of adds and a 7 × 3 × 4 transform; it reads its
+        // 3 × 4 weights and the 11 supporting nodes' 3 kept attributes.
+        let macs = 7 * 6 * 4 + 14 * 3 + 7 * 3 * 4 + 3 * 8 * 4 + 6 * 8 + 3 * 8 * 4 + 3 * 8 * 4;
+        assert_eq!(agg.macs, macs as u64);
+        let floats = (164 - 6 * 4 + 3 * 4) + 7 * 6 + 11 * 3 + (7 * 8 + 3 * 8 + 3 * 4);
+        assert_eq!(agg.mem_bytes, floats * 4);
     }
 
     #[test]

@@ -23,9 +23,10 @@ impl CostModel {
     /// Full-inference MACs **per node** (Eq. 2):
     /// `Σ_i [ Σ_{k≥1} k·d·min(f_in, f_out) + Σ_k f_in·f_out ]`.
     ///
-    /// The `min` captures the cheaper of aggregate-then-transform vs
-    /// transform-then-aggregate for each graph branch; pruned branches read
-    /// `keep.len()` input channels.
+    /// The `min` is the cheaper of aggregate-then-transform vs
+    /// transform-then-aggregate for each graph branch, which is the order
+    /// [`crate::FullEngine`] runs it in ([`gcnp_models::Branch::projects_first`]);
+    /// pruned branches read `keep.len()` input channels.
     pub fn full_macs_per_node(&self, model: &GnnModel) -> f64 {
         let mut macs = 0.0f64;
         for layer in &model.layers {
@@ -33,7 +34,12 @@ impl CostModel {
                 let fin = b.in_dim() as f64;
                 let fout = b.out_dim() as f64;
                 if b.k >= 1 {
-                    macs += b.k as f64 * self.avg_degree * fin.min(fout);
+                    let summed = if b.projects_first() {
+                        fout
+                    } else {
+                        b.kept_in_dim() as f64
+                    };
+                    macs += b.k as f64 * self.avg_degree * summed;
                 }
                 macs += fin * fout;
             }
@@ -67,11 +73,14 @@ impl CostModel {
     /// Each graph branch is priced in the order the batched engine runs it —
     /// Eq. 2's `min` rule, with the transform hoisted out of the batch where
     /// it can be. Layer 1's aggregation branches read the static attribute
-    /// matrix, so their `X·W` is a per-engine projection table and a batch
-    /// pays `k·d·f_out` adds per node and no transform. That table is a
-    /// one-time `|V|·f_in·f_out` per branch at engine construction, not a
-    /// per-target cost, and is not counted here. Hidden levels aggregate
-    /// first (`k·d·f_in + f_in·f_out`): their input is rebuilt every batch.
+    /// matrix, so a branch no wider out than in
+    /// ([`gcnp_models::Branch::projects_first`]) has its `X·W` as a
+    /// per-engine projection table and a batch pays `k·d·f_out` adds per
+    /// node and no transform. That table is a one-time `|V|·f_in·f_out` per
+    /// branch at engine construction, not a per-target cost, and is not
+    /// counted here. Any other layer-1 branch, and every hidden level,
+    /// aggregates first (`k·d·f_in + f_in·f_out`): a hidden level's input is
+    /// rebuilt every batch.
     pub fn batched_macs_per_node(&self, model: &GnnModel, fanout_cap: Option<usize>) -> f64 {
         let d = match fanout_cap {
             Some(c) => self.avg_degree.min(c as f64),
@@ -98,7 +107,7 @@ impl CostModel {
                 let k = b.k as f64;
                 per_node += match (li, b.k) {
                     (_, 0) => fin * fout,
-                    (0, _) => k * d * fout,
+                    (0, _) if b.projects_first() => k * d * fout,
                     _ => k * d * fin + fin * fout,
                 };
             }
@@ -180,31 +189,59 @@ mod tests {
             + (8 * 4 + 2 * 8 + 8 * 4) as f64
             + (8 * 3) as f64;
         assert!((cm.batched_macs_per_node(&model, Some(2)) - expect).abs() < 1e-9);
-        // Pruning layer 1's aggregation inputs moves only the table, built
-        // once per engine: the per-target cost stays.
-        let mut pruned = model.clone();
-        let b = &mut pruned.layers[0].branches[1];
-        b.weight = b.weight.select_rows(&[0, 3, 7]);
-        b.keep = Some(vec![0, 3, 7]);
+        // Pruning layer 1's aggregation inputs to 5 channels, still wider
+        // than its 4 outputs, moves only the table, built once per engine:
+        // the per-target cost stays.
+        let prune = |keep: &[usize]| {
+            let mut pruned = model.clone();
+            let b = &mut pruned.layers[0].branches[1];
+            b.weight = b.weight.select_rows(keep);
+            b.keep = Some(keep.to_vec());
+            pruned
+        };
         assert_eq!(
-            cm.batched_macs_per_node(&pruned, None),
+            cm.batched_macs_per_node(&prune(&[0, 3, 5, 7, 9]), None),
             cm.batched_macs_per_node(&model, None)
         );
+        // Pruned to 3 channels the branch is narrower in than out: it
+        // aggregates first, `5*3` adds and a `3*4` transform per node.
+        let expect = (1 + 5) as f64 * (10 * 4 + 5 * 3 + 3 * 4) as f64
+            + (8 * 4 + 5 * 8 + 8 * 4) as f64
+            + (8 * 3) as f64;
+        assert!((cm.batched_macs_per_node(&prune(&[0, 3, 7]), None) - expect).abs() < 1e-9);
+        // And so does every branch of a SAGE whose layer 1 widens: 3 → 2x4.
+        // L1, 1 + d nodes: k0: 3*4; k1: 5*3 + 3*4. L2 and cls as above.
+        let widening = zoo::graphsage(3, 8, 3, 1);
+        let expect = (1 + 5) as f64 * (3 * 4 + 5 * 3 + 3 * 4) as f64
+            + (8 * 4 + 5 * 8 + 8 * 4) as f64
+            + (8 * 3) as f64;
+        assert!((cm.batched_macs_per_node(&widening, None) - expect).abs() < 1e-9);
     }
 
-    // Open conflict, kept as written rather than loosened: the bound was set
-    // when Eq. 3 priced layer 1 aggregate-first (7.4× here). With layer 1's
-    // neighbour transform hoisted into the per-engine projection table the
-    // same fixture prices 44 096 batched vs 11 776 full MACs, 3.7×.
     #[test]
-    #[ignore = "Eq. 3 now prices layer 1 without its hoisted transform: 3.7×, under this 5× bound"]
     fn batched_cost_dominated_by_first_layer() {
+        // SAGE 100 → 2x32 → 2x32 → 10, d = 10, uncapped. Eq. 3 charges
+        // layer 1 on the 1 + d = 11 nodes within one hop of a target, the
+        // rest on the target alone. Layer 1's neighbour branch projects
+        // (32 < 100), so it costs d*32 adds per node and no transform:
+        //   batched = 11 * (100*32 + 10*32)       = 38 720  (layer 1)
+        //           +  (64*32 + 10*64 + 64*32)    =  4 736  (layer 2)
+        //           +   64*10                     =    640  (classifier)
+        //           = 44 096.
+        // Eq. 2 per node: (100*32 + 10*32 + 100*32) + (64*32 + 10*32 +
+        // 64*32) + 64*10 = 6 720 + 4 416 + 640 = 11 776. So batched is
+        // 3.74× full, and layer 1 is 88 % of the batched cost.
         let model = zoo::graphsage(100, 64, 10, 3);
         let cm = CostModel::new(1000, 10.0);
         let batched = cm.batched_macs_per_node(&model, None);
         let full = cm.full_macs_per_node(&model);
-        // Eq. 3: batched ≈ d^(L-1) · C_full(layer 1) >> C_full per node.
-        assert!(batched > 5.0 * full, "batched {batched} vs full {full}");
+        assert_eq!((batched, full), (44_096.0, 11_776.0));
+        assert!(batched > 3.5 * full, "batched {batched} vs full {full}");
+        let layer_one = 11.0 * (100.0 * 32.0 + 10.0 * 32.0);
+        assert!(
+            layer_one > 0.85 * batched,
+            "layer 1 {layer_one} of {batched}"
+        );
     }
 
     #[test]

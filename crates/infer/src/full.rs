@@ -1,4 +1,13 @@
 //! Instrumented full-graph inference (the paper's *full inference*).
+//!
+//! The pass executes Eq. 2's `min`: a graph branch no wider out than in
+//! transforms every node first and aggregates the `out_dim`-wide product,
+//! any other aggregates first. On products-sim's SAGE-256 that makes layer
+//! 2 sum 128-wide rows instead of 256-wide ones, and after 4× pruning the
+//! two layers sum rows as wide as their neighbour branches' outputs (14 and
+//! 16 on the benchmark's model) instead of 100 and 64 — so pruning shrinks
+//! the aggregation as well as the GEMMs, as the `CostModel` this engine
+//! reports already priced.
 
 use gcnp_models::{GnnModel, PackedModel};
 use gcnp_sparse::CsrMatrix;
@@ -29,6 +38,13 @@ pub struct FullResult {
 /// operand-pack step, and every pass computes in the buffers the first one
 /// sized (see [`PackedModel::forward_reusing`]) — keep the engine across
 /// passes. The `RefCell` around those buffers makes the engine `!Sync`.
+///
+/// Each graph branch runs in the order Eq. 2's `min` prices
+/// ([`gcnp_models::Branch::projects_first`]): one no wider out than in
+/// multiplies first and aggregates `out_dim`-wide rows. Logits therefore
+/// match [`GnnModel::forward_full`] bit for bit only when no layer projects,
+/// and within 1e-4 otherwise; they are bitwise the same on any kernel thread
+/// count and from a reused or a fresh engine.
 pub struct FullEngine<'a> {
     model: &'a GnnModel,
     packed: RefCell<PackedModel<'a>>,
@@ -119,9 +135,33 @@ mod tests {
 
     #[test]
     fn logits_match_model_forward() {
+        // 6 → 4 and 8 → 4 neighbour branches: both graph layers project,
+        // so the logits are the plain forward's up to rounding — and the
+        // same bits on one kernel thread or four.
         let (adj, x, model) = setup();
         let engine = FullEngine::new(&model, Some(&adj));
-        assert_eq!(engine.logits(&x), model.forward_full(Some(&adj), &x));
+        let diff = engine
+            .logits(&x)
+            .max_abs_diff(&model.forward_full(Some(&adj), &x));
+        assert!(diff <= 1e-4, "max |Δ| = {diff:e}");
+        let on = |threads| {
+            gcnp_tensor::set_num_threads(threads);
+            FullEngine::new(&model, Some(&adj)).logits(&x)
+        };
+        let (one, four) = (on(1), on(4));
+        gcnp_tensor::set_num_threads(0);
+        assert_eq!(one, four);
+
+        // 6 → 16 per branch: layer 1 aggregates first and is the plain
+        // forward's bit for bit (layer 2, 32 → 16, projects).
+        let wide = zoo::graphsage(6, 32, 3, 2);
+        assert!(!wide.layers[0].branches[1].projects_first());
+        let engine = FullEngine::new(&wide, Some(&adj));
+        assert_eq!(
+            engine.hidden(&x)[0],
+            wide.forward_collect(Some(&adj), &x)[0],
+            "a layer that does not project is bitwise"
+        );
     }
 
     #[test]
@@ -146,7 +186,11 @@ mod tests {
         assert_eq!(engine.hidden(&x2), fresh_hidden(&x2));
         assert_eq!(engine.logits(&x2), fresh_logits(&x2));
         assert_eq!(engine.hidden(&x), fresh_hidden(&x));
-        assert_eq!(engine.hidden(&x), model.forward_collect(Some(&adj), &x));
+        let plain = model.forward_collect(Some(&adj), &x);
+        for (got, want) in engine.hidden(&x).iter().zip(&plain) {
+            let diff = got.max_abs_diff(want);
+            assert!(diff <= 1e-4, "max |Δ| = {diff:e}");
+        }
     }
 
     #[test]

@@ -51,6 +51,24 @@ impl Branch {
     pub fn in_dim(&self) -> usize {
         self.weight.rows()
     }
+
+    /// Width of the operand this branch's GEMM multiplies: `keep.len()`
+    /// when a `keep` list is set (a full-width masked weight packs only
+    /// those rows), else the weight's rows.
+    pub fn kept_in_dim(&self) -> usize {
+        self.keep.as_ref().map_or(self.weight.rows(), Vec::len)
+    }
+
+    /// Eq. 2's `min` as a decision: a graph branch no wider out than in
+    /// transforms first and aggregates its `out_dim`-wide product
+    /// (`Ãᵏ·(H·W)`), since `k·d·f_out ≤ k·d·f_in`; every other branch
+    /// aggregates first (`(Ãᵏ·H)·W`). A tie goes to projecting: Eq. 2 is
+    /// indifferent there, and the batched engine's layer 1 then hoists the
+    /// transform out of every batch into a per-engine table. A pure function
+    /// of the shapes: both engines read it, and no flag overrides it.
+    pub fn projects_first(&self) -> bool {
+        self.k >= 1 && self.out_dim() <= self.kept_in_dim()
+    }
 }
 
 /// One layer: a set of branches over increasing aggregation order, combined
@@ -350,6 +368,25 @@ mod tests {
             "mean of identical branches"
         );
         assert_eq!(layer.out_dim(), 3);
+    }
+
+    #[test]
+    fn projects_first_is_eq2_min_over_the_kept_width() {
+        let b = |k, rows, cols, keep: Option<usize>| Branch {
+            k,
+            weight: Matrix::zeros(rows, cols),
+            keep: keep.map(|n| (0..n).collect()),
+        };
+        assert!(b(1, 6, 4, None).projects_first(), "narrower out than in");
+        assert!(b(2, 4, 4, None).projects_first(), "a tie projects");
+        assert!(!b(1, 4, 6, None).projects_first(), "wider out than in");
+        assert!(
+            !b(0, 6, 4, None).projects_first(),
+            "no graph, nothing to order"
+        );
+        // A full-width masked weight: the kept channels are the in-width.
+        assert!(b(1, 6, 4, Some(4)).projects_first());
+        assert!(!b(1, 6, 4, Some(3)).projects_first());
     }
 
     #[test]

@@ -16,6 +16,16 @@
 //! every layer reads its input where it lies (the caller's `x`, or the
 //! previous layer's output) and every result is written once, into a buffer
 //! that outlives the pass — see [`PackedModel::forward_reusing`].
+//!
+//! The pass runs the order Eq. 2's `min` prices. A graph branch no wider
+//! out than in ([`Branch::projects_first`]) multiplies first and sums
+//! `out_dim`-wide rows, `Ãᵏ·(H·W)`; every other branch sums its (kept)
+//! input and then multiplies, `(Ãᵏ·H)·W`, as [`GnnModel::forward_collect`]
+//! does. So a layer with no projecting branch is bitwise the plain
+//! forward's, and a layer with one differs from it by rounding only (≤ 1e-4
+//! on the logits). The plain forward stays aggregate-first: it is the
+//! reference, and pruning and training read it. Every pass is bitwise the
+//! same on 1 or 4 kernel threads and on a reused or a fresh workspace.
 
 use gcnp_sparse::CsrMatrix;
 use gcnp_tensor::{parallel_row_chunks, Matrix, PackedB, QuantPackedB};
@@ -47,8 +57,9 @@ fn qpack_branch(b: &Branch) -> QuantPackedB {
 }
 
 /// A [`GnnModel`] with every branch weight pre-packed for the GEMM fast
-/// path. Forward results are identical to the plain model's (the packed
-/// kernel performs the same fused multiply-add chain).
+/// path. Forward results are the plain model's, bit for bit up to the first
+/// layer with a projecting branch and within rounding after it (see the
+/// module docs).
 pub struct PackedModel<'m> {
     model: &'m GnnModel,
     /// `packs[layer][branch]`, parallel to `model.layers[..].branches[..]`.
@@ -172,13 +183,18 @@ struct Workspace {
 /// What a layer computes through on the way to its output; shared by all
 /// layers, so each buffer grows to its widest use.
 struct Scratch {
-    /// `agg[k - 1]` is `z_k = Ã·z_{k-1}` of the layer being computed.
+    /// `agg[k - 1]` is `z_k = Ã·z_{k-1}` of the layer being computed, at
+    /// the width its aggregate-first branches read.
     agg: Vec<Matrix>,
     /// The kept columns of a branch operand (`select_cols`).
     sel: Matrix,
-    /// A Mean layer's second and later branch products, on their way into
-    /// the sum.
+    /// A projecting branch's product `H·W`, and its hops but the last; a
+    /// Mean layer's second and later aggregate-first products, on their way
+    /// into the sum.
     prod: Matrix,
+    /// A projecting branch's next hop: the one after `prod` when `k ≥ 2`,
+    /// and the last one when a Mean layer adds it into the sum.
+    hop: Matrix,
 }
 
 impl Default for Scratch {
@@ -187,6 +203,7 @@ impl Default for Scratch {
             agg: Vec::new(),
             sel: empty(),
             prod: empty(),
+            hop: empty(),
         }
     }
 }
@@ -257,8 +274,10 @@ fn select_cols_into(src: &Matrix, keep: &[usize], out: &mut Matrix) {
     });
 }
 
-/// One layer forward over packed branch weights into `out`;
-/// arithmetic-identical to [`BranchLayer::forward`].
+/// One layer forward over packed branch weights into `out`. A branch that
+/// aggregates first runs [`BranchLayer::forward`]'s arithmetic; one that
+/// [projects first](Branch::projects_first) runs `Ãᵏ·(H·W)`, the same sum
+/// in another float order.
 fn layer_forward_packed(
     layer: &BranchLayer,
     packs: &[PackedB],
@@ -268,22 +287,38 @@ fn layer_forward_packed(
     scratch: &mut Scratch,
 ) {
     debug_assert_eq!(layer.branches.len(), packs.len());
-    let Scratch { agg, sel, prod } = scratch;
-    let max_k = layer.max_k();
+    let Scratch {
+        agg,
+        sel,
+        prod,
+        hop,
+    } = scratch;
+    let aggregates_first = |b: &&Branch| b.k >= 1 && !b.projects_first();
+    let max_k = layer
+        .branches
+        .iter()
+        .filter(aggregates_first)
+        .map(|b| b.k)
+        .max()
+        .unwrap_or(0);
 
-    // Select, then aggregate: when every graph branch keeps the same
-    // channels, only those go through the SpMM. `row_sum` sums each channel
-    // on its own, in list order, so `Ã·(X[:, keep])` is `(Ã·X)[:, keep]` bit
-    // for bit. Branches with differing lists (no model in the repo builds
-    // one) aggregate at full width and select per branch, as the plain
-    // forward does.
-    let mut graph_keeps = layer.branches.iter().filter(|b| b.k >= 1).map(|b| &b.keep);
+    // Select, then aggregate: when every aggregate-first branch keeps the
+    // same channels, only those go through the SpMM. `row_sum` sums each
+    // channel on its own, in list order, so `Ã·(X[:, keep])` is
+    // `(Ã·X)[:, keep]` bit for bit. Branches with differing lists (no model
+    // in the repo builds one) aggregate at full width and select per
+    // branch, as the plain forward does.
+    let mut graph_keeps = layer
+        .branches
+        .iter()
+        .filter(aggregates_first)
+        .map(|b| &b.keep);
     let shared_keep = match graph_keeps.next() {
         Some(Some(first)) if graph_keeps.all(|k| k.as_ref() == Some(first)) => Some(first),
         _ => None,
     };
 
-    // Progressive powers: z_k = Ã^k · input.
+    // Progressive powers of the aggregate-first branches: z_k = Ã^k · input.
     if max_k > 0 {
         let adj = adj.expect("layer_forward_packed: graph layer needs adjacency");
         if agg.len() < max_k {
@@ -304,27 +339,53 @@ fn layer_forward_packed(
         }
     }
 
-    // Concat is the GEMM's store: each product lands in its column window.
-    // Mean keeps the plain forward's float sequence: the first product lands
-    // in `out`, later ones are added to it in branch order, then one scale.
-    reshape(out, input.rows(), layer.out_dim());
+    // Concat is the store of each branch's last kernel: its GEMM, or a
+    // projecting branch's last hop, lands in the branch's column window.
+    // Mean keeps the plain forward's float sequence: the first branch's
+    // result lands in `out`, later ones are added to it in branch order,
+    // then one scale.
+    let n = input.rows();
+    reshape(out, n, layer.out_dim());
     let mut col0 = 0;
     for (bi, (b, pack)) in layer.branches.iter().zip(packs).enumerate() {
-        let z = if b.k == 0 { input } else { &agg[b.k - 1] };
+        let add = bi > 0 && layer.combine == CombineMode::Mean;
+        let projects = b.projects_first();
+        let reads_input = b.k == 0 || projects;
+        let z = if reads_input { input } else { &agg[b.k - 1] };
         let operand = match &b.keep {
-            Some(keep) if b.k == 0 || shared_keep.is_none() => {
+            Some(keep) if reads_input || shared_keep.is_none() => {
                 select_cols_into(z, keep, sel);
                 &*sel
             }
             _ => z,
         };
-        if bi == 0 || layer.combine == CombineMode::Concat {
-            operand.matmul_packed_rows_into(None, pack, out, col0);
-            col0 += b.out_dim();
-        } else {
-            reshape(prod, input.rows(), b.out_dim());
+        if projects || add {
+            reshape(prod, n, b.out_dim());
             operand.matmul_packed_rows_into(None, pack, prod, 0);
+        } else {
+            operand.matmul_packed_rows_into(None, pack, out, col0);
+        }
+        if projects {
+            // `k` passes at `out_dim` width; the last one is the branch's
+            // result.
+            let adj = adj.expect("layer_forward_packed: graph layer needs adjacency");
+            for _ in 1..b.k {
+                reshape(hop, n, b.out_dim());
+                adj.spmm_into(prod, hop);
+                std::mem::swap(prod, hop);
+            }
+            if add {
+                reshape(hop, n, b.out_dim());
+                adj.spmm_into(prod, hop);
+                out.add_assign(hop);
+            } else {
+                adj.spmm_window_into(prod, out, col0);
+            }
+        } else if add {
             out.add_assign(prod);
+        }
+        if !add {
+            col0 += b.out_dim();
         }
     }
     if layer.combine == CombineMode::Mean {
@@ -349,23 +410,41 @@ mod tests {
             .normalized(Normalization::Row)
     }
 
+    /// The packed pass's contract with the plain forward: every layer before
+    /// the first one with a projecting branch bit for bit, every layer from
+    /// it on within 1e-4 (the same sums in another float order).
+    fn assert_plain_contract(model: &GnnModel, got: &[Matrix], plain: &[Matrix], what: &str) {
+        let first_projecting = model
+            .layers
+            .iter()
+            .position(|l| l.branches.iter().any(Branch::projects_first))
+            .unwrap_or(model.layers.len());
+        assert_eq!(got.len(), plain.len(), "{what}");
+        for (i, (g, p)) in got.iter().zip(plain).enumerate() {
+            if i < first_projecting {
+                assert_eq!(g, p, "{what}, layer {i}: bitwise");
+            } else {
+                let diff = g.max_abs_diff(p);
+                assert!(diff <= 1e-4, "{what}, layer {i}: max |Δ| = {diff:e}");
+            }
+        }
+    }
+
     #[test]
     fn packed_forward_matches_plain_model() {
+        // 6 → 4 and 8 → 4 neighbour branches: both graph layers project.
         let model = zoo::graphsage(6, 8, 3, 11);
         let a = adj();
         let x = Matrix::rand_uniform(5, 6, -1.0, 1.0, &mut seeded_rng(12));
         let packed = PackedModel::new(&model);
-        assert_eq!(
-            packed.forward_full(Some(&a), &x),
-            model.forward_full(Some(&a), &x),
-            "packed weights must not change the forward pass"
-        );
         let plain = model.forward_collect(Some(&a), &x);
         let via_pack = packed.forward_collect(Some(&a), &x);
-        assert_eq!(plain.len(), via_pack.len());
-        for (p, q) in plain.iter().zip(&via_pack) {
-            assert_eq!(p, q);
-        }
+        assert_plain_contract(&model, &via_pack, &plain, "sage");
+        assert_eq!(
+            packed.forward_full(Some(&a), &x),
+            via_pack[2],
+            "forward_full is the last of forward_collect"
+        );
         assert!(packed.packed_bytes() > 0);
     }
 
@@ -391,9 +470,17 @@ mod tests {
         }
         let a = adj();
         let x = Matrix::rand_uniform(5, 6, -1.0, 1.0, &mut seeded_rng(22));
-        let plain = model.forward_full(Some(&a), &x);
+        let plain = model.forward_collect(Some(&a), &x);
         let packed = PackedModel::new(&model);
-        assert_eq!(packed.forward_full(Some(&a), &x), plain);
+        // Three kept channels feed a 4-wide branch, so layer 1 aggregates
+        // first and is bitwise; layer 2 (8 → 4) projects.
+        assert!(!model.layers[0].branches[1].projects_first());
+        assert_plain_contract(
+            &model,
+            &packed.forward_collect(Some(&a), &x),
+            &plain,
+            "pruned",
+        );
         // The masked-equivalent computation: zero the pruned channels and run
         // the unpruned weights through the dense kernel.
         let model_full = zoo::graphsage(6, 8, 3, 21);
@@ -533,19 +620,37 @@ mod tests {
         // (name, the model the packed path runs, the model the plain
         // reference runs when it is not the same one: it cannot multiply a
         // full-width masked weight, so it gets the compacted twin).
+        // `keep` (38 channels) leaves a neighbour branch wider in than out,
+        // so it projects; `narrow` (5) and `narrow_other` (4) leave it
+        // narrower, so it aggregates first.
+        let narrow: Vec<usize> = (0..150).step_by(31).collect();
+        let narrow_other: Vec<usize> = (3..150).step_by(37).collect();
         let sage = || zoo::graphsage(150, 16, 5, 52);
         let mixhop = || zoo::mixhop(150, 21, 5, 53);
         let mut masked = sage();
         masked.layers[0].branches[1].keep = Some(keep.clone());
+        let mut masked_narrow = sage();
+        masked_narrow.layers[0].branches[1].keep = Some(narrow.clone());
         let cases: Vec<(&str, GnnModel, Option<GnnModel>)> = vec![
             ("sage", sage(), None),
+            (
+                "sage, wider out than in",
+                zoo::graphsage(150, 320, 5, 58),
+                None,
+            ),
             ("mean", mean, None),
             ("mixhop", mixhop(), None),
             ("keep on k = 1", pruned(sage(), 1, &keep), None),
+            ("narrow keep on k = 1", pruned(sage(), 1, &narrow), None),
             (
                 "masked keep on k = 1",
                 masked,
                 Some(pruned(sage(), 1, &keep)),
+            ),
+            (
+                "masked narrow keep on k = 1",
+                masked_narrow,
+                Some(pruned(sage(), 1, &narrow)),
             ),
             (
                 "keep on k = 0 and k = 1",
@@ -562,29 +667,48 @@ mod tests {
                 pruned(pruned(mixhop(), 1, &keep), 2, &other),
                 None,
             ),
+            (
+                "one narrow keep list on k = 1 and k = 2",
+                pruned(pruned(mixhop(), 1, &narrow), 2, &narrow),
+                None,
+            ),
+            (
+                "two narrow keep lists on k = 1 and k = 2",
+                pruned(pruned(mixhop(), 1, &narrow), 2, &narrow_other),
+                None,
+            ),
+            (
+                "k = 1 projects, k = 2 aggregates first",
+                pruned(mixhop(), 2, &narrow),
+                None,
+            ),
             ("single branch", zoo::gcn(150, 16, 5, 54), None),
             ("jk", zoo::jk(150, 16, 5, 55), None),
             ("mlp", zoo::mlp(150, 16, 5, 56), None),
         ];
+        let mut one_thread = Vec::new();
         for threads in [1, 4] {
             gcnp_tensor::set_num_threads(threads);
-            for (name, model, reference) in &cases {
+            for (ci, (name, model, reference)) in cases.iter().enumerate() {
                 let reference = biased(reference.as_ref().unwrap_or(model).clone(), 57);
                 let model = biased(model.clone(), 57);
                 let plain = reference.forward_collect(Some(&a), &x);
                 let mut packed = PackedModel::new(&model);
-                assert_eq!(
-                    packed.forward_collect(Some(&a), &x),
-                    plain,
-                    "{name}, {threads} threads"
-                );
+                let fresh = packed.forward_collect(Some(&a), &x);
+                let what = format!("{name}, {threads} threads");
+                assert_plain_contract(&model, &fresh, &plain, &what);
                 // The kept workspace: first pass sizes it, second reuses it.
                 for pass in 0..2 {
                     assert_eq!(
                         *packed.forward_reusing(Some(&a), &x),
-                        plain,
-                        "{name}, {threads} threads, reusing pass {pass}"
+                        fresh,
+                        "{what}, reusing pass {pass}"
                     );
+                }
+                if threads == 1 {
+                    one_thread.push(fresh);
+                } else {
+                    assert_eq!(fresh, one_thread[ci], "{name}: 1 vs {threads} threads");
                 }
             }
         }
@@ -602,12 +726,10 @@ mod tests {
         let model = biased(pruned(zoo::graphsage(150, 16, 5, 72), 1, &keep), 73);
         let mut packed = PackedModel::new(&model);
         for (a, x) in [(&big, &x_big), (&small, &x_small), (&big, &x_big)] {
-            assert_eq!(
-                *packed.forward_reusing(Some(a), x),
-                model.forward_collect(Some(a), x),
-                "{} nodes",
-                x.rows()
-            );
+            let what = format!("{} nodes", x.rows());
+            let fresh = PackedModel::new(&model).forward_collect(Some(a), x);
+            assert_eq!(*packed.forward_reusing(Some(a), x), fresh, "{what}");
+            assert_plain_contract(&model, &fresh, &model.forward_collect(Some(a), x), &what);
         }
     }
 
@@ -615,27 +737,124 @@ mod tests {
     fn workspace_is_steady_after_warm_up() {
         // One pass sizes every buffer; later passes over the same shapes
         // write the same storage (the analogue of the batched engine's
-        // `back_pool_is_steady_after_warm_up`).
+        // `back_pool_is_steady_after_warm_up`). Layer 1's neighbour branch
+        // keeps 5 channels and aggregates first (`sel`, `agg`); layer 2's
+        // projects (`prod`); `hop` stays unshaped.
         let (a, x) = ragged();
-        let keep: Vec<usize> = (0..150).step_by(4).collect();
-        let model = pruned(zoo::graphsage(150, 16, 5, 61), 1, &keep);
+        let narrow: Vec<usize> = (0..150).step_by(31).collect();
+        let model = pruned(zoo::graphsage(150, 16, 5, 61), 1, &narrow);
         let mut packed = PackedModel::new(&model);
         let ptrs = |ws: &Workspace| -> Vec<*const f32> {
-            let Scratch { agg, sel, prod } = &ws.scratch;
+            let Scratch {
+                agg,
+                sel,
+                prod,
+                hop,
+            } = &ws.scratch;
             ws.outputs
                 .iter()
                 .chain(agg)
-                .chain([sel, prod])
+                .chain([sel, prod, hop])
                 .map(|m| m.as_slice().as_ptr())
                 .collect()
         };
         let first = packed.forward_reusing(Some(&a), &x).clone();
         let warm = ptrs(&packed.ws);
-        assert_eq!(warm.len(), 3 + 1 + 2);
+        assert_eq!(warm.len(), 3 + 1 + 3);
         for _ in 0..3 {
             assert_eq!(*packed.forward_reusing(Some(&a), &x), first);
             assert_eq!(ptrs(&packed.ws), warm);
         }
+    }
+
+    /// Run `layer` alone on a fresh scratch and read the plan off it: the
+    /// widths its powers `agg` were shaped to, and those of `prod` and `hop`
+    /// (0 = never shaped). The layer's output is returned too.
+    fn plan(
+        layer: &BranchLayer,
+        packs: &[PackedB],
+        a: &CsrMatrix,
+        input: &Matrix,
+    ) -> (Vec<usize>, usize, usize, Matrix) {
+        let mut scratch = Scratch::default();
+        let mut out = empty();
+        layer_forward_packed(layer, packs, Some(a), input, &mut out, &mut scratch);
+        let agg = scratch.agg.iter().map(Matrix::cols).collect();
+        (agg, scratch.prod.cols(), scratch.hop.cols(), out)
+    }
+
+    #[test]
+    fn each_sage_layer_aggregates_at_the_narrower_of_its_widths() {
+        // products-sim's shapes: 100 attributes under SAGE-256 (two 128-wide
+        // branches per layer), and under a SAGE-64, the width the
+        // full-inference scheme leaves at η = 1/4 (here two 32-wide
+        // branches; the pruner splits the 64 channels unevenly).
+        let (a, wide) = ragged();
+        let x = wide.select_cols(&(0..100).collect::<Vec<_>>());
+        type Widths = (Vec<usize>, usize);
+        let cases: [(&str, usize, [Widths; 2]); 2] = [
+            // Layer 1 sums 100-wide rows, then multiplies (100 ≤ 128);
+            // layer 2 multiplies, then sums 128-wide rows (128 < 256).
+            ("unpruned", 256, [(vec![100], 0), (vec![], 128)]),
+            // Both layers multiply first and sum 32-wide rows.
+            ("4× pruned", 64, [(vec![], 32), (vec![], 32)]),
+        ];
+        for (name, hidden, want) in cases {
+            let model = zoo::graphsage(100, hidden, 47, 81);
+            let packed = PackedModel::new(&model);
+            let hs = packed.forward_collect(Some(&a), &x);
+            for (li, input) in [&x, &hs[0]].into_iter().enumerate() {
+                let (agg, prod, hop, out) =
+                    plan(&model.layers[li], packed.branch_packs(li), &a, input);
+                assert_eq!((agg, prod), want[li], "{name}, layer {}", li + 1);
+                assert_eq!(hop, 0, "{name}, layer {}: one hop, into its window", li + 1);
+                assert_eq!(out, hs[li], "{name}, layer {}", li + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn mean_and_two_hop_branches_project_at_their_output_width() {
+        let (a, x) = ragged();
+        let mut rng = seeded_rng(91);
+        // Mean over k = 0, 1, 2, each 150 → 10, no bias, no activation: the
+        // neighbour branches multiply first, and each is added into the
+        // sum after its last hop.
+        let mean = BranchLayer {
+            branches: (0..3)
+                .map(|k| Branch::new(k, Matrix::glorot(150, 10, &mut rng)))
+                .collect(),
+            bias: None,
+            combine: CombineMode::Mean,
+            activation: Activation::None,
+        };
+        let model = GnnModel::new(vec![mean]);
+        let packed = PackedModel::new(&model);
+        let p = packed.branch_packs(0);
+        let (agg, prod, hop, out) = plan(&model.layers[0], p, &a, &x);
+        assert_eq!((agg, prod, hop), (vec![], 10, 10));
+        // Bit for bit `(X·W₀ + Ã·(X·W₁) + Ã·(Ã·(X·W₂))) / 3`, in that order.
+        let mut want = x.matmul_packed(&p[0]);
+        want.add_assign(&a.spmm(&x.matmul_packed(&p[1])));
+        want.add_assign(&a.spmm(&a.spmm(&x.matmul_packed(&p[2]))));
+        want.scale_assign(1.0 / 3.0);
+        assert_eq!(out, want, "Mean");
+
+        // MixHop's layer, 150 → 3 × 7 under Concat: both graph branches
+        // multiply first, and the k = 2 one takes its second hop from `hop`
+        // into its window.
+        let model = zoo::mixhop(150, 21, 5, 93);
+        let packed = PackedModel::new(&model);
+        let p = packed.branch_packs(0);
+        let (agg, prod, hop, out) = plan(&model.layers[0], p, &a, &x);
+        assert_eq!((agg, prod, hop), (vec![], 7, 7));
+        let mut want = Matrix::concat_cols_all(&[
+            &x.matmul_packed(&p[0]),
+            &a.spmm(&x.matmul_packed(&p[1])),
+            &a.spmm(&a.spmm(&x.matmul_packed(&p[2]))),
+        ]);
+        want.relu_assign();
+        assert_eq!(out, want, "MixHop");
     }
 
     #[test]

@@ -227,21 +227,36 @@ impl CsrMatrix {
     ///
     /// Shapes: `self` is `(n_rows, n_cols)` sparse, `rhs` `(n_cols, f)` dense, and `out` must be `(n_rows, f)`.
     pub fn spmm_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        assert_eq!(rhs.rows(), self.n_cols, "spmm: dimension mismatch");
         assert_eq!(
             out.shape(),
             (self.n_rows, rhs.cols()),
             "spmm_into: output shape mismatch"
         );
-        let f = rhs.cols();
-        parallel_row_chunks(out.as_mut_slice(), self.n_rows, f, |start, chunk| {
-            for (r, out_row) in chunk.chunks_mut(f).enumerate() {
+        self.spmm_window_into(rhs, out, 0);
+    }
+
+    /// [`CsrMatrix::spmm_into`] storing into the column window
+    /// `out[.., col0 .. col0 + f]` of a wider output — the same
+    /// [`gcnp_tensor::row_sum`] per row, with a shifted destination. The
+    /// window is fully overwritten; the other columns are not touched.
+    ///
+    /// Shapes: `self` is `(n_rows, n_cols)` sparse, `rhs` `(n_cols, f)` dense, and `out` must be `(n_rows, ≥ col0 + f)`.
+    pub fn spmm_window_into(&self, rhs: &Matrix, out: &mut Matrix, col0: usize) {
+        assert_eq!(rhs.rows(), self.n_cols, "spmm: dimension mismatch");
+        let (f, stride) = (rhs.cols(), out.cols());
+        assert!(
+            out.rows() == self.n_rows && col0 + f <= stride,
+            "spmm_window_into: output shape mismatch"
+        );
+        parallel_row_chunks(out.as_mut_slice(), self.n_rows, stride, |start, chunk| {
+            for (r, out_row) in chunk.chunks_mut(stride).enumerate() {
                 let row = start + r;
                 let (ids, weights) = (self.row_indices(row), self.row_values(row));
-                row_sum(out_row, rhs, None, ids, Some(weights), 1.0);
+                let dst = &mut out_row[col0..col0 + f];
+                row_sum(dst, rhs, None, ids, Some(weights), 1.0);
+                gcnp_tensor::check::guard_finite("sparse.spmm.finite", "spmm output row", dst);
             }
         });
-        gcnp_tensor::check::guard_finite("sparse.spmm.finite", "spmm output", out.as_slice());
     }
 
     /// Dense transpose-free CSR transpose (CSC-to-CSR flip).
@@ -465,6 +480,15 @@ mod tests {
         }
         assert_eq!(got.as_slice(), want.as_slice(), "tiling changed bits");
         assert!(got.row(3).iter().all(|&v| v == 0.0));
+        // Into a column window of a wider output: the window holds the same
+        // bits, every other column keeps what it held.
+        let mut wide = Matrix::filled(6, f + 9, 7.0);
+        m.spmm_window_into(&h, &mut wide, 4);
+        for r in 0..6 {
+            let row = wide.row(r);
+            assert_eq!(&row[4..4 + f], want.row(r), "window, row {r}");
+            assert!(row[..4].iter().chain(&row[4 + f..]).all(|&v| v == 7.0));
+        }
     }
 
     #[test]
