@@ -55,25 +55,23 @@ pub(crate) const LOCK_REGISTRY_FILES: &[&str] = &[
 const ATOMIC_SCOPE_EXTRA: &[&str] = &["crates/infer/src/faults.rs"];
 
 /// Statement fragments that mark a `Relaxed` atomic as a pure counter
-/// (monotonic accounting nobody branches on for correctness). Claim
-/// tokens, `PendingSlot` state, and circuit-breaker trip thresholds must
-/// use Acquire/Release and are exactly what this allowlist excludes.
+/// (monotonic accounting nobody branches on for correctness). `PendingSlot`
+/// state, the worker `retired` / `torn` flags, and circuit-breaker trip
+/// thresholds must use Acquire/Release and are exactly what this allowlist
+/// excludes.
 const RELAXED_COUNTERS: &[&str] = &[
     "served",
     "shed",
     "failures",
     "recoveries",
     "workers_lost",
-    "hedges_won",
-    "hedges_wasted",
-    "hedges_fired",
     "retries",
     "restarts",
     "detected",
     "quarantined",
     "clock",
     "counter",
-    "fired_",
+    "fired",
     "wakeups",
 ];
 
@@ -963,9 +961,9 @@ fn lint_atomic_ordering(path: &str, lines: &[LineInfo], in_test: &[bool], out: &
             lint: Lint::AtomicOrdering,
             file: PathBuf::from(path),
             line: idx + 1,
-            msg: "Ordering::Relaxed outside the pure-counter allowlist — claim tokens, \
-                  PendingSlot state, and circuit-breaker atomics synchronize decisions \
-                  and need Acquire/Release (or annotate: \
+            msg: "Ordering::Relaxed outside the pure-counter allowlist — PendingSlot \
+                  state, worker retired/torn flags, and circuit-breaker atomics \
+                  synchronize decisions and need Acquire/Release (or annotate: \
                   // audit: allow(atomic-ordering) — <why no ordering is needed>)"
                 .into(),
         });

@@ -84,6 +84,20 @@ impl Args {
     pub fn has(&self, key: &str) -> bool {
         self.switches.iter().any(|s| s == key)
     }
+
+    /// Reject the first option or switch not named in `known`: a typo'd
+    /// flag fails by name instead of running the command without it.
+    pub(crate) fn only(&self, known: &[&str]) -> Result<(), String> {
+        match self
+            .options
+            .keys()
+            .chain(&self.switches)
+            .find(|k| !known.contains(&k.as_str()))
+        {
+            Some(k) => Err(format!("unknown option --{k} for {}", self.command)),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -134,6 +148,18 @@ mod tests {
     fn rejects_option_first() {
         assert!(parse("--data d.json").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn unknown_options_are_named() {
+        let a = parse("serve --data d.json --pace --watchdg-ms 50").unwrap();
+        assert!(a
+            .only(&["data", "pace", "watchdog-ms"])
+            .unwrap_err()
+            .contains("--watchdg-ms"));
+        let err = a.only(&["data", "watchdg-ms"]).unwrap_err();
+        assert!(err.contains("--pace"), "switches are checked too: {err}");
+        assert!(a.only(&["data", "pace", "watchdg-ms"]).is_ok());
     }
 
     #[test]

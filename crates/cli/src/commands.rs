@@ -50,6 +50,7 @@ fn dataset_kind(name: &str) -> Result<DatasetKind, String> {
 /// timestamps (the fig6 spam-stream scaling knob) and shares its parser —
 /// and therefore its error messages — with `GCNP_SPAM_FACTOR`.
 pub fn generate(args: &Args) -> Result<String, String> {
+    args.only(&["dataset", "scale", "seed", "out", "spam-factor"])?;
     let kind = dataset_kind(args.require("dataset")?)?;
     let scale: f64 = args.get_or("scale", 1.0)?;
     let seed: u64 = args.get_or("seed", 42)?;
@@ -70,8 +71,19 @@ pub fn generate(args: &Args) -> Result<String, String> {
     ))
 }
 
-/// `gcnp train --data file [--hidden n] [--steps n] [--lr f] [--seed n] --out file`
+/// `gcnp train --data file [--hidden n] [--steps n] [--lr f] [--seed n]
+///  [--eval-every n] [--patience n] --out file`
 pub fn train(args: &Args) -> Result<String, String> {
+    args.only(&[
+        "data",
+        "hidden",
+        "seed",
+        "steps",
+        "lr",
+        "eval-every",
+        "patience",
+        "out",
+    ])?;
     let data = load_dataset(args.require("data")?)?;
     let hidden: usize = args.get_or("hidden", 128)?;
     let seed: u64 = args.get_or("seed", 0)?;
@@ -94,8 +106,11 @@ pub fn train(args: &Args) -> Result<String, String> {
 }
 
 /// `gcnp prune --data file --model file --budget f [--scheme full|batched]
-///  [--method lasso|maxres|random] [--retrain] --out file`
+///  [--method lasso|maxres|random] [--seed n] [--retrain] --out file`
 pub fn prune(args: &Args) -> Result<String, String> {
+    args.only(&[
+        "data", "model", "budget", "scheme", "method", "seed", "retrain", "out",
+    ])?;
     let data = load_dataset(args.require("data")?)?;
     let model = load_model(args.require("model")?)?;
     let budget: f32 = args.get_or("budget", 0.25)?;
@@ -142,6 +157,7 @@ pub fn prune(args: &Args) -> Result<String, String> {
 
 /// `gcnp quantize --model file --out file`
 pub fn quantize(args: &Args) -> Result<String, String> {
+    args.only(&["model", "out"])?;
     let model = load_model(args.require("model")?)?;
     let out = args.require("out")?;
     let q = QuantizedGnn::from_model(&model);
@@ -173,8 +189,18 @@ fn prewarm(
 }
 
 /// `gcnp eval --data file --model file [--batched] [--store] [--batch n]
-///  [--quantized]`
+///  [--cap n] [--seed n] [--quantized]`
 pub fn eval(args: &Args) -> Result<String, String> {
+    args.only(&[
+        "data",
+        "model",
+        "batched",
+        "store",
+        "batch",
+        "cap",
+        "seed",
+        "quantized",
+    ])?;
     let data = load_dataset(args.require("data")?)?;
     let model_path = args.require("model")?;
     let adj = data.adj.normalized(Normalization::Row);
@@ -269,7 +295,7 @@ fn write_metrics(path: &str, registry: &Arc<MetricsRegistry>) -> Result<String, 
 /// `gcnp serve --data file --model file [--rate f] [--requests n]
 ///  [--max-batch n] [--max-wait-ms f] [--store] [--workers n]
 ///  [--deadline-ms f] [--queue-cap n] [--retry-cap n] [--faults spec]
-///  [--watchdog-ms f] [--hedge k] [--ladder] [--shards n] [--pace]
+///  [--watchdog-ms f] [--ladder] [--shards n] [--pace] [--seed n]
 ///  [--metrics-out file]`
 ///
 /// Every run is the fleet executor, and every worker a two-stage pair
@@ -279,9 +305,8 @@ fn write_metrics(path: &str, registry: &Arc<MetricsRegistry>) -> Result<String, 
 /// so the percentiles are wall-clock meaningful. `--faults` injects a
 /// deterministic chaos schedule (see [`gcnp_infer::FaultPlan::parse`]),
 /// `--deadline-ms`/`--queue-cap` turn on deadline and admission shedding,
-/// `--watchdog-ms f` steals, requeues and respawns a batch's stage pair
-/// busy longer than `f` ms, and `--hedge k` duplicates a batch busy past
-/// `k ×` the EWMA compute estimate (first completion wins).
+/// and `--watchdog-ms f` arms the supervisor: a batch busy longer than
+/// `f` ms is stolen and requeued, and its stage pair respawned.
 ///
 /// `--ladder` (one worker, no shards) serves through a full → pruned-2x →
 /// pruned-4x → quantized ladder via `serve_tiered`, one engine per tier
@@ -298,7 +323,28 @@ fn write_metrics(path: &str, registry: &Arc<MetricsRegistry>) -> Result<String, 
 /// residency gauges `store.shard{i}.resident_rows`), and appends a
 /// per-stage engine timing table to the summary.
 pub fn serve(args: &Args) -> Result<String, String> {
-    // Validate the chaos spec before any file I/O so typos fail instantly.
+    // Validate the options and the chaos spec before any file I/O so typos
+    // fail instantly.
+    args.only(&[
+        "data",
+        "model",
+        "rate",
+        "requests",
+        "max-batch",
+        "max-wait-ms",
+        "store",
+        "workers",
+        "deadline-ms",
+        "queue-cap",
+        "retry-cap",
+        "faults",
+        "watchdog-ms",
+        "ladder",
+        "shards",
+        "pace",
+        "seed",
+        "metrics-out",
+    ])?;
     let faults = match args.get("faults") {
         None => None,
         Some(spec) => Some(
@@ -345,7 +391,6 @@ pub fn serve(args: &Args) -> Result<String, String> {
         retry_cap: args.get_or("retry-cap", 3)?,
         pace: args.has("pace"),
         watchdog: args.get_opt::<f64>("watchdog-ms")?.map(|ms| ms / 1e3),
-        hedge: args.get_opt("hedge")?,
         ..Default::default()
     };
     // One registry shared by every engine replica / tier and the store.
@@ -490,10 +535,10 @@ pub fn serve(args: &Args) -> Result<String, String> {
             rep.shed, rep.recoveries, rep.workers_lost, rep.failures, rep.retries
         ));
     }
-    if rep.watchdog_restarts + rep.hedges_fired > 0 {
+    if rep.watchdog_restarts > 0 {
         msg.push_str(&format!(
-            "; supervisor: {} watchdog restarts, {} hedges ({} won, {} wasted)",
-            rep.watchdog_restarts, rep.hedges_fired, rep.hedges_won, rep.hedges_wasted
+            "; supervisor: {} watchdog restarts",
+            rep.watchdog_restarts
         ));
     }
     if ladder {
@@ -624,8 +669,7 @@ mod tests {
         // run stays lossless.
         let msg = run(&parse(&format!(
             "serve --data {d} --model {p} --requests 60 --workers 2 \
-             --watchdog-ms 50 --hedge 8 \
-             --faults stalls=1,stall-ms=400,horizon=1,seed=5"
+             --watchdog-ms 50 --faults stalls=1,stall-ms=400,horizon=1,seed=5"
         )))
         .unwrap();
         assert!(msg.contains("served 60/60"), "{msg}");
@@ -634,7 +678,7 @@ mod tests {
         // One worker runs the same fleet, paced and supervised.
         let msg = run(&parse(&format!(
             "serve --data {d} --model {p} --requests 40 --rate 2000 --pace \
-             --watchdog-ms 500 --hedge 8"
+             --watchdog-ms 500"
         )))
         .unwrap();
         assert!(msg.contains("served 40/40"), "{msg}");
@@ -729,12 +773,27 @@ mod tests {
         }
         // One worker is a fleet too: its pacing and supervision flags pass
         // validation, and the run fails only on the missing data file.
-        for flag in ["--pace", "--watchdog-ms 50", "--hedge 4"] {
+        for flag in ["--pace", "--watchdog-ms 50"] {
             let err = run(&parse(&format!(
                 "serve --data x.json --model y.json {flag}"
             )))
             .unwrap_err();
             assert!(err.contains("read x.json"), "{flag}: {err}");
+        }
+        // An option the command does not read is refused by name before
+        // any file I/O — a removed flag and a typo alike.
+        for (flag, name) in [
+            ("--hedge 4", "--hedge"),
+            ("--watchdg-ms 50", "--watchdg-ms"),
+        ] {
+            let err = run(&parse(&format!(
+                "serve --data x.json --model y.json {flag}"
+            )))
+            .unwrap_err();
+            assert!(
+                err.contains(name) && !err.contains("read x.json"),
+                "{flag}: {err}"
+            );
         }
         // A ladder prunes its own tiers: a model that already carries keep
         // lists is refused by name before any pruning starts.

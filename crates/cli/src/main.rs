@@ -25,13 +25,14 @@ COMMANDS
   serve     --data <file> --model <file> [--rate f] [--requests n]
             [--max-batch n] [--max-wait-ms f] [--store] [--workers n]
             [--deadline-ms f] [--queue-cap n] [--retry-cap n] [--shards n]
-            [--pace] [--watchdog-ms f] [--hedge k] [--faults spec]
+            [--pace] [--watchdog-ms f] [--faults spec]
             [--ladder] [--metrics-out file]
             serve a Poisson request trace on a fleet of engine workers with
             panic recovery; reports throughput, latency percentiles and
             shed/recovery accounting (--workers n: replicas, default 1;
             --shards n: one worker per graph shard; --pace: replay arrivals
-            in real time; --watchdog-ms/--hedge: supervision;
+            in real time; --watchdog-ms: steal and requeue a batch busy
+            longer than this, respawning its stage pair;
             --deadline-ms/--queue-cap: shed stale or over-capacity requests;
             --ladder (one worker): degrade through pruned model tiers under
             load; --faults e.g. \"panics=3,stragglers=5,horizon=40,seed=7\":

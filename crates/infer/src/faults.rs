@@ -58,6 +58,23 @@ pub enum Fault {
     QueueWedge,
 }
 
+impl Fault {
+    /// This fault's slot in [`FaultInjector::fired`] (`FaultPlan` field
+    /// order); `None` for [`Fault::None`].
+    fn kind(self) -> Option<usize> {
+        match self {
+            Fault::None => None,
+            Fault::Panic => Some(0),
+            Fault::Straggle { .. } => Some(1),
+            Fault::StoreMiss => Some(2),
+            Fault::StageStall { .. } => Some(3),
+            Fault::RowFlip => Some(4),
+            Fault::ClockSkew { .. } => Some(5),
+            Fault::QueueWedge => Some(6),
+        }
+    }
+}
+
 /// A seeded fault schedule: how many of each fault to scatter over the
 /// first `horizon` batch attempts.
 #[derive(Debug, Clone, PartialEq)]
@@ -257,13 +274,7 @@ impl FaultPlan {
         Ok(Arc::new(FaultInjector {
             schedule,
             counter: AtomicU64::new(0),
-            fired_panics: AtomicUsize::new(0),
-            fired_stragglers: AtomicUsize::new(0),
-            fired_storms: AtomicUsize::new(0),
-            fired_stalls: AtomicUsize::new(0),
-            fired_row_flips: AtomicUsize::new(0),
-            fired_skews: AtomicUsize::new(0),
-            fired_wedges: AtomicUsize::new(0),
+            fired: Default::default(),
         }))
     }
 }
@@ -273,13 +284,8 @@ impl FaultPlan {
 pub struct FaultInjector {
     schedule: HashMap<u64, Fault>,
     counter: AtomicU64,
-    fired_panics: AtomicUsize,
-    fired_stragglers: AtomicUsize,
-    fired_storms: AtomicUsize,
-    fired_stalls: AtomicUsize,
-    fired_row_flips: AtomicUsize,
-    fired_skews: AtomicUsize,
-    fired_wedges: AtomicUsize,
+    /// Faults fired so far, one slot per kind ([`Fault::kind`]).
+    fired: [AtomicUsize; 7],
 }
 
 impl FaultInjector {
@@ -287,22 +293,11 @@ impl FaultInjector {
     /// `try_infer` on fault-carrying engines) and record it as fired.
     pub fn next_fault(&self) -> Fault {
         let idx = self.counter.fetch_add(1, Ordering::Relaxed);
-        match self.schedule.get(&idx).copied() {
-            None => Fault::None,
-            Some(f) => {
-                match f {
-                    Fault::Panic => self.fired_panics.fetch_add(1, Ordering::Relaxed),
-                    Fault::Straggle { .. } => self.fired_stragglers.fetch_add(1, Ordering::Relaxed),
-                    Fault::StoreMiss => self.fired_storms.fetch_add(1, Ordering::Relaxed),
-                    Fault::StageStall { .. } => self.fired_stalls.fetch_add(1, Ordering::Relaxed),
-                    Fault::RowFlip => self.fired_row_flips.fetch_add(1, Ordering::Relaxed),
-                    Fault::ClockSkew { .. } => self.fired_skews.fetch_add(1, Ordering::Relaxed),
-                    Fault::QueueWedge => self.fired_wedges.fetch_add(1, Ordering::Relaxed),
-                    Fault::None => unreachable!("schedule never stores Fault::None"),
-                };
-                f
-            }
+        let fault = self.schedule.get(&idx).copied().unwrap_or(Fault::None);
+        if let Some(k) = fault.kind() {
+            self.fired[k].fetch_add(1, Ordering::Relaxed);
         }
+        fault
     }
 
     /// Batch attempts drawn so far.
@@ -310,25 +305,10 @@ impl FaultInjector {
         self.counter.load(Ordering::Relaxed)
     }
 
-    /// `(panics, stragglers, storms)` actually fired so far.
-    pub fn fired(&self) -> (usize, usize, usize) {
-        (
-            self.fired_panics.load(Ordering::Relaxed),
-            self.fired_stragglers.load(Ordering::Relaxed),
-            self.fired_storms.load(Ordering::Relaxed),
-        )
-    }
-
-    /// `(stalls, row_flips, skews, wedges)` — the second-generation faults
-    /// actually fired so far. Kept separate from [`FaultInjector::fired`] so
-    /// its 3-tuple shape (pinned by the PR-2 chaos tests) stays stable.
-    pub fn fired_gen2(&self) -> (usize, usize, usize, usize) {
-        (
-            self.fired_stalls.load(Ordering::Relaxed),
-            self.fired_row_flips.load(Ordering::Relaxed),
-            self.fired_skews.load(Ordering::Relaxed),
-            self.fired_wedges.load(Ordering::Relaxed),
-        )
+    /// Faults actually fired so far, per kind, in [`FaultPlan`] field order:
+    /// `[panics, stragglers, storms, stalls, row_flips, skews, wedges]`.
+    pub fn fired(&self) -> [usize; 7] {
+        self.fired.each_ref().map(|n| n.load(Ordering::Relaxed))
     }
 }
 
@@ -379,7 +359,11 @@ mod tests {
         let fa = drain(&a);
         let fb = drain(&b);
         assert_eq!(fa, fb, "same seed, same schedule");
-        assert_eq!(a.fired(), (3, 5, 2), "every fault fires within the horizon");
+        assert_eq!(
+            a.fired(),
+            [3, 5, 2, 0, 0, 0, 0],
+            "every fault fires within the horizon"
+        );
         assert_eq!(fa.iter().filter(|f| **f == Fault::Panic).count(), 3);
         // Past the horizon nothing fires.
         assert_eq!(a.next_fault(), Fault::None);
@@ -391,8 +375,7 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(inj.next_fault(), Fault::None);
         }
-        assert_eq!(inj.fired(), (0, 0, 0));
-        assert_eq!(inj.fired_gen2(), (0, 0, 0, 0));
+        assert_eq!(inj.fired(), [0; 7]);
     }
 
     #[test]
@@ -409,8 +392,11 @@ mod tests {
         assert_eq!(plan.wedges, 2);
         let inj = plan.build().unwrap();
         let drawn: Vec<Fault> = (0..16).map(|_| inj.next_fault()).collect();
-        assert_eq!(inj.fired(), (0, 0, 0), "gen-1 counters untouched");
-        assert_eq!(inj.fired_gen2(), (2, 3, 1, 2));
+        assert_eq!(
+            inj.fired(),
+            [0, 0, 0, 2, 3, 1, 2],
+            "gen-1 counters untouched"
+        );
         assert!(drawn.contains(&Fault::StageStall { seconds: 1e-3 }));
         assert!(drawn.contains(&Fault::ClockSkew { factor: 2.5 }));
     }
@@ -431,8 +417,7 @@ mod tests {
         for _ in 0..30 {
             inj.next_fault();
         }
-        assert_eq!(inj.fired(), (3, 5, 2));
-        assert_eq!(inj.fired_gen2(), (0, 0, 0, 0));
+        assert_eq!(inj.fired(), [3, 5, 2, 0, 0, 0, 0]);
     }
 
     #[test]

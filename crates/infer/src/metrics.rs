@@ -23,7 +23,11 @@
 //!   the `serving.queue.depth` / `serving.batch.size` distributions, the
 //!   `serving.pipeline.occupancy` gauge (fraction of stage-thread time spent
 //!   busy), and `serving.dispatch.wakeups` (condvar wakeups of blocked
-//!   workers — the event-driven replacement for dispatch polling).
+//!   workers — the event-driven replacement for dispatch polling);
+//! * `supervisor.watchdog.restarts` — wedged stage pairs the watchdog stole
+//!   a batch from, tore down and respawned (the supervisor's one action),
+//!   and `serving.panics.unexpected` — worker panics without the injected
+//!   fault marker.
 
 use gcnp_obs::{Counter, Gauge, Histogram, MetricsRegistry, Snapshot};
 use std::sync::Arc;
@@ -64,7 +68,7 @@ pub struct EngineMetrics {
     pub batches: Arc<Counter>,
     /// Bytes resident in this engine's scratch pool, sampled after each
     /// batch (`scratch.resident_bytes`). Bounded by the pool's byte cap
-    /// even under retry/hedge storms.
+    /// even under retry storms.
     pub scratch_resident: Arc<Gauge>,
     /// Branch GEMMs executed on the dense blocked f32 kernel
     /// (`engine.dispatch.dense`) — every branch of an f32 engine.
@@ -139,14 +143,6 @@ pub struct ServingMetrics {
     /// the observable replacing the old 100 µs polling loop (which "woke"
     /// ~10 000×/s while idle).
     pub dispatch_wakeups: Arc<Counter>,
-    /// Speculative duplicate dispatches fired by the hedging policy
-    /// (`serving.hedge.fired`).
-    pub hedge_fired: Arc<Counter>,
-    /// Hedges whose duplicate finished first (`serving.hedge.won`).
-    pub hedge_won: Arc<Counter>,
-    /// Hedges whose duplicate lost the race — wasted speculative work
-    /// (`serving.hedge.wasted`).
-    pub hedge_wasted: Arc<Counter>,
     /// Wedged stage pairs the watchdog tore down and respawned
     /// (`supervisor.watchdog.restarts`).
     pub watchdog_restarts: Arc<Counter>,
@@ -175,9 +171,6 @@ impl ServingMetrics {
             tier: registry.gauge("serving.tier"),
             pipeline_occupancy: registry.gauge("serving.pipeline.occupancy"),
             dispatch_wakeups: registry.counter("serving.dispatch.wakeups"),
-            hedge_fired: registry.counter("serving.hedge.fired"),
-            hedge_won: registry.counter("serving.hedge.won"),
-            hedge_wasted: registry.counter("serving.hedge.wasted"),
             watchdog_restarts: registry.counter("supervisor.watchdog.restarts"),
             panics_unexpected: registry.counter("serving.panics.unexpected"),
         }

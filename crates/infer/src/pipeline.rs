@@ -72,8 +72,10 @@ const STAGE_RECHECK: Duration = Duration::from_millis(10);
 pub(crate) fn relock<'a, T>(
     r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
 ) -> MutexGuard<'a, T> {
-    // Queue state is a plain VecDeque + flags: a panicking holder cannot
-    // leave it logically torn, so recover instead of cascading the poison.
+    // Every lock recovered here guards plain values (a VecDeque + flags, a
+    // pending slot, an accounting cell) that each critical section updates
+    // in one step: a panicking holder cannot leave them logically torn, so
+    // recover instead of cascading the poison.
     r.unwrap_or_else(PoisonError::into_inner)
 }
 

@@ -45,8 +45,8 @@
 //!   by the group's own workers, and the served count.
 //! * **Shared** — the batch former, every other accounting cell of the
 //!   report, and the supervisor. A batch carries its group index, so
-//!   retries, watchdog steals and hedge duplicates re-enter its own group's
-//!   queue: write-backs and store probes keep their owner routing, and
+//!   retries and watchdog steals re-enter its own group's queue:
+//!   write-backs and store probes keep their owner routing, and
 //!   supervision works under every routing.
 //!
 //! There is one executor. Every worker is a stage pair: a **front** thread
@@ -68,9 +68,7 @@ use crate::batched::{BackStage, BatchedEngine, EngineCore, FrontStage, PreparedB
 use crate::error::{ServingError, ServingResult};
 use crate::metrics::ServingMetrics;
 use crate::pipeline::{relock, DispatchQueue, StageLink};
-use crate::supervisor::{
-    supervise, PendingEntry, PendingSlot, SupervisorPolicy, SupervisorStats, WorkerWatch,
-};
+use crate::supervisor::{supervise, PendingSlot, WorkerWatch};
 use gcnp_obs::{percentile, Counter};
 use gcnp_tensor::init::seeded_rng;
 use rand::RngExt;
@@ -137,15 +135,8 @@ pub struct ServingConfig {
     /// progress for longer than this is presumed wedged: the supervisor
     /// tears the stage pair down, requeues the batch through the normal
     /// retry path, and respawns the pair. `None` (default)
-    /// disables the watchdog; with [`ServingConfig::hedge`] also `None` no
-    /// supervisor thread is spawned.
+    /// disables the watchdog, and no supervisor thread is spawned.
     pub watchdog: Option<f64>,
-    /// Hedging multiplier `k`. A batch busy for more than `k ×` its routing
-    /// group's EWMA compute estimate is speculatively re-dispatched; the
-    /// first attempt to finish wins and the loser's write-back is
-    /// suppressed, so results stay bitwise identical to an unhedged run.
-    /// `None` (default) disables hedging.
-    pub hedge: Option<f64>,
 }
 
 impl Default for ServingConfig {
@@ -162,7 +153,6 @@ impl Default for ServingConfig {
             backoff_ms: 1.0,
             pace: false,
             watchdog: None,
-            hedge: None,
         }
     }
 }
@@ -204,13 +194,6 @@ impl ServingConfig {
             if !w.is_finite() || w <= 0.0 {
                 return Err(ServingError::InvalidConfig(format!(
                     "watchdog must be > 0 seconds, got {w}"
-                )));
-            }
-        }
-        if let Some(k) = self.hedge {
-            if !k.is_finite() || k < 1.0 {
-                return Err(ServingError::InvalidConfig(format!(
-                    "hedge multiplier must be >= 1, got {k}"
                 )));
             }
         }
@@ -518,14 +501,6 @@ pub struct MultiServingReport {
     /// Wedged stage pairs the watchdog tore down and respawned (0 when
     /// [`ServingConfig::watchdog`] is `None`).
     pub watchdog_restarts: usize,
-    /// Speculative duplicate dispatches fired by the hedging policy (0
-    /// when [`ServingConfig::hedge`] is `None`).
-    pub hedges_fired: usize,
-    /// Hedge races the duplicate finished first (its result was used).
-    pub hedges_won: usize,
-    /// Hedge races the primary won anyway — the duplicate's work was
-    /// wasted speculation.
-    pub hedges_wasted: usize,
 }
 
 impl MultiServingReport {
@@ -550,22 +525,14 @@ impl MultiServingReport {
 /// latency accounting), the routing group it belongs to, and how many times
 /// it has been attempted already.
 ///
-/// `group` never changes: a retry, a watchdog steal and a hedge duplicate
-/// all re-enter the queue of the group the dispatcher routed the batch to.
-///
-/// `claim` is the hedge race token. A batch the supervisor speculatively
-/// re-dispatched shares one `AtomicBool` between the primary attempt (via
-/// its pending slot) and the duplicate (via this field): the first attempt
-/// to reach a terminal outcome swaps it true and *owns* the batch; the
-/// loser discards its result without accounting, so a hedged run serves
-/// every request exactly once.
+/// `group` never changes: a retry and a watchdog steal both re-enter the
+/// queue of the group the dispatcher routed the batch to.
 #[derive(Clone)]
 struct QueuedBatch {
     nodes: Vec<usize>,
     arrivals: Vec<f64>,
     group: usize,
     attempt: u32,
-    claim: Option<Arc<AtomicBool>>,
 }
 
 /// A batch staged by a worker's front thread, waiting on the inter-stage
@@ -643,11 +610,10 @@ struct Fleet<'f> {
     groups: Vec<Group>,
     /// Per group: EWMA of the per-batch busy seconds (prepare + execute)
     /// of the group's own workers, and whether it is measured — the
-    /// dispatcher's virtual-clock advance, the deadline projection and the
-    /// hedge bound (guarded against non-finite observations). Each starts
-    /// from its group's engine's analytic cost model
-    /// (`cold_compute_estimate`), so the virtual clocks advance and the
-    /// hedge bound is meaningful from batch #1; the first measurement
+    /// dispatcher's virtual-clock advance and the deadline projection
+    /// (guarded against non-finite observations). Each starts from its
+    /// group's engine's analytic cost model (`cold_compute_estimate`), so
+    /// the virtual clocks advance from batch #1; the first measurement
     /// replaces that seed outright.
     est: Mutex<Vec<(f64, bool)>>, // lock: fleet.est
     compute_seconds: Mutex<f64>, // lock: fleet.compute
@@ -660,8 +626,7 @@ struct Fleet<'f> {
     failures: AtomicUsize,
     retries: AtomicUsize,
     workers_lost: AtomicUsize,
-    hedges_won: AtomicUsize,
-    hedges_wasted: AtomicUsize,
+    watchdog_restarts: AtomicUsize,
     t0: Instant,
 }
 
@@ -698,8 +663,7 @@ impl<'f> Fleet<'f> {
             failures: AtomicUsize::new(0),
             retries: AtomicUsize::new(0),
             workers_lost: AtomicUsize::new(0),
-            hedges_won: AtomicUsize::new(0),
-            hedges_wasted: AtomicUsize::new(0),
+            watchdog_restarts: AtomicUsize::new(0),
             t0: Instant::now(),
         }
     }
@@ -796,22 +760,7 @@ impl<'f> Fleet<'f> {
     ) -> bool {
         // An empty slot means the watchdog stole this batch: it was already
         // requeued and resolved, and this attempt's outcome is void.
-        let pending = slot.finish();
-        let stolen = pending.is_none();
-        // The race token: ours if this attempt *is* the hedge duplicate,
-        // or installed into the slot if a duplicate was fired against us.
-        let token = batch
-            .claim
-            .clone()
-            .or_else(|| pending.and_then(|p| p.hedge));
-        let owns = !stolen
-            && token
-                .as_ref()
-                .is_none_or(|t| !t.swap(true, Ordering::AcqRel));
-        if owns && token.is_some() {
-            // Only a duplicate that *served* the batch won its race.
-            self.hedge_settled(batch.claim.is_some() && matches!(outcome, Ok(Ok(_))));
-        }
+        let owns = slot.finish().is_some();
         let dispatch = &self.group(batch.group).dispatch;
         let lost = outcome.is_err();
         match outcome {
@@ -832,8 +781,7 @@ impl<'f> Fleet<'f> {
                 }
             }
             // Worker panic: count the lost replica and recover the batch —
-            // unless another attempt owns it (watchdog steal, lost hedge
-            // race): then its owner accounts for it.
+            // unless the watchdog stole it: then the steal accounts for it.
             Err(_) => {
                 self.recoveries.fetch_add(1, Ordering::Relaxed);
                 self.workers_lost.fetch_add(1, Ordering::Relaxed);
@@ -849,7 +797,7 @@ impl<'f> Fleet<'f> {
         // Resolve AFTER any requeue so idle peers never see "queue empty,
         // nothing in flight" while work remains. A stolen batch was
         // already resolved by the watchdog.
-        if !stolen {
+        if owns {
             dispatch.resolve();
         }
         lost
@@ -889,21 +837,17 @@ impl<'f> Fleet<'f> {
         }
     }
 
-    /// This attempt won a hedge race: record whether the winner was the
-    /// speculative duplicate (`hedges_won`) or the primary — in which case
-    /// the duplicate's work is wasted speculation (`hedges_wasted`).
-    fn hedge_settled(&self, duplicate_won: bool) {
-        if duplicate_won {
-            self.hedges_won.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.hedges_wasted.fetch_add(1, Ordering::Relaxed);
-        }
+    /// Settle a batch the watchdog stole: its slot is empty now, so the
+    /// wedged attempt's eventual outcome is void and this steal owns the
+    /// batch. Requeue it through the retry path, then pair the wedged
+    /// worker's pop (it skips its own resolve once it sees the empty slot).
+    fn steal(&self, batch: QueuedBatch) {
+        let dispatch = &self.group(batch.group).dispatch;
+        self.retry_or_shed(batch);
+        dispatch.resolve();
+        self.watchdog_restarts.fetch_add(1, Ordering::Relaxed);
         if let Some(o) = &self.obs {
-            if duplicate_won {
-                o.hedge_won.inc();
-            } else {
-                o.hedge_wasted.inc();
-            }
+            o.watchdog_restarts.inc();
         }
     }
 
@@ -920,11 +864,8 @@ impl<'f> Fleet<'f> {
             if !backoff.is_zero() {
                 std::thread::sleep(backoff);
             }
-            // A retry is a fresh attempt: it never inherits a hedge token
-            // (the race that token tracked is settled by now).
             self.group(batch.group).dispatch.requeue(QueuedBatch {
                 attempt: batch.attempt + 1,
-                claim: None,
                 ..batch
             });
         } else {
@@ -985,10 +926,7 @@ fn front_stage(
             fleet.hand_back(batch);
             break;
         }
-        // Not hedgeable mid-prepare: the estimate the hedge races against
-        // covers the whole prepare+execute span, so speculation is decided
-        // at the back stage. The watchdog still covers this slot.
-        link.front_pending.begin(&batch, fleet.now(), false);
+        link.front_pending.begin(&batch, fleet.now());
         let (outcome, _) = fleet.attempt(|| core.prepare(&batch.nodes, &mut front));
         let prep = match outcome {
             Ok(Ok(prep)) => prep,
@@ -1036,11 +974,7 @@ fn back_stage(
     g: usize,
 ) {
     while let Some(StagedJob { batch, prep }) = link.pair.next() {
-        // Publish for the supervisor: the back stage is where a straggling
-        // batch becomes hedgeable. The EWMA the hedge races against covers
-        // the whole prepare+execute span while this slot's clock starts at
-        // execute, so the hedge bound errs late, never early.
-        link.back_pending.begin(&batch, fleet.now(), true);
+        link.back_pending.begin(&batch, fleet.now());
         let front_busy = prep.front_seconds();
         let mut spent = Vec::new();
         let (outcome, busy) = fleet.attempt(|| core.execute(prep, &mut back, &mut spent));
@@ -1135,9 +1069,9 @@ pub fn serve_multi(
 /// Windows are anchored and sealed exactly as in [`serve_multi`], and
 /// projected with the slowest shard's compute estimate. A panic storm that
 /// kills shard `s`'s replica aborts only queue `s`: its requests are shed
-/// as routed, and the surviving shards keep serving. Retries, steals and
-/// hedge duplicates stay on-shard, so write-backs and store probes keep
-/// their owner routing.
+/// as routed, and the surviving shards keep serving. Retries and steals
+/// stay on-shard, so write-backs and store probes keep their owner
+/// routing.
 pub fn serve_sharded(
     engines: &mut [BatchedEngine<'_>],
     assign: &[u32],
@@ -1217,14 +1151,9 @@ fn run_fleet(
     let obs = fleet.obs.as_ref();
     let links: Vec<WorkerLink> = (0..n_workers).map(|_| WorkerLink::new()).collect();
 
-    // Supervision plumbing (inert when both knobs are None): per-worker
-    // teardown closures, the watch table over every pending slot, and the
+    // Supervision plumbing (inert without a watchdog): per-worker teardown
+    // closures, the watch table over every pending slot, and the
     // worker-exit counter that stops the supervisor thread.
-    let policy = SupervisorPolicy {
-        watchdog: cfg.watchdog,
-        hedge: cfg.hedge,
-    };
-    let sup_stats = SupervisorStats::default();
     let finished = AtomicUsize::new(0);
     let teardowns: Vec<Box<dyn Fn() + Send + Sync>> = links
         .iter()
@@ -1240,10 +1169,8 @@ fn run_fleet(
     let watches: Vec<WorkerWatch<'_, QueuedBatch>> = links
         .iter()
         .zip(&teardowns)
-        .enumerate()
-        .map(|(k, (link, td))| WorkerWatch {
+        .map(|(link, td)| WorkerWatch {
             slots: [&link.front_pending, &link.back_pending],
-            group: k / per_group,
             teardown: &**td,
         })
         .collect();
@@ -1257,54 +1184,15 @@ fn run_fleet(
                 finished.fetch_add(1, Ordering::Release);
             });
         }
-        if policy.active() {
-            let (watches, policy, sup_stats) = (&watches, &policy, &sup_stats);
+        if let Some(bound) = cfg.watchdog {
+            let watches = &watches;
             scope.spawn(move || {
                 supervise(
                     watches,
-                    policy,
+                    bound,
                     &|| fleet.now(),
-                    &|g| fleet.estimate(g).0,
                     &|| finished.load(Ordering::Acquire) >= n_workers,
-                    &|entry: PendingEntry<QueuedBatch>| {
-                        // Watchdog steal: the wedged attempt's slot is
-                        // empty now, so its eventual outcome is void.
-                        // Claim any hedge token first — if a duplicate
-                        // already owns the batch, stealing must not
-                        // re-serve it through the retry path.
-                        let dispatch = &fleet.group(entry.item.group).dispatch;
-                        let token = entry.item.claim.clone().or(entry.hedge);
-                        let owns = token
-                            .as_ref()
-                            .is_none_or(|t| !t.swap(true, Ordering::AcqRel));
-                        if owns {
-                            if token.is_some() {
-                                // The steal voids whatever the race would
-                                // have produced: the hedge is wasted.
-                                fleet.hedge_settled(false);
-                            }
-                            fleet.retry_or_shed(entry.item);
-                        }
-                        // Pair the wedged worker's pop (it will skip its
-                        // own resolve once it sees the empty slot).
-                        dispatch.resolve();
-                        if let Some(o) = obs {
-                            o.watchdog_restarts.inc();
-                        }
-                    },
-                    &|item: QueuedBatch, token: Arc<AtomicBool>| {
-                        // Hedge: speculative duplicate through the batch's
-                        // own group queue, sharing the race token with the
-                        // straggling primary.
-                        if let Some(o) = obs {
-                            o.hedge_fired.inc();
-                        }
-                        fleet.group(item.group).dispatch.requeue(QueuedBatch {
-                            claim: Some(token),
-                            ..item
-                        });
-                    },
-                    sup_stats,
+                    &|batch| fleet.steal(batch),
                 );
             });
         }
@@ -1404,7 +1292,6 @@ fn run_fleet(
                     arrivals,
                     group: g,
                     attempt: 0,
-                    claim: None,
                 };
                 match fleet.group(g).dispatch.push(queued) {
                     Ok(()) => n_batches += 1,
@@ -1437,20 +1324,12 @@ fn run_fleet(
         )
     });
 
-    // Whatever a dead group left queued is shed — accounted, not lost. A
-    // leftover hedge duplicate whose primary already reached a terminal
-    // outcome (its token is claimed) is a ghost, not a request.
+    // Whatever a dead group left queued is shed — accounted, not lost.
     let mut wakeups = 0;
     for group in &fleet.groups {
         wakeups += group.dispatch.wakeups();
         for b in group.dispatch.drain() {
-            let owns = b
-                .claim
-                .as_ref()
-                .is_none_or(|t| !t.swap(true, Ordering::AcqRel));
-            if owns {
-                fleet.shed_requests(b.nodes.len());
-            }
+            fleet.shed_requests(b.nodes.len());
         }
     }
 
@@ -1513,10 +1392,7 @@ fn run_fleet(
         p99_ms: percentile(&latencies_ms, 0.99),
         max_ms: latencies_ms.last().copied().unwrap_or(0.0),
         pipeline_occupancy,
-        watchdog_restarts: sup_stats.restarts.into_inner(),
-        hedges_fired: sup_stats.hedges_fired.into_inner(),
-        hedges_won: fleet.hedges_won.into_inner(),
-        hedges_wasted: fleet.hedges_wasted.into_inner(),
+        watchdog_restarts: fleet.watchdog_restarts.into_inner(),
     })
 }
 
@@ -1740,7 +1616,6 @@ mod tests {
                     arrivals: vec![0.0; 2],
                     group: 0,
                     attempt: 0,
-                    claim: None,
                 };
                 assert!(fleet.group(0).dispatch.push(queued).is_ok());
             }

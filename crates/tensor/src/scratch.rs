@@ -21,7 +21,7 @@ use crate::matrix::Matrix;
 /// in favor of larger ones (large buffers are the expensive ones to rebuild).
 const MAX_RETAINED: usize = 32;
 
-/// High-water mark on total retained capacity. Retry and hedge storms
+/// High-water mark on total retained capacity. Retry storms
 /// re-lease buffers before returning old ones, so the count cap alone can
 /// pin tens of large buffers; past this byte budget the pool sheds its
 /// smallest buffers until back under (never the incoming one first — large
@@ -182,7 +182,7 @@ mod tests {
 
     #[test]
     fn retry_storm_stays_under_the_byte_cap() {
-        // A retry/hedge storm: 100 attempts each leased a fresh large
+        // A retry storm: 100 attempts each leased a fresh large
         // buffer (4 MiB) before the previous one came back, and now they
         // all return. The count cap alone would pin 32 × 4 MiB = 128 MiB;
         // the byte high-water mark must keep residency bounded throughout.

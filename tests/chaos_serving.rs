@@ -95,7 +95,11 @@ fn chaos_run_is_lossless_and_deterministic() {
     // Nothing lost, every fault in the schedule fired, counters match it.
     assert_eq!(a.served + a.shed, 400, "every request served or shed");
     assert_eq!(a.shed, 0, "retry cap covers all three panics");
-    assert_eq!(fired_a, (3, 5, 2), "full schedule fired: {fired_a:?}");
+    assert_eq!(
+        fired_a,
+        [3, 5, 2, 0, 0, 0, 0],
+        "full schedule fired: {fired_a:?}"
+    );
     assert_eq!(a.recoveries, 3, "one recovery per injected panic");
     assert_eq!(a.retries, 3, "each panicked batch retried once per failure");
     assert_eq!(a.workers_lost, 3, "each panic retires one of the 4 workers");
@@ -315,7 +319,7 @@ fn chaos_soak_across_seeds() {
     let pool: Vec<usize> = (0..300).collect();
     for seed in 0..5u64 {
         // Turn the supervisor on for alternating seeds so both the bare
-        // retry path and the watchdog/hedge path soak.
+        // retry path and the watchdog path soak.
         let supervised = seed % 2 == 1;
         let cfg = ServingConfig {
             arrival_rate: 1e6,
@@ -323,7 +327,6 @@ fn chaos_soak_across_seeds() {
             n_requests: 1000,
             seed,
             watchdog: supervised.then_some(0.25),
-            hedge: supervised.then_some(8.0),
             ..Default::default()
         };
         let plan = FaultPlan {
@@ -365,14 +368,9 @@ fn chaos_soak_across_seeds() {
         assert_eq!(rep.recoveries, 3, "seed {seed}: all panics recovered");
         assert!(rep.workers_lost <= 3, "seed {seed}: fleet survives");
         assert_eq!(
-            inj.fired_gen2(),
-            (2, 2, 2, 2),
+            inj.fired()[3..],
+            [2, 2, 2, 2],
             "seed {seed}: the gen-2 schedule fired in full"
-        );
-        assert_eq!(
-            rep.hedges_fired,
-            rep.hedges_won + rep.hedges_wasted,
-            "seed {seed}: hedge ledger balances"
         );
     }
 }

@@ -121,7 +121,6 @@ fn supervised_faulted_serving_runs_clean_under_the_tracker() {
         n_requests: 320,
         seed: 37,
         watchdog: Some(0.5),
-        hedge: Some(8.0),
         ..Default::default()
     };
     let store = FeatureStore::new(n, model.n_layers() - 1);
