@@ -49,6 +49,23 @@
 //! `features.select_cols(keep)` — and a `keep` on a hidden level keeps the
 //! indexed row-at-a-time loop.
 //!
+//! Layer 1's `k = 0` branch reads a table too, `X·W_self` (or
+//! `X[:, keep]·W_self`), indexed by node id — but one filled on first
+//! touch, not at construction. The table and its filled bitmap live in the
+//! back stage's scratch. A batch runs one GEMM over just the computed nodes
+//! whose rows are not yet filled (reading them in place, on the f32 pack
+//! whatever the engine's precision), writes each row into the table and
+//! only then marks it, and copies every computed node's row into the
+//! branch's column window (adds it under `Mean`). A warm batch runs no
+//! layer-1 GEMM, and its logits are bitwise a cold one's: each table row is
+//! the row the per-batch GEMM would write. The table is not built eagerly
+//! because an engine's construction would then pay `n_nodes × in_dim ×
+//! out_dim` MACs up front, which a workload that rebuilds engines per
+//! window (`stream_accrete`) pays inside its timed section; on first touch
+//! an engine pays only for the nodes it serves. Rows depend only on the
+//! attributes and the weights, so a batch that dies mid-fill leaves
+//! nothing to reset.
+//!
 //! # Two-stage decomposition
 //!
 //! Every batch is served in two stages that share no mutable state:
@@ -59,9 +76,10 @@
 //!   rows (which *is* the branch's product) or over the kept attribute rows
 //!   (its operand), a pure function of the support and read-only data —
 //!   staged into owned buffers ([`PreparedBatch`]);
-//! * **execute** (back end): layer 1's `k = 0` GEMM (reading its rows in
-//!   place), the store of each prepared neighbour product into its column
-//!   window or the GEMM of each prepared neighbour operand, then every
+//! * **execute** (back end): layer 1's `k = 0` table read (after the GEMM
+//!   that fills the rows no earlier batch did, reading them in place), the
+//!   store of each prepared neighbour product into its column window or the
+//!   GEMM of each prepared neighbour operand, then every
 //!   hidden level's aggregation, GEMMs and combine, level-table and
 //!   relabel-table maintenance, store write-backs, and target-logit
 //!   extraction.
@@ -69,9 +87,11 @@
 //! The seam sits between a batch's irregular memory reads and its FMAs:
 //! level 0's neighbour sum is the largest irregular read of a batch and
 //! needs nothing execute produces, so a pipelined worker overlaps batch
-//! N+1's sum with batch N's GEMMs. The `k = 0` read stays behind the seam,
-//! inside the GEMM it feeds: as a gather moved forward it over-filled the
-//! front stage (6–18 % less drain throughput on the 2-vCPU reference box).
+//! N+1's sum with batch N's GEMMs. The `k = 0` read stays behind the seam:
+//! as a gather moved forward it over-filled the front stage (6–18 % less
+//! drain throughput on the 2-vCPU reference box), and its table is back
+//! scratch, which only `execute` touches — so filling it needs no lock and
+//! no change to the stage pair's protocol.
 //!
 //! [`BatchedEngine::try_infer`] runs them back-to-back on the caller's
 //! thread. The stage pair in [`crate::pipeline`] runs the front
@@ -120,32 +140,55 @@ pub enum Precision {
 /// never packed or multiplied.
 pub(crate) enum WeightPacks<'m> {
     F32(PackedModel<'m>),
-    Int8(QuantPackedModel<'m>),
+    /// The int8 packs, and an f32 pack of every layer-1 branch: layer 1's
+    /// tables are f32 in every precision.
+    Int8(QuantPackedModel<'m>, Vec<PackedB>),
 }
 
 impl WeightPacks<'_> {
     fn precision(&self) -> Precision {
         match self {
             WeightPacks::F32(_) => Precision::F32,
-            WeightPacks::Int8(_) => Precision::Int8,
+            WeightPacks::Int8(..) => Precision::Int8,
         }
     }
 
-    /// Bytes of weight data a batch streams through (the per-batch memory
-    /// metric's weight term): 4 bytes per f32 weight, 1 per int8. The
-    /// weights of layer 1's projecting neighbour branches are not among
-    /// them: a batch reads those branches' projection tables instead.
+    /// The f32 pack of layer 1's branch `bi`, which that branch's table is
+    /// built on whatever the engine's precision.
+    fn layer_one_f32(&self, bi: usize) -> &PackedB {
+        match self {
+            // audit: allow(no-fail-stop) — packs are built 1:1 with model branches at construction
+            WeightPacks::F32(pm) => &pm.branch_packs(0)[bi],
+            // audit: allow(no-fail-stop) — same: one f32 pack per layer-1 branch
+            WeightPacks::Int8(_, packs) => &packs[bi],
+        }
+    }
+
+    /// Bytes of weight data every batch streams through (the per-batch
+    /// memory metric's weight term): 4 bytes per f32 weight, 1 per int8.
+    /// The weights of layer 1's table branches ([`reads_table`]) are not
+    /// among them: a batch reads those branches' tables instead, and only a
+    /// batch that fills `k = 0` rows reads that branch's weights (4 bytes
+    /// each, in either precision).
     fn weight_bytes(&self, model: &GnnModel) -> usize {
-        let projected: usize = model.layers.first().map_or(0, |layer| {
-            let branches = layer.branches.iter().filter(|b| b.projects_first());
+        let tabled: usize = model.layers.first().map_or(0, |layer| {
+            let branches = layer.branches.iter().filter(|b| reads_table(b));
             branches.map(|b| b.weight.len()).sum()
         });
         let per_weight = match self {
             WeightPacks::F32(_) => 4,
-            WeightPacks::Int8(_) => 1,
+            WeightPacks::Int8(..) => 1,
         };
-        (model.n_weights() - projected) * per_weight
+        (model.n_weights() - tabled) * per_weight
     }
+}
+
+/// Whether layer 1's `branch` reads a per-engine table indexed by node id
+/// instead of the attributes: every `k = 0` branch (`X·W_self`, filled on
+/// first touch) and every projecting `k = 1` one (`X·W`, built at
+/// construction).
+fn reads_table(branch: &Branch) -> bool {
+    branch.k == 0 || branch.projects_first()
 }
 
 /// The engine's store binding: none, one [`FeatureStore`], or one shard of a
@@ -254,18 +297,24 @@ pub struct BatchResult {
     pub seconds: f64,
     /// MACs actually executed: every per-batch branch transform
     /// (`computed × in_dim × out_dim`) and aggregation (one add per edge per
-    /// channel). A projecting neighbour branch of layer 1 runs no transform
-    /// — its projection table was built with the engine — and costs `|E₁| ×
-    /// out_dim` adds over the table's rows.
+    /// channel). Layer 1's table branches run no transform: a projecting
+    /// neighbour branch — its projection table was built with the engine —
+    /// costs `|E₁| × out_dim` adds over the table's rows, and a `k = 0`
+    /// branch copies its rows. Only the batch that fills `k = 0` rows pays
+    /// their transform, `filled × in_dim × out_dim`, so a warm batch counts
+    /// none.
     pub macs: u64,
     /// Bytes of features touched plus weights — the paper's per-batch memory
     /// metric. The sum of: the weights a batch transforms with (4 bytes
-    /// each, 1 under int8; the weights of layer 1's projecting neighbour
-    /// branches are not read); the level-0 bytes layer 1 reads, per branch
-    /// `computed × in_dim × 4` for a `k = 0` branch (`in_dim` its kept
-    /// width), `supporting × out_dim × 4` for a projecting `k = 1` branch
-    /// (rows of its projection table) and `supporting × in_dim × 4` for any
-    /// other; every staged store row; and every layer's output table.
+    /// each, 1 under int8; the weights of layer 1's table branches are not
+    /// read); the level-0 bytes layer 1 reads, per branch `computed ×
+    /// out_dim × 4` for a `k = 0` branch (rows of its table),
+    /// `supporting × out_dim × 4` for a projecting `k = 1` branch (rows of
+    /// its projection table) and `supporting × in_dim × 4` for any other;
+    /// for a batch that fills `k = 0` rows, the filled nodes' attribute
+    /// bytes (`filled × in_dim × 4`, `in_dim` the kept width) and that
+    /// branch's f32 weights; every staged store row; and every layer's
+    /// output table.
     pub mem_bytes: usize,
     /// Distinct nodes whose raw attributes were read.
     pub n_supporting: usize,
@@ -284,8 +333,9 @@ pub struct BatchedEngine<'a> {
     /// branch, built once at construction and indexed by node id: for a
     /// projecting `k = 1` branch its projection table `features[:, keep] ·
     /// W` (`n_nodes × out_dim × 4` bytes); for any other branch with a
-    /// runtime `keep`, its kept channels `features[:, keep]`; `None` = the
-    /// branch reads `features` itself.
+    /// runtime `keep`, its kept channels `features[:, keep]` (which a `k =
+    /// 0` branch's table fills read); `None` = the branch reads `features`
+    /// itself.
     level_zero: Vec<Option<Matrix>>,
     /// Raw (unnormalized) adjacency; the engine applies mean aggregation.
     adj: &'a CsrMatrix,
@@ -300,7 +350,8 @@ pub struct BatchedEngine<'a> {
     /// here; the back end returns them via its `spent` list
     /// (double-buffered circulation under the pipelined executor).
     front_pool: ScratchPool,
-    /// Back-stage scratch (relabel table, touched list, matrix pool).
+    /// Back-stage scratch (relabel table, touched list, matrix pool,
+    /// layer 1's `k = 0` tables).
     back: BackScratch,
     /// True while a batch is in flight on the back stage. A batch that
     /// panicked or errored out leaves this set, and the next execute
@@ -336,6 +387,24 @@ pub(crate) struct BackScratch {
     /// layer outputs are drawn from (and returned to) this pool instead of
     /// hitting the allocator once per intermediate per batch.
     pool: ScratchPool,
+    /// Layer 1's `k = 0` products, one slot per layer-1 branch (a `k = 1`
+    /// slot stays empty): `X·W_self` by node id, filled on first touch.
+    self_tables: Vec<SelfTable>,
+}
+
+/// One layer-1 `k = 0` branch's product `X·W_self` (or `X[:, keep]·W_self`)
+/// as a table, allocated and filled on first touch: row `v` is node `v`'s
+/// product once `filled[v]` is set. A row depends only on the attributes
+/// and the weights and is marked only after it is written, so a batch that
+/// dies mid-fill leaves no row a later batch could misread, and the table
+/// is never reset.
+#[derive(Default)]
+pub(crate) struct SelfTable {
+    /// `n_nodes × out_dim`, row-major.
+    rows: Vec<f32>,
+    filled: Vec<bool>,
+    /// The computed nodes whose rows a batch fills (reused list).
+    misses: Vec<usize>,
 }
 
 /// Stages charged by the engine's [`StageClock`].
@@ -536,7 +605,10 @@ impl<'a> BatchedEngine<'a> {
     /// reddit-sim: 12 000 × 602 × 64, 3 MB, ≈ 13 ms on one core of the
     /// 2-vCPU reference box), which no [`BatchResult::macs`] counts.
     /// Batches then read that branch at `out_dim` instead of `in_dim` width
-    /// and run no GEMM for it.
+    /// and run no GEMM for it. Layer 1's `k = 0` branch gets the same kind
+    /// of table, `X·W_self`, but not here: the back stage fills its rows on
+    /// first touch, and a batch pays the transform only for the computed
+    /// nodes no earlier batch filled.
     pub fn new(
         model: &'a GnnModel,
         adj: &'a CsrMatrix,
@@ -640,9 +712,13 @@ impl<'a> BatchedEngine<'a> {
         }
         // audit: allow(no-fail-stop) — constructor misuse is a programmer error (see above)
         assert!(!model.jk, "BatchedEngine: JK models not supported");
+        let layer_one: &[Branch] = model.layers.first().map_or(&[], |l| &l.branches);
         let packed = match precision {
             Precision::F32 => WeightPacks::F32(PackedModel::new(model)),
-            Precision::Int8 => WeightPacks::Int8(QuantPackedModel::new(model)),
+            Precision::Int8 => WeightPacks::Int8(
+                QuantPackedModel::new(model),
+                layer_one.iter().map(f32_pack).collect(),
+            ),
         };
         // Layer 1's reads of level 0, prepared once: a branch's kept
         // attribute channels are selected here instead of per channel per
@@ -650,20 +726,19 @@ impl<'a> BatchedEngine<'a> {
         // transformed here, in f32 whatever the precision (the int8 rung
         // quantizes per-batch transforms only), so batches aggregate its
         // product.
-        let level_zero = model.layers.first().map_or_else(Vec::new, |layer| {
-            layer
-                .branches
-                .iter()
-                .map(|b| {
-                    let kept = b.keep.as_deref().map(|keep| features.select_cols(keep));
-                    if b.projects_first() {
-                        Some(projection_table(kept.as_ref().unwrap_or(features), b))
-                    } else {
-                        kept
-                    }
-                })
-                .collect()
-        });
+        let level_zero = layer_one
+            .iter()
+            .enumerate()
+            .map(|(bi, b)| {
+                let kept = b.keep.as_deref().map(|keep| features.select_cols(keep));
+                if b.projects_first() {
+                    let src = kept.as_ref().unwrap_or(features);
+                    Some(projection_table(src, packed.layer_one_f32(bi)))
+                } else {
+                    kept
+                }
+            })
+            .collect();
         Self {
             model,
             packed,
@@ -680,6 +755,9 @@ impl<'a> BatchedEngine<'a> {
                 relabel: vec![ABSENT; adj.n_rows()],
                 touched: Vec::new(),
                 pool: ScratchPool::new(),
+                // Empty slots: a table is allocated by the first batch
+                // that reads it.
+                self_tables: layer_one.iter().map(|_| SelfTable::default()).collect(),
             },
             dirty: false,
             faults: None,
@@ -891,16 +969,21 @@ impl<'e, 'a> EngineCore<'e, 'a> {
         }
         let mut mem_bytes: usize = self.packed.weight_bytes(self.model);
         // Level 0 is read in place; its memory term is the bytes layer 1's
-        // branches read: attribute rows at the kept width for `k = 0`,
-        // projection-table rows for a projecting `k = 1` branch, kept
-        // attribute rows for any other.
+        // branches read: the computed nodes' table rows for `k = 0` (execute
+        // adds what a fill reads), projection-table rows for a projecting
+        // `k = 1` branch, kept attribute rows for any other.
         if let (Some(layer), Some(ls)) = (self.model.layers.first(), support.layers.first()) {
             for branch in &layer.branches {
-                mem_bytes += match branch.k {
-                    0 => ls.compute.len() * branch.in_dim(),
-                    _ if branch.projects_first() => support.input_nodes.len() * branch.out_dim(),
-                    _ => support.input_nodes.len() * branch.in_dim(),
-                } * 4;
+                let rows = match branch.k {
+                    0 => ls.compute.len(),
+                    _ => support.input_nodes.len(),
+                };
+                let width = if reads_table(branch) {
+                    branch.out_dim()
+                } else {
+                    branch.in_dim()
+                };
+                mem_bytes += rows * width * 4;
             }
         }
         let mut store_hits = 0usize;
@@ -1001,9 +1084,81 @@ impl<'e, 'a> EngineCore<'e, 'a> {
         }
     }
 
+    /// Layer 1's `k = 0` branch `bi` for the `compute` nodes, read from
+    /// its table into `out`'s window at `col0`, or added to it under `add`.
+    /// Rows no earlier batch filled are computed first: one f32 GEMM over
+    /// just those nodes' rows, read in place — the pack and kernel a
+    /// per-batch transform runs, so each row is bitwise the one it would
+    /// write — then copied into the table and only then marked. Returns the
+    /// fill's MACs and bytes read (attribute rows and weights): zero for a
+    /// warm batch.
+    // audit: allow(no-fail-stop) — node ids come from BatchSupport over this graph and index tables of n_nodes rows; `out` has one row per computed node and holds the branch's window
+    fn read_self_table(
+        &self,
+        bi: usize,
+        branch: &Branch,
+        compute: &[usize],
+        table: &mut SelfTable,
+        (out, col0, add): (&mut Matrix, usize, bool),
+        pool: &mut ScratchPool,
+    ) -> (u64, usize) {
+        let width = branch.out_dim();
+        // Under `Mean` every branch product spans the whole row.
+        let col0 = if add { 0 } else { col0 };
+        let n_nodes = self.adj.n_rows();
+        if table.filled.len() != n_nodes {
+            table.rows = vec![0.0; n_nodes * width];
+            table.filled = vec![false; n_nodes];
+        }
+        let SelfTable {
+            rows,
+            filled,
+            misses,
+        } = table;
+        misses.clear();
+        misses.extend(compute.iter().copied().filter(|&v| !filled[v]));
+        let mut cost = (0, 0);
+        if !misses.is_empty() {
+            // A kept branch reads its once-selected channels, so the
+            // source's rows are the operand's rows.
+            let src = self.level_zero_source(bi, branch);
+            debug_assert!(src.keep.is_none(), "layer 1 reads kept channels packed");
+            let mut fresh = pool.take_matrix(misses.len(), width);
+            let pack = self.packed.layer_one_f32(bi);
+            src.mat
+                .matmul_packed_rows_into(Some((None, misses)), pack, &mut fresh, 0);
+            if let Some(m) = self.metrics {
+                m.dispatch_dense.inc();
+            }
+            for (i, &v) in misses.iter().enumerate() {
+                rows[v * width..(v + 1) * width].copy_from_slice(fresh.row(i));
+                filled[v] = true;
+            }
+            pool.recycle(fresh);
+            let n = misses.len();
+            cost = (
+                (n * branch.in_dim() * width) as u64,
+                (n * branch.in_dim() + branch.weight.len()) * 4,
+            );
+        }
+        for (i, &v) in compute.iter().enumerate() {
+            let src = &rows[v * width..(v + 1) * width];
+            let dst = &mut out.row_mut(i)[col0..col0 + width];
+            if add {
+                for (d, &s) in dst.iter_mut().zip(src) {
+                    *d += s;
+                }
+            } else {
+                dst.copy_from_slice(src);
+            }
+        }
+        cost
+    }
+
     /// Back-end stage: transform, relabel, write back, and extract
     /// the target logits for a prepared batch. Layer 1's neighbour-branch
-    /// means arrive built; hidden levels aggregate here.
+    /// means arrive built, and its `k = 0` branch reads its table (filling
+    /// the rows no earlier batch did); hidden levels aggregate here.
     ///
     /// Buffers that originated in the front pool (the staged store reads,
     /// layer 1's neighbour-branch means) are pushed onto `spent` instead of
@@ -1066,6 +1221,7 @@ impl<'e, 'a> EngineCore<'e, 'a> {
             relabel,
             touched,
             pool,
+            self_tables,
         } = back.scratch;
         let relabel: &mut [u32] = relabel;
         let n_layers = self.model.layers.len();
@@ -1102,7 +1258,21 @@ impl<'e, 'a> EngineCore<'e, 'a> {
                 let mut prepared = (li == 1 && branch.k == 1)
                     .then(|| take_aggregated(aggregated, bi))
                     .transpose()?;
-                if let Some(mean) = prepared.take_if(|_| branch.projects_first()) {
+                if li == 1 && branch.k == 0 {
+                    // Layer 1's self branch reads its table; only the rows
+                    // no earlier batch filled cost a transform.
+                    let table = self_tables.get_mut(bi).ok_or_else(|| {
+                        ServingError::InvariantViolation {
+                            check: "engine.self_table.branch",
+                            detail: format!("layer 1 branch {bi} has no table slot"),
+                        }
+                    })?;
+                    let window = (&mut out, col0, add);
+                    let (fill_macs, fill_bytes) =
+                        self.read_self_table(bi, branch, &ls.compute, table, window, pool);
+                    macs += fill_macs;
+                    mem_bytes += fill_bytes;
+                } else if let Some(mean) = prepared.take_if(|_| branch.projects_first()) {
                     // Adds only: one per edge per table column.
                     macs += (ls.neigh_ids.len() * branch.out_dim()) as u64;
                     if add {
@@ -1306,7 +1476,7 @@ impl<'e, 'a> EngineCore<'e, 'a> {
                     m.dispatch_dense.inc();
                 }
             }
-            WeightPacks::Int8(qm) => {
+            WeightPacks::Int8(qm, _) => {
                 // The int8 kernel quantizes its operand as one tensor and
                 // fills a whole matrix: gather a row-indexed operand first,
                 // take the product in a pooled buffer, copy it into the
@@ -1424,22 +1594,26 @@ fn store_window(out: &mut Matrix, col0: usize, part: &Matrix) {
     }
 }
 
+/// `branch`'s f32 pack, built as [`PackedModel`] builds it: a full-width
+/// masked weight packs only its kept rows.
+fn f32_pack(branch: &Branch) -> PackedB {
+    match &branch.keep {
+        Some(keep) if branch.weight.rows() != keep.len() => {
+            PackedB::pack_rows(&branch.weight, keep)
+        }
+        _ => PackedB::pack(&branch.weight),
+    }
+}
+
 /// A layer-1 neighbour branch's projection table: `src · W` over every row
-/// of `src` (the attributes, or their kept channels), on the f32 pack
-/// [`PackedModel`] builds for `branch` (a full-width masked weight packs
-/// only its kept rows), so each row is the one a per-batch
+/// of `src` (the attributes, or their kept channels), on the branch's f32
+/// `pack`, so each row is the one a per-batch
 /// [`Matrix::matmul_packed_rows_into`] would produce for that node. A
 /// non-finite attribute row gives a non-finite table row, never a panic:
 /// under `strict-invariants`, where the GEMM nets its output, such a row is
 /// projected as zeros and then filled with NaN, and `prepare`'s raw-row scan
 /// rejects every batch that would read it.
-fn projection_table(src: &Matrix, branch: &Branch) -> Matrix {
-    let pack = match &branch.keep {
-        Some(keep) if branch.weight.rows() != keep.len() => {
-            PackedB::pack_rows(&branch.weight, keep)
-        }
-        _ => PackedB::pack(&branch.weight),
-    };
+fn projection_table(src: &Matrix, pack: &PackedB) -> Matrix {
     let mut table = Matrix::zeros(src.rows(), pack.n());
     let non_finite: Vec<usize> = if gcnp_tensor::check::enabled() {
         (0..src.rows())
@@ -1449,14 +1623,14 @@ fn projection_table(src: &Matrix, branch: &Branch) -> Matrix {
         Vec::new()
     };
     if non_finite.is_empty() {
-        src.matmul_packed_into(&pack, &mut table);
+        src.matmul_packed_into(pack, &mut table);
         return table;
     }
     let mut finite = src.clone();
     for &v in &non_finite {
         finite.row_mut(v).fill(0.0);
     }
-    finite.matmul_packed_into(&pack, &mut table);
+    finite.matmul_packed_into(pack, &mut table);
     for &v in &non_finite {
         table.row_mut(v).fill(f32::NAN);
     }
@@ -1795,8 +1969,9 @@ mod tests {
     /// node → row index, and select a branch's kept channels with one
     /// indexed load per channel per edge. Every operand is built (the
     /// `k = 0` gather included), every branch product is a whole matrix of
-    /// its own, and the combine is a separate pass — `concat_cols_into`, or
-    /// copy-add-scale for `Mean`. Layer 1's projecting neighbour branches
+    /// its own — layer 1's `k = 0` product on the f32 pack in either
+    /// precision, as its table is — and the combine is a separate pass —
+    /// `concat_cols_into`, or copy-add-scale for `Mean`. Layer 1's projecting neighbour branches
     /// project the kept rows of every supporting node through the branch's
     /// f32 pack and
     /// then take the mean in neighbour-list order — or, with
@@ -1885,10 +2060,14 @@ mod tests {
                 }
                 let mut prod = Matrix::zeros(gathered.rows(), branch.out_dim());
                 match core.packed {
+                    // Layer 1's `k = 0` table is f32 in every precision.
+                    _ if li == 0 && branch.k == 0 => {
+                        gathered.matmul_packed_into(&f32_packs.branch_packs(0)[bi], &mut prod)
+                    }
                     WeightPacks::F32(pm) => {
                         gathered.matmul_packed_into(&pm.branch_packs(li)[bi], &mut prod)
                     }
-                    WeightPacks::Int8(qm) => {
+                    WeightPacks::Int8(qm, _) => {
                         qgemm_packed_into(&gathered, &qm.branch_packs(li)[bi], &mut prod)
                     }
                 }
@@ -2115,36 +2294,49 @@ mod tests {
         let (adj, x, model) = setup();
         let pruned = with_keep(&model, &[(0, 1, &[0, 2, 4, 5, 1])]);
         let narrow = with_keep(&model, &[(0, 1, &[0, 2, 4])]);
+        // Each model serves the batch cold, then once more warm.
         let infer = |m: &GnnModel| {
-            BatchedEngine::new(m, &adj, &x, vec![], None, StorePolicy::None, 0).infer(&[3, 4, 20])
+            let mut engine = BatchedEngine::new(m, &adj, &x, vec![], None, StorePolicy::None, 0);
+            (engine.infer(&[3, 4, 20]), engine.infer(&[3, 4, 20]))
         };
-        let (full, slim, agg) = (infer(&model), infer(&pruned), infer(&narrow));
+        let ((full, full_warm), (slim, _), (agg, agg_warm)) =
+            (infer(&model), infer(&pruned), infer(&narrow));
         assert_eq!(
             (full.n_supporting, slim.n_supporting, agg.n_supporting),
             (11, 11, 11)
         );
-        // Every ring node has two neighbours. Layer 1: the k = 0 GEMM
-        // (7 × 6 × 4) and one add per edge per table column (14 edges × 4);
-        // no transform of the k = 1 branch. Layer 2: k = 0 (3 × 8 × 4),
-        // k = 1 (6 edges × 8 + 3 × 8 × 4). Classifier: 3 × 8 × 4.
-        let macs = 7 * 6 * 4 + 14 * 4 + 3 * 8 * 4 + 6 * 8 + 3 * 8 * 4 + 3 * 8 * 4;
+        // Every ring node has two neighbours. Layer 1: the k = 0 table's
+        // fill of the 7 computed rows (7 × 6 × 4) and one add per edge per
+        // table column (14 edges × 4); no transform of the k = 1 branch.
+        // Layer 2: k = 0 (3 × 8 × 4), k = 1 (6 edges × 8 + 3 × 8 × 4).
+        // Classifier: 3 × 8 × 4.
+        let fill = 7 * 6 * 4;
+        let macs = fill + 14 * 4 + 3 * 8 * 4 + 6 * 8 + 3 * 8 * 4 + 3 * 8 * 4;
         assert_eq!(full.macs, macs as u64);
-        // Weights a batch transforms with (all 164 but the 6 × 4 it reads a
-        // table for), the k = 0 branch's 7 attribute rows × 6, the k = 1
-        // branch's 11 table rows × 4, and the three layer outputs.
-        let floats = (164 - 6 * 4) + 7 * 6 + 11 * 4 + (7 * 8 + 3 * 8 + 3 * 4);
+        // Weights every batch transforms with (all 164 but the two 6 × 4
+        // layer-1 branches it reads tables for), the fill's 6 × 4 weights
+        // and 7 attribute rows × 6, the k = 0 branch's 7 table rows × 4, the
+        // k = 1 branch's 11 table rows × 4, and the three layer outputs.
+        let fill_floats = 6 * 4 + 7 * 6;
+        let floats = (164 - 2 * 6 * 4) + fill_floats + 7 * 4 + 11 * 4 + (7 * 8 + 3 * 8 + 3 * 4);
         assert_eq!(model.n_weights(), 164);
         assert_eq!(full.mem_bytes, floats * 4);
+        // A warm repeat fills nothing: no k = 0 transform, no attributes.
+        assert_eq!(full_warm.macs, (macs - fill) as u64);
+        assert_eq!(full_warm.mem_bytes, (floats - fill_floats) * 4);
         // Pruning the k = 1 branch's inputs to 5 channels shrinks its
         // table's one-time construction, not what a batch reads or runs.
         assert_eq!((slim.macs, slim.mem_bytes), (full.macs, full.mem_bytes));
         // Pruned to 3 channels for 4 outputs it builds no table: 14 edges ×
         // 3 kept channels of adds and a 7 × 3 × 4 transform; it reads its
         // 3 × 4 weights and the 11 supporting nodes' 3 kept attributes.
-        let macs = 7 * 6 * 4 + 14 * 3 + 7 * 3 * 4 + 3 * 8 * 4 + 6 * 8 + 3 * 8 * 4 + 3 * 8 * 4;
+        let macs = fill + 14 * 3 + 7 * 3 * 4 + 3 * 8 * 4 + 6 * 8 + 3 * 8 * 4 + 3 * 8 * 4;
         assert_eq!(agg.macs, macs as u64);
-        let floats = (164 - 6 * 4 + 3 * 4) + 7 * 6 + 11 * 3 + (7 * 8 + 3 * 8 + 3 * 4);
+        let floats =
+            (164 - 2 * 6 * 4 + 3 * 4) + fill_floats + 7 * 4 + 11 * 3 + (7 * 8 + 3 * 8 + 3 * 4);
         assert_eq!(agg.mem_bytes, floats * 4);
+        assert_eq!(agg_warm.macs, (macs - fill) as u64);
+        assert_eq!(agg_warm.mem_bytes, (floats - fill_floats) * 4);
     }
 
     #[test]
@@ -2584,21 +2776,27 @@ mod tests {
         let (adj, x, model) = setup();
         let registry = Arc::new(gcnp_obs::MetricsRegistry::new());
         let metrics = crate::EngineMetrics::new(&registry);
-        // A batch dispatches one GEMM per branch, bar layer 1's aggregation
-        // branch: its product is the mean of its projection table's rows.
+        // A warm batch dispatches one GEMM per branch, bar layer 1's two:
+        // the aggregation branch's product is the mean of its projection
+        // table's rows, the self branch's is its table's rows. A batch that
+        // meets rows no earlier one filled adds the table's f32 fill.
         let branches: u64 = model.layers.iter().map(|l| l.branches.len() as u64).sum();
-        assert_eq!(model.layers[0].branches[1].k, 1);
-        let transforms = branches - 1;
+        assert_eq!(model.layers[0].branches.len(), 2);
+        let warm = branches - 2;
+        let targets = [4, 17, 25];
 
-        // An f32 engine runs every branch transform of a batch on the dense
-        // blocked kernel.
+        // An f32 engine runs every branch transform of a batch, and the
+        // fill, on the dense blocked kernel.
         let mut dense = BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 0);
         dense.set_metrics(Arc::clone(&metrics));
-        dense.infer(&[4, 17, 25]);
-        assert_eq!(metrics.dispatch_dense.get(), transforms);
+        dense.infer(&targets);
+        assert_eq!(metrics.dispatch_dense.get(), warm + 1);
+        dense.infer(&targets);
+        assert_eq!(metrics.dispatch_dense.get(), 2 * warm + 1);
         assert_eq!(metrics.dispatch_int8.get(), 0);
 
-        // An int8 engine runs every one of them on the quantized kernel.
+        // An int8 engine runs every branch transform on the quantized
+        // kernel; the fill stays on the dense one.
         let mut q8 = BatchedEngine::new_with_precision(
             &model,
             &adj,
@@ -2610,9 +2808,12 @@ mod tests {
             Precision::Int8,
         );
         q8.set_metrics(Arc::clone(&metrics));
-        q8.infer(&[4, 17, 25]);
-        assert_eq!(metrics.dispatch_int8.get(), transforms);
-        assert_eq!(metrics.dispatch_dense.get(), transforms);
+        q8.infer(&targets);
+        assert_eq!(metrics.dispatch_int8.get(), warm);
+        assert_eq!(metrics.dispatch_dense.get(), 2 * warm + 2);
+        q8.infer(&targets);
+        assert_eq!(metrics.dispatch_int8.get(), 2 * warm);
+        assert_eq!(metrics.dispatch_dense.get(), 2 * warm + 2);
     }
 
     /// f32 only: the int8 tier quantizes each operand as one tensor, so its
@@ -2630,5 +2831,149 @@ mod tests {
         let beside = engine.infer(&batch);
         let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(alone.logits.row(0)), bits(beside.logits.row(t)));
+    }
+
+    /// Rows of layer 1's `k = 0` tables filled so far.
+    fn filled_rows(engine: &BatchedEngine<'_>) -> usize {
+        let tables = engine.back.self_tables.iter();
+        tables
+            .map(|t| t.filled.iter().filter(|&&f| f).count())
+            .sum()
+    }
+
+    fn logit_bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn self_table_reads_are_bitwise_across_warmth_and_threads() {
+        // Layer 1's `k = 0` rows come from a table filled on first touch: a
+        // cold batch fills every computed node's row, a half-warm one only
+        // the rows no earlier batch filled, a warm repeat none. Each must be
+        // bitwise the materialised reference's per-batch GEMM, on one
+        // kernel thread or four.
+        let adj = chords_and_an_isolated_node();
+        let x = Matrix::rand_uniform(adj.n_rows(), 6, -1.0, 1.0, &mut seeded_rng(21));
+        let base = biased(zoo::graphsage(6, 8, 4, 7));
+        // Under Mean with the self branch second, its rows are added to the
+        // neighbour branch's product instead of stored into a window.
+        let mut added = hand_pruned_mean(&base);
+        added.layers[0].branches.swap(0, 1);
+        let (cold, half): (&[usize], &[usize]) = (&[3, 59, 20], &[20, 22, 44]);
+        for threads in [1, 4] {
+            gcnp_tensor::set_num_threads(threads);
+            for (name, model) in [
+                ("unpruned", &base),
+                ("keep on k = 0", &hand_pruned(&base)),
+                ("added under Mean", &added),
+            ] {
+                let engine =
+                    || BatchedEngine::new(model, &adj, &x, vec![], None, StorePolicy::None, 5);
+                let mut fresh = engine();
+                fresh.infer(half);
+                let half_computed = filled_rows(&fresh);
+
+                let mut engine = engine();
+                let mut served = Vec::new();
+                for targets in [cold, half, cold] {
+                    let before = filled_rows(&engine);
+                    let want = materialised_level_zero_logits(&mut engine, targets, false);
+                    let got = engine.infer(targets);
+                    assert_eq!(
+                        logit_bits(&got.logits),
+                        logit_bits(&want),
+                        "{name}, {threads} threads, {targets:?} after {before} filled rows"
+                    );
+                    served.push((got.macs, filled_rows(&engine) - before));
+                }
+                let [(cold_macs, cold_fill), (_, half_fill), (warm_macs, warm_fill)] = served[..]
+                else {
+                    unreachable!("three batches")
+                };
+                assert!(
+                    0 < half_fill && half_fill < half_computed,
+                    "{name}: the second batch is half warm ({half_fill} of {half_computed})"
+                );
+                // The warm repeat runs exactly the cold batch's work but its
+                // fill: `filled × in_dim × out_dim` MACs of the self branch.
+                let own = model.layers[0].branches.iter().find(|b| b.k == 0).unwrap();
+                assert_eq!(warm_fill, 0, "{name}");
+                assert_eq!(
+                    cold_macs - warm_macs,
+                    (cold_fill * own.in_dim() * own.out_dim()) as u64,
+                    "{name}"
+                );
+            }
+        }
+        gcnp_tensor::set_num_threads(0);
+    }
+
+    #[test]
+    fn recovery_never_serves_a_half_written_self_table_row() {
+        // Panics, store-miss storms and row flips interleave with batches,
+        // then one execute errors out after layer 1's `k = 0` fill, leaving
+        // `dirty` set. The table is never reset: a row depends only on the
+        // attributes and the weights and is marked after it is written. So
+        // the recovered engine's logits are a fresh engine's, bit for bit.
+        let (adj, x, model) = setup();
+        let norm = adj.normalized(Normalization::Row);
+        let hs = model.forward_collect(Some(&norm), &x);
+        let store = FeatureStore::new(30, 2);
+        let odd: Vec<usize> = (1..30).step_by(2).collect();
+        store.put_rows(1, &odd, &hs[0].gather_rows(&odd)).unwrap();
+        let plan = crate::FaultPlan {
+            panics: 2,
+            storms: 2,
+            row_flips: 2,
+            horizon: 10,
+            seed: 3,
+            ..Default::default()
+        };
+        let faults = plan.build().unwrap();
+        let mut engine =
+            BatchedEngine::new(&model, &adj, &x, vec![], Some(&store), StorePolicy::None, 0);
+        engine.set_faults(Arc::clone(&faults));
+        for b in 0..10 {
+            let targets = [(b * 3) % 30, (b * 7 + 1) % 30];
+            let attempt = std::panic::AssertUnwindSafe(|| engine.try_infer(&targets));
+            let _ = std::panic::catch_unwind(attempt);
+        }
+        assert_eq!(
+            faults.fired(),
+            [2, 0, 2, 0, 2, 0, 0],
+            "the whole plan fired"
+        );
+
+        // An execute that errors after the fill: layer 1's neighbour
+        // product goes missing, so the batch dies at the branch after the
+        // self branch has written and marked its rows. An even target is
+        // not in the store, so layer 1 computes it.
+        let unfilled = |e: &BatchedEngine<'_>, v: usize| !e.back.self_tables[0].filled[v];
+        let v = (0..30).step_by(2).find(|&v| unfilled(&engine, v));
+        let targets = [v.expect("the schedule left an even node unfilled")];
+        let before = filled_rows(&engine);
+        let (core, mut front, mut back) = engine.split();
+        // A flipped row not read yet fails its first reader, retryably.
+        let mut prep = (0..4)
+            .find_map(|_| core.prepare(&targets, &mut front).ok())
+            .expect("prepared once the flipped rows are quarantined");
+        let operand = prep.aggregated.iter_mut().find_map(Option::take);
+        front.pool.recycle(operand.expect("layer 1 aggregates"));
+        let mut spent = Vec::new();
+        assert!(core.execute(prep, &mut back, &mut spent).is_err());
+        for m in spent {
+            front.pool.recycle(m);
+        }
+        assert!(engine.dirty, "the failed execute left its scratch dirty");
+        assert!(filled_rows(&engine) > before, "it filled rows first");
+
+        let all: Vec<usize> = (0..30).collect();
+        let recovered = (0..4)
+            .find_map(|_| engine.try_infer(&all).ok())
+            .expect("served once the flipped rows are quarantined");
+        let fresh =
+            BatchedEngine::new(&model, &adj, &x, vec![], Some(&store), StorePolicy::None, 0)
+                .infer(&all);
+        assert_eq!(logit_bits(&recovered.logits), logit_bits(&fresh.logits));
     }
 }

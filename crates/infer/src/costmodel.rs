@@ -72,15 +72,17 @@ impl CostModel {
     ///
     /// Each graph branch is priced in the order the batched engine runs it —
     /// Eq. 2's `min` rule, with the transform hoisted out of the batch where
-    /// it can be. Layer 1's aggregation branches read the static attribute
-    /// matrix, so a branch no wider out than in
-    /// ([`gcnp_models::Branch::projects_first`]) has its `X·W` as a
-    /// per-engine projection table and a batch pays `k·d·f_out` adds per
-    /// node and no transform. That table is a one-time `|V|·f_in·f_out` per
-    /// branch at engine construction, not a per-target cost, and is not
-    /// counted here. Any other layer-1 branch, and every hidden level,
-    /// aggregates first (`k·d·f_in + f_in·f_out`): a hidden level's input is
-    /// rebuilt every batch.
+    /// it can be. Layer 1's branches read the static attribute matrix, so a
+    /// `k = 0` branch and a neighbour branch no wider out than in
+    /// ([`gcnp_models::Branch::projects_first`]) have their `X·W` as
+    /// per-engine tables: a batch pays `k·d·f_out` adds per node for the
+    /// neighbour branch, and no transform for either. Those tables cost at
+    /// most `|V|·f_in·f_out` per branch per engine (the neighbour branch's
+    /// at construction, the `k = 0` branch's row by row as batches first
+    /// touch its nodes), not a per-target cost, and are not counted here.
+    /// Any other layer-1 neighbour branch, and every hidden level,
+    /// aggregates first (`k·d·f_in + f_in·f_out`): a hidden level's input
+    /// is rebuilt every batch.
     pub fn batched_macs_per_node(&self, model: &GnnModel, fanout_cap: Option<usize>) -> f64 {
         let d = match fanout_cap {
             Some(c) => self.avg_degree.min(c as f64),
@@ -106,6 +108,7 @@ impl CostModel {
                 let fout = b.out_dim() as f64;
                 let k = b.k as f64;
                 per_node += match (li, b.k) {
+                    (0, 0) => 0.0,
                     (_, 0) => fin * fout,
                     (0, _) if b.projects_first() => k * d * fout,
                     _ => k * d * fin + fin * fout,
@@ -175,19 +178,17 @@ mod tests {
     #[test]
     fn batched_macs_match_hand_count() {
         // SAGE: L1 (fin=10 -> 2x4), L2 (8 -> 2x4), cls (8 -> 3); d = 5.
-        // L1, 1 + d nodes per target: k0: 10*4; k1: 5*4 adds over the
-        // projection table, no 10*4 transform. L2, one node: k0: 8*4; k1:
-        // 5*8 + 8*4. cls: 8*3.
+        // L1, 1 + d nodes per target: k0 reads its table, no 10*4
+        // transform; k1: 5*4 adds over the projection table, no 10*4
+        // transform. L2, one node: k0: 8*4; k1: 5*8 + 8*4. cls: 8*3.
         let model = zoo::graphsage(10, 8, 3, 1);
         let cm = CostModel::new(100, 5.0);
-        let expect = (1 + 5) as f64 * (10 * 4 + 5 * 4) as f64
-            + (8 * 4 + 5 * 8 + 8 * 4) as f64
-            + (8 * 3) as f64;
+        let expect =
+            (1 + 5) as f64 * (5 * 4) as f64 + (8 * 4 + 5 * 8 + 8 * 4) as f64 + (8 * 3) as f64;
         assert!((cm.batched_macs_per_node(&model, None) - expect).abs() < 1e-9);
         // A cap of 2 bounds `d` in both the support and the adds.
-        let expect = (1 + 2) as f64 * (10 * 4 + 2 * 4) as f64
-            + (8 * 4 + 2 * 8 + 8 * 4) as f64
-            + (8 * 3) as f64;
+        let expect =
+            (1 + 2) as f64 * (2 * 4) as f64 + (8 * 4 + 2 * 8 + 8 * 4) as f64 + (8 * 3) as f64;
         assert!((cm.batched_macs_per_node(&model, Some(2)) - expect).abs() < 1e-9);
         // Pruning layer 1's aggregation inputs to 5 channels, still wider
         // than its 4 outputs, moves only the table, built once per engine:
@@ -205,14 +206,15 @@ mod tests {
         );
         // Pruned to 3 channels the branch is narrower in than out: it
         // aggregates first, `5*3` adds and a `3*4` transform per node.
-        let expect = (1 + 5) as f64 * (10 * 4 + 5 * 3 + 3 * 4) as f64
+        let expect = (1 + 5) as f64 * (5 * 3 + 3 * 4) as f64
             + (8 * 4 + 5 * 8 + 8 * 4) as f64
             + (8 * 3) as f64;
         assert!((cm.batched_macs_per_node(&prune(&[0, 3, 7]), None) - expect).abs() < 1e-9);
-        // And so does every branch of a SAGE whose layer 1 widens: 3 → 2x4.
-        // L1, 1 + d nodes: k0: 3*4; k1: 5*3 + 3*4. L2 and cls as above.
+        // And so does the neighbour branch of a SAGE whose layer 1 widens:
+        // 3 → 2x4. L1, 1 + d nodes: k0 reads its table, whatever the
+        // widths; k1: 5*3 + 3*4. L2 and cls as above.
         let widening = zoo::graphsage(3, 8, 3, 1);
-        let expect = (1 + 5) as f64 * (3 * 4 + 5 * 3 + 3 * 4) as f64
+        let expect = (1 + 5) as f64 * (5 * 3 + 3 * 4) as f64
             + (8 * 4 + 5 * 8 + 8 * 4) as f64
             + (8 * 3) as f64;
         assert!((cm.batched_macs_per_node(&widening, None) - expect).abs() < 1e-9);
@@ -220,28 +222,40 @@ mod tests {
 
     #[test]
     fn batched_cost_dominated_by_first_layer() {
-        // SAGE 100 → 2x32 → 2x32 → 10, d = 10, uncapped. Eq. 3 charges
-        // layer 1 on the 1 + d = 11 nodes within one hop of a target, the
-        // rest on the target alone. Layer 1's neighbour branch projects
-        // (32 < 100), so it costs d*32 adds per node and no transform:
-        //   batched = 11 * (100*32 + 10*32)       = 38 720  (layer 1)
-        //           +  (64*32 + 10*64 + 64*32)    =  4 736  (layer 2)
+        // SAGE 100 → 2x32 → 2x32 → 10, uncapped. Eq. 3 charges layer 1 on
+        // the 1 + d nodes within one hop of a target, the rest on the
+        // target alone. Both layer-1 branches read tables: the self branch
+        // costs nothing per batch, the neighbour branch (32 < 100) d*32
+        // adds per node. So layer 1 grows as (1 + d)·d — neighbour
+        // explosion — and dominates once d nears a real graph's degree.
+        // At d = 50:
+        //   batched = 51 * (50*32)                = 81 600  (layer 1)
+        //           +  (64*32 + 50*64 + 64*32)    =  7 296  (layer 2)
         //           +   64*10                     =    640  (classifier)
-        //           = 44 096.
-        // Eq. 2 per node: (100*32 + 10*32 + 100*32) + (64*32 + 10*32 +
-        // 64*32) + 64*10 = 6 720 + 4 416 + 640 = 11 776. So batched is
-        // 3.74× full, and layer 1 is 88 % of the batched cost.
+        //           = 89 536.
+        // Eq. 2 per node: (100*32 + 50*32 + 100*32) + (64*32 + 50*32 +
+        // 64*32) + 64*10 = 8 000 + 5 696 + 640 = 14 336. So batched is
+        // 6.25× full, and layer 1 is 91 % of the batched cost.
         let model = zoo::graphsage(100, 64, 10, 3);
-        let cm = CostModel::new(1000, 10.0);
+        let cm = CostModel::new(1000, 50.0);
         let batched = cm.batched_macs_per_node(&model, None);
         let full = cm.full_macs_per_node(&model);
-        assert_eq!((batched, full), (44_096.0, 11_776.0));
+        assert_eq!((batched, full), (89_536.0, 14_336.0));
         assert!(batched > 3.5 * full, "batched {batched} vs full {full}");
-        let layer_one = 11.0 * (100.0 * 32.0 + 10.0 * 32.0);
+        let layer_one = 51.0 * (50.0 * 32.0);
         assert!(
             layer_one > 0.85 * batched,
             "layer 1 {layer_one} of {batched}"
         );
+        // At d = 10, where this test read 44 096 while the self branch
+        // still ran per batch, layer 1 is 11 * 320 = 3 520 of 8 896 and
+        // batched is below full.
+        let cm = CostModel::new(1000, 10.0);
+        let sparse = (
+            cm.batched_macs_per_node(&model, None),
+            cm.full_macs_per_node(&model),
+        );
+        assert_eq!(sparse, (8_896.0, 11_776.0));
     }
 
     #[test]

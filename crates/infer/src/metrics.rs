@@ -16,7 +16,11 @@
 //!   wall clock rather than tiling it;
 //! * `engine.batch.seconds` / `engine.batch.size` / `engine.batches`;
 //! * `engine.dispatch.{dense|int8}` — branch transforms run on the f32 /
-//!   int8 kernel (one of the two per engine, fixed by its `Precision`);
+//!   int8 kernel (one of the two per engine, fixed by its `Precision`). A
+//!   warm batch of a GraphSAGE model dispatches `branches − 2`: layer 1's
+//!   two branches read per-engine tables. A batch that meets layer-1 nodes
+//!   no earlier batch computed also fills the `k = 0` table, one more
+//!   `dense` dispatch in either precision (`branches − 1`);
 //! * `serving.tier{i}.served` — requests served on ladder tier `i`;
 //! * `store.{hit|miss|evict|write}.l{level}` + `store.poison_recovered`;
 //! * `serving.*` — loop counters (shed, retries, recoveries, tier switches),
@@ -71,10 +75,12 @@ pub struct EngineMetrics {
     /// even under retry storms.
     pub scratch_resident: Arc<Gauge>,
     /// Branch GEMMs executed on the dense blocked f32 kernel
-    /// (`engine.dispatch.dense`) — every branch of an f32 engine.
+    /// (`engine.dispatch.dense`) — every per-batch transform of an f32
+    /// engine, and every layer-1 `k = 0` table fill in either precision.
     pub dispatch_dense: Arc<Counter>,
     /// Branch GEMMs executed on the blocked int8 kernel
-    /// (`engine.dispatch.int8`) — every branch of a quantized-tier engine.
+    /// (`engine.dispatch.int8`) — every per-batch transform of a
+    /// quantized-tier engine.
     pub dispatch_int8: Arc<Counter>,
 }
 
