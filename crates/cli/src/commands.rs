@@ -301,8 +301,10 @@ fn write_metrics(path: &str, registry: &Arc<MetricsRegistry>) -> Result<String, 
 /// Every run is the fleet executor, and every worker a two-stage pair
 /// (batch N+1's aggregation overlaps batch N's GEMMs). `--workers n`
 /// replicas (default 1) share one feature store; worker panics are
-/// recovered and counted. `--pace` replays the arrival trace in real time
-/// so the percentiles are wall-clock meaningful. `--faults` injects a
+/// recovered and counted. The summary reports served requests per
+/// wall-clock second, p50 / p99 latency and the stage threads' busy share
+/// (occupancy). `--pace` replays the arrival trace in real time so the
+/// percentiles are wall-clock meaningful. `--faults` injects a
 /// deterministic chaos schedule (see [`gcnp_infer::FaultPlan::parse`]),
 /// `--deadline-ms`/`--queue-cap` turn on deadline and admission shedding,
 /// and `--watchdog-ms f` arms the supervisor: a batch busy longer than
@@ -391,7 +393,6 @@ pub fn serve(args: &Args) -> Result<String, String> {
         retry_cap: args.get_or("retry-cap", 3)?,
         pace: args.has("pace"),
         watchdog: args.get_opt::<f64>("watchdog-ms")?.map(|ms| ms / 1e3),
-        ..Default::default()
     };
     // One registry shared by every engine replica / tier and the store.
     let metrics = args
@@ -512,13 +513,12 @@ pub fn serve(args: &Args) -> Result<String, String> {
     };
     let rep = rep.map_err(|e| e.to_string())?;
     let mut msg = format!(
-        "served {}/{} requests in {} batches (mean size {:.1}) on {fleet}: {:.0} req/s wall-clock, {:.0} req/s compute-bound, p50 {:.1} ms, p99 {:.1} ms, occupancy {:.2}",
+        "served {}/{} requests in {} batches (mean size {:.1}) on {fleet}: {:.0} req/s wall-clock, p50 {:.1} ms, p99 {:.1} ms, occupancy {:.2}",
         rep.served,
         rep.n_requests,
         rep.n_batches,
         rep.mean_batch_size,
         rep.throughput,
-        rep.compute_throughput,
         rep.p50_ms,
         rep.p99_ms,
         rep.pipeline_occupancy

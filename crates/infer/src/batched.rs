@@ -119,12 +119,6 @@ use crate::metrics::EngineMetrics;
 use crate::shard::ShardedStore;
 use crate::store::FeatureStore;
 
-/// Optimistic throughput assumed by [`BatchedEngine::cold_compute_estimate`]
-/// before any real compute observation exists. Biased high (fast machine)
-/// on purpose: a too-small seed estimate only delays EWMA convergence by a
-/// batch, while a too-large one spuriously sheds a cold fleet's first batch.
-const COLD_MACS_PER_SEC: f64 = 2e9;
-
 /// Numeric precision an engine runs its branch transforms in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Precision {
@@ -247,14 +241,6 @@ impl<'a> StoreView<'a> {
         }
     }
 
-    fn tick(&self) {
-        match self {
-            StoreView::None => {}
-            StoreView::Single(s) => s.tick(),
-            StoreView::Shard { store, .. } => store.tick(),
-        }
-    }
-
     fn inject_bit_flip(&self, seed: u64) -> Option<(usize, usize)> {
         match self {
             StoreView::None => None,
@@ -364,11 +350,6 @@ pub struct BatchedEngine<'a> {
     /// Optional per-stage instrumentation (see [`crate::metrics`]); `None`
     /// (or an `obs-off` build) skips all clock reads.
     metrics: Option<Arc<EngineMetrics>>,
-    /// EWMA-observation skew factor latched by the most recent execute
-    /// (`Fault::ClockSkew` perturbs only the compute-estimate observation,
-    /// never latency accounting); 1.0 otherwise. The serving worker's
-    /// back stage reads it through its [`BackStage::skew`] borrow.
-    last_skew: f64,
 }
 
 /// Reusable back-stage scratch, owned by the engine and mutably borrowed
@@ -507,8 +488,8 @@ pub(crate) struct PreparedBatch {
     /// branch (its GEMM reads the rows in place). Front-pool buffers,
     /// retired through `spent` like `staged`.
     aggregated: Vec<Option<Matrix>>,
-    /// A store-miss storm was drawn: the back end must skip write-backs and
-    /// the store clock tick, exactly as if the store were absent.
+    /// A store-miss storm was drawn: the back end must skip write-backs,
+    /// exactly as if the store were absent.
     bypass_store: bool,
     /// The fault drawn for this attempt. Fault draws key on the batch
     /// attempt (one draw in prepare per attempt, regardless of which stage
@@ -533,7 +514,8 @@ pub(crate) struct PreparedBatch {
 
 impl PreparedBatch {
     /// The fault drawn for this attempt. The pipelined front routes
-    /// `QueueWedge` through the quiet (no-wakeup) stage push based on this.
+    /// `QueueWedge` through the quiet (no-wakeup) stage push based on this,
+    /// and the back scales its compute-estimate feed by a `ClockSkew`.
     pub(crate) fn fault(&self) -> Fault {
         self.fault
     }
@@ -587,10 +569,6 @@ pub(crate) struct FrontStage<'e> {
 pub(crate) struct BackStage<'e> {
     scratch: &'e mut BackScratch,
     dirty: &'e mut bool,
-    /// Skew-factor latch written by every execute: the factor the serving
-    /// layer multiplies into its compute-estimate observation (1.0 unless
-    /// the batch drew [`Fault::ClockSkew`]).
-    pub(crate) skew: &'e mut f64,
 }
 
 impl<'a> BatchedEngine<'a> {
@@ -762,7 +740,6 @@ impl<'a> BatchedEngine<'a> {
             dirty: false,
             faults: None,
             metrics: None,
-            last_skew: 1.0,
         }
     }
 
@@ -790,21 +767,6 @@ impl<'a> BatchedEngine<'a> {
         self.packed.precision()
     }
 
-    /// Analytic compute-seconds estimate for a cold batch of `batch`
-    /// targets, from the cost model (Eqs. 2–3) at an optimistic throughput.
-    /// Seeds the serving layer's EWMA virtual clock and deadline projection
-    /// before the first real observation arrives — deliberately small so a
-    /// cold fleet admits rather than sheds, but strictly positive so the
-    /// dispatcher's virtual clock advances from the first batch.
-    pub fn cold_compute_estimate(&self, batch: usize) -> f64 {
-        let n = self.adj.n_rows().max(1);
-        let avg_degree = self.adj.nnz() as f64 / n as f64;
-        let cap = self.caps.iter().flatten().copied().min();
-        let macs =
-            crate::costmodel::CostModel::new(n, avg_degree).batched_macs_per_node(self.model, cap);
-        (macs * batch as f64 / COLD_MACS_PER_SEC).max(f64::MIN_POSITIVE)
-    }
-
     /// Split the engine into the shared read-only core plus the disjoint
     /// mutable state of each pipeline stage. The field-level borrows let
     /// the pipelined executor run `prepare` (front) and `execute` (back) on
@@ -830,7 +792,6 @@ impl<'a> BatchedEngine<'a> {
         let back = BackStage {
             scratch: &mut self.back,
             dirty: &mut self.dirty,
-            skew: &mut self.last_skew,
         };
         (core, front, back)
     }
@@ -1197,13 +1158,6 @@ impl<'e, 'a> EngineCore<'e, 'a> {
         } else {
             self.store
         };
-        // Latch the EWMA-observation skew for the serving layer before any
-        // early return: ClockSkew perturbs only the compute-estimate
-        // observation, never the batch's latency accounting.
-        *back.skew = match fault {
-            Fault::ClockSkew { factor } => factor,
-            _ => 1.0,
-        };
         let n_nodes = self.adj.n_rows();
         // Self-heal: if the previous batch on this scratch panicked or
         // errored mid-flight (dirty set, or the graph changed), rebuild the
@@ -1405,7 +1359,6 @@ impl<'e, 'a> EngineCore<'e, 'a> {
                 pool.recycle(prev);
             }
         }
-        store.tick();
 
         // --- extract target logits ---------------------------------------
         // Targets are computed at the output layer, so each has a row in
@@ -1418,7 +1371,7 @@ impl<'e, 'a> EngineCore<'e, 'a> {
         if let Some(mat) = level_mat {
             pool.recycle(mat);
         }
-        lap(clock, Stage::Relabel); // tick + target extraction
+        lap(clock, Stage::Relabel); // target extraction
         if let (Some(c), Some(m)) = (clock.as_ref(), self.metrics) {
             c.record(m);
             m.batches.inc();

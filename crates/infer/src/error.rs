@@ -33,7 +33,8 @@ pub enum ServingError {
         got: usize,
     },
     /// A row the support builder saw in the store vanished before it was
-    /// read (e.g. a concurrent [`crate::FeatureStore::evict_older_than`]).
+    /// read (e.g. a concurrent [`crate::FeatureStore::remove`] by graph
+    /// accretion).
     /// The batch can be retried; the rebuilt support will expand the node.
     MissingStoredRow { level: usize, node: usize },
     /// Malformed fault-injection spec (CLI `--faults`); the message explains.

@@ -191,13 +191,6 @@ impl ShardedStore {
         self.shards[s as usize].remove(level, self.local[node] as usize)
     }
 
-    /// Advance every shard's staleness clock (one served batch).
-    pub fn tick(&self) {
-        for s in &self.shards {
-            s.tick();
-        }
-    }
-
     /// Stored rows at `level`, summed across shards.
     pub fn len(&self, level: usize) -> usize {
         self.shards.iter().map(|s| s.len(level)).sum()

@@ -66,9 +66,6 @@ pub fn row_checksum(row: &[f32]) -> u64 {
 struct StripeLevel {
     /// `rows[local]` is `Some(h_row)` when the node's features are stored.
     rows: Vec<Option<Box<[f32]>>>,
-    /// Batch counter at write time, for staleness policies on evolving
-    /// graphs (the paper discards features past an accuracy threshold).
-    stamps: Vec<u32>,
     /// [`row_checksum`] of each stored row, written with it under the same
     /// guard; meaningless while `rows[local]` is `None`.
     sums: Vec<u64>,
@@ -106,7 +103,6 @@ pub struct FeatureStore {
     stripes: Vec<RwLock<Stripe>>, // lock: store.stripe
     n_nodes: usize,
     n_levels: usize,
-    clock: AtomicU32,
     /// Per-stripe corruption event counts; a stripe whose count reaches
     /// [`STRIPE_BREAKER_THRESHOLD`] is bypassed entirely (circuit breaker).
     corruptions: Vec<AtomicU32>,
@@ -183,7 +179,6 @@ impl FeatureStore {
                     levels: (0..n_levels)
                         .map(|_| StripeLevel {
                             rows: (0..per_stripe).map(|_| None).collect(),
-                            stamps: vec![0; per_stripe],
                             sums: vec![0; per_stripe],
                             count: 0,
                         })
@@ -195,7 +190,6 @@ impl FeatureStore {
             stripes,
             n_nodes,
             n_levels,
-            clock: AtomicU32::new(0),
             corruptions: (0..N_STRIPES).map(|_| AtomicU32::new(0)).collect(),
             detected: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
@@ -396,7 +390,6 @@ impl FeatureStore {
         if let Some(m) = self.metrics.get() {
             m.write(level);
         }
-        let clock = self.clock.load(Ordering::Relaxed);
         let sum = row_checksum(row);
         let mut stripe = self.write_stripe(stripe_of(node));
         let l = &mut stripe.levels[level - 1]; // audit: allow(no-fail-stop) — level bounds validated above
@@ -406,7 +399,6 @@ impl FeatureStore {
             l.count += 1;
         }
         l.rows[local] = Some(row.into()); // audit: allow(no-fail-stop) — same validated slot
-        l.stamps[local] = clock; // audit: allow(no-fail-stop) — same validated slot
         l.sums[local] = sum; // audit: allow(no-fail-stop) — same validated slot
         Ok(())
     }
@@ -477,43 +469,6 @@ impl FeatureStore {
         self.len(level) == 0
     }
 
-    /// Advance the logical clock (call once per served batch).
-    pub fn tick(&self) {
-        self.clock.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Evict rows older than `max_age` ticks — the staleness policy for
-    /// evolving graphs (§3.3.2: discard out-dated features). Takes each
-    /// stripe's write lock in turn, so concurrent serving only ever blocks
-    /// on one stripe at a time.
-    pub fn evict_older_than(&self, max_age: u32) {
-        let clock = self.clock.load(Ordering::Relaxed);
-        // Per-level eviction tallies, reported to the counters only after
-        // every stripe guard has been dropped.
-        let mut evicted = vec![0u64; self.n_levels];
-        for i in 0..N_STRIPES {
-            let mut stripe = self.write_stripe(i);
-            for (li, l) in stripe.levels.iter_mut().enumerate() {
-                for (row, stamp) in l.rows.iter_mut().zip(&l.stamps) {
-                    if row.is_some() && clock.saturating_sub(*stamp) > max_age {
-                        *row = None;
-                        l.count -= 1;
-                        if let Some(e) = evicted.get_mut(li) {
-                            *e += 1;
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(m) = self.metrics.get() {
-            for (li, &n) in evicted.iter().enumerate() {
-                if n > 0 {
-                    m.evict(li + 1, n);
-                }
-            }
-        }
-    }
-
     /// Drop everything.
     pub fn clear(&self) {
         for i in 0..N_STRIPES {
@@ -522,7 +477,6 @@ impl FeatureStore {
                 for row in l.rows.iter_mut() {
                     *row = None;
                 }
-                l.stamps.fill(0);
                 l.sums.fill(0);
                 l.count = 0;
             }
@@ -601,15 +555,18 @@ mod tests {
     }
 
     #[test]
-    fn eviction_by_age() {
-        let s = FeatureStore::new(4, 1);
+    fn remove_evicts_one_row() {
+        let s = FeatureStore::new(4, 2);
         s.put(1, 0, &[1.0]).unwrap();
-        s.tick();
-        s.tick();
         s.put(1, 1, &[2.0]).unwrap();
-        s.evict_older_than(1);
-        assert!(!s.has(1, 0), "old row evicted");
-        assert!(s.has(1, 1), "fresh row kept");
+        s.put(2, 0, &[3.0]).unwrap();
+        assert!(s.remove(1, 0), "a stored row is removed");
+        assert!(!s.remove(1, 0), "removing twice is a no-op");
+        assert!(!s.remove(1, 99), "out of bounds is a no-op");
+        assert!(!s.has(1, 0), "removed row evicted");
+        assert!(s.has(1, 1), "its neighbour kept");
+        assert!(s.has(2, 0), "the same node at another level kept");
+        assert_eq!(s.len(1), 1);
     }
 
     #[test]
@@ -646,7 +603,7 @@ mod tests {
 
     /// Poison recovery: a thread that panics while holding a stripe's write
     /// guard poisons the `RwLock`; the store must keep serving (reads,
-    /// writes, len, eviction) on that stripe instead of propagating the
+    /// writes, len, removal) on that stripe instead of propagating the
     /// poison panic to every surviving worker.
     #[test]
     fn poisoned_stripe_still_serves() {
@@ -670,15 +627,13 @@ mod tests {
             Some(3.0),
             "second row on the poisoned stripe is intact"
         );
-        // Writes, bookkeeping and eviction keep working too.
+        // Writes, bookkeeping and removal keep working too.
         store.put(1, 0, &[9.0, 9.0]).unwrap();
         assert_eq!(store.get(1, 0), Some(vec![9.0, 9.0]));
         assert_eq!(store.len(1), 2);
         assert!(store.nbytes() > 0);
-        store.tick();
-        store.tick();
-        store.evict_older_than(0);
-        assert_eq!(store.len(1), 0, "eviction traverses the poisoned stripe");
+        assert!(store.remove(1, 0) && store.remove(1, N_STRIPES));
+        assert_eq!(store.len(1), 0, "removal works on the poisoned stripe");
         if gcnp_obs::enabled() {
             let snap = registry.snapshot();
             assert!(
@@ -716,7 +671,7 @@ mod tests {
         assert_eq!(registry.snapshot().counters["store.hit.l1"], 2);
     }
 
-    /// Storm test: writers (`put`/`tick`/`evict_older_than`) race readers
+    /// Storm test: writers (`put`/`remove`) race readers
     /// (`get`/`has`/`with_row`) across stripes; afterwards `len()`
     /// bookkeeping must agree with what is actually retrievable.
     #[test]
@@ -739,12 +694,10 @@ mod tests {
                             .wrapping_add(1442695040888963407);
                         let node = (x >> 33) as usize % NODES;
                         let level = 1 + (x as usize & 1);
-                        store.put(level, node, &[i as f32, w as f32]).unwrap();
-                        if i % 64 == 0 {
-                            store.tick();
-                        }
-                        if i % 257 == 0 {
-                            store.evict_older_than(2);
+                        if i % 3 == 0 {
+                            store.remove(level, node);
+                        } else {
+                            store.put(level, node, &[i as f32, w as f32]).unwrap();
                         }
                     }
                     stop.store(true, Ordering::Relaxed);

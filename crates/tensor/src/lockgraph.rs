@@ -12,7 +12,6 @@
 pub static LOCK_NODES: &[&str] = &[
     "dispatch.state",
     "fleet.busy",
-    "fleet.compute",
     "fleet.est",
     "fleet.latencies",
     "gate.state",
@@ -35,7 +34,7 @@ pub static LOCK_NODES: &[&str] = &[
 /// `(to, from)` is present here.
 #[rustfmt::skip]
 pub static LOCK_ORDER_PATHS: &[(u16, u16)] = &[
+    (7, 8),
+    (7, 9),
     (8, 9),
-    (8, 10),
-    (9, 10),
 ];

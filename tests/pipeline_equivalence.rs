@@ -295,16 +295,5 @@ fn stage_busy_accounting_stays_within_wall_clock() {
         "occupancy {} must be a fraction of stage-thread time",
         rep.pipeline_occupancy
     );
-    // No wall-clock-relative bound on `compute_seconds` here: a batch's
-    // `seconds` spans its inter-stage queue residency, so the sum is not
-    // capped by the stage-thread wall budget (and under CI contention it
-    // legitimately exceeds it). The busy-time invariant is exactly what the
-    // clamped occupancy gauge asserts above; just require the timings to be
-    // coherent.
-    assert!(
-        rep.compute_seconds > 0.0 && rep.wall_seconds > 0.0,
-        "compute {} and wall {} must both be positive",
-        rep.compute_seconds,
-        rep.wall_seconds
-    );
+    assert!(rep.wall_seconds > 0.0, "wall {}", rep.wall_seconds);
 }

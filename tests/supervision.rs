@@ -1,6 +1,6 @@
 //! Self-healing serving: the supervision layer (the watchdog), corruption
-//! quarantine recovery, the second-generation fault kinds, and the EWMA
-//! cold-start seed. See DESIGN.md "Supervision &
+//! quarantine recovery, the second-generation fault kinds, and the cold
+//! start of the fleet's compute estimate. See DESIGN.md "Supervision &
 //! self-healing".
 //!
 //! The deterministic *detection-latency* bound (a wedged batch is stolen
@@ -290,25 +290,11 @@ fn all_seven_fault_kinds_are_lossless_in_both_modes() {
     }
 }
 
-/// Satellite acceptance (EWMA cold start): the dispatcher's virtual clock
-/// seeds from the cost model instead of zero, so it is strictly positive,
-/// grows with batch size, stays optimistic (a cold fleet admits rather than
-/// sheds), and the first batch of a deadline run is never spuriously shed.
+/// A cold fleet's compute estimate is zero, so a generous deadline sheds
+/// nothing: the first batch of a deadline run is never spuriously shed.
 #[test]
-fn cold_start_estimate_seeds_the_virtual_clock() {
+fn cold_fleet_admits_its_trace_under_a_generous_deadline() {
     let (adj, x, model) = setup(100, 6, 8);
-    let engine = BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 0);
-    let est1 = engine.cold_compute_estimate(1);
-    let est64 = engine.cold_compute_estimate(64);
-    assert!(est1 > 0.0 && est1.is_finite(), "seed estimate {est1}");
-    assert!(est64 > est1, "estimate grows with batch size");
-    assert!(
-        est64 < 0.01,
-        "cold seed stays optimistic so a cold fleet admits ({est64}s for 64 targets)"
-    );
-
-    // A fleet with a generous deadline: the cold estimate must not project
-    // a first-batch miss.
     let pool: Vec<usize> = (0..100).collect();
     let cfg = ServingConfig {
         arrival_rate: 1e6,
@@ -325,15 +311,10 @@ fn cold_start_estimate_seeds_the_virtual_clock() {
     assert_eq!(rep.shed, 0);
 }
 
-/// Regression (cold fleet + deadline shed 100 %): the analytic seed can be
-/// far above what a batch measures — the cost model expands `degree^hops`
-/// supporting nodes per target, the engine at most `n`, so a deep model on
-/// a small dense graph is over-estimated a few hundred times — and a
-/// deadline between the two used to shed every window, so no batch ever ran
-/// and the estimate never got its first measurement. An unmeasured seed
-/// must not be able to do that.
-#[test]
-fn cold_seed_above_the_deadline_cannot_shed_every_window() {
+/// A deep SAGE model on the complete graph over 40 nodes. The cost model
+/// expands `degree^hops` supporting nodes per target and the engine at most
+/// `n`, so an analytic estimate over-prices its batches a few hundred times.
+fn complete_graph_deep_model() -> (CsrMatrix, Matrix, GnnModel) {
     let n = 40;
     let complete: Vec<(u32, u32)> = (0..n as u32)
         .flat_map(|i| (0..n as u32).filter(move |&j| j != i).map(move |j| (i, j)))
@@ -343,23 +324,29 @@ fn cold_seed_above_the_deadline_cannot_shed_every_window() {
     let x = Matrix::rand_uniform(n, 8, -1.0, 1.0, &mut rng);
     let mut layers = vec![zoo::sage_layer(8, 16, Activation::Relu, &mut rng)];
     layers.extend((0..3).map(|_| zoo::sage_layer(16, 16, Activation::Relu, &mut rng)));
-    let model = GnnModel::new(layers);
-    let pool: Vec<usize> = (0..n).collect();
+    (adj, x, GnnModel::new(layers))
+}
+
+/// Regression (cold fleet + deadline shed 100 %): a cold estimate above
+/// the deadline used to shed every window, so no batch ever ran and the
+/// estimate never got its first measurement. The estimate now starts at
+/// zero, so a pre-arrived burst under a deadline a few measured batches
+/// long serves its first windows and sheds only what the measurement
+/// projects past the deadline.
+#[test]
+fn cold_seed_above_the_deadline_cannot_shed_every_window() {
+    let (adj, x, model) = complete_graph_deep_model();
+    let pool: Vec<usize> = (0..adj.n_rows()).collect();
 
     let mut probe = BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 0);
-    let cold = probe.cold_compute_estimate(32);
+    probe.try_infer(&pool[..32]).unwrap(); // warm the first-touch tables
     let measured = probe.try_infer(&pool[..32]).unwrap().seconds;
-    let deadline = cold / 2.0;
-    assert!(
-        measured * 4.0 < deadline,
-        "scenario needs measured {measured}s well below deadline {deadline}s (cold seed {cold}s)"
-    );
     let cfg = ServingConfig {
         arrival_rate: 1e6,
         max_batch: 32,
         n_requests: 320,
         seed: 7,
-        deadline: Some(deadline),
+        deadline: Some(4.0 * measured),
         ..Default::default()
     };
 
@@ -367,11 +354,40 @@ fn cold_seed_above_the_deadline_cannot_shed_every_window() {
     let rep = serve_multi(&mut engines, &pool, &cfg).unwrap();
     assert!(
         rep.served > 0,
-        "serve_multi: the cold seed shed every window"
+        "serve_multi: a cold fleet shed every window"
     );
     assert_eq!(
         rep.served + rep.shed + rep.shed_queue + rep.shed_deadline,
         320
+    );
+}
+
+/// A paced cold start is priced by what the fleet measures: at 200 req/s
+/// with a 2 ms window a batch of this model takes a few milliseconds, so
+/// every request is served well inside 100 ms. Any seed the dispatcher's
+/// virtual clock advances by before the first measurement is latency the
+/// first requests wait out (a cost-model seed here is ≈ 0.33 s).
+#[test]
+fn paced_cold_start_is_priced_by_measurement() {
+    let (adj, x, model) = complete_graph_deep_model();
+    let pool: Vec<usize> = (0..adj.n_rows()).collect();
+    let cfg = ServingConfig {
+        arrival_rate: 200.0,
+        max_batch: 32,
+        max_wait: 0.002,
+        n_requests: 20,
+        seed: 7,
+        pace: true,
+        ..Default::default()
+    };
+    let mut engines = fleet(1, &model, &adj, &x, None, None);
+    let rep = serve_multi(&mut engines, &pool, &cfg).unwrap();
+    assert_eq!(rep.served, 20);
+    assert!(
+        rep.p99_ms < 100.0,
+        "p99 {} ms over {} batches: the cold start waited on a guess",
+        rep.p99_ms,
+        rep.n_batches
     );
 }
 
