@@ -70,28 +70,37 @@
 //!
 //! Every batch is served in two stages that share no mutable state:
 //!
-//! * **prepare** (front end): fault draw, target validation, neighborhood
-//!   expansion ([`BatchSupport`]), all store probes, and **layer 1's
-//!   neighbour branches** — the `k = 1` mean over the projection table's
-//!   rows (which *is* the branch's product) or over the kept attribute rows
-//!   (its operand), a pure function of the support and read-only data —
-//!   staged into owned buffers ([`PreparedBatch`]);
-//! * **execute** (back end): layer 1's `k = 0` table read (after the GEMM
-//!   that fills the rows no earlier batch did, reading them in place), the
-//!   store of each prepared neighbour product into its column window or the
-//!   GEMM of each prepared neighbour operand, then every
-//!   hidden level's aggregation, GEMMs and combine, level-table and
+//! * **prepare** (front end): fault draw, target validation, one width
+//!   check per store level, and neighborhood expansion ([`BatchSupport`]),
+//!   whose "is it stored?" question is one counted store lookup per node
+//!   that also stages the row it finds into an owned buffer; then **layer
+//!   1's neighbour branches** — the `k = 1` mean over the projection
+//!   table's rows (which *is* the branch's product) or over the kept
+//!   attribute rows (its operand), a pure function of the support and
+//!   read-only data — built row by row until the hand-off ([`HandOff`]),
+//!   everything staged in [`PreparedBatch`];
+//! * **execute** (back end): the neighbour-mean rows prepare left, layer
+//!   1's `k = 0` table read (after the GEMM that fills the rows no earlier
+//!   batch did, reading them in place), the store of each neighbour product
+//!   into its column window or the GEMM of each neighbour operand, then
+//!   every hidden level's aggregation, GEMMs and combine, level-table and
 //!   relabel-table maintenance, store write-backs, and target-logit
 //!   extraction.
 //!
-//! The seam sits between a batch's irregular memory reads and its FMAs:
-//! level 0's neighbour sum is the largest irregular read of a batch and
-//! needs nothing execute produces, so a pipelined worker overlaps batch
-//! N+1's sum with batch N's GEMMs. The `k = 0` read stays behind the seam:
-//! as a gather moved forward it over-filled the front stage (6–18 % less
-//! drain throughput on the 2-vCPU reference box), and its table is back
-//! scratch, which only `execute` touches — so filling it needs no lock and
-//! no change to the stage pair's protocol.
+//! The seam sits between a batch's irregular memory reads and its FMAs,
+//! and it moves. Level 0's neighbour mean is the largest irregular read of
+//! a batch and needs nothing execute produces, so the stage pair lets the
+//! front stage build its rows, in chunks, only until the back stage waits
+//! on an empty queue; execute builds the remaining rows, with the same
+//! per-row body, into the same buffer. Which stage builds a row is decided
+//! at run time by the back's idleness, and each row depends only on its
+//! own neighbours, so every hand-off row gives the same bits
+//! (`stage_split_is_bitwise_at_every_hand_off_row`); `try_infer` builds
+//! every row in prepare. The `k = 0` read stays behind the seam: as a
+//! gather moved forward it over-filled the front stage (6–18 % less drain
+//! throughput on the 2-vCPU reference box), and its table is back scratch,
+//! which only `execute` touches — so filling it needs no lock and no
+//! change to the stage pair's protocol.
 //!
 //! [`BatchedEngine::try_infer`] runs them back-to-back on the caller's
 //! thread. The stage pair in [`crate::pipeline`] runs the front
@@ -99,9 +108,11 @@
 //! separate threads — which is why the split routes every front-stage
 //! buffer through the owned, `Send` [`PreparedBatch`], and why the back end
 //! hands spent front-pool buffers back through an explicit `spent` list
-//! instead of recycling into a shared pool. Staging the store probes in the
-//! front stage also means a poisoned store row surfaces as a typed error
-//! *before* any GEMM or write-back runs (fail before side effects).
+//! instead of recycling into a shared pool. Staging the store reads in the
+//! front stage also means a store level of the wrong width surfaces as a
+//! typed error *before* any GEMM or write-back runs (fail before side
+//! effects), while a row whose checksum fails is quarantined at its one
+//! lookup and its node computed from level 0 in the same attempt.
 
 use gcnp_models::{Branch, CombineMode, GnnModel, PackedModel, QuantPackedModel};
 use gcnp_sparse::{BatchSupport, CsrMatrix};
@@ -110,6 +121,8 @@ use gcnp_tensor::{
     parallel_row_chunks, qgemm_packed_into, row_sum, Matrix, PackedB, RowIds, ScratchPool,
 };
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -192,8 +205,7 @@ fn reads_table(branch: &Branch) -> bool {
 ///
 /// All methods treat `None` as an always-empty, write-discarding store, so
 /// the hot paths need no `if let` at every site — a `put` against `None` is
-/// a silent no-op `Ok(())`, exactly matching the previous
-/// `Option<&FeatureStore>` semantics under store bypass.
+/// a silent no-op `Ok(())`, a probe always misses.
 #[derive(Clone, Copy)]
 pub(crate) enum StoreView<'a> {
     None,
@@ -217,19 +229,21 @@ impl<'a> StoreView<'a> {
         !matches!(self, StoreView::None)
     }
 
-    fn has(&self, level: usize, node: usize) -> bool {
+    /// One counted lookup; a hit lends the verified row to `stage`.
+    fn probe(&self, level: usize, node: usize, stage: impl FnOnce(&[f32])) -> bool {
         match self {
             StoreView::None => false,
-            StoreView::Single(s) => s.has(level, node),
-            StoreView::Shard { store, .. } => store.has(level, node),
+            StoreView::Single(s) => s.probe(level, node, stage),
+            StoreView::Shard { store, .. } => store.probe(level, node, stage),
         }
     }
 
-    fn with_row<R>(&self, level: usize, node: usize, f: impl FnOnce(&[f32]) -> R) -> Option<R> {
+    /// The width of the rows stored at `level`, when it is not `expected`.
+    fn wrong_width(&self, level: usize, expected: usize) -> Option<usize> {
         match self {
             StoreView::None => None,
-            StoreView::Single(s) => s.with_row(level, node, f),
-            StoreView::Shard { store, .. } => store.with_row(level, node, f),
+            StoreView::Single(s) => s.level_width(level).filter(|&w| w != expected),
+            StoreView::Shard { store, .. } => store.wrong_width(level, expected),
         }
     }
 
@@ -336,6 +350,8 @@ pub struct BatchedEngine<'a> {
     /// here; the back end returns them via its `spent` list
     /// (double-buffered circulation under the pipelined executor).
     front_pool: ScratchPool,
+    /// Stored rows per level in the front's last batch.
+    staged_rows: Vec<usize>,
     /// Back-stage scratch (relabel table, touched list, matrix pool,
     /// layer 1's `k = 0` tables).
     back: BackScratch,
@@ -486,8 +502,11 @@ pub(crate) struct PreparedBatch {
     /// product); for any other `k = 1` branch, over their kept attribute
     /// rows (`computed × in_dim`, its GEMM's operand); `None` for a `k = 0`
     /// branch (its GEMM reads the rows in place). Front-pool buffers,
-    /// retired through `spent` like `staged`.
+    /// retired through `spent` like `staged`. Rows `..means_done` were
+    /// built by prepare; execute builds the rest in place.
     aggregated: Vec<Option<Matrix>>,
+    /// The hand-off row of layer 1's neighbour means (see [`HandOff`]).
+    means_done: usize,
     /// A store-miss storm was drawn: the back end must skip write-backs,
     /// exactly as if the store were absent.
     bypass_store: bool,
@@ -542,6 +561,25 @@ impl PreparedBatch {
     }
 }
 
+/// Rows of layer 1's neighbour means `prepare` builds between two looks at
+/// the back stage's idleness.
+const MEAN_CHUNK_ROWS: usize = 64;
+
+/// Where `prepare` stops building layer 1's neighbour means and leaves the
+/// remaining rows to `execute`. Each mean row depends only on its own
+/// neighbours, so every hand-off row gives the same bits.
+#[derive(Clone, Copy)]
+pub(crate) enum HandOff<'a> {
+    /// Build every row in prepare: the one-thread path.
+    Never,
+    /// Build in [`MEAN_CHUNK_ROWS`]-row chunks until the back stage is
+    /// waiting on an empty inter-stage queue (the stage pair's flag).
+    WhenIdle(&'a AtomicBool),
+    /// Stop at this row (tests pin every hand-off row).
+    #[cfg(test)]
+    AtRow(usize),
+}
+
 /// Copyable view of the engine's shared, read-only state, handed to both
 /// pipeline stages by [`BatchedEngine::split`].
 #[derive(Clone, Copy)]
@@ -563,6 +601,9 @@ pub(crate) struct EngineCore<'e, 'a> {
 pub(crate) struct FrontStage<'e> {
     counter: &'e mut u64,
     pub(crate) pool: &'e mut ScratchPool,
+    /// Stored rows per level in the last batch: the capacity each level's
+    /// staging buffer is taken with.
+    staged_rows: &'e mut Vec<usize>,
 }
 
 /// Mutable state owned by the back (execute) stage.
@@ -729,6 +770,7 @@ impl<'a> BatchedEngine<'a> {
             seed,
             batch_counter: 0,
             front_pool: ScratchPool::new(),
+            staged_rows: Vec::new(),
             back: BackScratch {
                 relabel: vec![ABSENT; adj.n_rows()],
                 touched: Vec::new(),
@@ -788,6 +830,7 @@ impl<'a> BatchedEngine<'a> {
         let front = FrontStage {
             counter: &mut self.batch_counter,
             pool: &mut self.front_pool,
+            staged_rows: &mut self.staged_rows,
         };
         let back = BackStage {
             scratch: &mut self.back,
@@ -815,7 +858,7 @@ impl<'a> BatchedEngine<'a> {
     /// by construction (both run exactly this code).
     pub fn try_infer(&mut self, targets: &[usize]) -> ServingResult<BatchResult> {
         let (core, mut front, mut back) = self.split();
-        let prep = core.prepare(targets, &mut front)?;
+        let prep = core.prepare(targets, &mut front, HandOff::Never)?;
         let mut spent = Vec::new();
         let res = core.execute(prep, &mut back, &mut spent);
         // Front-originated buffers circulate back to the front pool (the
@@ -836,18 +879,21 @@ impl<'e, 'a> EngineCore<'e, 'a> {
         self.store.active() && !matches!(self.policy, StorePolicy::None)
     }
 
-    /// Front-end stage: draw the attempt's fault, validate targets, expand
-    /// the supporting-node structure, stage every store read into owned
-    /// buffers, and build layer 1's neighbour-branch means — over each
-    /// branch's projection-table rows, or its kept attribute rows when it
-    /// builds no table: the batch's largest irregular read, and a pure
-    /// function of the support and read-only tables. Attribute rows
+    /// Front-end stage: draw the attempt's fault, validate targets, check
+    /// each store level's width, expand the supporting-node structure —
+    /// reading every stored row it meets into owned buffers as it goes, one
+    /// lookup per node — and build layer 1's neighbour-branch means over
+    /// each branch's projection-table rows, or its kept attribute rows when
+    /// it builds no table: the batch's largest irregular read, and a pure
+    /// function of the support and read-only tables. `hand_off` says where
+    /// the means stop; `execute` builds the rows left. Attribute rows
     /// themselves are not copied: the `k = 0` GEMM in execute reads them in
     /// place.
     pub(crate) fn prepare(
         &self,
         targets: &[usize],
         front: &mut FrontStage<'_>,
+        hand_off: HandOff<'_>,
     ) -> ServingResult<PreparedBatch> {
         let t0 = Instant::now();
         let fault = match self.faults {
@@ -887,14 +933,27 @@ impl<'e, 'a> EngineCore<'e, 'a> {
         } else {
             self.store
         };
+        // Level `li`'s rows are layer `li`'s output, `widths[li - 1]` wide.
+        // Width is a property of a store level, so one check per level
+        // covers every row this batch reads — before any buffer is taken.
+        let widths: Vec<usize> = self.model.layers.iter().map(|l| l.out_dim()).collect();
+        let n_layers = widths.len();
+        for (li, &width) in widths.iter().enumerate().take(n_layers.saturating_sub(1)) {
+            if let Some(got) = store.wrong_width(li + 1, width) {
+                return Err(ServingError::StoreWidthMismatch {
+                    level: li + 1,
+                    expected: width,
+                    got,
+                });
+            }
+        }
         *front.counter += 1;
         let batch_seed = self.seed ^ *front.counter;
         if matches!(fault, Fault::RowFlip) {
             // Corrupt one resident store row (deterministic in the batch
-            // seed). `has()` still reports the row, so this batch stages a
-            // read of it; the checksum inside `with_row` then quarantines
-            // the row and the attempt fails typed-retryable — the retry
-            // re-gathers from level 0 and serves uncorrupted data.
+            // seed). If this batch needs the row, its probe finds the
+            // checksum off, quarantines the row and reads it as a miss, so
+            // the node is computed from level 0 in this same attempt.
             self.store.inject_bit_flip(batch_seed);
         }
         // Stage clock: only when a bundle is attached AND `obs` is compiled
@@ -905,28 +964,63 @@ impl<'e, 'a> EngineCore<'e, 'a> {
             .filter(|_| gcnp_obs::enabled())
             .map(|_| StageClock::start(Instant::now()));
         let graph_flags: Vec<bool> = self.model.layers.iter().map(|l| l.uses_graph()).collect();
-        let n_layers = graph_flags.len();
+        // One buffer per stored level, filled as the probes answer: a hit
+        // appends its row, in the order `LayerSupport::stored` lists it.
+        front.staged_rows.resize(n_layers, 0);
+        let mut staging: Vec<Vec<f32>> = (0..n_layers)
+            .map(|l| {
+                if store.active() && l + 1 < n_layers {
+                    front.pool.take_vec(front.staged_rows[l] * widths[l]) // audit: allow(no-fail-stop) — both hold one entry per layer
+                } else {
+                    Vec::new() // the output layer is never stored
+                }
+            })
+            .collect();
+        // A row of another width, met only if a put raced the level check.
+        let mut torn = None;
         let support = BatchSupport::build(
             self.adj,
             targets,
             &graph_flags,
             self.caps,
             batch_seed,
-            |level, node| store.has(level, node),
+            |level, node| {
+                store.probe(level, node, |row| {
+                    match (staging.get_mut(level - 1), widths.get(level - 1)) {
+                        (Some(buf), Some(&w)) if row.len() == w => buf.extend_from_slice(row),
+                        _ => {
+                            torn.get_or_insert((level, row.len()));
+                        }
+                    }
+                })
+            },
         );
 
         // Trap NaN/Inf attribute rows at the engine boundary (before any
-        // kernel or store access consumes them) so a poisoned row degrades
-        // into a typed, retryable error. The rows are scanned where they
-        // live; without `strict-invariants` nothing is read.
-        if gcnp_tensor::check::enabled() {
-            for &v in &support.input_nodes {
+        // kernel consumes them) so a poisoned row degrades into a typed,
+        // retryable error. The rows are scanned where they live; without
+        // `strict-invariants` nothing is read.
+        let mut failed = torn.map(|(level, got)| ServingError::StoreWidthMismatch {
+            level,
+            expected: widths.get(level - 1).copied().unwrap_or(0),
+            got,
+        });
+        if failed.is_none() && gcnp_tensor::check::enabled() {
+            failed = support.input_nodes.iter().find_map(|&v| {
                 gcnp_tensor::check::assert_finite(
                     "engine.features.finite",
                     "level-0 feature rows",
                     self.features.row(v),
-                )?;
+                )
+                .err()
+                .map(ServingError::from)
+            });
+        }
+        if let Some(err) = failed {
+            for buf in staging {
+                front.pool.recycle_vec(buf);
             }
+            return Err(err);
         }
         let mut mem_bytes: usize = self.packed.weight_bytes(self.model);
         // Level 0 is read in place; its memory term is the bytes layer 1's
@@ -947,68 +1041,57 @@ impl<'e, 'a> EngineCore<'e, 'a> {
                 mem_bytes += rows * width * 4;
             }
         }
-        let mut store_hits = 0usize;
-        lap(&mut clock, Stage::Expand);
+        lap(&mut clock, Stage::Expand); // the store reads included
 
-        // Stage every store read. The level-li table is `out_dim()` wide,
-        // so a stored row of any other width is a poisoned entry and
-        // surfaces here as a typed error — before any GEMM or write-back
-        // side effect of this batch.
+        // The staged rows, as one matrix per level that has any.
+        let mut store_hits = 0usize;
         let mut staged: Vec<Option<Matrix>> = Vec::with_capacity(n_layers);
-        for li in 1..=n_layers {
-            let ls = &support.layers[li - 1]; // audit: allow(no-fail-stop) — li ranges over 1..=n_layers and support has one entry per layer
+        for ((ls, buf), (&width, hint)) in support
+            .layers
+            .iter()
+            .zip(staging)
+            .zip(widths.iter().zip(front.staged_rows.iter_mut()))
+        {
+            *hint = ls.stored.len();
             if ls.stored.is_empty() {
+                front.pool.recycle_vec(buf);
                 staged.push(None);
                 continue;
             }
-            let width = self.model.layers[li - 1].out_dim(); // audit: allow(no-fail-stop) — same loop bound
-            let mut rows = front.pool.take_matrix(ls.stored.len(), width);
-            for (j, &v) in ls.stored.iter().enumerate() {
-                let mut wrong_width = None;
-                let copied = store.with_row(li, v, |row| {
-                    if row.len() == width {
-                        rows.row_mut(j).copy_from_slice(row);
-                    } else {
-                        wrong_width = Some(row.len());
-                    }
-                });
-                let poisoned = match (wrong_width, copied) {
-                    (Some(got), _) => Some(ServingError::StoreWidthMismatch {
-                        level: li,
-                        expected: width,
-                        got,
-                    }),
-                    // The support builder saw this row, but a concurrent
-                    // eviction removed it before the read — retryable.
-                    (None, None) => Some(ServingError::MissingStoredRow { level: li, node: v }),
-                    (None, Some(())) => None,
-                };
-                if let Some(err) = poisoned {
-                    // The buffers staged so far stay in circulation.
-                    for m in staged.into_iter().flatten().chain([rows]) {
-                        front.pool.recycle(m);
-                    }
-                    return Err(err);
-                }
-                store_hits += 1;
-                mem_bytes += width * 4;
-            }
+            store_hits += ls.stored.len();
+            mem_bytes += ls.stored.len() * width * 4;
             // Router accounting: the rows of this level owned by other
             // shards traveled as one batched fetch per remote owner.
             store.note_remote(&ls.stored, width);
-            staged.push(Some(rows));
+            staged.push(Some(Matrix::from_vec(ls.stored.len(), width, buf)));
         }
         lap(&mut clock, Stage::StoreProbe);
 
         // Last, with no error return left: layer 1's neighbour branches,
         // each the mean of its projection table's rows or of its kept
-        // attribute rows.
+        // attribute rows, in chunks until the hand-off.
         let mut aggregated: Vec<Option<Matrix>> = Vec::new();
+        let mut means_done = 0;
         if let (Some(layer), Some(ls)) = (self.model.layers.first(), support.layers.first()) {
+            let n = ls.compute.len();
             aggregated.extend(layer.branches.iter().enumerate().map(|(bi, branch)| {
-                (branch.k == 1)
-                    .then(|| aggregate_mean(self.level_zero_source(bi, branch), ls, front.pool))
+                let width = self.level_zero_source(bi, branch).width();
+                (branch.k == 1).then(|| front.pool.take_matrix(n, width))
             }));
+            while means_done < n {
+                let end = match hand_off {
+                    HandOff::Never => n,
+                    // audit: allow(atomic-ordering) — the idle hint orders nothing: it only picks the hand-off row, and every row gives the same bits
+                    HandOff::WhenIdle(idle) if idle.load(Ordering::Relaxed) => break,
+                    HandOff::WhenIdle(_) => (means_done + MEAN_CHUNK_ROWS).min(n),
+                    #[cfg(test)]
+                    HandOff::AtRow(row) if row <= means_done => break,
+                    #[cfg(test)]
+                    HandOff::AtRow(row) => row.min(n),
+                };
+                self.layer_one_means(&layer.branches, ls, &mut aggregated, means_done..end);
+                means_done = end;
+            }
             lap(&mut clock, Stage::Spmm);
         }
 
@@ -1016,6 +1099,7 @@ impl<'e, 'a> EngineCore<'e, 'a> {
             support,
             staged,
             aggregated,
+            means_done,
             bypass_store,
             fault,
             mem_bytes,
@@ -1024,6 +1108,23 @@ impl<'e, 'a> EngineCore<'e, 'a> {
             clock,
             front_seconds: t0.elapsed().as_secs_f64(),
         })
+    }
+
+    /// Rows `rows` of layer 1's neighbour means, into each `k = 1` branch's
+    /// buffer in `aggregated` (a slot already taken is skipped): the one
+    /// per-row body both stages run, whichever builds a row.
+    fn layer_one_means(
+        &self,
+        branches: &'e [Branch],
+        ls: &gcnp_sparse::LayerSupport,
+        aggregated: &mut [Option<Matrix>],
+        rows: Range<usize>,
+    ) {
+        for (bi, (branch, slot)) in branches.iter().zip(aggregated).enumerate() {
+            if let Some(out) = slot {
+                mean_rows(self.level_zero_source(bi, branch), ls, out, rows.clone());
+            }
+        }
     }
 
     /// Where layer 1's branch `bi` reads level 0: the table built for it at
@@ -1150,6 +1251,7 @@ impl<'e, 'a> EngineCore<'e, 'a> {
             support,
             staged,
             aggregated,
+            means_done,
             clock,
             ..
         } = prep;
@@ -1180,6 +1282,14 @@ impl<'e, 'a> EngineCore<'e, 'a> {
         let relabel: &mut [u32] = relabel;
         let n_layers = self.model.layers.len();
         let mut macs: u64 = 0;
+        // Layer 1's neighbour means: the rows prepare handed off.
+        if let (Some(layer), Some(ls)) = (self.model.layers.first(), support.layers.first()) {
+            if *means_done < ls.compute.len() {
+                let rows = *means_done..ls.compute.len();
+                self.layer_one_means(&layer.branches, ls, aggregated, rows);
+                lap(clock, Stage::Spmm);
+            }
+        }
         // The table of the level below the layer being computed. `None` is
         // level 0, which is never materialised: layer 1 reads `features`
         // (or a branch's table) by global node id, so `relabel` first
@@ -1600,22 +1710,37 @@ fn gather_selected(src: RowSource<'_>, nodes: &[usize], pool: &mut ScratchPool) 
 }
 
 /// Mean-aggregate the (capped) neighbor rows of `src` for each computed
-/// node: one [`row_sum`] per node with `scale = 1 / deg`. Nodes without
-/// neighbors get zeros (matching row-normalized SpMM on isolated nodes).
-/// Parallel across computed nodes; each output row accumulates its
-/// neighbors in support order regardless of thread count, so results are
-/// bitwise identical across `GCNP_THREADS` settings.
+/// node into a pooled buffer (see [`mean_rows`]).
 fn aggregate_mean(
     src: RowSource<'_>,
     ls: &gcnp_sparse::LayerSupport,
     pool: &mut ScratchPool,
 ) -> Matrix {
-    let width = src.width();
     let n = ls.compute.len();
-    let mut out = pool.take_matrix(n, width);
-    parallel_row_chunks(out.as_mut_slice(), n, width, |start, chunk| {
+    let mut out = pool.take_matrix(n, src.width());
+    mean_rows(src, ls, &mut out, 0..n);
+    out
+}
+
+/// Rows `rows` of the mean over the (capped) neighbor rows of `src`, into
+/// the zeroed rows of `out`: one [`row_sum`] per computed node with `scale
+/// = 1 / deg`. Nodes without neighbors get zeros (matching row-normalized
+/// SpMM on isolated nodes). Parallel across computed nodes; each output row
+/// accumulates its neighbors in support order regardless of thread count or
+/// of the range it was built in, so results are bitwise identical across
+/// `GCNP_THREADS` settings and hand-off rows.
+fn mean_rows(
+    src: RowSource<'_>,
+    ls: &gcnp_sparse::LayerSupport,
+    out: &mut Matrix,
+    rows: Range<usize>,
+) {
+    let width = src.width();
+    // audit: allow(no-fail-stop) — `out` holds one row per computed node and `rows` lies within them
+    let part = &mut out.as_mut_slice()[rows.start * width..rows.end * width];
+    parallel_row_chunks(part, rows.len(), width, |start, chunk| {
         for (r, dst) in chunk.chunks_mut(width).enumerate() {
-            let nbrs = ls.neighbors(start + r);
+            let nbrs = ls.neighbors(rows.start + start + r);
             let inv = 1.0 / nbrs.len().max(1) as f32;
             match src.keep {
                 None => row_sum(dst, src.mat, src.relabel, nbrs, None, inv),
@@ -1637,7 +1762,6 @@ fn aggregate_mean(
             }
         }
     });
-    out
 }
 
 #[cfg(test)]
@@ -1941,9 +2065,11 @@ mod tests {
         let (core, _, _) = engine.split();
         let f32_packs = PackedModel::new(core.model);
         let flags: Vec<bool> = core.model.layers.iter().map(|l| l.uses_graph()).collect();
+        let mut stored = std::collections::HashMap::new();
         let support =
             BatchSupport::build(core.adj, targets, &flags, core.caps, batch_seed, |l, v| {
-                core.store.has(l, v)
+                core.store
+                    .probe(l, v, |row| drop(stored.insert((l, v), row.to_vec())))
             });
         let mut table = core.features.gather_rows(&support.input_nodes);
         let mut index: std::collections::HashMap<usize, usize> = support
@@ -2053,9 +2179,7 @@ mod tests {
             }
             for (j, &v) in ls.stored.iter().enumerate() {
                 let i = ls.compute.len() + j;
-                core.store
-                    .with_row(li + 1, v, |row| next.row_mut(i).copy_from_slice(row))
-                    .expect("the support builder probed this row");
+                next.row_mut(i).copy_from_slice(&stored[&(li + 1, v)]);
                 index.insert(v, i);
             }
             table = next;
@@ -2399,6 +2523,27 @@ mod tests {
     }
 
     #[test]
+    fn a_level_of_the_wrong_width_fails_every_batch() {
+        // Width belongs to a store level, so the batch checks it once per
+        // level, before expansion: a batch that never reads the wrong-width
+        // row is refused too.
+        let (adj, x, model) = setup();
+        let store = FeatureStore::new(30, 2);
+        store.put(1, 25, &[1.0, 2.0]).unwrap();
+        let mut engine =
+            BatchedEngine::new(&model, &adj, &x, vec![], Some(&store), StorePolicy::None, 0);
+        let err = engine.try_infer(&[3]).unwrap_err();
+        assert_eq!(
+            err,
+            ServingError::StoreWidthMismatch {
+                level: 1,
+                expected: 8,
+                got: 2
+            }
+        );
+    }
+
+    #[test]
     fn engine_survives_mid_batch_panic() {
         // An injected panic fires mid-batch while the relabel scratch is
         // checked out (`dirty` set): the next call on the same engine must
@@ -2592,21 +2737,35 @@ mod tests {
                 // A prepared batch abandoned by a watchdog steal.
                 10 => {
                     let (core, mut front, _) = engine.split();
-                    let prep = core.prepare(&targets, &mut front).unwrap();
+                    let prep = core.prepare(&targets, &mut front, HandOff::Never).unwrap();
                     assert!(front.pool.retained_bytes() < steady, "buffers are out");
                     prep.recycle_into(front.pool);
                 }
-                // A poisoned store row met after the level's buffer was taken.
+                // The same, abandoned after a partial split: one row of
+                // layer 1's means built, the rest left to an execute that
+                // never runs.
+                15 => {
+                    let (core, mut front, _) = engine.split();
+                    let prep = core
+                        .prepare(&targets, &mut front, HandOff::AtRow(1))
+                        .unwrap();
+                    assert_eq!(prep.means_done, 1);
+                    prep.recycle_into(front.pool);
+                }
+                // A store level of the wrong width: refused by the batch's
+                // level check, before any buffer is taken.
                 20 => {
+                    store.clear();
                     store.put(1, 13, &[1.0, 2.0]).unwrap();
                     let err = engine.try_infer(&targets).unwrap_err();
                     assert!(matches!(err, ServingError::StoreWidthMismatch { .. }));
-                    store.put(1, 13, hs[0].row(13)).unwrap();
+                    store.clear();
+                    store.put_rows(1, &odd, &hs[0].gather_rows(&odd)).unwrap();
                 }
                 // An execute that errors out before it reaches the staged rows.
                 30 => {
                     let (core, mut front, mut back) = engine.split();
-                    let mut prep = core.prepare(&targets, &mut front).unwrap();
+                    let mut prep = core.prepare(&targets, &mut front, HandOff::Never).unwrap();
                     let operand = prep.aggregated.iter_mut().find_map(Option::take);
                     front.pool.recycle(operand.expect("layer 1 aggregates"));
                     let mut spent = Vec::new();
@@ -2906,10 +3065,7 @@ mod tests {
         let targets = [v.expect("the schedule left an even node unfilled")];
         let before = filled_rows(&engine);
         let (core, mut front, mut back) = engine.split();
-        // A flipped row not read yet fails its first reader, retryably.
-        let mut prep = (0..4)
-            .find_map(|_| core.prepare(&targets, &mut front).ok())
-            .expect("prepared once the flipped rows are quarantined");
+        let mut prep = core.prepare(&targets, &mut front, HandOff::Never).unwrap();
         let operand = prep.aggregated.iter_mut().find_map(Option::take);
         front.pool.recycle(operand.expect("layer 1 aggregates"));
         let mut spent = Vec::new();
@@ -2921,12 +3077,155 @@ mod tests {
         assert!(filled_rows(&engine) > before, "it filled rows first");
 
         let all: Vec<usize> = (0..30).collect();
-        let recovered = (0..4)
-            .find_map(|_| engine.try_infer(&all).ok())
-            .expect("served once the flipped rows are quarantined");
+        let recovered = engine.try_infer(&all).unwrap();
         let fresh =
             BatchedEngine::new(&model, &adj, &x, vec![], Some(&store), StorePolicy::None, 0)
                 .infer(&all);
         assert_eq!(logit_bits(&recovered.logits), logit_bits(&fresh.logits));
+    }
+
+    #[test]
+    fn stage_split_is_bitwise_at_every_hand_off_row() {
+        // The stage pair hands layer 1's neighbour means from prepare to
+        // execute at whatever row the back stage goes idle. Forced to every
+        // kind of row — none built in prepare, one, half, all — a batch must
+        // serve `try_infer`'s logits and accounting bit for bit, on one
+        // kernel thread or four.
+        let adj = chords_and_an_isolated_node();
+        let n = adj.n_rows();
+        let x = Matrix::rand_uniform(n, 6, -1.0, 1.0, &mut seeded_rng(21));
+        let base = biased(zoo::graphsage(6, 8, 4, 7));
+        let cfg = gcnp_core::PrunerConfig {
+            beta_epochs: 3,
+            w_epochs: 3,
+            ..Default::default()
+        };
+        let (scheme_pruned, _) = gcnp_core::prune_model(
+            &base,
+            &adj.normalized(Normalization::Row),
+            &x,
+            0.5,
+            gcnp_core::Scheme::BatchedInference,
+            &cfg,
+        );
+        let store = FeatureStore::new(n, 2);
+        let warm: Vec<usize> = (0..n).step_by(2).collect();
+        BatchedEngine::new(
+            &scheme_pruned,
+            &adj,
+            &x,
+            vec![],
+            Some(&store),
+            StorePolicy::Roots,
+            1,
+        )
+        .infer(&warm);
+        let mean = hand_pruned_mean(&base);
+        let targets: &[usize] = &[3, 59, 20, 41, 8, 33, 9];
+        for threads in [1, 4] {
+            gcnp_tensor::set_num_threads(threads);
+            for (name, model, store) in [
+                ("unpruned", &base, None),
+                (
+                    "batched-scheme pruned, warm store",
+                    &scheme_pruned,
+                    Some(&store),
+                ),
+                ("Mean combine", &mean, None),
+            ] {
+                let caps = vec![None, Some(3)];
+                let engine = || {
+                    BatchedEngine::new(model, &adj, &x, caps.clone(), store, StorePolicy::None, 5)
+                };
+                let want = engine().try_infer(targets).unwrap();
+                assert_eq!(want.store_hits > 0, store.is_some(), "{name}");
+                let mut probe = engine();
+                let (core, mut front, _) = probe.split();
+                let prep = core.prepare(targets, &mut front, HandOff::Never).unwrap();
+                let rows = prep.support.layers[0].compute.len();
+                assert_eq!(
+                    prep.means_done, rows,
+                    "try_infer builds every row in prepare"
+                );
+                assert!(rows >= 4, "{name}: {rows} rows");
+                for row in [0, 1, rows / 2, rows] {
+                    let mut engine = engine();
+                    let (core, mut front, mut back) = engine.split();
+                    let prep = core
+                        .prepare(targets, &mut front, HandOff::AtRow(row))
+                        .unwrap();
+                    assert_eq!(prep.means_done, row);
+                    let mut spent = Vec::new();
+                    let got = core.execute(prep, &mut back, &mut spent).unwrap();
+                    let at = format!("{name}, {threads} threads, hand-off at row {row} of {rows}");
+                    assert_eq!(logit_bits(&got.logits), logit_bits(&want.logits), "{at}");
+                    assert_eq!(
+                        (got.macs, got.mem_bytes, got.store_hits, got.n_supporting),
+                        (
+                            want.macs,
+                            want.mem_bytes,
+                            want.store_hits,
+                            want.n_supporting
+                        ),
+                        "{at}"
+                    );
+                }
+            }
+        }
+        gcnp_tensor::set_num_threads(0);
+    }
+
+    #[test]
+    fn one_store_lookup_per_needed_node() {
+        // Expansion asks the store once per node a level needs, and that
+        // one lookup stages the row: hits plus misses at each level are
+        // exactly the level's stored and computed nodes.
+        if !gcnp_obs::enabled() {
+            return; // counters are no-ops in obs-off builds
+        }
+        let (adj, x, model) = setup();
+        let norm = adj.normalized(Normalization::Row);
+        let hs = model.forward_collect(Some(&norm), &x);
+        let store = FeatureStore::new(30, 2);
+        let registry = Arc::new(gcnp_obs::MetricsRegistry::new());
+        store.attach_metrics(&registry);
+        let odd: Vec<usize> = (1..30).step_by(2).collect();
+        store.put_rows(1, &odd, &hs[0].gather_rows(&odd)).unwrap();
+        let thirds: Vec<usize> = (0..30).step_by(3).collect();
+        store
+            .put_rows(2, &thirds, &hs[1].gather_rows(&thirds))
+            .unwrap();
+        let mut engine =
+            BatchedEngine::new(&model, &adj, &x, vec![], Some(&store), StorePolicy::None, 0);
+        let (core, mut front, mut back) = engine.split();
+        let prep = core
+            .prepare(&[3, 10, 17, 24], &mut front, HandOff::Never)
+            .unwrap();
+        let needed: Vec<(usize, usize)> = prep.support.layers[..2]
+            .iter()
+            .map(|ls| (ls.stored.len(), ls.compute.len()))
+            .collect();
+        let res = core.execute(prep, &mut back, &mut Vec::new()).unwrap();
+        let snap = registry.snapshot();
+        for (l, &(stored, computed)) in needed.iter().enumerate() {
+            let (hit, miss) = (
+                snap.counters[&format!("store.hit.l{}", l + 1)],
+                snap.counters[&format!("store.miss.l{}", l + 1)],
+            );
+            assert_eq!(
+                (hit, miss),
+                (stored as u64, computed as u64),
+                "level {}",
+                l + 1
+            );
+        }
+        assert!(
+            needed.iter().all(|&(stored, _)| stored > 0),
+            "both levels hit"
+        );
+        assert_eq!(
+            res.store_hits,
+            needed.iter().map(|&(s, _)| s).sum::<usize>()
+        );
     }
 }

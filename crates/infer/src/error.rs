@@ -25,18 +25,13 @@ pub enum ServingError {
     InvalidConfig(String),
     /// A request targets a node id outside the graph.
     TargetOutOfRange { node: usize, n_nodes: usize },
-    /// A stored hidden-feature row has the wrong width for its level —
+    /// A store level holds rows of the wrong width for the model's layer —
     /// the store was populated for a different model.
     StoreWidthMismatch {
         level: usize,
         expected: usize,
         got: usize,
     },
-    /// A row the support builder saw in the store vanished before it was
-    /// read (e.g. a concurrent [`crate::FeatureStore::remove`] by graph
-    /// accretion).
-    /// The batch can be retried; the rebuilt support will expand the node.
-    MissingStoredRow { level: usize, node: usize },
     /// Malformed fault-injection spec (CLI `--faults`); the message explains.
     InvalidFaultSpec(String),
     /// A runtime invariant tripped: a store write addressed out-of-bounds
@@ -62,7 +57,10 @@ impl fmt::Display for ServingError {
             ServingError::NoEngines => write!(f, "need at least one engine replica"),
             ServingError::InvalidConfig(msg) => write!(f, "invalid serving config: {msg}"),
             ServingError::TargetOutOfRange { node, n_nodes } => {
-                write!(f, "target node {node} out of range (graph has {n_nodes} nodes)")
+                write!(
+                    f,
+                    "target node {node} out of range (graph has {n_nodes} nodes)"
+                )
             }
             ServingError::StoreWidthMismatch {
                 level,
@@ -71,10 +69,6 @@ impl fmt::Display for ServingError {
             } => write!(
                 f,
                 "stored feature width mismatch at level {level}: expected {expected}, got {got}"
-            ),
-            ServingError::MissingStoredRow { level, node } => write!(
-                f,
-                "stored row for node {node} at level {level} vanished mid-batch (concurrent eviction?)"
             ),
             ServingError::InvalidFaultSpec(msg) => write!(f, "invalid fault spec: {msg}"),
             ServingError::InvariantViolation { check, detail } => {

@@ -1,6 +1,13 @@
-//! Staged pipeline executor: overlap batch N+1's front end (expansion +
-//! store probes + layer 1's neighbour aggregation) with batch N's back end
-//! (`k = 0` read + GEMMs + hidden levels + write-back) on separate threads.
+//! Staged pipeline executor: overlap batch N+1's front end (expansion with
+//! its store reads + layer 1's neighbour aggregation) with batch N's back
+//! end (`k = 0` read + GEMMs + hidden levels + write-back) on separate
+//! threads.
+//!
+//! The pair balances itself: layer 1's neighbour mean is built by the front
+//! only until the back stage waits on an empty [`StageQueue`] (the queue's
+//! `idle` flag, handed to `prepare` as [`StageLink::hand_off_point`]), and
+//! `execute` builds the rows left. Any hand-off row gives the same bits, so
+//! the split is free to follow whichever stage is idle.
 //!
 //! The split lives in [`crate::batched`]: `EngineCore::prepare` produces an
 //! owned, `Send` `PreparedBatch`; `EngineCore::execute` consumes it. This
@@ -47,12 +54,13 @@
 
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, WaitTimeoutResult};
 use std::time::Duration;
 
 use gcnp_tensor::{Matrix, ScratchPool};
 
-use crate::batched::{BatchResult, BatchedEngine};
+use crate::batched::{BatchResult, BatchedEngine, HandOff};
 use crate::error::{ServingError, ServingResult};
 use crate::faults::Fault;
 
@@ -106,6 +114,11 @@ struct StageQueue<T> {
     can_pop: Condvar,            // lock: stage.can_pop pairs stage.state
     can_push: Condvar,           // lock: stage.can_push pairs stage.state
     cap: usize,
+    /// Set while the consumer blocks in `pop` on an empty queue, cleared
+    /// by the push that queues an item: the front stage reads it (relaxed) to decide
+    /// where to hand a batch's layer-1 means over. A stale read moves only
+    /// that row, never a result.
+    idle: AtomicBool,
 }
 
 impl<T> StageQueue<T> {
@@ -118,6 +131,7 @@ impl<T> StageQueue<T> {
             can_pop: Condvar::new(),
             can_push: Condvar::new(),
             cap: cap.max(1),
+            idle: AtomicBool::new(false),
         }
     }
 
@@ -135,6 +149,8 @@ impl<T> StageQueue<T> {
             return Err(item);
         }
         s.items.push_back(item);
+        // audit: allow(atomic-ordering) — the idle hint orders nothing: it only picks the hand-off row, and every row gives the same bits
+        self.idle.store(false, Ordering::Relaxed);
         drop(s);
         self.can_pop.notify_one();
         Ok(())
@@ -154,6 +170,8 @@ impl<T> StageQueue<T> {
             return Err(item);
         }
         s.items.push_back(item);
+        // audit: allow(atomic-ordering) — the idle hint orders nothing: it only picks the hand-off row, and every row gives the same bits
+        self.idle.store(false, Ordering::Relaxed);
         Ok(())
     }
 
@@ -173,6 +191,8 @@ impl<T> StageQueue<T> {
             if s.closed {
                 return None;
             }
+            // audit: allow(atomic-ordering) — the idle hint orders nothing: it only picks the hand-off row, and every row gives the same bits
+            self.idle.store(true, Ordering::Relaxed);
             s = relock_timed(self.can_pop.wait_timeout(s, STAGE_RECHECK));
         }
     }
@@ -328,6 +348,12 @@ impl<J> StageLink<J> {
     /// Back: the next staged job, `None` once the pair has wound down.
     pub(crate) fn next(&self) -> Option<J> {
         self.stage.pop()
+    }
+
+    /// Front: where prepare hands layer 1's means over — as soon as the
+    /// back stage waits in [`StageLink::next`] on an empty queue.
+    pub(crate) fn hand_off_point(&self) -> HandOff<'_> {
+        HandOff::WhenIdle(&self.stage.idle)
     }
 
     /// Back, after each execute that left the stage alive: return the
@@ -543,7 +569,7 @@ pub fn run_batches(
                     if !link.admit(barrier, i as u64, front.pool) {
                         break; // back stage died
                     }
-                    match core.prepare(targets, &mut front) {
+                    match core.prepare(targets, &mut front, link.hand_off_point()) {
                         Ok(prep) => {
                             let fault = prep.fault();
                             if link.hand_off((i, prep), fault).is_err() {
@@ -679,6 +705,31 @@ mod tests {
         };
         assert!(!notified(Fault::QueueWedge), "a wedged hand-off is silent");
         assert!(notified(Fault::None), "a plain hand-off wakes the consumer");
+    }
+
+    #[test]
+    fn idle_flag_marks_a_consumer_waiting_on_an_empty_queue() {
+        // The flag prepare reads to hand layer 1's means over: set while the
+        // back stage blocks in `next` on an empty queue, cleared by the
+        // hand-off that wakes it, never set by a pop that finds an item.
+        let link: StageLink<u32> = StageLink::new();
+        let HandOff::WhenIdle(idle) = link.hand_off_point() else {
+            unreachable!("the stage pair hands off when the back is idle")
+        };
+        assert!(!idle.load(Ordering::Relaxed), "no consumer yet");
+        std::thread::scope(|s| {
+            let consumer = s.spawn(|| link.next());
+            // Set under the state lock just before the consumer parks.
+            while !idle.load(Ordering::Relaxed) {
+                std::thread::yield_now();
+            }
+            link.hand_off(5, Fault::None).unwrap();
+            assert!(!idle.load(Ordering::Relaxed), "the hand-off clears it");
+            assert_eq!(consumer.join().unwrap(), Some(5));
+        });
+        link.hand_off(6, Fault::None).unwrap();
+        assert_eq!(link.next(), Some(6));
+        assert!(!idle.load(Ordering::Relaxed), "a pop that finds an item");
     }
 
     #[test]

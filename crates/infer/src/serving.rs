@@ -52,10 +52,12 @@
 //!   supervision works under every routing.
 //!
 //! There is one executor. Every worker is a stage pair: a **front** thread
-//! (`EngineCore::prepare`: expansion + store probes + layer 1's neighbour
-//! aggregation) and a **back** thread (`EngineCore::execute`: `k = 0` read +
-//! GEMMs + hidden levels + write-back) joined by a `pipeline::StageLink`,
-//! so batch N+1's neighbour sum overlaps batch N's GEMMs. The pair runs
+//! (`EngineCore::prepare`: expansion with its store reads + layer 1's
+//! neighbour aggregation) and a **back** thread (`EngineCore::execute`:
+//! the neighbour-mean rows the front left + `k = 0` read + GEMMs + hidden
+//! levels + write-back) joined by a `pipeline::StageLink`, so batch N+1's
+//! neighbour sum overlaps batch N's GEMMs, and the mean goes to whichever
+//! thread is free. The pair runs
 //! exactly the prepare/execute code [`BatchedEngine::try_infer`] runs on
 //! one thread, so outputs are bitwise identical to it, and it feeds the
 //! compute estimate a batch's whole prepare + execute busy span.
@@ -875,7 +877,8 @@ fn front_stage(
             break;
         }
         link.front_pending.begin(&batch, fleet.now());
-        let (outcome, _) = fleet.attempt(|| core.prepare(&batch.nodes, &mut front));
+        let hand_off = link.pair.hand_off_point();
+        let (outcome, _) = fleet.attempt(|| core.prepare(&batch.nodes, &mut front, hand_off));
         let prep = match outcome {
             Ok(Ok(prep)) => prep,
             // A failed prepare is terminal for this attempt.

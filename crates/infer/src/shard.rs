@@ -9,7 +9,7 @@
 //! poison recovery — applies per shard unchanged.
 //!
 //! The router role: an engine pinned to shard `k` resolves cross-shard
-//! L-hop neighbors through [`ShardedStore::with_row`], and accounts each
+//! L-hop neighbors through [`ShardedStore::probe`], and accounts each
 //! per-level batched fetch through [`ShardedStore::note_remote_fetch`] —
 //! one `shard.remote.requests` per (engine shard → owner shard) pair per
 //! level per batch (the unit a real deployment would ship as one batched
@@ -158,12 +158,37 @@ impl ShardedStore {
         hit
     }
 
-    /// Copy-free read through the owning shard (uncounted, like
-    /// [`FeatureStore::with_row`] — the engine probes `has` first).
+    /// The engine's one lookup, routed to the owning shard: counted like
+    /// [`ShardedStore::has`], and a hit lends the verified row to `stage`
+    /// (see [`FeatureStore::probe`]).
+    pub fn probe(&self, level: usize, node: usize, stage: impl FnOnce(&[f32])) -> bool {
+        let Some(&s) = self.assign.get(node) else {
+            return false;
+        };
+        // audit: allow(no-fail-stop) — assign values are validated < n_shards at construction
+        let hit = self.shards[s as usize].probe(level, self.local[node] as usize, stage);
+        if let Some(m) = self.metrics.get() {
+            m.probe(s as usize, hit);
+        }
+        hit
+    }
+
+    /// Copy-free, uncounted read through the owning shard (see
+    /// [`FeatureStore::with_row`]).
     pub fn with_row<R>(&self, level: usize, node: usize, f: impl FnOnce(&[f32]) -> R) -> Option<R> {
         let &s = self.assign.get(node)?;
         // audit: allow(no-fail-stop) — assign values are validated < n_shards at construction
         self.shards[s as usize].with_row(level, self.local[node] as usize, f)
+    }
+
+    /// The width of the rows any shard holds at `level` other than
+    /// `expected`, if one does: each shard fixes its own level widths, so a
+    /// batch checks every shard once.
+    pub fn wrong_width(&self, level: usize, expected: usize) -> Option<usize> {
+        self.shards
+            .iter()
+            .filter_map(|s| s.level_width(level))
+            .find(|&w| w != expected)
     }
 
     /// Write through to the owning shard. Out-of-range nodes are the same
@@ -201,7 +226,8 @@ impl ShardedStore {
         self.len(level) == 0
     }
 
-    /// Estimated heap bytes of stored rows, summed across shards.
+    /// Heap bytes of the shards' allocated row slabs (see
+    /// [`FeatureStore::nbytes`]).
     pub fn nbytes(&self) -> usize {
         self.shards.iter().map(|s| s.nbytes()).sum()
     }

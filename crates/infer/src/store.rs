@@ -6,14 +6,24 @@
 //! ideally collapsing batched complexity to full-inference complexity
 //! (`d → 1` in Eq. 3).
 //!
+//! Layout: each level of each stripe is one dense slab, `slots × width`
+//! floats plus a filled mark and a [`row_checksum`] per slot, allocated by
+//! the stripe's first `put` at that level. Width is a property of the
+//! level: the first `put` into an empty level fixes it, and a `put` of
+//! another width into a non-empty level is a typed
+//! [`ServingError::InvariantViolation`] (`store.put.width`), so every row a
+//! level serves has the width the engine checks once per batch
+//! ([`FeatureStore::level_width`]).
+//!
 //! Concurrency: reads dominate (every batch probes the store) and, with
 //! multi-worker serving, several engine replicas hit the store at once. The
 //! store is therefore **lock-striped**: node ids are sharded across
 //! [`N_STRIPES`] independent `RwLock`-protected shards (`stripe = node mod
 //! N_STRIPES`), so concurrent writers to different nodes rarely contend and
-//! readers never block readers. The hot read path is [`FeatureStore::with_row`],
-//! which lends the row to a closure under the stripe's read guard — no
-//! per-hit allocation, unlike [`FeatureStore::get`] which copies.
+//! readers never block readers. The engine reads through
+//! [`FeatureStore::probe`]: one counted lookup per supporting node that
+//! lends a verified row to a closure under the stripe's read guard, so the
+//! expansion that asks "is it stored?" stages the row in the same step.
 //!
 //! Crash tolerance: stripe guards recover from lock poisoning (a worker
 //! that panics while writing must not brick the store shared by the
@@ -24,7 +34,7 @@ use crate::error::{ServingError, ServingResult};
 use crate::metrics::StoreMetrics;
 use gcnp_obs::MetricsRegistry;
 use gcnp_tensor::Matrix;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Number of lock stripes; power of two so `node & (N_STRIPES - 1)` selects
@@ -61,19 +71,52 @@ pub fn row_checksum(row: &[f32]) -> u64 {
     h ^ (h >> 32)
 }
 
-/// One level's rows owned by one stripe. Nodes are mapped to local slots by
-/// `node / N_STRIPES`, keeping each shard dense.
+/// One level's rows owned by one stripe: a dense slab. Nodes are mapped to
+/// local slots by `node / N_STRIPES`.
 struct StripeLevel {
-    /// `rows[local]` is `Some(h_row)` when the node's features are stored.
-    rows: Vec<Option<Box<[f32]>>>,
-    /// [`row_checksum`] of each stored row, written with it under the same
-    /// guard; meaningless while `rows[local]` is `None`.
+    /// Row width of the slab; `None` until the stripe's first `put` at this
+    /// level allocates it.
+    width: Option<usize>,
+    /// `slots × width` floats, row-major; slot `local` holds a row when
+    /// `filled[local]` is set.
+    rows: Vec<f32>,
+    filled: Vec<bool>,
+    /// [`row_checksum`] of each filled slot, written with it under the same
+    /// guard; meaningless while the slot is empty.
     sums: Vec<u64>,
     count: usize,
 }
 
+impl StripeLevel {
+    fn new(slots: usize) -> Self {
+        Self {
+            width: None,
+            rows: Vec::new(),
+            filled: vec![false; slots],
+            sums: vec![0; slots],
+            count: 0,
+        }
+    }
+
+    /// The row in slot `local`, if one is stored.
+    // audit: allow(no-fail-stop) — callers pass slots of nodes < n_nodes, which every stripe level holds
+    fn row(&self, local: usize) -> Option<&[f32]> {
+        let w = self.width?;
+        self.filled[local].then(|| &self.rows[local * w..(local + 1) * w])
+    }
+}
+
 struct Stripe {
     levels: Vec<StripeLevel>,
+}
+
+/// Level-wide state, readable without a stripe lock.
+struct Level {
+    /// Width of every row stored at this level; meaningful while `len > 0`.
+    width: AtomicUsize,
+    /// Rows stored across all stripes (changed under the stripe's write
+    /// guard, alongside the stripe's own count).
+    len: AtomicUsize,
 }
 
 /// A stripe guard carrying its runtime lock-order token (`lock-order`
@@ -101,6 +144,7 @@ impl<G: std::ops::DerefMut> std::ops::DerefMut for OrderedGuard<G> {
 /// sharded across [`N_STRIPES`] lock stripes keyed by node id.
 pub struct FeatureStore {
     stripes: Vec<RwLock<Stripe>>, // lock: store.stripe
+    levels: Vec<Level>,
     n_nodes: usize,
     n_levels: usize,
     /// Per-stripe corruption event counts; a stripe whose count reaches
@@ -125,14 +169,24 @@ fn local_of(node: usize) -> usize {
     node / N_STRIPES
 }
 
+/// The typed error of a `put` whose row is not its level's width.
+fn width_error(level: usize, width: usize, got: usize) -> ServingError {
+    ServingError::InvariantViolation {
+        check: "store.put.width",
+        detail: format!("level {level} holds rows of width {width}; a put of width {got}"),
+    }
+}
+
 impl FeatureStore {
     /// Acquire stripe `idx`'s read guard, recovering from poison. A stripe
     /// is only poisoned when a thread panicked *while holding the write
-    /// guard*; every write path here fully populates its row before the
-    /// guard drops (the `Box<[f32]>` is built outside the lock), so the
-    /// data behind a poisoned lock is still consistent — a worker crash
-    /// must not brick the shared store for the surviving replicas. Each
-    /// recovery is counted in `store.poison_recovered`.
+    /// guard*; no write path here can panic between its first write and
+    /// the point where the slot's row, mark and checksum agree again (the
+    /// row is copied into a slab already sized for it, and every index is
+    /// validated first), so the data behind a poisoned lock is still
+    /// consistent — a worker crash must not brick the shared store for the
+    /// surviving replicas. Each recovery is counted in
+    /// `store.poison_recovered`.
     // lock: acquires store.stripe
     #[inline]
     fn read_stripe(&self, idx: usize) -> OrderedGuard<RwLockReadGuard<'_, Stripe>> {
@@ -170,24 +224,26 @@ impl FeatureStore {
     }
 
     /// An empty store for `n_nodes` nodes and `n_levels` middle layers
-    /// (levels are 1-based: level `l` stores `h⁽ˡ⁾`).
+    /// (levels are 1-based: level `l` stores `h⁽ˡ⁾`). No slab is allocated
+    /// until a row is stored.
     pub fn new(n_nodes: usize, n_levels: usize) -> Self {
-        let per_stripe = n_nodes.div_ceil(N_STRIPES);
         let stripes = (0..N_STRIPES)
-            .map(|_| {
+            .map(|i| {
+                // Nodes i, i + N_STRIPES, … below n_nodes.
+                let slots = (n_nodes + N_STRIPES - 1 - i) / N_STRIPES;
                 RwLock::new(Stripe {
-                    levels: (0..n_levels)
-                        .map(|_| StripeLevel {
-                            rows: (0..per_stripe).map(|_| None).collect(),
-                            sums: vec![0; per_stripe],
-                            count: 0,
-                        })
-                        .collect(),
+                    levels: (0..n_levels).map(|_| StripeLevel::new(slots)).collect(),
                 })
             })
             .collect();
         Self {
             stripes,
+            levels: (0..n_levels)
+                .map(|_| Level {
+                    width: AtomicUsize::new(0),
+                    len: AtomicUsize::new(0),
+                })
+                .collect(),
             n_nodes,
             n_levels,
             corruptions: (0..N_STRIPES).map(|_| AtomicU32::new(0)).collect(),
@@ -216,19 +272,13 @@ impl FeatureStore {
         self.n_levels
     }
 
-    /// True when `h⁽ˡᵉᵛᵉˡ⁾` of `node` is stored (level 1-based). In-bounds
-    /// probes count toward `store.{hit|miss}.l{level}` (out-of-bounds probes
-    /// are caller bugs, not cache misses).
-    pub fn has(&self, level: usize, node: usize) -> bool {
-        if node >= self.n_nodes || level == 0 || level > self.n_levels {
-            return false;
-        }
-        let hit = if self.stripe_bypassed(stripe_of(node)) {
-            false // breaker open: the whole stripe reads as absent
-        } else {
-            let stripe = self.read_stripe(stripe_of(node));
-            stripe.levels[level - 1].rows[local_of(node)].is_some() // audit: allow(no-fail-stop) — level/node bounds checked above
-        };
+    /// True when `(level, node)` addresses a slot of this store.
+    fn in_bounds(&self, level: usize, node: usize) -> bool {
+        node < self.n_nodes && level != 0 && level <= self.n_levels
+    }
+
+    /// Count one in-bounds lookup as a hit or a miss.
+    fn count(&self, level: usize, hit: bool) {
         if let Some(m) = self.metrics.get() {
             if hit {
                 m.hit(level);
@@ -236,31 +286,60 @@ impl FeatureStore {
                 m.miss(level);
             }
         }
+    }
+
+    /// True when `h⁽ˡᵉᵛᵉˡ⁾` of `node` is stored (level 1-based). In-bounds
+    /// probes count toward `store.{hit|miss}.l{level}` (out-of-bounds probes
+    /// are caller bugs, not cache misses).
+    pub fn has(&self, level: usize, node: usize) -> bool {
+        if !self.in_bounds(level, node) {
+            return false;
+        }
+        let hit = !self.stripe_bypassed(stripe_of(node)) && {
+            let stripe = self.read_stripe(stripe_of(node));
+            stripe.levels[level - 1].filled[local_of(node)] // audit: allow(no-fail-stop) — level/node bounds checked above
+        };
+        self.count(level, hit);
         hit
     }
 
-    /// Lend the stored row to `f` under the stripe's read guard — the
-    /// copy-free read path for hot loops. Returns `None` (without calling
-    /// `f`) when the row is absent, when its stripe's circuit breaker is
-    /// open, or when the row's [`row_checksum`] no longer matches — a
-    /// mismatched row is quarantined (evicted and counted) instead of
-    /// served, so corrupted data can never reach a batch. Deliberately
-    /// uncounted: the engine probes [`FeatureStore::has`] during expansion
-    /// and reads the row here afterwards, so counting both would
-    /// double-report every hit.
+    /// The engine's read: look `h⁽ˡᵉᵛᵉˡ⁾` of `node` up once, counted as one
+    /// hit or miss like [`FeatureStore::has`], and on a hit lend the
+    /// verified row to `stage` under the stripe's read guard. A row whose
+    /// checksum no longer matches is quarantined and reads as a miss, so
+    /// the caller computes the node instead of failing the batch.
+    pub fn probe(&self, level: usize, node: usize, stage: impl FnOnce(&[f32])) -> bool {
+        if !self.in_bounds(level, node) {
+            return false;
+        }
+        let hit = self.lend(level, node, stage).is_some();
+        self.count(level, hit);
+        hit
+    }
+
+    /// Lend the stored row to `f` under the stripe's read guard, without
+    /// counting the read. Returns `None` (without calling `f`) when the row
+    /// is absent, when its stripe's circuit breaker is open, or when the
+    /// row's [`row_checksum`] no longer matches — a mismatched row is
+    /// quarantined (evicted and counted) instead of served, so corrupted
+    /// data can never reach a caller.
     pub fn with_row<R>(&self, level: usize, node: usize, f: impl FnOnce(&[f32]) -> R) -> Option<R> {
-        if node >= self.n_nodes || level == 0 || level > self.n_levels {
+        if !self.in_bounds(level, node) {
             return None;
         }
+        self.lend(level, node, f)
+    }
+
+    /// [`FeatureStore::with_row`] for in-bounds coordinates.
+    fn lend<R>(&self, level: usize, node: usize, f: impl FnOnce(&[f32]) -> R) -> Option<R> {
         if self.stripe_bypassed(stripe_of(node)) {
             return None;
         }
         {
             let stripe = self.read_stripe(stripe_of(node));
-            let l = &stripe.levels[level - 1]; // audit: allow(no-fail-stop) — level bounds checked above
+            let l = &stripe.levels[level - 1]; // audit: allow(no-fail-stop) — level bounds checked by every caller
             let local = local_of(node);
-            // audit: allow(no-fail-stop) — every node < n_nodes has a local slot by construction
-            match l.rows[local].as_deref() {
+            match l.row(local) {
                 None => return None,
                 Some(row) if row_checksum(row) == l.sums[local] => return Some(f(row)), // audit: allow(no-fail-stop) — same validated slot
                 Some(_) => {} // checksum mismatch: fall through, guard drops
@@ -270,6 +349,14 @@ impl FeatureStore {
         None
     }
 
+    /// The width of every row stored at `level`, or `None` while the level
+    /// is empty (or outside the store): the one width check a batch makes
+    /// per level instead of one per row.
+    pub fn level_width(&self, level: usize) -> Option<usize> {
+        let l = self.levels.get(level.checked_sub(1)?)?;
+        (l.len.load(Ordering::Acquire) > 0).then(|| l.width.load(Ordering::Acquire))
+    }
+
     /// True when `stripe`'s circuit breaker is open.
     fn stripe_bypassed(&self, stripe: usize) -> bool {
         self.corruptions
@@ -277,26 +364,30 @@ impl FeatureStore {
             .is_some_and(|c| c.load(Ordering::Acquire) >= STRIPE_BREAKER_THRESHOLD)
     }
 
+    /// Empty slot `local` of `l` (level `level`), which holds a row.
+    // audit: allow(no-fail-stop) — callers pass a validated level and a filled slot
+    fn vacate(&self, l: &mut StripeLevel, level: usize, local: usize) {
+        l.filled[local] = false;
+        l.count -= 1;
+        self.levels[level - 1].len.fetch_sub(1, Ordering::AcqRel);
+    }
+
     /// Evict a row whose checksum failed, under the write guard (re-checked
     /// there: a concurrent `put` may have replaced the row since the read).
     fn quarantine(&self, level: usize, node: usize) {
         self.detected.fetch_add(1, Ordering::Relaxed);
-        let mut still_corrupt = false;
-        {
+        let still_corrupt = {
             let mut stripe = self.write_stripe(stripe_of(node));
-            let l = &mut stripe.levels[level - 1]; // audit: allow(no-fail-stop) — bounds validated by the only caller (with_row)
+            let l = &mut stripe.levels[level - 1]; // audit: allow(no-fail-stop) — bounds validated by the only caller (lend)
             let local = local_of(node);
-            // audit: allow(no-fail-stop) — every node < n_nodes has a local slot by construction
-            if let Some(row) = l.rows[local].as_deref() {
-                // audit: allow(no-fail-stop) — same validated slot
-                if row_checksum(row) != l.sums[local] {
-                    // audit: allow(no-fail-stop) — same validated slot
-                    l.rows[local] = None;
-                    l.count -= 1;
-                    still_corrupt = true;
-                }
+            let corrupt = l
+                .row(local)
+                .is_some_and(|row| row_checksum(row) != l.sums[local]); // audit: allow(no-fail-stop) — same validated slot
+            if corrupt {
+                self.vacate(l, level, local);
             }
-        }
+            corrupt
+        };
         if !still_corrupt {
             return;
         }
@@ -328,14 +419,13 @@ impl FeatureStore {
     /// resident row, chosen deterministically from `seed`, *without*
     /// updating its checksum — exactly what silent memory corruption looks
     /// like. Returns the `(level, node)` hit, or `None` when the store holds
-    /// no rows. The next [`FeatureStore::with_row`] on that row detects the
-    /// mismatch and quarantines it.
+    /// no rows. The next read of that row ([`FeatureStore::probe`] or
+    /// [`FeatureStore::with_row`]) detects the mismatch and quarantines it.
     pub fn inject_bit_flip(&self, seed: u64) -> Option<(usize, usize)> {
-        let total: usize = (0..N_STRIPES)
-            .map(|i| {
-                let stripe = self.read_stripe(i);
-                stripe.levels.iter().map(|l| l.count).sum::<usize>()
-            })
+        let total: usize = self
+            .levels
+            .iter()
+            .map(|l| l.len.load(Ordering::Acquire))
             .sum();
         if total == 0 {
             return None;
@@ -348,37 +438,39 @@ impl FeatureStore {
                     k -= l.count;
                     continue;
                 }
-                for (local, row) in l.rows.iter_mut().enumerate() {
-                    let Some(row) = row.as_deref_mut() else {
-                        continue;
-                    };
-                    if k > 0 {
-                        k -= 1;
-                        continue;
-                    }
-                    let elem = (seed >> 8) as usize % row.len().max(1);
-                    if let Some(v) = row.get_mut(elem) {
-                        *v = f32::from_bits(v.to_bits() ^ (1 << ((seed >> 16) % 23)));
-                    }
-                    return Some((li + 1, local * N_STRIPES + i));
+                let Some(w) = l.width else {
+                    continue;
+                };
+                let mut held = l.filled.iter().enumerate().filter(|&(_, &f)| f);
+                let Some((local, _)) = held.nth(k) else {
+                    continue;
+                };
+                let row = l.rows.get_mut(local * w..(local + 1) * w)?;
+                let elem = (seed >> 8) as usize % row.len().max(1);
+                if let Some(v) = row.get_mut(elem) {
+                    *v = f32::from_bits(v.to_bits() ^ (1 << ((seed >> 16) % 23)));
                 }
+                return Some((li + 1, local * N_STRIPES + i));
             }
         }
         None
     }
 
-    /// Copy the stored row, if present. Prefer [`FeatureStore::with_row`] in
+    /// Copy the stored row, if present. Prefer [`FeatureStore::probe`] in
     /// hot loops; this allocates per hit.
     pub fn get(&self, level: usize, node: usize) -> Option<Vec<f32>> {
         self.with_row(level, node, |row| row.to_vec())
     }
 
     /// Store (or overwrite) one node's hidden feature row. A write that
-    /// addresses a level or node outside the store's bounds is a typed
-    /// [`ServingError::InvariantViolation`], not a worker panic — a store
-    /// sized for a different graph or model must degrade, not abort.
+    /// addresses a level or node outside the store's bounds, or whose row is
+    /// not the width of the rows its level already holds, is a typed
+    /// [`ServingError::InvariantViolation`] (`store.put.bounds`,
+    /// `store.put.width`), not a worker panic — a store sized or filled for
+    /// a different graph or model must degrade, not abort. The first `put`
+    /// into an empty level fixes the level's width.
     pub fn put(&self, level: usize, node: usize, row: &[f32]) -> ServingResult<()> {
-        if node >= self.n_nodes || level == 0 || level > self.n_levels {
+        if !self.in_bounds(level, node) {
             return Err(ServingError::InvariantViolation {
                 check: "store.put.bounds",
                 detail: format!(
@@ -387,19 +479,39 @@ impl FeatureStore {
                 ),
             });
         }
+        let w = row.len();
+        let lvl = &self.levels[level - 1]; // audit: allow(no-fail-stop) — level bounds validated above
+        let fixed = lvl.width.load(Ordering::Acquire);
+        if fixed != w {
+            if lvl.len.load(Ordering::Acquire) > 0 {
+                return Err(width_error(level, fixed, w));
+            }
+            lvl.width.store(w, Ordering::Release);
+        }
         if let Some(m) = self.metrics.get() {
             m.write(level);
         }
         let sum = row_checksum(row);
         let mut stripe = self.write_stripe(stripe_of(node));
         let l = &mut stripe.levels[level - 1]; // audit: allow(no-fail-stop) — level bounds validated above
-        let local = local_of(node);
-        // audit: allow(no-fail-stop) — every node < n_nodes has a local slot by construction
-        if l.rows[local].is_none() {
-            l.count += 1;
+        if l.width != Some(w) {
+            // A racing put of another width reached this stripe first.
+            if let (Some(held), true) = (l.width, l.count > 0) {
+                return Err(width_error(level, held, w));
+            }
+            l.rows = vec![0.0; l.filled.len() * w];
+            l.width = Some(w);
         }
-        l.rows[local] = Some(row.into()); // audit: allow(no-fail-stop) — same validated slot
+        let local = local_of(node);
+        // audit: allow(no-fail-stop) — every node < n_nodes has a slot of width w in its stripe's slab
+        l.rows[local * w..(local + 1) * w].copy_from_slice(row);
         l.sums[local] = sum; // audit: allow(no-fail-stop) — same validated slot
+                             // audit: allow(no-fail-stop) — same validated slot
+        if !l.filled[local] {
+            l.filled[local] = true; // audit: allow(no-fail-stop) — same validated slot
+            l.count += 1;
+            lvl.len.fetch_add(1, Ordering::AcqRel);
+        }
         Ok(())
     }
 
@@ -428,22 +540,18 @@ impl FeatureStore {
     /// walk dirty sets derived from a *newer* graph than the store was
     /// sized for, and unknown nodes trivially have nothing to invalidate.
     pub fn remove(&self, level: usize, node: usize) -> bool {
-        if node >= self.n_nodes || level == 0 || level > self.n_levels {
+        if !self.in_bounds(level, node) {
             return false;
         }
         let removed = {
             let mut stripe = self.write_stripe(stripe_of(node));
             let l = &mut stripe.levels[level - 1]; // audit: allow(no-fail-stop) — level bounds validated above
             let local = local_of(node);
-            // audit: allow(no-fail-stop) — every node < n_nodes has a local slot by construction
-            let slot = &mut l.rows[local];
-            if slot.is_some() {
-                *slot = None;
-                l.count -= 1;
-                true
-            } else {
-                false
+            let held = l.filled[local]; // audit: allow(no-fail-stop) — every node < n_nodes has a slot
+            if held {
+                self.vacate(l, level, local);
             }
+            held
         };
         if removed {
             if let Some(m) = self.metrics.get() {
@@ -456,12 +564,10 @@ impl FeatureStore {
     /// Number of stored rows at `level` (summed across stripes); 0 for a
     /// level the store does not cover.
     pub fn len(&self, level: usize) -> usize {
-        if level == 0 || level > self.n_levels {
-            return 0;
-        }
-        (0..N_STRIPES)
-            .map(|i| self.read_stripe(i).levels[level - 1].count) // audit: allow(no-fail-stop) — level bounds checked above
-            .sum()
+        level
+            .checked_sub(1)
+            .and_then(|l| self.levels.get(l))
+            .map_or(0, |l| l.len.load(Ordering::Acquire))
     }
 
     /// True when nothing is stored at `level`.
@@ -469,16 +575,13 @@ impl FeatureStore {
         self.len(level) == 0
     }
 
-    /// Drop everything.
+    /// Drop everything, slabs included: every level's width is free again.
     pub fn clear(&self) {
         for i in 0..N_STRIPES {
             let mut stripe = self.write_stripe(i);
-            for l in stripe.levels.iter_mut() {
-                for row in l.rows.iter_mut() {
-                    *row = None;
-                }
-                l.sums.fill(0);
-                l.count = 0;
+            for (lvl, l) in self.levels.iter().zip(stripe.levels.iter_mut()) {
+                lvl.len.fetch_sub(l.count, Ordering::AcqRel);
+                *l = StripeLevel::new(l.filled.len());
             }
         }
         for c in &self.corruptions {
@@ -486,7 +589,8 @@ impl FeatureStore {
         }
     }
 
-    /// Estimated heap bytes of the stored rows.
+    /// Heap bytes of the allocated row slabs: a stripe's slab at a level
+    /// holds every slot of the stripe once its first row is stored.
     pub fn nbytes(&self) -> usize {
         (0..N_STRIPES)
             .map(|i| {
@@ -494,12 +598,7 @@ impl FeatureStore {
                 stripe
                     .levels
                     .iter()
-                    .map(|l| {
-                        l.rows
-                            .iter()
-                            .filter_map(|r| r.as_ref().map(|b| b.len() * 4))
-                            .sum::<usize>()
-                    })
+                    .map(|l| l.rows.len() * 4)
                     .sum::<usize>()
             })
             .sum()
@@ -655,20 +754,25 @@ mod tests {
         assert!(!store.has(1, 4)); // miss
         assert!(!store.has(2, 3)); // miss on the other level
         assert!(!store.has(1, 999)); // out of bounds: NOT counted
-        store.with_row(1, 3, |_| ()); // read path: deliberately uncounted
+        store.with_row(1, 3, |_| ()); // an uncounted read
+        let mut staged = Vec::new();
+        assert!(store.probe(1, 3, |row| staged.extend_from_slice(row))); // hit
+        assert!(!store.probe(2, 4, |_| unreachable!("a miss stages nothing")));
+        assert!(!store.probe(1, 999, |_| ())); // out of bounds: NOT counted
+        assert_eq!(staged, vec![1.0]);
         if !gcnp_obs::enabled() {
             return;
         }
         let snap = registry.snapshot();
-        assert_eq!(snap.counters["store.hit.l1"], 1);
+        assert_eq!(snap.counters["store.hit.l1"], 2);
         assert_eq!(snap.counters["store.miss.l1"], 1);
-        assert_eq!(snap.counters["store.miss.l2"], 1);
+        assert_eq!(snap.counters["store.miss.l2"], 2);
         assert_eq!(snap.counters["store.write.l1"], 1);
         assert_eq!(snap.counters["store.poison_recovered"], 0);
         // Second attach is a no-op, not a panic, and counting continues.
         store.attach_metrics(&registry);
         assert!(store.has(1, 3));
-        assert_eq!(registry.snapshot().counters["store.hit.l1"], 2);
+        assert_eq!(registry.snapshot().counters["store.hit.l1"], 3);
     }
 
     /// Storm test: writers (`put`/`remove`) race readers
@@ -810,7 +914,7 @@ mod tests {
             assert_eq!(store.with_row(1, v, |r| r.len()), None);
         }
         // …and other stripes are unaffected.
-        store.put(1, 1, &[7.0]).unwrap();
+        store.put(1, 1, &[7.0, 1.0]).unwrap();
         assert!(store.has(1, 1));
         assert_eq!(
             store.corruption_counts(),
@@ -826,5 +930,65 @@ mod tests {
         let store = FeatureStore::new(8, 1);
         assert_eq!(store.inject_bit_flip(42), None);
         assert_eq!(store.corruption_counts(), (0, 0));
+    }
+
+    #[test]
+    fn width_is_a_property_of_the_level() {
+        let s = FeatureStore::new(40, 2);
+        assert_eq!(s.level_width(1), None, "an empty level has no width");
+        s.put(1, 3, &[1.0, 2.0]).unwrap();
+        assert_eq!(s.level_width(1), Some(2));
+        // Another stripe, same level: the level's width still applies.
+        let err = s.put(1, 4, &[1.0, 2.0, 3.0]).unwrap_err();
+        assert!(matches!(
+            err,
+            ServingError::InvariantViolation {
+                check: "store.put.width",
+                ..
+            }
+        ));
+        assert!(!s.has(1, 4), "the refused row is not stored");
+        s.put(2, 4, &[1.0, 2.0, 3.0]).unwrap();
+        assert_eq!(s.level_width(2), Some(3), "levels are independent");
+        // An emptied level takes a new width, in every stripe.
+        assert!(s.remove(1, 3));
+        assert_eq!(s.level_width(1), None);
+        s.put(1, 3, &[5.0; 4]).unwrap();
+        s.put(1, 20, &[6.0; 4]).unwrap();
+        assert_eq!(s.get(1, 3), Some(vec![5.0; 4]));
+        assert_eq!(s.level_width(1), Some(4));
+        s.clear();
+        s.put(1, 3, &[7.0]).unwrap();
+        assert_eq!(s.level_width(1), Some(1));
+    }
+
+    #[test]
+    fn nbytes_counts_allocated_slabs() {
+        // 40 nodes: stripes 0..8 hold three slots each, the rest two.
+        let s = FeatureStore::new(40, 2);
+        assert_eq!(s.nbytes(), 0, "nothing allocated before a put");
+        s.put(1, 0, &[1.0, 2.0]).unwrap();
+        assert_eq!(s.nbytes(), 3 * 2 * 4, "stripe 0's whole slab at level 1");
+        s.put(1, 16, &[1.0, 2.0]).unwrap();
+        assert_eq!(s.nbytes(), 3 * 2 * 4, "same slab");
+        s.put(1, 15, &[1.0, 2.0]).unwrap();
+        s.put(2, 15, &[1.0; 5]).unwrap();
+        assert_eq!(s.nbytes(), (3 * 2 + 2 * 2 + 2 * 5) * 4);
+        let full = FeatureStore::new(40, 1);
+        for v in 0..40 {
+            full.put(1, v, &[v as f32; 3]).unwrap();
+        }
+        assert_eq!(full.nbytes(), 40 * 3 * 4, "a full level is n_nodes rows");
+    }
+
+    #[test]
+    fn probe_quarantines_a_flipped_row_as_a_miss() {
+        let store = FeatureStore::new(64, 1);
+        store.put(1, 5, &[1.0, 2.0, 3.0]).unwrap();
+        let (level, node) = store.inject_bit_flip(0x1234).unwrap();
+        assert_eq!((level, node), (1, 5));
+        assert!(!store.probe(1, 5, |_| unreachable!("never served")));
+        assert_eq!(store.corruption_counts(), (1, 1));
+        assert_eq!(store.len(1), 0);
     }
 }

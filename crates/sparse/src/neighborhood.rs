@@ -58,7 +58,11 @@ impl BatchSupport {
     ///   missing entries mean "uncapped". Capping samples uniformly without
     ///   replacement with the seeded RNG, so batches are reproducible.
     /// * `stored(level, node)` reports whether the hidden-feature store can
-    ///   serve `h^(level)` of `node`; such nodes are not expanded.
+    ///   serve `h^(level)` of `node`; such nodes are not expanded. It is
+    ///   called exactly once per node a level needs (never for the output
+    ///   layer), output-most level first and in the order the nodes are
+    ///   listed in [`LayerSupport::stored`] / [`LayerSupport::compute`], so
+    ///   a caller may stage each stored row as it answers.
     ///
     /// Shapes: every target is `< adj.n_rows()`; `graph_layer.len()` is the layer count `L` and `caps` indexes hops `0..L`.
     pub fn build(
@@ -67,7 +71,7 @@ impl BatchSupport {
         graph_layer: &[bool],
         caps: &[Option<usize>],
         seed: u64,
-        stored: impl Fn(usize, usize) -> bool,
+        mut stored: impl FnMut(usize, usize) -> bool,
     ) -> BatchSupport {
         let n_layers = graph_layer.len();
         assert!(n_layers >= 1, "build: need at least one layer");
@@ -296,5 +300,34 @@ mod tests {
         assert_eq!(s.n_agg_edges(2), 2); // nodes 0 and 4 have one neighbor each
         assert_eq!(s.n_store_hits(1), 0);
         assert!(s.n_input_nodes() >= s.n_compute(1));
+    }
+
+    #[test]
+    fn each_needed_node_is_probed_once_in_stored_order() {
+        let adj = path5();
+        let mut calls = Vec::new();
+        let s = BatchSupport::build(&adj, &[2, 0], &[true, true, true], &[], 0, |l, v| {
+            calls.push((l, v));
+            v % 2 == 1
+        });
+        // Level 2 needs {2, 0} and their neighbours {1, 3}; level 1 needs
+        // what layer 2 computes and its neighbours.
+        for (li, ls) in s.layers.iter().enumerate().take(2) {
+            let level = li + 1;
+            let probed: Vec<usize> = calls
+                .iter()
+                .filter(|&&(l, _)| l == level)
+                .map(|&(_, v)| v)
+                .collect();
+            let hits: Vec<usize> = probed.iter().copied().filter(|v| v % 2 == 1).collect();
+            assert_eq!(hits, ls.stored, "level {level}");
+            assert_eq!(probed.len(), ls.stored.len() + ls.compute.len());
+        }
+        assert!(
+            calls.iter().all(|&(l, _)| l < 3),
+            "the output layer is never probed"
+        );
+        let levels: Vec<usize> = calls.iter().map(|&(l, _)| l).collect();
+        assert!(levels.windows(2).all(|w| w[0] >= w[1]), "output-most first");
     }
 }

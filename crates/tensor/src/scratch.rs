@@ -45,6 +45,15 @@ impl ScratchPool {
     /// otherwise).
     pub fn take_matrix(&mut self, rows: usize, cols: usize) -> Matrix {
         let len = rows * cols;
+        let mut buf = self.take_vec(len);
+        buf.resize(len, 0.0);
+        Matrix::from_vec(rows, cols, buf)
+    }
+
+    /// An empty buffer with capacity for at least `len` floats, for a
+    /// caller that fills it by pushing: the smallest retained buffer that
+    /// fits, chosen as [`ScratchPool::take_matrix`] chooses.
+    pub fn take_vec(&mut self, len: usize) -> Vec<f32> {
         let pos = self
             .free
             .iter()
@@ -62,8 +71,8 @@ impl ScratchPool {
                 .unwrap_or_default(),
         };
         buf.clear();
-        buf.resize(len, 0.0);
-        Matrix::from_vec(rows, cols, buf)
+        buf.reserve(len);
+        buf
     }
 
     /// Return a retired intermediate's backing buffer to the pool.

@@ -167,24 +167,24 @@ fn stragglers_run_once_under_the_watchdog() {
 }
 
 /// Corruption quarantine acceptance: a deterministic bit flip in a resident
-/// store row is caught by the per-row checksum, the attempt fails with the
-/// typed-retryable `MissingStoredRow`, and the retry re-gathers the evicted
-/// row from level 0 — producing logits bitwise identical to the fault-free
-/// run.
+/// store row is caught by the per-row checksum at the batch's one probe of
+/// that row, which quarantines it and reads it as a miss. The node is
+/// recomputed from level 0 in the same attempt — no error, no retry — and
+/// the logits are bitwise identical to the fault-free run's.
 #[test]
 fn row_flip_retry_serves_bitwise_identical_logits() {
     // A 2-layer model keeps the store single-level, so every resident row
-    // is staged on a repeat batch and the injected flip is always read
-    // (with the 3-layer reference model, a flip in the shadowed level-1
-    // rows would sit dormant behind the level-2 reads).
+    // is read on a repeat batch and the injected flip is always met (with
+    // the 3-layer reference model, a flip in the shadowed level-1 rows
+    // would sit dormant behind the level-2 reads).
     let adj = chord_graph(120);
     let x = Matrix::rand_uniform(120, 8, -1.0, 1.0, &mut seeded_rng(11));
     let model = zoo::tinygnn_student(8, 16, 4, 13);
     let targets: Vec<usize> = (0..48).collect();
 
     // Warm a store with the batch's own roots, then serve the same batch
-    // again so every staged read hits store-resident rows.
-    let run = |inject: bool| -> (Vec<f32>, usize) {
+    // again so every probe meets store-resident rows.
+    let run = |inject: bool| -> (Vec<f32>, usize, (u64, u64)) {
         let store = FeatureStore::new(120, model.n_layers() - 1);
         let mut e = BatchedEngine::new(
             &model,
@@ -203,31 +203,38 @@ fn row_flip_retry_serves_bitwise_identical_logits() {
                 seed: 3,
                 ..Default::default()
             };
-            e.set_faults(plan.build().unwrap());
-            // The flipped row is one of the staged roots, so the checksum
-            // fails this attempt with the typed-retryable error (and the
-            // row is quarantined out of the store).
-            let res = e.try_infer(&targets);
-            assert!(
-                matches!(res, Err(ServingError::MissingStoredRow { .. })),
-                "corrupted read must surface as MissingStoredRow"
+            let faults = plan.build().unwrap();
+            e.set_faults(std::sync::Arc::clone(&faults));
+            let res = e.try_infer(&targets).expect("the flipped attempt succeeds");
+            assert_eq!(faults.attempts(), 1, "one attempt, no retry");
+            assert_eq!(faults.fired()[4], 1, "the flip fired");
+            return (
+                res.logits.as_slice().to_vec(),
+                res.store_hits,
+                store.corruption_counts(),
             );
         }
         let res = e.try_infer(&targets).unwrap();
-        (res.logits.as_slice().to_vec(), res.store_hits)
+        (
+            res.logits.as_slice().to_vec(),
+            res.store_hits,
+            store.corruption_counts(),
+        )
     };
 
-    let (clean, clean_hits) = run(false);
-    let (healed, healed_hits) = run(true);
+    let (clean, clean_hits, clean_corruption) = run(false);
+    let (healed, healed_hits, corruption) = run(true);
     assert!(clean_hits > 0, "the clean re-serve must hit the store");
+    assert_eq!(clean_corruption, (0, 0));
     assert_eq!(
         healed_hits,
         clean_hits - 1,
-        "exactly the quarantined row is re-gathered from level 0"
+        "exactly the quarantined row is recomputed from level 0"
     );
+    assert_eq!(corruption, (1, 1), "detected and quarantined once");
     assert_eq!(
         clean, healed,
-        "re-gathered data serves bitwise-identical logits"
+        "recomputed data serves bitwise-identical logits"
     );
 }
 
