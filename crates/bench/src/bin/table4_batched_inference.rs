@@ -3,6 +3,12 @@
 //! per-batch memory, latency and improvement, with and without the stored
 //! hidden features.
 //!
+//! Each row's latency is the median over [`REPS`] repetitions, run with and
+//! without the store alternately (a fresh engine each time, and a freshly
+//! built store for every repetition with it, because `StorePolicy::Roots`
+//! writes back), reported with its interquartile range. A budget whose two
+//! rows' ranges overlap is marked `~`: the table cannot order them.
+//!
 //! ```sh
 //! cargo run --release -p gcnp-bench --bin table4_batched_inference
 //! ```
@@ -16,7 +22,7 @@ use gcnp_infer::{
     StorePolicy,
 };
 use gcnp_models::{GnnModel, Metrics};
-use gcnp_obs::{median, MetricsRegistry};
+use gcnp_obs::{median, percentile, MetricsRegistry};
 use gcnp_sparse::Normalization;
 use gcnp_tensor::Matrix;
 use serde::Serialize;
@@ -24,6 +30,8 @@ use std::sync::Arc;
 
 const BATCH: usize = 512;
 const HOP2_CAP: usize = 32;
+/// Repetitions of every row.
+const REPS: usize = 5;
 
 #[derive(Serialize)]
 struct Row {
@@ -33,8 +41,51 @@ struct Row {
     f1_micro: f64,
     kmacs_per_node: f64,
     mem_mb: f64,
+    /// Median over the repetitions of each repetition's median batch
+    /// latency.
     latency_ms: f64,
+    latency_q1_ms: f64,
+    latency_q3_ms: f64,
+    /// Every repetition's median batch latency, in run order.
+    latency_runs_ms: Vec<f64>,
     lat_impr: f64,
+    /// The w/ and w/o rows of this budget have overlapping IQRs.
+    iqr_overlap: bool,
+}
+
+/// One row's repetitions: the first one's F1, kMACs/node and memory (every
+/// repetition must repeat its F1 and kMACs), and each one's median latency.
+struct Runs {
+    f1: f64,
+    kmacs: f64,
+    mem: f64,
+    lat: Vec<f64>,
+}
+
+impl Runs {
+    fn new(reps: &[(f64, f64, f64, f64)]) -> Self {
+        let (f1, kmacs, mem, _) = reps[0];
+        for r in reps {
+            assert_eq!((r.0, r.1), (f1, kmacs), "a repetition changed the result");
+        }
+        Runs {
+            f1,
+            kmacs,
+            mem,
+            lat: reps.iter().map(|r| r.3).collect(),
+        }
+    }
+
+    /// `(q1, median, q3)` of the repetitions' latencies.
+    fn quartiles(&self) -> (f64, f64, f64) {
+        let mut v = self.lat.clone();
+        v.sort_by(f64::total_cmp);
+        (
+            percentile(&v, 0.25),
+            percentile(&v, 0.5),
+            percentile(&v, 0.75),
+        )
+    }
 }
 
 #[derive(Serialize)]
@@ -46,7 +97,7 @@ struct Out {
 }
 
 /// Serve the whole test set in batches; returns (F1, kMACs/target, max
-/// per-batch memory MB, median latency ms, logits rows in test order).
+/// per-batch memory MB, median latency ms).
 fn serve(
     model: &GnnModel,
     data: &Dataset,
@@ -137,35 +188,46 @@ fn main() {
                 Scheme::BatchedInference,
                 PruneMethod::Lasso,
             );
-            // Without stored hidden features.
-            let (f1, kmacs, mem, lat) = serve(&pruned.model, &data, None, ctx.seed, &registry);
-            if budget >= 1.0 {
-                base_lat = lat;
+            // Without and with stored hidden features (train+val offline,
+            // roots online), alternated; the store is rebuilt every time.
+            let (mut without, mut with) = (Vec::new(), Vec::new());
+            for _ in 0..REPS {
+                without.push(serve(&pruned.model, &data, None, ctx.seed, &registry));
+                let store = build_store(&pruned.model, &data);
+                with.push(serve(
+                    &pruned.model,
+                    &data,
+                    Some(&store),
+                    ctx.seed,
+                    &registry,
+                ));
             }
-            rows.push(Row {
-                dataset: data.name.clone(),
-                budget: label.into(),
-                store: false,
-                f1_micro: f1,
-                kmacs_per_node: kmacs,
-                mem_mb: mem,
-                latency_ms: lat,
-                lat_impr: base_lat / lat,
-            });
-            // With stored hidden features (train+val offline, roots online).
-            let store = build_store(&pruned.model, &data);
-            let (f1, kmacs, mem, lat) =
-                serve(&pruned.model, &data, Some(&store), ctx.seed, &registry);
-            rows.push(Row {
-                dataset: data.name.clone(),
-                budget: label.into(),
-                store: true,
-                f1_micro: f1,
-                kmacs_per_node: kmacs,
-                mem_mb: mem,
-                latency_ms: lat,
-                lat_impr: base_lat / lat,
-            });
+            let (without, with) = (Runs::new(&without), Runs::new(&with));
+            let (q1_wo, lat_wo, q3_wo) = without.quartiles();
+            let (q1_w, lat_w, q3_w) = with.quartiles();
+            if budget >= 1.0 {
+                base_lat = lat_wo;
+            }
+            let iqr_overlap = q1_wo <= q3_w && q1_w <= q3_wo;
+            for (store, runs, (q1, lat, q3)) in [
+                (false, without, (q1_wo, lat_wo, q3_wo)),
+                (true, with, (q1_w, lat_w, q3_w)),
+            ] {
+                rows.push(Row {
+                    dataset: data.name.clone(),
+                    budget: label.into(),
+                    store,
+                    f1_micro: runs.f1,
+                    kmacs_per_node: runs.kmacs,
+                    mem_mb: runs.mem,
+                    latency_ms: lat,
+                    latency_q1_ms: q1,
+                    latency_q3_ms: q3,
+                    latency_runs_ms: runs.lat,
+                    lat_impr: base_lat / lat,
+                    iqr_overlap,
+                });
+            }
         }
     }
     print_table(
@@ -177,6 +239,8 @@ fn main() {
             "kMACs/node",
             "Mem(MB)",
             "Lat(ms)",
+            "IQR(ms)",
+            "",
             "Impr.",
         ],
         &rows
@@ -190,10 +254,26 @@ fn main() {
                     fnum(r.kmacs_per_node, 0),
                     fnum(r.mem_mb, 1),
                     fnum(r.latency_ms, 1),
+                    format!("{}–{}", fnum(r.latency_q1_ms, 1), fnum(r.latency_q3_ms, 1)),
+                    if r.iqr_overlap {
+                        "~".into()
+                    } else {
+                        String::new()
+                    },
                     format!("{}x", fnum(r.lat_impr, 2)),
                 ]
             })
             .collect::<Vec<_>>(),
+    );
+    let pairs: Vec<&[Row]> = rows.chunks(2).collect();
+    let faster = pairs
+        .iter()
+        .filter(|p| p[1].latency_ms < p[0].latency_ms)
+        .count();
+    let overlapping = pairs.iter().filter(|p| p[0].iqr_overlap).count();
+    println!(
+        "w/ beats w/o at the median on {faster} of {} budgets; {overlapping} have overlapping IQRs (~)",
+        pairs.len()
     );
     let stages = stage_breakdown(&registry.snapshot());
     println!("-- engine stage breakdown (all runs) --");

@@ -25,6 +25,14 @@
 //! lends a verified row to a closure under the stripe's read guard, so the
 //! expansion that asks "is it stored?" stages the row in the same step.
 //!
+//! Integrity: `put` stores a [`row_checksum`] with every row, and every
+//! read — [`FeatureStore::probe`], [`FeatureStore::with_row`] and the
+//! quarantine's re-check under the write guard — verifies it. The checksum
+//! is a lane-parallel weighted sum of the row's bit patterns with odd
+//! weights, so any change confined to one element (a flipped bit anywhere
+//! in the row) is a mismatch, and it costs a few nanoseconds per row, so it
+//! stays on the hit path.
+//!
 //! Crash tolerance: stripe guards recover from lock poisoning (a worker
 //! that panics while writing must not brick the store shared by the
 //! surviving replicas) — see `FeatureStore::read_stripe` for why recovery
@@ -48,28 +56,11 @@ pub const N_STRIPES: usize = 16;
 /// that keeps producing mismatches is treated as bad memory.
 pub const STRIPE_BREAKER_THRESHOLD: u32 = 3;
 
-/// Dependency-free xxhash64-style checksum over a row's f32 bit patterns.
-/// Not cryptographic — it only needs to make a single flipped bit (the
-/// `RowFlip` fault, or real silent corruption) detectably change the sum.
-pub fn row_checksum(row: &[f32]) -> u64 {
-    const P1: u64 = 0x9E37_79B1_85EB_CA87;
-    const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
-    const P3: u64 = 0x1656_67B1_9E37_79F9;
-    let mut h = P3 ^ (row.len() as u64).wrapping_mul(P1);
-    for chunk in row.chunks(2) {
-        let mut lane = chunk.first().map_or(0, |v| v.to_bits() as u64);
-        if let Some(second) = chunk.get(1) {
-            lane |= (second.to_bits() as u64) << 32;
-        }
-        h ^= lane.wrapping_mul(P2).rotate_left(31).wrapping_mul(P1);
-        h = h.rotate_left(27).wrapping_mul(P1).wrapping_add(P2);
-    }
-    h ^= h >> 33;
-    h = h.wrapping_mul(P2);
-    h ^= h >> 29;
-    h = h.wrapping_mul(P3);
-    h ^ (h >> 32)
-}
+/// The integrity checksum every stored row carries: a lane-parallel
+/// weighted sum of its bit patterns that changes under any change confined
+/// to one element (see [`gcnp_tensor::checksum`]). `put` writes it, and
+/// every read and the quarantine's re-check verify it.
+pub use gcnp_tensor::row_checksum;
 
 /// One level's rows owned by one stripe: a dense slab. Nodes are mapped to
 /// local slots by `node / N_STRIPES`.
@@ -505,8 +496,9 @@ impl FeatureStore {
         let local = local_of(node);
         // audit: allow(no-fail-stop) — every node < n_nodes has a slot of width w in its stripe's slab
         l.rows[local * w..(local + 1) * w].copy_from_slice(row);
-        l.sums[local] = sum; // audit: allow(no-fail-stop) — same validated slot
-                             // audit: allow(no-fail-stop) — same validated slot
+        // audit: allow(no-fail-stop) — same validated slot
+        l.sums[local] = sum;
+        // audit: allow(no-fail-stop) — same validated slot
         if !l.filled[local] {
             l.filled[local] = true; // audit: allow(no-fail-stop) — same validated slot
             l.count += 1;
@@ -842,19 +834,51 @@ mod tests {
         }
     }
 
+    /// Widths on both sides of every split the kernel makes: the eight-lane
+    /// body, its scalar tail, and rows with no full lane at all.
+    const SPLIT_WIDTHS: [usize; 10] = [1, 7, 8, 9, 31, 32, 33, 64, 128, 130];
+
+    /// A row salted with zeros, NaNs and subnormals.
+    fn checksum_row(width: usize) -> Vec<f32> {
+        (0..width)
+            .map(|i| match i % 5 {
+                0 => 0.0,
+                1 => -(i as f32) / 3.0,
+                2 => f32::from_bits(i as u32), // subnormal
+                3 => f32::NAN,
+                _ => i as f32 * 1.5e3,
+            })
+            .collect()
+    }
+
+    /// Every single-bit flip, and random other bit patterns, within one
+    /// element of a row change its checksum.
     #[test]
     fn checksum_detects_single_bit_flips() {
-        let row = [1.0f32, -2.5, 3.25, 0.0];
-        let base = row_checksum(&row);
-        for elem in 0..row.len() {
-            for bit in 0..32 {
-                let mut flipped = row;
-                flipped[elem] = f32::from_bits(flipped[elem].to_bits() ^ (1 << bit));
-                assert_ne!(
-                    row_checksum(&flipped),
-                    base,
-                    "flip of bit {bit} in element {elem} must change the sum"
-                );
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for width in SPLIT_WIDTHS {
+            let row = checksum_row(width);
+            let base = row_checksum(&row);
+            for elem in 0..width {
+                let flips = (0..32).map(|bit| row[elem].to_bits() ^ (1 << bit));
+                let random = (0..16).map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x as u32
+                });
+                for bits in flips.chain(random) {
+                    if bits == row[elem].to_bits() {
+                        continue;
+                    }
+                    let mut changed = row.clone();
+                    changed[elem] = f32::from_bits(bits);
+                    assert_ne!(
+                        row_checksum(&changed),
+                        base,
+                        "element {elem} of a {width}-wide row set to {bits:#010x}"
+                    );
+                }
             }
         }
         assert_ne!(row_checksum(&[]), row_checksum(&[0.0]), "length is hashed");
@@ -990,5 +1014,41 @@ mod tests {
         assert!(!store.probe(1, 5, |_| unreachable!("never served")));
         assert_eq!(store.corruption_counts(), (1, 1));
         assert_eq!(store.len(1), 0);
+    }
+
+    /// Flip one bit of a stored row in place, leaving its checksum stale.
+    fn flip_stored(store: &FeatureStore, level: usize, node: usize, elem: usize, bit: u32) {
+        let mut stripe = store.stripes[stripe_of(node)].write().unwrap();
+        let l = &mut stripe.levels[level - 1];
+        let w = l.width.unwrap();
+        let v = &mut l.rows[local_of(node) * w + elem];
+        *v = f32::from_bits(v.to_bits() ^ (1 << bit));
+    }
+
+    #[test]
+    fn probe_quarantines_a_flip_in_every_lane_class() {
+        const W: usize = 33;
+        let store = FeatureStore::new(64, 1);
+        // First lane, a middle lane and the scalar tail, each at a low
+        // mantissa, the top exponent and the sign bit; one stripe per flip,
+        // so no breaker trips.
+        let flips: Vec<(usize, u32)> = [0, 13, 32]
+            .into_iter()
+            .flat_map(|elem| [0, 30, 31].map(|bit| (elem, bit)))
+            .collect();
+        for (node, _) in flips.iter().enumerate() {
+            store.put(1, node, &checksum_row(W)).unwrap();
+        }
+        for (node, &(elem, bit)) in flips.iter().enumerate() {
+            flip_stored(&store, 1, node, elem, bit);
+            assert!(
+                !store.probe(1, node, |_| unreachable!("never served")),
+                "flip of bit {bit} in element {elem}"
+            );
+            let n = node as u64 + 1;
+            assert_eq!(store.corruption_counts(), (n, n));
+            assert_eq!(store.len(1), flips.len() - node - 1);
+        }
+        assert_eq!(store.bypassed_stripes(), 0);
     }
 }

@@ -19,6 +19,10 @@
 //!   `dst[c] = scale · Σ_j w_j · src[row_j][c]` accumulated in 64-column
 //!   register tiles across the whole neighbour list, with a
 //!   runtime-dispatched AVX2 twin and a bitwise-identical scalar body,
+//! * the row checksum ([`checksum`]) that guards every hidden-feature store
+//!   read: a modular weighted sum of the row's bit patterns with odd
+//!   weights, so any change confined to one element changes it, with a
+//!   runtime-dispatched AVX2 twin and a bitwise-identical scalar body,
 //! * a [`ScratchPool`] recycling hot-path intermediate buffers,
 //! * elementwise and row/column-wise operations,
 //! * seeded random initializers (uniform, normal, Glorot),
@@ -35,6 +39,7 @@
 //! moving an aggregation onto the kernel changes no bit of any output.
 
 pub mod check;
+pub mod checksum;
 pub mod gemm;
 pub mod init;
 pub mod lockcheck;
@@ -47,6 +52,7 @@ pub mod rowsum;
 pub mod scratch;
 
 pub use check::CheckError;
+pub use checksum::row_checksum;
 pub use gemm::{gemm_path, set_gemm_path, GemmPath, PackedB};
 pub use matrix::Matrix;
 pub use parallel::{

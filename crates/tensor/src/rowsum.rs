@@ -120,13 +120,15 @@ fn row_sum_with<I: RowId>(
     });
 }
 
+/// True when the CPU runs the AVX2 twins of [`row_sum`] and
+/// [`crate::checksum::row_checksum`].
 #[cfg(target_arch = "x86_64")]
-fn simd_available() -> bool {
+pub(crate) fn simd_available() -> bool {
     std::arch::is_x86_feature_detected!("avx2")
 }
 
 #[cfg(not(target_arch = "x86_64"))]
-fn simd_available() -> bool {
+pub(crate) fn simd_available() -> bool {
     false
 }
 
