@@ -249,15 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn select_cols_grad() {
-        let y = rngm(4, 2, 48);
-        check(rngm(4, 5, 49), move |t, x| {
-            let s = t.select_cols(x, &[3, 1]);
-            t.mse(s, y.clone())
-        });
-    }
-
-    #[test]
     fn softmax_xent_grad() {
         check(rngm(6, 4, 33), move |t, x| {
             t.softmax_xent(x, &[0, 1, 2, 3, 0, 1])

@@ -65,10 +65,6 @@ enum Op {
         x: Var,
         idx: Vec<usize>,
     },
-    SelectCols {
-        x: Var,
-        idx: Vec<usize>,
-    },
     SoftmaxXent {
         logits: Var,
         labels: Vec<usize>,
@@ -285,21 +281,6 @@ impl Tape {
         self.push(
             v,
             Op::GatherRows {
-                x,
-                idx: idx.to_vec(),
-            },
-            ng,
-        )
-    }
-
-    /// Select (and possibly reorder) columns of `x` — how a pruned branch
-    /// reads only its surviving input channels.
-    pub fn select_cols(&mut self, x: Var, idx: &[usize]) -> Var {
-        let v = self.value(x).select_cols(idx);
-        let ng = self.needs(x);
-        self.push(
-            v,
-            Op::SelectCols {
                 x,
                 idx: idx.to_vec(),
             },
@@ -574,20 +555,6 @@ impl Tape {
                     let mut dx = Matrix::zeros(r, c);
                     for (o, &src) in idx.iter().enumerate() {
                         gcnp_tensor::ops::axpy(dx.row_mut(src), g.row(o), 1.0);
-                    }
-                    acc!(x, dx);
-                }
-                Op::SelectCols { x, idx } => {
-                    let x = *x;
-                    let idx = idx.clone();
-                    let (r, c) = self.nodes[x.0].value.shape();
-                    let mut dx = Matrix::zeros(r, c);
-                    for row in 0..r {
-                        let grow = g.row(row);
-                        let drow = dx.row_mut(row);
-                        for (o, &src) in idx.iter().enumerate() {
-                            drow[src] += grow[o];
-                        }
                     }
                     acc!(x, dx);
                 }

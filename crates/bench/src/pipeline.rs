@@ -74,6 +74,13 @@ pub fn reference_model(ctx: &Ctx, kind: DatasetKind, data: &Dataset) -> CachedMo
     cached
 }
 
+/// Revision of what [`prune_model`] returns, part of every pruned-model
+/// cache key: bump it whenever a scheme's output changes shape or meaning,
+/// so no entry an older build wrote is ever served. Revision 1: pruned
+/// models are compact (no runtime channel lists) and the batched scheme
+/// leaves layer 1's attributes whole.
+const SCHEME_REVISION: u32 = 1;
+
 /// A cached pruned + retrained model with its costs.
 #[derive(Serialize, Deserialize)]
 pub struct CachedPruned {
@@ -103,7 +110,7 @@ pub fn pruned_model(
         };
     }
     let key = format!(
-        "pruned_{}_{:?}_{:?}_b{}",
+        "pruned_r{SCHEME_REVISION}_{}_{:?}_{:?}_b{}",
         kind.name(),
         scheme,
         method,

@@ -26,6 +26,66 @@ fn load_model(path: &str) -> Result<GnnModel, String> {
     serde_json::from_str(&text).map_err(|e| format!("parse model {path}: {e}"))
 }
 
+/// [`load_model`], refused unless its widths fit `data` ([`check_widths`]).
+fn load_model_for(path: &str, data: &Dataset) -> Result<GnnModel, String> {
+    let model = load_model(path)?;
+    check_widths(&model, data.attr_dim()).map_err(|e| format!("model {path}: {e}"))?;
+    Ok(model)
+}
+
+/// A branch whose weight reads another number of channels than its layer
+/// is fed.
+#[derive(Debug, PartialEq)]
+struct WidthMismatch {
+    /// 1-based layer index.
+    layer: usize,
+    branch: usize,
+    /// The rows of the branch's weight.
+    reads: usize,
+    /// The dataset's attributes for layer 1, the previous layer's outputs
+    /// (all earlier layers' under Jumping Knowledge) after it.
+    fed: usize,
+}
+
+impl std::fmt::Display for WidthMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let source = match self.layer {
+            1 => "the dataset's attributes".to_string(),
+            l => format!("layer {}'s outputs", l - 1),
+        };
+        write!(
+            f,
+            "layer {} branch {} reads {} input channels but {source} are {} wide",
+            self.layer, self.branch, self.reads, self.fed
+        )
+    }
+}
+
+/// Check that layer 1 reads `attr_dim` channels and every later layer as
+/// many as the layer before it emits, so a model trained or pruned for
+/// other data is refused by name instead of failing inside a kernel.
+fn check_widths(model: &GnnModel, attr_dim: usize) -> Result<(), WidthMismatch> {
+    let n = model.layers.len();
+    let mut fed = attr_dim;
+    for (li, layer) in model.layers.iter().enumerate() {
+        if model.jk && li > 0 && li + 1 == n {
+            fed = model.layers[..li].iter().map(|l| l.out_dim()).sum();
+        }
+        for (bi, b) in layer.branches.iter().enumerate() {
+            if b.in_dim() != fed {
+                return Err(WidthMismatch {
+                    layer: li + 1,
+                    branch: bi,
+                    reads: b.in_dim(),
+                    fed,
+                });
+            }
+        }
+        fed = layer.out_dim();
+    }
+    Ok(())
+}
+
 fn save<T: serde::Serialize>(path: &str, value: &T) -> Result<(), String> {
     let json = serde_json::to_string(value).map_err(|e| e.to_string())?;
     fs::write(path, json).map_err(|e| format!("write {path}: {e}"))
@@ -112,7 +172,7 @@ pub fn prune(args: &Args) -> Result<String, String> {
         "data", "model", "budget", "scheme", "method", "seed", "retrain", "out",
     ])?;
     let data = load_dataset(args.require("data")?)?;
-    let model = load_model(args.require("model")?)?;
+    let model = load_model_for(args.require("model")?, &data)?;
     let budget: f32 = args.get_or("budget", 0.25)?;
     let scheme = match args.get("scheme").unwrap_or("full") {
         "full" => Scheme::FullInference,
@@ -211,7 +271,7 @@ pub fn eval(args: &Args) -> Result<String, String> {
         let f1 = Metrics::f1_micro_full(&logits, &data.labels, &data.test);
         return Ok(format!("quantized full inference: test F1 {f1:.3}"));
     }
-    let model = load_model(model_path)?;
+    let model = load_model_for(model_path, &data)?;
     if !args.has("batched") {
         let engine = FullEngine::new(&model, Some(&adj));
         let res = engine.run(&data.features, 1, 3);
@@ -368,19 +428,7 @@ pub fn serve(args: &Args) -> Result<String, String> {
         return Err("--ladder is one server switching models: no --workers/--shards".into());
     }
     let data = load_dataset(args.require("data")?)?;
-    let model = load_model(args.require("model")?)?;
-    let pruned = model
-        .layers
-        .iter()
-        .flat_map(|l| &l.branches)
-        .any(|b| b.keep.is_some());
-    if ladder && pruned {
-        return Err(
-            "--ladder prunes its tiers from the model it is given: pass the unpruned model, \
-             not one with keep lists"
-                .into(),
-        );
-    }
+    let model = load_model_for(args.require("model")?, &data)?;
     let seed: u64 = args.get_or("seed", 0)?;
     let cfg = ServingConfig {
         arrival_rate: args.get_or("rate", 500.0)?,
@@ -795,8 +843,10 @@ mod tests {
                 "{flag}: {err}"
             );
         }
-        // A ladder prunes its own tiers: a model that already carries keep
-        // lists is refused by name before any pruning starts.
+        // A model whose widths do not fit the data — here layer 1's
+        // neighbour branch reads 2 channels, the shape a pruned file from
+        // before pruned models were compact loads as — is refused by name,
+        // with both widths, by every command that runs it on the data.
         let dir = std::env::temp_dir().join("gcnp_cli_bad_inputs_test");
         std::fs::create_dir_all(&dir).unwrap();
         let d = dir.join("d.json").display().to_string();
@@ -805,19 +855,33 @@ mod tests {
             "generate --dataset yelpchi-sim --scale 0.05 --seed 2 --out {d}"
         )))
         .unwrap();
-        let mut pruned = zoo::graphsage(load_dataset(&d).unwrap().attr_dim(), 16, 2, 1);
-        let b = &mut pruned.layers[0].branches[1];
+        let attr_dim = load_dataset(&d).unwrap().attr_dim();
+        let mut narrow = zoo::graphsage(attr_dim, 16, 2, 1);
+        let b = &mut narrow.layers[0].branches[1];
         b.weight = b.weight.select_rows(&[0, 1]);
-        b.keep = Some(vec![0, 1]);
-        save(&m, &pruned).unwrap();
-        let err = run(&parse(&format!(
-            "serve --data {d} --model {m} --requests 10 --ladder"
-        )))
-        .unwrap_err();
-        assert!(
-            err.contains("--ladder") && err.contains("unpruned"),
-            "{err}"
+        save(&m, &narrow).unwrap();
+        let want = format!("layer 1 branch 1 reads 2 input channels but the dataset's attributes are {attr_dim} wide");
+        for cmd in [
+            "serve --requests 10 --ladder",
+            "serve --requests 10",
+            "eval",
+            "eval --batched",
+            "prune --out",
+        ] {
+            let (name, rest) = cmd.split_once(' ').unwrap_or((cmd, ""));
+            let rest = rest.replace("--out", &format!("--out {m}.pruned"));
+            let err = run(&parse(&format!("{name} --data {d} --model {m} {rest}"))).unwrap_err();
+            assert!(err.contains(&want), "{cmd}: {err}");
+        }
+        // Each later layer must read what the one before it emits.
+        let mut inner = zoo::graphsage(attr_dim, 16, 2, 1);
+        let b = &mut inner.layers[1].branches[0];
+        b.weight = b.weight.select_rows(&[0, 1, 2]);
+        assert_eq!(
+            check_widths(&inner, attr_dim).unwrap_err().to_string(),
+            "layer 2 branch 0 reads 3 input channels but layer 1's outputs are 16 wide"
         );
+        assert_eq!(check_widths(&zoo::jk(attr_dim, 16, 2, 1), attr_dim), Ok(()));
         std::fs::remove_dir_all(&dir).ok();
         assert!(run(&parse("generate --dataset nope --out /tmp/x.json")).is_err());
         assert!(run(&parse(

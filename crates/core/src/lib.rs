@@ -13,10 +13,11 @@
 //!   Max-Response and Random selection baselines,
 //! * [`scheme`] — end-to-end pruning, output layer → input layer, with the
 //!   full-inference scheme (constant budget everywhere except the raw
-//!   attributes) and the batched-inference scheme (layer-1 neighbor branch +
-//!   all of layer-2, §3.3.2),
+//!   attributes) and the batched-inference scheme (all of layer 2's input,
+//!   §3.3.2, leaving layer 1's attributes whole),
 //! * retraining is the standard [`gcnp_models::Trainer`] run on the pruned
-//!   model — pruned branches carry `keep` lists which the tape honors.
+//!   model — a pruned model is a compact, narrower model of the same
+//!   architecture.
 
 pub mod lasso;
 pub mod scheme;

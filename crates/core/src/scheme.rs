@@ -1,17 +1,23 @@
 //! End-to-end pruning schemes (§3.3).
 //!
-//! Pruning the input channels of layer *i* also removes output columns of
-//! layer *i−1*'s weights, so the sweep runs **output layer → input layer**.
-//! Two schemes:
+//! Pruning the input channels of layer *i* also removes the matching output
+//! columns of layer *i−1*'s weights and bias, so the sweep runs **output
+//! layer → input layer**, and every job leaves a compact model: each branch
+//! reads its whole input, and a pruned model is simply a narrower one.
+//! Layer 0's input, the raw node attributes, is never pruned: nothing
+//! produces it. Two schemes:
 //!
 //! * [`Scheme::FullInference`] — constant budget η on every layer's input
 //!   except the raw node attributes (layer 0). Computation shrinks between
 //!   η² and η per layer, memory between η and 1 (§3.3.1).
 //! * [`Scheme::BatchedInference`] — attack the neighbor-explosion term
-//!   (Eq. 3): prune the *whole* second layer and the aggregation (`k ≥ 1`)
-//!   branches of the first layer with budget η (§3.3.2). The raw-attribute
-//!   selection of layer 1's neighbor branch is kept as a runtime `keep`
-//!   list, because the attributes themselves are never rewritten.
+//!   (Eq. 3): prune the *whole* second layer's input with budget η, which
+//!   narrows every first-layer branch's output. The paper (§3.3.2) also
+//!   prunes the first layer's aggregation inputs, because its aggregation
+//!   ran at the attribute width. The batched engine's first layer instead
+//!   reads an `out_dim`-wide projection table indexed by node id whatever
+//!   its input width, so pruning those attributes would save only the
+//!   table's one-off construction; this scheme leaves them whole.
 
 use gcnp_models::{CombineMode, GnnModel};
 use gcnp_sparse::CsrMatrix;
@@ -32,7 +38,7 @@ pub enum Scheme {
 pub struct LayerReport {
     /// Index of the layer whose input channels were pruned.
     pub layer: usize,
-    /// Branch indices that were pruned (all, for shared-β jobs).
+    /// Branch indices that were pruned (all of the layer's: β is shared).
     pub branches: Vec<usize>,
     pub kept: usize,
     pub total: usize,
@@ -61,8 +67,7 @@ pub struct PruneReport {
 /// and `x_train` the training nodes' attributes — the paper optimizes on the
 /// training graph to avoid information leak (§3.1).
 ///
-/// Returns the pruned model (compact weights, runtime `keep` lists only
-/// where raw attributes are selected) and a [`PruneReport`].
+/// Returns the pruned (compact) model and a [`PruneReport`].
 pub fn prune_model(
     model: &GnnModel,
     adj_train: &CsrMatrix,
@@ -84,128 +89,30 @@ pub fn prune_model(
     let weights_before = model.n_weights();
 
     // Hidden features of the original model on the training graph; the
-    // input of layer i is hs[i-1] (or x_train for i = 0). Earlier layers are
-    // untouched while the reverse sweep works on layer i, so these stay valid.
+    // input of layer i is hs[i-1]. Earlier layers' inputs are untouched
+    // while the reverse sweep works on layer i, so these stay valid.
     let hs = model.forward_collect(Some(adj_train), x_train);
-    let layer_input = |i: usize| -> &Matrix {
-        if i == 0 {
-            x_train
-        } else {
-            &hs[i - 1]
-        }
-    };
 
-    // Job list: (layer index, branch indices, shared-with-propagation?).
+    // The layers whose inputs are pruned, output side first.
     let n = model.layers.len();
-    let jobs: Vec<(usize, Vec<usize>, bool)> = match scheme {
-        Scheme::FullInference => (1..n)
-            .rev()
-            .map(|i| (i, (0..model.layers[i].branches.len()).collect(), true))
-            .collect(),
+    let jobs: Vec<usize> = match scheme {
+        Scheme::FullInference => (1..n).rev().collect(),
         Scheme::BatchedInference => {
             assert!(n >= 2, "prune_model: batched scheme expects >= 2 layers");
-            let mut v = vec![(
-                1,
-                (0..model.layers[1].branches.len()).collect::<Vec<_>>(),
-                true,
-            )];
-            // Layer 1 (paper's "layer-1"): only the aggregation branches,
-            // whose supporting-node count dominates Eq. 3.
-            let agg: Vec<usize> = model.layers[0]
-                .branches
-                .iter()
-                .enumerate()
-                .filter(|(_, b)| b.k >= 1)
-                .map(|(bi, _)| bi)
-                .collect();
-            if !agg.is_empty() {
-                v.push((0, agg, false));
-            }
-            v
+            vec![1]
         }
     };
 
     let mut reports = Vec::with_capacity(jobs.len());
-    for (li, branch_ids, propagate) in jobs {
+    for li in jobs {
         let lt0 = std::time::Instant::now();
-        let input = layer_input(li);
+        let input = &hs[li - 1];
         let c = input.cols();
         let n_keep = ((budget * c as f32).floor() as usize).clamp(1, c);
-
-        // Per-branch X_k = Ãᵏ · input via progressive powers.
-        let max_k = branch_ids
-            .iter()
-            .map(|&b| pruned.layers[li].branches[b].k)
-            .max()
-            .unwrap_or(0);
-        let mut powers: Vec<Matrix> = vec![input.clone()];
-        for _ in 0..max_k {
-            let next = adj_train.spmm(powers.last().unwrap());
-            powers.push(next);
-        }
-        // Branches whose outputs were entirely pruned by an earlier (more
-        // output-side) job have zero-width weights: they contribute nothing
-        // to the LASSO objective, so they only get their rows sliced.
-        let (active, empty): (Vec<usize>, Vec<usize>) = branch_ids
-            .iter()
-            .partition(|&&b| pruned.layers[li].branches[b].weight.cols() > 0);
-        if active.is_empty() {
-            // Every branch in this job is dead (all its output channels were
-            // pruned by an earlier, more output-side job). There is nothing
-            // to regress against: keep an arbitrary channel subset — the
-            // branch outputs stay zero-width and contribute nothing.
-            let keep: Vec<usize> = (0..n_keep).collect();
-            for &b in &empty {
-                let branch = &mut pruned.layers[li].branches[b];
-                branch.weight = branch.weight.select_rows(&keep);
-                branch.keep = Some(keep.clone());
-            }
-            reports.push(LayerReport {
-                layer: li,
-                branches: branch_ids,
-                kept: n_keep,
-                total: c,
-                rel_error: 0.0,
-                lambda_final: 0.0,
-                beta_zero_frac: 0.0,
-                seconds: lt0.elapsed().as_secs_f64(),
-            });
-            continue;
-        }
-        let xs: Vec<Matrix> = active
-            .iter()
-            .map(|&b| powers[pruned.layers[li].branches[b].k].clone())
-            .collect();
-        let ws: Vec<Matrix> = active
-            .iter()
-            .map(|&b| pruned.layers[li].branches[b].weight.clone())
-            .collect();
-
-        let outcome: LassoOutcome = lasso_prune(&xs, &ws, n_keep, cfg);
-
-        for (slot, &b) in active.iter().enumerate() {
-            let branch = &mut pruned.layers[li].branches[b];
-            branch.weight = outcome.weights[slot].clone();
-            branch.keep = Some(outcome.keep.clone());
-        }
-        for &b in &empty {
-            let branch = &mut pruned.layers[li].branches[b];
-            branch.weight = branch.weight.select_rows(&outcome.keep);
-            branch.keep = Some(outcome.keep.clone());
-        }
-
-        if propagate && li > 0 {
-            shrink_layer_outputs(&mut pruned, li - 1, &outcome.keep);
-            // The producing layer now emits exactly the kept channels, so
-            // the consumer reads them contiguously.
-            for &b in &branch_ids {
-                pruned.layers[li].branches[b].keep = None;
-            }
-        }
-
+        let outcome = prune_layer_inputs(&mut pruned, adj_train, input, li, n_keep, cfg);
         reports.push(LayerReport {
             layer: li,
-            branches: branch_ids,
+            branches: (0..pruned.layers[li].branches.len()).collect(),
             kept: outcome.keep.len(),
             total: c,
             rel_error: outcome.rel_error,
@@ -224,6 +131,67 @@ pub fn prune_model(
         weights_after: pruned.n_weights(),
     };
     (pruned, report)
+}
+
+/// Prune the input channels of `model.layers[li]` (`li ≥ 1`; β shared
+/// across its branches) down to `n_keep`, regressing on `input`, the
+/// layer's input on the training graph, then remove the same channels from
+/// layer `li − 1`'s outputs. The model computes the same function as
+/// selecting the kept channels before each branch's GEMM would.
+fn prune_layer_inputs(
+    model: &mut GnnModel,
+    adj_train: &CsrMatrix,
+    input: &Matrix,
+    li: usize,
+    n_keep: usize,
+    cfg: &PrunerConfig,
+) -> LassoOutcome {
+    assert!(
+        li >= 1,
+        "prune: layer 0 reads the raw attributes, which no layer produces"
+    );
+    let branches = &model.layers[li].branches;
+    // Branches whose outputs were entirely pruned by an earlier (more
+    // output-side) job have zero-width weights: they contribute nothing to
+    // the LASSO objective, so they only get their rows sliced.
+    let active: Vec<usize> = (0..branches.len())
+        .filter(|&b| branches[b].weight.cols() > 0)
+        .collect();
+    let outcome = if active.is_empty() {
+        // Nothing to regress against: keep an arbitrary channel subset.
+        let c = input.cols();
+        LassoOutcome {
+            keep: (0..n_keep).collect(),
+            beta: (0..c).map(|i| if i < n_keep { 1.0 } else { 0.0 }).collect(),
+            weights: Vec::new(),
+            lambda_final: 0.0,
+            beta_epochs_run: 0,
+            rel_error: 0.0,
+            beta_zero_frac: 0.0,
+        }
+    } else {
+        // Per-branch X_k = Ãᵏ · input via progressive powers.
+        let max_k = active.iter().map(|&b| branches[b].k).max().unwrap_or(0);
+        let mut powers: Vec<Matrix> = vec![input.clone()];
+        for _ in 0..max_k {
+            let next = adj_train.spmm(powers.last().unwrap());
+            powers.push(next);
+        }
+        let xs: Vec<Matrix> = active
+            .iter()
+            .map(|&b| powers[branches[b].k].clone())
+            .collect();
+        let ws: Vec<Matrix> = active.iter().map(|&b| branches[b].weight.clone()).collect();
+        lasso_prune(&xs, &ws, n_keep, cfg)
+    };
+    for (bi, branch) in model.layers[li].branches.iter_mut().enumerate() {
+        branch.weight = match active.iter().position(|&b| b == bi) {
+            Some(slot) => outcome.weights[slot].clone(),
+            None => branch.weight.select_rows(&outcome.keep),
+        };
+    }
+    shrink_layer_outputs(model, li - 1, &outcome.keep);
+    outcome
 }
 
 /// Remove all output channels of `model.layers[li]` except `keep` (given as
@@ -268,9 +236,10 @@ fn shrink_layer_outputs(model: &mut GnnModel, li: usize, keep: &[usize]) {
 }
 
 /// Single-layer pruning for the Fig. 4 experiment: prune the input channels
-/// of `model.layers[li]` (shared across its branches) down to `n_keep`,
-/// leaving every other layer untouched (the consumer selects channels at
-/// runtime; no propagation). Returns the pruned copy and the LASSO outcome.
+/// of `model.layers[li]` (`li ≥ 1`, shared across its branches) down to
+/// `n_keep` and drop them from layer `li − 1`'s outputs, leaving every
+/// other layer's weights untouched. Returns the pruned copy and the LASSO
+/// outcome.
 pub fn prune_single_layer(
     model: &GnnModel,
     adj_train: &CsrMatrix,
@@ -281,34 +250,8 @@ pub fn prune_single_layer(
 ) -> (GnnModel, LassoOutcome) {
     let mut pruned = model.clone();
     let hs = model.forward_collect(Some(adj_train), x_train);
-    let input = if li == 0 { x_train } else { &hs[li - 1] };
-
-    let max_k = model.layers[li]
-        .branches
-        .iter()
-        .map(|b| b.k)
-        .max()
-        .unwrap_or(0);
-    let mut powers: Vec<Matrix> = vec![input.clone()];
-    for _ in 0..max_k {
-        let next = adj_train.spmm(powers.last().unwrap());
-        powers.push(next);
-    }
-    let xs: Vec<Matrix> = model.layers[li]
-        .branches
-        .iter()
-        .map(|b| powers[b.k].clone())
-        .collect();
-    let ws: Vec<Matrix> = model.layers[li]
-        .branches
-        .iter()
-        .map(|b| b.weight.clone())
-        .collect();
-    let outcome = lasso_prune(&xs, &ws, n_keep, cfg);
-    for (branch, w) in pruned.layers[li].branches.iter_mut().zip(&outcome.weights) {
-        branch.weight = w.clone();
-        branch.keep = Some(outcome.keep.clone());
-    }
+    let input = li.checked_sub(1).map_or(x_train, |i| &hs[i]);
+    let outcome = prune_layer_inputs(&mut pruned, adj_train, input, li, n_keep, cfg);
     (pruned, outcome)
 }
 
@@ -364,7 +307,6 @@ mod tests {
         // Layer 1 consumes 8 channels, emits 8 (pruned by classifier job).
         for b in &pruned.layers[1].branches {
             assert_eq!(b.weight.rows(), 8);
-            assert!(b.keep.is_none(), "propagated jobs compact the input");
         }
         let l1_out: usize = pruned.layers[1]
             .branches
@@ -403,22 +345,38 @@ mod tests {
         let (_, model, adj, x) = setup();
         let (pruned, report) =
             prune_model(&model, &adj, &x, 0.5, Scheme::BatchedInference, &fast_cfg());
-        // Layer 0: k=0 branch untouched (full raw attrs), k=1 branch reads
-        // half the attributes through a runtime keep list.
-        let l0 = &pruned.layers[0];
-        assert!(l0.branches[0].keep.is_none());
-        assert_eq!(l0.branches[0].weight.rows(), 24);
-        let keep1 = l0.branches[1].keep.as_ref().expect("k=1 branch pruned");
-        assert_eq!(keep1.len(), 12);
-        assert_eq!(l0.branches[1].weight.rows(), 12);
+        // Layer 0: both branches read every attribute with their trained
+        // weights; the layer-1 job only dropped output columns, whose
+        // surviving values are untouched.
+        let l0_out: usize = pruned.layers[0]
+            .branches
+            .iter()
+            .map(|b| b.weight.cols())
+            .sum();
+        assert_eq!(l0_out, 8);
+        for (b, orig) in pruned.layers[0]
+            .branches
+            .iter()
+            .zip(&model.layers[0].branches)
+        {
+            assert_eq!(b.weight.rows(), 24);
+            let col = |m: &Matrix, j: usize| (0..m.rows()).map(|r| m.get(r, j)).collect::<Vec<_>>();
+            for j in 0..b.weight.cols() {
+                let survivor = col(&b.weight, j);
+                assert!(
+                    (0..orig.weight.cols()).any(|o| col(&orig.weight, o) == survivor),
+                    "layer 0 branch k = {}: column {j} is a trained column",
+                    b.k
+                );
+            }
+        }
         // Layer 1: whole input pruned (8 of 16 channels), compacted.
         for b in &pruned.layers[1].branches {
             assert_eq!(b.weight.rows(), 8);
-            assert!(b.keep.is_none());
         }
         // Classifier untouched.
         assert_eq!(pruned.layers[2].branches[0].weight.shape(), (16, 3));
-        assert_eq!(report.layers.len(), 2);
+        assert_eq!(report.layers.len(), 1);
     }
 
     #[test]
@@ -437,15 +395,34 @@ mod tests {
         let (data, model, adj, x) = setup();
         let (pruned, outcome) = prune_single_layer(&model, &adj, &x, 1, 4, &fast_cfg());
         assert_eq!(outcome.keep.len(), 4);
-        // Layer 0 untouched (no propagation).
+        // Layer 0 reads every attribute and emits the 4 kept channels;
+        // the classifier is untouched.
+        assert_eq!(pruned.layers[0].out_dim(), 4);
+        assert_eq!(pruned.layers[0].branches[0].weight.rows(), 24);
         assert_eq!(
-            pruned.layers[0].branches[0].weight,
-            model.layers[0].branches[0].weight
+            pruned.layers[2].branches[0].weight,
+            model.layers[2].branches[0].weight
         );
-        // Forward still works: layer 1 selects its 4 channels at runtime.
+        // Bit for bit the select-then-multiply forward: the unpruned layer
+        // 0, then layer 1 selecting its kept channels before each GEMM.
         let full_adj = data.adj.normalized(Normalization::Row);
-        let out = pruned.forward_full(Some(&full_adj), &data.features);
-        assert_eq!(out.shape(), (300, 3));
+        let h0 = model.layers[0].forward(Some(&full_adj), &data.features);
+        let z1 = full_adj.spmm(&h0);
+        let layer1 = &pruned.layers[1];
+        let parts: Vec<Matrix> = layer1
+            .branches
+            .iter()
+            .map(|b| {
+                let z = if b.k == 0 { &h0 } else { &z1 };
+                z.select_cols(&outcome.keep).matmul(&b.weight)
+            })
+            .collect();
+        let pre = Matrix::concat_cols_all(&parts.iter().collect::<Vec<_>>())
+            .add_row_vector(layer1.bias.as_ref().unwrap().row(0));
+        let want = model.layers[2].forward(Some(&full_adj), &pre.relu());
+        let got = pruned.forward_full(Some(&full_adj), &data.features);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

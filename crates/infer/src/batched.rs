@@ -6,52 +6,50 @@
 //! over the (possibly capped) neighbor sample, matching GraphSAGE's `D⁻¹A`
 //! semantics when uncapped; each aggregated row is one
 //! [`gcnp_tensor::row_sum`] (the register-tiled kernel CSR SpMM also runs
-//! on) over the node's neighbor list with `scale = 1 / deg`, reading level 0
-//! by node id and hidden levels through the relabel table.
+//! on) over the node's neighbor list with `scale = 1 / deg`, reading layer
+//! 1's projection tables by node id and hidden levels through the relabel
+//! table.
 //!
-//! # Level 0 is read in place, and layer 1 aggregates its projection
+//! # Layer 1 reads tables indexed by node id
 //!
-//! The raw attributes are never copied per batch. Hidden levels read the
-//! per-batch level table through the relabel table; layer 1 reads level 0
-//! by global node id. Every read goes through one private row source
-//! (matrix, optional relabel table, optional `keep`), so each read has one
-//! body for every level. A `k = 0` branch builds no operand at all: its
-//! GEMM takes the row source and the computed nodes' ids
+//! The raw attributes are never copied per batch, and no batch reads them
+//! through a neighbour list: layer 1's every branch reads a per-engine
+//! table indexed by node id instead. Hidden levels read the per-batch level
+//! table through the relabel table. Every read goes through one private row
+//! source (matrix, optional relabel table), so each read has one body for
+//! every level. A hidden level's `k = 0` branch builds no operand at all:
+//! its GEMM takes the row source and the computed nodes' ids
 //! ([`Matrix::matmul_packed_rows_into`]) and broadcasts each row from where
 //! it lies — the product is the gather — and under `Concat` every branch's
 //! GEMM stores into its own column window of the layer's combined output —
 //! the product is the concatenation. (`gather_selected` builds an operand
-//! only where a kernel needs one as a tensor: a `keep` on a hidden level,
-//! the int8 tier.)
+//! only where a kernel needs one as a tensor: the int8 tier.)
 //!
-//! Layer 1's neighbour branches follow Eq. 2's `min`, the rule the
-//! full-graph pass runs too ([`gcnp_models::Branch::projects_first`]). Level
-//! 0 is the static attribute matrix, so `mean(X_N)·W = mean((X·W)_N)` and
-//! `X·W` does not depend on the batch: a `k = 1` branch of layer 1 that is
-//! no wider out than in gets a **projection table** `P = features[:, keep]
-//! · W` (`n_nodes × out_dim`), computed once at engine construction on the
-//! f32 packed GEMM whatever the engine's precision. A batch then sums
+//! Level 0 is the static attribute matrix, so `mean(X_N)·W = mean((X·W)_N)`
+//! and `X·W` does not depend on the batch: each `k = 1` branch of layer 1
+//! gets a **projection table** `P = X · W` (`n_nodes × out_dim`), computed
+//! once at engine construction on the f32 packed GEMM whatever the
+//! engine's precision and whatever the branch's widths. A batch then sums
 //! `out_dim`-wide rows of `P` (64 columns on the unpruned reddit-sim model,
-//! 3 on the 4×-pruned one, instead of 602 and 150 attribute channels) and
-//! stores the mean straight into the branch's column window: that branch
-//! runs no GEMM. Each row of the table is bitwise the row a per-batch
+//! 3 on the 4×-pruned one, instead of 602 attribute channels) and stores
+//! the mean straight into the branch's column window: that branch runs no
+//! GEMM. Each row of the table is bitwise the row a per-batch
 //! [`Matrix::matmul_packed_rows_into`] would produce for that node (every
 //! output row is its own fma chain), so a node's logits still depend only on
 //! the graph, never on its batch-mates. Against the aggregate-then-transform
 //! order they move by rounding only (≤ 1e-4;
 //! `project_first_stays_within_rounding_of_aggregate_first`). A branch
-//! wider out than in (products-sim's 100 → 128) builds no table: a batch
-//! sums its kept attribute rows and multiplies the mean, the cheaper order
-//! there. Hidden levels keep aggregate-then-transform whatever the
-//! widths: there `|V_in| ≫ |V_out|` and the input changes every batch. A
-//! layer-1 branch that reads attributes with a runtime `keep` and builds no
-//! table gets its kept channels packed once instead —
-//! `features.select_cols(keep)` — and a `keep` on a hidden level keeps the
-//! indexed row-at-a-time loop.
+//! wider out than in (products-sim's 100 → 128) sums wider rows than its
+//! attributes would be, but per batch that costs adds only, while
+//! aggregating first would add a per-batch GEMM; the table's one-off build
+//! is `n_nodes × in_dim × out_dim` MACs either way. Hidden levels keep
+//! aggregate-then-transform whatever the widths: there `|V_in| ≫ |V_out|`
+//! and the input changes every batch. (The full-graph pass, where every
+//! node is a target, still chooses its order by Eq. 2's `min`,
+//! [`gcnp_models::Branch::projects_first`].)
 //!
-//! Layer 1's `k = 0` branch reads a table too, `X·W_self` (or
-//! `X[:, keep]·W_self`), indexed by node id — but one filled on first
-//! touch, not at construction. The table and its filled bitmap live in the
+//! Layer 1's `k = 0` branch reads a table too, `X·W_self`, indexed by node
+//! id — but one filled on first touch, not at construction. The table and its filled bitmap live in the
 //! back stage's scratch. A batch runs one GEMM over just the computed nodes
 //! whose rows are not yet filled (reading them in place, on the f32 pack
 //! whatever the engine's precision), writes each row into the table and
@@ -75,14 +73,13 @@
 //!   whose "is it stored?" question is one counted store lookup per node
 //!   that also stages the row it finds into an owned buffer; then **layer
 //!   1's neighbour branches** — the `k = 1` mean over the projection
-//!   table's rows (which *is* the branch's product) or over the kept
-//!   attribute rows (its operand), a pure function of the support and
-//!   read-only data — built row by row until the hand-off ([`HandOff`]),
-//!   everything staged in [`PreparedBatch`];
+//!   table's rows, which *is* the branch's product, a pure function of the
+//!   support and read-only data — built row by row until the hand-off
+//!   ([`HandOff`]), everything staged in [`PreparedBatch`];
 //! * **execute** (back end): the neighbour-mean rows prepare left, layer
 //!   1's `k = 0` table read (after the GEMM that fills the rows no earlier
 //!   batch did, reading them in place), the store of each neighbour product
-//!   into its column window or the GEMM of each neighbour operand, then
+//!   into its column window, then
 //!   every hidden level's aggregation, GEMMs and combine, level-table and
 //!   relabel-table maintenance, store write-backs, and target-logit
 //!   extraction.
@@ -142,9 +139,7 @@ pub enum Precision {
     Int8,
 }
 
-/// The engine's weight-pack cache in its chosen precision. Both variants
-/// fold channel-pruning masks into the pack step, so pruned channels are
-/// never packed or multiplied.
+/// The engine's weight-pack cache in its chosen precision.
 pub(crate) enum WeightPacks<'m> {
     F32(PackedModel<'m>),
     /// The int8 packs, and an f32 pack of every layer-1 branch: layer 1's
@@ -173,14 +168,12 @@ impl WeightPacks<'_> {
 
     /// Bytes of weight data every batch streams through (the per-batch
     /// memory metric's weight term): 4 bytes per f32 weight, 1 per int8.
-    /// The weights of layer 1's table branches ([`reads_table`]) are not
-    /// among them: a batch reads those branches' tables instead, and only a
-    /// batch that fills `k = 0` rows reads that branch's weights (4 bytes
-    /// each, in either precision).
+    /// Layer 1's weights are not among them: a batch reads its branches'
+    /// tables instead, and only a batch that fills `k = 0` rows reads that
+    /// branch's weights (4 bytes each, in either precision).
     fn weight_bytes(&self, model: &GnnModel) -> usize {
         let tabled: usize = model.layers.first().map_or(0, |layer| {
-            let branches = layer.branches.iter().filter(|b| reads_table(b));
-            branches.map(|b| b.weight.len()).sum()
+            layer.branches.iter().map(|b| b.weight.len()).sum()
         });
         let per_weight = match self {
             WeightPacks::F32(_) => 4,
@@ -188,14 +181,6 @@ impl WeightPacks<'_> {
         };
         (model.n_weights() - tabled) * per_weight
     }
-}
-
-/// Whether layer 1's `branch` reads a per-engine table indexed by node id
-/// instead of the attributes: every `k = 0` branch (`X·W_self`, filled on
-/// first touch) and every projecting `k = 1` one (`X·W`, built at
-/// construction).
-fn reads_table(branch: &Branch) -> bool {
-    branch.k == 0 || branch.projects_first()
 }
 
 /// The engine's store binding: none, one [`FeatureStore`], or one shard of a
@@ -297,22 +282,20 @@ pub struct BatchResult {
     pub seconds: f64,
     /// MACs actually executed: every per-batch branch transform
     /// (`computed × in_dim × out_dim`) and aggregation (one add per edge per
-    /// channel). Layer 1's table branches run no transform: a projecting
-    /// neighbour branch — its projection table was built with the engine —
-    /// costs `|E₁| × out_dim` adds over the table's rows, and a `k = 0`
-    /// branch copies its rows. Only the batch that fills `k = 0` rows pays
+    /// channel). Layer 1's branches run no transform: a neighbour branch —
+    /// its projection table was built with the engine — costs `|E₁| ×
+    /// out_dim` adds over the table's rows, and a `k = 0` branch copies its
+    /// rows. Only the batch that fills `k = 0` rows pays
     /// their transform, `filled × in_dim × out_dim`, so a warm batch counts
     /// none.
     pub macs: u64,
     /// Bytes of features touched plus weights — the paper's per-batch memory
     /// metric. The sum of: the weights a batch transforms with (4 bytes
-    /// each, 1 under int8; the weights of layer 1's table branches are not
-    /// read); the level-0 bytes layer 1 reads, per branch `computed ×
-    /// out_dim × 4` for a `k = 0` branch (rows of its table),
-    /// `supporting × out_dim × 4` for a projecting `k = 1` branch (rows of
-    /// its projection table) and `supporting × in_dim × 4` for any other;
-    /// for a batch that fills `k = 0` rows, the filled nodes' attribute
-    /// bytes (`filled × in_dim × 4`, `in_dim` the kept width) and that
+    /// each, 1 under int8; layer 1's weights are not read); the table bytes
+    /// layer 1 reads, per branch `computed × out_dim × 4` for a `k = 0`
+    /// branch and `supporting × out_dim × 4` for a `k = 1` branch (rows of
+    /// its projection table); for a batch that fills `k = 0` rows, the
+    /// filled nodes' attribute bytes (`filled × in_dim × 4`) and that
     /// branch's f32 weights; every staged store row; and every layer's
     /// output table.
     pub mem_bytes: usize,
@@ -329,14 +312,11 @@ pub struct BatchedEngine<'a> {
     /// (f32 or int8 per the engine's [`Precision`]), so per-batch GEMMs skip
     /// the operand-pack step entirely.
     packed: WeightPacks<'a>,
-    /// What layer 1 reads in place of `features`, one slot per layer-1
-    /// branch, built once at construction and indexed by node id: for a
-    /// projecting `k = 1` branch its projection table `features[:, keep] ·
-    /// W` (`n_nodes × out_dim × 4` bytes); for any other branch with a
-    /// runtime `keep`, its kept channels `features[:, keep]` (which a `k =
-    /// 0` branch's table fills read); `None` = the branch reads `features`
-    /// itself.
-    level_zero: Vec<Option<Matrix>>,
+    /// Layer 1's projection tables, one slot per layer-1 branch, built once
+    /// at construction and indexed by node id: `features · W` for a `k = 1`
+    /// branch (`n_nodes × out_dim × 4` bytes); `None` for a `k = 0` branch,
+    /// whose table the back stage fills on first touch.
+    projections: Vec<Option<Matrix>>,
     /// Raw (unnormalized) adjacency; the engine applies mean aggregation.
     adj: &'a CsrMatrix,
     features: &'a Matrix,
@@ -389,12 +369,11 @@ pub(crate) struct BackScratch {
     self_tables: Vec<SelfTable>,
 }
 
-/// One layer-1 `k = 0` branch's product `X·W_self` (or `X[:, keep]·W_self`)
-/// as a table, allocated and filled on first touch: row `v` is node `v`'s
-/// product once `filled[v]` is set. A row depends only on the attributes
-/// and the weights and is marked only after it is written, so a batch that
-/// dies mid-fill leaves no row a later batch could misread, and the table
-/// is never reset.
+/// One layer-1 `k = 0` branch's product `X·W_self` as a table, allocated
+/// and filled on first touch: row `v` is node `v`'s product once
+/// `filled[v]` is set. A row depends only on the attributes and the weights
+/// and is marked only after it is written, so a batch that dies mid-fill
+/// leaves no row a later batch could misread, and the table is never reset.
 #[derive(Default)]
 pub(crate) struct SelfTable {
     /// `n_nodes × out_dim`, row-major.
@@ -497,13 +476,11 @@ pub(crate) struct PreparedBatch {
     /// attributes in place.)
     staged: Vec<Option<Matrix>>,
     /// Layer 1's neighbour-branch means, one slot per layer-1 branch: for a
-    /// projecting `k = 1` branch, the computed nodes' means over their
-    /// neighbours' projection-table rows (`computed × out_dim`, the branch's
-    /// product); for any other `k = 1` branch, over their kept attribute
-    /// rows (`computed × in_dim`, its GEMM's operand); `None` for a `k = 0`
-    /// branch (its GEMM reads the rows in place). Front-pool buffers,
-    /// retired through `spent` like `staged`. Rows `..means_done` were
-    /// built by prepare; execute builds the rest in place.
+    /// `k = 1` branch, the computed nodes' means over their neighbours'
+    /// projection-table rows (`computed × out_dim`, the branch's product);
+    /// `None` for a `k = 0` branch (it reads its own table). Front-pool
+    /// buffers, retired through `spent` like `staged`. Rows `..means_done`
+    /// were built by prepare; execute builds the rest in place.
     aggregated: Vec<Option<Matrix>>,
     /// The hand-off row of layer 1's neighbour means (see [`HandOff`]).
     means_done: usize,
@@ -516,8 +493,8 @@ pub(crate) struct PreparedBatch {
     /// is latched into `bypass_store`, and `Straggle` is applied by the
     /// back end at the end of execute.
     fault: Fault,
-    /// Feature bytes touched so far (weights + layer 1's attribute reads +
-    /// store reads; see [`BatchResult::mem_bytes`]).
+    /// Feature bytes touched so far (weights + layer 1's table reads + store
+    /// reads; see [`BatchResult::mem_bytes`]).
     mem_bytes: usize,
     store_hits: usize,
     /// Batch admission instant: [`BatchResult::seconds`] spans prepare, any
@@ -586,7 +563,7 @@ pub(crate) enum HandOff<'a> {
 pub(crate) struct EngineCore<'e, 'a> {
     model: &'a GnnModel,
     packed: &'e WeightPacks<'a>,
-    level_zero: &'e [Option<Matrix>],
+    projections: &'e [Option<Matrix>],
     adj: &'a CsrMatrix,
     features: &'a Matrix,
     caps: &'e [Option<usize>],
@@ -617,17 +594,15 @@ impl<'a> BatchedEngine<'a> {
     /// reuse. See [`BatchedEngine::new_with_precision`] for the int8 tier.
     ///
     /// Every constructor packs the weights and builds, for each `k = 1`
-    /// branch of layer 1 that is no wider out than in
-    /// ([`gcnp_models::Branch::projects_first`]), its projection table
-    /// `features[:, keep] · W` — a one-time `n_nodes × in_dim × out_dim`
-    /// MACs and `n_nodes × out_dim × 4` bytes per branch (unpruned
-    /// reddit-sim: 12 000 × 602 × 64, 3 MB, ≈ 13 ms on one core of the
-    /// 2-vCPU reference box), which no [`BatchResult::macs`] counts.
-    /// Batches then read that branch at `out_dim` instead of `in_dim` width
-    /// and run no GEMM for it. Layer 1's `k = 0` branch gets the same kind
-    /// of table, `X·W_self`, but not here: the back stage fills its rows on
-    /// first touch, and a batch pays the transform only for the computed
-    /// nodes no earlier batch filled.
+    /// branch of layer 1, its projection table `features · W` — a one-time
+    /// `n_nodes × in_dim × out_dim` MACs and `n_nodes × out_dim × 4` bytes
+    /// per branch (unpruned reddit-sim: 12 000 × 602 × 64, 3 MB, ≈ 13 ms on
+    /// one core of the 2-vCPU reference box), which no
+    /// [`BatchResult::macs`] counts. Batches then read that branch at
+    /// `out_dim` width and run no GEMM for it. Layer 1's `k = 0` branch gets
+    /// the same kind of table, `X·W_self`, but not here: the back stage
+    /// fills its rows on first touch, and a batch pays the transform only
+    /// for the computed nodes no earlier batch filled.
     pub fn new(
         model: &'a GnnModel,
         adj: &'a CsrMatrix,
@@ -736,32 +711,21 @@ impl<'a> BatchedEngine<'a> {
             Precision::F32 => WeightPacks::F32(PackedModel::new(model)),
             Precision::Int8 => WeightPacks::Int8(
                 QuantPackedModel::new(model),
-                layer_one.iter().map(f32_pack).collect(),
+                layer_one.iter().map(|b| PackedB::pack(&b.weight)).collect(),
             ),
         };
-        // Layer 1's reads of level 0, prepared once: a branch's kept
-        // attribute channels are selected here instead of per channel per
-        // edge in every batch, and a projecting neighbour branch is
-        // transformed here, in f32 whatever the precision (the int8 rung
-        // quantizes per-batch transforms only), so batches aggregate its
-        // product.
-        let level_zero = layer_one
+        // Layer 1's neighbour branches are transformed here, in f32
+        // whatever the precision (the int8 rung quantizes per-batch
+        // transforms only), so batches aggregate their products.
+        let projections = layer_one
             .iter()
             .enumerate()
-            .map(|(bi, b)| {
-                let kept = b.keep.as_deref().map(|keep| features.select_cols(keep));
-                if b.projects_first() {
-                    let src = kept.as_ref().unwrap_or(features);
-                    Some(projection_table(src, packed.layer_one_f32(bi)))
-                } else {
-                    kept
-                }
-            })
+            .map(|(bi, b)| (b.k == 1).then(|| projection_table(features, packed.layer_one_f32(bi))))
             .collect();
         Self {
             model,
             packed,
-            level_zero,
+            projections,
             adj,
             features,
             caps,
@@ -817,7 +781,7 @@ impl<'a> BatchedEngine<'a> {
         let core = EngineCore {
             model: self.model,
             packed: &self.packed,
-            level_zero: &self.level_zero,
+            projections: &self.projections,
             adj: self.adj,
             features: self.features,
             caps: &self.caps,
@@ -883,12 +847,11 @@ impl<'e, 'a> EngineCore<'e, 'a> {
     /// each store level's width, expand the supporting-node structure —
     /// reading every stored row it meets into owned buffers as it goes, one
     /// lookup per node — and build layer 1's neighbour-branch means over
-    /// each branch's projection-table rows, or its kept attribute rows when
-    /// it builds no table: the batch's largest irregular read, and a pure
-    /// function of the support and read-only tables. `hand_off` says where
-    /// the means stop; `execute` builds the rows left. Attribute rows
-    /// themselves are not copied: the `k = 0` GEMM in execute reads them in
-    /// place.
+    /// each branch's projection-table rows: the batch's largest irregular
+    /// read, and a pure function of the support and read-only tables.
+    /// `hand_off` says where the means stop; `execute` builds the rows left.
+    /// Attribute rows themselves are not copied: the `k = 0` table's fill in
+    /// execute reads them in place.
     pub(crate) fn prepare(
         &self,
         targets: &[usize],
@@ -1023,22 +986,16 @@ impl<'e, 'a> EngineCore<'e, 'a> {
             return Err(err);
         }
         let mut mem_bytes: usize = self.packed.weight_bytes(self.model);
-        // Level 0 is read in place; its memory term is the bytes layer 1's
-        // branches read: the computed nodes' table rows for `k = 0` (execute
-        // adds what a fill reads), projection-table rows for a projecting
-        // `k = 1` branch, kept attribute rows for any other.
+        // Layer 1's memory term is the table rows its branches read: the
+        // computed nodes' for `k = 0` (execute adds what a fill reads), the
+        // supporting nodes' for `k = 1`.
         if let (Some(layer), Some(ls)) = (self.model.layers.first(), support.layers.first()) {
             for branch in &layer.branches {
                 let rows = match branch.k {
                     0 => ls.compute.len(),
                     _ => support.input_nodes.len(),
                 };
-                let width = if reads_table(branch) {
-                    branch.out_dim()
-                } else {
-                    branch.in_dim()
-                };
-                mem_bytes += rows * width * 4;
+                mem_bytes += rows * branch.out_dim() * 4;
             }
         }
         lap(&mut clock, Stage::Expand); // the store reads included
@@ -1068,15 +1025,14 @@ impl<'e, 'a> EngineCore<'e, 'a> {
         lap(&mut clock, Stage::StoreProbe);
 
         // Last, with no error return left: layer 1's neighbour branches,
-        // each the mean of its projection table's rows or of its kept
-        // attribute rows, in chunks until the hand-off.
+        // each the mean of its projection table's rows, in chunks until the
+        // hand-off.
         let mut aggregated: Vec<Option<Matrix>> = Vec::new();
         let mut means_done = 0;
         if let (Some(layer), Some(ls)) = (self.model.layers.first(), support.layers.first()) {
             let n = ls.compute.len();
-            aggregated.extend(layer.branches.iter().enumerate().map(|(bi, branch)| {
-                let width = self.level_zero_source(bi, branch).width();
-                (branch.k == 1).then(|| front.pool.take_matrix(n, width))
+            aggregated.extend(layer.branches.iter().map(|branch| {
+                (branch.k == 1).then(|| front.pool.take_matrix(n, branch.out_dim()))
             }));
             while means_done < n {
                 let end = match hand_off {
@@ -1089,7 +1045,7 @@ impl<'e, 'a> EngineCore<'e, 'a> {
                     #[cfg(test)]
                     HandOff::AtRow(row) => row.min(n),
                 };
-                self.layer_one_means(&layer.branches, ls, &mut aggregated, means_done..end);
+                self.layer_one_means(ls, &mut aggregated, means_done..end);
                 means_done = end;
             }
             lap(&mut clock, Stage::Spmm);
@@ -1115,34 +1071,15 @@ impl<'e, 'a> EngineCore<'e, 'a> {
     /// per-row body both stages run, whichever builds a row.
     fn layer_one_means(
         &self,
-        branches: &'e [Branch],
         ls: &gcnp_sparse::LayerSupport,
         aggregated: &mut [Option<Matrix>],
         rows: Range<usize>,
     ) {
-        for (bi, (branch, slot)) in branches.iter().zip(aggregated).enumerate() {
-            if let Some(out) = slot {
-                mean_rows(self.level_zero_source(bi, branch), ls, out, rows.clone());
+        for (table, slot) in self.projections.iter().zip(aggregated) {
+            if let (Some(mat), Some(out)) = (table, slot) {
+                let src = RowSource { mat, relabel: None };
+                mean_rows(src, ls, out, rows.clone());
             }
-        }
-    }
-
-    /// Where layer 1's branch `bi` reads level 0: the table built for it at
-    /// construction (a projecting branch's projection table, another
-    /// branch's kept channels), else `features` itself. Indexed by global
-    /// node id.
-    fn level_zero_source(&self, bi: usize, branch: &'e Branch) -> RowSource<'e> {
-        match self.level_zero.get(bi) {
-            Some(Some(pack)) => RowSource {
-                mat: pack,
-                relabel: None,
-                keep: None,
-            },
-            _ => RowSource {
-                mat: self.features,
-                relabel: None,
-                keep: branch.keep.as_deref(),
-            },
         }
     }
 
@@ -1181,13 +1118,9 @@ impl<'e, 'a> EngineCore<'e, 'a> {
         misses.extend(compute.iter().copied().filter(|&v| !filled[v]));
         let mut cost = (0, 0);
         if !misses.is_empty() {
-            // A kept branch reads its once-selected channels, so the
-            // source's rows are the operand's rows.
-            let src = self.level_zero_source(bi, branch);
-            debug_assert!(src.keep.is_none(), "layer 1 reads kept channels packed");
             let mut fresh = pool.take_matrix(misses.len(), width);
             let pack = self.packed.layer_one_f32(bi);
-            src.mat
+            self.features
                 .matmul_packed_rows_into(Some((None, misses)), pack, &mut fresh, 0);
             if let Some(m) = self.metrics {
                 m.dispatch_dense.inc();
@@ -1283,17 +1216,17 @@ impl<'e, 'a> EngineCore<'e, 'a> {
         let n_layers = self.model.layers.len();
         let mut macs: u64 = 0;
         // Layer 1's neighbour means: the rows prepare handed off.
-        if let (Some(layer), Some(ls)) = (self.model.layers.first(), support.layers.first()) {
+        if let Some(ls) = support.layers.first() {
             if *means_done < ls.compute.len() {
                 let rows = *means_done..ls.compute.len();
-                self.layer_one_means(&layer.branches, ls, aggregated, rows);
+                self.layer_one_means(ls, aggregated, rows);
                 lap(clock, Stage::Spmm);
             }
         }
         // The table of the level below the layer being computed. `None` is
-        // level 0, which is never materialised: layer 1 reads `features`
-        // (or a branch's table) by global node id, so `relabel` first
-        // matters — and is first reset — when level 1 is assembled.
+        // level 0, which is never materialised: layer 1 reads its branches'
+        // tables by global node id, so `relabel` first matters — and is
+        // first reset — when level 1 is assembled.
         let mut level_mat: Option<Matrix> = None;
 
         for li in 1..=n_layers {
@@ -1315,79 +1248,66 @@ impl<'e, 'a> EngineCore<'e, 'a> {
             let mut col0 = 0;
             for (bi, branch) in layer.branches.iter().enumerate() {
                 let add = bi > 0 && layer.combine == CombineMode::Mean;
-                // Layer 1's neighbour branch arrives averaged: prepare took
-                // the mean of its projection table's rows (its product) or
-                // of its kept attribute rows (its operand) into a front-pool
-                // buffer.
-                let mut prepared = (li == 1 && branch.k == 1)
-                    .then(|| take_aggregated(aggregated, bi))
-                    .transpose()?;
-                if li == 1 && branch.k == 0 {
-                    // Layer 1's self branch reads its table; only the rows
-                    // no earlier batch filled cost a transform.
-                    let table = self_tables.get_mut(bi).ok_or_else(|| {
-                        ServingError::InvariantViolation {
-                            check: "engine.self_table.branch",
-                            detail: format!("layer 1 branch {bi} has no table slot"),
+                match (&level_mat, branch.k) {
+                    (None, 0) => {
+                        // Layer 1's self branch reads its table; only the
+                        // rows no earlier batch filled cost a transform.
+                        let table = self_tables.get_mut(bi).ok_or_else(|| {
+                            ServingError::InvariantViolation {
+                                check: "engine.self_table.branch",
+                                detail: format!("layer 1 branch {bi} has no table slot"),
+                            }
+                        })?;
+                        let window = (&mut out, col0, add);
+                        let (fill_macs, fill_bytes) =
+                            self.read_self_table(bi, branch, &ls.compute, table, window, pool);
+                        macs += fill_macs;
+                        mem_bytes += fill_bytes;
+                    }
+                    (None, _) => {
+                        // Layer 1's neighbour branch arrives as its product:
+                        // prepare took the mean of its projection table's
+                        // rows into a front-pool buffer. Adds only: one per
+                        // edge per table column.
+                        let mean = take_aggregated(aggregated, bi)?;
+                        macs += (ls.neigh_ids.len() * branch.out_dim()) as u64;
+                        if add {
+                            out.add_assign(&mean);
+                        } else {
+                            store_window(&mut out, col0, &mean);
                         }
-                    })?;
-                    let window = (&mut out, col0, add);
-                    let (fill_macs, fill_bytes) =
-                        self.read_self_table(bi, branch, &ls.compute, table, window, pool);
-                    macs += fill_macs;
-                    mem_bytes += fill_bytes;
-                } else if let Some(mean) = prepared.take_if(|_| branch.projects_first()) {
-                    // Adds only: one per edge per table column.
-                    macs += (ls.neigh_ids.len() * branch.out_dim()) as u64;
-                    if add {
-                        out.add_assign(&mean);
-                    } else {
-                        store_window(&mut out, col0, &mean);
+                        spent.push(mean);
                     }
-                    spent.push(mean);
-                } else {
-                    let from_front = prepared.is_some();
-                    let src = match level_mat.as_ref() {
-                        None => self.level_zero_source(bi, branch),
-                        level => {
-                            RowSource::level(level, self.features, relabel, branch.keep.as_deref())
+                    (Some(level), k) => {
+                        let src = RowSource {
+                            mat: level,
+                            relabel: Some(relabel),
+                        };
+                        // A `k = 0` branch builds no operand: its GEMM reads
+                        // the computed nodes' rows where they lie.
+                        let built = (k == 1).then(|| aggregate_mean(src, ls, pool));
+                        // Aggregation adds: one MAC-equivalent per edge per channel.
+                        if k == 1 {
+                            macs += (ls.neigh_ids.len() * branch.in_dim()) as u64;
                         }
-                    };
-                    // A `k = 0` branch builds no operand: its GEMM reads the
-                    // computed nodes' rows where they lie.
-                    let built = match branch.k {
-                        _ if from_front => prepared,
-                        0 if src.keep.is_none() => None,
-                        // Only a hand-built model prunes a hidden level.
-                        0 => Some(gather_selected(src, &ls.compute, pool)),
-                        1 => Some(aggregate_mean(src, ls, pool)),
-                        // audit: allow(no-fail-stop) — k ∈ {0,1} is enforced by the constructor assert
-                        _ => unreachable!("validated in constructor"),
-                    };
-                    // Aggregation adds: one MAC-equivalent per edge per channel.
-                    if branch.k == 1 {
-                        macs += (ls.neigh_ids.len() * branch.in_dim()) as u64;
-                    }
-                    macs += (ls.compute.len() * branch.in_dim() * branch.out_dim()) as u64;
-                    lap(clock, Stage::Spmm);
-                    // Pre-packed weights (no per-call operand pack).
-                    let operand = match &built {
-                        Some(m) => (m, None),
-                        None => (src.mat, Some((src.relabel, ls.compute.as_slice()))),
-                    };
-                    if add {
-                        let mut prod = pool.take_matrix(ls.compute.len(), branch.out_dim());
-                        self.transform(li, bi, operand, &mut prod, 0, pool);
-                        out.add_assign(&prod);
-                        pool.recycle(prod);
-                    } else {
-                        self.transform(li, bi, operand, &mut out, col0, pool);
-                    }
-                    // Prepare's mean goes back to the front pool.
-                    match built {
-                        Some(m) if from_front => spent.push(m),
-                        Some(m) => pool.recycle(m),
-                        None => {}
+                        macs += (ls.compute.len() * branch.in_dim() * branch.out_dim()) as u64;
+                        lap(clock, Stage::Spmm);
+                        // Pre-packed weights (no per-call operand pack).
+                        let operand = match &built {
+                            Some(m) => (m, None),
+                            None => (level, Some((src.relabel, ls.compute.as_slice()))),
+                        };
+                        if add {
+                            let mut prod = pool.take_matrix(ls.compute.len(), branch.out_dim());
+                            self.transform(li, bi, operand, &mut prod, 0, pool);
+                            out.add_assign(&prod);
+                            pool.recycle(prod);
+                        } else {
+                            self.transform(li, bi, operand, &mut out, col0, pool);
+                        }
+                        if let Some(m) = built {
+                            pool.recycle(m);
+                        }
                     }
                 }
                 if !add {
@@ -1473,12 +1393,16 @@ impl<'e, 'a> EngineCore<'e, 'a> {
         // --- extract target logits ---------------------------------------
         // Targets are computed at the output layer, so each has a row in
         // the top level table.
-        let top = RowSource::level(level_mat.as_ref(), self.features, relabel, None);
-        let mut logits = Matrix::zeros(support.targets.len(), top.width());
-        for (i, &v) in support.targets.iter().enumerate() {
-            top.copy_row(v, logits.row_mut(i));
-        }
+        let width = self.model.layers.last().map_or(0, |l| l.out_dim());
+        let mut logits = Matrix::zeros(support.targets.len(), width);
         if let Some(mat) = level_mat {
+            let top = RowSource {
+                mat: &mat,
+                relabel: Some(relabel),
+            };
+            for (i, &v) in support.targets.iter().enumerate() {
+                logits.row_mut(i).copy_from_slice(top.row(v));
+            }
             pool.recycle(mat);
         }
         lap(clock, Stage::Relabel); // target extraction
@@ -1546,14 +1470,8 @@ impl<'e, 'a> EngineCore<'e, 'a> {
                 // window.
                 // audit: allow(no-fail-stop) — packs are built 1:1 with model branches at construction
                 let pack = &qm.branch_packs(li - 1)[bi];
-                let built = ids.map(|(relabel, ids)| {
-                    let src = RowSource {
-                        mat,
-                        relabel,
-                        keep: None,
-                    };
-                    gather_selected(src, ids, pool)
-                });
+                let built = ids
+                    .map(|(relabel, ids)| gather_selected(RowSource { mat, relabel }, ids, pool));
                 let x = built.as_ref().unwrap_or(mat);
                 let mut prod = pool.take_matrix(x.rows(), pack.n());
                 qgemm_packed_into(x, pack, &mut prod);
@@ -1572,43 +1490,15 @@ impl<'e, 'a> EngineCore<'e, 'a> {
 
 /// Where a layer's branches read their input rows: `mat`, reached through
 /// the per-batch `relabel` table (node id → row; `None` = `mat` is indexed
-/// by node id itself, i.e. level 0 in place), with the channels in `keep`
-/// selected from each row (`None` = the whole row).
+/// by node id itself, i.e. one of layer 1's projection tables).
 #[derive(Clone, Copy)]
 struct RowSource<'s> {
     mat: &'s Matrix,
     relabel: Option<&'s [u32]>,
-    keep: Option<&'s [usize]>,
 }
 
 impl<'s> RowSource<'s> {
-    /// Level `table` of a batch; `None` is level 0, `features` by node id.
-    fn level(
-        table: Option<&'s Matrix>,
-        features: &'s Matrix,
-        relabel: &'s [u32],
-        keep: Option<&'s [usize]>,
-    ) -> Self {
-        match table {
-            None => Self {
-                mat: features,
-                relabel: None,
-                keep,
-            },
-            Some(mat) => Self {
-                mat,
-                relabel: Some(relabel),
-                keep,
-            },
-        }
-    }
-
-    /// Channels per selected row.
-    fn width(&self) -> usize {
-        self.keep.map_or(self.mat.cols(), <[usize]>::len)
-    }
-
-    /// The full-width row of node `v`.
+    /// The row of node `v`.
     // audit: allow(no-fail-stop) — node ids come from BatchSupport over this graph and every node a layer reads was given a relabel slot when its level was assembled; a miss is a programmer error caught by the debug_assert
     #[inline]
     fn row(&self, v: usize) -> &'s [f32] {
@@ -1618,21 +1508,6 @@ impl<'s> RowSource<'s> {
                 debug_assert_ne!(table[v], ABSENT, "node {v} missing from level table");
                 self.mat.row(table[v] as usize)
             }
-        }
-    }
-
-    /// `dst = row(v)[keep]`.
-    // audit: allow(no-fail-stop) — kept-channel indices are built by the pruner from this level's width
-    #[inline]
-    fn copy_row(&self, v: usize, dst: &mut [f32]) {
-        let src = self.row(v);
-        match self.keep {
-            Some(keep) => {
-                for (d, &c) in dst.iter_mut().zip(keep) {
-                    *d = src[c];
-                }
-            }
-            None => dst.copy_from_slice(src),
         }
     }
 }
@@ -1657,20 +1532,9 @@ fn store_window(out: &mut Matrix, col0: usize, part: &Matrix) {
     }
 }
 
-/// `branch`'s f32 pack, built as [`PackedModel`] builds it: a full-width
-/// masked weight packs only its kept rows.
-fn f32_pack(branch: &Branch) -> PackedB {
-    match &branch.keep {
-        Some(keep) if branch.weight.rows() != keep.len() => {
-            PackedB::pack_rows(&branch.weight, keep)
-        }
-        _ => PackedB::pack(&branch.weight),
-    }
-}
-
 /// A layer-1 neighbour branch's projection table: `src · W` over every row
-/// of `src` (the attributes, or their kept channels), on the branch's f32
-/// `pack`, so each row is the one a per-batch
+/// of the attributes `src`, on the branch's f32 `pack`, so each row is the
+/// one a per-batch
 /// [`Matrix::matmul_packed_rows_into`] would produce for that node. A
 /// non-finite attribute row gives a non-finite table row, never a panic:
 /// under `strict-invariants`, where the GEMM nets its output, such a row is
@@ -1700,11 +1564,11 @@ fn projection_table(src: &Matrix, pack: &PackedB) -> Matrix {
     table
 }
 
-/// Gather the selected rows of `nodes` from `src`.
+/// Gather the rows of `nodes` from `src`.
 fn gather_selected(src: RowSource<'_>, nodes: &[usize], pool: &mut ScratchPool) -> Matrix {
-    let mut out = pool.take_matrix(nodes.len(), src.width());
+    let mut out = pool.take_matrix(nodes.len(), src.mat.cols());
     for (i, &v) in nodes.iter().enumerate() {
-        src.copy_row(v, out.row_mut(i));
+        out.row_mut(i).copy_from_slice(src.row(v));
     }
     out
 }
@@ -1717,7 +1581,7 @@ fn aggregate_mean(
     pool: &mut ScratchPool,
 ) -> Matrix {
     let n = ls.compute.len();
-    let mut out = pool.take_matrix(n, src.width());
+    let mut out = pool.take_matrix(n, src.mat.cols());
     mean_rows(src, ls, &mut out, 0..n);
     out
 }
@@ -1735,31 +1599,14 @@ fn mean_rows(
     out: &mut Matrix,
     rows: Range<usize>,
 ) {
-    let width = src.width();
+    let width = src.mat.cols();
     // audit: allow(no-fail-stop) — `out` holds one row per computed node and `rows` lies within them
     let part = &mut out.as_mut_slice()[rows.start * width..rows.end * width];
     parallel_row_chunks(part, rows.len(), width, |start, chunk| {
         for (r, dst) in chunk.chunks_mut(width).enumerate() {
             let nbrs = ls.neighbors(rows.start + start + r);
             let inv = 1.0 / nbrs.len().max(1) as f32;
-            match src.keep {
-                None => row_sum(dst, src.mat, src.relabel, nbrs, None, inv),
-                // Only a hand-built model prunes a hidden level (layer 1's
-                // kept channels are packed at construction): add the
-                // selected channels of one neighbor row at a time into the
-                // zeroed output row.
-                Some(keep) => {
-                    for &u in nbrs {
-                        let row = src.row(u);
-                        for (d, &c) in dst.iter_mut().zip(keep) {
-                            *d += row[c]; // audit: allow(no-fail-stop) — kept-channel indices are built by the pruner from this level's width
-                        }
-                    }
-                    for d in dst.iter_mut() {
-                        *d *= inv;
-                    }
-                }
-            }
+            row_sum(dst, src.mat, src.relabel, nbrs, None, inv);
         }
     });
 }
@@ -1801,42 +1648,10 @@ mod tests {
         (ring(n), x, zoo::graphsage(d, 16, 4, 11))
     }
 
-    /// `model` with a runtime `keep` list (and the matching weight rows) on
-    /// each `(layer, branch, channels)` site — keep lists the pruner would
-    /// never leave on a hidden level, in an order it would never produce.
-    fn with_keep(model: &GnnModel, sites: &[(usize, usize, &[usize])]) -> GnnModel {
-        let mut pruned = model.clone();
-        for &(li, bi, keep) in sites {
-            let b = &mut pruned.layers[li].branches[bi];
-            b.weight = b.weight.select_rows(keep);
-            b.keep = Some(keep.to_vec());
-        }
-        pruned
-    }
-
-    /// Unsorted `keep` lists on both layer-1 branches (the `k = 0` attribute
-    /// pack and, five channels into four outputs, the `k = 1` projection
-    /// table) and on both of layer 2's (the hidden-level gather and the
-    /// indexed aggregation loop).
-    fn hand_pruned(model: &GnnModel) -> GnnModel {
-        with_keep(
-            model,
-            &[
-                (0, 0, &[5, 0, 3, 1]),
-                (0, 1, &[4, 2, 0, 5, 1]),
-                (1, 0, &[6, 0, 5]),
-                (1, 1, &[7, 1, 6, 2, 4]),
-            ],
-        )
-    }
-
     /// `model` with its two GraphSAGE layers combining by mean instead of
     /// concatenation — half the width, so the layer after each keeps the
-    /// first half of its weight rows — under its own unsorted `keep` lists.
-    /// Layer 1's `k = 1` branch keeps three channels for four outputs, so it
-    /// builds no projection table: prepare averages its kept attribute rows
-    /// and execute adds their product into the mean.
-    fn hand_pruned_mean(model: &GnnModel) -> GnnModel {
+    /// first half of its weight rows.
+    fn mean_combine(model: &GnnModel) -> GnnModel {
         let mut mean = model.clone();
         for li in 0..2 {
             let half: Vec<usize> = (0..mean.layers[li].branches[0].out_dim()).collect();
@@ -1847,56 +1662,48 @@ mod tests {
                 b.weight = b.weight.select_rows(&half);
             }
         }
-        with_keep(
-            &mean,
-            &[
-                (0, 0, &[5, 0, 3, 1]),
-                (0, 1, &[4, 2, 0]),
-                (1, 0, &[2, 0]),
-                (1, 1, &[3, 1, 2]),
-            ],
-        )
+        mean
+    }
+
+    /// `model` pruned by the batched scheme at η = 1/2 (a few epochs).
+    fn scheme_pruned(model: &GnnModel, adj: &CsrMatrix, x: &Matrix) -> GnnModel {
+        let cfg = gcnp_core::PrunerConfig {
+            beta_epochs: 3,
+            w_epochs: 3,
+            ..Default::default()
+        };
+        let norm = adj.normalized(Normalization::Row);
+        let scheme = gcnp_core::Scheme::BatchedInference;
+        gcnp_core::prune_model(model, &norm, x, 0.5, scheme, &cfg).0
     }
 
     #[test]
     fn batched_equals_full_inference_without_caps() {
         // With no fan-out caps and no store, batched inference must produce
         // exactly the full-inference embeddings for the targets — for the
-        // unpruned model, for one pruned by the batched scheme (runtime
-        // `keep` on layer 1's aggregation branch, served from its projection
-        // table), for hand-placed unsorted `keep` lists, and for a 64-target
-        // batch over nearly-empty attribute rows.
+        // unpruned model, for one pruned by the batched scheme, for one
+        // whose layer 1 is wider out than in, under Mean, and for a
+        // 64-target batch over nearly-empty attribute rows.
         let (adj, x, model) = setup();
-        let norm = adj.normalized(Normalization::Row);
-        let cfg = gcnp_core::PrunerConfig {
-            beta_epochs: 3,
-            w_epochs: 3,
-            ..Default::default()
-        };
-        let (scheme_pruned, _) = gcnp_core::prune_model(
-            &model,
-            &norm,
-            &x,
-            0.5,
-            gcnp_core::Scheme::BatchedInference,
-            &cfg,
-        );
+        let pruned = scheme_pruned(&model, &adj, &x);
         assert_eq!(
-            scheme_pruned.layers[0].branches[1]
-                .keep
-                .as_ref()
-                .map(Vec::len),
-            Some(3),
-            "the batched scheme leaves a runtime keep on layer 1's aggregation branch"
+            (
+                pruned.layers[0].branches[1].in_dim(),
+                pruned.layers[1].branches[1].in_dim()
+            ),
+            (6, 4),
+            "the batched scheme prunes layer 2's input and leaves the attributes whole"
         );
-        let hand = hand_pruned(&model);
+        let widening = zoo::graphsage(6, 16, 4, 8);
+        let mean = mean_combine(&model);
         let (sparse_adj, sparse_x, sparse_model) = sparse_setup();
         let few = [4usize, 17, 25];
         let many: Vec<usize> = (0..64).collect();
         for (name, adj, x, model, targets) in [
             ("unpruned", &adj, &x, &model, &few[..]),
-            ("batched-scheme pruned", &adj, &x, &scheme_pruned, &few[..]),
-            ("hand-built keep", &adj, &x, &hand, &few[..]),
+            ("batched-scheme pruned", &adj, &x, &pruned, &few[..]),
+            ("wider out than in", &adj, &x, &widening, &few[..]),
+            ("Mean combine", &adj, &x, &mean, &few[..]),
             (
                 "sparse attributes",
                 &sparse_adj,
@@ -2028,13 +1835,16 @@ mod tests {
 
     #[test]
     fn pruned_model_runs_batched() {
+        // The full-inference scheme narrows every hidden interface.
         let (adj, x, model) = setup();
-        let mut pruned = model.clone();
-        // Prune the k=1 branch of layer 0 to channels {0, 2, 4}.
-        let keep = vec![0usize, 2, 4];
-        let b = &mut pruned.layers[0].branches[1];
-        b.weight = b.weight.select_rows(&keep);
-        b.keep = Some(keep);
+        let cfg = gcnp_core::PrunerConfig {
+            beta_epochs: 3,
+            w_epochs: 3,
+            ..Default::default()
+        };
+        let norm = adj.normalized(Normalization::Row);
+        let scheme = gcnp_core::Scheme::FullInference;
+        let (pruned, _) = gcnp_core::prune_model(&model, &norm, &x, 0.5, scheme, &cfg);
         let mut engine = BatchedEngine::new(&pruned, &adj, &x, vec![], None, StorePolicy::None, 0);
         let res = engine.infer(&[3, 4]);
         assert_eq!(res.logits.shape(), (2, 4));
@@ -2042,18 +1852,16 @@ mod tests {
     }
 
     /// Reference with a materialised level 0: copy every supporting node's
-    /// full attribute row into a per-batch level-0 table, reach it through a
-    /// node → row index, and select a branch's kept channels with one
-    /// indexed load per channel per edge. Every operand is built (the
-    /// `k = 0` gather included), every branch product is a whole matrix of
-    /// its own — layer 1's `k = 0` product on the f32 pack in either
-    /// precision, as its table is — and the combine is a separate pass —
-    /// `concat_cols_into`, or copy-add-scale for `Mean`. Layer 1's projecting neighbour branches
-    /// project the kept rows of every supporting node through the branch's
-    /// f32 pack and
-    /// then take the mean in neighbour-list order — or, with
-    /// `aggregate_first`, take the mean of the kept rows and then multiply,
-    /// the order every other branch runs in.
+    /// attribute row into a per-batch level-0 table and reach it through a
+    /// node → row index. Every operand is built (the `k = 0` gather
+    /// included), every branch product is a whole matrix of its own —
+    /// layer 1's `k = 0` product on the f32 pack in either precision, as
+    /// its table is — and the combine is a separate pass —
+    /// `concat_cols_into`, or copy-add-scale for `Mean`. Layer 1's
+    /// neighbour branches project the row of every supporting node through
+    /// the branch's f32 pack and then take the mean in neighbour-list order
+    /// — or, with `aggregate_first`, take the mean of the attribute rows
+    /// and then multiply, the order every hidden level runs in.
     /// Computes the logits of the engine's *next* batch without serving it
     /// (read-only store policies only).
     fn materialised_level_zero_logits(
@@ -2081,49 +1889,22 @@ mod tests {
         for (li, (layer, ls)) in core.model.layers.iter().zip(&support.layers).enumerate() {
             let mut parts = Vec::new();
             for (bi, branch) in layer.branches.iter().enumerate() {
-                // A projected branch averages rows of `kept · W` (keep
-                // already applied) and needs no product afterwards.
-                let projected =
-                    (li == 0 && branch.projects_first() && !aggregate_first).then(|| {
-                        let kept = match &branch.keep {
-                            Some(keep) => table.select_cols(keep),
-                            None => table.clone(),
-                        };
-                        kept.matmul_packed(&f32_packs.branch_packs(0)[bi])
-                    });
-                let (rows, keep, width) = match &projected {
-                    Some(p) => (p, None, branch.out_dim()),
-                    None => (&table, branch.keep.as_ref(), branch.in_dim()),
-                };
-                let mut gathered = Matrix::zeros(ls.compute.len(), width);
+                // A projected branch averages rows of `X · W` and needs no
+                // product afterwards.
+                let projected = (li == 0 && branch.k == 1 && !aggregate_first)
+                    .then(|| table.matmul_packed(&f32_packs.branch_packs(0)[bi]));
+                let rows = projected.as_ref().unwrap_or(&table);
+                let mut gathered = Matrix::zeros(ls.compute.len(), rows.cols());
                 for (r, &v) in ls.compute.iter().enumerate() {
                     let dst = gathered.row_mut(r);
                     if branch.k == 0 {
-                        let src = rows.row(index[&v]);
-                        match keep {
-                            Some(keep) => {
-                                for (d, &c) in dst.iter_mut().zip(keep) {
-                                    *d = src[c];
-                                }
-                            }
-                            None => dst.copy_from_slice(src),
-                        }
+                        dst.copy_from_slice(rows.row(index[&v]));
                         continue;
                     }
                     let nbrs = ls.neighbors(r);
                     for &u in nbrs {
-                        let src = rows.row(index[&u]);
-                        match keep {
-                            Some(keep) => {
-                                for (d, &c) in dst.iter_mut().zip(keep) {
-                                    *d += src[c];
-                                }
-                            }
-                            None => {
-                                for (d, &s) in dst.iter_mut().zip(src) {
-                                    *d += s;
-                                }
-                            }
+                        for (d, &s) in dst.iter_mut().zip(rows.row(index[&u])) {
+                            *d += s;
                         }
                     }
                     if !nbrs.is_empty() {
@@ -2221,11 +2002,7 @@ mod tests {
         let x = Matrix::rand_uniform(adj.n_rows(), 6, -1.0, 1.0, &mut seeded_rng(21));
         let caps = vec![None, Some(2)];
         let base = biased(zoo::graphsage(6, 8, 4, 7));
-        // 6 → 2 × 8: layer 1's neighbour branch is wider out than in, so it
-        // builds no table and averages the attribute rows in place.
-        let widening = biased(zoo::graphsage(6, 16, 4, 8));
-        assert!(!widening.layers[0].branches[1].projects_first());
-        for model in [hand_pruned(&base), hand_pruned_mean(&base), widening] {
+        for model in [mean_combine(&base), base] {
             in_place_matches_materialised(&model, &adj, &x, caps.clone());
         }
     }
@@ -2241,28 +2018,18 @@ mod tests {
         let x = Matrix::rand_uniform(n, 6, -1.0, 1.0, &mut seeded_rng(21));
         let wide_x = Matrix::rand_uniform(n, 150, -1.0, 1.0, &mut seeded_rng(23));
         let base = biased(zoo::graphsage(6, 8, 4, 7));
-        let cfg = gcnp_core::PrunerConfig {
-            beta_epochs: 3,
-            w_epochs: 3,
-            ..Default::default()
-        };
-        let (scheme_pruned, _) = gcnp_core::prune_model(
-            &base,
-            &adj.normalized(Normalization::Row),
-            &x,
-            0.5,
-            gcnp_core::Scheme::BatchedInference,
-            &cfg,
-        );
-        assert!(scheme_pruned.layers[0].branches[1].keep.is_some());
+        let pruned = scheme_pruned(&base, &adj, &x);
         let wide = biased(zoo::graphsage(150, 64, 8, 24));
+        // 6 → 2 × 8: layer 1's neighbour branch is wider out than in, and
+        // reads its projection table all the same.
+        let widening = biased(zoo::graphsage(6, 16, 4, 8));
         let mut worst = 0.0f32;
         for (name, model, x) in [
             ("unpruned", &base, &x),
             ("unpruned, 150 attributes", &wide, &wide_x),
-            ("batched-scheme pruned", &scheme_pruned, &x),
-            ("keep on k = 0 and k = 1", &hand_pruned(&base), &x),
-            ("Mean combine", &hand_pruned_mean(&base), &x),
+            ("batched-scheme pruned", &pruned, &x),
+            ("wider out than in", &widening, &x),
+            ("Mean combine", &mean_combine(&base), &x),
         ] {
             let caps = vec![None, Some(2)];
             let mut engine = BatchedEngine::new(model, &adj, x, caps, None, StorePolicy::None, 5);
@@ -2369,19 +2136,16 @@ mod tests {
         // 2 and the classifier compute the 3 targets. SAGE 6 → 8 → 8 → 4,
         // each layer-1 and layer-2 branch 4 wide.
         let (adj, x, model) = setup();
-        let pruned = with_keep(&model, &[(0, 1, &[0, 2, 4, 5, 1])]);
-        let narrow = with_keep(&model, &[(0, 1, &[0, 2, 4])]);
+        // SAGE 6 → 16 → 16 → 4: layer 1's branches are 8 wide, wider out
+        // than in.
+        let widening = zoo::graphsage(6, 16, 4, 7);
         // Each model serves the batch cold, then once more warm.
         let infer = |m: &GnnModel| {
             let mut engine = BatchedEngine::new(m, &adj, &x, vec![], None, StorePolicy::None, 0);
             (engine.infer(&[3, 4, 20]), engine.infer(&[3, 4, 20]))
         };
-        let ((full, full_warm), (slim, _), (agg, agg_warm)) =
-            (infer(&model), infer(&pruned), infer(&narrow));
-        assert_eq!(
-            (full.n_supporting, slim.n_supporting, agg.n_supporting),
-            (11, 11, 11)
-        );
+        let ((full, full_warm), (wide, wide_warm)) = (infer(&model), infer(&widening));
+        assert_eq!((full.n_supporting, wide.n_supporting), (11, 11));
         // Every ring node has two neighbours. Layer 1: the k = 0 table's
         // fill of the 7 computed rows (7 × 6 × 4) and one add per edge per
         // table column (14 edges × 4); no transform of the k = 1 branch.
@@ -2401,30 +2165,31 @@ mod tests {
         // A warm repeat fills nothing: no k = 0 transform, no attributes.
         assert_eq!(full_warm.macs, (macs - fill) as u64);
         assert_eq!(full_warm.mem_bytes, (floats - fill_floats) * 4);
-        // Pruning the k = 1 branch's inputs to 5 channels shrinks its
-        // table's one-time construction, not what a batch reads or runs.
-        assert_eq!((slim.macs, slim.mem_bytes), (full.macs, full.mem_bytes));
-        // Pruned to 3 channels for 4 outputs it builds no table: 14 edges ×
-        // 3 kept channels of adds and a 7 × 3 × 4 transform; it reads its
-        // 3 × 4 weights and the 11 supporting nodes' 3 kept attributes.
-        let macs = fill + 14 * 3 + 7 * 3 * 4 + 3 * 8 * 4 + 6 * 8 + 3 * 8 * 4 + 3 * 8 * 4;
-        assert_eq!(agg.macs, macs as u64);
-        let floats =
-            (164 - 2 * 6 * 4 + 3 * 4) + fill_floats + 7 * 4 + 11 * 3 + (7 * 8 + 3 * 8 + 3 * 4);
-        assert_eq!(agg.mem_bytes, floats * 4);
-        assert_eq!(agg_warm.macs, (macs - fill) as u64);
-        assert_eq!(agg_warm.mem_bytes, (floats - fill_floats) * 4);
+        // Wider out than in, the k = 1 branch still reads its table: 14
+        // edges × 8 table columns of adds and no transform. Layer 2: k = 0
+        // (3 × 16 × 8), k = 1 (6 edges × 16 + 3 × 16 × 8); classifier 3 ×
+        // 16 × 4. Of its 452 weights a batch reads all but layer 1's two
+        // 6 × 8 branches.
+        let fill = 7 * 6 * 8;
+        let macs = fill + 14 * 8 + 3 * 16 * 8 + 6 * 16 + 3 * 16 * 8 + 3 * 16 * 4;
+        assert_eq!(wide.macs, macs as u64);
+        let fill_floats = 6 * 8 + 7 * 6;
+        let floats = (452 - 2 * 6 * 8) + fill_floats + 7 * 8 + 11 * 8 + (7 * 16 + 3 * 16 + 3 * 4);
+        assert_eq!(widening.n_weights(), 452);
+        assert_eq!(wide.mem_bytes, floats * 4);
+        assert_eq!(wide_warm.macs, (macs - fill) as u64);
+        assert_eq!(wide_warm.mem_bytes, (floats - fill_floats) * 4);
     }
 
     #[test]
     fn projection_table_takes_non_finite_features_without_panicking() {
         // Constructing an engine projects every attribute row: a NaN
-        // attribute must not panic there, pruned or not. It is trapped per
+        // attribute must not panic there, whatever the widths. It is trapped per
         // batch under `strict-invariants` and served as-is otherwise.
         let (adj, mut x, model) = setup();
         x.set(5, 2, f32::NAN); // two hops from target 3: read only through a table
-        let pruned = with_keep(&model, &[(0, 1, &[0, 2, 4])]);
-        for model in [&model, &pruned] {
+        let widening = zoo::graphsage(6, 16, 4, 8);
+        for model in [&model, &widening] {
             let mut engine =
                 BatchedEngine::new(model, &adj, &x, vec![], None, StorePolicy::None, 0);
             match engine.try_infer(&[3]) {
@@ -2969,14 +2734,15 @@ mod tests {
         let base = biased(zoo::graphsage(6, 8, 4, 7));
         // Under Mean with the self branch second, its rows are added to the
         // neighbour branch's product instead of stored into a window.
-        let mut added = hand_pruned_mean(&base);
+        let mut added = mean_combine(&base);
         added.layers[0].branches.swap(0, 1);
+        let widening = biased(zoo::graphsage(6, 16, 4, 8));
         let (cold, half): (&[usize], &[usize]) = (&[3, 59, 20], &[20, 22, 44]);
         for threads in [1, 4] {
             gcnp_tensor::set_num_threads(threads);
             for (name, model) in [
                 ("unpruned", &base),
-                ("keep on k = 0", &hand_pruned(&base)),
+                ("wider out than in", &widening),
                 ("added under Mean", &added),
             ] {
                 let engine =
@@ -3095,23 +2861,11 @@ mod tests {
         let n = adj.n_rows();
         let x = Matrix::rand_uniform(n, 6, -1.0, 1.0, &mut seeded_rng(21));
         let base = biased(zoo::graphsage(6, 8, 4, 7));
-        let cfg = gcnp_core::PrunerConfig {
-            beta_epochs: 3,
-            w_epochs: 3,
-            ..Default::default()
-        };
-        let (scheme_pruned, _) = gcnp_core::prune_model(
-            &base,
-            &adj.normalized(Normalization::Row),
-            &x,
-            0.5,
-            gcnp_core::Scheme::BatchedInference,
-            &cfg,
-        );
+        let pruned = scheme_pruned(&base, &adj, &x);
         let store = FeatureStore::new(n, 2);
         let warm: Vec<usize> = (0..n).step_by(2).collect();
         BatchedEngine::new(
-            &scheme_pruned,
+            &pruned,
             &adj,
             &x,
             vec![],
@@ -3120,17 +2874,13 @@ mod tests {
             1,
         )
         .infer(&warm);
-        let mean = hand_pruned_mean(&base);
+        let mean = mean_combine(&base);
         let targets: &[usize] = &[3, 59, 20, 41, 8, 33, 9];
         for threads in [1, 4] {
             gcnp_tensor::set_num_threads(threads);
             for (name, model, store) in [
                 ("unpruned", &base, None),
-                (
-                    "batched-scheme pruned, warm store",
-                    &scheme_pruned,
-                    Some(&store),
-                ),
+                ("batched-scheme pruned, warm store", &pruned, Some(&store)),
                 ("Mean combine", &mean, None),
             ] {
                 let caps = vec![None, Some(3)];

@@ -25,8 +25,7 @@ impl CostModel {
     ///
     /// The `min` is the cheaper of aggregate-then-transform vs
     /// transform-then-aggregate for each graph branch, which is the order
-    /// [`crate::FullEngine`] runs it in ([`gcnp_models::Branch::projects_first`]);
-    /// pruned branches read `keep.len()` input channels.
+    /// [`crate::FullEngine`] runs it in ([`gcnp_models::Branch::projects_first`]).
     pub fn full_macs_per_node(&self, model: &GnnModel) -> f64 {
         let mut macs = 0.0f64;
         for layer in &model.layers {
@@ -34,11 +33,7 @@ impl CostModel {
                 let fin = b.in_dim() as f64;
                 let fout = b.out_dim() as f64;
                 if b.k >= 1 {
-                    let summed = if b.projects_first() {
-                        fout
-                    } else {
-                        b.kept_in_dim() as f64
-                    };
+                    let summed = if b.projects_first() { fout } else { fin };
                     macs += b.k as f64 * self.avg_degree * summed;
                 }
                 macs += fin * fout;
@@ -70,19 +65,15 @@ impl CostModel {
     /// target, each paying that layer's per-node cost. `fanout` caps `d` (the
     /// paper limits hop-2 neighbors to 32).
     ///
-    /// Each graph branch is priced in the order the batched engine runs it —
-    /// Eq. 2's `min` rule, with the transform hoisted out of the batch where
-    /// it can be. Layer 1's branches read the static attribute matrix, so a
-    /// `k = 0` branch and a neighbour branch no wider out than in
-    /// ([`gcnp_models::Branch::projects_first`]) have their `X·W` as
-    /// per-engine tables: a batch pays `k·d·f_out` adds per node for the
-    /// neighbour branch, and no transform for either. Those tables cost at
-    /// most `|V|·f_in·f_out` per branch per engine (the neighbour branch's
-    /// at construction, the `k = 0` branch's row by row as batches first
-    /// touch its nodes), not a per-target cost, and are not counted here.
-    /// Any other layer-1 neighbour branch, and every hidden level,
-    /// aggregates first (`k·d·f_in + f_in·f_out`): a hidden level's input
-    /// is rebuilt every batch.
+    /// Each branch is priced in the order the batched engine runs it.
+    /// Layer 1's branches read the static attribute matrix, so each has its
+    /// `X·W` as a per-engine table: a batch pays `k·d·f_out` adds per node
+    /// for a neighbour branch, and no transform for any. Those tables cost
+    /// at most `|V|·f_in·f_out` per branch per engine (the neighbour
+    /// branch's at construction, the `k = 0` branch's row by row as batches
+    /// first touch its nodes), not a per-target cost, and are not counted
+    /// here. Every hidden level aggregates first (`k·d·f_in +
+    /// f_in·f_out`): its input is rebuilt every batch.
     pub fn batched_macs_per_node(&self, model: &GnnModel, fanout_cap: Option<usize>) -> f64 {
         let d = match fanout_cap {
             Some(c) => self.avg_degree.min(c as f64),
@@ -108,9 +99,8 @@ impl CostModel {
                 let fout = b.out_dim() as f64;
                 let k = b.k as f64;
                 per_node += match (li, b.k) {
-                    (0, 0) => 0.0,
+                    (0, _) => k * d * fout,
                     (_, 0) => fin * fout,
-                    (0, _) if b.projects_first() => k * d * fout,
                     _ => k * d * fin + fin * fout,
                 };
             }
@@ -190,33 +180,12 @@ mod tests {
         let expect =
             (1 + 2) as f64 * (2 * 4) as f64 + (8 * 4 + 2 * 8 + 8 * 4) as f64 + (8 * 3) as f64;
         assert!((cm.batched_macs_per_node(&model, Some(2)) - expect).abs() < 1e-9);
-        // Pruning layer 1's aggregation inputs to 5 channels, still wider
-        // than its 4 outputs, moves only the table, built once per engine:
-        // the per-target cost stays.
-        let prune = |keep: &[usize]| {
-            let mut pruned = model.clone();
-            let b = &mut pruned.layers[0].branches[1];
-            b.weight = b.weight.select_rows(keep);
-            b.keep = Some(keep.to_vec());
-            pruned
-        };
-        assert_eq!(
-            cm.batched_macs_per_node(&prune(&[0, 3, 5, 7, 9]), None),
-            cm.batched_macs_per_node(&model, None)
-        );
-        // Pruned to 3 channels the branch is narrower in than out: it
-        // aggregates first, `5*3` adds and a `3*4` transform per node.
-        let expect = (1 + 5) as f64 * (5 * 3 + 3 * 4) as f64
-            + (8 * 4 + 5 * 8 + 8 * 4) as f64
-            + (8 * 3) as f64;
-        assert!((cm.batched_macs_per_node(&prune(&[0, 3, 7]), None) - expect).abs() < 1e-9);
-        // And so does the neighbour branch of a SAGE whose layer 1 widens:
-        // 3 → 2x4. L1, 1 + d nodes: k0 reads its table, whatever the
-        // widths; k1: 5*3 + 3*4. L2 and cls as above.
+        // A SAGE whose layer 1 widens, 3 → 2x4: its neighbour branch reads
+        // the table too, whatever the widths. L1, 1 + d nodes: k0 reads its
+        // table; k1: 5*4 adds over the projection table. L2 and cls as above.
         let widening = zoo::graphsage(3, 8, 3, 1);
-        let expect = (1 + 5) as f64 * (5 * 3 + 3 * 4) as f64
-            + (8 * 4 + 5 * 8 + 8 * 4) as f64
-            + (8 * 3) as f64;
+        let expect =
+            (1 + 5) as f64 * (5 * 4) as f64 + (8 * 4 + 5 * 8 + 8 * 4) as f64 + (8 * 3) as f64;
         assert!((cm.batched_macs_per_node(&widening, None) - expect).abs() < 1e-9);
     }
 

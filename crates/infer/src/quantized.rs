@@ -13,12 +13,11 @@ use gcnp_sparse::CsrMatrix;
 use gcnp_tensor::{qgemm_packed_into, Matrix, QuantMatrix, QuantPackedB};
 use serde::{Deserialize, Serialize};
 
-/// One quantized branch: the kept-channel list plus int8 weights.
+/// One quantized branch: its aggregation order and int8 weights.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct QuantBranch {
     k: usize,
     weight: QuantMatrix,
-    keep: Option<Vec<usize>>,
 }
 
 /// One quantized layer.
@@ -54,7 +53,6 @@ impl QuantizedGnn {
                     .map(|b| QuantBranch {
                         k: b.k,
                         weight: QuantMatrix::quantize(&b.weight),
-                        keep: b.keep.clone(),
                     })
                     .collect(),
                 bias: l.bias.clone(),
@@ -79,7 +77,6 @@ impl QuantizedGnn {
                 branches.push(QuantBranch {
                     k: b.k,
                     weight: QuantMatrix::try_quantize(&b.weight)?,
-                    keep: b.keep.clone(),
                 });
             }
             layers.push(QuantLayer {
@@ -129,12 +126,8 @@ impl QuantizedGnn {
                 .map(|b| {
                     let pb = QuantPackedB::from_quant(&b.weight);
                     let z = &powers[b.k];
-                    let zin = match &b.keep {
-                        Some(keep) => z.select_cols(keep),
-                        None => z.clone(),
-                    };
-                    let mut out = Matrix::zeros(zin.rows(), pb.n());
-                    qgemm_packed_into(&zin, &pb, &mut out);
+                    let mut out = Matrix::zeros(z.rows(), pb.n());
+                    qgemm_packed_into(z, &pb, &mut out);
                     out
                 })
                 .collect();
@@ -243,11 +236,15 @@ mod tests {
 
     #[test]
     fn quantized_pruned_model_runs() {
-        let (adj, x, mut model) = setup();
-        let b = &mut model.layers[0].branches[1];
-        b.weight = b.weight.select_rows(&[0, 3, 5]);
-        b.keep = Some(vec![0, 3, 5]);
-        let q = QuantizedGnn::from_model(&model);
+        let (adj, x, model) = setup();
+        let cfg = gcnp_core::PrunerConfig {
+            beta_epochs: 3,
+            w_epochs: 3,
+            ..Default::default()
+        };
+        let scheme = gcnp_core::Scheme::BatchedInference;
+        let (pruned, _) = gcnp_core::prune_model(&model, &adj, &x, 0.5, scheme, &cfg);
+        let q = QuantizedGnn::from_model(&pruned);
         let out = q.forward_full(Some(&adj), &x);
         assert_eq!(out.shape(), (30, 3));
         assert!(out.as_slice().iter().all(|v| v.is_finite()));

@@ -1,4 +1,4 @@
-//! One GNN layer of the paper's Eq. (1), with optional channel pruning.
+//! One GNN layer of the paper's Eq. (1).
 
 use gcnp_autograd::{SharedAdj, Tape, Var};
 use gcnp_sparse::CsrMatrix;
@@ -21,25 +21,22 @@ pub enum CombineMode {
     Mean,
 }
 
-/// One aggregation order `k`: output contribution `(Ãᵏ H)[:, keep] · W`.
+/// One aggregation order `k`: output contribution `(Ãᵏ H) · W`. A pruned
+/// branch is a narrower one: the pruner removes the dropped channels from
+/// the weight's rows and from the producing layer's outputs alike, so every
+/// branch reads its whole input.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Branch {
     /// Aggregation order (0 = self features, 1 = one-hop mean, …).
     pub k: usize,
-    /// Weight matrix, `keep.len() × out_dim` when pruned, else `in_dim × out_dim`.
+    /// Weight matrix, `in_dim × out_dim`.
     pub weight: Matrix,
-    /// Surviving input channels (`None` = all channels). Set by the pruner.
-    pub keep: Option<Vec<usize>>,
 }
 
 impl Branch {
-    /// An unpruned branch.
+    /// A branch of order `k` with weight `weight`.
     pub fn new(k: usize, weight: Matrix) -> Self {
-        Self {
-            k,
-            weight,
-            keep: None,
-        }
+        Self { k, weight }
     }
 
     /// Output width of this branch.
@@ -47,27 +44,20 @@ impl Branch {
         self.weight.cols()
     }
 
-    /// Number of input channels actually read.
+    /// Number of input channels read.
     pub fn in_dim(&self) -> usize {
         self.weight.rows()
-    }
-
-    /// Width of the operand this branch's GEMM multiplies: `keep.len()`
-    /// when a `keep` list is set (a full-width masked weight packs only
-    /// those rows), else the weight's rows.
-    pub fn kept_in_dim(&self) -> usize {
-        self.keep.as_ref().map_or(self.weight.rows(), Vec::len)
     }
 
     /// Eq. 2's `min` as a decision: a graph branch no wider out than in
     /// transforms first and aggregates its `out_dim`-wide product
     /// (`Ãᵏ·(H·W)`), since `k·d·f_out ≤ k·d·f_in`; every other branch
     /// aggregates first (`(Ãᵏ·H)·W`). A tie goes to projecting: Eq. 2 is
-    /// indifferent there, and the batched engine's layer 1 then hoists the
-    /// transform out of every batch into a per-engine table. A pure function
-    /// of the shapes: both engines read it, and no flag overrides it.
+    /// indifferent there. A pure function of the shapes, read by the
+    /// full-graph pass; the batched engine's layer 1 projects whatever the
+    /// widths, because its input is the static attribute matrix.
     pub fn projects_first(&self) -> bool {
-        self.k >= 1 && self.out_dim() <= self.kept_in_dim()
+        self.k >= 1 && self.out_dim() <= self.in_dim()
     }
 }
 
@@ -145,7 +135,7 @@ impl BranchLayer {
         out
     }
 
-    /// Per-branch pre-combination outputs `(Ãᵏ H)[:, keep] · Wₖ`.
+    /// Per-branch pre-combination outputs `(Ãᵏ H) · Wₖ`.
     pub fn branch_outputs(&self, adj: Option<&CsrMatrix>, input: &Matrix) -> Vec<Matrix> {
         let max_k = self.max_k();
         assert!(
@@ -163,12 +153,7 @@ impl BranchLayer {
             .iter()
             .map(|b| {
                 let z = if b.k == 0 { input } else { &powers[b.k - 1] };
-                match &b.keep {
-                    // Select the surviving channels before the GEMM — the
-                    // source of the pruned model's speedup.
-                    Some(keep) => z.select_cols(keep).matmul(&b.weight),
-                    None => z.matmul(&b.weight),
-                }
+                z.matmul(&b.weight)
             })
             .collect()
     }
@@ -201,12 +186,7 @@ impl BranchLayer {
         }
         let mut parts = Vec::with_capacity(self.branches.len());
         for (b, &w) in self.branches.iter().zip(pvars) {
-            let z = powers[b.k];
-            let z = match &b.keep {
-                Some(keep) => t.select_cols(z, keep),
-                None => z,
-            };
-            parts.push(t.matmul(z, w));
+            parts.push(t.matmul(powers[b.k], w));
         }
         let mut out = match self.combine {
             CombineMode::Concat => {
@@ -326,32 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn pruned_branch_reads_only_kept_channels() {
-        let mut layer = sage_layer(4, 3, 7);
-        // Keep channels {0, 2} in branch 1 with a compacted weight.
-        let w1 = layer.branches[1].weight.select_rows(&[0, 2]);
-        layer.branches[1] = Branch {
-            k: 1,
-            weight: w1,
-            keep: Some(vec![0, 2]),
-        };
-        let adj = tiny_adj();
-        let x = Matrix::rand_uniform(3, 4, -1.0, 1.0, &mut seeded_rng(8));
-        let out = layer.forward(Some(&adj), &x);
-        assert_eq!(out.shape(), (3, 6));
-        // Changing a pruned-away channel (1) must not change the k=1 part.
-        let mut x2 = x.clone();
-        for r in 0..3 {
-            x2.set(r, 1, 99.0);
-        }
-        let out2 = layer.forward(Some(&adj), &x2);
-        // columns 3..6 are the k=1 branch (k=0 branch does change).
-        for r in 0..3 {
-            assert_eq!(&out.row(r)[3..6], &out2.row(r)[3..6]);
-        }
-    }
-
-    #[test]
     fn mean_combine_averages_branches() {
         let mut rng = seeded_rng(9);
         let w = Matrix::glorot(4, 3, &mut rng);
@@ -371,22 +325,12 @@ mod tests {
     }
 
     #[test]
-    fn projects_first_is_eq2_min_over_the_kept_width() {
-        let b = |k, rows, cols, keep: Option<usize>| Branch {
-            k,
-            weight: Matrix::zeros(rows, cols),
-            keep: keep.map(|n| (0..n).collect()),
-        };
-        assert!(b(1, 6, 4, None).projects_first(), "narrower out than in");
-        assert!(b(2, 4, 4, None).projects_first(), "a tie projects");
-        assert!(!b(1, 4, 6, None).projects_first(), "wider out than in");
-        assert!(
-            !b(0, 6, 4, None).projects_first(),
-            "no graph, nothing to order"
-        );
-        // A full-width masked weight: the kept channels are the in-width.
-        assert!(b(1, 6, 4, Some(4)).projects_first());
-        assert!(!b(1, 6, 4, Some(3)).projects_first());
+    fn projects_first_is_eq2_min() {
+        let b = |k, rows, cols| Branch::new(k, Matrix::zeros(rows, cols));
+        assert!(b(1, 6, 4).projects_first(), "narrower out than in");
+        assert!(b(2, 4, 4).projects_first(), "a tie projects");
+        assert!(!b(1, 4, 6).projects_first(), "wider out than in");
+        assert!(!b(0, 6, 4).projects_first(), "no graph, nothing to order");
     }
 
     #[test]

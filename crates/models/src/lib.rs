@@ -10,8 +10,8 @@
 //!
 //! [`BranchLayer`] implements one such layer; [`GnnModel`] stacks them.
 //! Specializations: `K′=K=1` → GCN, `K′=0,K=1` → GraphSAGE, `K′=0,K=2` →
-//! MixHop, `K′=K=0` → dense/MLP layers. Each [`Branch`] optionally carries a
-//! `keep` channel list, which is how pruned models run in compact form.
+//! MixHop, `K′=K=0` → dense/MLP layers. A pruned model is a narrower one of
+//! the same shape: its weights are compacted, never masked.
 //!
 //! Additional architectures for the paper's comparison experiments (Fig. 1,
 //! Table 5) live in [`zoo`]: GAT (fused attention op), PPRGo (approximate

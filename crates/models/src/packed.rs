@@ -19,8 +19,8 @@
 //!
 //! The pass runs the order Eq. 2's `min` prices. A graph branch no wider
 //! out than in ([`Branch::projects_first`]) multiplies first and sums
-//! `out_dim`-wide rows, `Ãᵏ·(H·W)`; every other branch sums its (kept)
-//! input and then multiplies, `(Ãᵏ·H)·W`, as [`GnnModel::forward_collect`]
+//! `out_dim`-wide rows, `Ãᵏ·(H·W)`; every other branch sums its input and
+//! then multiplies, `(Ãᵏ·H)·W`, as [`GnnModel::forward_collect`]
 //! does. So a layer with no projecting branch is bitwise the plain
 //! forward's, and a layer with one differs from it by rounding only (≤ 1e-4
 //! on the logits). The plain forward stays aggregate-first: it is the
@@ -28,33 +28,10 @@
 //! same on 1 or 4 kernel threads and on a reused or a fresh workspace.
 
 use gcnp_sparse::CsrMatrix;
-use gcnp_tensor::{parallel_row_chunks, Matrix, PackedB, QuantPackedB};
+use gcnp_tensor::{Matrix, PackedB, QuantPackedB};
 
 use crate::layer::{Activation, Branch, BranchLayer, CombineMode};
 use crate::model::GnnModel;
-
-/// Pack one branch weight, folding the channel-pruning mask into the pack
-/// step: a branch whose `keep` list is shorter than its stored weight holds
-/// the **full-width masked** weight (`W` with dead input channels still
-/// present), and only the kept rows are packed — pruned channels are never
-/// packed, so the GEMM never multiplies them. Compacted branches (weight
-/// already `keep.len()` rows, the `prune_model` output) pack as-is.
-fn pack_branch(b: &Branch) -> PackedB {
-    match &b.keep {
-        Some(keep) if b.weight.rows() != keep.len() => PackedB::pack_rows(&b.weight, keep),
-        _ => PackedB::pack(&b.weight),
-    }
-}
-
-/// Int8 sibling of [`pack_branch`]: quantization scales are computed over
-/// the kept rows only, so a mask-folded pack is bit-identical to packing the
-/// compacted weight.
-fn qpack_branch(b: &Branch) -> QuantPackedB {
-    match &b.keep {
-        Some(keep) if b.weight.rows() != keep.len() => QuantPackedB::pack_rows(&b.weight, keep),
-        _ => QuantPackedB::pack(&b.weight),
-    }
-}
 
 /// A [`GnnModel`] with every branch weight pre-packed for the GEMM fast
 /// path. Forward results are the plain model's, bit for bit up to the first
@@ -74,7 +51,12 @@ impl<'m> PackedModel<'m> {
         let packs = model
             .layers
             .iter()
-            .map(|l| l.branches.iter().map(pack_branch).collect())
+            .map(|l| {
+                l.branches
+                    .iter()
+                    .map(|b| PackedB::pack(&b.weight))
+                    .collect()
+            })
             .collect();
         Self {
             model,
@@ -131,8 +113,7 @@ impl<'m> PackedModel<'m> {
 
 /// A [`GnnModel`] with every branch weight quantized to int8 and packed for
 /// the blocked quantized GEMM — the weight cache behind the serving ladder's
-/// `quantized` tier. Pruning masks fold into the pack exactly as in
-/// [`PackedModel`]; weights occupy ≈¼ of the f32 pack.
+/// `quantized` tier; weights occupy ≈¼ of the f32 pack.
 pub struct QuantPackedModel<'m> {
     model: &'m GnnModel,
     /// `packs[layer][branch]`, parallel to `model.layers[..].branches[..]`.
@@ -145,7 +126,12 @@ impl<'m> QuantPackedModel<'m> {
         let packs = model
             .layers
             .iter()
-            .map(|l| l.branches.iter().map(qpack_branch).collect())
+            .map(|l| {
+                l.branches
+                    .iter()
+                    .map(|b| QuantPackedB::pack(&b.weight))
+                    .collect()
+            })
             .collect();
         Self { model, packs }
     }
@@ -183,11 +169,8 @@ struct Workspace {
 /// What a layer computes through on the way to its output; shared by all
 /// layers, so each buffer grows to its widest use.
 struct Scratch {
-    /// `agg[k - 1]` is `z_k = Ã·z_{k-1}` of the layer being computed, at
-    /// the width its aggregate-first branches read.
+    /// `agg[k - 1]` is `z_k = Ã·z_{k-1}` of the layer being computed.
     agg: Vec<Matrix>,
-    /// The kept columns of a branch operand (`select_cols`).
-    sel: Matrix,
     /// A projecting branch's product `H·W`, and its hops but the last; a
     /// Mean layer's second and later aggregate-first products, on their way
     /// into the sum.
@@ -201,7 +184,6 @@ impl Default for Scratch {
     fn default() -> Self {
         Self {
             agg: Vec::new(),
-            sel: empty(),
             prod: empty(),
             hop: empty(),
         }
@@ -256,24 +238,6 @@ fn reshape(m: &mut Matrix, rows: usize, cols: usize) {
     }
 }
 
-/// `out = src[:, keep]`, the values [`Matrix::select_cols`] returns.
-fn select_cols_into(src: &Matrix, keep: &[usize], out: &mut Matrix) {
-    assert!(
-        keep.iter().all(|&c| c < src.cols()),
-        "select_cols: column out of bounds"
-    );
-    let w = keep.len();
-    reshape(out, src.rows(), w);
-    parallel_row_chunks(out.as_mut_slice(), src.rows(), w, |start, chunk| {
-        for (r, dst) in chunk.chunks_exact_mut(w).enumerate() {
-            let row = src.row(start + r);
-            for (d, &c) in dst.iter_mut().zip(keep) {
-                *d = row[c];
-            }
-        }
-    });
-}
-
 /// One layer forward over packed branch weights into `out`. A branch that
 /// aggregates first runs [`BranchLayer::forward`]'s arithmetic; one that
 /// [projects first](Branch::projects_first) runs `Ãᵏ·(H·W)`, the same sum
@@ -287,12 +251,7 @@ fn layer_forward_packed(
     scratch: &mut Scratch,
 ) {
     debug_assert_eq!(layer.branches.len(), packs.len());
-    let Scratch {
-        agg,
-        sel,
-        prod,
-        hop,
-    } = scratch;
+    let Scratch { agg, prod, hop } = scratch;
     let aggregates_first = |b: &&Branch| b.k >= 1 && !b.projects_first();
     let max_k = layer
         .branches
@@ -302,38 +261,15 @@ fn layer_forward_packed(
         .max()
         .unwrap_or(0);
 
-    // Select, then aggregate: when every aggregate-first branch keeps the
-    // same channels, only those go through the SpMM. `row_sum` sums each
-    // channel on its own, in list order, so `Ã·(X[:, keep])` is
-    // `(Ã·X)[:, keep]` bit for bit. Branches with differing lists (no model
-    // in the repo builds one) aggregate at full width and select per
-    // branch, as the plain forward does.
-    let mut graph_keeps = layer
-        .branches
-        .iter()
-        .filter(aggregates_first)
-        .map(|b| &b.keep);
-    let shared_keep = match graph_keeps.next() {
-        Some(Some(first)) if graph_keeps.all(|k| k.as_ref() == Some(first)) => Some(first),
-        _ => None,
-    };
-
     // Progressive powers of the aggregate-first branches: z_k = Ã^k · input.
     if max_k > 0 {
         let adj = adj.expect("layer_forward_packed: graph layer needs adjacency");
         if agg.len() < max_k {
             agg.resize_with(max_k, empty);
         }
-        let z0 = match shared_keep {
-            Some(keep) => {
-                select_cols_into(input, keep, sel);
-                &*sel
-            }
-            None => input,
-        };
         for k in 0..max_k {
             let (done, rest) = agg.split_at_mut(k);
-            let src = done.last().unwrap_or(z0);
+            let src = done.last().unwrap_or(input);
             reshape(&mut rest[0], adj.n_rows(), src.cols());
             adj.spmm_into(src, &mut rest[0]);
         }
@@ -350,14 +286,10 @@ fn layer_forward_packed(
     for (bi, (b, pack)) in layer.branches.iter().zip(packs).enumerate() {
         let add = bi > 0 && layer.combine == CombineMode::Mean;
         let projects = b.projects_first();
-        let reads_input = b.k == 0 || projects;
-        let z = if reads_input { input } else { &agg[b.k - 1] };
-        let operand = match &b.keep {
-            Some(keep) if reads_input || shared_keep.is_none() => {
-                select_cols_into(z, keep, sel);
-                &*sel
-            }
-            _ => z,
+        let operand = if b.k == 0 || projects {
+            input
+        } else {
+            &agg[b.k - 1]
         };
         if projects || add {
             reshape(prod, n, b.out_dim());
@@ -448,111 +380,6 @@ mod tests {
         assert!(packed.packed_bytes() > 0);
     }
 
-    #[test]
-    fn pruned_model_outputs_unchanged_by_kernel_path() {
-        // Satellite pin: pruned models (keep lists + compacted weights) must
-        // produce the same outputs through the blocked/packed kernels as
-        // through the plain forward — pruning semantics come from
-        // `select_cols`, not from skipping zeros inside the GEMM.
-        let mut model = zoo::graphsage(6, 8, 3, 21);
-        let keep = vec![0, 2, 5];
-        for layer in &mut model.layers {
-            for b in &mut layer.branches {
-                if b.in_dim() == 6 {
-                    let w = b.weight.select_rows(&keep);
-                    *b = Branch {
-                        k: b.k,
-                        weight: w,
-                        keep: Some(keep.clone()),
-                    };
-                }
-            }
-        }
-        let a = adj();
-        let x = Matrix::rand_uniform(5, 6, -1.0, 1.0, &mut seeded_rng(22));
-        let plain = model.forward_collect(Some(&a), &x);
-        let packed = PackedModel::new(&model);
-        // Three kept channels feed a 4-wide branch, so layer 1 aggregates
-        // first and is bitwise; layer 2 (8 → 4) projects.
-        assert!(!model.layers[0].branches[1].projects_first());
-        assert_plain_contract(
-            &model,
-            &packed.forward_collect(Some(&a), &x),
-            &plain,
-            "pruned",
-        );
-        // The masked-equivalent computation: zero the pruned channels and run
-        // the unpruned weights through the dense kernel.
-        let model_full = zoo::graphsage(6, 8, 3, 21);
-        let mask: Vec<f32> = (0..6)
-            .map(|i| if keep.contains(&i) { 1.0 } else { 0.0 })
-            .collect();
-        let masked_first: Matrix = {
-            // First-layer check only: compacted GEMM == masked full GEMM.
-            let z = x.clone();
-            let zm = z.scale_cols(&mask);
-            let l = &model_full.layers[0];
-            let b0 = &l.branches[0];
-            zm.matmul(&b0.weight)
-        };
-        let compact = x
-            .select_cols(&keep)
-            .matmul(&model.layers[0].branches[0].weight);
-        assert!(
-            compact.approx_eq(&masked_first, 1e-5),
-            "compacted pruned GEMM must equal the masked full-width GEMM"
-        );
-    }
-
-    #[test]
-    fn masked_branch_folds_into_pack() {
-        // A branch holding the full-width masked weight (dead channels still
-        // present) with a keep list must pack only the kept rows — identical
-        // panels, identical forward pass, smaller pack than the full weight.
-        let mut compact_model = zoo::graphsage(6, 8, 3, 33);
-        let mut masked_model = zoo::graphsage(6, 8, 3, 33);
-        let keep = vec![1, 3, 4];
-        for (cm, mm) in compact_model
-            .layers
-            .iter_mut()
-            .zip(&mut masked_model.layers)
-        {
-            for (cb, mb) in cm.branches.iter_mut().zip(mm.branches.iter_mut()) {
-                if cb.in_dim() == 6 {
-                    cb.weight = cb.weight.select_rows(&keep);
-                    cb.keep = Some(keep.clone());
-                    // The masked twin keeps the full-width weight.
-                    mb.keep = Some(keep.clone());
-                }
-            }
-        }
-        let a = adj();
-        let x = Matrix::rand_uniform(5, 6, -1.0, 1.0, &mut seeded_rng(34));
-        let compact = PackedModel::new(&compact_model);
-        let masked = PackedModel::new(&masked_model);
-        assert_eq!(
-            compact.packed_bytes(),
-            masked.packed_bytes(),
-            "mask-folded pack must not pack pruned channels"
-        );
-        assert_eq!(
-            masked.forward_full(Some(&a), &x),
-            compact.forward_full(Some(&a), &x),
-            "masked and compacted models must agree bitwise through the pack"
-        );
-        // Int8 twin: scales over kept rows only ⇒ identical quantized packs.
-        let qc = QuantPackedModel::new(&compact_model);
-        let qm = QuantPackedModel::new(&masked_model);
-        assert_eq!(qc.packed_bytes(), qm.packed_bytes());
-        // At these toy widths the per-column scales and pair padding eat
-        // into the 4x; the int8 pack must still be strictly smaller.
-        assert!(qc.packed_bytes() < compact.packed_bytes());
-        assert_eq!(
-            qc.branch_packs(0).len(),
-            compact_model.layers[0].branches.len()
-        );
-    }
-
     /// A 23-node graph (not a multiple of the GEMM's 6-row tile) with
     /// uneven degrees, and 150-wide features (past `row_sum`'s 64-column
     /// tile, with an 8-column and a scalar tail).
@@ -574,18 +401,11 @@ mod tests {
         model
     }
 
-    /// Prune branch `bi` of layer 0 to `keep`, compacting its weight.
-    fn pruned(mut model: GnnModel, bi: usize, keep: &[usize]) -> GnnModel {
-        let b = &mut model.layers[0].branches[bi];
-        b.weight = b.weight.select_rows(keep);
-        b.keep = Some(keep.to_vec());
-        model
-    }
-
     #[test]
     fn selecting_channels_commutes_with_aggregation_bitwise() {
-        // What select-then-aggregate rests on: a channel's sum does not
-        // depend on which tile of the row it sits in.
+        // What the pruner's propagation rests on: a channel's sum does not
+        // depend on which tile of the row it sits in, so a layer that drops
+        // output channels leaves the survivors' sums bit for bit.
         let (a, x) = ragged();
         let keep: Vec<usize> = (0..150).filter(|c| c % 2 == 1 || *c > 140).collect();
         for threads in [1, 4] {
@@ -602,10 +422,8 @@ mod tests {
     #[test]
     fn packed_forward_matches_plain_for_every_layer_shape() {
         let (a, x) = ragged();
-        let keep: Vec<usize> = (0..150).step_by(4).collect();
-        let other: Vec<usize> = (1..150).step_by(3).collect();
+        let mut rng = seeded_rng(51);
         let mean = {
-            let mut rng = seeded_rng(51);
             let l1 = BranchLayer {
                 branches: (0..3)
                     .map(|k| Branch::new(k % 2, Matrix::glorot(150, 10, &mut rng)))
@@ -617,82 +435,37 @@ mod tests {
             let cls = BranchLayer::dense(Matrix::glorot(10, 4, &mut rng), None, Activation::None);
             GnnModel::new(vec![l1, cls])
         };
-        // (name, the model the packed path runs, the model the plain
-        // reference runs when it is not the same one: it cannot multiply a
-        // full-width masked weight, so it gets the compacted twin).
-        // `keep` (38 channels) leaves a neighbour branch wider in than out,
-        // so it projects; `narrow` (5) and `narrow_other` (4) leave it
-        // narrower, so it aggregates first.
-        let narrow: Vec<usize> = (0..150).step_by(31).collect();
-        let narrow_other: Vec<usize> = (3..150).step_by(37).collect();
-        let sage = || zoo::graphsage(150, 16, 5, 52);
-        let mixhop = || zoo::mixhop(150, 21, 5, 53);
-        let mut masked = sage();
-        masked.layers[0].branches[1].keep = Some(keep.clone());
-        let mut masked_narrow = sage();
-        masked_narrow.layers[0].branches[1].keep = Some(narrow.clone());
-        let cases: Vec<(&str, GnnModel, Option<GnnModel>)> = vec![
-            ("sage", sage(), None),
-            (
-                "sage, wider out than in",
-                zoo::graphsage(150, 320, 5, 58),
-                None,
-            ),
-            ("mean", mean, None),
-            ("mixhop", mixhop(), None),
-            ("keep on k = 1", pruned(sage(), 1, &keep), None),
-            ("narrow keep on k = 1", pruned(sage(), 1, &narrow), None),
-            (
-                "masked keep on k = 1",
-                masked,
-                Some(pruned(sage(), 1, &keep)),
-            ),
-            (
-                "masked narrow keep on k = 1",
-                masked_narrow,
-                Some(pruned(sage(), 1, &narrow)),
-            ),
-            (
-                "keep on k = 0 and k = 1",
-                pruned(pruned(sage(), 0, &other), 1, &keep),
-                None,
-            ),
-            (
-                "one keep list on k = 1 and k = 2",
-                pruned(pruned(mixhop(), 1, &keep), 2, &keep),
-                None,
-            ),
-            (
-                "two keep lists on k = 1 and k = 2",
-                pruned(pruned(mixhop(), 1, &keep), 2, &other),
-                None,
-            ),
-            (
-                "one narrow keep list on k = 1 and k = 2",
-                pruned(pruned(mixhop(), 1, &narrow), 2, &narrow),
-                None,
-            ),
-            (
-                "two narrow keep lists on k = 1 and k = 2",
-                pruned(pruned(mixhop(), 1, &narrow), 2, &narrow_other),
-                None,
-            ),
-            (
-                "k = 1 projects, k = 2 aggregates first",
-                pruned(mixhop(), 2, &narrow),
-                None,
-            ),
-            ("single branch", zoo::gcn(150, 16, 5, 54), None),
-            ("jk", zoo::jk(150, 16, 5, 55), None),
-            ("mlp", zoo::mlp(150, 16, 5, 56), None),
+        // k = 1 is narrower out than in and projects; k = 2 is wider and
+        // aggregates first.
+        let mixed = {
+            let l1 = BranchLayer {
+                branches: [(0, 10), (1, 10), (2, 160)]
+                    .into_iter()
+                    .map(|(k, out)| Branch::new(k, Matrix::glorot(150, out, &mut rng)))
+                    .collect(),
+                bias: None,
+                combine: CombineMode::Concat,
+                activation: Activation::Relu,
+            };
+            let cls = BranchLayer::dense(Matrix::glorot(180, 4, &mut rng), None, Activation::None);
+            GnnModel::new(vec![l1, cls])
+        };
+        let cases: Vec<(&str, GnnModel)> = vec![
+            ("sage", zoo::graphsage(150, 16, 5, 52)),
+            ("sage, wider out than in", zoo::graphsage(150, 320, 5, 58)),
+            ("mean", mean),
+            ("mixhop", zoo::mixhop(150, 21, 5, 53)),
+            ("k = 1 projects, k = 2 aggregates first", mixed),
+            ("single branch", zoo::gcn(150, 16, 5, 54)),
+            ("jk", zoo::jk(150, 16, 5, 55)),
+            ("mlp", zoo::mlp(150, 16, 5, 56)),
         ];
         let mut one_thread = Vec::new();
         for threads in [1, 4] {
             gcnp_tensor::set_num_threads(threads);
-            for (ci, (name, model, reference)) in cases.iter().enumerate() {
-                let reference = biased(reference.as_ref().unwrap_or(model).clone(), 57);
+            for (ci, (name, model)) in cases.iter().enumerate() {
                 let model = biased(model.clone(), 57);
-                let plain = reference.forward_collect(Some(&a), &x);
+                let plain = model.forward_collect(Some(&a), &x);
                 let mut packed = PackedModel::new(&model);
                 let fresh = packed.forward_collect(Some(&a), &x);
                 let what = format!("{name}, {threads} threads");
@@ -722,8 +495,7 @@ mod tests {
         let (big, x_big) = ragged();
         let small = adj();
         let x_small = Matrix::rand_uniform(5, 150, -1.0, 1.0, &mut seeded_rng(71));
-        let keep: Vec<usize> = (0..150).step_by(4).collect();
-        let model = biased(pruned(zoo::graphsage(150, 16, 5, 72), 1, &keep), 73);
+        let model = biased(zoo::graphsage(150, 16, 5, 72), 73);
         let mut packed = PackedModel::new(&model);
         for (a, x) in [(&big, &x_big), (&small, &x_small), (&big, &x_big)] {
             let what = format!("{} nodes", x.rows());
@@ -738,29 +510,23 @@ mod tests {
         // One pass sizes every buffer; later passes over the same shapes
         // write the same storage (the analogue of the batched engine's
         // `back_pool_is_steady_after_warm_up`). Layer 1's neighbour branch
-        // keeps 5 channels and aggregates first (`sel`, `agg`); layer 2's
-        // projects (`prod`); `hop` stays unshaped.
+        // is wider out than in (150 → 160) and aggregates first (`agg`);
+        // layer 2's (320 → 160) projects (`prod`); `hop` stays unshaped.
         let (a, x) = ragged();
-        let narrow: Vec<usize> = (0..150).step_by(31).collect();
-        let model = pruned(zoo::graphsage(150, 16, 5, 61), 1, &narrow);
+        let model = zoo::graphsage(150, 320, 5, 61);
         let mut packed = PackedModel::new(&model);
         let ptrs = |ws: &Workspace| -> Vec<*const f32> {
-            let Scratch {
-                agg,
-                sel,
-                prod,
-                hop,
-            } = &ws.scratch;
+            let Scratch { agg, prod, hop } = &ws.scratch;
             ws.outputs
                 .iter()
                 .chain(agg)
-                .chain([sel, prod, hop])
+                .chain([prod, hop])
                 .map(|m| m.as_slice().as_ptr())
                 .collect()
         };
         let first = packed.forward_reusing(Some(&a), &x).clone();
         let warm = ptrs(&packed.ws);
-        assert_eq!(warm.len(), 3 + 1 + 3);
+        assert_eq!(warm.len(), 3 + 1 + 2);
         for _ in 0..3 {
             assert_eq!(*packed.forward_reusing(Some(&a), &x), first);
             assert_eq!(ptrs(&packed.ws), warm);

@@ -298,39 +298,6 @@ impl PackedB {
         }
     }
 
-    /// Pack only the rows `keep` of `b` — the mask-folded pack for
-    /// channel-pruned weights. Behaves exactly like
-    /// `PackedB::pack(&b.select_rows(keep))` without materializing the
-    /// compacted matrix, so pruned channels are never packed (and therefore
-    /// never multiplied): the pruning mask is folded into the pack step
-    /// instead of being re-applied per batch.
-    ///
-    /// Shapes: `b` is `(k_full, n)`, `keep` indexes rows of `b`; the pack is `(keep.len(), n)` and `a.matmul_packed(&pack)` requires `a.cols() == keep.len()`.
-    pub fn pack_rows(b: &Matrix, keep: &[usize]) -> PackedB {
-        assert!(
-            keep.iter().all(|&r| r < b.rows()),
-            "pack_rows: row index out of bounds"
-        );
-        let (k, n) = (keep.len(), b.cols());
-        let n_panels = n.div_ceil(NR);
-        let mut data = vec![0.0f32; k * n_panels * NR];
-        let mut ks = 0;
-        while ks < k {
-            let kl = KC.min(k - ks);
-            let block_base = ks * n_panels * NR;
-            for t in 0..n_panels {
-                let cols = NR.min(n - t * NR);
-                let pbase = block_base + t * kl * NR;
-                for p in 0..kl {
-                    let src = &b.row(keep[ks + p])[t * NR..t * NR + cols];
-                    data[pbase + p * NR..pbase + p * NR + cols].copy_from_slice(src);
-                }
-            }
-            ks += kl;
-        }
-        PackedB { k, n, data }
-    }
-
     /// Shared (inner) dimension of the packed operand.
     pub fn k(&self) -> usize {
         self.k
@@ -722,25 +689,6 @@ mod tests {
         pack_b_into(View::transposed(&m), mt.rows(), mt.cols(), &mut bv);
         pack_b_into(View::normal(&mt), mt.rows(), mt.cols(), &mut bc);
         assert_eq!(bv, bc);
-    }
-
-    #[test]
-    fn pack_rows_equals_pack_of_selected() {
-        // The mask-folded pack must be byte-identical to packing the
-        // materialized compacted matrix.
-        let b = seq(300, 19, 0.41);
-        let keep: Vec<usize> = (0..300).filter(|i| i % 3 != 1).collect();
-        let folded = PackedB::pack_rows(&b, &keep);
-        let compact = PackedB::pack(&b.select_rows(&keep));
-        assert_eq!(folded.k(), keep.len());
-        assert_eq!(folded.n(), 19);
-        assert_eq!(folded.data, compact.data);
-        // Duplicated and unordered keeps are legal (gather semantics).
-        let gather = PackedB::pack_rows(&b, &[5, 5, 2]);
-        assert_eq!(
-            unpack(&gather).as_slice(),
-            b.select_rows(&[5, 5, 2]).as_slice()
-        );
     }
 
     #[test]

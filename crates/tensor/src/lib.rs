@@ -9,8 +9,7 @@
 //!   required by backpropagation (`A·B`, `Aᵀ·B`, `A·Bᵀ`), with packed
 //!   operands, a runtime-dispatched AVX2/FMA microkernel, and a
 //!   [`PackedB`] weight-pack cache for products repeated against a constant
-//!   right-hand side (channel-pruning masks fold into the pack via
-//!   `PackedB::pack_rows`, so pruned channels are never packed),
+//!   right-hand side,
 //! * a blocked int8 GEMM ([`quant`]) against a [`QuantPackedB`] weight pack
 //!   with a runtime-dispatched AVX2 `pmaddwd` microkernel, overflow-safe
 //!   i32→i64 accumulation, and a bitwise-identical scalar fallback,

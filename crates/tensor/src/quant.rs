@@ -56,13 +56,12 @@ pub struct QuantMatrix {
     scales: Vec<f32>,
 }
 
-/// Per-column symmetric scales over the rows yielded by `row_of`:
-/// `max_abs / 127`, with all-zero columns pinned to scale 1.0 so
-/// dequantization never divides by zero.
-fn column_scales<'a>(k: usize, n: usize, row_of: impl Fn(usize) -> &'a [f32]) -> Vec<f32> {
-    let mut scales = vec![0f32; n];
-    for p in 0..k {
-        for (c, &v) in row_of(p).iter().enumerate() {
+/// Per-column symmetric scales of `m`: `max_abs / 127`, with all-zero
+/// columns pinned to scale 1.0 so dequantization never divides by zero.
+fn column_scales(m: &Matrix) -> Vec<f32> {
+    let mut scales = vec![0f32; m.cols()];
+    for p in 0..m.rows() {
+        for (c, &v) in m.row(p).iter().enumerate() {
             scales[c] = scales[c].max(v.abs());
         }
     }
@@ -163,7 +162,7 @@ impl QuantMatrix {
 
     fn quantize_unchecked(m: &Matrix) -> QuantMatrix {
         let (rows, cols) = m.shape();
-        let scales = column_scales(rows, cols, |p| m.row(p));
+        let scales = column_scales(m);
         let mut data = vec![0i8; rows * cols];
         for r in 0..rows {
             for (c, &v) in m.row(r).iter().enumerate() {
@@ -324,9 +323,8 @@ fn quant_simd() -> bool {
 /// consume them with one `pmaddwd`.
 /// Odd slab depths zero-pad the trailing pair.
 ///
-/// Engines build one per branch weight at construction (channel-pruning
-/// masks folded via [`QuantPackedB::pack_rows`], so dead channels are never
-/// packed) and reuse it across every batch.
+/// Engines build one per branch weight at construction and reuse it across
+/// every batch.
 pub struct QuantPackedB {
     k: usize,
     n: usize,
@@ -340,38 +338,9 @@ impl QuantPackedB {
     /// Shapes: `b` is `(k, n)`; `qgemm_packed_into` requires `x.cols() == k` and yields `(x.rows(), n)`.
     pub fn pack(b: &Matrix) -> QuantPackedB {
         guard_finite("quant.pack.finite", "weight matrix", b.as_slice());
-        Self::pack_impl(b, None)
-    }
-
-    /// Quantize and pack only the rows `keep` of `b` — the mask-folded pack
-    /// for channel-pruned weights. Behaves exactly like
-    /// `QuantPackedB::pack(&b.select_rows(keep))` (scales are computed over
-    /// the kept rows only) without materializing the compacted matrix, so
-    /// pruned channels are never packed or multiplied.
-    ///
-    /// Shapes: `b` is `(k_full, n)`, `keep` indexes rows of `b`; the pack is `(keep.len(), n)`.
-    pub fn pack_rows(b: &Matrix, keep: &[usize]) -> QuantPackedB {
-        assert!(
-            keep.iter().all(|&r| r < b.rows()),
-            "pack_rows: row index out of bounds"
-        );
-        if crate::check::enabled() {
-            for &r in keep {
-                guard_finite("quant.pack.finite", "kept weight row", b.row(r));
-            }
-        }
-        Self::pack_impl(b, Some(keep))
-    }
-
-    fn pack_impl(b: &Matrix, keep: Option<&[usize]>) -> QuantPackedB {
-        let k = keep.map_or(b.rows(), <[usize]>::len);
-        let n = b.cols();
-        let row_of = |p: usize| match keep {
-            Some(keep) => b.row(keep[p]),
-            None => b.row(p),
-        };
-        let scales = column_scales(k, n, row_of);
-        let data = pack_layout(k, n, |p, col| quantize_one(row_of(p)[col], scales[col]));
+        let (k, n) = (b.rows(), b.cols());
+        let scales = column_scales(b);
+        let data = pack_layout(k, n, |p, col| quantize_one(b.row(p)[col], scales[col]));
         QuantPackedB { k, n, data, scales }
     }
 
@@ -767,19 +736,6 @@ mod tests {
     }
 
     #[test]
-    fn pack_rows_equals_pack_of_selected() {
-        // Mask folding must behave exactly like packing the compacted
-        // matrix: same scales (computed over kept rows only), same bytes.
-        let w = Matrix::rand_uniform(40, 11, -1.0, 1.0, &mut seeded_rng(9));
-        let keep: Vec<usize> = (0..40).step_by(3).collect();
-        let folded = QuantPackedB::pack_rows(&w, &keep);
-        let compact = QuantPackedB::pack(&w.select_rows(&keep));
-        assert_eq!(folded.k(), keep.len());
-        assert_eq!(folded.scales, compact.scales);
-        assert_eq!(folded.data, compact.data);
-    }
-
-    #[test]
     fn from_quant_matches_pack() {
         // Packing a pre-quantized matrix must reproduce the direct pack
         // exactly — same grid, same scales, same panel bytes.
@@ -824,12 +780,6 @@ mod tests {
             let mut m = Matrix::zeros(4, 2);
             m.set(0, 0, f32::INFINITY);
             let caught = std::panic::catch_unwind(|| QuantPackedB::pack(&m));
-            assert!(caught.is_err());
-            // pack_rows only guards the rows it actually packs: masking the
-            // poisoned row out makes the fold legal.
-            let ok = QuantPackedB::pack_rows(&m, &[1, 2, 3]);
-            assert_eq!(ok.k(), 3);
-            let caught = std::panic::catch_unwind(|| QuantPackedB::pack_rows(&m, &[0, 1]));
             assert!(caught.is_err());
         }
     }

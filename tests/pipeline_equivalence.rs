@@ -64,14 +64,9 @@ fn pipelined_outputs_are_bitwise_identical_across_configs() {
     let x = Matrix::rand_uniform(n, 8, -1.0, 1.0, &mut seeded_rng(2));
     let model = zoo::graphsage(8, 12, 4, 19);
     let work = batches(n, 10, 9, 33);
-    // A runtime `keep` on layer 1's aggregation branch, as
-    // `Scheme::BatchedInference` leaves it: served from the engine's
-    // projection table.
-    let mut pruned = model.clone();
-    let keep = vec![6usize, 1, 4, 3];
-    let agg = &mut pruned.layers[0].branches[1];
-    agg.weight = agg.weight.select_rows(&keep);
-    agg.keep = Some(keep);
+    // Layer 1 wider out than in (8 → 2 × 12): its aggregation branch is
+    // served from the engine's projection table all the same.
+    let widening = zoo::graphsage(8, 24, 4, 29);
     // The front stage builds layer 1's neighbour-branch product: a first
     // layer with nothing to aggregate, and a model whose only layer stores
     // the product and emits the logits.
@@ -120,11 +115,11 @@ fn pipelined_outputs_are_bitwise_identical_across_configs() {
             &model,
         ),
         (
-            "pruned, runtime keep",
+            "layer 1 wider out than in",
             Some(true),
             StorePolicy::None,
             vec![Some(6); 4],
-            &pruned,
+            &widening,
         ),
         (
             "dense first layer",
