@@ -50,8 +50,7 @@
 //!    inside poisons the lock for every other thread).
 //! 10. **atomic-ordering** — `Ordering::Relaxed` in the concurrency
 //!     files is reserved for a pure-counter allowlist; `PendingSlot`
-//!     state, the worker `retired` / `torn` flags, and circuit-breaker
-//!     atomics need acquire/release edges.
+//!     state and circuit-breaker atomics need acquire/release edges.
 //!
 //! The escape hatch is `// audit: allow(<lint>) — <reason>`: same-line
 //! (that line only), own-line (the next code line), or above a `fn` item

@@ -56,9 +56,8 @@ const ATOMIC_SCOPE_EXTRA: &[&str] = &["crates/infer/src/faults.rs"];
 
 /// Statement fragments that mark a `Relaxed` atomic as a pure counter
 /// (monotonic accounting nobody branches on for correctness). `PendingSlot`
-/// state, the worker `retired` / `torn` flags, and circuit-breaker trip
-/// thresholds must use Acquire/Release and are exactly what this allowlist
-/// excludes.
+/// state and circuit-breaker trip thresholds must use Acquire/Release and
+/// are exactly what this allowlist excludes.
 const RELAXED_COUNTERS: &[&str] = &[
     "served",
     "shed",
@@ -962,7 +961,7 @@ fn lint_atomic_ordering(path: &str, lines: &[LineInfo], in_test: &[bool], out: &
             file: PathBuf::from(path),
             line: idx + 1,
             msg: "Ordering::Relaxed outside the pure-counter allowlist — PendingSlot \
-                  state, worker retired/torn flags, and circuit-breaker atomics \
+                  state and circuit-breaker atomics \
                   synchronize decisions and need Acquire/Release (or annotate: \
                   // audit: allow(atomic-ordering) — <why no ordering is needed>)"
                 .into(),

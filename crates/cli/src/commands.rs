@@ -9,7 +9,7 @@ use gcnp_infer::{
     EngineMetrics, FaultPlan, FeatureStore, FullEngine, LadderPolicy, Precision, QuantizedGnn,
     ServingConfig, ServingResult, ShardedStore, StorePolicy,
 };
-use gcnp_models::{zoo, GnnModel, Metrics, TrainConfig, Trainer};
+use gcnp_models::{zoo, BranchLayer, GnnModel, Metrics, TrainConfig, Trainer};
 use gcnp_obs::MetricsRegistry;
 use gcnp_sparse::Normalization;
 use gcnp_tensor::Matrix;
@@ -29,7 +29,8 @@ fn load_model(path: &str) -> Result<GnnModel, String> {
 /// [`load_model`], refused unless its widths fit `data` ([`check_widths`]).
 fn load_model_for(path: &str, data: &Dataset) -> Result<GnnModel, String> {
     let model = load_model(path)?;
-    check_widths(&model, data.attr_dim()).map_err(|e| format!("model {path}: {e}"))?;
+    check_widths(&model.layers, model.jk, data.attr_dim())
+        .map_err(|e| format!("model {path}: {e}"))?;
     Ok(model)
 }
 
@@ -62,14 +63,14 @@ impl std::fmt::Display for WidthMismatch {
 }
 
 /// Check that layer 1 reads `attr_dim` channels and every later layer as
-/// many as the layer before it emits, so a model trained or pruned for
+/// many as the layer before it emits (under Jumping Knowledge, the last
+/// layer all earlier layers' outputs), so a model trained or pruned for
 /// other data is refused by name instead of failing inside a kernel.
-fn check_widths(model: &GnnModel, attr_dim: usize) -> Result<(), WidthMismatch> {
-    let n = model.layers.len();
+fn check_widths(layers: &[BranchLayer], jk: bool, attr_dim: usize) -> Result<(), WidthMismatch> {
     let mut fed = attr_dim;
-    for (li, layer) in model.layers.iter().enumerate() {
-        if model.jk && li > 0 && li + 1 == n {
-            fed = model.layers[..li].iter().map(|l| l.out_dim()).sum();
+    for (li, layer) in layers.iter().enumerate() {
+        if jk && li > 0 && li + 1 == layers.len() {
+            fed = layers[..li].iter().map(|l| l.out_dim()).sum();
         }
         for (bi, b) in layer.branches.iter().enumerate() {
             if b.in_dim() != fed {
@@ -84,6 +85,15 @@ fn check_widths(model: &GnnModel, attr_dim: usize) -> Result<(), WidthMismatch> 
         fed = layer.out_dim();
     }
     Ok(())
+}
+
+/// A quantized model file read for its widths. [`QuantizedGnn`] keeps its
+/// layers private, but they serialise with an f32 layer's field names and
+/// each int8 weight with its `rows` and `cols`, so the file's layers parse
+/// as [`BranchLayer`]s whose shapes — not values — [`check_widths`] reads.
+#[derive(serde::Deserialize)]
+struct QuantizedShape {
+    layers: Vec<BranchLayer>,
 }
 
 fn save<T: serde::Serialize>(path: &str, value: &T) -> Result<(), String> {
@@ -266,6 +276,9 @@ pub fn eval(args: &Args) -> Result<String, String> {
     let adj = data.adj.normalized(Normalization::Row);
     if args.has("quantized") {
         let text = fs::read_to_string(model_path).map_err(|e| e.to_string())?;
+        let shape: QuantizedShape = serde_json::from_str(&text).map_err(|e| e.to_string())?;
+        check_widths(&shape.layers, false, data.attr_dim())
+            .map_err(|e| format!("model {model_path}: {e}"))?;
         let q: QuantizedGnn = serde_json::from_str(&text).map_err(|e| e.to_string())?;
         let logits = q.forward_full(Some(&adj), &data.features);
         let f1 = Metrics::f1_micro_full(&logits, &data.labels, &data.test);
@@ -373,7 +386,8 @@ fn write_metrics(path: &str, registry: &Arc<MetricsRegistry>) -> Result<String, 
 /// `--ladder` (one worker, no shards) serves through a full → pruned-2x →
 /// pruned-4x → quantized ladder via `serve_tiered`, one engine per tier
 /// (the bottom rung re-runs the 4x-pruned weights through the int8 kernel,
-/// ≈16x smaller weight memory than the full model). `--shards n` (n > 1,
+/// ≈16x smaller weight memory than the full model); with `--store` each
+/// tier reads its own store, pre-warmed from its own model. `--shards n` (n > 1,
 /// exclusive with `--workers`) hash-partitions the graph (plus two greedy
 /// edge-cut refinement passes), gives each shard its own feature-store
 /// slice and worker, and routes every request to its target's owner shard
@@ -447,37 +461,6 @@ pub fn serve(args: &Args) -> Result<String, String> {
         .get("metrics-out")
         .map(|p| (p.to_string(), Arc::new(MetricsRegistry::new())));
 
-    // The store: one per shard behind a partition, or a single one.
-    let n_levels = model.n_layers() - 1;
-    let part = (shards > 1).then(|| {
-        let mut part = Partition::hash(data.n_nodes(), shards, seed);
-        let moved = part.refine_greedy(&data.adj, 2);
-        (part, moved)
-    });
-    let sharded = part
-        .as_ref()
-        .map(|(part, _)| ShardedStore::new(&part.assign, shards, n_levels));
-    let single = (args.has("store") && sharded.is_none())
-        .then(|| FeatureStore::new(data.n_nodes(), n_levels));
-    let policy = if args.has("store") {
-        prewarm(&model, &data, |level, v, row| match (&sharded, &single) {
-            (Some(s), _) => s.put(level, v, row),
-            (_, Some(s)) => s.put(level, v, row),
-            _ => Ok(()),
-        })?;
-        StorePolicy::Roots
-    } else {
-        StorePolicy::None
-    };
-    if let Some((_, reg)) = &metrics {
-        if let Some(s) = &sharded {
-            s.attach_metrics(reg);
-        }
-        if let Some(s) = &single {
-            s.attach_metrics(reg);
-        }
-    }
-
     // A fleet (one replica per worker, or one engine per shard) serves the
     // model as is; a ladder builds its tiers from successively heavier
     // batched-scheme pruning of it.
@@ -507,6 +490,49 @@ pub fn serve(args: &Args) -> Result<String, String> {
     if ladder {
         specs.push((tier_models.last().unwrap_or(&model), Precision::Int8));
     }
+
+    // The stores: one per shard behind a partition, or one the fleet's
+    // replicas share. Stored rows are one model's features, so each ladder
+    // tier reads its own, pre-warmed from its own model.
+    let n_levels = model.n_layers() - 1;
+    let part = (shards > 1).then(|| {
+        let mut part = Partition::hash(data.n_nodes(), shards, seed);
+        let moved = part.refine_greedy(&data.adj, 2);
+        (part, moved)
+    });
+    let sharded = part
+        .as_ref()
+        .map(|(part, _)| ShardedStore::new(&part.assign, shards, n_levels));
+    let n_single = if !args.has("store") || sharded.is_some() {
+        0
+    } else if ladder {
+        specs.len()
+    } else {
+        1
+    };
+    let singles: Vec<FeatureStore> = (0..n_single)
+        .map(|_| FeatureStore::new(data.n_nodes(), n_levels))
+        .collect();
+    let policy = if args.has("store") {
+        if let Some(s) = &sharded {
+            prewarm(&model, &data, |level, v, row| s.put(level, v, row))?;
+        }
+        for (s, (m, _)) in singles.iter().zip(&specs) {
+            prewarm(m, &data, |level, v, row| s.put(level, v, row))?;
+        }
+        StorePolicy::Roots
+    } else {
+        StorePolicy::None
+    };
+    if let Some((_, reg)) = &metrics {
+        if let Some(s) = &sharded {
+            s.attach_metrics(reg);
+        }
+        for s in &singles {
+            s.attach_metrics(reg);
+        }
+    }
+
     let mut engines: Vec<BatchedEngine<'_>> = specs
         .into_iter()
         .enumerate()
@@ -522,7 +548,7 @@ pub fn serve(args: &Args) -> Result<String, String> {
                     adj,
                     x,
                     caps,
-                    single.as_ref(),
+                    singles.get(if ladder { k } else { 0 }),
                     policy,
                     seed,
                     precision,
@@ -753,6 +779,19 @@ mod tests {
         )))
         .unwrap();
         assert!(msg.contains("ladder traffic"), "{msg}");
+        // Under overload with a store, the pruned tiers serve too: each
+        // reads rows of its own width, so no batch fails on a store row
+        // the full model wrote.
+        let msg = run(&parse(&format!(
+            "serve --data {d} --model {m} --requests 400 --rate 200000 --max-batch 8 \
+             --ladder --store"
+        )))
+        .unwrap();
+        assert!(msg.contains("served 400/400"), "{msg}");
+        assert!(!msg.contains("clean failures"), "{msg}");
+        // Everything was served, so traffic off tier 0 is pruned traffic.
+        assert!(msg.contains("ladder traffic ["), "{msg}");
+        assert!(!msg.contains("ladder traffic [400,"), "{msg}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -873,15 +912,24 @@ mod tests {
             let err = run(&parse(&format!("{name} --data {d} --model {m} {rest}"))).unwrap_err();
             assert!(err.contains(&want), "{cmd}: {err}");
         }
+        // The int8 path reads the same widths from its own file, instead of
+        // panicking inside its GEMM.
+        let q = format!("{m}.int8");
+        run(&parse(&format!("quantize --model {m} --out {q}"))).unwrap();
+        let err = run(&parse(&format!("eval --data {d} --model {q} --quantized"))).unwrap_err();
+        assert!(err.contains(&want), "eval --quantized: {err}");
         // Each later layer must read what the one before it emits.
         let mut inner = zoo::graphsage(attr_dim, 16, 2, 1);
         let b = &mut inner.layers[1].branches[0];
         b.weight = b.weight.select_rows(&[0, 1, 2]);
         assert_eq!(
-            check_widths(&inner, attr_dim).unwrap_err().to_string(),
+            check_widths(&inner.layers, inner.jk, attr_dim)
+                .unwrap_err()
+                .to_string(),
             "layer 2 branch 0 reads 3 input channels but layer 1's outputs are 16 wide"
         );
-        assert_eq!(check_widths(&zoo::jk(attr_dim, 16, 2, 1), attr_dim), Ok(()));
+        let jk = zoo::jk(attr_dim, 16, 2, 1);
+        assert_eq!(check_widths(&jk.layers, jk.jk, attr_dim), Ok(()));
         std::fs::remove_dir_all(&dir).ok();
         assert!(run(&parse("generate --dataset nope --out /tmp/x.json")).is_err());
         assert!(run(&parse(

@@ -108,11 +108,6 @@ impl CostModel {
         }
         macs
     }
-
-    /// Batched kMACs per target node.
-    pub fn batched_kmacs_per_node(&self, model: &GnnModel, fanout_cap: Option<usize>) -> f64 {
-        self.batched_macs_per_node(model, fanout_cap) / 1e3
-    }
 }
 
 #[cfg(test)]

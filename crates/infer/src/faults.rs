@@ -41,8 +41,8 @@ pub enum Fault {
     /// models a cold or flushed cache.
     StoreMiss,
     /// Stage stall: the stage hosting this attempt sleeps for `seconds`
-    /// before doing any work — models a wedged `StageQueue`/`BarrierGate`
-    /// pair that only the supervision watchdog can detect.
+    /// before doing any work — models a stage wedged on its `StageLink`
+    /// that only the supervision watchdog can detect.
     StageStall { seconds: f64 },
     /// Deterministic bit flip in one resident feature-store row — models
     /// silent memory corruption; the per-row checksum must catch it on the
@@ -52,7 +52,7 @@ pub enum Fault {
     /// estimator is multiplied by `factor`. Perturbs only the dispatcher's
     /// virtual clock, never real latency accounting.
     ClockSkew { factor: f64 },
-    /// Queue wedge: one `StageQueue` wakeup for this attempt's handoff is
+    /// Queue wedge: one `StageLink` wakeup for this attempt's handoff is
     /// dropped — models a lost condvar notify; the timed re-check waits
     /// must recover it.
     QueueWedge,

@@ -4,8 +4,8 @@
 //! threads.
 //!
 //! The pair balances itself: layer 1's neighbour mean is built by the front
-//! only until the back stage waits on an empty [`StageQueue`] (the queue's
-//! `idle` flag, handed to `prepare` as [`StageLink::hand_off_point`]), and
+//! only until the back stage waits on an empty queue (the link's `idle`
+//! flag, handed to `prepare` as [`StageLink::hand_off_point`]), and
 //! `execute` builds the rows left. Any hand-off row gives the same bits, so
 //! the split is free to follow whichever stage is idle.
 //!
@@ -13,23 +13,28 @@
 //! owned, `Send` `PreparedBatch`; `EngineCore::execute` consumes it. This
 //! module provides the plumbing that connects them:
 //!
-//! * [`StageQueue`] — the bounded ([`PIPELINE_DEPTH`]) condvar channel
-//!   between the stages. The bound is the backpressure: a front end that
-//!   runs ahead blocks instead of staging unbounded operands.
-//! * [`BarrierGate`] — store-write visibility. When the engine writes to a
-//!   store ([`EngineCore::needs_store_barrier`]), batch N+1's store probes
-//!   must observe batch N's write-backs, so the gate serializes prepare(N+1)
-//!   behind execute(N). Store-less and read-only-store configurations skip
-//!   the gate and overlap fully. The barrier is *per worker*: it covers an
-//!   engine's own probe-after-write ordering, including a sharded engine's
-//!   cross-shard write-backs (the write lands in the owner shard's striped
-//!   store before execute returns, so the same gate suffices). Cross-worker
-//!   visibility between shard replicas is the sharded store's own concern —
-//!   its stripe locks make rows atomically visible, and `serve_sharded`
-//!   routes each target to exactly one shard's worker.
-//! * [`StageLink`] — the stage pair's protocol, written once: queue, gate
-//!   and the scratch-return rail, with one method per protocol step. The
-//!   fleet worker in [`crate::serving`] and [`run_batches`] both drive
+//! * [`StageLink`] — the stage pair's protocol, written once, over one
+//!   state under one lock:
+//!   - the bounded ([`PIPELINE_DEPTH`]) queue between the stages. The bound
+//!     is the backpressure: a front end that runs ahead blocks instead of
+//!     staging unbounded operands.
+//!   - the store-write barrier. When the engine writes to a store
+//!     ([`EngineCore::needs_store_barrier`]), batch N+1's store probes must
+//!     observe batch N's write-backs, so the front waits before prepare(N+1)
+//!     until the back has retired batch N. Store-less and read-only-store
+//!     configurations skip the wait and overlap fully. The barrier is *per
+//!     worker*: it covers an engine's own probe-after-write ordering,
+//!     including a sharded engine's cross-shard write-backs (the write lands
+//!     in the owner shard's striped store before execute returns).
+//!     Cross-worker visibility between shard replicas is the sharded store's
+//!     own concern — its stripe locks make rows atomically visible, and
+//!     `serve_sharded` routes each target to exactly one shard's worker.
+//!   - the scratch-return rail: front-pool matrices the back stage finished
+//!     with, recycled by the front before its next prepare.
+//!   - the worker's wind-down: closed, torn down by the watchdog, or
+//!     retired for good.
+//!
+//!   The fleet worker in [`crate::serving`] and [`run_batches`] both drive
 //!   their two stage threads through it; each keeps its own control flow
 //!   (supervision and accounting there, first-error-wins here) around the
 //!   calls.
@@ -69,8 +74,8 @@ use crate::faults::Fault;
 /// behind the longer one; more only grows staged-operand memory.
 const PIPELINE_DEPTH: usize = 2;
 
-/// How long a blocked stage waits before re-checking queue/gate state. The
-/// inter-stage channels tolerate a *lost wakeup* (the `QueueWedge` fault, or
+/// How long a blocked stage waits before re-checking the link's state. The
+/// stage pair tolerates a *lost wakeup* (the `QueueWedge` fault, or
 /// a missed notify under a buggy refactor) by bounding every condvar wait:
 /// a dropped notification costs at most one recheck interval, never a
 /// permanent wedge. The `DispatchQueue` keeps unbounded waits — its wakeup
@@ -98,289 +103,204 @@ pub(crate) fn relock_timed<'a, T>(
 }
 
 // ---------------------------------------------------------------------------
-// StageQueue: bounded inter-stage channel
+// StageLink: the stage pair's protocol, one state under one lock
 // ---------------------------------------------------------------------------
 
-struct StageState<T> {
-    items: VecDeque<T>,
+/// Everything the two stage threads of one pair share.
+struct LinkState<J> {
+    /// Prepared jobs waiting for the back stage, oldest first; at most
+    /// [`PIPELINE_DEPTH`].
+    jobs: VecDeque<J>,
+    /// No more hand-offs. The front closes the link when it exits, every
+    /// wind-down closes it under a running front: from then on `admit` and
+    /// `hand_off` fail, and the back drains `jobs` and stops. It is also
+    /// the barrier's failure flag — only the front waits at the barrier,
+    /// and only a wind-down can close the link while it does.
     closed: bool,
-}
-
-/// Bounded condvar channel between a front (producer) and back (consumer)
-/// stage thread. Push blocks at the bound; pop blocks when empty; close
-/// wakes everyone and drains to `None`.
-struct StageQueue<T> {
-    state: Mutex<StageState<T>>, // lock: stage.state
-    can_pop: Condvar,            // lock: stage.can_pop pairs stage.state
-    can_push: Condvar,           // lock: stage.can_push pairs stage.state
-    cap: usize,
-    /// Set while the consumer blocks in `pop` on an empty queue, cleared
-    /// by the push that queues an item: the front stage reads it (relaxed) to decide
-    /// where to hand a batch's layer-1 means over. A stale read moves only
-    /// that row, never a result.
-    idle: AtomicBool,
-}
-
-impl<T> StageQueue<T> {
-    fn new(cap: usize) -> Self {
-        Self {
-            state: Mutex::new(StageState {
-                items: VecDeque::new(),
-                closed: false,
-            }),
-            can_pop: Condvar::new(),
-            can_push: Condvar::new(),
-            cap: cap.max(1),
-            idle: AtomicBool::new(false),
-        }
-    }
-
-    /// Block until there is room (backpressure), then enqueue. Returns the
-    /// item back if the queue was closed — the producer should stop. The
-    /// wait is bounded by [`STAGE_RECHECK`], so a lost `can_push` wakeup
-    /// delays the producer instead of wedging it.
-    fn push(&self, item: T) -> Result<(), T> {
-        let _order = gcnp_tensor::lockcheck::acquire("stage.state");
-        let mut s = relock(self.state.lock());
-        while s.items.len() >= self.cap && !s.closed {
-            s = relock_timed(self.can_push.wait_timeout(s, STAGE_RECHECK));
-        }
-        if s.closed {
-            return Err(item);
-        }
-        s.items.push_back(item);
-        // audit: allow(atomic-ordering) — the idle hint orders nothing: it only picks the hand-off row, and every row gives the same bits
-        self.idle.store(false, Ordering::Relaxed);
-        drop(s);
-        self.can_pop.notify_one();
-        Ok(())
-    }
-
-    /// Enqueue *without notifying the consumer* — the `QueueWedge` fault
-    /// hook. The item is queued correctly; only the wakeup is dropped, so
-    /// recovery is entirely down to the consumer's bounded re-check wait.
-    /// Blocks at the bound like [`StageQueue::push`].
-    fn push_quiet(&self, item: T) -> Result<(), T> {
-        let _order = gcnp_tensor::lockcheck::acquire("stage.state");
-        let mut s = relock(self.state.lock());
-        while s.items.len() >= self.cap && !s.closed {
-            s = relock_timed(self.can_push.wait_timeout(s, STAGE_RECHECK));
-        }
-        if s.closed {
-            return Err(item);
-        }
-        s.items.push_back(item);
-        // audit: allow(atomic-ordering) — the idle hint orders nothing: it only picks the hand-off row, and every row gives the same bits
-        self.idle.store(false, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Block until an item is available; `None` once the queue is closed
-    /// and fully drained. The wait is bounded by [`STAGE_RECHECK`]: a
-    /// dropped `can_pop` notification (the `QueueWedge` fault) costs at
-    /// most one recheck interval.
-    fn pop(&self) -> Option<T> {
-        let _order = gcnp_tensor::lockcheck::acquire("stage.state");
-        let mut s = relock(self.state.lock());
-        loop {
-            if let Some(item) = s.items.pop_front() {
-                drop(s);
-                self.can_push.notify_one();
-                return Some(item);
-            }
-            if s.closed {
-                return None;
-            }
-            // audit: allow(atomic-ordering) — the idle hint orders nothing: it only picks the hand-off row, and every row gives the same bits
-            self.idle.store(true, Ordering::Relaxed);
-            s = relock_timed(self.can_pop.wait_timeout(s, STAGE_RECHECK));
-        }
-    }
-
-    /// Close the queue: producers get their item back, consumers drain the
-    /// remainder and then see `None`. Idempotent.
-    fn close(&self) {
-        let _order = gcnp_tensor::lockcheck::acquire("stage.state");
-        let mut s = relock(self.state.lock());
-        s.closed = true;
-        drop(s);
-        self.can_pop.notify_all();
-        self.can_push.notify_all();
-    }
-
-    /// Reopen a closed queue for the next stage-pair generation after a
-    /// watchdog teardown. Both stage threads must have exited (the worker
-    /// manager joins them first); queued items, if any, carry over.
-    fn reopen(&self) {
-        let _order = gcnp_tensor::lockcheck::acquire("stage.state");
-        relock(self.state.lock()).closed = false;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// BarrierGate: store-write visibility between overlapped batches
-// ---------------------------------------------------------------------------
-
-struct GateState {
+    /// Batches the back stage retired this generation: the store-write
+    /// barrier's count.
     done: u64,
-    dead: bool,
+    /// Front-pool buffers the back stage finished with, recycled by the
+    /// front before its next prepare.
+    rail: Vec<Matrix>,
+    /// The worker is lost for good: a stage panicked.
+    retired: bool,
+    /// The pair was killed from outside the front (the watchdog's
+    /// teardown); `reopen` re-arms it unless the worker is retired.
+    torn: bool,
 }
 
-/// Monotonic completion gate: the back stage `bump`s after each executed
-/// batch; the front stage `wait_done(n)`s before preparing batch n when the
-/// engine writes to a store. `kill` releases all waiters permanently (back
-/// stage died).
-struct BarrierGate {
-    state: Mutex<GateState>, // lock: gate.state
-    cv: Condvar,             // lock: gate.cv pairs gate.state
-}
-
-impl BarrierGate {
-    fn new() -> Self {
-        Self {
-            state: Mutex::new(GateState {
-                done: 0,
-                dead: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// One more batch fully executed (write-backs visible).
-    fn bump(&self) {
-        let _order = gcnp_tensor::lockcheck::acquire("gate.state");
-        let mut s = relock(self.state.lock());
-        s.done += 1;
-        drop(s);
-        self.cv.notify_all();
-    }
-
-    /// Release all waiters permanently; `wait_done` reports failure.
-    fn kill(&self) {
-        let _order = gcnp_tensor::lockcheck::acquire("gate.state");
-        let mut s = relock(self.state.lock());
-        s.dead = true;
-        drop(s);
-        self.cv.notify_all();
-    }
-
-    /// Block until at least `target` batches have executed. Returns false
-    /// if the gate was killed before the target was reached. Bounded wait
-    /// ([`STAGE_RECHECK`]) for the same lost-wakeup tolerance as
-    /// [`StageQueue`].
-    fn wait_done(&self, target: u64) -> bool {
-        let _order = gcnp_tensor::lockcheck::acquire("gate.state");
-        let mut s = relock(self.state.lock());
-        while s.done < target && !s.dead {
-            s = relock_timed(self.cv.wait_timeout(s, STAGE_RECHECK));
-        }
-        s.done >= target
-    }
-
-    /// Rearm a killed gate for the next stage-pair generation (watchdog
-    /// respawn): completion count restarts with the fresh front's staged
-    /// count. Only called between generations, with both stages joined.
-    fn reset(&self) {
-        let _order = gcnp_tensor::lockcheck::acquire("gate.state");
-        let mut s = relock(self.state.lock());
-        s.done = 0;
-        s.dead = false;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// StageLink: the stage pair's protocol, written once
-// ---------------------------------------------------------------------------
-
-/// Plumbing of one front/back stage pair: the bounded inter-stage queue, the
-/// store-visibility barrier, and the scratch-return rail (front-pool
-/// matrices the back stage finished with, recycled by the front before its
-/// next prepare). Every step of the pair's protocol is one method here, so
-/// the fleet worker and [`run_batches`] cannot drift apart on it.
+/// The protocol of one front/back stage pair, one method per step, over one
+/// [`LinkState`] under one lock (see the module docs). Every wait is bounded
+/// by [`STAGE_RECHECK`].
 pub(crate) struct StageLink<J> {
-    stage: StageQueue<J>,
-    gate: BarrierGate,
-    rail: Mutex<Vec<Matrix>>, // lock: pipeline.rail
+    state: Mutex<LinkState<J>>, // lock: link.state
+    /// The back stage waits here for a job.
+    back_cv: Condvar, // lock: link.back_cv pairs link.state
+    /// The front stage waits here for room in the queue or for the barrier.
+    front_cv: Condvar, // lock: link.front_cv pairs link.state
+    /// Set while the back stage waits in [`StageLink::next`] on an empty
+    /// queue, cleared by the hand-off that queues a job: the front reads it
+    /// (relaxed, without the lock) to decide where to hand a batch's layer-1
+    /// means over. A stale read moves only that row, never a result.
+    idle: AtomicBool,
 }
 
 impl<J> StageLink<J> {
     pub(crate) fn new() -> Self {
         Self {
-            stage: StageQueue::new(PIPELINE_DEPTH),
-            gate: BarrierGate::new(),
-            rail: Mutex::new(Vec::new()),
+            state: Mutex::new(LinkState {
+                jobs: VecDeque::new(),
+                closed: false,
+                done: 0,
+                rail: Vec::new(),
+                retired: false,
+                torn: false,
+            }),
+            back_cv: Condvar::new(),
+            front_cv: Condvar::new(),
+            idle: AtomicBool::new(false),
         }
     }
 
     /// Front, before each prepare: when the engine writes to a store
-    /// (`barrier`), wait until the back stage has executed all `staged`
+    /// (`barrier`), wait until the back stage has retired all `staged`
     /// batches handed off so far, then recycle the buffers it returned into
-    /// the front `pool`. False when the back stage died first — preparing
-    /// now would probe a store the missing write-backs never reached.
+    /// the front `pool`. False once the pair winds down — preparing now
+    /// would probe a store the missing write-backs never reached, or stage
+    /// into a closed link.
     pub(crate) fn admit(&self, barrier: bool, staged: u64, pool: &mut ScratchPool) -> bool {
-        if barrier && staged > 0 && !self.gate.wait_done(staged) {
-            return false;
-        }
-        let _order = gcnp_tensor::lockcheck::acquire("pipeline.rail");
-        for m in relock(self.rail.lock()).drain(..) {
+        let spent = {
+            let _order = gcnp_tensor::lockcheck::acquire("link.state");
+            let mut s = relock(self.state.lock());
+            while barrier && s.done < staged && !s.closed {
+                s = relock_timed(self.front_cv.wait_timeout(s, STAGE_RECHECK));
+            }
+            if s.closed {
+                return false;
+            }
+            std::mem::take(&mut s.rail)
+        };
+        for m in spent {
             pool.recycle(m);
         }
         true
     }
 
     /// Front, after a prepare that drew `fault`: stage the job for the back
-    /// stage. `QueueWedge` chaos stages it without the wakeup; the back's
-    /// bounded re-check wait must recover. Returns the job if the pair is
-    /// winding down.
+    /// stage, blocking while [`PIPELINE_DEPTH`] jobs wait (the bound is the
+    /// backpressure). `QueueWedge` chaos stages it without the wakeup; the
+    /// back's bounded wait must recover. Returns the job once the link is
+    /// closed.
     pub(crate) fn hand_off(&self, job: J, fault: Fault) -> Result<(), J> {
-        if matches!(fault, Fault::QueueWedge) {
-            self.stage.push_quiet(job)
-        } else {
-            self.stage.push(job)
+        let _order = gcnp_tensor::lockcheck::acquire("link.state");
+        let mut s = relock(self.state.lock());
+        while s.jobs.len() >= PIPELINE_DEPTH && !s.closed {
+            s = relock_timed(self.front_cv.wait_timeout(s, STAGE_RECHECK));
         }
+        if s.closed {
+            return Err(job);
+        }
+        s.jobs.push_back(job);
+        // audit: allow(atomic-ordering) — the idle hint orders nothing: it only picks the hand-off row, and every row gives the same bits
+        self.idle.store(false, Ordering::Relaxed);
+        drop(s);
+        if !matches!(fault, Fault::QueueWedge) {
+            self.back_cv.notify_one();
+        }
+        Ok(())
     }
 
-    /// Front, on exit: the back stage drains what was staged, then stops.
-    pub(crate) fn close(&self) {
-        self.stage.close();
-    }
-
-    /// Back: the next staged job, `None` once the pair has wound down.
+    /// Back: the next staged job, `None` once the link is closed and
+    /// drained.
     pub(crate) fn next(&self) -> Option<J> {
-        self.stage.pop()
+        let _order = gcnp_tensor::lockcheck::acquire("link.state");
+        let mut s = relock(self.state.lock());
+        loop {
+            if let Some(job) = s.jobs.pop_front() {
+                drop(s);
+                self.front_cv.notify_one();
+                return Some(job);
+            }
+            if s.closed {
+                return None;
+            }
+            // audit: allow(atomic-ordering) — the idle hint orders nothing: it only picks the hand-off row, and every row gives the same bits
+            self.idle.store(true, Ordering::Relaxed);
+            s = relock_timed(self.back_cv.wait_timeout(s, STAGE_RECHECK));
+        }
     }
 
     /// Front: where prepare hands layer 1's means over — as soon as the
     /// back stage waits in [`StageLink::next`] on an empty queue.
     pub(crate) fn hand_off_point(&self) -> HandOff<'_> {
-        HandOff::WhenIdle(&self.stage.idle)
+        HandOff::WhenIdle(&self.idle)
     }
 
     /// Back, after each execute that left the stage alive: return the
-    /// front-pool buffers the batch carried, then let the front past the
-    /// barrier (the write-backs are visible).
+    /// front-pool buffers the batch carried and count it past the barrier
+    /// (its write-backs are visible).
     pub(crate) fn retire(&self, spent: Vec<Matrix>) {
-        {
-            let _order = gcnp_tensor::lockcheck::acquire("pipeline.rail");
-            relock(self.rail.lock()).extend(spent);
-        }
-        self.gate.bump();
+        let _order = gcnp_tensor::lockcheck::acquire("link.state");
+        let mut s = relock(self.state.lock());
+        s.rail.extend(spent);
+        s.done += 1;
+        drop(s);
+        self.front_cv.notify_one();
     }
 
-    /// Wind the pair down from outside the front (back-stage death, or the
-    /// watchdog's teardown): release the front wherever it blocks — gate or
-    /// stage push — and stop the back once it has drained the queue.
+    /// Whether the pair is still open for hand-offs.
+    pub(crate) fn open(&self) -> bool {
+        let _order = gcnp_tensor::lockcheck::acquire("link.state");
+        !relock(self.state.lock()).closed
+    }
+
+    /// Front, on exit: the back stage drains what was staged, then stops.
+    pub(crate) fn close(&self) {
+        self.wind_down(|_| ());
+    }
+
+    /// Wind the pair down from outside the front (a failed execute, or the
+    /// watchdog's teardown): release the front wherever it blocks, and stop
+    /// the back once it has drained the queue. [`StageLink::reopen`] may
+    /// re-arm the link for a fresh generation.
     pub(crate) fn kill(&self) {
-        self.gate.kill();
-        self.stage.close();
+        self.wind_down(|s| s.torn = true);
     }
 
-    /// Re-arm a wound-down link for a fresh stage-pair generation; the new
-    /// front restarts its staged count from zero. Only between generations,
-    /// with both stage threads joined.
-    pub(crate) fn reopen(&self) {
-        self.stage.reopen();
-        self.gate.reset();
+    /// A stage panicked: the worker is lost for good, and the pair winds
+    /// down as under [`StageLink::kill`]. True for the first caller only,
+    /// so either stage dying loses the worker exactly once.
+    pub(crate) fn lose(&self) -> bool {
+        let mut first = false;
+        self.wind_down(|s| first = !std::mem::replace(&mut s.retired, true));
+        first
+    }
+
+    fn wind_down<F: FnOnce(&mut LinkState<J>)>(&self, mark: F) {
+        let _order = gcnp_tensor::lockcheck::acquire("link.state");
+        let mut s = relock(self.state.lock());
+        s.closed = true;
+        mark(&mut s);
+        drop(s);
+        self.back_cv.notify_all();
+        self.front_cv.notify_all();
+    }
+
+    /// Between generations, with both stage threads joined: re-arm a link
+    /// the watchdog tore down, so a fresh pair restarts its staged count
+    /// from zero. False — and the worker stays down — when it is retired,
+    /// or when nothing tore the link down (the pair ended on its own).
+    pub(crate) fn reopen(&self) -> bool {
+        let _order = gcnp_tensor::lockcheck::acquire("link.state");
+        let mut s = relock(self.state.lock());
+        if s.retired || !s.torn {
+            return false;
+        }
+        s.torn = false;
+        s.closed = false;
+        s.done = 0;
+        true
     }
 }
 
@@ -640,29 +560,33 @@ mod tests {
     }
 
     #[test]
-    fn stage_queue_bounds_and_close() {
-        let q = StageQueue::new(2);
-        assert!(q.push(1).is_ok());
-        assert!(q.push(2).is_ok());
-        // A third push must block until the consumer pops.
+    fn link_bounds_and_close() {
+        let link: StageLink<u32> = StageLink::new();
+        assert!(link.hand_off(1, Fault::None).is_ok());
+        assert!(link.hand_off(2, Fault::None).is_ok());
+        // A third hand-off must block until the back stage takes one.
         std::thread::scope(|s| {
-            let t = s.spawn(|| q.push(3));
+            let t = s.spawn(|| link.hand_off(3, Fault::None));
             std::thread::sleep(Duration::from_millis(20));
-            assert!(!t.is_finished(), "push beyond the bound must block");
-            assert_eq!(q.pop(), Some(1));
+            assert!(!t.is_finished(), "a hand-off beyond the bound must block");
+            assert_eq!(link.next(), Some(1));
             assert!(t.join().unwrap().is_ok());
         });
-        q.close();
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(3), "close drains queued items first");
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.push(4), Err(4), "push after close returns the item");
+        link.close();
+        assert_eq!(link.next(), Some(2));
+        assert_eq!(link.next(), Some(3), "close drains staged jobs first");
+        assert_eq!(link.next(), None);
+        assert_eq!(
+            link.hand_off(4, Fault::None),
+            Err(4),
+            "a hand-off after close returns the job"
+        );
     }
 
     #[test]
-    fn stage_queue_recovers_from_lost_wakeup() {
-        // A `QueueWedge` hand-off drops the consumer notification. The
-        // bounded recheck wait must deliver the item anyway, within a few
+    fn link_recovers_from_lost_wakeup() {
+        // A `QueueWedge` hand-off drops the back stage's notification. The
+        // bounded recheck wait must deliver the job anyway, within a few
         // recheck intervals rather than wedging forever.
         let link: StageLink<u32> = StageLink::new();
         std::thread::scope(|s| {
@@ -679,7 +603,7 @@ mod tests {
             );
         });
         // That hand-off really is silent, and every other one notifies. A
-        // waiter parks on `can_pop` holding the state lock until its wait
+        // waiter parks on `back_cv` holding the state lock until its wait
         // releases it, so the hand-off cannot slip in before it is parked:
         // it times out under `QueueWedge` and is woken otherwise.
         let notified = |fault: Fault| {
@@ -687,11 +611,10 @@ mod tests {
                 let (ready, parked) = std::sync::mpsc::channel();
                 let link = &link;
                 let waiter = s.spawn(move || {
-                    let guard = relock(link.stage.state.lock());
+                    let guard = relock(link.state.lock());
                     ready.send(()).unwrap();
                     let (_guard, wait) = link
-                        .stage
-                        .can_pop
+                        .back_cv
                         .wait_timeout(guard, STAGE_RECHECK * 5)
                         .unwrap_or_else(PoisonError::into_inner);
                     !wait.timed_out()
@@ -733,25 +656,70 @@ mod tests {
     }
 
     #[test]
-    fn barrier_gate_orders_and_kills() {
-        let g = BarrierGate::new();
+    fn link_barrier_orders_and_kills() {
+        // With a store barrier the front waits in `admit` until the back
+        // has retired every staged batch; the buffers the back returned
+        // reach the front's pool there. A kill releases a waiting front
+        // with `false`.
+        let link: StageLink<u32> = StageLink::new();
         let reached = AtomicU64::new(0);
         std::thread::scope(|s| {
             s.spawn(|| {
-                assert!(g.wait_done(2));
+                let mut pool = ScratchPool::new();
+                assert!(link.admit(true, 2, &mut pool));
+                assert_eq!(pool.retained(), 2, "both retired buffers recycled");
                 reached.store(1, Ordering::SeqCst);
             });
             std::thread::sleep(Duration::from_millis(20));
             assert_eq!(reached.load(Ordering::SeqCst), 0);
-            g.bump();
+            link.retire(vec![Matrix::zeros(1, 4)]);
             std::thread::sleep(Duration::from_millis(20));
-            assert_eq!(reached.load(Ordering::SeqCst), 0, "one bump is not two");
-            g.bump();
+            assert_eq!(reached.load(Ordering::SeqCst), 0, "one retire is not two");
+            link.retire(vec![Matrix::zeros(2, 4)]);
         });
         assert_eq!(reached.load(Ordering::SeqCst), 1);
-        g.kill();
-        assert!(!g.wait_done(99), "killed gate reports failure");
-        assert!(g.wait_done(1), "already-reached targets still succeed");
+        let mut pool = ScratchPool::new();
+        assert!(link.admit(false, 99, &mut pool), "no barrier, no wait");
+        std::thread::scope(|s| {
+            let front = s.spawn(|| link.admit(true, 99, &mut ScratchPool::new()));
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(!front.is_finished(), "the front waits at the barrier");
+            link.kill();
+            assert!(!front.join().unwrap(), "a kill fails the waiting front");
+        });
+        assert!(
+            !link.admit(false, 0, &mut pool),
+            "a killed link admits nothing"
+        );
+    }
+
+    #[test]
+    fn wind_downs_decide_the_respawn() {
+        // A pair that ended on its own stays down; one the watchdog killed
+        // is re-armed with a fresh barrier count; a lost worker stays down
+        // and is lost exactly once, whichever stage reports it first.
+        let link: StageLink<u32> = StageLink::new();
+        link.close();
+        assert!(!link.open());
+        assert!(!link.reopen(), "a pair that closed itself is not respawned");
+        link.retire(Vec::new());
+        link.kill();
+        assert!(link.reopen(), "a torn-down pair is respawned");
+        assert!(link.open());
+        let mut pool = ScratchPool::new();
+        std::thread::scope(|s| {
+            let front = s.spawn(|| link.admit(true, 1, &mut ScratchPool::new()));
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(!front.is_finished(), "the barrier count restarted at 0");
+            link.retire(Vec::new());
+            assert!(front.join().unwrap());
+        });
+        assert!(link.admit(true, 1, &mut pool));
+        assert!(link.lose(), "the first stage to die loses the worker");
+        assert!(!link.lose(), "the second one does not");
+        link.kill();
+        assert!(!link.open());
+        assert!(!link.reopen(), "a lost worker is not respawned");
     }
 
     #[test]

@@ -80,7 +80,7 @@ use rand::RngExt;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -513,15 +513,10 @@ struct StagedJob {
 }
 
 /// Per-worker state of the stage pair: the [`StageLink`] its two threads
-/// talk through, the fleet's view of the worker's life (either stage dying
-/// loses the worker exactly once), and the slots the supervisor watches.
+/// talk through (which also holds the worker's life: torn down for a
+/// respawn, or lost for good) and the slots the supervisor watches.
 struct WorkerLink {
     pair: StageLink<StagedJob>,
-    retired: AtomicBool,
-    /// Set by the watchdog's teardown: the stage pair must wind down (the
-    /// link is killed) and the managing worker thread respawns a fresh
-    /// generation. Distinct from `retired`, which is permanent.
-    torn: AtomicBool,
     /// The batch the front stage is currently preparing, watched by the
     /// supervisor.
     front_pending: PendingSlot<QueuedBatch>,
@@ -533,17 +528,9 @@ impl WorkerLink {
     fn new() -> Self {
         Self {
             pair: StageLink::new(),
-            retired: AtomicBool::new(false),
-            torn: AtomicBool::new(false),
             front_pending: PendingSlot::new(),
             back_pending: PendingSlot::new(),
         }
-    }
-
-    /// Whether the stage pair is winding down (retired for good, or torn
-    /// down by the watchdog for a respawn).
-    fn winding_down(&self) -> bool {
-        self.retired.load(Ordering::Acquire) || self.torn.load(Ordering::Acquire)
     }
 }
 
@@ -572,20 +559,43 @@ struct Group {
     served_ctr: Option<Arc<Counter>>,
 }
 
+/// The fleet's measured accounting, one lock for all of it.
+struct Ledger {
+    /// Per group: EWMA of the per-batch busy seconds (prepare + execute)
+    /// of the group's own workers — the dispatcher's virtual-clock advance
+    /// and the deadline projection. Each starts at 0.0 and the group's
+    /// first finite, positive observation replaces it.
+    est: Vec<f64>,
+    /// Summed stage-thread busy time (occupancy numerator).
+    busy_seconds: f64,
+    /// Every served request's latency, ms.
+    latencies: Vec<f64>,
+}
+
+impl Ledger {
+    fn update_est(&mut self, g: usize, secs: f64) {
+        // A non-finite observation (e.g. a poisoned timing under fault
+        // storms) must not corrupt the estimate the dispatcher sleeps on.
+        if !secs.is_finite() || secs <= 0.0 {
+            return;
+        }
+        // Only a measurement is ever positive, so a zero is "unmeasured".
+        let e = &mut self.est[g]; // audit: allow(no-fail-stop) — every group index is minted by run_fleet from 0..groups.len(), and `est` has one entry per group
+        *e = if *e > 0.0 {
+            EST_ALPHA * secs + (1.0 - EST_ALPHA) * *e
+        } else {
+            secs
+        };
+    }
+}
+
 /// Shared state of one fleet run: the routing groups plus every
 /// cross-thread accounting cell, borrowed by the worker threads.
 struct Fleet<'f> {
     cfg: &'f ServingConfig,
     obs: Option<ServingMetrics>,
     groups: Vec<Group>,
-    /// Per group: EWMA of the per-batch busy seconds (prepare + execute)
-    /// of the group's own workers — the dispatcher's virtual-clock advance
-    /// and the deadline projection. Each starts at 0.0 and the group's
-    /// first finite, positive observation replaces it.
-    est: Mutex<Vec<f64>>, // lock: fleet.est
-    /// Summed stage-thread busy time (occupancy numerator).
-    busy_seconds: Mutex<f64>, // lock: fleet.busy
-    latencies: Mutex<Vec<f64>>, // lock: fleet.latencies
+    ledger: Mutex<Ledger>, // lock: fleet.ledger
     deadline_misses: AtomicUsize,
     shed: AtomicUsize,
     recoveries: AtomicUsize,
@@ -618,9 +628,11 @@ impl<'f> Fleet<'f> {
                     served_ctr: None,
                 })
                 .collect(),
-            est: Mutex::new(vec![0.0; n_groups]),
-            busy_seconds: Mutex::new(0.0),
-            latencies: Mutex::new(Vec::new()),
+            ledger: Mutex::new(Ledger {
+                est: vec![0.0; n_groups],
+                busy_seconds: 0.0,
+                latencies: Vec::new(),
+            }),
             deadline_misses: AtomicUsize::new(0),
             shed: AtomicUsize::new(0),
             recoveries: AtomicUsize::new(0),
@@ -643,26 +655,9 @@ impl<'f> Fleet<'f> {
     /// Group `g`'s current compute estimate in seconds: 0.0 until its
     /// first batch is measured.
     fn estimate(&self, g: usize) -> f64 {
-        let _order = gcnp_tensor::lockcheck::acquire("fleet.est");
+        let _order = gcnp_tensor::lockcheck::acquire("fleet.ledger");
         // audit: allow(no-fail-stop) — every group index is minted by run_fleet from 0..groups.len(), and `est` has one entry per group
-        relock(self.est.lock())[g]
-    }
-
-    fn update_est(&self, g: usize, secs: f64) {
-        // A non-finite observation (e.g. a poisoned timing under fault
-        // storms) must not corrupt the estimate the dispatcher sleeps on.
-        if !secs.is_finite() || secs <= 0.0 {
-            return;
-        }
-        let _order = gcnp_tensor::lockcheck::acquire("fleet.est");
-        let mut est = relock(self.est.lock());
-        // Only a measurement is ever positive, so a zero is "unmeasured".
-        let e = &mut est[g]; // audit: allow(no-fail-stop) — same group bound as `estimate`
-        *e = if *e > 0.0 {
-            EST_ALPHA * secs + (1.0 - EST_ALPHA) * *e
-        } else {
-            secs
-        };
+        relock(self.ledger.lock()).est[g]
     }
 
     /// Run one stage body under `catch_unwind`, timed into the fleet's busy
@@ -685,8 +680,8 @@ impl<'f> Fleet<'f> {
         let outcome = panic::catch_unwind(AssertUnwindSafe(body));
         let busy = tb.elapsed().as_secs_f64();
         {
-            let _order = gcnp_tensor::lockcheck::acquire("fleet.busy");
-            *relock(self.busy_seconds.lock()) += busy;
+            let _order = gcnp_tensor::lockcheck::acquire("fleet.ledger");
+            relock(self.ledger.lock()).busy_seconds += busy;
         }
         if let Err(payload) = &outcome {
             let msg = payload
@@ -761,16 +756,16 @@ impl<'f> Fleet<'f> {
     }
 
     fn on_success(&self, batch: &QueuedBatch, est_busy: f64) {
-        self.update_est(batch.group, est_busy);
         let done = self.now();
         let late = {
-            let _order = gcnp_tensor::lockcheck::acquire("fleet.latencies");
-            let mut lat = relock(self.latencies.lock());
+            let _order = gcnp_tensor::lockcheck::acquire("fleet.ledger");
+            let mut ledger = relock(self.ledger.lock());
+            ledger.update_est(batch.group, est_busy);
             let mut late = 0;
             for &arr in &batch.arrivals {
                 let secs = (done - arr).max(0.0);
                 late += usize::from(self.cfg.deadline.is_some_and(|d| secs > d));
-                lat.push(secs * 1e3);
+                ledger.latencies.push(secs * 1e3);
             }
             late
         };
@@ -864,7 +859,7 @@ fn front_stage(
     let barrier = core.needs_store_barrier();
     let mut staged: u64 = 0; // batches handed to the back stage
     let mut lost = false;
-    while !link.winding_down() {
+    while link.pair.open() {
         let Some(batch) = fleet.group(g).dispatch.pop() else {
             break;
         };
@@ -872,7 +867,7 @@ fn front_stage(
         // down) while we were blocked in pop — or dies while we wait out
         // the store-write visibility barrier. Either way hand the batch
         // back for a live worker instead of preparing into a closed link.
-        if link.winding_down() || !link.pair.admit(barrier, staged, front.pool) {
+        if !link.pair.admit(barrier, staged, front.pool) {
             fleet.hand_back(batch);
             break;
         }
@@ -894,7 +889,7 @@ fn front_stage(
         if link.front_pending.finish().is_none() {
             // The watchdog already requeued + resolved this batch; the
             // prepared scratch goes straight back to the pool and the
-            // winding-down check above ends the generation.
+            // link check above ends the generation.
             prep.recycle_into(front.pool);
             continue;
         }
@@ -909,7 +904,7 @@ fn front_stage(
     }
     // Always close: the back stage drains what was staged, then exits.
     link.pair.close();
-    if lost && !link.retired.swap(true, Ordering::AcqRel) {
+    if lost && link.pair.lose() {
         fleet.retire_worker(g);
     }
 }
@@ -943,11 +938,11 @@ fn back_stage(
             // Release the front wherever it blocks, then hand every
             // already-staged batch back to the dispatcher: each was popped
             // from the dispatch queue and never resolved.
-            link.pair.kill();
+            let first = link.pair.lose();
             while let Some(job) = link.pair.next() {
                 fleet.hand_back(job.batch);
             }
-            if !link.retired.swap(true, Ordering::AcqRel) {
+            if first {
                 fleet.retire_worker(g);
             }
             break;
@@ -956,17 +951,17 @@ fn back_stage(
         // failure wrote nothing back, and its retry re-runs both stages).
         // Retire even when the attempt failed or did not own the batch:
         // the rail is the only route back to the front's scratch pool, and
-        // the gate counts *staged* batches so the front's visibility
-        // barrier stays in sync.
+        // the barrier counts *staged* batches so the front's wait stays in
+        // sync.
         link.pair.retire(spent);
     }
 }
 
 /// One worker across watchdog generations: split the engine, run front +
-/// back until they wind down, and — when the teardown flag (not retirement)
-/// ended the generation — re-arm the link and respawn a fresh stage pair on
-/// the same engine. A worker retired by a genuine panic stays down; a
-/// worker torn down for being wedged comes back.
+/// back until they wind down, and — when the watchdog's teardown (not a
+/// lost stage) ended the generation — re-arm the link and respawn a fresh
+/// stage pair on the same engine. A worker lost to a genuine panic stays
+/// down; a worker torn down for being wedged comes back.
 fn worker(engine: &mut BatchedEngine<'_>, link: &WorkerLink, fleet: &Fleet<'_>, g: usize) {
     loop {
         let (core, front, back) = engine.split();
@@ -974,10 +969,9 @@ fn worker(engine: &mut BatchedEngine<'_>, link: &WorkerLink, fleet: &Fleet<'_>, 
             inner.spawn(move || front_stage(core, front, link, fleet, g));
             back_stage(core, back, link, fleet, g);
         });
-        if link.retired.load(Ordering::Acquire) || !link.torn.swap(false, Ordering::AcqRel) {
+        if !link.pair.reopen() {
             break;
         }
-        link.pair.reopen();
     }
 }
 
@@ -1105,16 +1099,10 @@ fn run_fleet(
     // closures, the watch table over every pending slot, and the
     // worker-exit counter that stops the supervisor thread.
     let finished = AtomicUsize::new(0);
+    // Each teardown winds the stage pair down; `worker` respawns it.
     let teardowns: Vec<Box<dyn Fn() + Send + Sync>> = links
         .iter()
-        .map(|link| {
-            Box::new(move || {
-                // Wind the stage pair down; `worker` respawns it.
-                if !link.torn.swap(true, Ordering::AcqRel) {
-                    link.pair.kill();
-                }
-            }) as Box<dyn Fn() + Send + Sync>
-        })
+        .map(|link| Box::new(move || link.pair.kill()) as Box<dyn Fn() + Send + Sync>)
         .collect();
     let watches: Vec<WorkerWatch<'_, QueuedBatch>> = links
         .iter()
@@ -1283,19 +1271,17 @@ fn run_fleet(
     }
 
     let wall = fleet.now().max(f64::EPSILON);
-    let busy = fleet
-        .busy_seconds
+    let ledger = fleet
+        .ledger
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner);
+    let busy = ledger.busy_seconds;
     let pipeline_occupancy = (busy / (2.0 * n_workers as f64 * wall)).clamp(0.0, 1.0);
     if let Some(o) = obs {
         o.pipeline_occupancy.set(pipeline_occupancy);
         o.dispatch_wakeups.add(wakeups);
     }
-    let mut latencies_ms = fleet
-        .latencies
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
+    let mut latencies_ms = ledger.latencies;
     latencies_ms.sort_by(f64::total_cmp);
     let group_served: Vec<usize> = fleet
         .groups
@@ -2079,17 +2065,17 @@ mod tests {
         let fleet = Fleet::new(&cfg, None, 1, 2);
         assert_eq!((fleet.estimate(0), fleet.estimate(1)), (0.0, 0.0));
         for junk in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, 0.0] {
-            fleet.update_est(0, junk);
+            relock(fleet.ledger.lock()).update_est(0, junk);
         }
         assert_eq!(fleet.estimate(0), 0.0, "no usable observation yet");
-        fleet.update_est(0, 0.010);
+        relock(fleet.ledger.lock()).update_est(0, 0.010);
         assert_eq!(fleet.estimate(0), 0.010, "the first one replaces the zero");
         assert_eq!(fleet.estimate(1), 0.0, "groups learn independently");
-        fleet.update_est(0, 0.020);
+        relock(fleet.ledger.lock()).update_est(0, 0.020);
         let ewma = EST_ALPHA * 0.020 + (1.0 - EST_ALPHA) * 0.010;
         assert_eq!(fleet.estimate(0), ewma, "later ones blend in");
         for junk in [f64::NAN, f64::INFINITY, -1.0, 0.0] {
-            fleet.update_est(0, junk);
+            relock(fleet.ledger.lock()).update_est(0, junk);
         }
         assert_eq!(
             fleet.estimate(0),

@@ -2,13 +2,14 @@
 //!
 //! The stage-pair executor has surfaces that can wedge without
 //! dying — a front stage asleep inside `prepare`, a back stage stuck behind a
-//! straggling GEMM, a `StageQueue` that lost a wakeup. The supervisor is a
+//! straggling GEMM, a `StageLink` that lost a wakeup. The supervisor is a
 //! single low-frequency thread per fleet that watches every worker's
 //! *pending slot* (the batch it is currently busy on, published before the
 //! stage body runs). A batch busy past the watchdog bound is stolen from its
 //! slot and handed to the caller, which requeues it through the existing
-//! retry path, and the worker's stage pair is torn down (barrier killed,
-//! queue closed) so the per-worker manager can respawn a fresh generation.
+//! retry path, and the worker's stage pair is torn down (one
+//! `StageLink::kill`: the link closes and is marked torn) so the per-worker
+//! manager can respawn a fresh generation.
 //! The wedged thread, when it eventually wakes, finds its slot empty and
 //! abandons the attempt without double-resolving.
 //!

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use crate::layer::{Activation, Branch, BranchLayer, CombineMode};
 use crate::metrics::Metrics;
 use crate::model::GnnModel;
-use crate::train::{TrainConfig, TrainStats, Trainer};
+use crate::train::{TrainConfig, TrainStats};
 
 /// A GraphSAGE layer (Eq. 1 with `K′=0, K=1`, concat): `fin → fout`
 /// via two `fout/2`-wide branches.
@@ -124,7 +124,7 @@ pub fn mlp(fin: usize, hidden: usize, classes: usize, seed: u64) -> GnnModel {
 
 /// TinyGNN-style 1-layer student (one SAGE hop + classifier), to be
 /// distilled from a 2-layer teacher via
-/// [`Trainer::train_full_batch`]'s `distill` argument.
+/// [`crate::train::Trainer::train_full_batch`]'s `distill` argument.
 pub fn tinygnn_student(fin: usize, hidden: usize, classes: usize, seed: u64) -> GnnModel {
     let mut rng = seeded_rng(seed);
     let l1 = sage_layer(fin, hidden, Activation::Relu, &mut rng);
@@ -587,16 +587,10 @@ impl PprgoModel {
     }
 }
 
-/// The evaluation helper shared by comparison experiments: test-set
-/// F1-Micro via full inference on the full graph.
-pub fn test_f1(model: &GnnModel, data: &Dataset, norm: Normalization) -> f64 {
-    let adj = data.adj.normalized(norm);
-    Trainer::evaluate(model, Some(&adj), &data.features, &data.labels, &data.test)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::train::Trainer;
     use gcnp_datasets::SynthConfig;
 
     fn tiny() -> Dataset {

@@ -11,20 +11,15 @@
 #[rustfmt::skip]
 pub static LOCK_NODES: &[&str] = &[
     "dispatch.state",
-    "fleet.busy",
-    "fleet.est",
-    "fleet.latencies",
-    "gate.state",
-    "latch.panic",
-    "latch.remaining",
+    "fleet.ledger",
+    "latch.state",
+    "link.state",
     "obs.counters",
     "obs.gauges",
     "obs.histograms",
     "pending.slot",
-    "pipeline.rail",
     "pool.jobs",
     "pool.spawned",
-    "stage.state",
     "store.stripe",
 ];
 
@@ -34,7 +29,7 @@ pub static LOCK_NODES: &[&str] = &[
 /// `(to, from)` is present here.
 #[rustfmt::skip]
 pub static LOCK_ORDER_PATHS: &[(u16, u16)] = &[
-    (7, 8),
-    (7, 9),
-    (8, 9),
+    (4, 5),
+    (4, 6),
+    (5, 6),
 ];

@@ -61,27 +61,6 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
-    /// Build from a slice of equal-length rows.
-    ///
-    /// # Panics
-    /// Panics if rows have differing lengths.
-    ///
-    /// Shapes: `rows` is `r` rows of one common length `c`; the result is `(r, c)`.
-    pub fn from_rows(rows: &[Vec<f32>]) -> Self {
-        let r = rows.len();
-        let c = rows.first().map_or(0, Vec::len);
-        let mut data = Vec::with_capacity(r * c);
-        for row in rows {
-            assert_eq!(row.len(), c, "from_rows: ragged rows");
-            data.extend_from_slice(row);
-        }
-        Self {
-            rows: r,
-            cols: c,
-            data,
-        }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {

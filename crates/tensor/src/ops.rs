@@ -300,25 +300,6 @@ impl Matrix {
         out
     }
 
-    /// Scale row `i` by `factors[i]` (e.g. degree normalization).
-    ///
-    /// Shapes: `factors.len()` must equal `self.rows()`.
-    pub fn scale_rows(&self, factors: &[f32]) -> Matrix {
-        assert_eq!(
-            factors.len(),
-            self.rows(),
-            "scale_rows: factor length mismatch"
-        );
-        let cols = self.cols();
-        let mut out = self.clone();
-        for (row, &f) in out.as_mut_slice().chunks_exact_mut(cols).zip(factors) {
-            for v in row.iter_mut() {
-                *v *= f;
-            }
-        }
-        out
-    }
-
     /// Broadcast-add a row vector to every row (bias addition).
     ///
     /// Shapes: `bias.len()` must equal `self.cols()`.
@@ -428,20 +409,6 @@ impl Matrix {
         self.rows_iter()
             .map(|r| r.iter().map(|v| v.abs()).sum())
             .collect()
-    }
-
-    /// Per-column L2 norms (length `cols`).
-    pub fn col_l2_norms(&self) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.cols()];
-        for row in self.rows_iter() {
-            for (o, &v) in out.iter_mut().zip(row) {
-                *o += v * v;
-            }
-        }
-        for o in &mut out {
-            *o = o.sqrt();
-        }
-        out
     }
 
     /// Row-wise softmax into a new matrix (numerically stabilized).

@@ -127,33 +127,35 @@ fn worker_loop(queue: &Queue) {
 /// Completion latch for one `parallel_row_chunks` call: counts outstanding
 /// chunk jobs and parks the first panic payload for re-raise on the caller.
 struct ScopeLatch {
-    remaining: Mutex<usize>,                   // lock: latch.remaining
-    done: Condvar,                             // lock: latch.done pairs latch.remaining
-    panic: Mutex<Option<Box<dyn Any + Send>>>, // lock: latch.panic
+    state: Mutex<LatchState>, // lock: latch.state
+    done: Condvar,            // lock: latch.done pairs latch.state
+}
+
+struct LatchState {
+    remaining: usize,
+    panic: Option<Box<dyn Any + Send>>,
 }
 
 impl ScopeLatch {
     fn new(jobs: usize) -> Self {
         ScopeLatch {
-            remaining: Mutex::new(jobs),
+            state: Mutex::new(LatchState {
+                remaining: jobs,
+                panic: None,
+            }),
             done: Condvar::new(),
-            panic: Mutex::new(None),
         }
     }
 
     /// Record one finished chunk (and its panic payload, if any).
     fn complete(&self, payload: Option<Box<dyn Any + Send>>) {
-        if let Some(p) = payload {
-            let _order = crate::lockcheck::acquire("latch.panic");
-            let mut slot = self.panic.lock().unwrap();
-            if slot.is_none() {
-                *slot = Some(p);
-            }
+        let _order = crate::lockcheck::acquire("latch.state");
+        let mut s = self.state.lock().unwrap();
+        if s.panic.is_none() {
+            s.panic = payload;
         }
-        let _order = crate::lockcheck::acquire("latch.remaining");
-        let mut remaining = self.remaining.lock().unwrap();
-        *remaining -= 1;
-        if *remaining == 0 {
+        s.remaining -= 1;
+        if s.remaining == 0 {
             self.done.notify_all();
         }
     }
@@ -161,15 +163,15 @@ impl ScopeLatch {
     /// Block until every chunk has completed, then re-raise the first
     /// captured panic payload, preserving the original message.
     fn wait(&self) {
-        let order = crate::lockcheck::acquire("latch.remaining");
-        let mut remaining = self.remaining.lock().unwrap();
-        while *remaining > 0 {
-            remaining = self.done.wait(remaining).unwrap();
+        let order = crate::lockcheck::acquire("latch.state");
+        let mut s = self.state.lock().unwrap();
+        while s.remaining > 0 {
+            s = self.done.wait(s).unwrap();
         }
-        drop(remaining);
+        let panic = s.panic.take();
+        drop(s);
         drop(order);
-        let _order = crate::lockcheck::acquire("latch.panic");
-        if let Some(payload) = self.panic.lock().unwrap().take() {
+        if let Some(payload) = panic {
             panic::resume_unwind(payload);
         }
     }
