@@ -34,6 +34,19 @@ fn load_model_for(path: &str, data: &Dataset) -> Result<GnnModel, String> {
     Ok(model)
 }
 
+/// Refuse a Jumping-Knowledge model before a batched engine is built for
+/// it: the batched engine serves one level table at a time and has no JK
+/// classifier, which reads every earlier layer's output.
+fn refuse_jk(model: &GnnModel, path: &str) -> Result<(), String> {
+    match model.jk {
+        true => Err(format!(
+            "model {path}: Jumping-Knowledge (JK) models are not supported by the batched engine \
+             (full-graph `eval` serves them)"
+        )),
+        false => Ok(()),
+    }
+}
+
 /// A branch whose weight reads another number of channels than its layer
 /// is fed.
 #[derive(Debug, PartialEq)]
@@ -228,9 +241,10 @@ pub fn prune(args: &Args) -> Result<String, String> {
 /// `gcnp quantize --model file --out file`
 pub fn quantize(args: &Args) -> Result<String, String> {
     args.only(&["model", "out"])?;
-    let model = load_model(args.require("model")?)?;
+    let path = args.require("model")?;
+    let model = load_model(path)?;
     let out = args.require("out")?;
-    let q = QuantizedGnn::from_model(&model);
+    let q = QuantizedGnn::try_from_model(&model).map_err(|e| format!("model {path}: {e}"))?;
     save(out, &q)?;
     Ok(format!(
         "quantized to int8: {} weight bytes ({} f32); model -> {out}",
@@ -297,6 +311,7 @@ pub fn eval(args: &Args) -> Result<String, String> {
         ));
     }
     // Batched path.
+    refuse_jk(&model, model_path)?;
     let store_holder = FeatureStore::new(data.n_nodes(), model.n_layers() - 1);
     let store = if args.has("store") {
         prewarm(&model, &data, |level, v, row| {
@@ -442,7 +457,9 @@ pub fn serve(args: &Args) -> Result<String, String> {
         return Err("--ladder is one server switching models: no --workers/--shards".into());
     }
     let data = load_dataset(args.require("data")?)?;
-    let model = load_model_for(args.require("model")?, &data)?;
+    let model_path = args.require("model")?;
+    let model = load_model_for(model_path, &data)?;
+    refuse_jk(&model, model_path)?;
     let seed: u64 = args.get_or("seed", 0)?;
     let cfg = ServingConfig {
         arrival_rate: args.get_or("rate", 500.0)?,
@@ -930,6 +947,21 @@ mod tests {
         );
         let jk = zoo::jk(attr_dim, 16, 2, 1);
         assert_eq!(check_widths(&jk.layers, jk.jk, attr_dim), Ok(()));
+        // A well-formed Jumping-Knowledge model: full inference serves it;
+        // the batched engine and the int8 model do not, and each command
+        // that would build one refuses it by name instead of panicking.
+        let j = format!("{m}.jk");
+        save(&j, &jk).unwrap();
+        let msg = run(&parse(&format!("eval --data {d} --model {j}"))).unwrap();
+        assert!(msg.contains("full inference"), "{msg}");
+        for cmd in [
+            format!("eval --data {d} --model {j} --batched"),
+            format!("serve --data {d} --model {j} --requests 100"),
+            format!("quantize --model {j} --out {j}.int8"),
+        ] {
+            let err = run(&parse(&cmd)).unwrap_err();
+            assert!(err.contains("Jumping-Knowledge (JK)"), "{cmd}: {err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
         assert!(run(&parse("generate --dataset nope --out /tmp/x.json")).is_err());
         assert!(run(&parse(

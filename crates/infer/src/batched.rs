@@ -64,6 +64,33 @@
 //! attributes and the weights, so a batch that dies mid-fill leaves
 //! nothing to reset.
 //!
+//! # Layer 1's output is a table wherever nothing is sampled
+//!
+//! The third table is layer 1's output `h⁽¹⁾` itself. A level-1 node whose
+//! layer-1 aggregation samples nothing — its cap at layer 1's hop is `None`
+//! or at least its degree, or layer 1 reads no graph — has a level-1 row
+//! that depends only on the graph, the attributes and the weights, like the
+//! rows of the two operand tables. Such a node is **tabled** unless the
+//! store holds it (the store is probed first): expansion neither computes
+//! nor expands it, just as for a store hit, and execute copies its row from
+//! a per-engine `n_nodes × width` table in the back stage's scratch, after
+//! the computed and the staged rows. A row is filled on first read: the
+//! batch that first meets a tabled node no earlier batch filled computes it
+//! with layer 1's own per-row body over the node's whole adjacency row —
+//! the list expansion gives a node it does not sample — and marks it only
+//! after writing it, so a tabled row is bitwise the row computing the node
+//! would give (`tabled_rows_are_bitwise_the_computed_rows`). The decision
+//! reads only the node's degree against the cap, never back-stage state,
+//! and a node that samples nothing draws no random number, so the stage
+//! pair and `try_infer` see the same support, the same fills and the same
+//! counters, and every sampled neighbour list is what it was without the
+//! table. Under `StorePolicy::Roots` / `AllVisited` a tabled row is written
+//! back like a computed one. This table differs from the store (§3.3.2) in
+//! three ways: it is exact (only unsampled rows enter it, and no sampled
+//! row ever does), it belongs to one engine and is never shared or
+//! invalidated (a graph or weight change builds a new engine), and it needs
+//! no checksum or lock, because only the back stage touches it.
+//!
 //! # Two-stage decomposition
 //!
 //! Every batch is served in two stages that share no mutable state:
@@ -71,7 +98,8 @@
 //! * **prepare** (front end): fault draw, target validation, one width
 //!   check per store level, and neighborhood expansion ([`BatchSupport`]),
 //!   whose "is it stored?" question is one counted store lookup per node
-//!   that also stages the row it finds into an owned buffer; then **layer
+//!   that also stages the row it finds into an owned buffer (a level-1 miss
+//!   that samples nothing is tabled instead of computed); then **layer
 //!   1's neighbour branches** — the `k = 1` mean over the projection
 //!   table's rows, which *is* the branch's product, a pure function of the
 //!   support and read-only data — built row by row until the hand-off
@@ -79,7 +107,8 @@
 //! * **execute** (back end): the neighbour-mean rows prepare left, layer
 //!   1's `k = 0` table read (after the GEMM that fills the rows no earlier
 //!   batch did, reading them in place), the store of each neighbour product
-//!   into its column window, then
+//!   into its column window, the fill of the tabled rows no earlier batch
+//!   filled and the copy of every tabled row into level 1's table, then
 //!   every hidden level's aggregation, GEMMs and combine, level-table and
 //!   relabel-table maintenance, store write-backs, and target-logit
 //!   extraction.
@@ -97,7 +126,9 @@
 //! gather moved forward it over-filled the front stage (6–18 % less drain
 //! throughput on the 2-vCPU reference box), and its table is back scratch,
 //! which only `execute` touches — so filling it needs no lock and no
-//! change to the stage pair's protocol.
+//! change to the stage pair's protocol. Layer 1's output table sits behind
+//! the seam for the same reason: prepare decides which nodes are tabled
+//! from their degree alone, and never reads which rows are filled.
 //!
 //! [`BatchedEngine::try_infer`] runs them back-to-back on the caller's
 //! thread. The stage pair in [`crate::pipeline`] runs the front
@@ -112,7 +143,7 @@
 //! lookup and its node computed from level 0 in the same attempt.
 
 use gcnp_models::{Branch, CombineMode, GnnModel, PackedModel, QuantPackedModel};
-use gcnp_sparse::{BatchSupport, CsrMatrix};
+use gcnp_sparse::{BatchSupport, CsrMatrix, LayerSupport};
 use gcnp_tensor::rowsum::ABSENT;
 use gcnp_tensor::{
     parallel_row_chunks, qgemm_packed_into, row_sum, Matrix, PackedB, RowIds, ScratchPool,
@@ -287,7 +318,12 @@ pub struct BatchResult {
     /// out_dim` adds over the table's rows, and a `k = 0` branch copies its
     /// rows. Only the batch that fills `k = 0` rows pays
     /// their transform, `filled × in_dim × out_dim`, so a warm batch counts
-    /// none.
+    /// none. A tabled level-1 row (see the module docs) costs what layer 1
+    /// runs for it in the batch that fills it — its neighbour adds over its
+    /// whole adjacency row, and its `k = 0` fill — and nothing when an
+    /// earlier batch filled it. So the count depends on the engine's batch
+    /// history: it is deterministic in batch order, and the stage pair and
+    /// `try_infer` give the same count for the same sequence.
     pub macs: u64,
     /// Bytes of features touched plus weights — the paper's per-batch memory
     /// metric. The sum of: the weights a batch transforms with (4 bytes
@@ -297,9 +333,19 @@ pub struct BatchResult {
     /// its projection table); for a batch that fills `k = 0` rows, the
     /// filled nodes' attribute bytes (`filled × in_dim × 4`) and that
     /// branch's f32 weights; every staged store row; and every layer's
-    /// output table.
+    /// output table. A tabled level-1 row counts, in the batch that fills
+    /// it, the table rows its fill reads (its `k = 0` row, and the
+    /// projection rows of it and its neighbours that no computed row of the
+    /// batch reads) and its output row — in a batch where every tabled row
+    /// is filled, exactly what computing them would count; once filled, one
+    /// copied row (`width × 4`). Deterministic in batch order, like
+    /// [`Self::macs`].
     pub mem_bytes: usize,
-    /// Distinct nodes whose raw attributes were read.
+    /// Distinct level-0 nodes the batch's expansion reaches: the nodes whose
+    /// table rows its computed level-1 rows read. A tabled node is not
+    /// expanded, so neither it nor its neighbours count unless a computed
+    /// row reads them, whether or not the batch fills its row; the count
+    /// depends only on the support, not on the engine's history.
     pub n_supporting: usize,
     /// Store reads that avoided expansion.
     pub store_hits: usize,
@@ -346,6 +392,10 @@ pub struct BatchedEngine<'a> {
     /// Optional per-stage instrumentation (see [`crate::metrics`]); `None`
     /// (or an `obs-off` build) skips all clock reads.
     metrics: Option<Arc<EngineMetrics>>,
+    /// Compute every level-1 row, as if nothing were tabled (tests compare
+    /// the two).
+    #[cfg(test)]
+    untabled: bool,
 }
 
 /// Reusable back-stage scratch, owned by the engine and mutably borrowed
@@ -367,6 +417,9 @@ pub(crate) struct BackScratch {
     /// Layer 1's `k = 0` products, one slot per layer-1 branch (a `k = 1`
     /// slot stays empty): `X·W_self` by node id, filled on first touch.
     self_tables: Vec<SelfTable>,
+    /// Layer 1's output rows of the nodes it aggregates without sampling,
+    /// by node id, filled on first read.
+    level_one: LevelOneTable,
 }
 
 /// One layer-1 `k = 0` branch's product `X·W_self` as a table, allocated
@@ -381,6 +434,22 @@ pub(crate) struct SelfTable {
     filled: Vec<bool>,
     /// The computed nodes whose rows a batch fills (reused list).
     misses: Vec<usize>,
+}
+
+/// Layer 1's output `h⁽¹⁾` as a table, allocated by the first batch that
+/// reads it and filled on first read: row `v` is node `v`'s level-1 row once
+/// `filled[v]` is set. Only nodes whose layer-1 aggregation samples nothing
+/// are read from it, so a row depends only on the graph, the attributes and
+/// the weights, like a [`SelfTable`] row; it is marked only after it is
+/// written and the table is never reset.
+#[derive(Default)]
+pub(crate) struct LevelOneTable {
+    /// `n_nodes × out_dim` of layer 1, row-major.
+    rows: Vec<f32>,
+    filled: Vec<bool>,
+    /// Nodes a fill marks while it counts the projection rows it reads;
+    /// all clear between fills.
+    seen: Vec<bool>,
 }
 
 /// Stages charged by the engine's [`StageClock`].
@@ -484,6 +553,10 @@ pub(crate) struct PreparedBatch {
     aggregated: Vec<Option<Matrix>>,
     /// The hand-off row of layer 1's neighbour means (see [`HandOff`]).
     means_done: usize,
+    /// Level-1 nodes whose layer-1 aggregation samples nothing and the
+    /// store did not hold, in probe order: neither computed nor expanded,
+    /// execute reads their rows from the engine's level-1 table.
+    tabled: Vec<usize>,
     /// A store-miss storm was drawn: the back end must skip write-backs,
     /// exactly as if the store were absent.
     bypass_store: bool,
@@ -572,6 +645,8 @@ pub(crate) struct EngineCore<'e, 'a> {
     seed: u64,
     faults: Option<&'e Arc<FaultInjector>>,
     metrics: Option<&'e Arc<EngineMetrics>>,
+    #[cfg(test)]
+    untabled: bool,
 }
 
 /// Mutable state owned by the front (prepare) stage.
@@ -602,7 +677,9 @@ impl<'a> BatchedEngine<'a> {
     /// `out_dim` width and run no GEMM for it. Layer 1's `k = 0` branch gets
     /// the same kind of table, `X·W_self`, but not here: the back stage
     /// fills its rows on first touch, and a batch pays the transform only
-    /// for the computed nodes no earlier batch filled.
+    /// for the computed nodes no earlier batch filled. Layer 1's output rows
+    /// of the nodes it aggregates without sampling are a first-touch table
+    /// too (see the module docs).
     pub fn new(
         model: &'a GnnModel,
         adj: &'a CsrMatrix,
@@ -742,10 +819,13 @@ impl<'a> BatchedEngine<'a> {
                 // Empty slots: a table is allocated by the first batch
                 // that reads it.
                 self_tables: layer_one.iter().map(|_| SelfTable::default()).collect(),
+                level_one: LevelOneTable::default(),
             },
             dirty: false,
             faults: None,
             metrics: None,
+            #[cfg(test)]
+            untabled: false,
         }
     }
 
@@ -790,6 +870,8 @@ impl<'a> BatchedEngine<'a> {
             seed: self.seed,
             faults: self.faults.as_ref(),
             metrics: self.metrics.as_ref(),
+            #[cfg(test)]
+            untabled: self.untabled,
         };
         let front = FrontStage {
             counter: &mut self.batch_counter,
@@ -841,6 +923,33 @@ impl<'e, 'a> EngineCore<'e, 'a> {
     /// write-backs (execute) to keep outputs identical to `try_infer`'s.
     pub(crate) fn needs_store_barrier(&self) -> bool {
         self.store.active() && !matches!(self.policy, StorePolicy::None)
+    }
+
+    /// The largest degree of a level-1 node whose layer-1 aggregation
+    /// samples nothing: the cap at layer 1's hop, unbounded when that hop is
+    /// uncapped or layer 1 reads no graph. `None` when level 1 is the
+    /// output, which is never tabled.
+    fn level_one_table_degree(&self) -> Option<usize> {
+        let layers = &self.model.layers;
+        #[cfg(test)]
+        if self.untabled {
+            return None;
+        }
+        if layers.len() < 2 {
+            return None;
+        }
+        if !layers[0].uses_graph() {
+            return Some(usize::MAX);
+        }
+        // Layer 1 expands at the last hop: one per graph layer.
+        let hop = layers.iter().filter(|l| l.uses_graph()).count();
+        Some(
+            self.caps
+                .get(hop - 1)
+                .copied()
+                .flatten()
+                .unwrap_or(usize::MAX),
+        )
     }
 
     /// Front-end stage: draw the attempt's fault, validate targets, check
@@ -941,23 +1050,43 @@ impl<'e, 'a> EngineCore<'e, 'a> {
             .collect();
         // A row of another width, met only if a put raced the level check.
         let mut torn = None;
-        let support = BatchSupport::build(
+        // Level 1's store hits and tabled nodes, each in probe order. A
+        // tabled node answers "stored" too, so it is neither computed nor
+        // expanded; it draws no sample either way, so the RNG stream and
+        // every sampled neighbour list stay those of an engine without it.
+        let table_degree = self.level_one_table_degree();
+        let (mut hits, mut tabled) = (Vec::new(), Vec::new());
+        let mut support = BatchSupport::build(
             self.adj,
             targets,
             &graph_flags,
             self.caps,
             batch_seed,
             |level, node| {
-                store.probe(level, node, |row| {
+                let hit = store.probe(level, node, |row| {
                     match (staging.get_mut(level - 1), widths.get(level - 1)) {
                         (Some(buf), Some(&w)) if row.len() == w => buf.extend_from_slice(row),
                         _ => {
                             torn.get_or_insert((level, row.len()));
                         }
                     }
-                })
+                });
+                if level != 1 {
+                    return hit;
+                }
+                if hit {
+                    hits.push(node);
+                } else if table_degree.is_some_and(|d| self.adj.degree(node) <= d) {
+                    tabled.push(node);
+                } else {
+                    return false;
+                }
+                true
             },
         );
+        if let Some(ls) = support.layers.first_mut() {
+            ls.stored = hits;
+        }
 
         // Trap NaN/Inf attribute rows at the engine boundary (before any
         // kernel consumes them) so a poisoned row degrades into a typed,
@@ -1056,6 +1185,7 @@ impl<'e, 'a> EngineCore<'e, 'a> {
             staged,
             aggregated,
             means_done,
+            tabled,
             bypass_store,
             fault,
             mem_bytes,
@@ -1071,7 +1201,7 @@ impl<'e, 'a> EngineCore<'e, 'a> {
     /// per-row body both stages run, whichever builds a row.
     fn layer_one_means(
         &self,
-        ls: &gcnp_sparse::LayerSupport,
+        ls: &LayerSupport,
         aggregated: &mut [Option<Matrix>],
         rows: Range<usize>,
     ) {
@@ -1083,41 +1213,50 @@ impl<'e, 'a> EngineCore<'e, 'a> {
         }
     }
 
-    /// Layer 1's `k = 0` branch `bi` for the `compute` nodes, read from
-    /// its table into `out`'s window at `col0`, or added to it under `add`.
-    /// Rows no earlier batch filled are computed first: one f32 GEMM over
-    /// just those nodes' rows, read in place — the pack and kernel a
-    /// per-batch transform runs, so each row is bitwise the one it would
-    /// write — then copied into the table and only then marked. Returns the
-    /// fill's MACs and bytes read (attribute rows and weights): zero for a
-    /// warm batch.
-    // audit: allow(no-fail-stop) — node ids come from BatchSupport over this graph and index tables of n_nodes rows; `out` has one row per computed node and holds the branch's window
-    fn read_self_table(
+    /// Fill the rows of `nodes` no earlier batch filled in each of layer 1's
+    /// `k = 0` tables, allocating a table on first touch: one f32 GEMM per
+    /// branch over just those nodes' attribute rows, read in place — the pack
+    /// and kernel a per-batch transform runs, so each row is bitwise the one
+    /// it would write — copied into the table and only then marked. `cost`
+    /// gains the fill's MACs and what it reads (attribute rows and the
+    /// branch's weights): nothing for a warm batch.
+    // audit: allow(no-fail-stop) — node ids come from BatchSupport over this graph and index tables of n_nodes rows
+    fn fill_self_tables(
         &self,
-        bi: usize,
-        branch: &Branch,
-        compute: &[usize],
-        table: &mut SelfTable,
-        (out, col0, add): (&mut Matrix, usize, bool),
+        nodes: [&[usize]; 2],
+        self_tables: &mut [SelfTable],
         pool: &mut ScratchPool,
-    ) -> (u64, usize) {
-        let width = branch.out_dim();
-        // Under `Mean` every branch product spans the whole row.
-        let col0 = if add { 0 } else { col0 };
+        cost: &mut Cost,
+    ) {
+        let Some(layer) = self.model.layers.first() else {
+            return;
+        };
         let n_nodes = self.adj.n_rows();
-        if table.filled.len() != n_nodes {
-            table.rows = vec![0.0; n_nodes * width];
-            table.filled = vec![false; n_nodes];
-        }
-        let SelfTable {
-            rows,
-            filled,
-            misses,
-        } = table;
-        misses.clear();
-        misses.extend(compute.iter().copied().filter(|&v| !filled[v]));
-        let mut cost = (0, 0);
-        if !misses.is_empty() {
+        for ((bi, branch), table) in layer.branches.iter().enumerate().zip(self_tables) {
+            if branch.k != 0 {
+                continue;
+            }
+            let width = branch.out_dim();
+            if table.filled.len() != n_nodes {
+                table.rows = vec![0.0; n_nodes * width];
+                table.filled = vec![false; n_nodes];
+            }
+            let SelfTable {
+                rows,
+                filled,
+                misses,
+            } = table;
+            misses.clear();
+            misses.extend(
+                nodes
+                    .iter()
+                    .flat_map(|g| g.iter())
+                    .copied()
+                    .filter(|&v| !filled[v]),
+            );
+            if misses.is_empty() {
+                continue;
+            }
             let mut fresh = pool.take_matrix(misses.len(), width);
             let pack = self.packed.layer_one_f32(bi);
             self.features
@@ -1131,29 +1270,143 @@ impl<'e, 'a> EngineCore<'e, 'a> {
             }
             pool.recycle(fresh);
             let n = misses.len();
-            cost = (
-                (n * branch.in_dim() * width) as u64,
-                (n * branch.in_dim() + branch.weight.len()) * 4,
-            );
+            cost.macs += (n * branch.in_dim() * width) as u64;
+            cost.mem_bytes += (n * branch.in_dim() + branch.weight.len()) * 4;
         }
-        for (i, &v) in compute.iter().enumerate() {
-            let src = &rows[v * width..(v + 1) * width];
-            let dst = &mut out.row_mut(i)[col0..col0 + width];
-            if add {
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    *d += s;
-                }
-            } else {
-                dst.copy_from_slice(src);
+    }
+
+    /// The tabled nodes no earlier batch filled in layer 1's output table
+    /// (allocated on first read), as the support layer 1 computes them over:
+    /// each node's whole adjacency row, the list expansion gives a node it
+    /// does not sample. `None` when every row is filled. Under
+    /// `strict-invariants` the attribute rows the fill reads — the nodes and
+    /// their neighbours, which `prepare` did not scan — are scanned here,
+    /// before any kernel consumes them or any row is written.
+    // audit: allow(no-fail-stop) — tabled nodes come from BatchSupport over this graph; the table holds n_nodes rows
+    fn level_one_misses(
+        &self,
+        tabled: &[usize],
+        table: &mut LevelOneTable,
+    ) -> ServingResult<Option<LayerSupport>> {
+        let Some(layer) = self.model.layers.first().filter(|_| !tabled.is_empty()) else {
+            return Ok(None);
+        };
+        let n_nodes = self.adj.n_rows();
+        if table.filled.len() != n_nodes {
+            table.rows = vec![0.0; n_nodes * layer.out_dim()];
+            table.filled = vec![false; n_nodes];
+            table.seen = vec![false; n_nodes];
+        }
+        let compute: Vec<usize> = tabled
+            .iter()
+            .copied()
+            .filter(|&v| !table.filled[v])
+            .collect();
+        if compute.is_empty() {
+            return Ok(None);
+        }
+        let mut neigh_indptr = Vec::with_capacity(compute.len() + 1);
+        let mut neigh_ids = Vec::new();
+        neigh_indptr.push(0);
+        for &v in &compute {
+            if layer.uses_graph() {
+                neigh_ids.extend(self.adj.row_indices(v).iter().map(|&u| u as usize));
+            }
+            neigh_indptr.push(neigh_ids.len());
+        }
+        if gcnp_tensor::check::enabled() {
+            for &v in compute.iter().chain(&neigh_ids) {
+                gcnp_tensor::check::assert_finite(
+                    "engine.features.finite",
+                    "level-0 feature rows",
+                    self.features.row(v),
+                )?;
             }
         }
-        cost
+        Ok(Some(LayerSupport {
+            layer: 1,
+            compute,
+            neigh_indptr,
+            neigh_ids,
+            stored: Vec::new(),
+        }))
+    }
+
+    /// Compute the rows of `fill` ([`EngineCore::level_one_misses`]) into
+    /// layer 1's output table with layer 1's own body
+    /// ([`EngineCore::layer_output`]), so each is bitwise the row computing
+    /// the node would give; mark each only after it is written, and return
+    /// how many were filled. `cost` gains the fill's MACs and bytes; a
+    /// projection row counts once per batch, so beside the batch's
+    /// `input_nodes` (whose rows prepare counted) only the new ones count.
+    #[allow(clippy::too_many_arguments)]
+    // audit: allow(no-fail-stop) — fill nodes, their neighbours and the input nodes are node ids of this graph; the table and marks hold n_nodes rows
+    fn fill_level_one(
+        &self,
+        fill: LayerSupport,
+        input_nodes: &[usize],
+        table: &mut LevelOneTable,
+        self_tables: &[SelfTable],
+        pool: &mut ScratchPool,
+        clock: &mut Option<StageClock>,
+        cost: &mut Cost,
+    ) -> ServingResult<usize> {
+        let Some(layer) = self.model.layers.first() else {
+            return Ok(0);
+        };
+        // The table rows it reads: its own `k = 0` rows, and the `k = 1`
+        // rows of the nodes among them and their neighbours that the batch's
+        // computed rows do not read.
+        let reads = || fill.compute.iter().chain(&fill.neigh_ids);
+        let seen = &mut table.seen;
+        for &v in input_nodes {
+            seen[v] = true;
+        }
+        let mut new_rows = 0;
+        for &v in reads() {
+            new_rows += usize::from(!seen[v]);
+            seen[v] = true;
+        }
+        for &v in input_nodes.iter().chain(reads()) {
+            seen[v] = false;
+        }
+        for branch in &layer.branches {
+            let rows = if branch.k == 0 {
+                fill.compute.len()
+            } else {
+                new_rows
+            };
+            cost.mem_bytes += rows * branch.out_dim() * 4;
+        }
+        let n = fill.compute.len();
+        let mut aggregated: Vec<Option<Matrix>> = layer
+            .branches
+            .iter()
+            .map(|b| (b.k == 1).then(|| pool.take_matrix(n, b.out_dim())))
+            .collect();
+        self.layer_one_means(&fill, &mut aggregated, 0..n);
+        lap(clock, Stage::Spmm);
+        let out = self.layer_output(1, &fill, None, &aggregated, self_tables, pool, clock, cost)?;
+        let width = out.cols();
+        for (i, &v) in fill.compute.iter().enumerate() {
+            table.rows[v * width..(v + 1) * width].copy_from_slice(out.row(i));
+            table.filled[v] = true;
+        }
+        pool.recycle(out);
+        for m in aggregated.into_iter().flatten() {
+            pool.recycle(m);
+        }
+        if let Some(m) = self.metrics {
+            m.l1_table_fill.add(n as u64);
+        }
+        Ok(n)
     }
 
     /// Back-end stage: transform, relabel, write back, and extract
     /// the target logits for a prepared batch. Layer 1's neighbour-branch
-    /// means arrive built, and its `k = 0` branch reads its table (filling
-    /// the rows no earlier batch did); hidden levels aggregate here.
+    /// means arrive built, its `k = 0` branch reads its table, and its tabled
+    /// rows come from its output table (each table filling the rows no
+    /// earlier batch did); hidden levels aggregate here.
     ///
     /// Buffers that originated in the front pool (the staged store reads,
     /// layer 1's neighbour-branch means) are pushed onto `spent` instead of
@@ -1179,15 +1432,19 @@ impl<'e, 'a> EngineCore<'e, 'a> {
     ) -> ServingResult<BatchResult> {
         let (bypass_store, fault, store_hits, t0) =
             (prep.bypass_store, prep.fault, prep.store_hits, prep.t0);
-        let mut mem_bytes = prep.mem_bytes;
         let PreparedBatch {
             support,
             staged,
             aggregated,
             means_done,
+            tabled: level_one_nodes,
             clock,
             ..
         } = prep;
+        let mut cost = Cost {
+            macs: 0,
+            mem_bytes: prep.mem_bytes,
+        };
         let store = if bypass_store {
             StoreView::None
         } else {
@@ -1211,10 +1468,10 @@ impl<'e, 'a> EngineCore<'e, 'a> {
             touched,
             pool,
             self_tables,
+            level_one,
         } = back.scratch;
         let relabel: &mut [u32] = relabel;
         let n_layers = self.model.layers.len();
-        let mut macs: u64 = 0;
         // Layer 1's neighbour means: the rows prepare handed off.
         if let Some(ls) = support.layers.first() {
             if *means_done < ls.compute.len() {
@@ -1231,104 +1488,52 @@ impl<'e, 'a> EngineCore<'e, 'a> {
 
         for li in 1..=n_layers {
             let ls = &support.layers[li - 1]; // audit: allow(no-fail-stop) — li ranges over 1..=n_layers and support has one entry per layer
-            let layer = &self.model.layers[li - 1]; // audit: allow(no-fail-stop) — same loop bound
-                                                    // --- compute branch outputs for ls.compute --------------------
-            if layer.branches.is_empty() && layer.combine == CombineMode::Mean {
-                return Err(ServingError::InvariantViolation {
-                    check: "engine.combine.branches",
-                    detail: format!("layer {li} has no branches to combine"),
-                });
-            }
-            // The combined output, out of the pool like every other
-            // intermediate. Under Concat each branch's product fills its own
-            // column window of it; under Mean the first product lands in it
-            // (at column 0) and the later ones are added to it in branch
-            // order.
-            let mut out = pool.take_matrix(ls.compute.len(), layer.out_dim());
-            let mut col0 = 0;
-            for (bi, branch) in layer.branches.iter().enumerate() {
-                let add = bi > 0 && layer.combine == CombineMode::Mean;
-                match (&level_mat, branch.k) {
-                    (None, 0) => {
-                        // Layer 1's self branch reads its table; only the
-                        // rows no earlier batch filled cost a transform.
-                        let table = self_tables.get_mut(bi).ok_or_else(|| {
-                            ServingError::InvariantViolation {
-                                check: "engine.self_table.branch",
-                                detail: format!("layer 1 branch {bi} has no table slot"),
-                            }
-                        })?;
-                        let window = (&mut out, col0, add);
-                        let (fill_macs, fill_bytes) =
-                            self.read_self_table(bi, branch, &ls.compute, table, window, pool);
-                        macs += fill_macs;
-                        mem_bytes += fill_bytes;
-                    }
-                    (None, _) => {
-                        // Layer 1's neighbour branch arrives as its product:
-                        // prepare took the mean of its projection table's
-                        // rows into a front-pool buffer. Adds only: one per
-                        // edge per table column.
-                        let mean = take_aggregated(aggregated, bi)?;
-                        macs += (ls.neigh_ids.len() * branch.out_dim()) as u64;
-                        if add {
-                            out.add_assign(&mean);
-                        } else {
-                            store_window(&mut out, col0, &mean);
-                        }
-                        spent.push(mean);
-                    }
-                    (Some(level), k) => {
-                        let src = RowSource {
-                            mat: level,
-                            relabel: Some(relabel),
-                        };
-                        // A `k = 0` branch builds no operand: its GEMM reads
-                        // the computed nodes' rows where they lie.
-                        let built = (k == 1).then(|| aggregate_mean(src, ls, pool));
-                        // Aggregation adds: one MAC-equivalent per edge per channel.
-                        if k == 1 {
-                            macs += (ls.neigh_ids.len() * branch.in_dim()) as u64;
-                        }
-                        macs += (ls.compute.len() * branch.in_dim() * branch.out_dim()) as u64;
-                        lap(clock, Stage::Spmm);
-                        // Pre-packed weights (no per-call operand pack).
-                        let operand = match &built {
-                            Some(m) => (m, None),
-                            None => (level, Some((src.relabel, ls.compute.as_slice()))),
-                        };
-                        if add {
-                            let mut prod = pool.take_matrix(ls.compute.len(), branch.out_dim());
-                            self.transform(li, bi, operand, &mut prod, 0, pool);
-                            out.add_assign(&prod);
-                            pool.recycle(prod);
-                        } else {
-                            self.transform(li, bi, operand, &mut out, col0, pool);
-                        }
-                        if let Some(m) = built {
-                            pool.recycle(m);
-                        }
-                    }
-                }
-                if !add {
-                    col0 += branch.out_dim();
-                }
+            let below = level_mat.as_ref().map(|mat| RowSource {
+                mat,
+                relabel: Some(&*relabel),
+            });
+            // Level 1's tabled nodes, and the ones among them no earlier
+            // batch filled: layer 1 computes those after the batch's own
+            // rows, with one `k = 0` table fill for both.
+            let tabled: &[usize] = if li == 1 { level_one_nodes } else { &[] };
+            let fill = self.level_one_misses(tabled, level_one)?;
+            if li == 1 {
+                let fill_nodes = fill.as_ref().map_or(&[][..], |f| &f.compute[..]);
+                self.fill_self_tables([&ls.compute, fill_nodes], self_tables, pool, &mut cost);
                 lap(clock, Stage::Gemm);
             }
-            if layer.combine == CombineMode::Mean {
-                out.scale_assign(1.0 / layer.branches.len() as f32);
-            }
-            out.bias_relu_assign(
-                layer.bias.as_ref().map(|b| b.row(0)),
-                layer.activation == gcnp_models::Activation::Relu,
-            );
-            mem_bytes += out.nbytes();
-            lap(clock, Stage::Gemm); // combine + bias + activation
+            let out = self.layer_output(
+                li,
+                ls,
+                below,
+                aggregated,
+                self_tables,
+                pool,
+                clock,
+                &mut cost,
+            )?;
+            let filled = match fill {
+                Some(fill) => {
+                    let input = &support.input_nodes;
+                    self.fill_level_one(
+                        fill,
+                        input,
+                        level_one,
+                        self_tables,
+                        pool,
+                        clock,
+                        &mut cost,
+                    )?
+                }
+                None => 0,
+            };
 
             // --- assemble the level-li feature table ----------------------
+            // Computed rows, then staged store rows, then tabled rows.
             let width = out.cols();
-            let n_rows = ls.compute.len() + ls.stored.len();
-            let mut mat = pool.take_matrix(n_rows, width);
+            let n_computed = ls.compute.len();
+            let staged_rows = n_computed..n_computed + ls.stored.len();
+            let mut mat = pool.take_matrix(staged_rows.end + tabled.len(), width);
             for v in touched.drain(..) {
                 relabel[v] = ABSENT; // audit: allow(no-fail-stop) — touched only ever holds ids previously checked against the graph
             }
@@ -1356,23 +1561,41 @@ impl<'e, 'a> EngineCore<'e, 'a> {
                     rows.cols()
                 );
                 for (j, &v) in ls.stored.iter().enumerate() {
-                    mat.row_mut(ls.compute.len() + j)
+                    mat.row_mut(staged_rows.start + j)
                         .copy_from_slice(rows.row(j));
-                    relabel[v] = (ls.compute.len() + j) as u32; // audit: allow(no-fail-stop) — stored nodes come from BatchSupport over this graph
+                    relabel[v] = (staged_rows.start + j) as u32; // audit: allow(no-fail-stop) — stored nodes come from BatchSupport over this graph
                     touched.push(v);
                 }
                 spent.push(rows);
             }
             lap(clock, Stage::StoreProbe);
+            if !tabled.is_empty() {
+                for (j, &v) in tabled.iter().enumerate() {
+                    // audit: allow(no-fail-stop) — tabled nodes come from BatchSupport over this graph, and fill_level_one sized the table to it at this width
+                    let row = &level_one.rows[v * width..(v + 1) * width];
+                    mat.row_mut(staged_rows.end + j).copy_from_slice(row);
+                    relabel[v] = (staged_rows.end + j) as u32; // audit: allow(no-fail-stop) — same
+                    touched.push(v);
+                }
+                // A row filled this batch was counted by its fill; a warm
+                // row is a copy.
+                let warm = tabled.len() - filled;
+                cost.mem_bytes += warm * width * 4;
+                if let Some(m) = self.metrics {
+                    m.l1_table_hit.add(warm as u64);
+                }
+                lap(clock, Stage::Relabel);
+            }
 
             // --- write-back policy (middle levels only) -------------------
+            // Every row but a store hit's: the computed and the tabled.
             if li < n_layers {
                 match self.policy {
                     StorePolicy::None => {}
                     StorePolicy::Roots => {
                         for &v in &support.targets {
                             let r = relabel[v]; // audit: allow(no-fail-stop) — targets were range-checked in prepare
-                            if r != ABSENT && (r as usize) < ls.compute.len() {
+                            if r != ABSENT && !staged_rows.contains(&(r as usize)) {
                                 store.put(li, v, mat.row(r as usize))?;
                             }
                         }
@@ -1380,6 +1603,9 @@ impl<'e, 'a> EngineCore<'e, 'a> {
                     StorePolicy::AllVisited => {
                         for (i, &v) in ls.compute.iter().enumerate() {
                             store.put(li, v, mat.row(i))?;
+                        }
+                        for (j, &v) in tabled.iter().enumerate() {
+                            store.put(li, v, mat.row(staged_rows.end + j))?;
                         }
                     }
                 }
@@ -1435,11 +1661,119 @@ impl<'e, 'a> EngineCore<'e, 'a> {
             logits,
             targets: support.targets.clone(),
             seconds,
-            macs,
-            mem_bytes,
+            macs: cost.macs,
+            mem_bytes: cost.mem_bytes,
             n_supporting: support.n_input_nodes(),
             store_hits,
         })
+    }
+
+    /// Layer `li`'s output rows for `ls.compute`: each branch's product into
+    /// its column window of one pooled matrix (under `Mean` the first product
+    /// lands at column 0 and the later ones are added in branch order), then
+    /// the combine's scale, the bias and the activation — the one per-row
+    /// body every computed row runs, a level-1 table fill's included.
+    /// `below` is the table of the level below; `None` is level 0, which
+    /// layer 1 reads through its tables: the `k = 0` table, and for each
+    /// `k = 1` branch the mean in `aggregated`.
+    #[allow(clippy::too_many_arguments)]
+    fn layer_output(
+        &self,
+        li: usize,
+        ls: &LayerSupport,
+        below: Option<RowSource<'_>>,
+        aggregated: &[Option<Matrix>],
+        self_tables: &[SelfTable],
+        pool: &mut ScratchPool,
+        clock: &mut Option<StageClock>,
+        cost: &mut Cost,
+    ) -> ServingResult<Matrix> {
+        let layer = &self.model.layers[li - 1]; // audit: allow(no-fail-stop) — callers pass 1 ≤ li ≤ n_layers
+        if layer.branches.is_empty() && layer.combine == CombineMode::Mean {
+            return Err(ServingError::InvariantViolation {
+                check: "engine.combine.branches",
+                detail: format!("layer {li} has no branches to combine"),
+            });
+        }
+        let mut out = pool.take_matrix(ls.compute.len(), layer.out_dim());
+        let mut col0 = 0;
+        for (bi, branch) in layer.branches.iter().enumerate() {
+            let add = bi > 0 && layer.combine == CombineMode::Mean;
+            match (below, branch.k) {
+                (None, 0) => {
+                    // Layer 1's self branch copies its table's rows, filled
+                    // for these nodes ([`EngineCore::fill_self_tables`]).
+                    let table =
+                        self_tables
+                            .get(bi)
+                            .ok_or_else(|| ServingError::InvariantViolation {
+                                check: "engine.self_table.branch",
+                                detail: format!("layer 1 branch {bi} has no table slot"),
+                            })?;
+                    read_self_rows(table, &ls.compute, branch.out_dim(), (&mut out, col0, add));
+                }
+                (None, _) => {
+                    // Layer 1's neighbour branch arrives as its product: the
+                    // mean of its projection table's rows. Adds only: one
+                    // per edge per table column.
+                    let mean = aggregated.get(bi).and_then(Option::as_ref).ok_or_else(|| {
+                        ServingError::InvariantViolation {
+                            check: "engine.aggregated.branch",
+                            detail: format!(
+                                "layer 1 branch {bi} aggregates but no product was built"
+                            ),
+                        }
+                    })?;
+                    cost.macs += (ls.neigh_ids.len() * branch.out_dim()) as u64;
+                    if add {
+                        out.add_assign(mean);
+                    } else {
+                        store_window(&mut out, col0, mean);
+                    }
+                }
+                (Some(src), k) => {
+                    // A `k = 0` branch builds no operand: its GEMM reads the
+                    // computed nodes' rows where they lie.
+                    let built = (k == 1).then(|| aggregate_mean(src, ls, pool));
+                    // Aggregation adds: one MAC-equivalent per edge per channel.
+                    if k == 1 {
+                        cost.macs += (ls.neigh_ids.len() * branch.in_dim()) as u64;
+                    }
+                    cost.macs += (ls.compute.len() * branch.in_dim() * branch.out_dim()) as u64;
+                    lap(clock, Stage::Spmm);
+                    // Pre-packed weights (no per-call operand pack).
+                    let operand = match &built {
+                        Some(m) => (m, None),
+                        None => (src.mat, Some((src.relabel, ls.compute.as_slice()))),
+                    };
+                    if add {
+                        let mut prod = pool.take_matrix(ls.compute.len(), branch.out_dim());
+                        self.transform(li, bi, operand, &mut prod, 0, pool);
+                        out.add_assign(&prod);
+                        pool.recycle(prod);
+                    } else {
+                        self.transform(li, bi, operand, &mut out, col0, pool);
+                    }
+                    if let Some(m) = built {
+                        pool.recycle(m);
+                    }
+                }
+            }
+            if !add {
+                col0 += branch.out_dim();
+            }
+            lap(clock, Stage::Gemm);
+        }
+        if layer.combine == CombineMode::Mean {
+            out.scale_assign(1.0 / layer.branches.len() as f32);
+        }
+        out.bias_relu_assign(
+            layer.bias.as_ref().map(|b| b.row(0)),
+            layer.activation == gcnp_models::Activation::Relu,
+        );
+        cost.mem_bytes += out.nbytes();
+        lap(clock, Stage::Gemm); // combine + bias + activation
+        Ok(out)
     }
 
     /// `out[..][col0 .. col0 + out_dim] = operand · W` for branch `bi` of layer
@@ -1488,6 +1822,13 @@ impl<'e, 'a> EngineCore<'e, 'a> {
     }
 }
 
+/// What a batch has run so far: its [`BatchResult::macs`] and
+/// [`BatchResult::mem_bytes`].
+struct Cost {
+    macs: u64,
+    mem_bytes: usize,
+}
+
 /// Where a layer's branches read their input rows: `mat`, reached through
 /// the per-batch `relabel` table (node id → row; `None` = `mat` is indexed
 /// by node id itself, i.e. one of layer 1's projection tables).
@@ -1512,16 +1853,29 @@ impl<'s> RowSource<'s> {
     }
 }
 
-/// Layer 1's neighbour-branch product for branch `bi`, out of the prepared
-/// batch.
-fn take_aggregated(aggregated: &mut [Option<Matrix>], bi: usize) -> ServingResult<Matrix> {
-    aggregated
-        .get_mut(bi)
-        .and_then(Option::take)
-        .ok_or_else(|| ServingError::InvariantViolation {
-            check: "engine.aggregated.branch",
-            detail: format!("layer 1 branch {bi} aggregates but prepare built no product"),
-        })
+/// Layer 1's `k = 0` rows of the `compute` nodes, `width` wide, from their
+/// filled `table` into `out`'s window at `col0`, or added to it under `add`
+/// (under `Mean` every branch product spans the whole row).
+// audit: allow(no-fail-stop) — node ids come from BatchSupport over this graph, their rows were filled for this batch, and `out` has one row per computed node and holds the branch's window
+fn read_self_rows(
+    table: &SelfTable,
+    compute: &[usize],
+    width: usize,
+    (out, col0, add): (&mut Matrix, usize, bool),
+) {
+    let col0 = if add { 0 } else { col0 };
+    for (i, &v) in compute.iter().enumerate() {
+        debug_assert!(table.filled[v], "node {v}'s k = 0 row is not filled");
+        let src = &table.rows[v * width..(v + 1) * width];
+        let dst = &mut out.row_mut(i)[col0..col0 + width];
+        if add {
+            for (d, &s) in dst.iter_mut().zip(src) {
+                *d += s;
+            }
+        } else {
+            dst.copy_from_slice(src);
+        }
+    }
 }
 
 /// `out[i][col0 .. col0 + part.cols()] = part[i]` for every row of `part`.
@@ -1575,11 +1929,7 @@ fn gather_selected(src: RowSource<'_>, nodes: &[usize], pool: &mut ScratchPool) 
 
 /// Mean-aggregate the (capped) neighbor rows of `src` for each computed
 /// node into a pooled buffer (see [`mean_rows`]).
-fn aggregate_mean(
-    src: RowSource<'_>,
-    ls: &gcnp_sparse::LayerSupport,
-    pool: &mut ScratchPool,
-) -> Matrix {
+fn aggregate_mean(src: RowSource<'_>, ls: &LayerSupport, pool: &mut ScratchPool) -> Matrix {
     let n = ls.compute.len();
     let mut out = pool.take_matrix(n, src.mat.cols());
     mean_rows(src, ls, &mut out, 0..n);
@@ -1593,12 +1943,7 @@ fn aggregate_mean(
 /// accumulates its neighbors in support order regardless of thread count or
 /// of the range it was built in, so results are bitwise identical across
 /// `GCNP_THREADS` settings and hand-off rows.
-fn mean_rows(
-    src: RowSource<'_>,
-    ls: &gcnp_sparse::LayerSupport,
-    out: &mut Matrix,
-    rows: Range<usize>,
-) {
+fn mean_rows(src: RowSource<'_>, ls: &LayerSupport, out: &mut Matrix, rows: Range<usize>) {
     let width = src.mat.cols();
     // audit: allow(no-fail-stop) — `out` holds one row per computed node and `rows` lies within them
     let part = &mut out.as_mut_slice()[rows.start * width..rows.end * width];
@@ -1757,8 +2102,11 @@ mod tests {
 
     #[test]
     fn store_reduces_supporting_nodes() {
+        // Every level-1 row computed: uncapped, the ring's rows would all be
+        // tabled, and a tabled node is not expanded either.
         let (adj, x, model) = setup();
         let mut plain = BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 0);
+        plain.untabled = true;
         let baseline = plain.infer(&[0, 1, 2]);
 
         let norm = adj.normalized(Normalization::Row);
@@ -1769,6 +2117,7 @@ mod tests {
         store.put_rows(1, &half, &hs[0].gather_rows(&half)).unwrap();
         let mut with_store =
             BatchedEngine::new(&model, &adj, &x, vec![], Some(&store), StorePolicy::None, 0);
+        with_store.untabled = true;
         let res = with_store.infer(&[0, 1, 2]);
         assert!(
             res.n_supporting < baseline.n_supporting,
@@ -2131,54 +2480,68 @@ mod tests {
 
     #[test]
     fn accounting_counts_what_layer_one_runs() {
-        // Ring of 30, targets {3, 4, 20}, no caps, no store: layer 1
-        // computes the 7 nodes within one hop over the 11 within two; layer
-        // 2 and the classifier compute the 3 targets. SAGE 6 → 8 → 8 → 4,
-        // each layer-1 and layer-2 branch 4 wide.
+        // Ring of 30, targets {3, 4, 20}, no caps, no store: level 1 needs
+        // the 7 nodes within one hop, over the 11 within two; layer 2 and
+        // the classifier compute the 3 targets. Every ring node has two
+        // neighbours, so layer 1 samples nothing and all 7 are tabled. Each
+        // model serves the batch cold, then once more warm, on an engine
+        // that computes every level-1 row and on one that reads them from
+        // layer 1's output table.
         let (adj, x, model) = setup();
         // SAGE 6 → 16 → 16 → 4: layer 1's branches are 8 wide, wider out
         // than in.
         let widening = zoo::graphsage(6, 16, 4, 7);
-        // Each model serves the batch cold, then once more warm.
-        let infer = |m: &GnnModel| {
+        let infer = |m: &GnnModel, untabled: bool| {
             let mut engine = BatchedEngine::new(m, &adj, &x, vec![], None, StorePolicy::None, 0);
+            engine.untabled = untabled;
             (engine.infer(&[3, 4, 20]), engine.infer(&[3, 4, 20]))
         };
-        let ((full, full_warm), (wide, wide_warm)) = (infer(&model), infer(&widening));
-        assert_eq!((full.n_supporting, wide.n_supporting), (11, 11));
-        // Every ring node has two neighbours. Layer 1: the k = 0 table's
-        // fill of the 7 computed rows (7 × 6 × 4) and one add per edge per
-        // table column (14 edges × 4); no transform of the k = 1 branch.
-        // Layer 2: k = 0 (3 × 8 × 4), k = 1 (6 edges × 8 + 3 × 8 × 4).
-        // Classifier: 3 × 8 × 4.
-        let fill = 7 * 6 * 4;
-        let macs = fill + 14 * 4 + 3 * 8 * 4 + 6 * 8 + 3 * 8 * 4 + 3 * 8 * 4;
-        assert_eq!(full.macs, macs as u64);
-        // Weights every batch transforms with (all 164 but the two 6 × 4
-        // layer-1 branches it reads tables for), the fill's 6 × 4 weights
-        // and 7 attribute rows × 6, the k = 0 branch's 7 table rows × 4, the
-        // k = 1 branch's 11 table rows × 4, and the three layer outputs.
-        let fill_floats = 6 * 4 + 7 * 6;
-        let floats = (164 - 2 * 6 * 4) + fill_floats + 7 * 4 + 11 * 4 + (7 * 8 + 3 * 8 + 3 * 4);
-        assert_eq!(model.n_weights(), 164);
-        assert_eq!(full.mem_bytes, floats * 4);
-        // A warm repeat fills nothing: no k = 0 transform, no attributes.
-        assert_eq!(full_warm.macs, (macs - fill) as u64);
-        assert_eq!(full_warm.mem_bytes, (floats - fill_floats) * 4);
-        // Wider out than in, the k = 1 branch still reads its table: 14
-        // edges × 8 table columns of adds and no transform. Layer 2: k = 0
-        // (3 × 16 × 8), k = 1 (6 edges × 16 + 3 × 16 × 8); classifier 3 ×
-        // 16 × 4. Of its 452 weights a batch reads all but layer 1's two
-        // 6 × 8 branches.
-        let fill = 7 * 6 * 8;
-        let macs = fill + 14 * 8 + 3 * 16 * 8 + 6 * 16 + 3 * 16 * 8 + 3 * 16 * 4;
-        assert_eq!(wide.macs, macs as u64);
-        let fill_floats = 6 * 8 + 7 * 6;
-        let floats = (452 - 2 * 6 * 8) + fill_floats + 7 * 8 + 11 * 8 + (7 * 16 + 3 * 16 + 3 * 4);
-        assert_eq!(widening.n_weights(), 452);
-        assert_eq!(wide.mem_bytes, floats * 4);
-        assert_eq!(wide_warm.macs, (macs - fill) as u64);
-        assert_eq!(wide_warm.mem_bytes, (floats - fill_floats) * 4);
+        // SAGE 6 → 8 → 8 → 4 (164 weights) has 4-wide layer-1 and layer-2
+        // branches, the widening one (452 weights) 8-wide; `h` is the width
+        // of levels 1 and 2.
+        for (m, w, n_weights) in [(&model, 4, 164), (&widening, 8, 452)] {
+            let h = 2 * w;
+            assert_eq!(m.n_weights(), n_weights);
+            // Layer 1: the k = 0 table's fill of the 7 rows (7 × 6 × w) and
+            // one add per edge per table column (14 edges × w); no transform
+            // of the k = 1 branch. Layer 2: k = 0 (3 × h × w), k = 1 (6 edges
+            // × h + 3 × h × w). Classifier: 3 × h × 4.
+            let fill = 7 * 6 * w;
+            let layer_one = fill + 14 * w;
+            let above = 3 * h * w + 6 * h + 3 * h * w + 3 * h * 4;
+            // Weights every batch transforms with (all but layer 1's two
+            // 6 × w branches); the fill's 6 × w weights and 7 attribute rows
+            // × 6; the k = 0 branch's 7 table rows × w and the k = 1
+            // branch's 11 × w; level 1's 7 rows; the two layer outputs above.
+            let weights = n_weights - 2 * 6 * w;
+            let fill_floats = 6 * w + 7 * 6;
+            let layer_one_floats = fill_floats + 7 * w + 11 * w + 7 * h;
+            let above_floats = 3 * h + 3 * 4;
+            let ((cold, warm), (tabled_cold, tabled_warm)) = (infer(m, true), infer(m, false));
+            // Cold, both engines run the same work: every tabled row is a
+            // fill, which runs layer 1's own body. The tabled engine's
+            // expansion reaches no level-0 node: it stops at level 1.
+            for res in [&cold, &tabled_cold] {
+                assert_eq!(res.macs, (layer_one + above) as u64);
+                assert_eq!(
+                    res.mem_bytes,
+                    (weights + layer_one_floats + above_floats) * 4
+                );
+            }
+            assert_eq!((cold.n_supporting, tabled_cold.n_supporting), (11, 0));
+            // A warm repeat that computes every row fills nothing: no k = 0
+            // transform, no attributes.
+            assert_eq!(warm.macs, (layer_one - fill + above) as u64);
+            assert_eq!(
+                warm.mem_bytes,
+                (weights + layer_one_floats - fill_floats + above_floats) * 4
+            );
+            // One that reads the table runs nothing on layer 1: it copies
+            // the 7 rows (7 × h floats) and reads no level-0 row.
+            assert_eq!(tabled_warm.n_supporting, 0);
+            assert_eq!(tabled_warm.macs, above as u64);
+            assert_eq!(tabled_warm.mem_bytes, (weights + 7 * h + above_floats) * 4);
+        }
     }
 
     #[test]
@@ -2492,6 +2855,8 @@ mod tests {
         store.put_rows(1, &odd, &hs[0].gather_rows(&odd)).unwrap();
         let mut engine =
             BatchedEngine::new(&model, &adj, &x, vec![], Some(&store), StorePolicy::None, 0);
+        // Every level-1 row computed, so layer 1 has a product to carry.
+        engine.untabled = true;
         let targets = [10usize, 12];
         engine.try_infer(&targets).unwrap();
         let steady = engine.front_pool.retained_bytes();
@@ -2745,8 +3110,14 @@ mod tests {
                 ("wider out than in", &widening),
                 ("added under Mean", &added),
             ] {
-                let engine =
-                    || BatchedEngine::new(model, &adj, &x, vec![], None, StorePolicy::None, 5);
+                // Every level-1 row computed: tabled rows would fill the
+                // `k = 0` table only through layer 1's output table.
+                let engine = || {
+                    let mut e =
+                        BatchedEngine::new(model, &adj, &x, vec![], None, StorePolicy::None, 5);
+                    e.untabled = true;
+                    e
+                };
                 let mut fresh = engine();
                 fresh.infer(half);
                 let half_computed = filled_rows(&fresh);
@@ -2810,6 +3181,9 @@ mod tests {
         let faults = plan.build().unwrap();
         let mut engine =
             BatchedEngine::new(&model, &adj, &x, vec![], Some(&store), StorePolicy::None, 0);
+        // Every level-1 row computed, so the failing execute below meets a
+        // computed node's fill.
+        engine.untabled = true;
         engine.set_faults(Arc::clone(&faults));
         for b in 0..10 {
             let targets = [(b * 3) % 30, (b * 7 + 1) % 30];
@@ -2929,7 +3303,8 @@ mod tests {
     fn one_store_lookup_per_needed_node() {
         // Expansion asks the store once per node a level needs, and that
         // one lookup stages the row: hits plus misses at each level are
-        // exactly the level's stored and computed nodes.
+        // exactly the level's stored and computed nodes — and at level 1 its
+        // tabled ones, misses that layer 1 aggregates without sampling.
         if !gcnp_obs::enabled() {
             return; // counters are no-ops in obs-off builds
         }
@@ -2951,9 +3326,12 @@ mod tests {
         let prep = core
             .prepare(&[3, 10, 17, 24], &mut front, HandOff::Never)
             .unwrap();
+        let tabled = [prep.tabled.len(), 0];
+        assert!(tabled[0] > 0, "the uncapped ring tables level 1's misses");
         let needed: Vec<(usize, usize)> = prep.support.layers[..2]
             .iter()
-            .map(|ls| (ls.stored.len(), ls.compute.len()))
+            .zip(tabled)
+            .map(|(ls, tabled)| (ls.stored.len(), ls.compute.len() + tabled))
             .collect();
         let res = core.execute(prep, &mut back, &mut Vec::new()).unwrap();
         let snap = registry.snapshot();
@@ -2977,5 +3355,152 @@ mod tests {
             res.store_hits,
             needed.iter().map(|&(s, _)| s).sum::<usize>()
         );
+    }
+
+    /// [`chords_and_an_isolated_node`] plus a hub: node 0 also links every
+    /// third node, so the spokes have degree 5 and node 0 has 23, every other
+    /// node of the ring 4, and node 59 none — both sides of a cap of 4.
+    fn chords_and_a_hub() -> CsrMatrix {
+        let chords = chords_and_an_isolated_node();
+        let n = chords.n_rows();
+        let mut edges: Vec<(u32, u32)> = (0..n)
+            .flat_map(|v| chords.row_indices(v).iter().map(move |&u| (v as u32, u)))
+            .collect();
+        for spoke in (3..n as u32 - 1).step_by(3) {
+            edges.push((0, spoke));
+            edges.push((spoke, 0));
+        }
+        CsrMatrix::adjacency(n, &edges)
+    }
+
+    /// Every stored row of `store`'s levels `1..=levels`, as bits.
+    fn stored_bits(store: &FeatureStore, levels: usize) -> Vec<Option<Vec<u32>>> {
+        let mut rows = Vec::new();
+        for level in 1..=levels {
+            for v in 0..store.n_nodes() {
+                let mut row = None;
+                store.probe(level, v, |r| {
+                    row = Some(r.iter().map(|x| x.to_bits()).collect())
+                });
+                rows.push(row);
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn tabled_rows_are_bitwise_the_computed_rows() {
+        // An engine that reads level-1 rows from layer 1's output table
+        // serves each batch of a cold, a half-warm and a warm pass with the
+        // logits and store hits of one that computes every row, bit for bit,
+        // and writes the same rows back. It expands fewer nodes; cold, every
+        // tabled row is a fill, and both run the same work.
+        let adj = chords_and_a_hub();
+        let n = adj.n_rows();
+        let x = Matrix::rand_uniform(n, 6, -1.0, 1.0, &mut seeded_rng(21));
+        let base = biased(zoo::graphsage(6, 8, 4, 7));
+        let mut rng = seeded_rng(31);
+        let relu = gcnp_models::Activation::Relu;
+        let classifier = |rng: &mut rand::rngs::StdRng| {
+            gcnp_models::BranchLayer::dense(
+                Matrix::glorot(8, 4, rng),
+                Some(Matrix::zeros(1, 4)),
+                gcnp_models::Activation::None,
+            )
+        };
+        let deep = biased(GnnModel::new(vec![
+            zoo::sage_layer(6, 8, relu, &mut rng),
+            zoo::sage_layer(8, 8, relu, &mut rng),
+            zoo::sage_layer(8, 8, relu, &mut rng),
+            classifier(&mut rng),
+        ]));
+        let dense_first = biased(GnnModel::new(vec![
+            gcnp_models::BranchLayer::dense(
+                Matrix::glorot(6, 8, &mut rng),
+                Some(Matrix::zeros(1, 8)),
+                relu,
+            ),
+            zoo::sage_layer(8, 8, relu, &mut rng),
+            classifier(&mut rng),
+        ]));
+        // Layer 1 samples the hub and its spokes, and nothing else.
+        let caps = vec![Some(4); 3];
+        let work: [&[usize]; 3] = [
+            &[3, 59, 20, 41, 7],
+            &[20, 22, 44, 9, 0],
+            &[3, 59, 20, 41, 7],
+        ];
+        let warm_targets: Vec<usize> = (0..n).step_by(2).collect();
+        for threads in [1, 4] {
+            gcnp_tensor::set_num_threads(threads);
+            for (name, model) in [
+                ("Concat", &base),
+                ("Mean combine", &mean_combine(&base)),
+                ("three graph layers", &deep),
+                ("dense first layer", &dense_first),
+            ] {
+                let levels = model.n_layers() - 1;
+                let mut probe =
+                    BatchedEngine::new(model, &adj, &x, caps.clone(), None, StorePolicy::None, 5);
+                let (core, mut front, _) = probe.split();
+                let prep = core.prepare(work[0], &mut front, HandOff::Never).unwrap();
+                let computed = prep.support.layers[0].compute.len();
+                assert!(!prep.tabled.is_empty(), "{name}: level 1 tables nodes");
+                assert_eq!(
+                    computed > 0,
+                    model.layers[0].uses_graph(),
+                    "{name}: and samples others"
+                );
+
+                let warm = FeatureStore::new(n, levels);
+                BatchedEngine::new(model, &adj, &x, vec![], Some(&warm), StorePolicy::Roots, 1)
+                    .infer(&warm_targets);
+                let roots = [FeatureStore::new(n, levels), FeatureStore::new(n, levels)];
+                for (store_name, stores, policy) in [
+                    ("no store", [None, None], StorePolicy::None),
+                    ("warm read-only store", [Some(&warm); 2], StorePolicy::None),
+                    (
+                        "roots write-through",
+                        [Some(&roots[0]), Some(&roots[1])],
+                        StorePolicy::Roots,
+                    ),
+                ] {
+                    let at = format!("{name}, {store_name}, {threads} threads");
+                    let [mut tabled, mut computed] = stores
+                        .map(|s| BatchedEngine::new(model, &adj, &x, caps.clone(), s, policy, 5));
+                    computed.untabled = true;
+                    let mut expanded = [0, 0];
+                    for (b, targets) in work.iter().enumerate() {
+                        let (got, want) = (tabled.infer(targets), computed.infer(targets));
+                        let at = format!("{at}, batch {b}");
+                        assert_eq!(logit_bits(&got.logits), logit_bits(&want.logits), "{at}");
+                        assert_eq!(got.store_hits, want.store_hits, "{at}");
+                        if b == 0 {
+                            let cost = |r: &BatchResult| (r.macs, r.mem_bytes);
+                            assert_eq!(
+                                cost(&got),
+                                cost(&want),
+                                "{at}: a cold batch runs the same work"
+                            );
+                        }
+                        expanded[0] += got.n_supporting;
+                        expanded[1] += want.n_supporting;
+                    }
+                    assert!(
+                        expanded[0] < expanded[1],
+                        "{at}: tabled nodes are not expanded"
+                    );
+                    let filled = tabled.back.level_one.filled.iter().filter(|&&f| f).count();
+                    assert!(filled > 0, "{at}: rows were tabled");
+                    assert!(computed.back.level_one.filled.is_empty(), "{at}");
+                    if policy == StorePolicy::Roots {
+                        let [a, b] = roots.each_ref().map(|s| stored_bits(s, levels));
+                        assert!(a.iter().any(Option::is_some), "{at}: rows were written");
+                        assert_eq!(a, b, "{at}: stored rows");
+                    }
+                }
+            }
+        }
+        gcnp_tensor::set_num_threads(0);
     }
 }

@@ -21,6 +21,9 @@
 //!   two branches read per-engine tables. A batch that meets layer-1 nodes
 //!   no earlier batch computed also fills the `k = 0` table, one more
 //!   `dense` dispatch in either precision (`branches − 1`);
+//! * `engine.l1_table.{hit|fill}` — level-1 rows read from layer 1's
+//!   output table (nodes whose layer-1 aggregation samples nothing): rows an
+//!   earlier batch filled, and rows this batch computed into it;
 //! * `serving.tier{i}.served` — requests served on ladder tier `i`;
 //! * `store.{hit|miss|evict|write}.l{level}` + `store.poison_recovered`;
 //! * `serving.*` — loop counters (shed, retries, recoveries, tier switches),
@@ -82,6 +85,12 @@ pub struct EngineMetrics {
     /// (`engine.dispatch.int8`) — every per-batch transform of a
     /// quantized-tier engine.
     pub dispatch_int8: Arc<Counter>,
+    /// Level-1 rows read from layer 1's output table that an earlier batch
+    /// filled (`engine.l1_table.hit`).
+    pub l1_table_hit: Arc<Counter>,
+    /// Level-1 rows a batch computed into that table on first read
+    /// (`engine.l1_table.fill`). `hit + fill` is the batch's tabled rows.
+    pub l1_table_fill: Arc<Counter>,
 }
 
 impl EngineMetrics {
@@ -101,6 +110,8 @@ impl EngineMetrics {
             scratch_resident: registry.gauge("scratch.resident_bytes"),
             dispatch_dense: registry.counter("engine.dispatch.dense"),
             dispatch_int8: registry.counter("engine.dispatch.int8"),
+            l1_table_hit: registry.counter("engine.l1_table.hit"),
+            l1_table_fill: registry.counter("engine.l1_table.fill"),
         })
     }
 

@@ -39,8 +39,9 @@ impl QuantizedGnn {
     /// Quantize a trained model's weights (biases stay f32 — they are tiny
     /// and added post-accumulation, as on real int8 accelerators).
     ///
-    /// Panics on NaN/inf weights under `strict-invariants`; see
-    /// [`QuantizedGnn::try_from_model`] for the fallible form.
+    /// Panics on a Jumping-Knowledge model, and on NaN/inf weights under
+    /// `strict-invariants`; see [`QuantizedGnn::try_from_model`] for the
+    /// fallible form.
     pub fn from_model(model: &GnnModel) -> Self {
         assert!(!model.jk, "QuantizedGnn: JK models not supported");
         let layers = model
@@ -67,9 +68,16 @@ impl QuantizedGnn {
     /// [`crate::ServingError::InvariantViolation`] instead of silently
     /// folding garbage into the quantization scales (a single NaN weight
     /// poisons its whole column's scale). No-op check without
-    /// `strict-invariants`.
+    /// `strict-invariants`. A Jumping-Knowledge model, which the int8
+    /// forward pass does not run, is refused the same way
+    /// (`quantize.jk`).
     pub fn try_from_model(model: &GnnModel) -> ServingResult<Self> {
-        assert!(!model.jk, "QuantizedGnn: JK models not supported");
+        if model.jk {
+            return Err(crate::ServingError::InvariantViolation {
+                check: "quantize.jk",
+                detail: "Jumping-Knowledge (JK) models are not supported".into(),
+            });
+        }
         let mut layers = Vec::with_capacity(model.layers.len());
         for l in &model.layers {
             let mut branches = Vec::with_capacity(l.branches.len());

@@ -37,8 +37,14 @@ fn isolated_target_in_connected_graph() {
     let res = engine.infer(&[4]);
     assert_eq!(res.logits.rows(), 1);
     assert!(res.logits.as_slice().iter().all(|v| v.is_finite()));
-    // Its supporting set is itself only.
-    assert_eq!(res.n_supporting, 1);
+    // An isolated node's layer-1 aggregation samples nothing, so its
+    // level-1 row is tabled: the batch expands no level-0 node, and the
+    // fill reads the target's own row only. Served again, the row is a
+    // copy and the logits are the same bits.
+    assert_eq!(res.n_supporting, 0);
+    let again = engine.infer(&[4]);
+    assert_eq!(again.logits.as_slice(), res.logits.as_slice());
+    assert!(again.macs < res.macs, "the warm row costs no fill");
 }
 
 #[test]

@@ -94,8 +94,8 @@ fn chord_graph(n: usize) -> CsrMatrix {
 }
 
 /// End-to-end: a supervised, fault-injected pipelined run exercises every
-/// instrumented site (stage queues, dispatch, rails, pending slots, pool,
-/// latches, fleet estimators, store stripes) with the tracker live — any
+/// instrumented site (the stage link, dispatch, pending slots, pool,
+/// latches, the fleet ledger, store stripes) with the tracker live — any
 /// inversion on a real path would panic the run.
 #[test]
 fn supervised_faulted_serving_runs_clean_under_the_tracker() {

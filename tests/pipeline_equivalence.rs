@@ -20,6 +20,20 @@ fn chord_graph(n: usize) -> CsrMatrix {
     CsrMatrix::adjacency(n, &e)
 }
 
+/// [`chord_graph`] plus a hub: node 0 also links every fourth node, so the
+/// spokes have degree 5, node 0 has `4 + n / 4 - 1` and every other node 4.
+fn chord_graph_with_hub(n: usize) -> CsrMatrix {
+    let chords = chord_graph(n);
+    let mut e: Vec<(u32, u32)> = (0..n)
+        .flat_map(|v| chords.row_indices(v).iter().map(move |&u| (v as u32, u)))
+        .collect();
+    for spoke in (4..n as u32).step_by(4) {
+        e.push((0, spoke));
+        e.push((spoke, 0));
+    }
+    CsrMatrix::adjacency(n, &e)
+}
+
 fn batches(n_nodes: usize, n_batches: usize, batch: usize, seed: u64) -> Vec<Vec<usize>> {
     let mut rng = seeded_rng(seed);
     (0..n_batches)
@@ -81,6 +95,9 @@ fn pipelined_outputs_are_bitwise_identical_across_configs() {
         BranchLayer::dense(Matrix::glorot(12, 4, &mut rng), None, Activation::None),
     ]);
     let one_layer = GnnModel::new(vec![zoo::sage_layer(8, 4, Activation::None, &mut rng)]);
+    // Caps of 4 on a graph with degrees 4 and 5: layer 1 samples the hub and
+    // its spokes and reads every other level-1 row from its output table.
+    let hub = chord_graph_with_hub(n);
 
     // Each config builds a fresh pair of identically-seeded engines (and
     // identically pre-warmed stores) and compares full outputs.
@@ -90,15 +107,17 @@ fn pipelined_outputs_are_bitwise_identical_across_configs() {
         StorePolicy,
         Vec<Option<usize>>,
         &'m GnnModel,
+        &'m CsrMatrix,
     );
     let configs: Vec<Cfg> = vec![
-        ("no store", None, StorePolicy::None, vec![], &model),
+        ("no store", None, StorePolicy::None, vec![], &model, &adj),
         (
             "write-through roots",
             Some(false),
             StorePolicy::Roots,
             vec![],
             &model,
+            &adj,
         ),
         (
             "warm read-only store",
@@ -106,6 +125,7 @@ fn pipelined_outputs_are_bitwise_identical_across_configs() {
             StorePolicy::None,
             vec![],
             &model,
+            &adj,
         ),
         (
             "fan-out caps",
@@ -113,6 +133,7 @@ fn pipelined_outputs_are_bitwise_identical_across_configs() {
             StorePolicy::None,
             vec![Some(6); 4],
             &model,
+            &adj,
         ),
         (
             "layer 1 wider out than in",
@@ -120,6 +141,7 @@ fn pipelined_outputs_are_bitwise_identical_across_configs() {
             StorePolicy::None,
             vec![Some(6); 4],
             &widening,
+            &adj,
         ),
         (
             "dense first layer",
@@ -127,6 +149,7 @@ fn pipelined_outputs_are_bitwise_identical_across_configs() {
             StorePolicy::None,
             vec![],
             &dense_first,
+            &adj,
         ),
         (
             "one layer, caps",
@@ -134,9 +157,34 @@ fn pipelined_outputs_are_bitwise_identical_across_configs() {
             StorePolicy::None,
             vec![Some(3)],
             &one_layer,
+            &adj,
+        ),
+        (
+            "caps sample some level-1 nodes",
+            None,
+            StorePolicy::None,
+            vec![Some(4); 4],
+            &model,
+            &hub,
+        ),
+        (
+            "caps sample some level-1 nodes, write-through roots",
+            Some(false),
+            StorePolicy::Roots,
+            vec![Some(4); 4],
+            &model,
+            &hub,
+        ),
+        (
+            "caps sample some level-1 nodes, warm read-only store",
+            Some(true),
+            StorePolicy::None,
+            vec![Some(4); 4],
+            &model,
+            &hub,
         ),
     ];
-    for (name, store_kind, policy, caps, model) in configs {
+    for (name, store_kind, policy, caps, model, adj) in configs {
         type Serve = fn(&mut BatchedEngine<'_>, &[Vec<usize>]) -> Vec<BatchResult>;
         let run = |serve: Serve| -> Vec<BatchResult> {
             let store = store_kind.map(|warm| {
@@ -144,15 +192,8 @@ fn pipelined_outputs_are_bitwise_identical_across_configs() {
                 if warm {
                     // Pre-warm by running the batches once with root
                     // write-backs, then serve read-only against it.
-                    let mut w = BatchedEngine::new(
-                        model,
-                        &adj,
-                        &x,
-                        vec![],
-                        Some(&s),
-                        StorePolicy::Roots,
-                        7,
-                    );
+                    let mut w =
+                        BatchedEngine::new(model, adj, &x, vec![], Some(&s), StorePolicy::Roots, 7);
                     for b in &work {
                         w.try_infer(b).unwrap();
                     }
@@ -160,7 +201,7 @@ fn pipelined_outputs_are_bitwise_identical_across_configs() {
                 s
             });
             let mut engine =
-                BatchedEngine::new(model, &adj, &x, caps.clone(), store.as_ref(), policy, 7);
+                BatchedEngine::new(model, adj, &x, caps.clone(), store.as_ref(), policy, 7);
             serve(&mut engine, &work)
         };
         let seq = run(try_infer_loop);

@@ -106,3 +106,29 @@ fn store_put_out_of_bounds_is_typed() {
         }
     ));
 }
+
+#[test]
+fn nan_row_read_only_by_a_table_fill_is_never_marked() {
+    // Uncapped on a ring, layer 1 samples nothing: every level-1 row is
+    // read from layer 1's output table, so the batch's expansion lists no
+    // level-0 node and the only reader of node 0's row is the fill of its
+    // neighbour 1's row. The fill scans the rows it reads before it writes
+    // one, so the batch fails typed; the row is not marked, so serving the
+    // same target again fails the same way, while a batch that reads no
+    // poisoned row still serves.
+    let n = 12;
+    let adj = ring(n);
+    let mut rng = gcnp_tensor::init::seeded_rng(13);
+    let model = zoo::graphsage(8, 8, 3, 13);
+    let mut x = Matrix::rand_uniform(n, 8, -1.0, 1.0, &mut rng);
+    x.set(0, 5, f32::NAN);
+    let mut engine = BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 13);
+    let fails = |engine: &mut BatchedEngine<'_>| match engine.try_infer(&[2]) {
+        Err(ServingError::InvariantViolation { check, .. }) => check,
+        other => panic!("expected InvariantViolation, got {other:?}"),
+    };
+    assert_eq!(fails(&mut engine), "engine.features.finite");
+    let far = engine.try_infer(&[7]).expect("rows 5..=9 are clean");
+    assert_eq!(far.n_supporting, 0, "every level-1 row is tabled");
+    assert_eq!(fails(&mut engine), "engine.features.finite");
+}
