@@ -63,11 +63,6 @@ impl Adam {
         self.cfg.lr
     }
 
-    /// Set the learning rate (schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.cfg.lr = lr;
-    }
-
     /// Apply one update. `params[i]` is updated with `grads[i]`; a `None`
     /// gradient skips that parameter (it may not appear in every graph).
     ///

@@ -6,8 +6,8 @@ use gcnp_core::{prune_model, PruneMethod, PrunerConfig, Scheme};
 use gcnp_datasets::{oversample, parse_spam_factor, Dataset, DatasetKind, Partition};
 use gcnp_infer::{
     format_stage_table, serve_multi, serve_sharded, serve_tiered, stage_breakdown, BatchedEngine,
-    EngineMetrics, FaultPlan, FeatureStore, FullEngine, LadderPolicy, Precision, QuantizedGnn,
-    ServingConfig, ServingResult, ShardedStore, StorePolicy,
+    EngineMetrics, FaultPlan, FeatureStore, FullEngine, LadderPolicy, QuantizedGnn, ServingConfig,
+    ServingResult, ShardedStore, StorePolicy,
 };
 use gcnp_models::{zoo, BranchLayer, GnnModel, Metrics, TrainConfig, Trainer};
 use gcnp_obs::MetricsRegistry;
@@ -16,35 +16,63 @@ use gcnp_tensor::Matrix;
 use std::fs;
 use std::sync::Arc;
 
-fn load_dataset(path: &str) -> Result<Dataset, String> {
+fn read_json<T: serde::de::DeserializeOwned>(path: &str, what: &str) -> Result<T, String> {
     let text = fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    serde_json::from_str(&text).map_err(|e| format!("parse dataset {path}: {e}"))
+    serde_json::from_str(&text).map_err(|e| format!("parse {what} {path}: {e}"))
 }
 
-fn load_model(path: &str) -> Result<GnnModel, String> {
-    let text = fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    serde_json::from_str(&text).map_err(|e| format!("parse model {path}: {e}"))
+fn load_dataset(path: &str) -> Result<Dataset, String> {
+    read_json(path, "dataset")
+}
+
+/// A model file, or with `quantized` a file `gcnp quantize` wrote,
+/// dequantized to f32 ([`QuantizedGnn::to_model`]) so that it runs exactly
+/// the code an f32 model file runs. A model with no layers is refused.
+fn load_model(path: &str, quantized: bool) -> Result<GnnModel, String> {
+    let model = if quantized {
+        read_json::<QuantizedGnn>(path, "quantized model")?
+            .to_model()
+            .map_err(|e| format!("model {path}: {e}"))?
+    } else {
+        read_json::<GnnModel>(path, "model")?
+    };
+    if model.layers.is_empty() {
+        return Err(format!("model {path} has no layers"));
+    }
+    Ok(model)
 }
 
 /// [`load_model`], refused unless its widths fit `data` ([`check_widths`]).
-fn load_model_for(path: &str, data: &Dataset) -> Result<GnnModel, String> {
-    let model = load_model(path)?;
+fn load_model_for(path: &str, quantized: bool, data: &Dataset) -> Result<GnnModel, String> {
+    let model = load_model(path, quantized)?;
     check_widths(&model.layers, model.jk, data.attr_dim())
         .map_err(|e| format!("model {path}: {e}"))?;
     Ok(model)
 }
 
-/// Refuse a Jumping-Knowledge model before a batched engine is built for
-/// it: the batched engine serves one level table at a time and has no JK
-/// classifier, which reads every earlier layer's output.
-fn refuse_jk(model: &GnnModel, path: &str) -> Result<(), String> {
-    match model.jk {
-        true => Err(format!(
+/// Refuse, before any batched engine is built, a model it cannot serve: a
+/// Jumping-Knowledge model (the engine serves one level table at a time
+/// and has no JK classifier, which reads every earlier layer's output), or
+/// a branch that aggregates more than one hop (the engine expands one hop
+/// per layer). Full-graph `eval` serves both.
+fn check_batchable(model: &GnnModel, path: &str) -> Result<(), String> {
+    if model.jk {
+        return Err(format!(
             "model {path}: Jumping-Knowledge (JK) models are not supported by the batched engine \
              (full-graph `eval` serves them)"
-        )),
-        false => Ok(()),
+        ));
     }
+    for (li, layer) in model.layers.iter().enumerate() {
+        if let Some((bi, b)) = layer.branches.iter().enumerate().find(|(_, b)| b.k > 1) {
+            return Err(format!(
+                "model {path}: layer {} branch {bi} aggregates k = {} hops, but the batched \
+                 engine serves k ≤ 1 only (full-graph `eval` serves it)",
+                li + 1,
+                b.k
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// A branch whose weight reads another number of channels than its layer
@@ -98,15 +126,6 @@ fn check_widths(layers: &[BranchLayer], jk: bool, attr_dim: usize) -> Result<(),
         fed = layer.out_dim();
     }
     Ok(())
-}
-
-/// A quantized model file read for its widths. [`QuantizedGnn`] keeps its
-/// layers private, but they serialise with an f32 layer's field names and
-/// each int8 weight with its `rows` and `cols`, so the file's layers parse
-/// as [`BranchLayer`]s whose shapes — not values — [`check_widths`] reads.
-#[derive(serde::Deserialize)]
-struct QuantizedShape {
-    layers: Vec<BranchLayer>,
 }
 
 fn save<T: serde::Serialize>(path: &str, value: &T) -> Result<(), String> {
@@ -195,7 +214,7 @@ pub fn prune(args: &Args) -> Result<String, String> {
         "data", "model", "budget", "scheme", "method", "seed", "retrain", "out",
     ])?;
     let data = load_dataset(args.require("data")?)?;
-    let model = load_model_for(args.require("model")?, &data)?;
+    let model = load_model_for(args.require("model")?, false, &data)?;
     let budget: f32 = args.get_or("budget", 0.25)?;
     let scheme = match args.get("scheme").unwrap_or("full") {
         "full" => Scheme::FullInference,
@@ -242,7 +261,7 @@ pub fn prune(args: &Args) -> Result<String, String> {
 pub fn quantize(args: &Args) -> Result<String, String> {
     args.only(&["model", "out"])?;
     let path = args.require("model")?;
-    let model = load_model(path)?;
+    let model = load_model(path, false)?;
     let out = args.require("out")?;
     let q = QuantizedGnn::try_from_model(&model).map_err(|e| format!("model {path}: {e}"))?;
     save(out, &q)?;
@@ -274,6 +293,9 @@ fn prewarm(
 
 /// `gcnp eval --data file --model file [--batched] [--store] [--batch n]
 ///  [--cap n] [--seed n] [--quantized]`
+///
+/// `--quantized` reads a file `gcnp quantize` wrote: it is dequantized at
+/// load and then evaluated like any model file, batched or not.
 pub fn eval(args: &Args) -> Result<String, String> {
     args.only(&[
         "data",
@@ -287,31 +309,23 @@ pub fn eval(args: &Args) -> Result<String, String> {
     ])?;
     let data = load_dataset(args.require("data")?)?;
     let model_path = args.require("model")?;
-    let adj = data.adj.normalized(Normalization::Row);
-    if args.has("quantized") {
-        let text = fs::read_to_string(model_path).map_err(|e| e.to_string())?;
-        let shape: QuantizedShape = serde_json::from_str(&text).map_err(|e| e.to_string())?;
-        check_widths(&shape.layers, false, data.attr_dim())
-            .map_err(|e| format!("model {model_path}: {e}"))?;
-        let q: QuantizedGnn = serde_json::from_str(&text).map_err(|e| e.to_string())?;
-        let logits = q.forward_full(Some(&adj), &data.features);
-        let f1 = Metrics::f1_micro_full(&logits, &data.labels, &data.test);
-        return Ok(format!("quantized full inference: test F1 {f1:.3}"));
-    }
-    let model = load_model_for(model_path, &data)?;
+    let quantized = args.has("quantized");
+    let model = load_model_for(model_path, quantized, &data)?;
+    let kind = if quantized { "quantized " } else { "" };
     if !args.has("batched") {
+        let adj = data.adj.normalized(Normalization::Row);
         let engine = FullEngine::new(&model, Some(&adj));
         let res = engine.run(&data.features, 1, 3);
         let f1 = Metrics::f1_micro_full(&res.logits, &data.labels, &data.test);
         return Ok(format!(
-            "full inference: test F1 {f1:.3}, {:.0} kMACs/node, {:.1} MB, {:.2} kN/s",
+            "{kind}full inference: test F1 {f1:.3}, {:.0} kMACs/node, {:.1} MB, {:.2} kN/s",
             res.kmacs_per_node,
             res.memory_bytes as f64 / 1e6,
             res.throughput / 1e3
         ));
     }
     // Batched path.
-    refuse_jk(&model, model_path)?;
+    check_batchable(&model, model_path)?;
     let store_holder = FeatureStore::new(data.n_nodes(), model.n_layers() - 1);
     let store = if args.has("store") {
         prewarm(&model, &data, |level, v, row| {
@@ -355,7 +369,7 @@ pub fn eval(args: &Args) -> Result<String, String> {
     lat.sort_by(f64::total_cmp);
     let median_ms = lat.get(lat.len() / 2).copied().unwrap_or(0.0);
     Ok(format!(
-        "batched inference (batch {batch}{}): test F1 {f1:.3}, {:.0} kMACs/target, median {:.1} ms/batch",
+        "{kind}batched inference (batch {batch}{}): test F1 {f1:.3}, {:.0} kMACs/target, median {:.1} ms/batch",
         if store.is_some() { ", w/ store" } else { "" },
         macs as f64 / data.test.len() as f64 / 1e3,
         median_ms
@@ -399,14 +413,13 @@ fn write_metrics(path: &str, registry: &Arc<MetricsRegistry>) -> Result<String, 
 /// `f` ms is stolen and requeued, and its stage pair respawned.
 ///
 /// `--ladder` (one worker, no shards) serves through a full → pruned-2x →
-/// pruned-4x → quantized ladder via `serve_tiered`, one engine per tier
-/// (the bottom rung re-runs the 4x-pruned weights through the int8 kernel,
-/// ≈16x smaller weight memory than the full model); with `--store` each
-/// tier reads its own store, pre-warmed from its own model. `--shards n` (n > 1,
-/// exclusive with `--workers`) hash-partitions the graph (plus two greedy
-/// edge-cut refinement passes), gives each shard its own feature-store
-/// slice and worker, and routes every request to its target's owner shard
-/// via `serve_sharded`; `--store` pre-warm rows go to their owner shards.
+/// pruned-4x ladder via `serve_tiered`, one f32 engine per tier; with
+/// `--store` each tier reads its own store, pre-warmed from its own model.
+/// `--shards n` (n > 1, exclusive with `--workers`) hash-partitions the
+/// graph (plus two greedy edge-cut refinement passes), gives each shard
+/// its own feature-store slice and worker, and routes every request to its
+/// target's owner shard via `serve_sharded`; `--store` pre-warm rows go to
+/// their owner shards.
 ///
 /// `--metrics-out file` attaches a `gcnp-obs` registry to the engines and
 /// store, writes the end-of-run snapshot as JSON to `file` and Prometheus
@@ -458,8 +471,8 @@ pub fn serve(args: &Args) -> Result<String, String> {
     }
     let data = load_dataset(args.require("data")?)?;
     let model_path = args.require("model")?;
-    let model = load_model_for(model_path, &data)?;
-    refuse_jk(&model, model_path)?;
+    let model = load_model_for(model_path, false, &data)?;
+    check_batchable(&model, model_path)?;
     let seed: u64 = args.get_or("seed", 0)?;
     let cfg = ServingConfig {
         arrival_rate: args.get_or("rate", 500.0)?,
@@ -499,14 +512,10 @@ pub fn serve(args: &Args) -> Result<String, String> {
     } else {
         vec![]
     };
-    // Engine specs: the fleet's replicas, or the ladder's f32 rungs and then
-    // the quantized floor — the heaviest-pruned model's weights re-run as
-    // int8, compounding the 4x channel pruning with 4x weight compression.
-    let mut specs: Vec<(&GnnModel, Precision)> = vec![(&model, Precision::F32); n_fleet];
-    specs.extend(tier_models.iter().map(|m| (m, Precision::F32)));
-    if ladder {
-        specs.push((tier_models.last().unwrap_or(&model), Precision::Int8));
-    }
+    // The model each engine serves: the fleet's replicas, then the ladder's
+    // pruned tiers.
+    let mut specs: Vec<&GnnModel> = vec![&model; n_fleet];
+    specs.extend(&tier_models);
 
     // The stores: one per shard behind a partition, or one the fleet's
     // replicas share. Stored rows are one model's features, so each ladder
@@ -534,7 +543,7 @@ pub fn serve(args: &Args) -> Result<String, String> {
         if let Some(s) = &sharded {
             prewarm(&model, &data, |level, v, row| s.put(level, v, row))?;
         }
-        for (s, (m, _)) in singles.iter().zip(&specs) {
+        for (s, m) in singles.iter().zip(&specs) {
             prewarm(m, &data, |level, v, row| s.put(level, v, row))?;
         }
         StorePolicy::Roots
@@ -553,23 +562,17 @@ pub fn serve(args: &Args) -> Result<String, String> {
     let mut engines: Vec<BatchedEngine<'_>> = specs
         .into_iter()
         .enumerate()
-        .map(|(k, (m, precision))| {
+        .map(|(k, m)| {
             let caps = vec![None, Some(32)];
             // Fleet replicas sample with distinct seeds; ladder rungs share one.
             let seed = if n_fleet > 1 { seed ^ k as u64 } else { seed };
             let (adj, x) = (&data.adj, &data.features);
             let mut e = match &sharded {
                 Some(s) => BatchedEngine::new_sharded(m, adj, x, caps, s, k, policy, seed),
-                None => BatchedEngine::new_with_precision(
-                    m,
-                    adj,
-                    x,
-                    caps,
-                    singles.get(if ladder { k } else { 0 }),
-                    policy,
-                    seed,
-                    precision,
-                ),
+                None => {
+                    let store = singles.get(if ladder { k } else { 0 });
+                    BatchedEngine::new(m, adj, x, caps, store, policy, seed)
+                }
             };
             if let Some(inj) = &faults {
                 e.set_faults(Arc::clone(inj));
@@ -670,6 +673,16 @@ mod tests {
         Args::parse(s.split_whitespace().map(String::from)).unwrap()
     }
 
+    /// `json` with the first `key` array (of numbers) cut to its first
+    /// `keep` entries.
+    fn cut_first_array(json: &str, key: &str, keep: usize) -> String {
+        let tag = format!("\"{key}\":[");
+        let open = json.find(&tag).unwrap() + tag.len();
+        let close = open + json[open..].find(']').unwrap();
+        let kept: Vec<&str> = json[open..close].split(',').take(keep).collect();
+        format!("{}{}{}", &json[..open], kept.join(","), &json[close..])
+    }
+
     #[test]
     fn pipeline_generate_train_prune_eval_serve() {
         let dir = std::env::temp_dir().join("gcnp_cli_test");
@@ -708,7 +721,13 @@ mod tests {
         let msg = run(&parse(&format!("quantize --model {p} --out {q}"))).unwrap();
         assert!(msg.contains("int8"));
         let msg = run(&parse(&format!("eval --data {d} --model {q} --quantized"))).unwrap();
-        assert!(msg.contains("quantized"));
+        assert!(msg.contains("quantized full inference: test F1"), "{msg}");
+        let msg = run(&parse(&format!(
+            "eval --data {d} --model {q} --quantized --batched --store"
+        )))
+        .unwrap();
+        assert!(msg.contains("quantized batched inference"), "{msg}");
+        assert!(msg.contains("w/ store"), "{msg}");
 
         let mx = dir.join("metrics.json").display().to_string();
         let msg = run(&parse(&format!(
@@ -795,7 +814,13 @@ mod tests {
             "serve --data {d} --model {m} --requests 60 --rate 20000 --max-batch 8 --ladder"
         )))
         .unwrap();
-        assert!(msg.contains("ladder traffic"), "{msg}");
+        // Three f32 tiers: the full model, then 2x- and 4x-pruned.
+        assert!(msg.contains("on 3 ladder tiers"), "{msg}");
+        let traffic = msg
+            .split("ladder traffic [")
+            .nth(1)
+            .and_then(|t| t.split(']').next());
+        assert_eq!(traffic.map(|t| t.split(", ").count()), Some(3), "{msg}");
         // Under overload with a store, the pruned tiers serve too: each
         // reads rows of its own width, so no batch fails on a store row
         // the full model wrote.
@@ -929,12 +954,14 @@ mod tests {
             let err = run(&parse(&format!("{name} --data {d} --model {m} {rest}"))).unwrap_err();
             assert!(err.contains(&want), "{cmd}: {err}");
         }
-        // The int8 path reads the same widths from its own file, instead of
-        // panicking inside its GEMM.
+        // A quantized file is dequantized at load and checked like any
+        // model file, batched or not.
         let q = format!("{m}.int8");
         run(&parse(&format!("quantize --model {m} --out {q}"))).unwrap();
-        let err = run(&parse(&format!("eval --data {d} --model {q} --quantized"))).unwrap_err();
-        assert!(err.contains(&want), "eval --quantized: {err}");
+        for flags in ["--quantized", "--quantized --batched"] {
+            let err = run(&parse(&format!("eval --data {d} --model {q} {flags}"))).unwrap_err();
+            assert!(err.contains(&want), "eval {flags}: {err}");
+        }
         // Each later layer must read what the one before it emits.
         let mut inner = zoo::graphsage(attr_dim, 16, 2, 1);
         let b = &mut inner.layers[1].branches[0];
@@ -961,6 +988,60 @@ mod tests {
         ] {
             let err = run(&parse(&cmd)).unwrap_err();
             assert!(err.contains("Jumping-Knowledge (JK)"), "{cmd}: {err}");
+        }
+        // A branch aggregating two hops: full inference serves it; the
+        // batched engine, which expands one hop per layer, is never built
+        // for it.
+        let mut two_hop = zoo::graphsage(attr_dim, 16, 2, 1);
+        two_hop.layers[0].branches[1].k = 2;
+        let k2 = format!("{m}.k2");
+        save(&k2, &two_hop).unwrap();
+        let msg = run(&parse(&format!("eval --data {d} --model {k2}"))).unwrap();
+        assert!(msg.contains("full inference"), "{msg}");
+        for cmd in ["eval --batched", "serve --requests 50"] {
+            let (name, rest) = cmd.split_once(' ').unwrap();
+            let err = run(&parse(&format!("{name} --data {d} --model {k2} {rest}"))).unwrap_err();
+            assert!(
+                err.contains("layer 1 branch 1 aggregates k = 2 hops"),
+                "{cmd}: {err}"
+            );
+        }
+        // A model without layers is refused by name by every command that
+        // loads one, and a quantized file without layers too.
+        let e = format!("{m}.empty");
+        save(&e, &GnnModel::new(vec![])).unwrap();
+        for cmd in [
+            format!("eval --data {d} --model {e}"),
+            format!("eval --data {d} --model {e} --batched"),
+            format!("serve --data {d} --model {e} --requests 50"),
+            format!("quantize --model {e} --out {e}.int8"),
+        ] {
+            let err = run(&parse(&cmd)).unwrap_err();
+            assert!(
+                err.contains(&format!("model {e} has no layers")),
+                "{cmd}: {err}"
+            );
+        }
+        assert!(!std::path::Path::new(&format!("{e}.int8")).exists());
+        fs::write(&e, r#"{"layers":[]}"#).unwrap();
+        let err = run(&parse(&format!("eval --data {d} --model {e} --quantized"))).unwrap_err();
+        assert!(err.contains("the model has no layers"), "{err}");
+        // A quantized weight whose values or scales were cut short is
+        // refused by layer and branch instead of panicking or serving.
+        let good = zoo::graphsage(attr_dim, 16, 2, 1);
+        save(&m, &good).unwrap();
+        run(&parse(&format!("quantize --model {m} --out {q}"))).unwrap();
+        let text = fs::read_to_string(&q).unwrap();
+        for (key, keep, what) in [
+            ("data", 10, "carries 10 values"),
+            ("scales", 2, "and 2 scales"),
+        ] {
+            fs::write(&q, cut_first_array(&text, key, keep)).unwrap();
+            let err = run(&parse(&format!("eval --data {d} --model {q} --quantized"))).unwrap_err();
+            assert!(
+                err.contains("layer 1 branch 0: a ") && err.contains(what),
+                "{key}: {err}"
+            );
         }
         std::fs::remove_dir_all(&dir).ok();
         assert!(run(&parse("generate --dataset nope --out /tmp/x.json")).is_err());

@@ -18,10 +18,11 @@ COMMANDS
             [--method lasso|maxres|random] [--retrain] --out <file>
             LASSO channel pruning (the paper's method)
   quantize  --model <file> --out <file>
-            freeze weights to int8 for edge deployment
+            freeze weights to an int8 file for edge deployment
   eval      --data <file> --model <file> [--batched [--store] [--batch n]]
             [--quantized]
             test-set F1 + cost metrics under either inference scenario
+            (--quantized: the model is a quantize file, dequantized at load)
   serve     --data <file> --model <file> [--rate f] [--requests n]
             [--max-batch n] [--max-wait-ms f] [--store] [--workers n]
             [--deadline-ms f] [--queue-cap n] [--retry-cap n] [--shards n]
@@ -34,8 +35,8 @@ COMMANDS
             in real time; --watchdog-ms: steal and requeue a batch busy
             longer than this, respawning its stage pair;
             --deadline-ms/--queue-cap: shed stale or over-capacity requests;
-            --ladder (one worker): degrade through pruned model tiers under
-            load; --faults e.g. \"panics=3,stragglers=5,horizon=40,seed=7\":
+            --ladder (one worker): degrade through full, 2x- and 4x-pruned
+            model tiers under load; --faults e.g. \"panics=3,stragglers=5,horizon=40,seed=7\":
             deterministic chaos)
 ";
 

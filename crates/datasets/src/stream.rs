@@ -164,11 +164,6 @@ impl GrowingGraph {
         &self.adj
     }
 
-    /// Directed edges accreted so far.
-    pub fn n_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     pub fn n_nodes(&self) -> usize {
         self.n_nodes
     }

@@ -23,7 +23,8 @@
 //! it lies — the product is the gather — and under `Concat` every branch's
 //! GEMM stores into its own column window of the layer's combined output —
 //! the product is the concatenation. (`gather_selected` builds an operand
-//! only where a kernel needs one as a tensor: the int8 tier.)
+//! only where a kernel needs one as a tensor: the int8 precision, which
+//! serves nothing and stays for the benchmark's traced replay.)
 //!
 //! Level 0 is the static attribute matrix, so `mean(X_N)·W = mean((X·W)_N)`
 //! and `X·W` does not depend on the batch: each `k = 1` branch of layer 1
@@ -160,13 +161,15 @@ use crate::metrics::EngineMetrics;
 use crate::shard::ShardedStore;
 use crate::store::FeatureStore;
 
-/// Numeric precision an engine runs its branch transforms in.
+/// Numeric precision an engine runs its branch transforms in. Every engine
+/// the product serves is `F32`; `Int8` stays only because the benchmark's
+/// traced replay (`benchmark/src/adapter.rs`, `Replayer::new`) builds an
+/// int8 engine to price the `qgemm` kernel, and goes with that replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Precision {
     /// f32 blocked GEMM.
     F32,
-    /// Blocked int8 GEMM over per-column-quantized packed weights — the
-    /// degradation ladder's cheapest rung.
+    /// Blocked int8 GEMM over per-column-quantized packed weights.
     Int8,
 }
 
@@ -174,18 +177,12 @@ pub enum Precision {
 pub(crate) enum WeightPacks<'m> {
     F32(PackedModel<'m>),
     /// The int8 packs, and an f32 pack of every layer-1 branch: layer 1's
-    /// tables are f32 in every precision.
+    /// tables are f32 in every precision. Only the benchmark's traced
+    /// replay builds it (see [`Precision`]).
     Int8(QuantPackedModel<'m>, Vec<PackedB>),
 }
 
 impl WeightPacks<'_> {
-    fn precision(&self) -> Precision {
-        match self {
-            WeightPacks::F32(_) => Precision::F32,
-            WeightPacks::Int8(..) => Precision::Int8,
-        }
-    }
-
     /// The f32 pack of layer 1's branch `bi`, which that branch's table is
     /// built on whatever the engine's precision.
     fn layer_one_f32(&self, bi: usize) -> &PackedB {
@@ -666,7 +663,7 @@ pub(crate) struct BackStage<'e> {
 
 impl<'a> BatchedEngine<'a> {
     /// Create an f32 engine. `store = None` disables the hidden-feature
-    /// reuse. See [`BatchedEngine::new_with_precision`] for the int8 tier.
+    /// reuse.
     ///
     /// Every constructor packs the weights and builds, for each `k = 1`
     /// branch of layer 1, its projection table `features · W` — a one-time
@@ -739,7 +736,8 @@ impl<'a> BatchedEngine<'a> {
     /// Create an engine whose branch transforms run in the given
     /// [`Precision`]: `F32` packs the weights for the blocked f32 GEMM,
     /// `Int8` quantizes them per column and packs for the blocked int8
-    /// kernel — the degradation ladder's `quantized` rung.
+    /// kernel. The product serves f32 only ([`BatchedEngine::new`]); this
+    /// constructor stays for the benchmark's traced replay.
     #[allow(clippy::too_many_arguments)]
     pub fn new_with_precision(
         model: &'a GnnModel,
@@ -792,8 +790,8 @@ impl<'a> BatchedEngine<'a> {
             ),
         };
         // Layer 1's neighbour branches are transformed here, in f32
-        // whatever the precision (the int8 rung quantizes per-batch
-        // transforms only), so batches aggregate their products.
+        // whatever the precision (int8 quantizes per-batch transforms
+        // only), so batches aggregate their products.
         let projections = layer_one
             .iter()
             .enumerate()
@@ -846,11 +844,6 @@ impl<'a> BatchedEngine<'a> {
     /// The attached metrics bundle, if any.
     pub fn metrics(&self) -> Option<&Arc<EngineMetrics>> {
         self.metrics.as_ref()
-    }
-
-    /// The numeric precision the branch transforms run in.
-    pub fn precision(&self) -> Precision {
-        self.packed.precision()
     }
 
     /// Split the engine into the shared read-only core plus the disjoint
@@ -1918,7 +1911,8 @@ fn projection_table(src: &Matrix, pack: &PackedB) -> Matrix {
     table
 }
 
-/// Gather the rows of `nodes` from `src`.
+/// Gather the rows of `nodes` from `src`: the int8 kernel's operand, so it
+/// stays as long as [`Precision::Int8`] does.
 fn gather_selected(src: RowSource<'_>, nodes: &[usize], pool: &mut ScratchPool) -> Matrix {
     let mut out = pool.take_matrix(nodes.len(), src.mat.cols());
     for (i, &v) in nodes.iter().enumerate() {
@@ -2981,8 +2975,6 @@ mod tests {
             0,
             Precision::Int8,
         );
-        assert_eq!(f32e.precision(), Precision::F32);
-        assert_eq!(q8e.precision(), Precision::Int8);
         let targets = vec![4usize, 17, 25];
         let a = f32e.infer(&targets);
         let b = q8e.infer(&targets);
@@ -3058,7 +3050,7 @@ mod tests {
         assert_eq!(metrics.dispatch_dense.get(), 2 * warm + 2);
     }
 
-    /// f32 only: the int8 tier quantizes each operand as one tensor, so its
+    /// f32 only: the int8 precision quantizes each operand as one tensor, so its
     /// logits depend on the batch by design.
     #[test]
     fn f32_logits_do_not_depend_on_batch_mates() {

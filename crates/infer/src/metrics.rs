@@ -16,7 +16,8 @@
 //!   wall clock rather than tiling it;
 //! * `engine.batch.seconds` / `engine.batch.size` / `engine.batches`;
 //! * `engine.dispatch.{dense|int8}` — branch transforms run on the f32 /
-//!   int8 kernel (one of the two per engine, fixed by its `Precision`). A
+//!   int8 kernel (one of the two per engine, fixed at construction; only
+//!   the benchmark's traced replay builds an int8 engine). A
 //!   warm batch of a GraphSAGE model dispatches `branches − 2`: layer 1's
 //!   two branches read per-engine tables. A batch that meets layer-1 nodes
 //!   no earlier batch computed also fills the `k = 0` table, one more

@@ -1,16 +1,15 @@
-//! Int8 quantized inference (the paper's §5 edge-device motivation).
+//! Int8 model files (the paper's §5 edge-device motivation).
 //!
 //! [`QuantizedGnn`] freezes a trained (possibly pruned) [`GnnModel`] into
-//! per-column int8 weights and runs full inference with i32-accumulated
-//! GEMMs. Aggregation (`Ã·H`) stays in f32 — on a real accelerator it is
-//! bandwidth-bound and benefits from the pruned feature width rather than
-//! weight quantization. Pruning and quantization compose: 4× pruning × 4×
-//! weight compression ≈ 16× smaller weight memory.
+//! per-column int8 weights: the format `gcnp quantize` writes. It is a
+//! storage format, not a serving precision: [`QuantizedGnn::to_model`]
+//! dequantizes it into a [`GnnModel`] at load, and that model runs exactly
+//! the code an f32 model file runs. Pruning and quantization compose in the
+//! file: 4× pruning × 4× weight compression ≈ 16× smaller weights.
 
-use crate::error::ServingResult;
-use gcnp_models::{Activation, CombineMode, GnnModel};
-use gcnp_sparse::CsrMatrix;
-use gcnp_tensor::{qgemm_packed_into, Matrix, QuantMatrix, QuantPackedB};
+use crate::error::{ServingError, ServingResult};
+use gcnp_models::{Activation, Branch, BranchLayer, CombineMode, GnnModel};
+use gcnp_tensor::{Matrix, QuantMatrix};
 use serde::{Deserialize, Serialize};
 
 /// One quantized branch: its aggregation order and int8 weights.
@@ -29,7 +28,7 @@ struct QuantLayer {
     activation: Activation,
 }
 
-/// A frozen int8 inference model.
+/// A model frozen to int8 weights.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct QuantizedGnn {
     layers: Vec<QuantLayer>,
@@ -39,41 +38,15 @@ impl QuantizedGnn {
     /// Quantize a trained model's weights (biases stay f32 — they are tiny
     /// and added post-accumulation, as on real int8 accelerators).
     ///
-    /// Panics on a Jumping-Knowledge model, and on NaN/inf weights under
-    /// `strict-invariants`; see [`QuantizedGnn::try_from_model`] for the
-    /// fallible form.
-    pub fn from_model(model: &GnnModel) -> Self {
-        assert!(!model.jk, "QuantizedGnn: JK models not supported");
-        let layers = model
-            .layers
-            .iter()
-            .map(|l| QuantLayer {
-                branches: l
-                    .branches
-                    .iter()
-                    .map(|b| QuantBranch {
-                        k: b.k,
-                        weight: QuantMatrix::quantize(&b.weight),
-                    })
-                    .collect(),
-                bias: l.bias.clone(),
-                combine: l.combine,
-                activation: l.activation,
-            })
-            .collect();
-        Self { layers }
-    }
-
-    /// [`QuantizedGnn::from_model`], netting NaN/inf weights into a typed
-    /// [`crate::ServingError::InvariantViolation`] instead of silently
-    /// folding garbage into the quantization scales (a single NaN weight
-    /// poisons its whole column's scale). No-op check without
-    /// `strict-invariants`. A Jumping-Knowledge model, which the int8
-    /// forward pass does not run, is refused the same way
-    /// (`quantize.jk`).
+    /// NaN/inf weights are refused as a typed
+    /// [`ServingError::InvariantViolation`] instead of silently folding
+    /// garbage into the quantization scales (a single NaN weight poisons
+    /// its whole column's scale); a no-op check without
+    /// `strict-invariants`. A Jumping-Knowledge model, which the file
+    /// format cannot describe, is refused the same way (`quantize.jk`).
     pub fn try_from_model(model: &GnnModel) -> ServingResult<Self> {
         if model.jk {
-            return Err(crate::ServingError::InvariantViolation {
+            return Err(ServingError::InvariantViolation {
                 check: "quantize.jk",
                 detail: "Jumping-Knowledge (JK) models are not supported".into(),
             });
@@ -102,7 +75,7 @@ impl QuantizedGnn {
         self.layers.len()
     }
 
-    /// Total weight bytes (≈ ¼ of the f32 model).
+    /// Total weight bytes (≈ ¼ of the f32 model): §5's footprint number.
     pub fn weight_bytes(&self) -> usize {
         self.layers
             .iter()
@@ -113,60 +86,49 @@ impl QuantizedGnn {
             .sum()
     }
 
-    /// Full inference with blocked int8 GEMMs: each branch's stored
-    /// [`QuantMatrix`] is repacked into the panel layout once per call and
-    /// run through [`qgemm_packed_into`] (bitwise identical to the naive
-    /// `qmatmul` reference — same quantization grid, exact integer
-    /// accumulation, shared dequant).
-    pub fn forward_full(&self, adj: Option<&CsrMatrix>, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
-        for layer in &self.layers {
-            let max_k = layer.branches.iter().map(|b| b.k).max().unwrap_or(0);
-            assert!(max_k == 0 || adj.is_some(), "graph layer needs adjacency");
-            let mut powers: Vec<Matrix> = vec![h.clone()];
-            for _ in 0..max_k {
-                let next = adj.unwrap().spmm(powers.last().unwrap());
-                powers.push(next);
-            }
-            let parts: Vec<Matrix> = layer
-                .branches
-                .iter()
-                .map(|b| {
-                    let pb = QuantPackedB::from_quant(&b.weight);
-                    let z = &powers[b.k];
-                    let mut out = Matrix::zeros(z.rows(), pb.n());
-                    qgemm_packed_into(z, &pb, &mut out);
-                    out
-                })
-                .collect();
-            let refs: Vec<&Matrix> = parts.iter().collect();
-            let mut out = match layer.combine {
-                CombineMode::Concat => Matrix::concat_cols_all(&refs),
-                CombineMode::Mean => {
-                    let mut acc = parts[0].clone();
-                    for p in &parts[1..] {
-                        acc.add_assign(p);
-                    }
-                    acc.scale(1.0 / parts.len() as f32)
-                }
-            };
-            if let Some(b) = &layer.bias {
-                out = out.add_row_vector(b.row(0));
-            }
-            h = match layer.activation {
-                Activation::Relu => out.relu(),
-                Activation::None => out,
-            };
+    /// Load the file as an f32 [`GnnModel`]: each weight dequantized, each
+    /// bias, combine mode and activation as stored, no Jumping Knowledge.
+    ///
+    /// Refuses a model with no layers (`quantize.layers`), and a weight
+    /// whose values are not `rows × cols` or whose scales are not `cols`
+    /// (`quant.shape`), naming the layer (1-based) and the branch.
+    pub fn to_model(&self) -> ServingResult<GnnModel> {
+        if self.layers.is_empty() {
+            return Err(ServingError::InvariantViolation {
+                check: "quantize.layers",
+                detail: "the model has no layers".into(),
+            });
         }
-        h
+        let mut layers = Vec::with_capacity(self.layers.len());
+        for (li, l) in self.layers.iter().enumerate() {
+            let mut branches = Vec::with_capacity(l.branches.len());
+            for (bi, b) in l.branches.iter().enumerate() {
+                let weight =
+                    b.weight
+                        .dequantize()
+                        .map_err(|e| ServingError::InvariantViolation {
+                            check: e.check,
+                            detail: format!("layer {} branch {bi}: {}", li + 1, e.detail),
+                        })?;
+                branches.push(Branch::new(b.k, weight));
+            }
+            layers.push(BranchLayer {
+                branches,
+                bias: l.bias.clone(),
+                combine: l.combine,
+                activation: l.activation,
+            });
+        }
+        Ok(GnnModel::new(layers))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FullEngine;
     use gcnp_models::zoo;
-    use gcnp_sparse::Normalization;
+    use gcnp_sparse::{CsrMatrix, Normalization};
     use gcnp_tensor::init::seeded_rng;
 
     fn setup() -> (CsrMatrix, Matrix, GnnModel) {
@@ -180,12 +142,21 @@ mod tests {
         (adj, x, zoo::graphsage(8, 8, 3, 2))
     }
 
+    /// The logits a quantized file serves: dequantized at load, then the
+    /// full-graph engine an f32 model file runs on.
+    fn dequantized_logits(model: &GnnModel, adj: &CsrMatrix, x: &Matrix) -> Matrix {
+        let loaded = QuantizedGnn::try_from_model(model)
+            .unwrap()
+            .to_model()
+            .unwrap();
+        FullEngine::new(&loaded, Some(adj)).logits(x)
+    }
+
     #[test]
     fn quantized_tracks_f32_logits() {
         let (adj, x, model) = setup();
         let exact = model.forward_full(Some(&adj), &x);
-        let q = QuantizedGnn::from_model(&model);
-        let approx = q.forward_full(Some(&adj), &x);
+        let approx = dequantized_logits(&model, &adj, &x);
         let scale = exact.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
         assert!(
             exact.max_abs_diff(&approx) < 0.1 * scale,
@@ -199,8 +170,7 @@ mod tests {
     fn quantized_predictions_mostly_agree() {
         let (adj, x, model) = setup();
         let exact = model.forward_full(Some(&adj), &x).argmax_rows();
-        let q = QuantizedGnn::from_model(&model);
-        let approx = q.forward_full(Some(&adj), &x).argmax_rows();
+        let approx = dequantized_logits(&model, &adj, &x).argmax_rows();
         let agree = exact.iter().zip(&approx).filter(|(a, b)| a == b).count();
         assert!(agree >= 28, "only {agree}/30 predictions agree");
     }
@@ -208,7 +178,7 @@ mod tests {
     #[test]
     fn weight_memory_shrinks_4x() {
         let (_, _, model) = setup();
-        let q = QuantizedGnn::from_model(&model);
+        let q = QuantizedGnn::try_from_model(&model).unwrap();
         let f32_bytes = model.n_weights() * 4;
         assert!(
             q.weight_bytes() < f32_bytes / 2,
@@ -219,13 +189,40 @@ mod tests {
     }
 
     #[test]
-    fn try_from_model_accepts_finite_weights() {
-        let (adj, x, model) = setup();
-        let q = QuantizedGnn::try_from_model(&model).unwrap();
-        // The fallible path quantizes onto the same grid as `from_model`.
-        let a = QuantizedGnn::from_model(&model).forward_full(Some(&adj), &x);
-        let b = q.forward_full(Some(&adj), &x);
-        assert_eq!(a.as_slice(), b.as_slice());
+    fn to_model_keeps_all_but_the_weight_bits() {
+        let (_, _, model) = setup();
+        let loaded = QuantizedGnn::try_from_model(&model)
+            .unwrap()
+            .to_model()
+            .unwrap();
+        assert!(!loaded.jk);
+        assert_eq!(loaded.layers.len(), model.layers.len());
+        for (l, m) in loaded.layers.iter().zip(&model.layers) {
+            assert_eq!(l.bias, m.bias);
+            assert_eq!(l.combine, m.combine);
+            assert_eq!(l.activation, m.activation);
+            for (b, mb) in l.branches.iter().zip(&m.branches) {
+                assert_eq!(b.k, mb.k);
+                // Within half a quantization step of the f32 weight.
+                let step = mb
+                    .weight
+                    .as_slice()
+                    .iter()
+                    .fold(0f32, |a, v| a.max(v.abs()))
+                    / 127.0;
+                assert!(b.weight.max_abs_diff(&mb.weight) <= step / 2.0 + 1e-6);
+            }
+        }
+    }
+
+    #[test]
+    fn to_model_refuses_a_model_without_layers() {
+        let empty = QuantizedGnn::try_from_model(&GnnModel::new(vec![])).unwrap();
+        let err = empty.to_model().unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invariant `quantize.layers` violated: the model has no layers"
+        );
     }
 
     #[cfg(feature = "strict-invariants")]
@@ -252,8 +249,7 @@ mod tests {
         };
         let scheme = gcnp_core::Scheme::BatchedInference;
         let (pruned, _) = gcnp_core::prune_model(&model, &adj, &x, 0.5, scheme, &cfg);
-        let q = QuantizedGnn::from_model(&pruned);
-        let out = q.forward_full(Some(&adj), &x);
+        let out = dequantized_logits(&pruned, &adj, &x);
         assert_eq!(out.shape(), (30, 3));
         assert!(out.as_slice().iter().all(|v| v.is_finite()));
     }

@@ -1042,7 +1042,7 @@ pub fn serve_sharded(
 /// Serving through a degradation ladder — the fleet executor under `Ladder`
 /// routing, one worker per tier: `tiers[0]` is the full model and each
 /// later entry a successively heavier-pruned engine (e.g. built with
-/// `gcnp_core::prune_model`, or a quantized floor). Each sealed window goes
+/// `gcnp_core::prune_model`). Each sealed window goes
 /// whole to the tier [`LadderPolicy`] picks from the admitted queue depth
 /// and is projected with that tier's own compute estimate. Per-tier served
 /// counts in [`MultiServingReport::group_served`] make the accuracy cost of
@@ -1086,8 +1086,8 @@ fn run_fleet(
     let mut fleet = Fleet::new(cfg, registry.map(ServingMetrics::new), per_group, n_groups);
     if let (Routing::Ladder(_), Some(reg)) = (routing, registry) {
         // Per-tier served counters: the rung-level view of the ladder, so
-        // operators can see how much traffic ran pruned or quantized
-        // without parsing a report.
+        // operators can see how much traffic ran pruned without parsing a
+        // report.
         for (i, group) in fleet.groups.iter_mut().enumerate() {
             group.served_ctr = Some(reg.counter(&format!("serving.tier{i}.served")));
         }
@@ -1757,75 +1757,6 @@ mod tests {
             "overload serves on the cheapest tier, the drained tail one tier up"
         );
         assert_eq!(rep.tier_switches, 2, "one multi-step down, one step up");
-    }
-
-    #[test]
-    fn quantized_rung_engages_under_overload() {
-        // Same pre-arrived overload as above, but the ladder now bottoms out
-        // in the int8 tier (full → … → quantized). The first ladder check
-        // multi-steps straight onto the quantized rung, which absorbs the
-        // overload; the drained tail serves one rung up. Per-tier serving
-        // counters and the engine's int8 dispatch counter must both see it.
-        let (adj, x) = setup();
-        let model = zoo::graphsage(8, 8, 3, 2);
-        let pool: Vec<usize> = (0..100).collect();
-        let cfg = ServingConfig {
-            arrival_rate: 1e6,
-            max_batch: 64,
-            n_requests: 520,
-            seed: 1,
-            ..Default::default()
-        };
-        let ladder = LadderPolicy {
-            step_down_depth: 64,
-            step_up_depth: 8,
-            min_dwell: 4,
-        };
-        let registry = std::sync::Arc::new(gcnp_obs::MetricsRegistry::new());
-        let mut tiers: Vec<BatchedEngine<'_>> = (0..4)
-            .map(|w| {
-                let precision = if w == 3 {
-                    crate::Precision::Int8
-                } else {
-                    crate::Precision::F32
-                };
-                let mut e = BatchedEngine::new_with_precision(
-                    &model,
-                    &adj,
-                    &x,
-                    vec![],
-                    None,
-                    StorePolicy::None,
-                    w as u64,
-                    precision,
-                );
-                e.set_metrics(crate::EngineMetrics::new(&registry));
-                e
-            })
-            .collect();
-        assert_eq!(tiers[3].precision(), crate::Precision::Int8);
-        let rep = serve_tiered(&mut tiers, &pool, &cfg, &ladder).unwrap();
-        assert_eq!(rep.served, 520);
-        assert_eq!(
-            rep.group_served,
-            vec![0, 0, 8, 512],
-            "the quantized rung absorbs the overload, the tail drains one rung up"
-        );
-        assert_eq!(rep.tier_switches, 2);
-        if gcnp_obs::enabled() {
-            let snap = registry.snapshot();
-            for (i, &served) in rep.group_served.iter().enumerate() {
-                assert_eq!(
-                    snap.counters[&format!("serving.tier{i}.served")] as usize,
-                    served,
-                    "per-tier counter {i} must match the report"
-                );
-            }
-            assert!(
-                snap.counters["engine.dispatch.int8"] > 0,
-                "int8 kernel dispatch must be visible in metrics"
-            );
-        }
     }
 
     #[test]

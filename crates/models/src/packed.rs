@@ -112,8 +112,10 @@ impl<'m> PackedModel<'m> {
 }
 
 /// A [`GnnModel`] with every branch weight quantized to int8 and packed for
-/// the blocked quantized GEMM — the weight cache behind the serving ladder's
-/// `quantized` tier; weights occupy ≈¼ of the f32 pack.
+/// the blocked quantized GEMM; weights occupy ≈¼ of the f32 pack. Nothing
+/// the product serves runs it: it stays because the benchmark's traced
+/// replay (`benchmark/src/adapter.rs`: `Replayer::new`, `model_gemms`) is
+/// its one caller, through the batched engine's int8 precision.
 pub struct QuantPackedModel<'m> {
     model: &'m GnnModel,
     /// `packs[layer][branch]`, parallel to `model.layers[..].branches[..]`.

@@ -1,9 +1,12 @@
 //! Symmetric per-column int8 quantization and the blocked int8 GEMM.
 //!
 //! The paper motivates pruned models with "energy-efficient devices like
-//! mobile processors and FPGA" (§5). On such targets inference runs in
-//! int8; this module provides the quantized GEMM path the `gcnp-infer`
-//! engines use for the quantized serving tier: weights are quantized per
+//! mobile processors and FPGA" (§5). [`QuantMatrix`] is the storage
+//! format of `gcnp quantize`'s model files, which load by
+//! [`QuantMatrix::dequantize`] and then serve in f32. Nothing the product
+//! serves runs the int8 GEMM below: its one caller outside this crate's
+//! tests is the benchmark's traced replay (`benchmark/src/adapter.rs`),
+//! through the batched engine's int8 precision. Weights are quantized per
 //! output column (symmetric, zero-point 0), activations per tensor,
 //! products accumulate in integers and dequantize back to f32.
 //!
@@ -187,8 +190,24 @@ impl QuantMatrix {
         self.cols
     }
 
-    /// Dequantize back to f32 (testing / fallback).
-    pub fn dequantize(&self) -> Matrix {
+    /// Dequantize back to f32: how a quantized model file is loaded.
+    /// Refuses (`quant.shape`) a matrix whose values are not `rows × cols`
+    /// or whose scales are not `cols` — shapes quantizing never makes, but
+    /// a deserialized file can carry.
+    pub fn dequantize(&self) -> Result<Matrix, CheckError> {
+        let values = self.rows.checked_mul(self.cols);
+        if values != Some(self.data.len()) || self.scales.len() != self.cols {
+            return Err(CheckError {
+                check: "quant.shape",
+                detail: format!(
+                    "a {} × {} weight carries {} values and {} scales",
+                    self.rows,
+                    self.cols,
+                    self.data.len(),
+                    self.scales.len()
+                ),
+            });
+        }
         let mut out = Matrix::zeros(self.rows, self.cols);
         for r in 0..self.rows {
             let row = out.row_mut(r);
@@ -197,7 +216,7 @@ impl QuantMatrix {
                 *v = q as f32 * s;
             }
         }
-        out
+        Ok(out)
     }
 
     /// Heap bytes (4× smaller than the f32 original, plus scales).
@@ -644,9 +663,32 @@ mod tests {
     fn quantize_dequantize_small_error() {
         let m = Matrix::rand_uniform(20, 10, -2.0, 2.0, &mut seeded_rng(1));
         let q = QuantMatrix::quantize(&m);
-        let back = q.dequantize();
+        let back = q.dequantize().unwrap();
         // Max error is one quantization step = scale ≈ 2/127.
         assert!(m.max_abs_diff(&back) <= 2.0 / 127.0 + 1e-6);
+    }
+
+    #[test]
+    fn dequantize_refuses_a_malformed_shape() {
+        let q = QuantMatrix::quantize(&Matrix::filled(4, 3, 0.5));
+        let short_data = QuantMatrix {
+            data: q.data[..10].to_vec(),
+            ..q.clone()
+        };
+        let short_scales = QuantMatrix {
+            scales: q.scales[..2].to_vec(),
+            ..q.clone()
+        };
+        for (bad, detail) in [
+            (short_data, "a 4 × 3 weight carries 10 values and 3 scales"),
+            (
+                short_scales,
+                "a 4 × 3 weight carries 12 values and 2 scales",
+            ),
+        ] {
+            let err = bad.dequantize().unwrap_err();
+            assert_eq!((err.check, err.detail.as_str()), ("quant.shape", detail));
+        }
     }
 
     #[test]
@@ -669,7 +711,7 @@ mod tests {
     fn zero_matrix_quantizes_cleanly() {
         let z = Matrix::zeros(4, 4);
         let q = QuantMatrix::quantize(&z);
-        assert_eq!(q.dequantize(), z);
+        assert_eq!(q.dequantize().unwrap(), z);
         let x = Matrix::filled(2, 4, 1.0);
         assert_eq!(qmatmul(&x, &q), Matrix::zeros(2, 4));
     }
@@ -691,7 +733,7 @@ mod tests {
         m.set(0, 0, 1270.0);
         m.set(1, 0, 0.4);
         let q = QuantMatrix::quantize(&m);
-        let back = q.dequantize();
+        let back = q.dequantize().unwrap();
         assert!((back.get(0, 0) - 1270.0).abs() < 1e-3);
         assert!(back.get(1, 0).abs() <= 10.0); // one step = 10
     }

@@ -52,12 +52,14 @@ fn main() {
             .unwrap();
     }
 
-    // Int8 weight quantization composes with pruning for edge deployment.
-    let quant = gcnp_infer::QuantizedGnn::from_model(&pruned);
-    let qlogits = quant.forward_full(Some(&adj), &data.features);
+    // Int8 weight quantization composes with pruning in the model file
+    // shipped to the device, which dequantizes it at load.
+    let quant = gcnp_infer::QuantizedGnn::try_from_model(&pruned).expect("finite weights");
+    let loaded = quant.to_model().expect("a well-formed quantized model");
+    let qlogits = FullEngine::new(&loaded, Some(&adj)).logits(&data.features);
     let qf1 = Metrics::f1_micro_full(&qlogits, &data.labels, &data.test);
     println!(
-        "int8 8x model: test F1 {:.3}, weights {:.2} MB (f32 reference {:.2} MB)",
+        "int8 8x model file: test F1 {:.3}, weights {:.2} MB (f32 reference {:.2} MB)",
         qf1,
         quant.weight_bytes() as f64 / 1e6,
         model.n_weights() as f64 * 4.0 / 1e6
