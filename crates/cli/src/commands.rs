@@ -27,7 +27,9 @@ fn load_dataset(path: &str) -> Result<Dataset, String> {
 
 /// A model file, or with `quantized` a file `gcnp quantize` wrote,
 /// dequantized to f32 ([`QuantizedGnn::to_model`]) so that it runs exactly
-/// the code an f32 model file runs. A model with no layers is refused.
+/// the code an f32 model file runs. Refused by name: a model with no layers,
+/// a branch weight whose values are not `rows × cols`, and a bias that is
+/// not `1 × ` its layer's output width.
 fn load_model(path: &str, quantized: bool) -> Result<GnnModel, String> {
     let model = if quantized {
         read_json::<QuantizedGnn>(path, "quantized model")?
@@ -38,6 +40,34 @@ fn load_model(path: &str, quantized: bool) -> Result<GnnModel, String> {
     };
     if model.layers.is_empty() {
         return Err(format!("model {path} has no layers"));
+    }
+    for (li, layer) in model.layers.iter().enumerate() {
+        for (bi, w) in layer.branches.iter().map(|b| &b.weight).enumerate() {
+            if w.rows().checked_mul(w.cols()) != Some(w.len()) {
+                return Err(format!(
+                    "model {path}: layer {} branch {bi}: a {} × {} weight carries {} values",
+                    li + 1,
+                    w.rows(),
+                    w.cols(),
+                    w.len()
+                ));
+            }
+        }
+        let out = layer.out_dim();
+        if let Some(b) = layer
+            .bias
+            .as_ref()
+            .filter(|b| (b.rows(), b.cols(), b.len()) != (1, out, out))
+        {
+            return Err(format!(
+                "model {path}: layer {}'s bias is {} × {} with {} values, but the layer \
+                 outputs {out} channels",
+                li + 1,
+                b.rows(),
+                b.cols(),
+                b.len()
+            ));
+        }
     }
     Ok(model)
 }
@@ -1042,6 +1072,40 @@ mod tests {
                 err.contains("layer 1 branch 0: a ") && err.contains(what),
                 "{key}: {err}"
             );
+        }
+        // So is an f32 weight cut short, and a bias narrower than its
+        // layer's output, by every command that runs the model (they
+        // panicked in a kernel, or served on with a dead worker).
+        save(&m, &good).unwrap();
+        let text = fs::read_to_string(&m).unwrap();
+        fs::write(&m, cut_first_array(&text, "data", 10)).unwrap();
+        let w = &good.layers[0].branches[0].weight;
+        let out = good.layers[0].out_dim();
+        let mut narrow_bias = good.clone();
+        let keep: Vec<usize> = (0..out - 2).collect();
+        narrow_bias.layers[0].bias = Some(Matrix::zeros(1, out).select_cols(&keep));
+        let nb = format!("{m}.bias");
+        save(&nb, &narrow_bias).unwrap();
+        let (rows, cols, narrow) = (w.rows(), w.cols(), out - 2);
+        for (file, want) in [
+            (
+                &m,
+                format!("layer 1 branch 0: a {rows} × {cols} weight carries 10 values"),
+            ),
+            (
+                &nb,
+                format!(
+                    "layer 1's bias is 1 × {narrow} with {narrow} values, but the layer \
+                     outputs {out} channels"
+                ),
+            ),
+        ] {
+            for cmd in ["eval", "eval --batched", "serve --requests 50"] {
+                let (name, rest) = cmd.split_once(' ').unwrap_or((cmd, ""));
+                let err =
+                    run(&parse(&format!("{name} --data {d} --model {file} {rest}"))).unwrap_err();
+                assert!(err.contains(&want), "{cmd} {file}: {err}");
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
         assert!(run(&parse("generate --dataset nope --out /tmp/x.json")).is_err());

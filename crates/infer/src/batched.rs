@@ -6,19 +6,23 @@
 //! over the (possibly capped) neighbor sample, matching GraphSAGE's `D⁻¹A`
 //! semantics when uncapped; each aggregated row is one
 //! [`gcnp_tensor::row_sum`] (the register-tiled kernel CSR SpMM also runs
-//! on) over the node's neighbor list with `scale = 1 / deg`, reading layer
-//! 1's projection tables by node id and hidden levels through the relabel
-//! table.
+//! on) over the node's neighbor list with `scale = 1 / deg`, reading every
+//! level's rows by node id where they lie.
 //!
-//! # Layer 1 reads tables indexed by node id
+//! # Every level is a table indexed by node id
 //!
 //! The raw attributes are never copied per batch, and no batch reads them
 //! through a neighbour list: layer 1's every branch reads a per-engine
-//! table indexed by node id instead. Hidden levels read the per-batch level
-//! table through the relabel table. Every read goes through one private row
-//! source (matrix, optional relabel table), so each read has one body for
-//! every level. A hidden level's `k = 0` branch builds no operand at all:
-//! its GEMM takes the row source and the computed nodes' ids
+//! table indexed by node id instead. Every hidden level is a per-engine
+//! `n_nodes × width` table in the back stage's scratch, indexed by node id
+//! too: a batch writes its computed rows and its staged store rows into
+//! their nodes' slots, and layer `li + 1` reads level `li` in place, as
+//! layer 1 reads its tables. No level is assembled per batch and no node id
+//! is relabelled. A slot is read only by the batch that wrote it, or, at
+//! level 1, while it holds a tabled row (below). The output layer computes
+//! exactly the deduplicated targets, in order, so its rows are the logits.
+//! A hidden level's `k = 0` branch builds no operand at all: its GEMM takes
+//! the level's table and the computed nodes' ids
 //! ([`Matrix::matmul_packed_rows_into`]) and broadcasts each row from where
 //! it lies — the product is the gather — and under `Concat` every branch's
 //! GEMM stores into its own column window of the layer's combined output —
@@ -73,13 +77,13 @@
 //! that depends only on the graph, the attributes and the weights, like the
 //! rows of the two operand tables. Such a node is **tabled** unless the
 //! store holds it (the store is probed first): expansion neither computes
-//! nor expands it, just as for a store hit, and execute copies its row from
-//! a per-engine `n_nodes × width` table in the back stage's scratch, after
-//! the computed and the staged rows. A row is filled on first read: the
-//! batch that first meets a tabled node no earlier batch filled computes it
-//! with layer 1's own per-row body over the node's whole adjacency row —
-//! the list expansion gives a node it does not sample — and marks it only
-//! after writing it, so a tabled row is bitwise the row computing the node
+//! nor expands it, just as for a store hit, and layer 2 reads its row where
+//! it lies, in its slot of level 1's table; no batch copies it. A row is
+//! filled on first read: the batch that first meets a tabled node no
+//! earlier batch filled computes it with layer 1's own per-row body over
+//! the node's whole adjacency row — the list expansion gives a node it
+//! does not sample — and marks it only after writing it, so a tabled row
+//! is bitwise the row computing the node
 //! would give (`tabled_rows_are_bitwise_the_computed_rows`). The decision
 //! reads only the node's degree against the cap, never back-stage state,
 //! and a node that samples nothing draws no random number, so the stage
@@ -87,10 +91,11 @@
 //! counters, and every sampled neighbour list is what it was without the
 //! table. Under `StorePolicy::Roots` / `AllVisited` a tabled row is written
 //! back like a computed one. This table differs from the store (§3.3.2) in
-//! three ways: it is exact (only unsampled rows enter it, and no sampled
-//! row ever does), it belongs to one engine and is never shared or
-//! invalidated (a graph or weight change builds a new engine), and it needs
-//! no checksum or lock, because only the back stage touches it.
+//! three ways: it is exact (only unsampled rows are marked in it, and a
+//! sampled row or a store row unmarks the slot it lands in), it belongs to
+//! one engine and is never shared or invalidated (a graph or weight change
+//! builds a new engine), and it needs no checksum or lock, because only the
+//! back stage touches it.
 //!
 //! # Two-stage decomposition
 //!
@@ -109,10 +114,10 @@
 //!   1's `k = 0` table read (after the GEMM that fills the rows no earlier
 //!   batch did, reading them in place), the store of each neighbour product
 //!   into its column window, the fill of the tabled rows no earlier batch
-//!   filled and the copy of every tabled row into level 1's table, then
-//!   every hidden level's aggregation, GEMMs and combine, level-table and
-//!   relabel-table maintenance, store write-backs, and target-logit
-//!   extraction.
+//!   filled, then every hidden level's aggregation (reading the level
+//!   below in place), GEMMs and combine, the writes of its computed and
+//!   staged rows into their slots, and store write-backs; the output
+//!   layer's rows are the target logits.
 //!
 //! The seam sits between a batch's irregular memory reads and its FMAs,
 //! and it moves. Level 0's neighbour mean is the largest irregular read of
@@ -145,10 +150,7 @@
 
 use gcnp_models::{Branch, CombineMode, GnnModel, PackedModel, QuantPackedModel};
 use gcnp_sparse::{BatchSupport, CsrMatrix, LayerSupport};
-use gcnp_tensor::rowsum::ABSENT;
-use gcnp_tensor::{
-    parallel_row_chunks, qgemm_packed_into, row_sum, Matrix, PackedB, RowIds, ScratchPool,
-};
+use gcnp_tensor::{parallel_row_chunks, qgemm_packed_into, row_sum, Matrix, PackedB, ScratchPool};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -335,7 +337,7 @@ pub struct BatchResult {
     /// projection rows of it and its neighbours that no computed row of the
     /// batch reads) and its output row — in a batch where every tabled row
     /// is filled, exactly what computing them would count; once filled, one
-    /// copied row (`width × 4`). Deterministic in batch order, like
+    /// row read in place (`width × 4`). Deterministic in batch order, like
     /// [`Self::macs`].
     pub mem_bytes: usize,
     /// Distinct level-0 nodes the batch's expansion reaches: the nodes whose
@@ -375,14 +377,9 @@ pub struct BatchedEngine<'a> {
     front_pool: ScratchPool,
     /// Stored rows per level in the front's last batch.
     staged_rows: Vec<usize>,
-    /// Back-stage scratch (relabel table, touched list, matrix pool,
-    /// layer 1's `k = 0` tables).
+    /// Back-stage scratch (matrix pool, layer 1's `k = 0` tables, the
+    /// hidden levels' tables).
     back: BackScratch,
-    /// True while a batch is in flight on the back stage. A batch that
-    /// panicked or errored out leaves this set, and the next execute
-    /// rebuilds the relabel scratch from zero — so a recovered engine never
-    /// serves from corrupt scratch.
-    dirty: bool,
     /// Optional fault-injection hook (chaos testing); `None` costs one
     /// branch per batch.
     faults: Option<Arc<FaultInjector>>,
@@ -396,27 +393,35 @@ pub struct BatchedEngine<'a> {
 }
 
 /// Reusable back-stage scratch, owned by the engine and mutably borrowed
-/// (never moved) for the duration of each execute.
+/// (never moved) for the duration of each execute. Nothing in it needs a
+/// reset after a batch that panicked or errored out: a level slot is read
+/// only by the batch that wrote it, or, at level 1, while it is marked
+/// filled, and every mark is set only after its row is written.
 #[derive(Default)]
 pub(crate) struct BackScratch {
-    /// Dense node-id → level-row relabel table ([`ABSENT`] = not present),
-    /// sized to the graph and reused across levels and batches. Replaces a
-    /// per-level `HashMap<usize, usize>` that was rebuilt (and re-hashed per
-    /// edge) on every batch.
-    relabel: Vec<u32>,
-    /// Node ids currently set in `relabel`, so resetting between levels is
-    /// O(nodes touched), not O(graph).
-    touched: Vec<usize>,
-    /// Matrix free list: level tables, aggregated operands, and combined
-    /// layer outputs are drawn from (and returned to) this pool instead of
+    /// Matrix free list: aggregated operands and hidden layers' combined
+    /// outputs are drawn from (and returned to) this pool instead of
     /// hitting the allocator once per intermediate per batch.
     pool: ScratchPool,
     /// Layer 1's `k = 0` products, one slot per layer-1 branch (a `k = 1`
     /// slot stays empty): `X·W_self` by node id, filled on first touch.
     self_tables: Vec<SelfTable>,
-    /// Layer 1's output rows of the nodes it aggregates without sampling,
-    /// by node id, filled on first read.
-    level_one: LevelOneTable,
+    /// Every hidden level as an `n_nodes × width` table indexed by node id
+    /// (`levels[li - 1]` is level `li`, layer `li`'s output). A batch
+    /// writes its computed and its staged store rows into their nodes'
+    /// slots, and layer `li + 1` reads level `li` where it lies. Level 1's
+    /// table is also layer 1's output table: a tabled node's row (see the
+    /// module docs) stays in its slot across batches while `filled` marks
+    /// it.
+    levels: Vec<Matrix>,
+    /// `filled[v]`: level 1's slot `v` holds node `v`'s tabled row. Set
+    /// only after the row is written, and cleared before a computed or a
+    /// store row lands in the slot.
+    filled: Vec<bool>,
+    /// Per-node marks for set membership within one step (the projection
+    /// rows a level-1 fill reads, the `Roots` a level holds); all clear
+    /// between steps.
+    marks: Vec<bool>,
 }
 
 /// One layer-1 `k = 0` branch's product `X·W_self` as a table, allocated
@@ -431,22 +436,6 @@ pub(crate) struct SelfTable {
     filled: Vec<bool>,
     /// The computed nodes whose rows a batch fills (reused list).
     misses: Vec<usize>,
-}
-
-/// Layer 1's output `h⁽¹⁾` as a table, allocated by the first batch that
-/// reads it and filled on first read: row `v` is node `v`'s level-1 row once
-/// `filled[v]` is set. Only nodes whose layer-1 aggregation samples nothing
-/// are read from it, so a row depends only on the graph, the attributes and
-/// the weights, like a [`SelfTable`] row; it is marked only after it is
-/// written and the table is never reset.
-#[derive(Default)]
-pub(crate) struct LevelOneTable {
-    /// `n_nodes × out_dim` of layer 1, row-major.
-    rows: Vec<f32>,
-    filled: Vec<bool>,
-    /// Nodes a fill marks while it counts the projection rows it reads;
-    /// all clear between fills.
-    seen: Vec<bool>,
 }
 
 /// Stages charged by the engine's [`StageClock`].
@@ -658,7 +647,6 @@ pub(crate) struct FrontStage<'e> {
 /// Mutable state owned by the back (execute) stage.
 pub(crate) struct BackStage<'e> {
     scratch: &'e mut BackScratch,
-    dirty: &'e mut bool,
 }
 
 impl<'a> BatchedEngine<'a> {
@@ -797,6 +785,18 @@ impl<'a> BatchedEngine<'a> {
             .enumerate()
             .map(|(bi, b)| (b.k == 1).then(|| projection_table(features, packed.layer_one_f32(bi))))
             .collect();
+        let n_nodes = adj.n_rows();
+        // Zeroed, so a table's pages are first touched by the batches that
+        // write them.
+        let hidden = model
+            .layers
+            .split_last()
+            .map(|(_, h)| h)
+            .unwrap_or_default();
+        let levels = hidden
+            .iter()
+            .map(|l| Matrix::zeros(n_nodes, l.out_dim()))
+            .collect();
         Self {
             model,
             packed,
@@ -811,15 +811,14 @@ impl<'a> BatchedEngine<'a> {
             front_pool: ScratchPool::new(),
             staged_rows: Vec::new(),
             back: BackScratch {
-                relabel: vec![ABSENT; adj.n_rows()],
-                touched: Vec::new(),
                 pool: ScratchPool::new(),
                 // Empty slots: a table is allocated by the first batch
                 // that reads it.
                 self_tables: layer_one.iter().map(|_| SelfTable::default()).collect(),
-                level_one: LevelOneTable::default(),
+                levels,
+                filled: vec![false; n_nodes],
+                marks: vec![false; n_nodes],
             },
-            dirty: false,
             faults: None,
             metrics: None,
             #[cfg(test)]
@@ -873,7 +872,6 @@ impl<'a> BatchedEngine<'a> {
         };
         let back = BackStage {
             scratch: &mut self.back,
-            dirty: &mut self.dirty,
         };
         (core, front, back)
     }
@@ -1200,8 +1198,7 @@ impl<'e, 'a> EngineCore<'e, 'a> {
     ) {
         for (table, slot) in self.projections.iter().zip(aggregated) {
             if let (Some(mat), Some(out)) = (table, slot) {
-                let src = RowSource { mat, relabel: None };
-                mean_rows(src, ls, out, rows.clone());
+                mean_rows(mat, ls, out, rows.clone());
             }
         }
     }
@@ -1268,33 +1265,23 @@ impl<'e, 'a> EngineCore<'e, 'a> {
         }
     }
 
-    /// The tabled nodes no earlier batch filled in layer 1's output table
-    /// (allocated on first read), as the support layer 1 computes them over:
+    /// The tabled nodes no earlier batch filled in level 1's table, as the
+    /// support layer 1 computes them over:
     /// each node's whole adjacency row, the list expansion gives a node it
     /// does not sample. `None` when every row is filled. Under
     /// `strict-invariants` the attribute rows the fill reads — the nodes and
     /// their neighbours, which `prepare` did not scan — are scanned here,
     /// before any kernel consumes them or any row is written.
-    // audit: allow(no-fail-stop) — tabled nodes come from BatchSupport over this graph; the table holds n_nodes rows
+    // audit: allow(no-fail-stop) — tabled nodes come from BatchSupport over this graph; the marks hold n_nodes entries
     fn level_one_misses(
         &self,
         tabled: &[usize],
-        table: &mut LevelOneTable,
+        filled: &[bool],
     ) -> ServingResult<Option<LayerSupport>> {
         let Some(layer) = self.model.layers.first().filter(|_| !tabled.is_empty()) else {
             return Ok(None);
         };
-        let n_nodes = self.adj.n_rows();
-        if table.filled.len() != n_nodes {
-            table.rows = vec![0.0; n_nodes * layer.out_dim()];
-            table.filled = vec![false; n_nodes];
-            table.seen = vec![false; n_nodes];
-        }
-        let compute: Vec<usize> = tabled
-            .iter()
-            .copied()
-            .filter(|&v| !table.filled[v])
-            .collect();
+        let compute: Vec<usize> = tabled.iter().copied().filter(|&v| !filled[v]).collect();
         if compute.is_empty() {
             return Ok(None);
         }
@@ -1326,7 +1313,7 @@ impl<'e, 'a> EngineCore<'e, 'a> {
     }
 
     /// Compute the rows of `fill` ([`EngineCore::level_one_misses`]) into
-    /// layer 1's output table with layer 1's own body
+    /// their slots of level 1's table with layer 1's own body
     /// ([`EngineCore::layer_output`]), so each is bitwise the row computing
     /// the node would give; mark each only after it is written, and return
     /// how many were filled. `cost` gains the fill's MACs and bytes; a
@@ -1338,7 +1325,7 @@ impl<'e, 'a> EngineCore<'e, 'a> {
         &self,
         fill: LayerSupport,
         input_nodes: &[usize],
-        table: &mut LevelOneTable,
+        (level, filled, seen): (&mut Matrix, &mut [bool], &mut [bool]),
         self_tables: &[SelfTable],
         pool: &mut ScratchPool,
         clock: &mut Option<StageClock>,
@@ -1351,7 +1338,6 @@ impl<'e, 'a> EngineCore<'e, 'a> {
         // rows of the nodes among them and their neighbours that the batch's
         // computed rows do not read.
         let reads = || fill.compute.iter().chain(&fill.neigh_ids);
-        let seen = &mut table.seen;
         for &v in input_nodes {
             seen[v] = true;
         }
@@ -1380,10 +1366,9 @@ impl<'e, 'a> EngineCore<'e, 'a> {
         self.layer_one_means(&fill, &mut aggregated, 0..n);
         lap(clock, Stage::Spmm);
         let out = self.layer_output(1, &fill, None, &aggregated, self_tables, pool, clock, cost)?;
-        let width = out.cols();
         for (i, &v) in fill.compute.iter().enumerate() {
-            table.rows[v * width..(v + 1) * width].copy_from_slice(out.row(i));
-            table.filled[v] = true;
+            level.row_mut(v).copy_from_slice(out.row(i));
+            filled[v] = true;
         }
         pool.recycle(out);
         for m in aggregated.into_iter().flatten() {
@@ -1395,11 +1380,12 @@ impl<'e, 'a> EngineCore<'e, 'a> {
         Ok(n)
     }
 
-    /// Back-end stage: transform, relabel, write back, and extract
-    /// the target logits for a prepared batch. Layer 1's neighbour-branch
-    /// means arrive built, its `k = 0` branch reads its table, and its tabled
-    /// rows come from its output table (each table filling the rows no
-    /// earlier batch did); hidden levels aggregate here.
+    /// Back-end stage: transform, write each hidden level into its table,
+    /// and write back, for a prepared batch; the output layer's rows are
+    /// the target logits. Layer 1's neighbour-branch means arrive built, its
+    /// `k = 0` branch reads its table, and its tabled rows lie in level 1's
+    /// table (each table filling the rows no earlier batch did); hidden
+    /// levels aggregate here.
     ///
     /// Buffers that originated in the front pool (the staged store reads,
     /// layer 1's neighbour-branch means) are pushed onto `spent` instead of
@@ -1443,27 +1429,16 @@ impl<'e, 'a> EngineCore<'e, 'a> {
         } else {
             self.store
         };
-        let n_nodes = self.adj.n_rows();
-        // Self-heal: if the previous batch on this scratch panicked or
-        // errored mid-flight (dirty set, or the graph changed), rebuild the
-        // relabel table from zero.
-        if *back.dirty || back.scratch.relabel.len() != n_nodes {
-            back.scratch.relabel.clear();
-            back.scratch.relabel.resize(n_nodes, ABSENT);
-            back.scratch.touched.clear();
-        }
-        *back.dirty = true;
         if let Some(c) = clock.as_mut() {
             c.resume(); // the inter-stage queue wait is not a stage
         }
         let BackScratch {
-            relabel,
-            touched,
             pool,
             self_tables,
-            level_one,
-        } = back.scratch;
-        let relabel: &mut [u32] = relabel;
+            levels,
+            filled,
+            marks,
+        } = &mut *back.scratch;
         let n_layers = self.model.layers.len();
         // Layer 1's neighbour means: the rows prepare handed off.
         if let Some(ls) = support.layers.first() {
@@ -1473,28 +1448,23 @@ impl<'e, 'a> EngineCore<'e, 'a> {
                 lap(clock, Stage::Spmm);
             }
         }
-        // The table of the level below the layer being computed. `None` is
-        // level 0, which is never materialised: layer 1 reads its branches'
-        // tables by global node id, so `relabel` first matters — and is
-        // first reset — when level 1 is assembled.
-        let mut level_mat: Option<Matrix> = None;
-
+        let mut logits = None;
         for li in 1..=n_layers {
-            let ls = &support.layers[li - 1]; // audit: allow(no-fail-stop) — li ranges over 1..=n_layers and support has one entry per layer
-            let below = level_mat.as_ref().map(|mat| RowSource {
-                mat,
-                relabel: Some(&*relabel),
-            });
+            // audit: allow(no-fail-stop) — li ranges over 1..=n_layers and support has one entry per layer
+            let ls = &support.layers[li - 1];
             // Level 1's tabled nodes, and the ones among them no earlier
             // batch filled: layer 1 computes those after the batch's own
             // rows, with one `k = 0` table fill for both.
             let tabled: &[usize] = if li == 1 { level_one_nodes } else { &[] };
-            let fill = self.level_one_misses(tabled, level_one)?;
+            let fill = self.level_one_misses(tabled, filled)?;
             if li == 1 {
                 let fill_nodes = fill.as_ref().map_or(&[][..], |f| &f.compute[..]);
                 self.fill_self_tables([&ls.compute, fill_nodes], self_tables, pool, &mut cost);
                 lap(clock, Stage::Gemm);
             }
+            // Level `li - 1` where it lies; level 0 (`None`) is read
+            // through layer 1's tables.
+            let below = li.checked_sub(2).and_then(|l| levels.get(l));
             let out = self.layer_output(
                 li,
                 ls,
@@ -1505,41 +1475,37 @@ impl<'e, 'a> EngineCore<'e, 'a> {
                 clock,
                 &mut cost,
             )?;
-            let filled = match fill {
+            // The output layer computes exactly the deduplicated targets,
+            // in order: its rows are the logits.
+            let Some(level) = levels.get_mut(li - 1) else {
+                debug_assert_eq!(ls.compute, support.targets);
+                logits = Some(out);
+                lap(clock, Stage::Relabel);
+                break;
+            };
+            let filled_now = match fill {
                 Some(fill) => {
                     let input = &support.input_nodes;
-                    self.fill_level_one(
-                        fill,
-                        input,
-                        level_one,
-                        self_tables,
-                        pool,
-                        clock,
-                        &mut cost,
-                    )?
+                    let table = (&mut *level, &mut filled[..], &mut marks[..]);
+                    self.fill_level_one(fill, input, table, self_tables, pool, clock, &mut cost)?
                 }
                 None => 0,
             };
 
-            // --- assemble the level-li feature table ----------------------
-            // Computed rows, then staged store rows, then tabled rows.
-            let width = out.cols();
-            let n_computed = ls.compute.len();
-            let staged_rows = n_computed..n_computed + ls.stored.len();
-            let mut mat = pool.take_matrix(staged_rows.end + tabled.len(), width);
-            for v in touched.drain(..) {
-                relabel[v] = ABSENT; // audit: allow(no-fail-stop) — touched only ever holds ids previously checked against the graph
-            }
+            // --- write the level's rows into their nodes' slots ------------
+            // Computed rows, then staged store rows; a tabled row already
+            // lies in its slot. At level 1 a slot is unmarked before another
+            // row lands in it, so a filled row is only ever read as written.
             for (i, &v) in ls.compute.iter().enumerate() {
-                mat.row_mut(i).copy_from_slice(out.row(i));
-                relabel[v] = i as u32; // audit: allow(no-fail-stop) — compute nodes come from BatchSupport over this graph
-                touched.push(v);
+                if li == 1 {
+                    filled[v] = false; // audit: allow(no-fail-stop) — computed nodes come from BatchSupport over this graph
+                }
+                level.row_mut(v).copy_from_slice(out.row(i));
             }
             pool.recycle(out);
-            lap(clock, Stage::Relabel);
             if !ls.stored.is_empty() {
                 // The store rows were already read (and width-checked) in
-                // prepare; splice them in from the staged buffer.
+                // prepare; they arrive in the staged buffer.
                 let rows = staged
                     .get_mut(li - 1)
                     .and_then(Option::take)
@@ -1549,88 +1515,64 @@ impl<'e, 'a> EngineCore<'e, 'a> {
                     })?;
                 gcnp_tensor::shape_contract!(
                     "engine.staged.width",
-                    rows.cols() == width,
-                    "staged level-{li} rows are {} wide but the level table is {width}",
-                    rows.cols()
+                    rows.cols() == level.cols(),
+                    "staged level-{li} rows are {} wide but the level table is {}",
+                    rows.cols(),
+                    level.cols()
                 );
                 for (j, &v) in ls.stored.iter().enumerate() {
-                    mat.row_mut(staged_rows.start + j)
-                        .copy_from_slice(rows.row(j));
-                    relabel[v] = (staged_rows.start + j) as u32; // audit: allow(no-fail-stop) — stored nodes come from BatchSupport over this graph
-                    touched.push(v);
+                    if li == 1 {
+                        filled[v] = false; // audit: allow(no-fail-stop) — stored nodes come from BatchSupport over this graph
+                    }
+                    level.row_mut(v).copy_from_slice(rows.row(j));
                 }
                 spent.push(rows);
             }
-            lap(clock, Stage::StoreProbe);
             if !tabled.is_empty() {
-                for (j, &v) in tabled.iter().enumerate() {
-                    // audit: allow(no-fail-stop) — tabled nodes come from BatchSupport over this graph, and fill_level_one sized the table to it at this width
-                    let row = &level_one.rows[v * width..(v + 1) * width];
-                    mat.row_mut(staged_rows.end + j).copy_from_slice(row);
-                    relabel[v] = (staged_rows.end + j) as u32; // audit: allow(no-fail-stop) — same
-                    touched.push(v);
-                }
                 // A row filled this batch was counted by its fill; a warm
-                // row is a copy.
-                let warm = tabled.len() - filled;
-                cost.mem_bytes += warm * width * 4;
+                // row is read in place.
+                let warm = tabled.len() - filled_now;
+                cost.mem_bytes += warm * level.cols() * 4;
                 if let Some(m) = self.metrics {
                     m.l1_table_hit.add(warm as u64);
                 }
-                lap(clock, Stage::Relabel);
             }
+            lap(clock, Stage::Relabel);
 
             // --- write-back policy (middle levels only) -------------------
             // Every row but a store hit's: the computed and the tabled.
-            if li < n_layers {
-                match self.policy {
-                    StorePolicy::None => {}
-                    StorePolicy::Roots => {
-                        for &v in &support.targets {
-                            let r = relabel[v]; // audit: allow(no-fail-stop) — targets were range-checked in prepare
-                            if r != ABSENT && !staged_rows.contains(&(r as usize)) {
-                                store.put(li, v, mat.row(r as usize))?;
-                            }
-                        }
+            let written = || ls.compute.iter().chain(tabled);
+            match self.policy {
+                StorePolicy::None => {}
+                StorePolicy::Roots => {
+                    // Only the targets this level holds: a target stored at
+                    // a level above may be absent here, its slot stale.
+                    for &v in written() {
+                        marks[v] = true; // audit: allow(no-fail-stop) — computed and tabled nodes come from BatchSupport over this graph
                     }
-                    StorePolicy::AllVisited => {
-                        for (i, &v) in ls.compute.iter().enumerate() {
-                            store.put(li, v, mat.row(i))?;
-                        }
-                        for (j, &v) in tabled.iter().enumerate() {
-                            store.put(li, v, mat.row(staged_rows.end + j))?;
-                        }
+                    let targets = support.targets.iter().copied();
+                    let roots: Vec<usize> = targets.filter(|&v| marks[v]).collect(); // audit: allow(no-fail-stop) — targets were range-checked in prepare
+                    for &v in written() {
+                        marks[v] = false; // audit: allow(no-fail-stop) — as above
+                    }
+                    for v in roots {
+                        store.put(li, v, level.row(v))?;
                     }
                 }
-                lap(clock, Stage::WriteBack);
+                StorePolicy::AllVisited => {
+                    for &v in written() {
+                        store.put(li, v, level.row(v))?;
+                    }
+                }
             }
-            if let Some(prev) = level_mat.replace(mat) {
-                pool.recycle(prev);
-            }
+            lap(clock, Stage::WriteBack);
         }
-
-        // --- extract target logits ---------------------------------------
-        // Targets are computed at the output layer, so each has a row in
-        // the top level table.
-        let width = self.model.layers.last().map_or(0, |l| l.out_dim());
-        let mut logits = Matrix::zeros(support.targets.len(), width);
-        if let Some(mat) = level_mat {
-            let top = RowSource {
-                mat: &mat,
-                relabel: Some(relabel),
-            };
-            for (i, &v) in support.targets.iter().enumerate() {
-                logits.row_mut(i).copy_from_slice(top.row(v));
-            }
-            pool.recycle(mat);
-        }
-        lap(clock, Stage::Relabel); // target extraction
+        let logits = logits.unwrap_or_else(|| Matrix::zeros(support.targets.len(), 0));
         if let (Some(c), Some(m)) = (clock.as_ref(), self.metrics) {
             c.record(m);
             m.batches.inc();
             m.batch_size.observe(support.targets.len() as f64);
         }
-        *back.dirty = false;
 
         let mut seconds = t0.elapsed().as_secs_f64();
         if let Fault::Straggle { multiplier } = fault {
@@ -1662,19 +1604,21 @@ impl<'e, 'a> EngineCore<'e, 'a> {
     }
 
     /// Layer `li`'s output rows for `ls.compute`: each branch's product into
-    /// its column window of one pooled matrix (under `Mean` the first product
-    /// lands at column 0 and the later ones are added in branch order), then
-    /// the combine's scale, the bias and the activation — the one per-row
-    /// body every computed row runs, a level-1 table fill's included.
-    /// `below` is the table of the level below; `None` is level 0, which
-    /// layer 1 reads through its tables: the `k = 0` table, and for each
-    /// `k = 1` branch the mean in `aggregated`.
+    /// its column window of one matrix (under `Mean` the first product lands
+    /// at column 0 and the later ones are added in branch order), then the
+    /// combine's scale, the bias and the activation — the one per-row body
+    /// every computed row runs, a level-1 table fill's included. A hidden
+    /// layer's matrix is pooled; the output layer's is fresh, because it
+    /// leaves with the batch as the logits. `below` is the node-indexed
+    /// table of the level below; `None` is level 0, which layer 1 reads
+    /// through its tables: the `k = 0` table, and for each `k = 1` branch the
+    /// mean in `aggregated`.
     #[allow(clippy::too_many_arguments)]
     fn layer_output(
         &self,
         li: usize,
         ls: &LayerSupport,
-        below: Option<RowSource<'_>>,
+        below: Option<&Matrix>,
         aggregated: &[Option<Matrix>],
         self_tables: &[SelfTable],
         pool: &mut ScratchPool,
@@ -1688,7 +1632,12 @@ impl<'e, 'a> EngineCore<'e, 'a> {
                 detail: format!("layer {li} has no branches to combine"),
             });
         }
-        let mut out = pool.take_matrix(ls.compute.len(), layer.out_dim());
+        let (n, width) = (ls.compute.len(), layer.out_dim());
+        let mut out = if li == self.model.layers.len() {
+            Matrix::zeros(n, width)
+        } else {
+            pool.take_matrix(n, width)
+        };
         let mut col0 = 0;
         for (bi, branch) in layer.branches.iter().enumerate() {
             let add = bi > 0 && layer.combine == CombineMode::Mean;
@@ -1737,7 +1686,7 @@ impl<'e, 'a> EngineCore<'e, 'a> {
                     // Pre-packed weights (no per-call operand pack).
                     let operand = match &built {
                         Some(m) => (m, None),
-                        None => (src.mat, Some((src.relabel, ls.compute.as_slice()))),
+                        None => (src, Some(ls.compute.as_slice())),
                     };
                     if add {
                         let mut prod = pool.take_matrix(ls.compute.len(), branch.out_dim());
@@ -1771,19 +1720,21 @@ impl<'e, 'a> EngineCore<'e, 'a> {
 
     /// `out[..][col0 .. col0 + out_dim] = operand · W` for branch `bi` of layer
     /// `li` (1-based), on the one kernel of the engine's precision. The
-    /// operand is `mat`, or the rows `ids` of it read in place, which the f32
-    /// GEMM multiplies as they lie and stores straight into the window.
+    /// operand is `mat`, or the rows `ids` of it (node ids of a level table)
+    /// read in place, which the f32 GEMM multiplies as they lie and stores
+    /// straight into the window.
     fn transform(
         &self,
         li: usize,
         bi: usize,
-        (mat, ids): (&Matrix, Option<RowIds<'_>>),
+        (mat, ids): (&Matrix, Option<&[usize]>),
         out: &mut Matrix,
         col0: usize,
         pool: &mut ScratchPool,
     ) {
         match self.packed {
             WeightPacks::F32(pm) => {
+                let ids = ids.map(|ids| (None, ids));
                 // audit: allow(no-fail-stop) — packs are built 1:1 with model branches at construction
                 mat.matmul_packed_rows_into(ids, &pm.branch_packs(li - 1)[bi], out, col0);
                 if let Some(m) = self.metrics {
@@ -1797,8 +1748,7 @@ impl<'e, 'a> EngineCore<'e, 'a> {
                 // window.
                 // audit: allow(no-fail-stop) — packs are built 1:1 with model branches at construction
                 let pack = &qm.branch_packs(li - 1)[bi];
-                let built = ids
-                    .map(|(relabel, ids)| gather_selected(RowSource { mat, relabel }, ids, pool));
+                let built = ids.map(|ids| gather_selected(mat, ids, pool));
                 let x = built.as_ref().unwrap_or(mat);
                 let mut prod = pool.take_matrix(x.rows(), pack.n());
                 qgemm_packed_into(x, pack, &mut prod);
@@ -1820,30 +1770,6 @@ impl<'e, 'a> EngineCore<'e, 'a> {
 struct Cost {
     macs: u64,
     mem_bytes: usize,
-}
-
-/// Where a layer's branches read their input rows: `mat`, reached through
-/// the per-batch `relabel` table (node id → row; `None` = `mat` is indexed
-/// by node id itself, i.e. one of layer 1's projection tables).
-#[derive(Clone, Copy)]
-struct RowSource<'s> {
-    mat: &'s Matrix,
-    relabel: Option<&'s [u32]>,
-}
-
-impl<'s> RowSource<'s> {
-    /// The row of node `v`.
-    // audit: allow(no-fail-stop) — node ids come from BatchSupport over this graph and every node a layer reads was given a relabel slot when its level was assembled; a miss is a programmer error caught by the debug_assert
-    #[inline]
-    fn row(&self, v: usize) -> &'s [f32] {
-        match self.relabel {
-            None => self.mat.row(v),
-            Some(table) => {
-                debug_assert_ne!(table[v], ABSENT, "node {v} missing from level table");
-                self.mat.row(table[v] as usize)
-            }
-        }
-    }
 }
 
 /// Layer 1's `k = 0` rows of the `compute` nodes, `width` wide, from their
@@ -1911,41 +1837,41 @@ fn projection_table(src: &Matrix, pack: &PackedB) -> Matrix {
     table
 }
 
-/// Gather the rows of `nodes` from `src`: the int8 kernel's operand, so it
-/// stays as long as [`Precision::Int8`] does.
-fn gather_selected(src: RowSource<'_>, nodes: &[usize], pool: &mut ScratchPool) -> Matrix {
-    let mut out = pool.take_matrix(nodes.len(), src.mat.cols());
+/// Gather the rows of `nodes` from the node-indexed table `src`: the int8
+/// kernel's operand, so it stays as long as [`Precision::Int8`] does.
+fn gather_selected(src: &Matrix, nodes: &[usize], pool: &mut ScratchPool) -> Matrix {
+    let mut out = pool.take_matrix(nodes.len(), src.cols());
     for (i, &v) in nodes.iter().enumerate() {
         out.row_mut(i).copy_from_slice(src.row(v));
     }
     out
 }
 
-/// Mean-aggregate the (capped) neighbor rows of `src` for each computed
-/// node into a pooled buffer (see [`mean_rows`]).
-fn aggregate_mean(src: RowSource<'_>, ls: &LayerSupport, pool: &mut ScratchPool) -> Matrix {
+/// Mean-aggregate the (capped) neighbor rows of the node-indexed table
+/// `src` for each computed node into a pooled buffer (see [`mean_rows`]).
+fn aggregate_mean(src: &Matrix, ls: &LayerSupport, pool: &mut ScratchPool) -> Matrix {
     let n = ls.compute.len();
-    let mut out = pool.take_matrix(n, src.mat.cols());
+    let mut out = pool.take_matrix(n, src.cols());
     mean_rows(src, ls, &mut out, 0..n);
     out
 }
 
-/// Rows `rows` of the mean over the (capped) neighbor rows of `src`, into
-/// the zeroed rows of `out`: one [`row_sum`] per computed node with `scale
-/// = 1 / deg`. Nodes without neighbors get zeros (matching row-normalized
+/// Rows `rows` of the mean over the (capped) neighbor rows of the
+/// node-indexed table `src`, into the zeroed rows of `out`: one [`row_sum`]
+/// per computed node with `scale = 1 / deg`, reading each row in place. Nodes without neighbors get zeros (matching row-normalized
 /// SpMM on isolated nodes). Parallel across computed nodes; each output row
 /// accumulates its neighbors in support order regardless of thread count or
 /// of the range it was built in, so results are bitwise identical across
 /// `GCNP_THREADS` settings and hand-off rows.
-fn mean_rows(src: RowSource<'_>, ls: &LayerSupport, out: &mut Matrix, rows: Range<usize>) {
-    let width = src.mat.cols();
+fn mean_rows(src: &Matrix, ls: &LayerSupport, out: &mut Matrix, rows: Range<usize>) {
+    let width = src.cols();
     // audit: allow(no-fail-stop) — `out` holds one row per computed node and `rows` lies within them
     let part = &mut out.as_mut_slice()[rows.start * width..rows.end * width];
     parallel_row_chunks(part, rows.len(), width, |start, chunk| {
         for (r, dst) in chunk.chunks_mut(width).enumerate() {
             let nbrs = ls.neighbors(rows.start + start + r);
             let inv = 1.0 / nbrs.len().max(1) as f32;
-            row_sum(dst, src.mat, src.relabel, nbrs, None, inv);
+            row_sum(dst, src, None, nbrs, None, inv);
         }
     });
 }
@@ -2335,8 +2261,8 @@ mod tests {
         model
     }
 
-    /// Two batches, the second on recycled scratch and a relabel table that
-    /// still holds the first batch's top level; both serve the isolated node.
+    /// Two batches, the second on recycled scratch and level tables that
+    /// still hold the first batch's rows; both serve the isolated node.
     const BATCHES: [&[usize]; 2] = [&[3, 59, 20, 41, 20], &[59, 8, 33, 9]];
 
     #[test]
@@ -2667,23 +2593,30 @@ mod tests {
 
     #[test]
     fn engine_survives_mid_batch_panic() {
-        // An injected panic fires mid-batch while the relabel scratch is
-        // checked out (`dirty` set): the next call on the same engine must
-        // rebuild the scratch and produce correct logits, because
-        // `serve_multi` retries batches on recovered workers.
+        // An injected panic fires mid-batch, on scratch whose level tables
+        // hold an earlier batch's rows: the next call on the same engine
+        // must serve correct logits from the scratch as the panic left it,
+        // because `serve_multi` retries batches on recovered workers.
         let (adj, x, model) = setup();
         let plan = crate::FaultPlan {
             panics: 1,
-            horizon: 1, // the very first attempt panics
+            horizon: 2, // one of the first two attempts panics
             ..Default::default()
         };
+        let faults = plan.build().unwrap();
         let mut engine = BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 0);
-        engine.set_faults(plan.build().unwrap());
+        engine.set_faults(Arc::clone(&faults));
         let targets = vec![4usize, 17, 25];
-        let crash =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.try_infer(&targets)));
-        assert!(crash.is_err(), "first attempt must panic");
+        let mut crashed = false;
+        for _ in 0..2 {
+            let attempt = std::panic::AssertUnwindSafe(|| engine.try_infer(&[5, 16]));
+            crashed |= std::panic::catch_unwind(attempt).is_err();
+        }
+        assert!(crashed, "one attempt must panic");
         let retry = engine.try_infer(&targets).unwrap();
+        let fresh = BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 0)
+            .infer(&targets);
+        assert_eq!(logit_bits(&retry.logits), logit_bits(&fresh.logits));
         let norm = adj.normalized(Normalization::Row);
         let full = model.forward_full(Some(&norm), &x);
         for (i, &t) in targets.iter().enumerate() {
@@ -2933,8 +2866,8 @@ mod tests {
 
     #[test]
     fn back_pool_is_steady_after_warm_up() {
-        // Every back-stage intermediate — aggregates, the combined layer
-        // output, level tables — is leased
+        // Every back-stage intermediate — aggregates and the hidden
+        // layers' combined outputs — is leased
         // from the back pool and returned to it, so once the pool has seen
         // a batch's shapes no further batch grows, shrinks or reshuffles
         // it. A buffer allocated outside the pool and recycled into it
@@ -3152,10 +3085,12 @@ mod tests {
     #[test]
     fn recovery_never_serves_a_half_written_self_table_row() {
         // Panics, store-miss storms and row flips interleave with batches,
-        // then one execute errors out after layer 1's `k = 0` fill, leaving
-        // `dirty` set. The table is never reset: a row depends only on the
-        // attributes and the weights and is marked after it is written. So
-        // the recovered engine's logits are a fresh engine's, bit for bit.
+        // then one execute errors out after layer 1's `k = 0` fill and
+        // another with level 1 half written. Nothing is reset: a `k = 0` row
+        // depends only on the attributes and the weights and is marked after
+        // it is written, and a level slot is read only by the batch that
+        // writes it. So the recovered engine's logits are a fresh engine's,
+        // bit for bit.
         let (adj, x, model) = setup();
         let norm = adj.normalized(Normalization::Row);
         let hs = model.forward_collect(Some(&norm), &x);
@@ -3205,8 +3140,24 @@ mod tests {
         for m in spent {
             front.pool.recycle(m);
         }
-        assert!(engine.dirty, "the failed execute left its scratch dirty");
         assert!(filled_rows(&engine) > before, "it filled rows first");
+
+        // An execute that errors between level 1's computed rows and its
+        // store rows: its staged buffer goes missing.
+        let targets = [4, 17, 25];
+        let (core, mut front, mut back) = engine.split();
+        let mut prep = core.prepare(&targets, &mut front, HandOff::Never).unwrap();
+        assert!(!prep.support.layers[0].compute.is_empty());
+        let rows = prep.staged[0].take();
+        front
+            .pool
+            .recycle(rows.expect("odd level-1 rows are stored"));
+        let mut spent = Vec::new();
+        let err = core.execute(prep, &mut back, &mut spent).unwrap_err();
+        assert!(err.to_string().contains("engine.staged.level"), "{err}");
+        for m in spent {
+            front.pool.recycle(m);
+        }
 
         let all: Vec<usize> = (0..30).collect();
         let recovered = engine.try_infer(&all).unwrap();
@@ -3482,9 +3433,9 @@ mod tests {
                         expanded[0] < expanded[1],
                         "{at}: tabled nodes are not expanded"
                     );
-                    let filled = tabled.back.level_one.filled.iter().filter(|&&f| f).count();
+                    let filled = tabled.back.filled.iter().filter(|&&f| f).count();
                     assert!(filled > 0, "{at}: rows were tabled");
-                    assert!(computed.back.level_one.filled.is_empty(), "{at}");
+                    assert!(!computed.back.filled.contains(&true), "{at}");
                     if policy == StorePolicy::Roots {
                         let [a, b] = roots.each_ref().map(|s| stored_bits(s, levels));
                         assert!(a.iter().any(Option::is_some), "{at}: rows were written");
@@ -3494,5 +3445,68 @@ mod tests {
             }
         }
         gcnp_tensor::set_num_threads(0);
+    }
+    #[test]
+    fn a_store_row_unmarks_the_tabled_slot_it_lands_in() {
+        // Level 1's table holds a filled node's row in its slot. When that
+        // node is a store hit, the store row lands in the same slot, which
+        // must lose its mark first: once the store drops the row, the node
+        // is tabled again and must be refilled, not read as the store left
+        // it. The store row here differs from the tabled one, as a row from
+        // another engine or another model version may.
+        let (adj, x, model) = setup();
+        let width = model.layers[0].out_dim();
+        let store = FeatureStore::new(adj.n_rows(), 2);
+        let mut engine = BatchedEngine::new(
+            &model,
+            &adj,
+            &x,
+            vec![],
+            Some(&store),
+            StorePolicy::Roots,
+            0,
+        );
+        // Uncapped, so level 1 tables every miss: node 5's row is filled.
+        engine.infer(&[5]);
+        assert!(engine.back.filled[5] && store.has(1, 5) && store.has(2, 5));
+        engine.policy = StorePolicy::None;
+        store.put(1, 5, &vec![7.0; width]).unwrap();
+        // Node 6's layer 2 reads node 5 at level 1: a store hit now.
+        let hit = engine.infer(&[6]);
+        assert_eq!(hit.store_hits, 1);
+        let unmarked = !engine.back.filled[5];
+        assert!(store.remove(1, 5));
+        let refilled = engine.infer(&[6]);
+        let fresh =
+            BatchedEngine::new(&model, &adj, &x, vec![], Some(&store), StorePolicy::None, 0)
+                .infer(&[6]);
+        assert_eq!(logit_bits(&refilled.logits), logit_bits(&fresh.logits));
+        assert_ne!(logit_bits(&hit.logits), logit_bits(&fresh.logits));
+        assert!(unmarked, "the store row unmarked the slot");
+        assert!(engine.back.filled[5], "node 5 was tabled and filled again");
+    }
+
+    #[test]
+    fn roots_writes_back_only_rows_a_level_holds() {
+        // Under `Roots` with three layers, a target stored at level 2 is not
+        // computed there, so level 1 need not hold it: its level-1 slot is
+        // whatever an earlier batch left, and nothing may be written back
+        // from it. A target level 1 does hold, tabled here, is written back.
+        let (adj, x, model) = setup();
+        let norm = adj.normalized(Normalization::Row);
+        let hs = model.forward_collect(Some(&norm), &x);
+        let store = FeatureStore::new(adj.n_rows(), 2);
+        store.put(2, 0, hs[1].row(0)).unwrap();
+        let mut engine =
+            BatchedEngine::new(&model, &adj, &x, vec![], Some(&store), StorePolicy::None, 0);
+        // Node 0's level-1 slot gets a row: it is node 1's neighbour.
+        engine.infer(&[1]);
+        assert!(engine.back.filled[0]);
+        engine.policy = StorePolicy::Roots;
+        // The ring keeps node 10 and its neighbours away from node 0.
+        let res = engine.infer(&[0, 10]);
+        assert_eq!(res.store_hits, 1);
+        assert!(!store.has(1, 0), "node 0 is absent from level 1");
+        assert!(store.has(1, 10) && store.has(2, 10));
     }
 }

@@ -58,7 +58,9 @@ pub struct EngineMetrics {
     /// Seconds spent building the [`gcnp_sparse::BatchSupport`] expansion,
     /// and everything else `prepare` does before its first store read.
     pub expand: Arc<Histogram>,
-    /// Seconds in dense relabel-table maintenance and level assembly.
+    /// Seconds writing hidden levels' computed and staged rows into their
+    /// node-indexed tables, and handing over the logits (the name is kept
+    /// from the relabel table this stage once maintained).
     pub relabel: Arc<Histogram>,
     /// Seconds reading stored hidden-feature rows.
     pub store_probe: Arc<Histogram>,

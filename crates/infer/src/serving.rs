@@ -670,8 +670,10 @@ impl<'f> Fleet<'f> {
     /// path.
     ///
     /// `AssertUnwindSafe`: the engine state a body mutates is only reused
-    /// after a *clean* result (its scratch self-heals via the dirty flag
-    /// anyway), and a panicking stage retires its worker with itself.
+    /// after a *clean* result (and its scratch holds nothing a later batch
+    /// misreads: a table row is read only by the batch that wrote it or once
+    /// it is marked, after it is written), and a panicking stage retires its
+    /// worker with itself.
     fn attempt<T>(
         &self,
         body: impl FnOnce() -> ServingResult<T>,

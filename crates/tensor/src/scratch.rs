@@ -9,11 +9,9 @@
 //! every buffer recycled into a pool was leased from it (the engine's
 //! `back_pool_is_steady_after_warm_up` test pins that).
 //!
-//! The pool is engine-owned and checked out of the engine with
-//! `std::mem::take` for the duration of a batch — the same dirty-scratch
-//! discipline the relabel table uses — so it needs no interior mutability
-//! and a batch that errors out mid-flight merely leaves the pool smaller,
-//! never wrong.
+//! The pool is engine-owned and mutably borrowed by one stage for the
+//! duration of a batch, so it needs no interior mutability, and a batch
+//! that errors out mid-flight merely leaves the pool smaller, never wrong.
 
 use crate::matrix::Matrix;
 
