@@ -36,7 +36,7 @@
 //!    registry files (store / pipeline / supervisor / serving /
 //!    tensor-parallel / obs-registry) carries a `// lock: <name>`
 //!    annotation; guard liveness builds a static acquisition-order graph
-//!    ([`lockorder`]), and a cycle — two sites taking the same pair of
+//!    (`lockorder`), and a cycle — two sites taking the same pair of
 //!    locks in opposite orders — is a deadlock-by-construction and fails
 //!    the scan. `--emit-lock-graph` renders the graph (plus its
 //!    transitive closure) as `crates/tensor/src/lockgraph.rs` for the

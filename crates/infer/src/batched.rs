@@ -99,7 +99,12 @@
 //!
 //! # Two-stage decomposition
 //!
-//! Every batch is served in two stages that share no mutable state:
+//! Every batch is served in two stages that share no mutable state. The
+//! engine is three parts — the read-only `EngineCore` (model, packs,
+//! projection tables, graph, caps, store view, policy, seed, faults,
+//! metrics), the front's `FrontScratch` and the back's `BackScratch` — and
+//! `BatchedEngine::split` lends them at once, one shared borrow and two
+//! exclusive ones, so nothing is copied to run the stages apart:
 //!
 //! * **prepare** (front end): fault draw, target validation, one width
 //!   check per store level, and neighborhood expansion ([`BatchSupport`]),
@@ -109,7 +114,7 @@
 //!   1's neighbour branches** — the `k = 1` mean over the projection
 //!   table's rows, which *is* the branch's product, a pure function of the
 //!   support and read-only data — built row by row until the hand-off
-//!   ([`HandOff`]), everything staged in [`PreparedBatch`];
+//!   (`HandOff`), everything staged in `PreparedBatch`;
 //! * **execute** (back end): the neighbour-mean rows prepare left, layer
 //!   1's `k = 0` table read (after the GEMM that fills the rows no earlier
 //!   batch did, reading them in place), the store of each neighbour product
@@ -139,9 +144,10 @@
 //! [`BatchedEngine::try_infer`] runs them back-to-back on the caller's
 //! thread. The stage pair in [`crate::pipeline`] runs the front
 //! stage of batch N+1 concurrently with the back stage of batch N on
-//! separate threads — which is why the split routes every front-stage
-//! buffer through the owned, `Send` [`PreparedBatch`], and why the back end
-//! hands spent front-pool buffers back through an explicit `spent` list
+//! separate threads, both reading the one core — which is why the split
+//! routes every front-stage buffer through the owned, `Send`
+//! `PreparedBatch`, and why the back end hands spent front-pool buffers
+//! back through an explicit `spent` list
 //! instead of recycling into a shared pool. Staging the store reads in the
 //! front stage also means a store level of the wrong width surfaces as a
 //! typed error *before* any GEMM or write-back runs (fail before side
@@ -159,7 +165,7 @@ use std::time::Instant;
 
 use crate::error::{ServingError, ServingResult};
 use crate::faults::{Fault, FaultInjector};
-use crate::metrics::EngineMetrics;
+use crate::metrics::{EngineMetrics, STAGES};
 use crate::shard::ShardedStore;
 use crate::store::FeatureStore;
 
@@ -350,8 +356,18 @@ pub struct BatchResult {
     pub store_hits: usize,
 }
 
-/// Batched-inference engine.
+/// Batched-inference engine: the read-only state both stages share, and
+/// each stage's own scratch.
 pub struct BatchedEngine<'a> {
+    core: EngineCore<'a>,
+    front: FrontScratch,
+    back: BackScratch,
+}
+
+/// The engine's read-only state, lent by [`BatchedEngine::split`] to both
+/// pipeline stages at once: everything `prepare` and `execute` read and
+/// neither writes.
+pub(crate) struct EngineCore<'a> {
     model: &'a GnnModel,
     /// Weight-pack cache: every branch weight packed once at construction
     /// (f32 or int8 per the engine's [`Precision`]), so per-batch GEMMs skip
@@ -366,20 +382,10 @@ pub struct BatchedEngine<'a> {
     adj: &'a CsrMatrix,
     features: &'a Matrix,
     /// Per-hop fan-out caps (`[None, Some(32)]` = the paper's setting).
-    pub caps: Vec<Option<usize>>,
+    caps: Vec<Option<usize>>,
     store: StoreView<'a>,
-    pub policy: StorePolicy,
+    policy: StorePolicy,
     seed: u64,
-    batch_counter: u64,
-    /// Front-stage matrix free list: staged store reads are drawn from
-    /// here; the back end returns them via its `spent` list
-    /// (double-buffered circulation under the pipelined executor).
-    front_pool: ScratchPool,
-    /// Stored rows per level in the front's last batch.
-    staged_rows: Vec<usize>,
-    /// Back-stage scratch (matrix pool, layer 1's `k = 0` tables, the
-    /// hidden levels' tables).
-    back: BackScratch,
     /// Optional fault-injection hook (chaos testing); `None` costs one
     /// branch per batch.
     faults: Option<Arc<FaultInjector>>,
@@ -390,6 +396,21 @@ pub struct BatchedEngine<'a> {
     /// the two).
     #[cfg(test)]
     untabled: bool,
+}
+
+/// Front-stage (prepare) scratch, owned by the engine and mutably borrowed
+/// by one prepare at a time.
+#[derive(Default)]
+pub(crate) struct FrontScratch {
+    /// Batches prepared so far: batch `n`'s sampling seed is `seed ^ n`.
+    counter: u64,
+    /// Matrix free list: staged store reads are drawn from here; the back
+    /// end returns them via its `spent` list (double-buffered circulation
+    /// under the pipelined executor).
+    pub(crate) pool: ScratchPool,
+    /// Stored rows per level in the last batch: the capacity each level's
+    /// staging buffer is taken with.
+    staged_rows: Vec<usize>,
 }
 
 /// Reusable back-stage scratch, owned by the engine and mutably borrowed
@@ -438,7 +459,8 @@ pub(crate) struct SelfTable {
     misses: Vec<usize>,
 }
 
-/// Stages charged by the engine's [`StageClock`].
+/// Stages charged by the engine's [`StageClock`], in [`STAGES`] order: a
+/// stage's discriminant is its index there.
 #[derive(Clone, Copy)]
 enum Stage {
     Expand,
@@ -458,40 +480,23 @@ enum Stage {
 /// is never charged to any stage.
 pub(crate) struct StageClock {
     last: Instant,
-    expand: f64,
-    relabel: f64,
-    store_probe: f64,
-    spmm: f64,
-    gemm: f64,
-    write_back: f64,
+    /// Seconds charged to each stage, indexed by [`Stage`].
+    seconds: [f64; STAGES.len()],
 }
 
 impl StageClock {
     fn start(at: Instant) -> Self {
         Self {
             last: at,
-            expand: 0.0,
-            relabel: 0.0,
-            store_probe: 0.0,
-            spmm: 0.0,
-            gemm: 0.0,
-            write_back: 0.0,
+            seconds: [0.0; STAGES.len()],
         }
     }
 
     fn lap(&mut self, stage: Stage) {
         let now = Instant::now();
-        let dt = now.duration_since(self.last).as_secs_f64();
+        // audit: allow(no-fail-stop) — `Stage` has one variant per `STAGES` entry, in order
+        self.seconds[stage as usize] += now.duration_since(self.last).as_secs_f64();
         self.last = now;
-        let slot = match stage {
-            Stage::Expand => &mut self.expand,
-            Stage::Relabel => &mut self.relabel,
-            Stage::StoreProbe => &mut self.store_probe,
-            Stage::Spmm => &mut self.spmm,
-            Stage::Gemm => &mut self.gemm,
-            Stage::WriteBack => &mut self.write_back,
-        };
-        *slot += dt;
     }
 
     /// Restart the lap baseline without charging the elapsed gap to any
@@ -502,12 +507,9 @@ impl StageClock {
     }
 
     fn record(&self, m: &EngineMetrics) {
-        m.expand.observe(self.expand);
-        m.relabel.observe(self.relabel);
-        m.store_probe.observe(self.store_probe);
-        m.spmm.observe(self.spmm);
-        m.gemm.observe(self.gemm);
-        m.write_back.observe(self.write_back);
+        for (histogram, &seconds) in m.stages.iter().zip(&self.seconds) {
+            histogram.observe(seconds);
+        }
     }
 }
 
@@ -614,39 +616,6 @@ pub(crate) enum HandOff<'a> {
     /// Stop at this row (tests pin every hand-off row).
     #[cfg(test)]
     AtRow(usize),
-}
-
-/// Copyable view of the engine's shared, read-only state, handed to both
-/// pipeline stages by [`BatchedEngine::split`].
-#[derive(Clone, Copy)]
-pub(crate) struct EngineCore<'e, 'a> {
-    model: &'a GnnModel,
-    packed: &'e WeightPacks<'a>,
-    projections: &'e [Option<Matrix>],
-    adj: &'a CsrMatrix,
-    features: &'a Matrix,
-    caps: &'e [Option<usize>],
-    store: StoreView<'a>,
-    policy: StorePolicy,
-    seed: u64,
-    faults: Option<&'e Arc<FaultInjector>>,
-    metrics: Option<&'e Arc<EngineMetrics>>,
-    #[cfg(test)]
-    untabled: bool,
-}
-
-/// Mutable state owned by the front (prepare) stage.
-pub(crate) struct FrontStage<'e> {
-    counter: &'e mut u64,
-    pub(crate) pool: &'e mut ScratchPool,
-    /// Stored rows per level in the last batch: the capacity each level's
-    /// staging buffer is taken with.
-    staged_rows: &'e mut Vec<usize>,
-}
-
-/// Mutable state owned by the back (execute) stage.
-pub(crate) struct BackStage<'e> {
-    scratch: &'e mut BackScratch,
 }
 
 impl<'a> BatchedEngine<'a> {
@@ -798,18 +767,22 @@ impl<'a> BatchedEngine<'a> {
             .map(|l| Matrix::zeros(n_nodes, l.out_dim()))
             .collect();
         Self {
-            model,
-            packed,
-            projections,
-            adj,
-            features,
-            caps,
-            store,
-            policy,
-            seed,
-            batch_counter: 0,
-            front_pool: ScratchPool::new(),
-            staged_rows: Vec::new(),
+            core: EngineCore {
+                model,
+                packed,
+                projections,
+                adj,
+                features,
+                caps,
+                store,
+                policy,
+                seed,
+                faults: None,
+                metrics: None,
+                #[cfg(test)]
+                untabled: false,
+            },
+            front: FrontScratch::default(),
             back: BackScratch {
                 pool: ScratchPool::new(),
                 // Empty slots: a table is allocated by the first batch
@@ -819,17 +792,13 @@ impl<'a> BatchedEngine<'a> {
                 filled: vec![false; n_nodes],
                 marks: vec![false; n_nodes],
             },
-            faults: None,
-            metrics: None,
-            #[cfg(test)]
-            untabled: false,
         }
     }
 
     /// Attach a fault injector (see [`crate::faults`]). Fleet replicas
     /// should share one `Arc` so the attempt counter is global.
     pub fn set_faults(&mut self, faults: Arc<FaultInjector>) {
-        self.faults = Some(faults);
+        self.core.faults = Some(faults);
     }
 
     /// Attach a metrics bundle (see [`crate::metrics`]). Fleet replicas
@@ -837,43 +806,20 @@ impl<'a> BatchedEngine<'a> {
     /// [`gcnp_obs::MetricsRegistry`] so per-stage timings accumulate across
     /// workers. A `None`-metrics engine (the default) reads no clocks.
     pub fn set_metrics(&mut self, metrics: Arc<EngineMetrics>) {
-        self.metrics = Some(metrics);
+        self.core.metrics = Some(metrics);
     }
 
     /// The attached metrics bundle, if any.
     pub fn metrics(&self) -> Option<&Arc<EngineMetrics>> {
-        self.metrics.as_ref()
+        self.core.metrics.as_ref()
     }
 
-    /// Split the engine into the shared read-only core plus the disjoint
-    /// mutable state of each pipeline stage. The field-level borrows let
-    /// the pipelined executor run `prepare` (front) and `execute` (back) on
-    /// different threads against one engine.
-    pub(crate) fn split(&mut self) -> (EngineCore<'_, 'a>, FrontStage<'_>, BackStage<'_>) {
-        let core = EngineCore {
-            model: self.model,
-            packed: &self.packed,
-            projections: &self.projections,
-            adj: self.adj,
-            features: self.features,
-            caps: &self.caps,
-            store: self.store,
-            policy: self.policy,
-            seed: self.seed,
-            faults: self.faults.as_ref(),
-            metrics: self.metrics.as_ref(),
-            #[cfg(test)]
-            untabled: self.untabled,
-        };
-        let front = FrontStage {
-            counter: &mut self.batch_counter,
-            pool: &mut self.front_pool,
-            staged_rows: &mut self.staged_rows,
-        };
-        let back = BackStage {
-            scratch: &mut self.back,
-        };
-        (core, front, back)
+    /// Lend the engine's three parts at once: the read-only core both
+    /// pipeline stages share, and each stage's own scratch. The pipelined
+    /// executor runs `prepare` (front) and `execute` (back) on different
+    /// threads against one engine through these borrows.
+    pub(crate) fn split(&mut self) -> (&EngineCore<'a>, &mut FrontScratch, &mut BackScratch) {
+        (&self.core, &mut self.front, &mut self.back)
     }
 
     /// Serve one batch of target nodes, panicking on any serving error —
@@ -894,10 +840,10 @@ impl<'a> BatchedEngine<'a> {
     /// the caller's thread, so outputs are identical to the stage pair's
     /// by construction (both run exactly this code).
     pub fn try_infer(&mut self, targets: &[usize]) -> ServingResult<BatchResult> {
-        let (core, mut front, mut back) = self.split();
-        let prep = core.prepare(targets, &mut front, HandOff::Never)?;
+        let (core, front, back) = self.split();
+        let prep = core.prepare(targets, front, HandOff::Never)?;
         let mut spent = Vec::new();
-        let res = core.execute(prep, &mut back, &mut spent);
+        let res = core.execute(prep, back, &mut spent);
         // Front-originated buffers circulate back to the front pool (the
         // pipelined executor routes this return trip through a rail between
         // the stage threads instead).
@@ -908,7 +854,7 @@ impl<'a> BatchedEngine<'a> {
     }
 }
 
-impl<'e, 'a> EngineCore<'e, 'a> {
+impl EngineCore<'_> {
     /// True when batches write to a store: the stage pair must then
     /// serialize batch N+1's store probes (prepare) behind batch N's
     /// write-backs (execute) to keep outputs identical to `try_infer`'s.
@@ -955,11 +901,11 @@ impl<'e, 'a> EngineCore<'e, 'a> {
     pub(crate) fn prepare(
         &self,
         targets: &[usize],
-        front: &mut FrontStage<'_>,
+        front: &mut FrontScratch,
         hand_off: HandOff<'_>,
     ) -> ServingResult<PreparedBatch> {
         let t0 = Instant::now();
-        let fault = match self.faults {
+        let fault = match &self.faults {
             None => Fault::None,
             Some(inj) => inj.next_fault(),
         };
@@ -1010,8 +956,8 @@ impl<'e, 'a> EngineCore<'e, 'a> {
                 });
             }
         }
-        *front.counter += 1;
-        let batch_seed = self.seed ^ *front.counter;
+        front.counter += 1;
+        let batch_seed = self.seed ^ front.counter;
         if matches!(fault, Fault::RowFlip) {
             // Corrupt one resident store row (deterministic in the batch
             // seed). If this batch needs the row, its probe finds the
@@ -1024,6 +970,7 @@ impl<'e, 'a> EngineCore<'e, 'a> {
         // obs-off builds, clock reads included).
         let mut clock = self
             .metrics
+            .as_ref()
             .filter(|_| gcnp_obs::enabled())
             .map(|_| StageClock::start(Instant::now()));
         let graph_flags: Vec<bool> = self.model.layers.iter().map(|l| l.uses_graph()).collect();
@@ -1051,7 +998,7 @@ impl<'e, 'a> EngineCore<'e, 'a> {
             self.adj,
             targets,
             &graph_flags,
-            self.caps,
+            &self.caps,
             batch_seed,
             |level, node| {
                 let hit = store.probe(level, node, |row| {
@@ -1250,8 +1197,8 @@ impl<'e, 'a> EngineCore<'e, 'a> {
             let mut fresh = pool.take_matrix(misses.len(), width);
             let pack = self.packed.layer_one_f32(bi);
             self.features
-                .matmul_packed_rows_into(Some((None, misses)), pack, &mut fresh, 0);
-            if let Some(m) = self.metrics {
+                .matmul_packed_rows_into(Some(misses), pack, &mut fresh, 0);
+            if let Some(m) = &self.metrics {
                 m.dispatch_dense.inc();
             }
             for (i, &v) in misses.iter().enumerate() {
@@ -1374,7 +1321,7 @@ impl<'e, 'a> EngineCore<'e, 'a> {
         for m in aggregated.into_iter().flatten() {
             pool.recycle(m);
         }
-        if let Some(m) = self.metrics {
+        if let Some(m) = &self.metrics {
             m.l1_table_fill.add(n as u64);
         }
         Ok(n)
@@ -1394,7 +1341,7 @@ impl<'e, 'a> EngineCore<'e, 'a> {
     pub(crate) fn execute(
         &self,
         mut prep: PreparedBatch,
-        back: &mut BackStage<'_>,
+        back: &mut BackScratch,
         spent: &mut Vec<Matrix>,
     ) -> ServingResult<BatchResult> {
         let res = self.execute_levels(&mut prep, back, spent);
@@ -1406,7 +1353,7 @@ impl<'e, 'a> EngineCore<'e, 'a> {
     fn execute_levels(
         &self,
         prep: &mut PreparedBatch,
-        back: &mut BackStage<'_>,
+        back: &mut BackScratch,
         spent: &mut Vec<Matrix>,
     ) -> ServingResult<BatchResult> {
         let (bypass_store, fault, store_hits, t0) =
@@ -1438,7 +1385,7 @@ impl<'e, 'a> EngineCore<'e, 'a> {
             levels,
             filled,
             marks,
-        } = &mut *back.scratch;
+        } = back;
         let n_layers = self.model.layers.len();
         // Layer 1's neighbour means: the rows prepare handed off.
         if let Some(ls) = support.layers.first() {
@@ -1533,7 +1480,7 @@ impl<'e, 'a> EngineCore<'e, 'a> {
                 // row is read in place.
                 let warm = tabled.len() - filled_now;
                 cost.mem_bytes += warm * level.cols() * 4;
-                if let Some(m) = self.metrics {
+                if let Some(m) = &self.metrics {
                     m.l1_table_hit.add(warm as u64);
                 }
             }
@@ -1568,7 +1515,7 @@ impl<'e, 'a> EngineCore<'e, 'a> {
             lap(clock, Stage::WriteBack);
         }
         let logits = logits.unwrap_or_else(|| Matrix::zeros(support.targets.len(), 0));
-        if let (Some(c), Some(m)) = (clock.as_ref(), self.metrics) {
+        if let (Some(c), Some(m)) = (clock.as_ref(), &self.metrics) {
             c.record(m);
             m.batches.inc();
             m.batch_size.observe(support.targets.len() as f64);
@@ -1584,7 +1531,7 @@ impl<'e, 'a> EngineCore<'e, 'a> {
             }
             seconds = t0.elapsed().as_secs_f64();
         }
-        if let Some(m) = self.metrics {
+        if let Some(m) = &self.metrics {
             // End-to-end batch time, including injected straggle — so a
             // chaos run's batch distribution shows the stall the stage
             // timings (busy time only) do not.
@@ -1732,12 +1679,11 @@ impl<'e, 'a> EngineCore<'e, 'a> {
         col0: usize,
         pool: &mut ScratchPool,
     ) {
-        match self.packed {
+        match &self.packed {
             WeightPacks::F32(pm) => {
-                let ids = ids.map(|ids| (None, ids));
                 // audit: allow(no-fail-stop) — packs are built 1:1 with model branches at construction
                 mat.matmul_packed_rows_into(ids, &pm.branch_packs(li - 1)[bi], out, col0);
-                if let Some(m) = self.metrics {
+                if let Some(m) = &self.metrics {
                     m.dispatch_dense.inc();
                 }
             }
@@ -1752,7 +1698,7 @@ impl<'e, 'a> EngineCore<'e, 'a> {
                 let x = built.as_ref().unwrap_or(mat);
                 let mut prod = pool.take_matrix(x.rows(), pack.n());
                 qgemm_packed_into(x, pack, &mut prod);
-                if let Some(m) = self.metrics {
+                if let Some(m) = &self.metrics {
                     m.dispatch_int8.inc();
                 }
                 store_window(out, col0, &prod);
@@ -1871,7 +1817,7 @@ fn mean_rows(src: &Matrix, ls: &LayerSupport, out: &mut Matrix, rows: Range<usiz
         for (r, dst) in chunk.chunks_mut(width).enumerate() {
             let nbrs = ls.neighbors(rows.start + start + r);
             let inv = 1.0 / nbrs.len().max(1) as f32;
-            row_sum(dst, src, None, nbrs, None, inv);
+            row_sum(dst, src, nbrs, None, inv);
         }
     });
 }
@@ -2026,7 +1972,7 @@ mod tests {
         // tabled, and a tabled node is not expanded either.
         let (adj, x, model) = setup();
         let mut plain = BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 0);
-        plain.untabled = true;
+        plain.core.untabled = true;
         let baseline = plain.infer(&[0, 1, 2]);
 
         let norm = adj.normalized(Normalization::Row);
@@ -2037,7 +1983,7 @@ mod tests {
         store.put_rows(1, &half, &hs[0].gather_rows(&half)).unwrap();
         let mut with_store =
             BatchedEngine::new(&model, &adj, &x, vec![], Some(&store), StorePolicy::None, 0);
-        with_store.untabled = true;
+        with_store.core.untabled = true;
         let res = with_store.infer(&[0, 1, 2]);
         assert!(
             res.n_supporting < baseline.n_supporting,
@@ -2138,13 +2084,13 @@ mod tests {
         targets: &[usize],
         aggregate_first: bool,
     ) -> Matrix {
-        let batch_seed = engine.seed ^ (engine.batch_counter + 1);
+        let batch_seed = engine.core.seed ^ (engine.front.counter + 1);
         let (core, _, _) = engine.split();
         let f32_packs = PackedModel::new(core.model);
         let flags: Vec<bool> = core.model.layers.iter().map(|l| l.uses_graph()).collect();
         let mut stored = std::collections::HashMap::new();
         let support =
-            BatchSupport::build(core.adj, targets, &flags, core.caps, batch_seed, |l, v| {
+            BatchSupport::build(core.adj, targets, &flags, &core.caps, batch_seed, |l, v| {
                 core.store
                     .probe(l, v, |row| drop(stored.insert((l, v), row.to_vec())))
             });
@@ -2188,7 +2134,7 @@ mod tests {
                     continue;
                 }
                 let mut prod = Matrix::zeros(gathered.rows(), branch.out_dim());
-                match core.packed {
+                match &core.packed {
                     // Layer 1's `k = 0` table is f32 in every precision.
                     _ if li == 0 && branch.k == 0 => {
                         gathered.matmul_packed_into(&f32_packs.branch_packs(0)[bi], &mut prod)
@@ -2413,7 +2359,7 @@ mod tests {
         let widening = zoo::graphsage(6, 16, 4, 7);
         let infer = |m: &GnnModel, untabled: bool| {
             let mut engine = BatchedEngine::new(m, &adj, &x, vec![], None, StorePolicy::None, 0);
-            engine.untabled = untabled;
+            engine.core.untabled = untabled;
             (engine.infer(&[3, 4, 20]), engine.infer(&[3, 4, 20]))
         };
         // SAGE 6 → 8 → 8 → 4 (164 weights) has 4-wide layer-1 and layer-2
@@ -2783,31 +2729,29 @@ mod tests {
         let mut engine =
             BatchedEngine::new(&model, &adj, &x, vec![], Some(&store), StorePolicy::None, 0);
         // Every level-1 row computed, so layer 1 has a product to carry.
-        engine.untabled = true;
+        engine.core.untabled = true;
         let targets = [10usize, 12];
         engine.try_infer(&targets).unwrap();
-        let steady = engine.front_pool.retained_bytes();
+        let steady = engine.front.pool.retained_bytes();
         assert!(steady > 0);
 
         for batch in 1..50 {
             match batch {
                 // A prepared batch abandoned by a watchdog steal.
                 10 => {
-                    let (core, mut front, _) = engine.split();
-                    let prep = core.prepare(&targets, &mut front, HandOff::Never).unwrap();
+                    let (core, front, _) = engine.split();
+                    let prep = core.prepare(&targets, front, HandOff::Never).unwrap();
                     assert!(front.pool.retained_bytes() < steady, "buffers are out");
-                    prep.recycle_into(front.pool);
+                    prep.recycle_into(&mut front.pool);
                 }
                 // The same, abandoned after a partial split: one row of
                 // layer 1's means built, the rest left to an execute that
                 // never runs.
                 15 => {
-                    let (core, mut front, _) = engine.split();
-                    let prep = core
-                        .prepare(&targets, &mut front, HandOff::AtRow(1))
-                        .unwrap();
+                    let (core, front, _) = engine.split();
+                    let prep = core.prepare(&targets, front, HandOff::AtRow(1)).unwrap();
                     assert_eq!(prep.means_done, 1);
-                    prep.recycle_into(front.pool);
+                    prep.recycle_into(&mut front.pool);
                 }
                 // A store level of the wrong width: refused by the batch's
                 // level check, before any buffer is taken.
@@ -2821,12 +2765,12 @@ mod tests {
                 }
                 // An execute that errors out before it reaches the staged rows.
                 30 => {
-                    let (core, mut front, mut back) = engine.split();
-                    let mut prep = core.prepare(&targets, &mut front, HandOff::Never).unwrap();
+                    let (core, front, back) = engine.split();
+                    let mut prep = core.prepare(&targets, front, HandOff::Never).unwrap();
                     let operand = prep.aggregated.iter_mut().find_map(Option::take);
                     front.pool.recycle(operand.expect("layer 1 aggregates"));
                     let mut spent = Vec::new();
-                    let err = core.execute(prep, &mut back, &mut spent).unwrap_err();
+                    let err = core.execute(prep, back, &mut spent).unwrap_err();
                     assert!(matches!(
                         err,
                         ServingError::InvariantViolation {
@@ -2857,7 +2801,7 @@ mod tests {
                 }
             }
             assert_eq!(
-                engine.front_pool.retained_bytes(),
+                engine.front.pool.retained_bytes(),
                 steady,
                 "after batch {batch}"
             );
@@ -3040,7 +2984,7 @@ mod tests {
                 let engine = || {
                     let mut e =
                         BatchedEngine::new(model, &adj, &x, vec![], None, StorePolicy::None, 5);
-                    e.untabled = true;
+                    e.core.untabled = true;
                     e
                 };
                 let mut fresh = engine();
@@ -3110,7 +3054,7 @@ mod tests {
             BatchedEngine::new(&model, &adj, &x, vec![], Some(&store), StorePolicy::None, 0);
         // Every level-1 row computed, so the failing execute below meets a
         // computed node's fill.
-        engine.untabled = true;
+        engine.core.untabled = true;
         engine.set_faults(Arc::clone(&faults));
         for b in 0..10 {
             let targets = [(b * 3) % 30, (b * 7 + 1) % 30];
@@ -3131,12 +3075,12 @@ mod tests {
         let v = (0..30).step_by(2).find(|&v| unfilled(&engine, v));
         let targets = [v.expect("the schedule left an even node unfilled")];
         let before = filled_rows(&engine);
-        let (core, mut front, mut back) = engine.split();
-        let mut prep = core.prepare(&targets, &mut front, HandOff::Never).unwrap();
+        let (core, front, back) = engine.split();
+        let mut prep = core.prepare(&targets, front, HandOff::Never).unwrap();
         let operand = prep.aggregated.iter_mut().find_map(Option::take);
         front.pool.recycle(operand.expect("layer 1 aggregates"));
         let mut spent = Vec::new();
-        assert!(core.execute(prep, &mut back, &mut spent).is_err());
+        assert!(core.execute(prep, back, &mut spent).is_err());
         for m in spent {
             front.pool.recycle(m);
         }
@@ -3145,15 +3089,15 @@ mod tests {
         // An execute that errors between level 1's computed rows and its
         // store rows: its staged buffer goes missing.
         let targets = [4, 17, 25];
-        let (core, mut front, mut back) = engine.split();
-        let mut prep = core.prepare(&targets, &mut front, HandOff::Never).unwrap();
+        let (core, front, back) = engine.split();
+        let mut prep = core.prepare(&targets, front, HandOff::Never).unwrap();
         assert!(!prep.support.layers[0].compute.is_empty());
         let rows = prep.staged[0].take();
         front
             .pool
             .recycle(rows.expect("odd level-1 rows are stored"));
         let mut spent = Vec::new();
-        let err = core.execute(prep, &mut back, &mut spent).unwrap_err();
+        let err = core.execute(prep, back, &mut spent).unwrap_err();
         assert!(err.to_string().contains("engine.staged.level"), "{err}");
         for m in spent {
             front.pool.recycle(m);
@@ -3207,8 +3151,8 @@ mod tests {
                 let want = engine().try_infer(targets).unwrap();
                 assert_eq!(want.store_hits > 0, store.is_some(), "{name}");
                 let mut probe = engine();
-                let (core, mut front, _) = probe.split();
-                let prep = core.prepare(targets, &mut front, HandOff::Never).unwrap();
+                let (core, front, _) = probe.split();
+                let prep = core.prepare(targets, front, HandOff::Never).unwrap();
                 let rows = prep.support.layers[0].compute.len();
                 assert_eq!(
                     prep.means_done, rows,
@@ -3217,13 +3161,11 @@ mod tests {
                 assert!(rows >= 4, "{name}: {rows} rows");
                 for row in [0, 1, rows / 2, rows] {
                     let mut engine = engine();
-                    let (core, mut front, mut back) = engine.split();
-                    let prep = core
-                        .prepare(targets, &mut front, HandOff::AtRow(row))
-                        .unwrap();
+                    let (core, front, back) = engine.split();
+                    let prep = core.prepare(targets, front, HandOff::AtRow(row)).unwrap();
                     assert_eq!(prep.means_done, row);
                     let mut spent = Vec::new();
-                    let got = core.execute(prep, &mut back, &mut spent).unwrap();
+                    let got = core.execute(prep, back, &mut spent).unwrap();
                     let at = format!("{name}, {threads} threads, hand-off at row {row} of {rows}");
                     assert_eq!(logit_bits(&got.logits), logit_bits(&want.logits), "{at}");
                     assert_eq!(
@@ -3265,9 +3207,9 @@ mod tests {
             .unwrap();
         let mut engine =
             BatchedEngine::new(&model, &adj, &x, vec![], Some(&store), StorePolicy::None, 0);
-        let (core, mut front, mut back) = engine.split();
+        let (core, front, back) = engine.split();
         let prep = core
-            .prepare(&[3, 10, 17, 24], &mut front, HandOff::Never)
+            .prepare(&[3, 10, 17, 24], front, HandOff::Never)
             .unwrap();
         let tabled = [prep.tabled.len(), 0];
         assert!(tabled[0] > 0, "the uncapped ring tables level 1's misses");
@@ -3276,7 +3218,7 @@ mod tests {
             .zip(tabled)
             .map(|(ls, tabled)| (ls.stored.len(), ls.compute.len() + tabled))
             .collect();
-        let res = core.execute(prep, &mut back, &mut Vec::new()).unwrap();
+        let res = core.execute(prep, back, &mut Vec::new()).unwrap();
         let snap = registry.snapshot();
         for (l, &(stored, computed)) in needed.iter().enumerate() {
             let (hit, miss) = (
@@ -3385,8 +3327,8 @@ mod tests {
                 let levels = model.n_layers() - 1;
                 let mut probe =
                     BatchedEngine::new(model, &adj, &x, caps.clone(), None, StorePolicy::None, 5);
-                let (core, mut front, _) = probe.split();
-                let prep = core.prepare(work[0], &mut front, HandOff::Never).unwrap();
+                let (core, front, _) = probe.split();
+                let prep = core.prepare(work[0], front, HandOff::Never).unwrap();
                 let computed = prep.support.layers[0].compute.len();
                 assert!(!prep.tabled.is_empty(), "{name}: level 1 tables nodes");
                 assert_eq!(
@@ -3411,7 +3353,7 @@ mod tests {
                     let at = format!("{name}, {store_name}, {threads} threads");
                     let [mut tabled, mut computed] = stores
                         .map(|s| BatchedEngine::new(model, &adj, &x, caps.clone(), s, policy, 5));
-                    computed.untabled = true;
+                    computed.core.untabled = true;
                     let mut expanded = [0, 0];
                     for (b, targets) in work.iter().enumerate() {
                         let (got, want) = (tabled.infer(targets), computed.infer(targets));
@@ -3469,7 +3411,7 @@ mod tests {
         // Uncapped, so level 1 tables every miss: node 5's row is filled.
         engine.infer(&[5]);
         assert!(engine.back.filled[5] && store.has(1, 5) && store.has(2, 5));
-        engine.policy = StorePolicy::None;
+        engine.core.policy = StorePolicy::None;
         store.put(1, 5, &vec![7.0; width]).unwrap();
         // Node 6's layer 2 reads node 5 at level 1: a store hit now.
         let hit = engine.infer(&[6]);
@@ -3502,7 +3444,7 @@ mod tests {
         // Node 0's level-1 slot gets a row: it is node 1's neighbour.
         engine.infer(&[1]);
         assert!(engine.back.filled[0]);
-        engine.policy = StorePolicy::Roots;
+        engine.core.policy = StorePolicy::Roots;
         // The ring keeps node 10 and its neighbours away from node 0.
         let res = engine.infer(&[0, 10]);
         assert_eq!(res.store_hits, 1);

@@ -55,21 +55,18 @@ pub const STAGES: [&str; 6] = [
 /// should share one registry (same metric names accumulate across replicas).
 pub struct EngineMetrics {
     registry: Arc<MetricsRegistry>,
-    /// Seconds spent building the [`gcnp_sparse::BatchSupport`] expansion,
-    /// and everything else `prepare` does before its first store read.
-    pub expand: Arc<Histogram>,
-    /// Seconds writing hidden levels' computed and staged rows into their
-    /// node-indexed tables, and handing over the logits (the name is kept
-    /// from the relabel table this stage once maintained).
-    pub relabel: Arc<Histogram>,
-    /// Seconds reading stored hidden-feature rows.
-    pub store_probe: Arc<Histogram>,
-    /// Seconds in sparse aggregation (gather / mean over neighbors).
-    pub spmm: Arc<Histogram>,
-    /// Seconds in dense transforms (matmul, combine, bias, activation).
-    pub gemm: Arc<Histogram>,
-    /// Seconds writing hidden features back to the store.
-    pub write_back: Arc<Histogram>,
+    /// Per-batch busy seconds of each stage, in [`STAGES`] order
+    /// (`engine.stage.{name}.seconds`):
+    /// - `expand`: building the [`gcnp_sparse::BatchSupport`] expansion, and
+    ///   everything else `prepare` does before its first store read;
+    /// - `relabel`: writing hidden levels' computed and staged rows into
+    ///   their node-indexed tables, and handing over the logits (the name is
+    ///   kept from the relabel table this stage once maintained);
+    /// - `store_probe`: reading stored hidden-feature rows;
+    /// - `spmm`: sparse aggregation (gather / mean over neighbors);
+    /// - `gemm`: dense transforms (matmul, combine, bias, activation);
+    /// - `write_back`: writing hidden features back to the store.
+    pub(crate) stages: [Arc<Histogram>; STAGES.len()],
     /// End-to-end seconds per batch (including injected straggle time).
     pub batch_seconds: Arc<Histogram>,
     /// Deduplicated targets per batch.
@@ -98,15 +95,9 @@ pub struct EngineMetrics {
 
 impl EngineMetrics {
     pub fn new(registry: &Arc<MetricsRegistry>) -> Arc<Self> {
-        let stage = |s: &str| registry.histogram(&format!("engine.stage.{s}.seconds"));
         Arc::new(Self {
             registry: Arc::clone(registry),
-            expand: stage("expand"),
-            relabel: stage("relabel"),
-            store_probe: stage("store_probe"),
-            spmm: stage("spmm"),
-            gemm: stage("gemm"),
-            write_back: stage("write_back"),
+            stages: STAGES.map(|s| registry.histogram(&format!("engine.stage.{s}.seconds"))),
             batch_seconds: registry.histogram("engine.batch.seconds"),
             batch_size: registry.histogram("engine.batch.size"),
             batches: registry.counter("engine.batches"),
@@ -402,9 +393,10 @@ mod tests {
     fn stage_breakdown_orders_and_normalizes() {
         let reg = Arc::new(MetricsRegistry::new());
         let em = EngineMetrics::new(&reg);
-        em.expand.observe(0.003);
-        em.gemm.observe(0.006);
-        em.gemm.observe(0.003);
+        let stage = |name| &em.stages[STAGES.iter().position(|&s| s == name).unwrap()];
+        stage("expand").observe(0.003);
+        stage("gemm").observe(0.006);
+        stage("gemm").observe(0.003);
         let rows = stage_breakdown(&reg.snapshot());
         assert_eq!(rows.len(), STAGES.len());
         for (row, &name) in rows.iter().zip(&STAGES) {

@@ -5,21 +5,24 @@
 //!
 //! The pair balances itself: layer 1's neighbour mean is built by the front
 //! only until the back stage waits on an empty queue (the link's `idle`
-//! flag, handed to `prepare` as [`StageLink::hand_off_point`]), and
+//! flag, handed to `prepare` as `StageLink::hand_off_point`), and
 //! `execute` builds the rows left. Any hand-off row gives the same bits, so
 //! the split is free to follow whichever stage is idle.
 //!
-//! The split lives in [`crate::batched`]: `EngineCore::prepare` produces an
-//! owned, `Send` `PreparedBatch`; `EngineCore::execute` consumes it. This
-//! module provides the plumbing that connects them:
+//! The split lives in [`crate::batched`]: `BatchedEngine::split` lends the
+//! engine's three parts at once — the read-only `EngineCore` both threads
+//! share, the front's `FrontScratch` and the back's `BackScratch` — and
+//! nothing is copied. `EngineCore::prepare` fills the front scratch into an
+//! owned, `Send` `PreparedBatch`; `EngineCore::execute` consumes it with
+//! the back scratch. This module provides the plumbing that connects them:
 //!
-//! * [`StageLink`] — the stage pair's protocol, written once, over one
+//! * `StageLink` — the stage pair's protocol, written once, over one
 //!   state under one lock:
-//!   - the bounded ([`PIPELINE_DEPTH`]) queue between the stages. The bound
+//!   - the bounded (`PIPELINE_DEPTH`) queue between the stages. The bound
 //!     is the backpressure: a front end that runs ahead blocks instead of
 //!     staging unbounded operands.
 //!   - the store-write barrier. When the engine writes to a store
-//!     ([`EngineCore::needs_store_barrier`]), batch N+1's store probes must
+//!     (`EngineCore::needs_store_barrier`), batch N+1's store probes must
 //!     observe batch N's write-backs, so the front waits before prepare(N+1)
 //!     until the back has retired batch N. Store-less and read-only-store
 //!     configurations skip the wait and overlap fully. The barrier is *per
@@ -38,7 +41,7 @@
 //!   their two stage threads through it; each keeps its own control flow
 //!   (supervision and accounting there, first-error-wins here) around the
 //!   calls.
-//! * [`DispatchQueue`] — the condvar work queue behind `serve_multi`'s
+//! * `DispatchQueue` — the condvar work queue behind `serve_multi`'s
 //!   event loop (admission, retries, abort on fleet death); replaces the
 //!   old 100 µs sleep-polling loop.
 //! * [`run_batches`] — the stage pair over a fixed batch list, the smallest
@@ -474,7 +477,7 @@ pub fn run_batches(
     engine: &mut BatchedEngine<'_>,
     batches: &[Vec<usize>],
 ) -> ServingResult<Vec<BatchResult>> {
-    let (core, mut front, mut back) = engine.split();
+    let (core, front, back) = engine.split();
     let barrier = core.needs_store_barrier();
     let link = StageLink::new();
 
@@ -486,10 +489,10 @@ pub fn run_batches(
             // would wait on it forever instead of letting the panic out.
             let front_err = panic::catch_unwind(AssertUnwindSafe(|| {
                 for (i, targets) in batches.iter().enumerate() {
-                    if !link.admit(barrier, i as u64, front.pool) {
+                    if !link.admit(barrier, i as u64, &mut front.pool) {
                         break; // back stage died
                     }
-                    match core.prepare(targets, &mut front, link.hand_off_point()) {
+                    match core.prepare(targets, front, link.hand_off_point()) {
                         Ok(prep) => {
                             let fault = prep.fault();
                             if link.hand_off((i, prep), fault).is_err() {
@@ -510,7 +513,7 @@ pub fn run_batches(
         let mut back_err = None;
         while let Some((i, prep)) = link.next() {
             let mut spent = Vec::new();
-            match core.execute(prep, &mut back, &mut spent) {
+            match core.execute(prep, back, &mut spent) {
                 Ok(res) => results.push(res),
                 Err(e) => {
                     back_err = Some((i, e));

@@ -14,7 +14,7 @@
 //!
 //! # Batch-window anchoring
 //!
-//! The dispatcher forms every batch with the one [`BatchFormer`]: a
+//! The dispatcher forms every batch with the one `BatchFormer`: a
 //! micro-batch opens when its first request has arrived **and a server slot
 //! is free** (`open = max(first_arrival, free_at)`), closes `max_wait`
 //! later (or as soon as it fills to `max_batch`), admits arrivals inside
@@ -40,7 +40,7 @@
 //! the queue depth and routes the whole window there, and the tiers share
 //! one virtual free clock, since they model one server switching models.
 //!
-//! * **Per group** — the bounded condvar [`DispatchQueue`] (the admission
+//! * **Per group** — the bounded condvar `DispatchQueue` (the admission
 //!   backpressure; workers block on it, no polling), the liveness count (the
 //!   last worker of a group to die aborts only that group's queue: its
 //!   routed requests are shed and counted), the compute-estimate EWMA fed
@@ -68,7 +68,7 @@
 //! request is served or shed and counted: `served + shed + shed_queue +
 //! shed_deadline == n_requests`.
 
-use crate::batched::{BackStage, BatchedEngine, EngineCore, FrontStage, PreparedBatch};
+use crate::batched::{BackScratch, BatchedEngine, EngineCore, FrontScratch, PreparedBatch};
 use crate::error::{ServingError, ServingResult};
 use crate::faults::Fault;
 use crate::metrics::ServingMetrics;
@@ -852,8 +852,8 @@ impl<'f> Fleet<'f> {
 /// adds to it — the pending slot, settlement, and handing a batch back
 /// when the pair winds down under it.
 fn front_stage(
-    core: EngineCore<'_, '_>,
-    mut front: FrontStage<'_>,
+    core: &EngineCore<'_>,
+    front: &mut FrontScratch,
     link: &WorkerLink,
     fleet: &Fleet<'_>,
     g: usize,
@@ -869,13 +869,13 @@ fn front_stage(
         // down) while we were blocked in pop — or dies while we wait out
         // the store-write visibility barrier. Either way hand the batch
         // back for a live worker instead of preparing into a closed link.
-        if !link.pair.admit(barrier, staged, front.pool) {
+        if !link.pair.admit(barrier, staged, &mut front.pool) {
             fleet.hand_back(batch);
             break;
         }
         link.front_pending.begin(&batch, fleet.now());
         let hand_off = link.pair.hand_off_point();
-        let (outcome, _) = fleet.attempt(|| core.prepare(&batch.nodes, &mut front, hand_off));
+        let (outcome, _) = fleet.attempt(|| core.prepare(&batch.nodes, front, hand_off));
         let prep = match outcome {
             Ok(Ok(prep)) => prep,
             // A failed prepare is terminal for this attempt.
@@ -892,7 +892,7 @@ fn front_stage(
             // The watchdog already requeued + resolved this batch; the
             // prepared scratch goes straight back to the pool and the
             // link check above ends the generation.
-            prep.recycle_into(front.pool);
+            prep.recycle_into(&mut front.pool);
             continue;
         }
         staged += 1;
@@ -915,8 +915,8 @@ fn front_stage(
 /// death it kills the link, drains the staged batches back to the
 /// dispatcher (they were popped and never resolved), and retires the worker.
 fn back_stage(
-    core: EngineCore<'_, '_>,
-    mut back: BackStage<'_>,
+    core: &EngineCore<'_>,
+    back: &mut BackScratch,
     link: &WorkerLink,
     fleet: &Fleet<'_>,
     g: usize,
@@ -931,7 +931,7 @@ fn back_stage(
             _ => 1.0,
         };
         let mut spent = Vec::new();
-        let (outcome, busy) = fleet.attempt(|| core.execute(prep, &mut back, &mut spent));
+        let (outcome, busy) = fleet.attempt(|| core.execute(prep, back, &mut spent));
         // The estimate is the batch's whole busy span: prepare's seconds
         // rode in with the batch.
         let est_busy = (front_busy + busy) * skew;

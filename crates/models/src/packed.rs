@@ -295,7 +295,7 @@ fn layer_forward_packed(
         };
         if projects || add {
             reshape(prod, n, b.out_dim());
-            operand.matmul_packed_rows_into(None, pack, prod, 0);
+            operand.matmul_packed_into(pack, prod);
         } else {
             operand.matmul_packed_rows_into(None, pack, out, col0);
         }

@@ -253,7 +253,7 @@ impl CsrMatrix {
                 let row = start + r;
                 let (ids, weights) = (self.row_indices(row), self.row_values(row));
                 let dst = &mut out_row[col0..col0 + f];
-                row_sum(dst, rhs, None, ids, Some(weights), 1.0);
+                row_sum(dst, rhs, ids, Some(weights), 1.0);
                 gcnp_tensor::check::guard_finite("sparse.spmm.finite", "spmm output row", dst);
             }
         });

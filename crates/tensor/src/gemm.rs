@@ -21,7 +21,7 @@
 //!   `n`: a product can fill a column window of a wider output.
 //!
 //! Transposed orientations (`AᵀB`, `ABᵀ`) fold the transpose into the pack
-//! step: the packer reads the source with a strided [`View`] instead of
+//! step: the packer reads the source with a strided `View` instead of
 //! materializing a transposed copy first.
 //!
 //! **Determinism.** For a given shape, every path that the auto dispatcher

@@ -5,12 +5,15 @@
 //! kernels in [`crate::gemm`] (packed operands, runtime-dispatched AVX2/FMA
 //! microkernel); transposed orientations fold the transpose into operand
 //! packing instead of materializing a copy. Parallelism is over output-row
-//! chunks via [`crate::parallel`].
+//! chunks via [`crate::parallel`]. The row-indexed product
+//! ([`Matrix::matmul_packed_rows_into`]) names its source rows by id alone,
+//! row `ids[i]` of `self`, as [`crate::row_sum`] does, and validates them
+//! the same way before it reads or writes anything.
 
 use crate::gemm::{self, View};
 use crate::matrix::Matrix;
 use crate::parallel::parallel_row_chunks;
-use crate::rowsum::{resolve, RowIds};
+use crate::rowsum::resolve;
 use std::cell::RefCell;
 
 thread_local! {
@@ -126,24 +129,23 @@ impl Matrix {
 
     /// `out[i][col0 .. col0 + n] = row_i · pack`, the product read and
     /// written where the data lives: `row_i` is row `i` of `self` when
-    /// `rows` is `None`, else row `ids[i]` — `relabel[ids[i]]` when
-    /// `rows = Some((Some(relabel), ids))` — the way [`crate::row_sum`]
-    /// names its source rows, so the GEMM is the gather (ids may repeat and
-    /// come in any order); and `out` may be wider than the product, which
-    /// fills its column window and leaves every other column untouched, so
-    /// the GEMM is the concatenation. Bitwise equal to gathering the rows,
-    /// [`Matrix::matmul_packed`], and copying the product into the window.
+    /// `rows` is `None`, else row `ids[i]` for `rows = Some(ids)`, the way
+    /// [`crate::row_sum`] names its source rows — so the GEMM is the gather
+    /// (ids may repeat and come in any order); and `out` may be wider than
+    /// the product, which fills its column window and leaves every other
+    /// column untouched, so the GEMM is the concatenation. Bitwise equal to
+    /// gathering the rows, [`Matrix::matmul_packed`], and copying the
+    /// product into the window.
     ///
     /// # Panics
     /// Panics, before reading a row or writing an element, on
     /// inner-dimension or output-shape mismatch, a window past `out`'s
-    /// width, an id outside the relabel table or mapped to
-    /// [`ABSENT`](crate::rowsum::ABSENT), or a row outside `self`.
+    /// width, or an id outside `self`.
     ///
-    /// Shapes: `self` is `(r, k)` with `k == pack.k()`; `out` is `(m, w)` with `m` = `ids.len()` (`r` when `rows` is `None`) and `col0 + pack.n() <= w`; every resolved row is `< r`.
+    /// Shapes: `self` is `(r, k)` with `k == pack.k()`; `out` is `(m, w)` with `m` = `ids.len()` (`r` when `rows` is `None`) and `col0 + pack.n() <= w`; every id is `< r`.
     pub fn matmul_packed_rows_into(
         &self,
-        rows: Option<RowIds<'_>>,
+        rows: Option<&[usize]>,
         pack: &crate::PackedB,
         out: &mut Matrix,
         col0: usize,
@@ -157,7 +159,7 @@ impl Matrix {
             pack.k(),
             pack.n()
         );
-        let m = rows.map_or(self.rows(), |(_, ids)| ids.len());
+        let m = rows.map_or(self.rows(), <[usize]>::len);
         assert!(
             out.rows() == m && col0 + pack.n() <= out.cols(),
             "matmul_packed: output shape mismatch"
@@ -167,9 +169,9 @@ impl Matrix {
             None => {
                 gemm::gemm_packed_into(View::normal(self), pack, m, out.as_mut_slice(), ldc, col0)
             }
-            Some((relabel, ids)) => ROW_OFFSETS.with(|cell| {
+            Some(ids) => ROW_OFFSETS.with(|cell| {
                 let mut offsets = cell.borrow_mut();
-                resolve(&mut offsets, pack.k(), self, relabel, ids, None);
+                resolve(&mut offsets, pack.k(), self, ids, None);
                 let a = View::indexed(self, &offsets);
                 gemm::gemm_packed_into(a, pack, m, out.as_mut_slice(), ldc, col0);
             }),

@@ -22,14 +22,12 @@
 //! tiling and any thread count (callers split output rows, never a row's
 //! list).
 //!
-//! Row ids are validated once per call, while they are resolved to element
-//! offsets and before anything is read through them.
+//! A source row is named by its id alone: row `ids[j]` of `src`. Row ids
+//! are validated once per call, while they are resolved to element offsets
+//! and before anything is read through them or written to `dst`.
 
 use crate::matrix::Matrix;
 use std::cell::RefCell;
-
-/// Relabel-table sentinel: the id has no row in the table being read.
-pub const ABSENT: u32 = u32::MAX;
 
 /// Columns per register tile: eight 8-lane accumulators.
 const TILE: usize = 64;
@@ -57,36 +55,30 @@ impl RowId for usize {
     }
 }
 
-/// The rows of a matrix a kernel reads, named the way [`row_sum`] names
-/// them: row `ids[i]`, or row `relabel[ids[i]]` through a relabel table.
-pub type RowIds<'a> = (Option<&'a [u32]>, &'a [usize]);
-
 thread_local! {
     /// Per-thread element offsets (`row · stride`) of the list being summed,
     /// reused across calls like the GEMM pack buffers.
     static OFFSETS: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
 }
 
-/// `dst[c] = scale · Σ_j weights[j] · src[row_j][c]` for `c < dst.len()`,
-/// where `row_j` is `ids[j]`, or `relabel[ids[j]]` when a relabel table is
-/// given, and absent `weights` are all `1.0` (no multiply is issued). `dst`
-/// is fully overwritten; an empty list yields `0.0 · scale`.
+/// `dst[c] = scale · Σ_j weights[j] · src[ids[j]][c]` for `c < dst.len()`,
+/// where absent `weights` are all `1.0` (no multiply is issued). `dst` is
+/// fully overwritten; an empty list yields `0.0 · scale`.
 ///
 /// # Panics
-/// Panics, before reading any row, if `dst` is wider than a `src` row, the
-/// weights do not pair up with the ids, an id falls outside the relabel
-/// table or maps to [`ABSENT`], or a row falls outside `src`.
+/// Panics, before reading any row or writing `dst`, if `dst` is wider than
+/// a `src` row, the weights do not pair up with the ids, or an id falls
+/// outside `src`.
 ///
-/// Shapes: `src` is `(n, stride)` and `dst.len() <= stride`; `weights`, when given, has `ids.len()` entries; every resolved row is `< n`.
+/// Shapes: `src` is `(n, stride)` and `dst.len() <= stride`; `weights`, when given, has `ids.len()` entries; every id is `< n`.
 pub fn row_sum<I: RowId>(
     dst: &mut [f32],
     src: &Matrix,
-    relabel: Option<&[u32]>,
     ids: &[I],
     weights: Option<&[f32]>,
     scale: f32,
 ) {
-    row_sum_with(true, dst, src, relabel, ids, weights, scale);
+    row_sum_with(true, dst, src, ids, weights, scale);
 }
 
 /// [`row_sum`] on a chosen twin: the AVX2 one when `simd` is set and the CPU
@@ -96,14 +88,13 @@ fn row_sum_with<I: RowId>(
     simd: bool,
     dst: &mut [f32],
     src: &Matrix,
-    relabel: Option<&[u32]>,
     ids: &[I],
     weights: Option<&[f32]>,
     scale: f32,
 ) {
     OFFSETS.with(|cell| {
         let mut offsets = cell.borrow_mut();
-        resolve(&mut offsets, dst.len(), src, relabel, ids, weights);
+        resolve(&mut offsets, dst.len(), src, ids, weights);
         let data = src.as_slice();
         #[cfg(target_arch = "x86_64")]
         if simd && simd_available() {
@@ -141,7 +132,6 @@ pub(crate) fn resolve<I: RowId>(
     offsets: &mut Vec<usize>,
     width: usize,
     src: &Matrix,
-    relabel: Option<&[u32]>,
     ids: &[I],
     weights: Option<&[f32]>,
 ) {
@@ -155,22 +145,7 @@ pub(crate) fn resolve<I: RowId>(
     }
     offsets.clear();
     for &id in ids {
-        let id = id.index();
-        let row = match relabel {
-            None => id,
-            Some(table) => {
-                assert!(
-                    id < table.len(),
-                    "id {id} outside the relabel table ({} entries)",
-                    table.len()
-                );
-                assert!(
-                    table[id] != ABSENT,
-                    "id {id} is absent from the relabel table"
-                );
-                table[id] as usize
-            }
-        };
+        let row = id.index();
         assert!(row < rows, "row {row} out of range ({rows} rows)");
         offsets.push(row * stride);
     }
@@ -364,13 +339,6 @@ mod tests {
         let n_rows = if cfg!(miri) { 5 } else { 23 };
         let long: Vec<usize> = (0..3 * n_rows).map(|i| (i * 7 + 3) % n_rows).collect();
         let lists: [&[usize]; 4] = [&[], &[2], &[4, 1, 4, 4, 0, 1], &long];
-        // Node ids → rows: a permutation of the table with holes between.
-        let relabel: Vec<u32> = (0..2 * n_rows)
-            .map(|id| match id % 2 {
-                0 => ((id / 2 * 5 + 1) % n_rows) as u32,
-                _ => ABSENT,
-            })
-            .collect();
         for (wi, &width) in widths.iter().enumerate() {
             // The last column of a wider table must never be read.
             for stride in [width, width + 3] {
@@ -381,11 +349,7 @@ mod tests {
                         for scale in [1.0, 1.0 / rows.len().max(1) as f32] {
                             let mut want = vec![f32::NAN; width];
                             row_at_a_time(&mut want, &src, rows, weights, scale);
-                            let ids_direct: Vec<u32> = rows.iter().map(|&r| r as u32).collect();
-                            let ids_relabelled: Vec<usize> = rows
-                                .iter()
-                                .map(|&r| relabel.iter().position(|&x| x == r as u32).unwrap())
-                                .collect();
+                            let ids_u32: Vec<u32> = rows.iter().map(|&r| r as u32).collect();
                             for simd in [false, true] {
                                 let ctx = format!(
                                     "width {width} stride {stride} list {} weighted {} scale {scale} simd {simd}",
@@ -393,30 +357,11 @@ mod tests {
                                     weights.is_some()
                                 );
                                 let mut got = vec![f32::NAN; width];
-                                row_sum_with(simd, &mut got, &src, None, rows, weights, scale);
+                                row_sum_with(simd, &mut got, &src, rows, weights, scale);
                                 assert_eq!(bits(&got), bits(&want), "usize ids, {ctx}");
                                 got.fill(f32::NAN);
-                                row_sum_with(
-                                    simd,
-                                    &mut got,
-                                    &src,
-                                    None,
-                                    &ids_direct,
-                                    weights,
-                                    scale,
-                                );
+                                row_sum_with(simd, &mut got, &src, &ids_u32, weights, scale);
                                 assert_eq!(bits(&got), bits(&want), "u32 ids, {ctx}");
-                                got.fill(f32::NAN);
-                                row_sum_with(
-                                    simd,
-                                    &mut got,
-                                    &src,
-                                    Some(&relabel),
-                                    &ids_relabelled,
-                                    weights,
-                                    scale,
-                                );
-                                assert_eq!(bits(&got), bits(&want), "relabelled, {ctx}");
                             }
                         }
                     }
@@ -427,68 +372,74 @@ mod tests {
 
     /// One invalid call per check in `resolve`, on a table so small that a
     /// twin reading through the bad id would leave the allocation.
-    fn invalid_call(simd: bool, case: &str) {
+    fn invalid_call<I: RowId>(simd: bool, case: &str, dst: &mut Vec<f32>, ids: [I; 2]) {
         let src = table(3, 8, 1);
-        let relabel = [2u32, ABSENT, 0];
-        let mut dst = vec![f32::NAN; 8];
         match case {
-            "row" => row_sum_with(simd, &mut dst, &src, None, &[0usize, 3], None, 1.0),
-            "absent" => row_sum_with(simd, &mut dst, &src, Some(&relabel), &[0u32, 1], None, 1.0),
-            "table" => row_sum_with(simd, &mut dst, &src, Some(&relabel), &[3u32], None, 1.0),
+            // `ids[1]` is row 3 of a 3-row table.
+            "row" => row_sum_with(simd, dst, &src, &ids, None, 1.0),
             "wide" => {
                 dst.push(f32::NAN);
-                row_sum_with(simd, &mut dst, &src, None, &[0usize], None, 1.0)
+                row_sum_with(simd, dst, &src, &ids[..1], None, 1.0)
             }
-            "weights" => row_sum_with(simd, &mut dst, &src, None, &[0usize, 1], Some(&[1.0]), 1.0),
+            "weights" => row_sum_with(simd, dst, &src, &ids, Some(&[1.0]), 1.0),
             _ => unreachable!(),
+        }
+    }
+
+    fn invalid_usize(simd: bool, case: &str) {
+        invalid_call(simd, case, &mut vec![f32::NAN; 8], [0usize, 3]);
+    }
+
+    #[test]
+    fn bad_calls_are_rejected_before_dst_is_written() {
+        let nan_bits = f32::NAN.to_bits();
+        for case in ["row", "wide", "weights"] {
+            for simd in [false, true] {
+                for u32_ids in [false, true] {
+                    let mut dst = vec![f32::NAN; 8];
+                    let caught =
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match u32_ids {
+                            false => invalid_call(simd, case, &mut dst, [0usize, 3]),
+                            true => invalid_call(simd, case, &mut dst, [0u32, 3]),
+                        }));
+                    let ctx = format!("{case} simd {simd} u32 ids {u32_ids}");
+                    assert!(caught.is_err(), "{ctx}: must be rejected");
+                    assert!(
+                        dst.iter().all(|x| x.to_bits() == nan_bits),
+                        "{ctx}: rejected after a write"
+                    );
+                }
+            }
         }
     }
 
     #[test]
     #[should_panic(expected = "row 3 out of range (3 rows)")]
     fn out_of_range_row_panics_scalar() {
-        invalid_call(false, "row");
+        invalid_usize(false, "row");
     }
 
     #[test]
     #[should_panic(expected = "row 3 out of range (3 rows)")]
     fn out_of_range_row_panics_simd() {
-        invalid_call(true, "row");
-    }
-
-    #[test]
-    #[should_panic(expected = "id 1 is absent from the relabel table")]
-    fn absent_relabel_entry_panics_scalar() {
-        invalid_call(false, "absent");
-    }
-
-    #[test]
-    #[should_panic(expected = "id 1 is absent from the relabel table")]
-    fn absent_relabel_entry_panics_simd() {
-        invalid_call(true, "absent");
-    }
-
-    #[test]
-    #[should_panic(expected = "id 3 outside the relabel table")]
-    fn id_outside_the_relabel_table_panics() {
-        invalid_call(true, "table");
+        invalid_usize(true, "row");
     }
 
     #[test]
     #[should_panic(expected = "dst is 9 wide but src rows are 8")]
     fn dst_wider_than_stride_panics_scalar() {
-        invalid_call(false, "wide");
+        invalid_usize(false, "wide");
     }
 
     #[test]
     #[should_panic(expected = "dst is 9 wide but src rows are 8")]
     fn dst_wider_than_stride_panics_simd() {
-        invalid_call(true, "wide");
+        invalid_usize(true, "wide");
     }
 
     #[test]
     #[should_panic(expected = "weights do not match ids")]
     fn mismatched_weights_panic() {
-        invalid_call(true, "weights");
+        invalid_usize(true, "weights");
     }
 }

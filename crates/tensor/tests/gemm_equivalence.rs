@@ -32,7 +32,6 @@
 
 use gcnp_tensor::gemm::{KC, MC, MR, NR};
 use gcnp_tensor::init::seeded_rng;
-use gcnp_tensor::rowsum::ABSENT;
 use gcnp_tensor::{set_gemm_path, set_num_threads, GemmPath, Matrix, PackedB};
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -241,30 +240,19 @@ fn golden_hashes_pin_the_blocked_kernels() {
 }
 
 /// The row-indexed, column-windowed product against its materialised
-/// reference, under both microkernels. `ids` index `relabel` (when given),
-/// which indexes `src`. Caller holds the lock.
-fn check_rows_window(
-    src: &Matrix,
-    relabel: Option<&[u32]>,
-    ids: &[usize],
-    b: &Matrix,
-    col0: usize,
-    pad: usize,
-) {
+/// reference, under both microkernels. `ids` index `src`. Caller holds the
+/// lock.
+fn check_rows_window(src: &Matrix, ids: &[usize], b: &Matrix, col0: usize, pad: usize) {
     let pack = PackedB::pack(b);
     let (m, n) = (ids.len(), b.cols());
-    let resolved: Vec<usize> = ids
-        .iter()
-        .map(|&v| relabel.map_or(v, |t| t[v] as usize))
-        .collect();
     // A NaN with a payload no product produces: any write outside the
     // window, or a window element left unwritten, shows up bit for bit.
     let fill = f32::from_bits(0x7fc0_beef);
     for path in [GemmPath::BlockedScalar, GemmPath::BlockedSimd] {
         set_gemm_path(Some(path));
-        let want = src.select_rows(&resolved).matmul_packed(&pack);
+        let want = src.select_rows(ids).matmul_packed(&pack);
         let mut out = Matrix::filled(m, col0 + n + pad, fill);
-        src.matmul_packed_rows_into(Some((relabel, ids)), &pack, &mut out, col0);
+        src.matmul_packed_rows_into(Some(ids), &pack, &mut out, col0);
         for i in 0..m {
             for (c, v) in out.row(i).iter().enumerate() {
                 let want = match c.checked_sub(col0) {
@@ -286,8 +274,8 @@ fn rows_window_accumulates_only_its_window_across_kc_slabs() {
         let src = Matrix::rand_uniform(MR + 3, k, -1.0, 1.0, &mut seeded_rng(k as u64));
         let b = Matrix::rand_uniform(k, 2 * NR + 3, -1.0, 1.0, &mut seeded_rng(9));
         let ids: Vec<usize> = (0..2 * MR + 1).map(|i| (i * 5) % src.rows()).collect();
-        check_rows_window(&src, None, &ids, &b, 3, 2);
-        check_rows_window(&src, None, &ids, &b, 0, 0);
+        check_rows_window(&src, &ids, &b, 3, 2);
+        check_rows_window(&src, &ids, &b, 0, 0);
     }
 }
 
@@ -296,24 +284,16 @@ fn rows_window_rejects_bad_ids_before_writing() {
     let _forced = ForcedPath::lock();
     let src = Matrix::rand_uniform(4, 5, -1.0, 1.0, &mut seeded_rng(5));
     let pack = PackedB::pack(&Matrix::rand_uniform(5, 3, -1.0, 1.0, &mut seeded_rng(6)));
-    let relabel = [2u32, ABSENT, 0, 9];
-    let cases: [(Option<&[u32]>, &[usize]); 4] = [
-        (None, &[0, 4]),              // row outside src
-        (Some(&relabel), &[0, 1]),    // absent relabel slot
-        (Some(&relabel), &[2, 4]),    // id outside the relabel table
-        (Some(&relabel), &[0, 2, 3]), // relabelled row outside src
-    ];
-    for (relabel, ids) in cases {
-        let mut out = Matrix::filled(ids.len(), 3, 7.0);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            src.matmul_packed_rows_into(Some((relabel, ids)), &pack, &mut out, 0)
-        }));
-        assert!(caught.is_err(), "{relabel:?} {ids:?} must be rejected");
-        assert!(
-            out.as_slice().iter().all(|&v| v == 7.0),
-            "{relabel:?} {ids:?}: rejected after a write"
-        );
-    }
+    let ids: &[usize] = &[0, 4]; // row 4 lies outside src
+    let mut out = Matrix::filled(ids.len(), 3, 7.0);
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        src.matmul_packed_rows_into(Some(ids), &pack, &mut out, 0)
+    }));
+    assert!(caught.is_err(), "{ids:?} must be rejected");
+    assert!(
+        out.as_slice().iter().all(|&v| v == 7.0),
+        "{ids:?}: rejected after a write"
+    );
 }
 
 #[test]
@@ -343,7 +323,7 @@ fn indexed_rows_equal_the_rows_of_the_whole_product() {
                     let whole = src.matmul_packed(&pack);
                     for ids in &lists {
                         let mut out = Matrix::zeros(ids.len(), n);
-                        src.matmul_packed_rows_into(Some((None, ids)), &pack, &mut out, 0);
+                        src.matmul_packed_rows_into(Some(ids), &pack, &mut out, 0);
                         for (i, &v) in ids.iter().enumerate() {
                             let bits =
                                 |r: &[f32]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -372,7 +352,6 @@ proptest! {
         ni in 0usize..9,
         col0 in 0usize..20,
         pad in 0usize..3,
-        relabelled in 0usize..2,
         seed in 0u64..u64::MAX,
     ) {
         let _forced = ForcedPath::lock();
@@ -380,19 +359,10 @@ proptest! {
         let mut rng = seeded_rng(seed);
         let src = Matrix::rand_uniform(MC / 2 + 1, k, -1.0, 1.0, &mut rng);
         let b = Matrix::rand_uniform(k, n, -1.0, 1.0, &mut rng);
-        // Duplicated, unordered ids; through a relabel table they index a
-        // reversed, gappy mapping onto the source rows.
+        // Duplicated, unordered ids.
         let span = src.rows();
         let ids: Vec<usize> = (0..m).map(|i| (i * 7 + seed as usize % 5) % span).collect();
-        let relabel: Vec<u32> = (0..2 * span)
-            .map(|v| if v % 2 == 0 { (span - 1 - v / 2) as u32 } else { ABSENT })
-            .collect();
-        if relabelled == 1 {
-            let ids: Vec<usize> = ids.iter().map(|&v| 2 * v).collect();
-            check_rows_window(&src, Some(&relabel), &ids, &b, col0, pad);
-        } else {
-            check_rows_window(&src, None, &ids, &b, col0, pad);
-        }
+        check_rows_window(&src, &ids, &b, col0, pad);
     }
 }
 
