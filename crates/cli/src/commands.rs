@@ -243,9 +243,12 @@ pub fn prune(args: &Args) -> Result<String, String> {
     args.only(&[
         "data", "model", "budget", "scheme", "method", "seed", "retrain", "out",
     ])?;
+    let budget: f32 = args.get_or("budget", 0.25)?;
+    if !(budget > 0.0 && budget <= 1.0) {
+        return Err(format!("--budget must be in (0, 1], got {budget}"));
+    }
     let data = load_dataset(args.require("data")?)?;
     let model = load_model_for(args.require("model")?, false, &data)?;
-    let budget: f32 = args.get_or("budget", 0.25)?;
     let scheme = match args.get("scheme").unwrap_or("full") {
         "full" => Scheme::FullInference,
         "batched" => Scheme::BatchedInference,
@@ -337,6 +340,10 @@ pub fn eval(args: &Args) -> Result<String, String> {
         "seed",
         "quantized",
     ])?;
+    let batch: usize = args.get_or("batch", 512)?;
+    if batch == 0 {
+        return Err("--batch must be at least 1".into());
+    }
     let data = load_dataset(args.require("data")?)?;
     let model_path = args.require("model")?;
     let quantized = args.has("quantized");
@@ -365,7 +372,6 @@ pub fn eval(args: &Args) -> Result<String, String> {
     } else {
         None
     };
-    let batch: usize = args.get_or("batch", 512)?;
     let mut engine = BatchedEngine::new(
         &model,
         &data.adj,
@@ -954,6 +960,25 @@ mod tests {
                 "{flag}: {err}"
             );
         }
+        // A value no run can use is refused by name before any file I/O:
+        // a pruning budget outside (0, 1] and an empty evaluation batch
+        // (both panicked inside the work they started).
+        for (cmd, name) in [
+            ("prune --budget 0 --out z.json", "--budget"),
+            ("prune --budget 1.5 --out z.json", "--budget"),
+            ("prune --budget nan --out z.json", "--budget"),
+            ("eval --batched --batch 0", "--batch"),
+        ] {
+            let (cmd, rest) = cmd.split_once(' ').unwrap();
+            let err = run(&parse(&format!(
+                "{cmd} --data x.json --model y.json {rest}"
+            )))
+            .unwrap_err();
+            assert!(
+                err.contains(name) && !err.contains("read x.json"),
+                "{cmd} {rest}: {err}"
+            );
+        }
         // A model whose widths do not fit the data — here layer 1's
         // neighbour branch reads 2 channels, the shape a pruned file from
         // before pruned models were compact loads as — is refused by name,
@@ -1072,6 +1097,13 @@ mod tests {
                 err.contains("layer 1 branch 0: a ") && err.contains(what),
                 "{key}: {err}"
             );
+        }
+        // A non-finite admission window is refused by the serving config:
+        // with it no arrival is ever past a window's close.
+        for wait in ["nan", "inf"] {
+            let cmd = format!("serve --data {d} --model {m} --requests 50 --max-wait-ms {wait}");
+            let err = run(&parse(&cmd)).unwrap_err();
+            assert!(err.contains("max_wait must be"), "{wait}: {err}");
         }
         // So is an f32 weight cut short, and a bias narrower than its
         // layer's output, by every command that runs the model (they

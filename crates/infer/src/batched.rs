@@ -146,9 +146,9 @@
 //! stage of batch N+1 concurrently with the back stage of batch N on
 //! separate threads, both reading the one core — which is why the split
 //! routes every front-stage buffer through the owned, `Send`
-//! `PreparedBatch`, and why the back end hands spent front-pool buffers
-//! back through an explicit `spent` list
-//! instead of recycling into a shared pool. Staging the store reads in the
+//! `PreparedBatch`: a buffer the front allocates moves with the batch and
+//! is dropped where the back consumes it, so nothing travels back. Staging
+//! the store reads in the
 //! front stage also means a store level of the wrong width surfaces as a
 //! typed error *before* any GEMM or write-back runs (fail before side
 //! effects), while a row whose checksum fails is quarantined at its one
@@ -156,7 +156,7 @@
 
 use gcnp_models::{Branch, CombineMode, GnnModel, PackedModel, QuantPackedModel};
 use gcnp_sparse::{BatchSupport, CsrMatrix, LayerSupport};
-use gcnp_tensor::{parallel_row_chunks, qgemm_packed_into, row_sum, Matrix, PackedB, ScratchPool};
+use gcnp_tensor::{parallel_row_chunks, qgemm_packed_into, row_sum, Matrix, PackedB};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -404,10 +404,6 @@ pub(crate) struct EngineCore<'a> {
 pub(crate) struct FrontScratch {
     /// Batches prepared so far: batch `n`'s sampling seed is `seed ^ n`.
     counter: u64,
-    /// Matrix free list: staged store reads are drawn from here; the back
-    /// end returns them via its `spent` list (double-buffered circulation
-    /// under the pipelined executor).
-    pub(crate) pool: ScratchPool,
     /// Stored rows per level in the last batch: the capacity each level's
     /// staging buffer is taken with.
     staged_rows: Vec<usize>,
@@ -420,10 +416,6 @@ pub(crate) struct FrontScratch {
 /// filled, and every mark is set only after its row is written.
 #[derive(Default)]
 pub(crate) struct BackScratch {
-    /// Matrix free list: aggregated operands and hidden layers' combined
-    /// outputs are drawn from (and returned to) this pool instead of
-    /// hitting the allocator once per intermediate per batch.
-    pool: ScratchPool,
     /// Layer 1's `k = 0` products, one slot per layer-1 branch (a `k = 1`
     /// slot stays empty): `X·W_self` by node id, filled on first touch.
     self_tables: Vec<SelfTable>,
@@ -528,16 +520,15 @@ pub(crate) struct PreparedBatch {
     pub(crate) support: BatchSupport,
     /// Staged store reads per level: `staged[li - 1]` holds the rows of
     /// `support.layers[li - 1].stored` in order, `None` when that level has
-    /// no stored rows. Front-pool buffers; the back end retires them
-    /// through its `spent` list. (Level 0 is not staged: execute reads the
-    /// attributes in place.)
+    /// no stored rows. (Level 0 is not staged: execute reads the attributes
+    /// in place.)
     staged: Vec<Option<Matrix>>,
     /// Layer 1's neighbour-branch means, one slot per layer-1 branch: for a
     /// `k = 1` branch, the computed nodes' means over their neighbours'
     /// projection-table rows (`computed × out_dim`, the branch's product);
-    /// `None` for a `k = 0` branch (it reads its own table). Front-pool
-    /// buffers, retired through `spent` like `staged`. Rows `..means_done`
-    /// were built by prepare; execute builds the rest in place.
+    /// `None` for a `k = 0` branch (it reads its own table). Rows
+    /// `..means_done` were built by prepare; execute builds the rest in
+    /// place.
     aggregated: Vec<Option<Matrix>>,
     /// The hand-off row of layer 1's neighbour means (see [`HandOff`]).
     means_done: usize,
@@ -580,22 +571,6 @@ impl PreparedBatch {
     /// Busy seconds the front stage spent preparing this batch.
     pub(crate) fn front_seconds(&self) -> f64 {
         self.front_seconds
-    }
-
-    /// Every front-pool buffer the batch still holds.
-    fn buffers(&mut self) -> impl Iterator<Item = Matrix> + '_ {
-        self.staged
-            .iter_mut()
-            .chain(&mut self.aggregated)
-            .filter_map(Option::take)
-    }
-
-    /// Return this batch's front-pool buffers to `pool` — the abandon path
-    /// when a supervisor steal voids the attempt after prepare finished.
-    pub(crate) fn recycle_into(mut self, pool: &mut ScratchPool) {
-        for m in self.buffers() {
-            pool.recycle(m);
-        }
     }
 }
 
@@ -784,7 +759,6 @@ impl<'a> BatchedEngine<'a> {
             },
             front: FrontScratch::default(),
             back: BackScratch {
-                pool: ScratchPool::new(),
                 // Empty slots: a table is allocated by the first batch
                 // that reads it.
                 self_tables: layer_one.iter().map(|_| SelfTable::default()).collect(),
@@ -842,15 +816,7 @@ impl<'a> BatchedEngine<'a> {
     pub fn try_infer(&mut self, targets: &[usize]) -> ServingResult<BatchResult> {
         let (core, front, back) = self.split();
         let prep = core.prepare(targets, front, HandOff::Never)?;
-        let mut spent = Vec::new();
-        let res = core.execute(prep, back, &mut spent);
-        // Front-originated buffers circulate back to the front pool (the
-        // pipelined executor routes this return trip through a rail between
-        // the stage threads instead).
-        for m in spent {
-            front.pool.recycle(m);
-        }
-        res
+        core.execute(prep, back)
     }
 }
 
@@ -980,7 +946,7 @@ impl EngineCore<'_> {
         let mut staging: Vec<Vec<f32>> = (0..n_layers)
             .map(|l| {
                 if store.active() && l + 1 < n_layers {
-                    front.pool.take_vec(front.staged_rows[l] * widths[l]) // audit: allow(no-fail-stop) — both hold one entry per layer
+                    Vec::with_capacity(front.staged_rows[l] * widths[l]) // audit: allow(no-fail-stop) — both hold one entry per layer
                 } else {
                     Vec::new() // the output layer is never stored
                 }
@@ -1047,9 +1013,6 @@ impl EngineCore<'_> {
             });
         }
         if let Some(err) = failed {
-            for buf in staging {
-                front.pool.recycle_vec(buf);
-            }
             return Err(err);
         }
         let mut mem_bytes: usize = self.packed.weight_bytes(self.model);
@@ -1078,7 +1041,6 @@ impl EngineCore<'_> {
         {
             *hint = ls.stored.len();
             if ls.stored.is_empty() {
-                front.pool.recycle_vec(buf);
                 staged.push(None);
                 continue;
             }
@@ -1098,9 +1060,7 @@ impl EngineCore<'_> {
         let mut means_done = 0;
         if let (Some(layer), Some(ls)) = (self.model.layers.first(), support.layers.first()) {
             let n = ls.compute.len();
-            aggregated.extend(layer.branches.iter().map(|branch| {
-                (branch.k == 1).then(|| front.pool.take_matrix(n, branch.out_dim()))
-            }));
+            aggregated = mean_buffers(&layer.branches, n);
             while means_done < n {
                 let end = match hand_off {
                     HandOff::Never => n,
@@ -1162,7 +1122,6 @@ impl EngineCore<'_> {
         &self,
         nodes: [&[usize]; 2],
         self_tables: &mut [SelfTable],
-        pool: &mut ScratchPool,
         cost: &mut Cost,
     ) {
         let Some(layer) = self.model.layers.first() else {
@@ -1194,7 +1153,7 @@ impl EngineCore<'_> {
             if misses.is_empty() {
                 continue;
             }
-            let mut fresh = pool.take_matrix(misses.len(), width);
+            let mut fresh = Matrix::zeros(misses.len(), width);
             let pack = self.packed.layer_one_f32(bi);
             self.features
                 .matmul_packed_rows_into(Some(misses), pack, &mut fresh, 0);
@@ -1205,7 +1164,6 @@ impl EngineCore<'_> {
                 rows[v * width..(v + 1) * width].copy_from_slice(fresh.row(i));
                 filled[v] = true;
             }
-            pool.recycle(fresh);
             let n = misses.len();
             cost.macs += (n * branch.in_dim() * width) as u64;
             cost.mem_bytes += (n * branch.in_dim() + branch.weight.len()) * 4;
@@ -1266,7 +1224,6 @@ impl EngineCore<'_> {
     /// how many were filled. `cost` gains the fill's MACs and bytes; a
     /// projection row counts once per batch, so beside the batch's
     /// `input_nodes` (whose rows prepare counted) only the new ones count.
-    #[allow(clippy::too_many_arguments)]
     // audit: allow(no-fail-stop) — fill nodes, their neighbours and the input nodes are node ids of this graph; the table and marks hold n_nodes rows
     fn fill_level_one(
         &self,
@@ -1274,7 +1231,6 @@ impl EngineCore<'_> {
         input_nodes: &[usize],
         (level, filled, seen): (&mut Matrix, &mut [bool], &mut [bool]),
         self_tables: &[SelfTable],
-        pool: &mut ScratchPool,
         clock: &mut Option<StageClock>,
         cost: &mut Cost,
     ) -> ServingResult<usize> {
@@ -1305,21 +1261,13 @@ impl EngineCore<'_> {
             cost.mem_bytes += rows * branch.out_dim() * 4;
         }
         let n = fill.compute.len();
-        let mut aggregated: Vec<Option<Matrix>> = layer
-            .branches
-            .iter()
-            .map(|b| (b.k == 1).then(|| pool.take_matrix(n, b.out_dim())))
-            .collect();
+        let mut aggregated = mean_buffers(&layer.branches, n);
         self.layer_one_means(&fill, &mut aggregated, 0..n);
         lap(clock, Stage::Spmm);
-        let out = self.layer_output(1, &fill, None, &aggregated, self_tables, pool, clock, cost)?;
+        let out = self.layer_output(1, &fill, None, &aggregated, self_tables, clock, cost)?;
         for (i, &v) in fill.compute.iter().enumerate() {
             level.row_mut(v).copy_from_slice(out.row(i));
             filled[v] = true;
-        }
-        pool.recycle(out);
-        for m in aggregated.into_iter().flatten() {
-            pool.recycle(m);
         }
         if let Some(m) = &self.metrics {
             m.l1_table_fill.add(n as u64);
@@ -1332,45 +1280,28 @@ impl EngineCore<'_> {
     /// the target logits. Layer 1's neighbour-branch means arrive built, its
     /// `k = 0` branch reads its table, and its tabled rows lie in level 1's
     /// table (each table filling the rows no earlier batch did); hidden
-    /// levels aggregate here.
-    ///
-    /// Buffers that originated in the front pool (the staged store reads,
-    /// layer 1's neighbour-branch means) are pushed onto `spent` instead of
-    /// this stage's pool — on error returns too — so the caller can
-    /// circulate them back to the front stage.
+    /// levels aggregate here. Every buffer the batch carries is dropped
+    /// where it is consumed, on error returns too.
     pub(crate) fn execute(
         &self,
-        mut prep: PreparedBatch,
+        prep: PreparedBatch,
         back: &mut BackScratch,
-        spent: &mut Vec<Matrix>,
     ) -> ServingResult<BatchResult> {
-        let res = self.execute_levels(&mut prep, back, spent);
-        // Whatever an early error return left in the batch.
-        spent.extend(prep.buffers());
-        res
-    }
-
-    fn execute_levels(
-        &self,
-        prep: &mut PreparedBatch,
-        back: &mut BackScratch,
-        spent: &mut Vec<Matrix>,
-    ) -> ServingResult<BatchResult> {
-        let (bypass_store, fault, store_hits, t0) =
-            (prep.bypass_store, prep.fault, prep.store_hits, prep.t0);
         let PreparedBatch {
             support,
-            staged,
-            aggregated,
+            mut staged,
+            mut aggregated,
             means_done,
             tabled: level_one_nodes,
-            clock,
+            bypass_store,
+            fault,
+            mem_bytes,
+            store_hits,
+            t0,
+            mut clock,
             ..
         } = prep;
-        let mut cost = Cost {
-            macs: 0,
-            mem_bytes: prep.mem_bytes,
-        };
+        let mut cost = Cost { macs: 0, mem_bytes };
         let store = if bypass_store {
             StoreView::None
         } else {
@@ -1380,7 +1311,6 @@ impl EngineCore<'_> {
             c.resume(); // the inter-stage queue wait is not a stage
         }
         let BackScratch {
-            pool,
             self_tables,
             levels,
             filled,
@@ -1389,10 +1319,10 @@ impl EngineCore<'_> {
         let n_layers = self.model.layers.len();
         // Layer 1's neighbour means: the rows prepare handed off.
         if let Some(ls) = support.layers.first() {
-            if *means_done < ls.compute.len() {
-                let rows = *means_done..ls.compute.len();
-                self.layer_one_means(ls, aggregated, rows);
-                lap(clock, Stage::Spmm);
+            if means_done < ls.compute.len() {
+                let rows = means_done..ls.compute.len();
+                self.layer_one_means(ls, &mut aggregated, rows);
+                lap(&mut clock, Stage::Spmm);
             }
         }
         let mut logits = None;
@@ -1402,12 +1332,12 @@ impl EngineCore<'_> {
             // Level 1's tabled nodes, and the ones among them no earlier
             // batch filled: layer 1 computes those after the batch's own
             // rows, with one `k = 0` table fill for both.
-            let tabled: &[usize] = if li == 1 { level_one_nodes } else { &[] };
+            let tabled: &[usize] = if li == 1 { &level_one_nodes } else { &[] };
             let fill = self.level_one_misses(tabled, filled)?;
             if li == 1 {
                 let fill_nodes = fill.as_ref().map_or(&[][..], |f| &f.compute[..]);
-                self.fill_self_tables([&ls.compute, fill_nodes], self_tables, pool, &mut cost);
-                lap(clock, Stage::Gemm);
+                self.fill_self_tables([&ls.compute, fill_nodes], self_tables, &mut cost);
+                lap(&mut clock, Stage::Gemm);
             }
             // Level `li - 1` where it lies; level 0 (`None`) is read
             // through layer 1's tables.
@@ -1416,10 +1346,9 @@ impl EngineCore<'_> {
                 li,
                 ls,
                 below,
-                aggregated,
+                &aggregated,
                 self_tables,
-                pool,
-                clock,
+                &mut clock,
                 &mut cost,
             )?;
             // The output layer computes exactly the deduplicated targets,
@@ -1427,14 +1356,14 @@ impl EngineCore<'_> {
             let Some(level) = levels.get_mut(li - 1) else {
                 debug_assert_eq!(ls.compute, support.targets);
                 logits = Some(out);
-                lap(clock, Stage::Relabel);
+                lap(&mut clock, Stage::Relabel);
                 break;
             };
             let filled_now = match fill {
                 Some(fill) => {
                     let input = &support.input_nodes;
                     let table = (&mut *level, &mut filled[..], &mut marks[..]);
-                    self.fill_level_one(fill, input, table, self_tables, pool, clock, &mut cost)?
+                    self.fill_level_one(fill, input, table, self_tables, &mut clock, &mut cost)?
                 }
                 None => 0,
             };
@@ -1449,7 +1378,6 @@ impl EngineCore<'_> {
                 }
                 level.row_mut(v).copy_from_slice(out.row(i));
             }
-            pool.recycle(out);
             if !ls.stored.is_empty() {
                 // The store rows were already read (and width-checked) in
                 // prepare; they arrive in the staged buffer.
@@ -1473,7 +1401,6 @@ impl EngineCore<'_> {
                     }
                     level.row_mut(v).copy_from_slice(rows.row(j));
                 }
-                spent.push(rows);
             }
             if !tabled.is_empty() {
                 // A row filled this batch was counted by its fill; a warm
@@ -1484,7 +1411,7 @@ impl EngineCore<'_> {
                     m.l1_table_hit.add(warm as u64);
                 }
             }
-            lap(clock, Stage::Relabel);
+            lap(&mut clock, Stage::Relabel);
 
             // --- write-back policy (middle levels only) -------------------
             // Every row but a store hit's: the computed and the tabled.
@@ -1512,7 +1439,7 @@ impl EngineCore<'_> {
                     }
                 }
             }
-            lap(clock, Stage::WriteBack);
+            lap(&mut clock, Stage::WriteBack);
         }
         let logits = logits.unwrap_or_else(|| Matrix::zeros(support.targets.len(), 0));
         if let (Some(c), Some(m)) = (clock.as_ref(), &self.metrics) {
@@ -1536,7 +1463,6 @@ impl EngineCore<'_> {
             // chaos run's batch distribution shows the stall the stage
             // timings (busy time only) do not.
             m.batch_seconds.observe(seconds);
-            m.scratch_resident.set(pool.retained_bytes() as f64);
         }
 
         Ok(BatchResult {
@@ -1554,9 +1480,8 @@ impl EngineCore<'_> {
     /// its column window of one matrix (under `Mean` the first product lands
     /// at column 0 and the later ones are added in branch order), then the
     /// combine's scale, the bias and the activation — the one per-row body
-    /// every computed row runs, a level-1 table fill's included. A hidden
-    /// layer's matrix is pooled; the output layer's is fresh, because it
-    /// leaves with the batch as the logits. `below` is the node-indexed
+    /// every computed row runs, a level-1 table fill's included. `below` is
+    /// the node-indexed
     /// table of the level below; `None` is level 0, which layer 1 reads
     /// through its tables: the `k = 0` table, and for each `k = 1` branch the
     /// mean in `aggregated`.
@@ -1568,7 +1493,6 @@ impl EngineCore<'_> {
         below: Option<&Matrix>,
         aggregated: &[Option<Matrix>],
         self_tables: &[SelfTable],
-        pool: &mut ScratchPool,
         clock: &mut Option<StageClock>,
         cost: &mut Cost,
     ) -> ServingResult<Matrix> {
@@ -1580,11 +1504,7 @@ impl EngineCore<'_> {
             });
         }
         let (n, width) = (ls.compute.len(), layer.out_dim());
-        let mut out = if li == self.model.layers.len() {
-            Matrix::zeros(n, width)
-        } else {
-            pool.take_matrix(n, width)
-        };
+        let mut out = Matrix::zeros(n, width);
         let mut col0 = 0;
         for (bi, branch) in layer.branches.iter().enumerate() {
             let add = bi > 0 && layer.combine == CombineMode::Mean;
@@ -1623,7 +1543,7 @@ impl EngineCore<'_> {
                 (Some(src), k) => {
                     // A `k = 0` branch builds no operand: its GEMM reads the
                     // computed nodes' rows where they lie.
-                    let built = (k == 1).then(|| aggregate_mean(src, ls, pool));
+                    let built = (k == 1).then(|| aggregate_mean(src, ls));
                     // Aggregation adds: one MAC-equivalent per edge per channel.
                     if k == 1 {
                         cost.macs += (ls.neigh_ids.len() * branch.in_dim()) as u64;
@@ -1636,15 +1556,11 @@ impl EngineCore<'_> {
                         None => (src, Some(ls.compute.as_slice())),
                     };
                     if add {
-                        let mut prod = pool.take_matrix(ls.compute.len(), branch.out_dim());
-                        self.transform(li, bi, operand, &mut prod, 0, pool);
+                        let mut prod = Matrix::zeros(ls.compute.len(), branch.out_dim());
+                        self.transform(li, bi, operand, &mut prod, 0);
                         out.add_assign(&prod);
-                        pool.recycle(prod);
                     } else {
-                        self.transform(li, bi, operand, &mut out, col0, pool);
-                    }
-                    if let Some(m) = built {
-                        pool.recycle(m);
+                        self.transform(li, bi, operand, &mut out, col0);
                     }
                 }
             }
@@ -1677,7 +1593,6 @@ impl EngineCore<'_> {
         (mat, ids): (&Matrix, Option<&[usize]>),
         out: &mut Matrix,
         col0: usize,
-        pool: &mut ScratchPool,
     ) {
         match &self.packed {
             WeightPacks::F32(pm) => {
@@ -1690,22 +1605,18 @@ impl EngineCore<'_> {
             WeightPacks::Int8(qm, _) => {
                 // The int8 kernel quantizes its operand as one tensor and
                 // fills a whole matrix: gather a row-indexed operand first,
-                // take the product in a pooled buffer, copy it into the
+                // take the product in a buffer of its own, copy it into the
                 // window.
                 // audit: allow(no-fail-stop) — packs are built 1:1 with model branches at construction
                 let pack = &qm.branch_packs(li - 1)[bi];
-                let built = ids.map(|ids| gather_selected(mat, ids, pool));
+                let built = ids.map(|ids| gather_selected(mat, ids));
                 let x = built.as_ref().unwrap_or(mat);
-                let mut prod = pool.take_matrix(x.rows(), pack.n());
+                let mut prod = Matrix::zeros(x.rows(), pack.n());
                 qgemm_packed_into(x, pack, &mut prod);
                 if let Some(m) = &self.metrics {
                     m.dispatch_int8.inc();
                 }
                 store_window(out, col0, &prod);
-                pool.recycle(prod);
-                if let Some(b) = built {
-                    pool.recycle(b);
-                }
             }
         }
     }
@@ -1741,6 +1652,13 @@ fn read_self_rows(
             dst.copy_from_slice(src);
         }
     }
+}
+
+/// One zeroed `n × out_dim` buffer per `k = 1` branch, `None` for a `k = 0`
+/// branch: the slots layer 1's neighbour means of `n` nodes are built into.
+fn mean_buffers(branches: &[Branch], n: usize) -> Vec<Option<Matrix>> {
+    let buffer = |b: &Branch| (b.k == 1).then(|| Matrix::zeros(n, b.out_dim()));
+    branches.iter().map(buffer).collect()
 }
 
 /// `out[i][col0 .. col0 + part.cols()] = part[i]` for every row of `part`.
@@ -1785,8 +1703,8 @@ fn projection_table(src: &Matrix, pack: &PackedB) -> Matrix {
 
 /// Gather the rows of `nodes` from the node-indexed table `src`: the int8
 /// kernel's operand, so it stays as long as [`Precision::Int8`] does.
-fn gather_selected(src: &Matrix, nodes: &[usize], pool: &mut ScratchPool) -> Matrix {
-    let mut out = pool.take_matrix(nodes.len(), src.cols());
+fn gather_selected(src: &Matrix, nodes: &[usize]) -> Matrix {
+    let mut out = Matrix::zeros(nodes.len(), src.cols());
     for (i, &v) in nodes.iter().enumerate() {
         out.row_mut(i).copy_from_slice(src.row(v));
     }
@@ -1794,10 +1712,10 @@ fn gather_selected(src: &Matrix, nodes: &[usize], pool: &mut ScratchPool) -> Mat
 }
 
 /// Mean-aggregate the (capped) neighbor rows of the node-indexed table
-/// `src` for each computed node into a pooled buffer (see [`mean_rows`]).
-fn aggregate_mean(src: &Matrix, ls: &LayerSupport, pool: &mut ScratchPool) -> Matrix {
+/// `src` for each computed node (see [`mean_rows`]).
+fn aggregate_mean(src: &Matrix, ls: &LayerSupport) -> Matrix {
     let n = ls.compute.len();
-    let mut out = pool.take_matrix(n, src.cols());
+    let mut out = Matrix::zeros(n, src.cols());
     mean_rows(src, ls, &mut out, 0..n);
     out
 }
@@ -2699,7 +2617,7 @@ mod tests {
             ..Default::default()
         };
         let mut engine = BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 0);
-        let baseline = engine.try_infer(&[4, 17]).unwrap(); // also warms the pools
+        let baseline = engine.try_infer(&[4, 17]).unwrap(); // also warms the tables
         let fastest = (0..5)
             .map(|_| engine.try_infer(&[4, 17]).unwrap().seconds)
             .fold(baseline.seconds, f64::min);
@@ -2715,47 +2633,47 @@ mod tests {
     }
 
     #[test]
-    fn front_pool_buffers_stay_in_circulation() {
+    fn engine_recovers_from_abandoned_and_failed_batches() {
         // Ring of 30 with h¹ stored for the odd nodes: every batch stages
-        // three store rows and carries one neighbour-branch product, all drawn
-        // from the front pool. Between batches the pool must hold every one
-        // of them again, whatever the batch before ran into.
+        // store rows and carries one neighbour-branch product. After each
+        // batch that was abandoned, refused, failed or panicked, the next
+        // batch's logits are bitwise a fresh engine's.
         let (adj, x, model) = setup();
         let norm = adj.normalized(Normalization::Row);
         let hs = model.forward_collect(Some(&norm), &x);
         let store = FeatureStore::new(30, 2);
         let odd: Vec<usize> = (1..30).step_by(2).collect();
         store.put_rows(1, &odd, &hs[0].gather_rows(&odd)).unwrap();
-        let mut engine =
-            BatchedEngine::new(&model, &adj, &x, vec![], Some(&store), StorePolicy::None, 0);
-        // Every level-1 row computed, so layer 1 has a product to carry.
-        engine.core.untabled = true;
+        let build = || {
+            let mut engine =
+                BatchedEngine::new(&model, &adj, &x, vec![], Some(&store), StorePolicy::None, 0);
+            // Every level-1 row computed, so layer 1 has a product to carry.
+            engine.core.untabled = true;
+            engine
+        };
         let targets = [10usize, 12];
+        let mut engine = build();
         engine.try_infer(&targets).unwrap();
-        let steady = engine.front.pool.retained_bytes();
-        assert!(steady > 0);
 
-        for batch in 1..50 {
-            match batch {
+        for case in 0..5 {
+            match case {
                 // A prepared batch abandoned by a watchdog steal.
-                10 => {
+                0 => {
                     let (core, front, _) = engine.split();
                     let prep = core.prepare(&targets, front, HandOff::Never).unwrap();
-                    assert!(front.pool.retained_bytes() < steady, "buffers are out");
-                    prep.recycle_into(&mut front.pool);
+                    assert!(prep.staged[0].is_some(), "the batch stages store rows");
                 }
                 // The same, abandoned after a partial split: one row of
                 // layer 1's means built, the rest left to an execute that
                 // never runs.
-                15 => {
+                1 => {
                     let (core, front, _) = engine.split();
                     let prep = core.prepare(&targets, front, HandOff::AtRow(1)).unwrap();
                     assert_eq!(prep.means_done, 1);
-                    prep.recycle_into(&mut front.pool);
                 }
                 // A store level of the wrong width: refused by the batch's
-                // level check, before any buffer is taken.
-                20 => {
+                // level check.
+                2 => {
                     store.clear();
                     store.put(1, 13, &[1.0, 2.0]).unwrap();
                     let err = engine.try_infer(&targets).unwrap_err();
@@ -2764,13 +2682,12 @@ mod tests {
                     store.put_rows(1, &odd, &hs[0].gather_rows(&odd)).unwrap();
                 }
                 // An execute that errors out before it reaches the staged rows.
-                30 => {
+                3 => {
                     let (core, front, back) = engine.split();
                     let mut prep = core.prepare(&targets, front, HandOff::Never).unwrap();
                     let operand = prep.aggregated.iter_mut().find_map(Option::take);
-                    front.pool.recycle(operand.expect("layer 1 aggregates"));
-                    let mut spent = Vec::new();
-                    let err = core.execute(prep, back, &mut spent).unwrap_err();
+                    assert!(operand.is_some(), "layer 1 aggregates");
+                    let err = core.execute(prep, back).unwrap_err();
                     assert!(matches!(
                         err,
                         ServingError::InvariantViolation {
@@ -2778,13 +2695,9 @@ mod tests {
                             ..
                         }
                     ));
-                    assert!(!spent.is_empty(), "the staged store rows come back");
-                    for m in spent {
-                        front.pool.recycle(m);
-                    }
                 }
                 // An injected worker panic.
-                40 => {
+                _ => {
                     let plan = crate::FaultPlan {
                         panics: 1,
                         horizon: 1,
@@ -2796,45 +2709,14 @@ mod tests {
                     }));
                     assert!(crash.is_err());
                 }
-                _ => {
-                    engine.try_infer(&targets).unwrap();
-                }
             }
+            let next = engine.try_infer(&targets).unwrap();
+            let fresh = build().try_infer(&targets).unwrap();
             assert_eq!(
-                engine.front.pool.retained_bytes(),
-                steady,
-                "after batch {batch}"
+                logit_bits(&next.logits),
+                logit_bits(&fresh.logits),
+                "after case {case}"
             );
-        }
-    }
-
-    #[test]
-    fn back_pool_is_steady_after_warm_up() {
-        // Every back-stage intermediate — aggregates and the hidden
-        // layers' combined outputs — is leased
-        // from the back pool and returned to it, so once the pool has seen
-        // a batch's shapes no further batch grows, shrinks or reshuffles
-        // it. A buffer allocated outside the pool and recycled into it
-        // shows up here as a retained count that climbs every batch.
-        let (adj, x, model) = setup();
-        assert_eq!(model.layers[0].combine, CombineMode::Concat);
-        let mut engine = BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 0);
-        let targets = [3usize, 11, 12, 27];
-        for _ in 0..3 {
-            engine.try_infer(&targets).unwrap();
-        }
-        let steady = (
-            engine.back.pool.retained(),
-            engine.back.pool.retained_bytes(),
-        );
-        assert!(steady.0 > 0);
-        for batch in 0..20 {
-            engine.try_infer(&targets).unwrap();
-            let now = (
-                engine.back.pool.retained(),
-                engine.back.pool.retained_bytes(),
-            );
-            assert_eq!(now, steady, "after batch {batch}");
         }
     }
 
@@ -3078,12 +2960,8 @@ mod tests {
         let (core, front, back) = engine.split();
         let mut prep = core.prepare(&targets, front, HandOff::Never).unwrap();
         let operand = prep.aggregated.iter_mut().find_map(Option::take);
-        front.pool.recycle(operand.expect("layer 1 aggregates"));
-        let mut spent = Vec::new();
-        assert!(core.execute(prep, back, &mut spent).is_err());
-        for m in spent {
-            front.pool.recycle(m);
-        }
+        assert!(operand.is_some(), "layer 1 aggregates");
+        assert!(core.execute(prep, back).is_err());
         assert!(filled_rows(&engine) > before, "it filled rows first");
 
         // An execute that errors between level 1's computed rows and its
@@ -3093,15 +2971,9 @@ mod tests {
         let mut prep = core.prepare(&targets, front, HandOff::Never).unwrap();
         assert!(!prep.support.layers[0].compute.is_empty());
         let rows = prep.staged[0].take();
-        front
-            .pool
-            .recycle(rows.expect("odd level-1 rows are stored"));
-        let mut spent = Vec::new();
-        let err = core.execute(prep, back, &mut spent).unwrap_err();
+        assert!(rows.is_some(), "odd level-1 rows are stored");
+        let err = core.execute(prep, back).unwrap_err();
         assert!(err.to_string().contains("engine.staged.level"), "{err}");
-        for m in spent {
-            front.pool.recycle(m);
-        }
 
         let all: Vec<usize> = (0..30).collect();
         let recovered = engine.try_infer(&all).unwrap();
@@ -3164,8 +3036,7 @@ mod tests {
                     let (core, front, back) = engine.split();
                     let prep = core.prepare(targets, front, HandOff::AtRow(row)).unwrap();
                     assert_eq!(prep.means_done, row);
-                    let mut spent = Vec::new();
-                    let got = core.execute(prep, back, &mut spent).unwrap();
+                    let got = core.execute(prep, back).unwrap();
                     let at = format!("{name}, {threads} threads, hand-off at row {row} of {rows}");
                     assert_eq!(logit_bits(&got.logits), logit_bits(&want.logits), "{at}");
                     assert_eq!(
@@ -3218,7 +3089,7 @@ mod tests {
             .zip(tabled)
             .map(|(ls, tabled)| (ls.stored.len(), ls.compute.len() + tabled))
             .collect();
-        let res = core.execute(prep, back, &mut Vec::new()).unwrap();
+        let res = core.execute(prep, back).unwrap();
         let snap = registry.snapshot();
         for (l, &(stored, computed)) in needed.iter().enumerate() {
             let (hit, miss) = (

@@ -73,10 +73,6 @@ pub struct EngineMetrics {
     pub batch_size: Arc<Histogram>,
     /// Batches completed successfully.
     pub batches: Arc<Counter>,
-    /// Bytes resident in this engine's scratch pool, sampled after each
-    /// batch (`scratch.resident_bytes`). Bounded by the pool's byte cap
-    /// even under retry storms.
-    pub scratch_resident: Arc<Gauge>,
     /// Branch GEMMs executed on the dense blocked f32 kernel
     /// (`engine.dispatch.dense`) — every per-batch transform of an f32
     /// engine, and every layer-1 `k = 0` table fill in either precision.
@@ -101,7 +97,6 @@ impl EngineMetrics {
             batch_seconds: registry.histogram("engine.batch.seconds"),
             batch_size: registry.histogram("engine.batch.size"),
             batches: registry.counter("engine.batches"),
-            scratch_resident: registry.gauge("scratch.resident_bytes"),
             dispatch_dense: registry.counter("engine.dispatch.dense"),
             dispatch_int8: registry.counter("engine.dispatch.int8"),
             l1_table_hit: registry.counter("engine.l1_table.hit"),

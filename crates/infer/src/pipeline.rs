@@ -32,8 +32,6 @@
 //!     Cross-worker visibility between shard replicas is the sharded store's
 //!     own concern — its stripe locks make rows atomically visible, and
 //!     `serve_sharded` routes each target to exactly one shard's worker.
-//!   - the scratch-return rail: front-pool matrices the back stage finished
-//!     with, recycled by the front before its next prepare.
 //!   - the worker's wind-down: closed, torn down by the watchdog, or
 //!     retired for good.
 //!
@@ -65,8 +63,6 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, WaitTimeoutResult};
 use std::time::Duration;
-
-use gcnp_tensor::{Matrix, ScratchPool};
 
 use crate::batched::{BatchResult, BatchedEngine, HandOff};
 use crate::error::{ServingError, ServingResult};
@@ -123,9 +119,6 @@ struct LinkState<J> {
     /// Batches the back stage retired this generation: the store-write
     /// barrier's count.
     done: u64,
-    /// Front-pool buffers the back stage finished with, recycled by the
-    /// front before its next prepare.
-    rail: Vec<Matrix>,
     /// The worker is lost for good: a stage panicked.
     retired: bool,
     /// The pair was killed from outside the front (the watchdog's
@@ -156,7 +149,6 @@ impl<J> StageLink<J> {
                 jobs: VecDeque::new(),
                 closed: false,
                 done: 0,
-                rail: Vec::new(),
                 retired: false,
                 torn: false,
             }),
@@ -168,26 +160,16 @@ impl<J> StageLink<J> {
 
     /// Front, before each prepare: when the engine writes to a store
     /// (`barrier`), wait until the back stage has retired all `staged`
-    /// batches handed off so far, then recycle the buffers it returned into
-    /// the front `pool`. False once the pair winds down — preparing now
-    /// would probe a store the missing write-backs never reached, or stage
-    /// into a closed link.
-    pub(crate) fn admit(&self, barrier: bool, staged: u64, pool: &mut ScratchPool) -> bool {
-        let spent = {
-            let _order = gcnp_tensor::lockcheck::acquire("link.state");
-            let mut s = relock(self.state.lock());
-            while barrier && s.done < staged && !s.closed {
-                s = relock_timed(self.front_cv.wait_timeout(s, STAGE_RECHECK));
-            }
-            if s.closed {
-                return false;
-            }
-            std::mem::take(&mut s.rail)
-        };
-        for m in spent {
-            pool.recycle(m);
+    /// batches handed off so far. False once the pair winds down —
+    /// preparing now would probe a store the missing write-backs never
+    /// reached, or stage into a closed link.
+    pub(crate) fn admit(&self, barrier: bool, staged: u64) -> bool {
+        let _order = gcnp_tensor::lockcheck::acquire("link.state");
+        let mut s = relock(self.state.lock());
+        while barrier && s.done < staged && !s.closed {
+            s = relock_timed(self.front_cv.wait_timeout(s, STAGE_RECHECK));
         }
-        true
+        !s.closed
     }
 
     /// Front, after a prepare that drew `fault`: stage the job for the back
@@ -240,13 +222,11 @@ impl<J> StageLink<J> {
         HandOff::WhenIdle(&self.idle)
     }
 
-    /// Back, after each execute that left the stage alive: return the
-    /// front-pool buffers the batch carried and count it past the barrier
-    /// (its write-backs are visible).
-    pub(crate) fn retire(&self, spent: Vec<Matrix>) {
+    /// Back, after each execute that left the stage alive: count the batch
+    /// past the barrier (its write-backs are visible).
+    pub(crate) fn retire(&self) {
         let _order = gcnp_tensor::lockcheck::acquire("link.state");
         let mut s = relock(self.state.lock());
-        s.rail.extend(spent);
         s.done += 1;
         drop(s);
         self.front_cv.notify_one();
@@ -489,7 +469,7 @@ pub fn run_batches(
             // would wait on it forever instead of letting the panic out.
             let front_err = panic::catch_unwind(AssertUnwindSafe(|| {
                 for (i, targets) in batches.iter().enumerate() {
-                    if !link.admit(barrier, i as u64, &mut front.pool) {
+                    if !link.admit(barrier, i as u64) {
                         break; // back stage died
                     }
                     match core.prepare(targets, front, link.hand_off_point()) {
@@ -512,8 +492,7 @@ pub fn run_batches(
         let mut results = Vec::with_capacity(batches.len());
         let mut back_err = None;
         while let Some((i, prep)) = link.next() {
-            let mut spent = Vec::new();
-            match core.execute(prep, back, &mut spent) {
+            match core.execute(prep, back) {
                 Ok(res) => results.push(res),
                 Err(e) => {
                     back_err = Some((i, e));
@@ -521,7 +500,7 @@ pub fn run_batches(
                     break;
                 }
             }
-            link.retire(spent);
+            link.retire();
         }
         let front_err = front_stage
             .join()
@@ -661,39 +640,32 @@ mod tests {
     #[test]
     fn link_barrier_orders_and_kills() {
         // With a store barrier the front waits in `admit` until the back
-        // has retired every staged batch; the buffers the back returned
-        // reach the front's pool there. A kill releases a waiting front
+        // has retired every staged batch. A kill releases a waiting front
         // with `false`.
         let link: StageLink<u32> = StageLink::new();
         let reached = AtomicU64::new(0);
         std::thread::scope(|s| {
             s.spawn(|| {
-                let mut pool = ScratchPool::new();
-                assert!(link.admit(true, 2, &mut pool));
-                assert_eq!(pool.retained(), 2, "both retired buffers recycled");
+                assert!(link.admit(true, 2));
                 reached.store(1, Ordering::SeqCst);
             });
             std::thread::sleep(Duration::from_millis(20));
             assert_eq!(reached.load(Ordering::SeqCst), 0);
-            link.retire(vec![Matrix::zeros(1, 4)]);
+            link.retire();
             std::thread::sleep(Duration::from_millis(20));
             assert_eq!(reached.load(Ordering::SeqCst), 0, "one retire is not two");
-            link.retire(vec![Matrix::zeros(2, 4)]);
+            link.retire();
         });
         assert_eq!(reached.load(Ordering::SeqCst), 1);
-        let mut pool = ScratchPool::new();
-        assert!(link.admit(false, 99, &mut pool), "no barrier, no wait");
+        assert!(link.admit(false, 99), "no barrier, no wait");
         std::thread::scope(|s| {
-            let front = s.spawn(|| link.admit(true, 99, &mut ScratchPool::new()));
+            let front = s.spawn(|| link.admit(true, 99));
             std::thread::sleep(Duration::from_millis(20));
             assert!(!front.is_finished(), "the front waits at the barrier");
             link.kill();
             assert!(!front.join().unwrap(), "a kill fails the waiting front");
         });
-        assert!(
-            !link.admit(false, 0, &mut pool),
-            "a killed link admits nothing"
-        );
+        assert!(!link.admit(false, 0), "a killed link admits nothing");
     }
 
     #[test]
@@ -705,19 +677,18 @@ mod tests {
         link.close();
         assert!(!link.open());
         assert!(!link.reopen(), "a pair that closed itself is not respawned");
-        link.retire(Vec::new());
+        link.retire();
         link.kill();
         assert!(link.reopen(), "a torn-down pair is respawned");
         assert!(link.open());
-        let mut pool = ScratchPool::new();
         std::thread::scope(|s| {
-            let front = s.spawn(|| link.admit(true, 1, &mut ScratchPool::new()));
+            let front = s.spawn(|| link.admit(true, 1));
             std::thread::sleep(Duration::from_millis(20));
             assert!(!front.is_finished(), "the barrier count restarted at 0");
-            link.retire(Vec::new());
+            link.retire();
             assert!(front.join().unwrap());
         });
-        assert!(link.admit(true, 1, &mut pool));
+        assert!(link.admit(true, 1));
         assert!(link.lose(), "the first stage to die loses the worker");
         assert!(!link.lose(), "the second one does not");
         link.kill();
@@ -828,7 +799,7 @@ mod tests {
 
     #[test]
     fn pipelined_matches_sequential_bitwise_with_int8_engine() {
-        // The quantized tier rides the same scratch rails: the stage pair
+        // The quantized tier too: the stage pair
         // and a `try_infer` loop over an int8 engine must agree bitwise
         // (integer accumulation is exact, so there is no ordering slack to
         // hide in).

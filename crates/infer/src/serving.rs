@@ -176,9 +176,9 @@ impl ServingConfig {
         if self.max_batch == 0 {
             return Err(ServingError::InvalidConfig("max_batch must be > 0".into()));
         }
-        if self.max_wait < 0.0 {
+        if !self.max_wait.is_finite() || self.max_wait < 0.0 {
             return Err(ServingError::InvalidConfig(format!(
-                "max_wait must be >= 0, got {}",
+                "max_wait must be finite and >= 0, got {}",
                 self.max_wait
             )));
         }
@@ -869,7 +869,7 @@ fn front_stage(
         // down) while we were blocked in pop — or dies while we wait out
         // the store-write visibility barrier. Either way hand the batch
         // back for a live worker instead of preparing into a closed link.
-        if !link.pair.admit(barrier, staged, &mut front.pool) {
+        if !link.pair.admit(barrier, staged) {
             fleet.hand_back(batch);
             break;
         }
@@ -890,9 +890,8 @@ fn front_stage(
         };
         if link.front_pending.finish().is_none() {
             // The watchdog already requeued + resolved this batch; the
-            // prepared scratch goes straight back to the pool and the
-            // link check above ends the generation.
-            prep.recycle_into(&mut front.pool);
+            // prepared batch is dropped and the link check above ends the
+            // generation.
             continue;
         }
         staged += 1;
@@ -930,8 +929,7 @@ fn back_stage(
             Fault::ClockSkew { factor } => factor,
             _ => 1.0,
         };
-        let mut spent = Vec::new();
-        let (outcome, busy) = fleet.attempt(|| core.execute(prep, back, &mut spent));
+        let (outcome, busy) = fleet.attempt(|| core.execute(prep, back));
         // The estimate is the batch's whole busy span: prepare's seconds
         // rode in with the batch.
         let est_busy = (front_busy + busy) * skew;
@@ -951,11 +949,10 @@ fn back_stage(
         }
         // The batch reached a terminal state for this attempt (a clean
         // failure wrote nothing back, and its retry re-runs both stages).
-        // Retire even when the attempt failed or did not own the batch:
-        // the rail is the only route back to the front's scratch pool, and
-        // the barrier counts *staged* batches so the front's wait stays in
+        // Retire even when the attempt failed or did not own the batch: the
+        // barrier counts *staged* batches, so the front's wait stays in
         // sync.
-        link.pair.retire(spent);
+        link.pair.retire();
     }
 }
 
@@ -1639,6 +1636,15 @@ mod tests {
             },
             ServingConfig {
                 max_wait: -1.0,
+                ..base
+            },
+            // With a window that never closes, no arrival is ever past it.
+            ServingConfig {
+                max_wait: f64::NAN,
+                ..base
+            },
+            ServingConfig {
+                max_wait: f64::INFINITY,
                 ..base
             },
             ServingConfig {

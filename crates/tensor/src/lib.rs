@@ -22,7 +22,6 @@
 //!   read: a modular weighted sum of the row's bit patterns with odd
 //!   weights, so any change confined to one element changes it, with a
 //!   runtime-dispatched AVX2 twin and a bitwise-identical scalar body,
-//! * a [`ScratchPool`] recycling hot-path intermediate buffers,
 //! * elementwise and row/column-wise operations,
 //! * seeded random initializers (uniform, normal, Glorot),
 //! * a persistent worker pool for row-parallel kernels.
@@ -48,7 +47,6 @@ pub mod ops;
 pub mod parallel;
 pub mod quant;
 pub mod rowsum;
-pub mod scratch;
 
 pub use check::CheckError;
 pub use checksum::row_checksum;
@@ -59,4 +57,3 @@ pub use parallel::{
 };
 pub use quant::{activation_scale, qgemm_packed_into, qmatmul, QuantMatrix, QuantPackedB};
 pub use rowsum::row_sum;
-pub use scratch::ScratchPool;

@@ -234,9 +234,8 @@ impl Matrix {
         out
     }
 
-    /// [`Matrix::concat_cols_all`] into a caller-provided output (typically
-    /// scratch leased from a [`crate::ScratchPool`]). `out` is fully
-    /// overwritten.
+    /// [`Matrix::concat_cols_all`] into a caller-provided output. `out` is
+    /// fully overwritten.
     ///
     /// Shapes: every part is `(r, c_i)` and `out` must be `(r, sum of c_i)`.
     pub fn concat_cols_into(parts: &[&Matrix], out: &mut Matrix) {

@@ -114,8 +114,8 @@ impl Matrix {
     }
 
     /// [`Matrix::matmul_packed`] writing into caller-provided storage (e.g. a
-    /// [`crate::ScratchPool`] matrix); `out` is fully overwritten. The
-    /// every-row, full-width case of [`Matrix::matmul_packed_rows_into`].
+    /// reused workspace); `out` is fully overwritten. The every-row,
+    /// full-width case of [`Matrix::matmul_packed_rows_into`].
     ///
     /// # Panics
     /// Panics on inner-dimension or output-shape mismatch.
