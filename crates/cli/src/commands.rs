@@ -185,6 +185,9 @@ pub fn generate(args: &Args) -> Result<String, String> {
     args.only(&["dataset", "scale", "seed", "out", "spam-factor"])?;
     let kind = dataset_kind(args.require("dataset")?)?;
     let scale: f64 = args.get_or("scale", 1.0)?;
+    if !scale.is_finite() || scale <= 0.0 {
+        return Err(format!("--scale must be finite and > 0, got {scale}"));
+    }
     let seed: u64 = args.get_or("seed", 42)?;
     let out = args.require("out")?;
     let mut data = kind.generate_scaled(scale, seed);
@@ -216,8 +219,11 @@ pub fn train(args: &Args) -> Result<String, String> {
         "patience",
         "out",
     ])?;
-    let data = load_dataset(args.require("data")?)?;
     let hidden: usize = args.get_or("hidden", 128)?;
+    if hidden == 0 {
+        return Err("--hidden must be at least 1".into());
+    }
+    let data = load_dataset(args.require("data")?)?;
     let seed: u64 = args.get_or("seed", 0)?;
     let cfg = TrainConfig {
         steps: args.get_or("steps", 200)?,
@@ -495,12 +501,16 @@ pub fn serve(args: &Args) -> Result<String, String> {
     };
     let shards: usize = args.get_or("shards", 1)?;
     let workers: usize = args.get_or("workers", 1)?;
+    if shards == 0 || workers == 0 {
+        let flag = if shards == 0 { "--shards" } else { "--workers" };
+        return Err(format!("{flag} must be at least 1"));
+    }
     if shards > 1 && workers > 1 {
         return Err(
             "--shards and --workers are mutually exclusive: each shard owns one worker".into(),
         );
     }
-    let n_fleet = shards.max(workers).max(1);
+    let n_fleet = shards.max(workers);
     let ladder = args.has("ladder");
     if ladder && n_fleet > 1 {
         return Err("--ladder is one server switching models: no --workers/--shards".into());
@@ -968,6 +978,8 @@ mod tests {
             ("prune --budget 1.5 --out z.json", "--budget"),
             ("prune --budget nan --out z.json", "--budget"),
             ("eval --batched --batch 0", "--batch"),
+            ("serve --workers 0", "--workers"),
+            ("serve --shards 0", "--shards"),
         ] {
             let (cmd, rest) = cmd.split_once(' ').unwrap();
             let err = run(&parse(&format!(
@@ -978,6 +990,22 @@ mod tests {
                 err.contains(name) && !err.contains("read x.json"),
                 "{cmd} {rest}: {err}"
             );
+        }
+        let err = run(&parse("train --data x.json --hidden 0 --out z.json")).unwrap_err();
+        assert!(
+            err.contains("--hidden") && !err.contains("read x.json"),
+            "{err}"
+        );
+        // A scale that names no graph is refused, not clamped to a toy one.
+        let toy = std::env::temp_dir().join("gcnp_cli_bad_scale_test.json");
+        for scale in ["0", "-1", "nan", "inf"] {
+            let err = run(&parse(&format!(
+                "generate --dataset flickr-sim --scale {scale} --out {}",
+                toy.display()
+            )))
+            .unwrap_err();
+            assert!(err.contains("--scale"), "{scale}: {err}");
+            assert!(!toy.exists(), "{scale}: nothing is written");
         }
         // A model whose widths do not fit the data — here layer 1's
         // neighbour branch reads 2 channels, the shape a pruned file from

@@ -9,10 +9,18 @@
 //! * the (optionally fan-out-capped) neighbor list of each computed node,
 //! * which nodes are satisfied directly from the **hidden-feature store**
 //!   (the paper's §3.3.2 technique) and therefore do not expand further.
+//!
+//! A capped node with `d` neighbours and cap `c < d` keeps a uniform sample
+//! of `c` of them without replacement. Floyd's algorithm marks
+//! `k = min(c, d − c)` positions of the row in a bitmap, one bounded draw
+//! each (when `2c > d` the marked positions are the dropped ones), and the
+//! kept ids are read off the bitmap's words in position order, which is
+//! ascending id order because CSR rows are sorted. A node whose degree is
+//! within its cap draws nothing.
 
 use crate::csr::CsrMatrix;
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::{Rng, SeedableRng};
 
 /// Supporting structure for one GNN layer of a batch.
 #[derive(Debug, Clone)]
@@ -56,7 +64,8 @@ impl BatchSupport {
     /// * `caps[h]` bounds the fan-out when expanding to hop `h+1` neighbors
     ///   (`caps = &[None, Some(32)]` reproduces the paper's hop-2 cap of 32);
     ///   missing entries mean "uncapped". Capping samples uniformly without
-    ///   replacement with the seeded RNG, so batches are reproducible.
+    ///   replacement with the seeded RNG, so batches are reproducible, and
+    ///   lists the sample in ascending id order.
     /// * `stored(level, node)` reports whether the hidden-feature store can
     ///   serve `h^(level)` of `node`; such nodes are not expanded. It is
     ///   called exactly once per node a level needs (never for the output
@@ -88,6 +97,8 @@ impl BatchSupport {
         }
 
         let mut layers: Vec<LayerSupport> = Vec::with_capacity(n_layers);
+        // The capped sampler's position bitmap, reused by every node.
+        let mut drawn: Vec<u64> = Vec::new();
         // `needed` = nodes whose output at the current level is required.
         let mut needed = targets_dedup.clone();
         // Hop distance grows only when a graph layer expands.
@@ -130,18 +141,8 @@ impl BatchSupport {
                 let nbrs = adj.row_indices(v);
                 match cap {
                     Some(c) if nbrs.len() > c => {
-                        // Uniform sample without replacement (partial
-                        // Fisher–Yates over a scratch copy).
-                        let mut pool: Vec<u32> = nbrs.to_vec();
-                        for i in 0..c {
-                            let j = rng.random_range(i..pool.len());
-                            pool.swap(i, j);
-                        }
-                        pool.truncate(c);
-                        pool.sort_unstable();
-                        for &u in &pool {
-                            neigh_ids.push(u as usize);
-                        }
+                        let dropped = sample_positions(&mut rng, &mut drawn, nbrs.len(), c);
+                        push_kept(&drawn, nbrs, dropped, &mut neigh_ids);
                     }
                     _ => {
                         for &u in nbrs {
@@ -193,6 +194,55 @@ impl BatchSupport {
     /// Number of store hits at layer `li`'s output level.
     pub fn n_store_hits(&self, li: usize) -> usize {
         self.layers[li - 1].stored.len()
+    }
+}
+
+/// Uniform draw from `0..n` (`n ≥ 1`): Lemire's multiply-high, with the
+/// exact rejection of the `2^64 mod n` low products that would bias it.
+#[inline]
+fn below(rng: &mut StdRng, n: u64) -> u64 {
+    let mut m = u128::from(rng.next_u64()) * u128::from(n);
+    if (m as u64) < n {
+        let reject = n.wrapping_neg() % n;
+        while (m as u64) < reject {
+            m = u128::from(rng.next_u64()) * u128::from(n);
+        }
+    }
+    (m >> 64) as u64
+}
+
+/// Marks in `drawn` (resized to `⌈d/64⌉` zeroed words) a uniform subset of
+/// `min(c, d − c)` of the positions `0..d`, by Floyd's algorithm: one draw
+/// per marked position, no pool and no rejection on collisions. Returns
+/// whether the marked positions are the ones a sample of `c` drops, which
+/// they are when `2c > d`.
+fn sample_positions(rng: &mut StdRng, drawn: &mut Vec<u64>, d: usize, c: usize) -> bool {
+    drawn.clear();
+    drawn.resize(d.div_ceil(64), 0);
+    let k = c.min(d - c);
+    for j in d - k..d {
+        let t = below(rng, j as u64 + 1) as usize;
+        let taken = (drawn[t / 64] >> (t % 64)) & 1 == 1;
+        let pos = if taken { j } else { t };
+        drawn[pos / 64] |= 1 << (pos % 64);
+    }
+    k < c
+}
+
+/// Appends the ids of `nbrs` at the kept positions: the marked ones, or
+/// every unmarked one when `dropped`. A CSR row is strictly ascending,
+/// so position order is id order and the sample needs no sort.
+fn push_kept(drawn: &[u64], nbrs: &[u32], dropped: bool, out: &mut Vec<usize>) {
+    let d = nbrs.len();
+    for (w, &word) in drawn.iter().enumerate() {
+        let base = w * 64;
+        // The last word's bits past `d` are not positions.
+        let valid = u64::MAX >> (64 - (d - base).min(64));
+        let mut bits = if dropped { !word & valid } else { word };
+        while bits != 0 {
+            out.push(nbrs[base + bits.trailing_zeros() as usize] as usize);
+            bits &= bits - 1;
+        }
     }
 }
 
@@ -270,6 +320,116 @@ mod tests {
         // Deterministic given the seed.
         let s2 = BatchSupport::build(&adj, &[0], &[true], &[Some(3)], 7, |_, _| false);
         assert_eq!(s.layers[0].neigh_ids, s2.layers[0].neigh_ids);
+    }
+
+    /// Node 0 joined to `d` leaves with ids `2i + 1`, so ids are not
+    /// positions.
+    fn star(d: usize) -> (CsrMatrix, Vec<usize>) {
+        let leaves: Vec<usize> = (0..d).map(|i| 2 * i + 1).collect();
+        let mut e = Vec::new();
+        for &u in &leaves {
+            e.push((0, u as u32));
+            e.push((u as u32, 0));
+        }
+        (CsrMatrix::adjacency(2 * d + 1, &e), leaves)
+    }
+
+    /// Degrees and caps covering both of the sampler's branches (`c` drawn
+    /// and `d − c` dropped), word boundaries and bitmaps of up to 5 words.
+    fn capped_shapes() -> Vec<(usize, usize)> {
+        let mut shapes = Vec::new();
+        for d in [33, 45, 63, 64, 65, 129, 300] {
+            for c in [1, d / 2, d / 2 + 1, d - 1] {
+                shapes.push((d, c));
+            }
+        }
+        shapes
+    }
+
+    #[test]
+    fn capped_samples_are_ascending_subsets_of_exactly_the_cap() {
+        for (d, c) in capped_shapes() {
+            let (adj, leaves) = star(d);
+            for seed in 0..20 {
+                let s = BatchSupport::build(&adj, &[0], &[true], &[Some(c)], seed, |_, _| false);
+                let got = s.layers[0].neighbors(0);
+                assert_eq!(got.len(), c, "d {d} c {c} seed {seed}");
+                assert!(got.windows(2).all(|w| w[0] < w[1]), "d {d} c {c}: {got:?}");
+                assert!(
+                    got.iter().all(|u| leaves.binary_search(u).is_ok()),
+                    "d {d} c {c}: {got:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_position_is_kept_with_probability_c_over_d() {
+        const TRIALS: usize = 4000;
+        let mut drawn = Vec::new();
+        let mut kept = Vec::new();
+        for (d, c) in capped_shapes() {
+            let nbrs: Vec<u32> = (0..d as u32).collect();
+            let mut count = vec![0usize; d];
+            for trial in 0..TRIALS {
+                let mut rng = StdRng::seed_from_u64(trial as u64);
+                let dropped = sample_positions(&mut rng, &mut drawn, d, c);
+                kept.clear();
+                push_kept(&drawn, &nbrs, dropped, &mut kept);
+                for &p in &kept {
+                    count[p] += 1;
+                }
+            }
+            // Each position's count is Binomial(TRIALS, c/d); allow 5 σ.
+            let p = c as f64 / d as f64;
+            let mean = TRIALS as f64 * p;
+            let bound = 5.0 * (mean * (1.0 - p)).sqrt();
+            for (pos, &n) in count.iter().enumerate() {
+                assert!(
+                    (n as f64 - mean).abs() <= bound,
+                    "d {d} c {c}: position {pos} kept {n} times, expected {mean:.0} ± {bound:.0}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn all_subsets_of_five_are_equally_likely() {
+        const DRAWS: usize = 20_000;
+        let nbrs: Vec<u32> = (0..5).collect();
+        let mut drawn = Vec::new();
+        let mut kept = Vec::new();
+        for c in [2, 3] {
+            let mut rng = StdRng::seed_from_u64(11);
+            let mut count = [0usize; 32];
+            for _ in 0..DRAWS {
+                let dropped = sample_positions(&mut rng, &mut drawn, 5, c);
+                kept.clear();
+                push_kept(&drawn, &nbrs, dropped, &mut kept);
+                count[kept.iter().fold(0, |m, &p| m | 1 << p)] += 1;
+            }
+            let seen: Vec<usize> = (0..32).filter(|&m| count[m] > 0).collect();
+            assert!(seen.iter().all(|&m| (m as u32).count_ones() == c as u32));
+            assert_eq!(seen.len(), 10, "c {c}: every one of the 10 subsets appears");
+            // χ² with 9 degrees of freedom; 40 is far in its tail
+            // (p ≈ 8e-6), so a fair sampler passes with room to spare.
+            let expected = DRAWS as f64 / 10.0;
+            let chi2: f64 = seen
+                .iter()
+                .map(|&m| (count[m] as f64 - expected).powi(2) / expected)
+                .sum();
+            assert!(chi2 < 40.0, "c {c}: χ² {chi2:.1} over {:?}", &count);
+        }
+    }
+
+    #[test]
+    fn bounded_draws_stay_below_their_bound() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for n in [1u64, 2, 3, 7, 64, 1000, u64::MAX] {
+            for _ in 0..200 {
+                assert!(below(&mut rng, n) < n);
+            }
+        }
     }
 
     #[test]
