@@ -75,10 +75,11 @@
 //! layer-1 aggregation samples nothing — its cap at layer 1's hop is `None`
 //! or at least its degree, or layer 1 reads no graph — has a level-1 row
 //! that depends only on the graph, the attributes and the weights, like the
-//! rows of the two operand tables. Such a node is **tabled** unless the
-//! store holds it (the store is probed first): expansion neither computes
-//! nor expands it, just as for a store hit, and layer 2 reads its row where
-//! it lies, in its slot of level 1's table; no batch copies it. A row is
+//! rows of the two operand tables. Such a node is **tabled**, and the table
+//! answers before the store: expansion neither looks it up in the store nor
+//! computes nor expands it, and layer 2 reads its row where it lies, in its
+//! slot of level 1's table; no batch copies it. Only a node over the cap
+//! asks the store, so the store serves what the table cannot. A row is
 //! filled on first read: the batch that first meets a tabled node no
 //! earlier batch filled computes it with layer 1's own per-row body over
 //! the node's whole adjacency row — the list expansion gives a node it
@@ -90,10 +91,11 @@
 //! pair and `try_infer` see the same support, the same fills and the same
 //! counters, and every sampled neighbour list is what it was without the
 //! table. Under `StorePolicy::Roots` / `AllVisited` a tabled row is written
-//! back like a computed one. This table differs from the store (§3.3.2) in
-//! three ways: it is exact (only unsampled rows are marked in it, and a
-//! sampled row or a store row unmarks the slot it lands in), it belongs to
-//! one engine and is never shared or invalidated (a graph or weight change
+//! back like a computed one, whether or not the store holds it. This table
+//! differs from the store (§3.3.2) in three ways: it is exact (only
+//! unsampled rows are marked in it, and a sampled or a store row belongs to
+//! a node over the cap, whose slot is never marked), it belongs to one
+//! engine and is never shared or invalidated (a graph or weight change
 //! builds a new engine), and it needs no checksum or lock, because only the
 //! back stage touches it.
 //!
@@ -108,9 +110,10 @@
 //!
 //! * **prepare** (front end): fault draw, target validation, one width
 //!   check per store level, and neighborhood expansion ([`BatchSupport`]),
-//!   whose "is it stored?" question is one counted store lookup per node
-//!   that also stages the row it finds into an owned buffer (a level-1 miss
-//!   that samples nothing is tabled instead of computed); then **layer
+//!   whose "is it stored?" question is answered by layer 1's table for a
+//!   level-1 node that samples nothing (it is tabled, with no lookup) and
+//!   otherwise by one counted store lookup that also stages the row it
+//!   finds into an owned buffer; then **layer
 //!   1's neighbour branches** — the `k = 1` mean over the projection
 //!   table's rows, which *is* the branch's product, a pure function of the
 //!   support and read-only data — built row by row until the hand-off
@@ -352,7 +355,9 @@ pub struct BatchResult {
     /// row reads them, whether or not the batch fills its row; the count
     /// depends only on the support, not on the engine's history.
     pub n_supporting: usize,
-    /// Store reads that avoided expansion.
+    /// Store reads that avoided expansion. A tabled level-1 node (see the
+    /// module docs) is never looked up, so only nodes the table cannot
+    /// serve count: at level 1, those over the cap.
     pub store_hits: usize,
 }
 
@@ -428,8 +433,8 @@ pub(crate) struct BackScratch {
     /// it.
     levels: Vec<Matrix>,
     /// `filled[v]`: level 1's slot `v` holds node `v`'s tabled row. Set
-    /// only after the row is written, and cleared before a computed or a
-    /// store row lands in the slot.
+    /// only after the row is written, and never cleared: computed and store
+    /// rows belong to nodes over the cap, which are never tabled.
     filled: Vec<bool>,
     /// Per-node marks for set membership within one step (the projection
     /// rows a level-1 fill reads, the `Roots` a level holds); all clear
@@ -857,10 +862,12 @@ impl EngineCore<'_> {
 
     /// Front-end stage: draw the attempt's fault, validate targets, check
     /// each store level's width, expand the supporting-node structure —
-    /// reading every stored row it meets into owned buffers as it goes, one
-    /// lookup per node — and build layer 1's neighbour-branch means over
-    /// each branch's projection-table rows: the batch's largest irregular
-    /// read, and a pure function of the support and read-only tables.
+    /// tabling the level-1 nodes within the cap with no store lookup, and
+    /// reading every stored row it meets for the others into owned buffers
+    /// as it goes, one lookup per node — and build layer 1's
+    /// neighbour-branch means over each branch's projection-table rows:
+    /// the batch's largest irregular read, and a pure function of the
+    /// support and read-only tables.
     /// `hand_off` says where the means stop; `execute` builds the rows left.
     /// Attribute rows themselves are not copied: the `k = 0` table's fill in
     /// execute reads them in place.
@@ -954,10 +961,12 @@ impl EngineCore<'_> {
             .collect();
         // A row of another width, met only if a put raced the level check.
         let mut torn = None;
-        // Level 1's store hits and tabled nodes, each in probe order. A
-        // tabled node answers "stored" too, so it is neither computed nor
+        // Level 1's tabled nodes and store hits, each in probe order. The
+        // table answers first: a node within the cap is tabled without a
+        // store lookup, and answers "stored", so it is neither computed nor
         // expanded; it draws no sample either way, so the RNG stream and
-        // every sampled neighbour list stay those of an engine without it.
+        // every sampled neighbour list stay those of an engine without the
+        // table. Only a node over the cap asks the store.
         let table_degree = self.level_one_table_degree();
         let (mut hits, mut tabled) = (Vec::new(), Vec::new());
         let mut support = BatchSupport::build(
@@ -967,6 +976,11 @@ impl EngineCore<'_> {
             &self.caps,
             batch_seed,
             |level, node| {
+                let level_one = level == 1;
+                if level_one && table_degree.is_some_and(|d| self.adj.degree(node) <= d) {
+                    tabled.push(node);
+                    return true;
+                }
                 let hit = store.probe(level, node, |row| {
                     match (staging.get_mut(level - 1), widths.get(level - 1)) {
                         (Some(buf), Some(&w)) if row.len() == w => buf.extend_from_slice(row),
@@ -975,17 +989,10 @@ impl EngineCore<'_> {
                         }
                     }
                 });
-                if level != 1 {
-                    return hit;
-                }
-                if hit {
+                if level_one && hit {
                     hits.push(node);
-                } else if table_degree.is_some_and(|d| self.adj.degree(node) <= d) {
-                    tabled.push(node);
-                } else {
-                    return false;
                 }
-                true
+                hit
             },
         );
         if let Some(ls) = support.layers.first_mut() {
@@ -1370,12 +1377,11 @@ impl EngineCore<'_> {
 
             // --- write the level's rows into their nodes' slots ------------
             // Computed rows, then staged store rows; a tabled row already
-            // lies in its slot. At level 1 a slot is unmarked before another
-            // row lands in it, so a filled row is only ever read as written.
+            // lies in its slot. At level 1 the computed and the stored nodes
+            // are the ones over the cap and the tabled ones are within it, so
+            // no row lands in a filled slot.
             for (i, &v) in ls.compute.iter().enumerate() {
-                if li == 1 {
-                    filled[v] = false; // audit: allow(no-fail-stop) — computed nodes come from BatchSupport over this graph
-                }
+                debug_assert!(li > 1 || !filled[v], "computed node {v} is tabled");
                 level.row_mut(v).copy_from_slice(out.row(i));
             }
             if !ls.stored.is_empty() {
@@ -1396,9 +1402,7 @@ impl EngineCore<'_> {
                     level.cols()
                 );
                 for (j, &v) in ls.stored.iter().enumerate() {
-                    if li == 1 {
-                        filled[v] = false; // audit: allow(no-fail-stop) — stored nodes come from BatchSupport over this graph
-                    }
+                    debug_assert!(li > 1 || !filled[v], "stored node {v} is tabled");
                     level.row_mut(v).copy_from_slice(rows.row(j));
                 }
             }
@@ -2915,8 +2919,8 @@ mod tests {
         // another with level 1 half written. Nothing is reset: a `k = 0` row
         // depends only on the attributes and the weights and is marked after
         // it is written, and a level slot is read only by the batch that
-        // writes it. So the recovered engine's logits are a fresh engine's,
-        // bit for bit.
+        // writes it. So the recovered engine's logits are those of a fresh
+        // engine that also computes every level-1 row, bit for bit.
         let (adj, x, model) = setup();
         let norm = adj.normalized(Normalization::Row);
         let hs = model.forward_collect(Some(&norm), &x);
@@ -2977,9 +2981,10 @@ mod tests {
 
         let all: Vec<usize> = (0..30).collect();
         let recovered = engine.try_infer(&all).unwrap();
-        let fresh =
-            BatchedEngine::new(&model, &adj, &x, vec![], Some(&store), StorePolicy::None, 0)
-                .infer(&all);
+        let mut fresh =
+            BatchedEngine::new(&model, &adj, &x, vec![], Some(&store), StorePolicy::None, 0);
+        fresh.core.untabled = true;
+        let fresh = fresh.infer(&all);
         assert_eq!(logit_bits(&recovered.logits), logit_bits(&fresh.logits));
     }
 
@@ -3057,37 +3062,42 @@ mod tests {
 
     #[test]
     fn one_store_lookup_per_needed_node() {
-        // Expansion asks the store once per node a level needs, and that
-        // one lookup stages the row: hits plus misses at each level are
-        // exactly the level's stored and computed nodes — and at level 1 its
-        // tabled ones, misses that layer 1 aggregates without sampling.
+        // Expansion asks the store once per node a level needs that layer
+        // 1's table cannot serve, and that one lookup stages the row: hits
+        // plus misses at each level are exactly the level's stored and
+        // computed nodes. A tabled level-1 node, one within the cap, is
+        // never looked up.
         if !gcnp_obs::enabled() {
             return; // counters are no-ops in obs-off builds
         }
-        let (adj, x, model) = setup();
+        let adj = chords_and_a_hub();
+        let n = adj.n_rows();
+        let x = Matrix::rand_uniform(n, 6, -1.0, 1.0, &mut seeded_rng(21));
+        let model = zoo::graphsage(6, 8, 4, 7);
         let norm = adj.normalized(Normalization::Row);
         let hs = model.forward_collect(Some(&norm), &x);
-        let store = FeatureStore::new(30, 2);
+        let store = FeatureStore::new(n, 2);
         let registry = Arc::new(gcnp_obs::MetricsRegistry::new());
         store.attach_metrics(&registry);
-        let odd: Vec<usize> = (1..30).step_by(2).collect();
+        let odd: Vec<usize> = (1..n).step_by(2).collect();
         store.put_rows(1, &odd, &hs[0].gather_rows(&odd)).unwrap();
-        let thirds: Vec<usize> = (0..30).step_by(3).collect();
+        let thirds: Vec<usize> = (0..n).step_by(3).collect();
         store
             .put_rows(2, &thirds, &hs[1].gather_rows(&thirds))
             .unwrap();
+        // A cap of 4 tables the ring's nodes and leaves the hub and its
+        // spokes to the store.
+        let caps = vec![Some(4); 2];
         let mut engine =
-            BatchedEngine::new(&model, &adj, &x, vec![], Some(&store), StorePolicy::None, 0);
+            BatchedEngine::new(&model, &adj, &x, caps, Some(&store), StorePolicy::None, 0);
         let (core, front, back) = engine.split();
         let prep = core
             .prepare(&[3, 10, 17, 24], front, HandOff::Never)
             .unwrap();
-        let tabled = [prep.tabled.len(), 0];
-        assert!(tabled[0] > 0, "the uncapped ring tables level 1's misses");
+        assert!(!prep.tabled.is_empty(), "the cap tables level-1 nodes");
         let needed: Vec<(usize, usize)> = prep.support.layers[..2]
             .iter()
-            .zip(tabled)
-            .map(|(ls, tabled)| (ls.stored.len(), ls.compute.len() + tabled))
+            .map(|ls| (ls.stored.len(), ls.compute.len()))
             .collect();
         let res = core.execute(prep, back).unwrap();
         let snap = registry.snapshot();
@@ -3148,9 +3158,12 @@ mod tests {
     fn tabled_rows_are_bitwise_the_computed_rows() {
         // An engine that reads level-1 rows from layer 1's output table
         // serves each batch of a cold, a half-warm and a warm pass with the
-        // logits and store hits of one that computes every row, bit for bit,
-        // and writes the same rows back. It expands fewer nodes; cold, every
-        // tabled row is a fill, and both run the same work.
+        // logits of one that computes every row, bit for bit, and writes the
+        // same rows back. It expands fewer nodes, and asks the store for no
+        // tabled node: its store hits are the other's less the tabled nodes
+        // the store holds. Cold, every tabled row is a fill, so it runs the
+        // work of an engine that computes every row its store does not
+        // serve it.
         let adj = chords_and_a_hub();
         let n = adj.n_rows();
         let x = Matrix::rand_uniform(n, 6, -1.0, 1.0, &mut seeded_rng(21));
@@ -3208,36 +3221,66 @@ mod tests {
                     "{name}: and samples others"
                 );
 
+                let table_degree = probe.core.level_one_table_degree();
                 let warm = FeatureStore::new(n, levels);
                 BatchedEngine::new(model, &adj, &x, vec![], Some(&warm), StorePolicy::Roots, 1)
                     .infer(&warm_targets);
+                // The warm rows the table cannot serve: all but level 1's
+                // within the cap.
+                let over_cap = FeatureStore::new(n, levels);
+                for level in 1..=levels {
+                    for v in 0..n {
+                        let tabled = level == 1 && table_degree.is_some_and(|d| adj.degree(v) <= d);
+                        if let Some(row) = warm.get(level, v).filter(|_| !tabled) {
+                            over_cap.put(level, v, &row).unwrap();
+                        }
+                    }
+                }
                 let roots = [FeatureStore::new(n, levels), FeatureStore::new(n, levels)];
-                for (store_name, stores, policy) in [
-                    ("no store", [None, None], StorePolicy::None),
-                    ("warm read-only store", [Some(&warm); 2], StorePolicy::None),
+                for (store_name, stores, policy, served) in [
+                    ("no store", [None, None], StorePolicy::None, None),
+                    (
+                        "warm read-only store",
+                        [Some(&warm); 2],
+                        StorePolicy::None,
+                        Some(&over_cap),
+                    ),
                     (
                         "roots write-through",
                         [Some(&roots[0]), Some(&roots[1])],
                         StorePolicy::Roots,
+                        None,
                     ),
                 ] {
                     let at = format!("{name}, {store_name}, {threads} threads");
-                    let [mut tabled, mut computed] = stores
-                        .map(|s| BatchedEngine::new(model, &adj, &x, caps.clone(), s, policy, 5));
+                    let engine =
+                        |s| BatchedEngine::new(model, &adj, &x, caps.clone(), s, policy, 5);
+                    let [mut tabled, mut computed] = stores.map(engine);
                     computed.core.untabled = true;
                     let mut expanded = [0, 0];
+                    let mut shadowed_hits = 0;
                     for (b, targets) in work.iter().enumerate() {
-                        let (got, want) = (tabled.infer(targets), computed.infer(targets));
+                        let (core, front, back) = tabled.split();
+                        let prep = core.prepare(targets, front, HandOff::Never).unwrap();
+                        let shadowed = stores[0]
+                            .map_or(0, |s| prep.tabled.iter().filter(|&&v| s.has(1, v)).count());
+                        let got = core.execute(prep, back).unwrap();
+                        let want = computed.infer(targets);
                         let at = format!("{at}, batch {b}");
                         assert_eq!(logit_bits(&got.logits), logit_bits(&want.logits), "{at}");
-                        assert_eq!(got.store_hits, want.store_hits, "{at}");
+                        assert_eq!(got.store_hits + shadowed, want.store_hits, "{at}");
+                        shadowed_hits += shadowed;
                         if b == 0 {
-                            let cost = |r: &BatchResult| (r.macs, r.mem_bytes);
-                            assert_eq!(
-                                cost(&got),
-                                cost(&want),
-                                "{at}: a cold batch runs the same work"
-                            );
+                            let cost = |r: &BatchResult| (r.macs, r.mem_bytes, r.store_hits);
+                            let reference = match served {
+                                None => cost(&want),
+                                Some(store) => {
+                                    let mut e = engine(Some(store));
+                                    e.core.untabled = true;
+                                    cost(&e.infer(targets))
+                                }
+                            };
+                            assert_eq!(cost(&got), reference, "{at}: a cold batch's work");
                         }
                         expanded[0] += got.n_supporting;
                         expanded[1] += want.n_supporting;
@@ -3245,6 +3288,11 @@ mod tests {
                     assert!(
                         expanded[0] < expanded[1],
                         "{at}: tabled nodes are not expanded"
+                    );
+                    assert_eq!(
+                        shadowed_hits > 0,
+                        stores[0].is_some(),
+                        "{at}: the store holds tabled rows"
                     );
                     let filled = tabled.back.filled.iter().filter(|&&f| f).count();
                     assert!(filled > 0, "{at}: rows were tabled");
@@ -3260,43 +3308,34 @@ mod tests {
         gcnp_tensor::set_num_threads(0);
     }
     #[test]
-    fn a_store_row_unmarks_the_tabled_slot_it_lands_in() {
-        // Level 1's table holds a filled node's row in its slot. When that
-        // node is a store hit, the store row lands in the same slot, which
-        // must lose its mark first: once the store drops the row, the node
-        // is tabled again and must be refilled, not read as the store left
-        // it. The store row here differs from the tabled one, as a row from
-        // another engine or another model version may.
+    fn the_table_answers_before_the_store() {
+        // A level-1 node within the cap is tabled without a store lookup, so
+        // a store row for it is never read, however it differs from the
+        // tabled one (as a row from another engine or another model version
+        // may): here node 5's level-1 row is all 7.0s.
         let (adj, x, model) = setup();
         let width = model.layers[0].out_dim();
         let store = FeatureStore::new(adj.n_rows(), 2);
-        let mut engine = BatchedEngine::new(
-            &model,
-            &adj,
-            &x,
-            vec![],
-            Some(&store),
-            StorePolicy::Roots,
-            0,
-        );
-        // Uncapped, so level 1 tables every miss: node 5's row is filled.
-        engine.infer(&[5]);
-        assert!(engine.back.filled[5] && store.has(1, 5) && store.has(2, 5));
-        engine.core.policy = StorePolicy::None;
+        let registry = Arc::new(gcnp_obs::MetricsRegistry::new());
+        store.attach_metrics(&registry);
         store.put(1, 5, &vec![7.0; width]).unwrap();
-        // Node 6's layer 2 reads node 5 at level 1: a store hit now.
-        let hit = engine.infer(&[6]);
-        assert_eq!(hit.store_hits, 1);
-        let unmarked = !engine.back.filled[5];
-        assert!(store.remove(1, 5));
-        let refilled = engine.infer(&[6]);
-        let fresh =
-            BatchedEngine::new(&model, &adj, &x, vec![], Some(&store), StorePolicy::None, 0)
-                .infer(&[6]);
-        assert_eq!(logit_bits(&refilled.logits), logit_bits(&fresh.logits));
-        assert_ne!(logit_bits(&hit.logits), logit_bits(&fresh.logits));
-        assert!(unmarked, "the store row unmarked the slot");
-        assert!(engine.back.filled[5], "node 5 was tabled and filled again");
+        let engine =
+            |store| BatchedEngine::new(&model, &adj, &x, vec![], store, StorePolicy::None, 0);
+        let (mut with_store, mut plain) = (engine(Some(&store)), engine(None));
+        // Node 6's layer 2 reads node 5 at level 1, which the uncapped ring
+        // tables: cold, it is filled; warm, it is read in place.
+        for pass in ["cold", "warm"] {
+            let (got, want) = (with_store.infer(&[6]), plain.infer(&[6]));
+            assert_eq!(logit_bits(&got.logits), logit_bits(&want.logits), "{pass}");
+            assert_eq!(got.store_hits, 0, "{pass}");
+        }
+        assert!(with_store.back.filled[5], "node 5 was tabled");
+        if gcnp_obs::enabled() {
+            let snap = registry.snapshot();
+            let count = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+            assert_eq!((count("store.hit.l1"), count("store.miss.l1")), (0, 0));
+            assert_eq!(count("store.miss.l2"), 2, "level 2 asks the store");
+        }
     }
 
     #[test]

@@ -871,7 +871,9 @@ mod tests {
         // clock must not exceed a one-thread `try_infer` loop's by more
         // than noise. (The throughput win is measured by the benchmark;
         // this only guards against accidental serialization, so the margin
-        // is generous.)
+        // is generous.) Each side lasts milliseconds, so each is timed as
+        // the fastest of five alternated repetitions: other threads taking
+        // the cores can only slow a repetition, never speed it up.
         let n = 256;
         let adj = ring(n);
         let x = gcnp_tensor::Matrix::rand_uniform(n, 16, -1.0, 1.0, &mut seeded_rng(11));
@@ -883,13 +885,16 @@ mod tests {
             crate::BatchedEngine::new(&model, &adj, &x, vec![], None, StorePolicy::None, 0);
         // Warm both pools.
         run_batches(&mut engine, &batches).unwrap();
-        let t = Instant::now();
-        let seq = try_infer_loop(&mut engine, &batches).unwrap();
-        let t_seq = t.elapsed();
-        let t = Instant::now();
-        let pip = run_batches(&mut engine, &batches).unwrap();
-        let t_pip = t.elapsed();
-        assert_eq!(seq.len(), pip.len());
+        let (mut t_seq, mut t_pip) = (Duration::MAX, Duration::MAX);
+        for _ in 0..5 {
+            let t = Instant::now();
+            let seq = try_infer_loop(&mut engine, &batches).unwrap();
+            t_seq = t_seq.min(t.elapsed());
+            let t = Instant::now();
+            let pip = run_batches(&mut engine, &batches).unwrap();
+            t_pip = t_pip.min(t.elapsed());
+            assert_eq!(seq.len(), pip.len());
+        }
         assert!(
             t_pip <= t_seq * 3,
             "stage pair ({t_pip:?}) should not be drastically slower than one thread ({t_seq:?})"

@@ -173,29 +173,29 @@ fn stragglers_run_once_under_the_watchdog() {
 /// the logits are bitwise identical to the fault-free run's.
 #[test]
 fn row_flip_retry_serves_bitwise_identical_logits() {
-    // A 2-layer model keeps the store single-level, so every resident row
-    // is read on a repeat batch and the injected flip is always met (with
-    // the 3-layer reference model, a flip in the shadowed level-1 rows
-    // would sit dormant behind the level-2 reads).
+    // Uncapped, layer 1's table serves every level-1 row, so the store is
+    // read at level 2 only. The 3-layer model's classifier reads exactly
+    // the targets' level-2 rows, so a store holding just those has every
+    // resident row read by the batch, and the injected flip is always met.
     let adj = chord_graph(120);
     let x = Matrix::rand_uniform(120, 8, -1.0, 1.0, &mut seeded_rng(11));
-    let model = zoo::tinygnn_student(8, 16, 4, 13);
+    let model = zoo::graphsage(8, 16, 4, 13);
     let targets: Vec<usize> = (0..48).collect();
+    let levels = model.n_layers() - 1;
+    let warm = FeatureStore::new(120, levels);
+    BatchedEngine::new(&model, &adj, &x, vec![], Some(&warm), StorePolicy::Roots, 5)
+        .infer(&targets);
 
-    // Warm a store with the batch's own roots, then serve the same batch
-    // again so every probe meets store-resident rows.
+    // Copy the batch's level-2 rows out of the warm-up, then serve the same
+    // batch so every probe meets store-resident rows.
     let run = |inject: bool| -> (Vec<f32>, usize, (u64, u64)) {
-        let store = FeatureStore::new(120, model.n_layers() - 1);
-        let mut e = BatchedEngine::new(
-            &model,
-            &adj,
-            &x,
-            vec![],
-            Some(&store),
-            StorePolicy::Roots,
-            5,
-        );
-        e.try_infer(&targets).unwrap(); // warm: all 48 roots now resident
+        let store = FeatureStore::new(120, levels);
+        for &v in &targets {
+            let row = warm.get(levels, v).expect("the warm-up wrote every root");
+            store.put(levels, v, &row).unwrap();
+        }
+        let mut e =
+            BatchedEngine::new(&model, &adj, &x, vec![], Some(&store), StorePolicy::None, 5);
         if inject {
             let plan = FaultPlan {
                 row_flips: 1,
