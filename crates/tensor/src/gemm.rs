@@ -15,10 +15,21 @@
 //!   ([`Matrix::matmul_packed_rows_into`](crate::Matrix::matmul_packed_rows_into))
 //!   is the gather. Only a transposed `A` (`AᵀB`, training), whose rows are
 //!   strided in the source, is packed into `MR`-lane k-major strips;
-//! * the innermost unit is an `MR×NR` register tile accumulated with
-//!   `f32::mul_add` (scalar) or AVX2/FMA intrinsics (runtime-dispatched) and
-//!   stored straight into `C` at its row stride `ldc`, which need not equal
-//!   `n`: a product can fill a column window of a wider output.
+//! * the innermost unit is an `MR×NR` register tile, accumulated by one of
+//!   three twin microkernels and stored straight into `C` at its row stride
+//!   `ldc`, which need not equal `n`: a product can fill a column window of
+//!   a wider output.
+//!
+//! **Microkernel twins.** The same tile, read from the same `TileIn`, has
+//! three bodies: `f32::mul_add` (scalar), AVX2/FMA (two `ymm` accumulators
+//! per tile row) and AVX-512F (one `zmm` accumulator per tile row). The
+//! AVX-512 twin also runs two adjacent panels as one `MR × 2·NR` tile where
+//! the product has them: one panel gives it six independent fma chains,
+//! fewer than FMA latency × two ports needs, and two give twelve. The
+//! dispatcher ([`gemm_path`]) picks the widest the CPU reports at run time —
+//! AVX-512F (taken only where avx2+fma are present too), then AVX2+FMA, then
+//! scalar; [`set_gemm_path`] forces one, and a forced path the CPU lacks
+//! falls back down the same order.
 //!
 //! Transposed orientations (`AᵀB`, `ABᵀ`) fold the transpose into the pack
 //! step: the packer reads the source with a strided `View` instead of
@@ -28,7 +39,7 @@
 //! can pick on its own produces an identical sequence of per-element fused
 //! multiply-adds over `k` (a chain from `0.0` inside each `KC` slab, slabs
 //! added in ascending `ks` order), so results are bitwise identical across
-//! thread counts and across the scalar/SIMD microkernels. Tile shape, where
+//! thread counts and across the three microkernels. Tile shape, where
 //! `A` is read from and where `C` lives are not part of that contract, and
 //! `tests/gemm_equivalence.rs` pins golden output hashes so a re-tile that
 //! perturbs a bit fails loudly. The reference every kernel is held to is the
@@ -42,9 +53,10 @@ use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Microkernel tile height (rows of `A` per register tile).
 pub const MR: usize = 6;
-/// Microkernel tile width (columns of `B` per register tile): two AVX2
-/// `f32x8` vectors, so a tile is twelve accumulators fed by two `B` loads
-/// and six broadcasts per depth step.
+/// Microkernel tile width (columns of `B` per register tile and per packed
+/// panel): two AVX2 `f32x8` vectors, so a tile is twelve `ymm` accumulators
+/// fed by two `B` loads and six broadcasts per depth step. It is one AVX-512
+/// `f32x16`, so that twin takes two panels per tile where it can.
 pub const NR: usize = 16;
 /// Rows of `A` per block (a multiple of `MR`). One B panel is swept over the
 /// block's `MC / MR` strips while it sits in L1, and the block's `MC·KC`
@@ -68,9 +80,13 @@ pub enum GemmPath {
     /// Blocked + packed kernels with the AVX2/FMA microkernel. Resolves to
     /// [`GemmPath::BlockedScalar`] when the CPU lacks avx2+fma.
     BlockedSimd,
+    /// Blocked + packed kernels with the AVX-512F microkernel. Resolves to
+    /// the best path the CPU has ([`GemmPath::BlockedSimd`], then
+    /// [`GemmPath::BlockedScalar`]) when it lacks avx512f or avx2+fma.
+    BlockedAvx512,
 }
 
-/// 0 = auto (SIMD when detected), otherwise `GemmPath as u8 + 1`.
+/// 0 = auto (the widest path detected), otherwise `GemmPath as u8 + 1`.
 static PATH_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
 /// Force a specific GEMM implementation (`None` restores auto-dispatch).
@@ -82,6 +98,7 @@ pub fn set_gemm_path(path: Option<GemmPath>) {
         None => 0,
         Some(GemmPath::BlockedScalar) => 1,
         Some(GemmPath::BlockedSimd) => 2,
+        Some(GemmPath::BlockedAvx512) => 3,
     };
     PATH_OVERRIDE.store(v, Ordering::Relaxed);
 }
@@ -90,17 +107,22 @@ fn forced_path() -> Option<GemmPath> {
     match PATH_OVERRIDE.load(Ordering::Relaxed) {
         1 => Some(GemmPath::BlockedScalar),
         2 => Some(GemmPath::BlockedSimd),
+        3 => Some(GemmPath::BlockedAvx512),
         _ => None,
     }
 }
 
 /// The GEMM implementation calls will resolve to right now: the forced
-/// override if one is set, otherwise [`GemmPath::BlockedSimd`] when the CPU
-/// reports avx2+fma and [`GemmPath::BlockedScalar`] otherwise. A forced
-/// `BlockedSimd` without CPU support degrades to `BlockedScalar`.
+/// override if one is set, otherwise the widest the CPU reports —
+/// [`GemmPath::BlockedAvx512`] with avx512f (and avx2+fma),
+/// [`GemmPath::BlockedSimd`] with avx2+fma, [`GemmPath::BlockedScalar`]
+/// otherwise. A forced path without CPU support degrades down that order.
 pub fn gemm_path() -> GemmPath {
-    match forced_path() {
-        Some(GemmPath::BlockedSimd) | None if simd_available() => GemmPath::BlockedSimd,
+    match forced_path().unwrap_or(GemmPath::BlockedAvx512) {
+        GemmPath::BlockedAvx512 if avx512_available() => GemmPath::BlockedAvx512,
+        GemmPath::BlockedAvx512 | GemmPath::BlockedSimd if simd_available() => {
+            GemmPath::BlockedSimd
+        }
         _ => GemmPath::BlockedScalar,
     }
 }
@@ -110,8 +132,20 @@ fn simd_available() -> bool {
     std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
 }
 
+/// AVX-512F, on a CPU that also has what [`GemmPath::BlockedSimd`] needs, so
+/// every path above scalar can also run the AVX2 int8 kernel (`quant.rs`).
+#[cfg(target_arch = "x86_64")]
+fn avx512_available() -> bool {
+    simd_available() && std::arch::is_x86_feature_detected!("avx512f")
+}
+
 #[cfg(not(target_arch = "x86_64"))]
 fn simd_available() -> bool {
+    false
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn avx512_available() -> bool {
     false
 }
 
@@ -259,12 +293,13 @@ struct PackedPanels<'a> {
 }
 
 impl PackedPanels<'_> {
-    /// Panel `t` of the slab starting at depth `ks` (slab depth `kl`).
+    /// Panels `t..t + w` of the slab starting at depth `ks` (slab depth
+    /// `kl`): adjacent in the pack, so one slice of `w · kl · NR` floats.
     #[inline]
-    fn panel(&self, ks: usize, kl: usize, t: usize) -> &[f32] {
+    fn panels(&self, ks: usize, kl: usize, t: usize, w: usize) -> &[f32] {
         let n_panels = self.n.div_ceil(NR);
         let at = ks * n_panels * NR + t * kl * NR;
-        &self.data[at..at + kl * NR]
+        &self.data[at..at + w * kl * NR]
     }
 }
 
@@ -328,8 +363,9 @@ impl PackedB {
 
 /// What one microkernel call multiplies: row `i` of the tile reads
 /// `a[rows[i] + p·step]` for `p` over the depth of the B panel `b` (`kc·NR`
-/// floats). `rows` are element offsets into `a` — the source rows themselves
-/// at the slab's depth (`step` 1), or the lanes of a packed transposed strip
+/// floats; the AVX-512 twin also takes two adjacent panels, `2·kc·NR`).
+/// `rows` are element offsets into `a` — the source rows themselves at the
+/// slab's depth (`step` 1), or the lanes of a packed transposed strip
 /// (`step` `MR`).
 #[derive(Clone, Copy)]
 struct TileIn<'a> {
@@ -354,7 +390,7 @@ fn microkernel_scalar(t: TileIn, c: &mut [f32], ldc: usize, first: bool) {
             }
         }
     }
-    writeback(&acc, c, 0, (MR, NR), ldc, first);
+    writeback(&acc, NR, c, 0, (MR, NR), ldc, first);
 }
 
 /// AVX2/FMA twin of [`microkernel_scalar`]: twelve `f32x8` accumulators (two
@@ -411,18 +447,95 @@ unsafe fn microkernel_avx2(t: TileIn, c: &mut [f32], ldc: usize, first: bool) {
     }
 }
 
+/// AVX-512F twin of [`microkernel_scalar`] over `W` adjacent B panels (`W`
+/// = 1 or 2): an `MR × W·NR` tile in `MR·W` `f32x16` accumulators, `W` `B`
+/// loads and six broadcasts per depth step, stored (or loaded, added and
+/// stored) from the registers. `W = 1` is the scalar twin's tile; `W = 2`
+/// is two of them side by side, which gives twelve independent fma chains
+/// where one panel's six cannot cover FMA latency × two ports.
+/// `_mm512_fmadd_ps` rounds once like `f32::mul_add`, the per-element order
+/// over `p` is the scalar twin's, and `vaddps` is its `+=`, so the three
+/// kernels agree bitwise.
+///
+/// # Safety
+/// Caller must ensure avx512f is available (checked at dispatch via
+/// `is_x86_feature_detected!`). Every range the kernel touches is asserted
+/// against the slices' lengths before the first access.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+// SAFETY: `unsafe fn` per target_feature; all memory access below is through
+// slice-derived pointers kept in bounds by the asserted lengths.
+unsafe fn microkernel_avx512<const W: usize>(t: TileIn, c: &mut [f32], ldc: usize, first: bool) {
+    use std::arch::x86_64::{
+        _mm512_add_ps, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_storeu_ps,
+    };
+    const { assert!(NR == 16, "one zmm register holds a panel's row") };
+    let kc = t.b.len() / (W * NR);
+    assert!(kc > 0 && c.len() >= (MR - 1) * ldc + W * NR);
+    assert!(t.rows.iter().all(|&r| r + (kc - 1) * t.step < t.a.len()));
+    // SAFETY: panel `h < W` of `b` starts at `h·kc·NR` and is read 16 floats
+    // at a time at `p·NR` for `p < kc = b.len() / (W·NR)`; `a` one float at
+    // `rows[i] + p·step`, at most `rows[i] + (kc − 1)·step`; `c` 16 floats at
+    // `i·ldc + h·NR`, at most `(MR − 1)·ldc + W·NR` — the last two bounds
+    // asserted just above.
+    unsafe {
+        let ap = t.rows.map(|r| t.a.as_ptr().add(r));
+        let mut acc = [[_mm512_setzero_ps(); W]; MR];
+        let mut b = [_mm512_setzero_ps(); W];
+        for p in 0..kc {
+            for (h, bh) in b.iter_mut().enumerate() {
+                *bh = _mm512_loadu_ps(t.b.as_ptr().add((h * kc + p) * NR));
+            }
+            for (row, ai) in acc.iter_mut().zip(ap) {
+                let av = _mm512_set1_ps(*ai.add(p * t.step));
+                for (o, &bh) in row.iter_mut().zip(&b) {
+                    *o = _mm512_fmadd_ps(av, bh, *o);
+                }
+            }
+        }
+        for (i, row) in acc.iter().enumerate() {
+            for (h, &v) in row.iter().enumerate() {
+                let cp = c.as_mut_ptr().add(i * ldc + h * NR);
+                let sum = if first {
+                    v
+                } else {
+                    _mm512_add_ps(_mm512_loadu_ps(cp), v)
+                };
+                _mm512_storeu_ps(cp, sum);
+            }
+        }
+    }
+}
+
+/// Run the `path` twin of the microkernel over `w` adjacent panels (`w` = 2
+/// only on the AVX-512 twin). `path` is what [`gemm_path`] resolved to, so a
+/// SIMD path names a feature set the CPU has.
 #[inline]
-fn run_microkernel(simd: bool, t: TileIn, c: &mut [f32], ldc: usize, first: bool) {
+fn run_microkernel(path: GemmPath, w: usize, t: TileIn, c: &mut [f32], ldc: usize, first: bool) {
+    debug_assert!(w == 1 || (w == 2 && path == GemmPath::BlockedAvx512));
     #[cfg(target_arch = "x86_64")]
-    if simd {
-        // SAFETY: `simd` is only set when `gemm_path()` resolved to
-        // `BlockedSimd`, which requires `is_x86_feature_detected!` to have
-        // confirmed avx2+fma on this CPU; slice lengths are asserted inside.
-        unsafe { microkernel_avx2(t, c, ldc, first) };
-        return;
+    match path {
+        GemmPath::BlockedAvx512 => {
+            // SAFETY: `gemm_path()` resolves to `BlockedAvx512` only after
+            // `is_x86_feature_detected!` confirmed avx512f on this CPU; slice
+            // lengths are asserted inside.
+            unsafe {
+                match w {
+                    2 => microkernel_avx512::<2>(t, c, ldc, first),
+                    _ => microkernel_avx512::<1>(t, c, ldc, first),
+                }
+            };
+            return;
+        }
+        // SAFETY: `gemm_path()` resolves to `BlockedSimd` only after
+        // `is_x86_feature_detected!` confirmed avx2+fma on this CPU; slice
+        // lengths are asserted inside.
+        GemmPath::BlockedSimd => return unsafe { microkernel_avx2(t, c, ldc, first) },
+        GemmPath::BlockedScalar => {}
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = simd;
+    let _ = path;
     microkernel_scalar(t, c, ldc, first);
 }
 
@@ -430,11 +543,12 @@ fn run_microkernel(simd: bool, t: TileIn, c: &mut [f32], ldc: usize, first: bool
 // Blocked driver
 // ---------------------------------------------------------------------------
 
-/// Write the top-left `dims` of a tile into `out` at element `at`, rows
-/// `ldc` apart. The first `KC` slab stores (no pre-zeroed `C` needed); later
-/// slabs accumulate.
+/// Write the top-left `dims` of a tile (rows `tile_ld` apart) into `out` at
+/// element `at`, rows `ldc` apart. The first `KC` slab stores (no pre-zeroed
+/// `C` needed); later slabs accumulate.
 fn writeback(
-    tile: &[f32; MR * NR],
+    tile: &[f32],
+    tile_ld: usize,
     out: &mut [f32],
     at: usize,
     dims: (usize, usize),
@@ -444,7 +558,7 @@ fn writeback(
     let (tile_rows, tile_cols) = dims;
     for i in 0..tile_rows {
         let orow = &mut out[at + i * ldc..at + i * ldc + tile_cols];
-        let trow = &tile[i * NR..i * NR + tile_cols];
+        let trow = &tile[i * tile_ld..i * tile_ld + tile_cols];
         if first {
             orow.copy_from_slice(trow);
         } else {
@@ -459,7 +573,9 @@ fn writeback(
 /// logical product; `out` holds them `ldc` apart and the product fills
 /// columns `col0..col0 + n` of each). Loop order: `KC` slab → `MC` row block
 /// → B panel → `MR` strip, so a panel is swept over the block's strips while
-/// it sits in L1 and the block's `A` rows are re-read from L2 per panel.
+/// it sits in L1 and the block's `A` rows are re-read from L2 per panel. The
+/// AVX-512 twin takes two adjacent full panels per sweep where the product
+/// has them (an `MR × 2·NR` tile, 32 KiB of B in L1), and one otherwise.
 /// Full tiles go from registers straight into `out`; ragged edge tiles
 /// (`rows < MR`, repeating the last row, or `cols < NR`, the panel's zero
 /// padding) go through a stack tile.
@@ -470,7 +586,7 @@ fn gemm_blocked_rows(
     out: &mut [f32],
     ldc: usize,
     col0: usize,
-    simd: bool,
+    path: GemmPath,
 ) {
     let (k, n) = (pb.k, pb.n);
     let rows = out.len() / ldc;
@@ -495,25 +611,30 @@ fn gemm_blocked_rows(
                     true => s * kl * MR + i,
                     false => a.row_at(start + ic + s * MR + i) + ks,
                 };
-                for t in 0..n.div_ceil(NR) {
-                    let cols = NR.min(n - t * NR);
+                let mut t = 0;
+                while t < n.div_ceil(NR) {
+                    let pair = path == GemmPath::BlockedAvx512 && n >= (t + 2) * NR;
+                    let w = if pair { 2 } else { 1 };
+                    let cols = (w * NR).min(n - t * NR);
                     for s in 0..ml.div_ceil(MR) {
                         let tile_rows = MR.min(ml - s * MR);
                         let tile = TileIn {
                             a: adata,
                             rows: std::array::from_fn(|i| row_at(s, i.min(tile_rows - 1))),
                             step,
-                            b: pb.panel(ks, kl, t),
+                            b: pb.panels(ks, kl, t, w),
                         };
                         let at = (ic + s * MR) * ldc + col0 + t * NR;
-                        if tile_rows == MR && cols == NR {
-                            run_microkernel(simd, tile, &mut out[at..], ldc, first);
+                        if tile_rows == MR && cols == w * NR {
+                            run_microkernel(path, w, tile, &mut out[at..], ldc, first);
                         } else {
-                            let mut edge = [0.0f32; MR * NR];
-                            run_microkernel(simd, tile, &mut edge, NR, true);
-                            writeback(&edge, out, at, (tile_rows, cols), ldc, first);
+                            let mut edge = [0.0f32; MR * 2 * NR];
+                            let edge = &mut edge[..MR * w * NR];
+                            run_microkernel(path, w, tile, edge, w * NR, true);
+                            writeback(edge, w * NR, out, at, (tile_rows, cols), ldc, first);
                         }
                     }
+                    t += w;
                 }
                 ic += ml;
             }
@@ -533,10 +654,10 @@ fn gemm_blocked(
     out: &mut [f32],
     ldc: usize,
     col0: usize,
-    simd: bool,
+    path: GemmPath,
 ) {
     parallel_row_chunks_aligned(out, m, ldc, MR, |start, chunk| {
-        gemm_blocked_rows(a, pb, start, chunk, ldc, col0, simd);
+        gemm_blocked_rows(a, pb, start, chunk, ldc, col0, path);
     });
 }
 
@@ -582,12 +703,12 @@ pub(crate) fn gemm_into(a: View, b: View, m: usize, k: usize, n: usize, out: &mu
     if forced_path().is_none() && m * k * n < BLOCKED_MIN_FLOPS {
         return gemm_small(a, b, m, k, n, out);
     }
-    let simd = gemm_path() == GemmPath::BlockedSimd;
+    let path = gemm_path();
     PACK_B_BUF.with(|cell| {
         let mut bbuf = cell.borrow_mut();
         pack_b_into(b, k, n, &mut bbuf);
         let pb = PackedPanels { k, n, data: &bbuf };
-        gemm_blocked(a, pb, m, out, n, 0, simd);
+        gemm_blocked(a, pb, m, out, n, 0, path);
     });
 }
 
@@ -614,8 +735,7 @@ pub(crate) fn gemm_packed_into(
     if pb.k == 0 {
         return (0..m).for_each(|i| out[window(i)].fill(0.0));
     }
-    let simd = gemm_path() == GemmPath::BlockedSimd;
-    gemm_blocked(a, pb.panels(), m, out, ldc, col0, simd);
+    gemm_blocked(a, pb.panels(), m, out, ldc, col0, gemm_path());
 }
 
 #[cfg(test)]
@@ -639,7 +759,7 @@ mod tests {
             let kl = KC.min(pb.k - ks);
             for t in 0..pb.n.div_ceil(NR) {
                 let cols = NR.min(pb.n - t * NR);
-                let panel = panels.panel(ks, kl, t);
+                let panel = panels.panels(ks, kl, t, 1);
                 for p in 0..kl {
                     let row = out.row_mut(ks + p);
                     row[t * NR..t * NR + cols].copy_from_slice(&panel[p * NR..p * NR + cols]);
@@ -694,7 +814,7 @@ mod tests {
     #[test]
     fn path_override_roundtrip() {
         // `PATH_OVERRIDE` is process-global and this binary's other tests run
-        // on sibling threads while it is flipped. That is harmless: the two
+        // on sibling threads while it is flipped. That is harmless: the three
         // paths are bitwise twins and `gemm_packed_into` has no small-shape
         // shortcut, so two packed products that straddle a flip (what
         // `ops.rs::packed_matmul_matches_plain` compares bitwise) read the
@@ -708,12 +828,29 @@ mod tests {
             }
         }
         let _restore = Restore;
-        let auto = gemm_path();
+        // What each forced path falls back to, down the dispatch order.
+        let simd = if simd_available() {
+            GemmPath::BlockedSimd
+        } else {
+            GemmPath::BlockedScalar
+        };
+        let best = if avx512_available() {
+            GemmPath::BlockedAvx512
+        } else {
+            simd
+        };
+        assert_eq!(gemm_path(), best, "auto picks the widest twin");
         set_gemm_path(Some(GemmPath::BlockedScalar));
         assert_eq!(gemm_path(), GemmPath::BlockedScalar);
         set_gemm_path(Some(GemmPath::BlockedSimd));
-        assert_eq!(gemm_path(), auto, "forced SIMD degrades without avx2+fma");
+        assert_eq!(gemm_path(), simd, "forced SIMD degrades without avx2+fma");
+        set_gemm_path(Some(GemmPath::BlockedAvx512));
+        assert_eq!(
+            gemm_path(),
+            best,
+            "forced AVX-512 degrades to the best twin"
+        );
         set_gemm_path(None);
-        assert_eq!(gemm_path(), auto);
+        assert_eq!(gemm_path(), best);
     }
 }

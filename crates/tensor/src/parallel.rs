@@ -6,24 +6,37 @@
 //! thread-spawn + join round-trip on every GEMM in the serving hot path.
 //! This module instead keeps a lazily-initialized **persistent worker pool**
 //! (channel-fed, sized by [`num_threads`], growable up to the largest
-//! requested width) and hands it borrowed row-chunk jobs through a scoped
-//! completion latch:
+//! requested width) and hands it borrowed jobs through a scoped completion
+//! latch:
 //!
 //! * every kernel call reuses the same OS threads — no spawn cost on the
 //!   hot path;
+//! * **rows are claimed at run time, not split once per thread.** A call
+//!   cuts its rows into `CHUNKS_PER_THREAD` chunks per thread; the caller
+//!   and `threads − 1` pool jobs take chunk indices from one atomic counter
+//!   until none are left. A thread that is descheduled, or a vCPU that
+//!   loses time to its host, holds up one small chunk instead of a
+//!   `1 / threads` share of the call, because the others take the rest;
 //! * jobs borrow the caller's buffers; the caller blocks on the latch until
-//!   every chunk completes, which makes the lifetime erasure sound;
-//! * a panicking kernel closure is caught in the worker, its payload is
-//!   parked in the latch, and the **original payload** is re-raised on the
-//!   calling thread once all chunks have finished — panic messages survive
-//!   verbatim;
+//!   every job has finished, which makes the lifetime erasure sound;
+//! * a panicking kernel closure is caught, its payload is parked in the
+//!   latch, and the **original payload** is re-raised on the calling thread
+//!   once every job has finished — panic messages survive verbatim. The
+//!   panicking thread claims no further chunk; the threads still running
+//!   take what is left;
 //! * one thread (`GCNP_THREADS=1`) degrades to a plain serial loop that
-//!   never touches the pool, so single-threaded runs are lock-free and
-//!   bit-identical to parallel runs (chunking does not change the
-//!   per-row arithmetic).
+//!   never touches the pool.
+//!
+//! **Why the bits hold.** Each row is written by exactly one closure call,
+//! and every kernel's per-row arithmetic reads only shared inputs and that
+//! row's position — never which chunk holds it, how long the chunk is or
+//! which thread claimed it. So outputs are bitwise identical across thread
+//! counts and across the order in which chunks are claimed, and the serial
+//! loop at one thread is the same arithmetic over one chunk.
 
 use std::any::Any;
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -124,8 +137,9 @@ fn worker_loop(queue: &Queue) {
     }
 }
 
-/// Completion latch for one `parallel_row_chunks` call: counts outstanding
-/// chunk jobs and parks the first panic payload for re-raise on the caller.
+/// Completion latch for one `parallel_row_chunks` call: counts its
+/// outstanding claiming loops (the pool's jobs and the caller's own) and
+/// parks the first panic payload for re-raise on the caller.
 struct ScopeLatch {
     state: Mutex<LatchState>, // lock: latch.state
     done: Condvar,            // lock: latch.done pairs latch.state
@@ -147,7 +161,7 @@ impl ScopeLatch {
         }
     }
 
-    /// Record one finished chunk (and its panic payload, if any).
+    /// Record one finished claiming loop (and its panic payload, if any).
     fn complete(&self, payload: Option<Box<dyn Any + Send>>) {
         let _order = crate::lockcheck::acquire("latch.state");
         let mut s = self.state.lock().unwrap();
@@ -160,7 +174,7 @@ impl ScopeLatch {
         }
     }
 
-    /// Block until every chunk has completed, then re-raise the first
+    /// Block until every claiming loop has finished, then re-raise the first
     /// captured panic payload, preserving the original message.
     fn wait(&self) {
         let order = crate::lockcheck::acquire("latch.state");
@@ -182,9 +196,10 @@ impl ScopeLatch {
 /// parallel on the persistent pool when more than one thread is configured.
 ///
 /// The closure receives the absolute starting row index of its chunk so it
-/// can index shared read-only inputs. Chunk boundaries depend only on the
-/// thread count, and each output row is written by exactly one closure
-/// invocation, so results are bitwise identical across thread counts.
+/// can index shared read-only inputs. Each output row is written by exactly
+/// one closure invocation, so as long as `f`'s arithmetic for a row does not
+/// depend on the chunk it sits in, results are bitwise identical across
+/// thread counts and across the run-time order in which chunks are claimed.
 ///
 /// # Panics
 /// Re-raises the first panic raised by `f`, with its original payload.
@@ -197,11 +212,20 @@ where
     parallel_row_chunks_aligned(out, rows, row_len, 1, f)
 }
 
-/// [`parallel_row_chunks`] with chunk boundaries rounded up to a multiple of
-/// `align` rows. The blocked GEMMs use `align =` their tile height (`MR`,
-/// `QMR`) so no microkernel strip ever straddles two threads' chunks (the
-/// last chunk may still be ragged — its edge strip goes through the
-/// kernel's stack tile). `align = 1` is exactly [`parallel_row_chunks`].
+/// Chunks each thread's share of a parallel call is cut into, so a thread
+/// that finishes early claims work a slower one would otherwise hold.
+const CHUNKS_PER_THREAD: usize = 8;
+
+/// [`parallel_row_chunks`] with chunk boundaries on multiples of `align`
+/// rows. The blocked GEMMs use `align =` their tile height (`MR`, `QMR`) so
+/// no microkernel strip ever straddles two chunks (the last chunk may still
+/// be ragged — its edge strip goes through the kernel's stack tile).
+/// `align = 1` is exactly [`parallel_row_chunks`].
+///
+/// With more than one thread the rows are cut into up to
+/// `threads · CHUNKS_PER_THREAD` chunks that the calling thread and the
+/// pool's jobs claim at run time; the closure sees each chunk once, in no
+/// fixed order and on no fixed thread.
 ///
 /// # Panics
 /// Re-raises the first panic raised by `f`, with its original payload.
@@ -225,44 +249,106 @@ pub fn parallel_row_chunks_aligned<F>(
         return; // degenerate output: nothing to fill
     }
     let align = align.max(1);
-    let threads = num_threads().min(rows.div_ceil(align));
+    let units = rows.div_ceil(align);
+    let threads = num_threads().min(units);
     if threads <= 1 {
         f(0, out);
         return;
     }
-    let chunk_rows = rows.div_ceil(threads).div_ceil(align) * align;
-    let mut chunks: Vec<(usize, &mut [f32])> = out
-        .chunks_mut(chunk_rows * row_len)
-        .enumerate()
-        .map(|(i, chunk)| (i * chunk_rows, chunk))
-        .collect();
-    let n_chunks = chunks.len();
-    let latch = Arc::new(ScopeLatch::new(n_chunks));
+    let chunk_rows = units.div_ceil(threads * CHUNKS_PER_THREAD) * align;
+    let claim = ChunkClaim::new(out, row_len, chunk_rows);
+    let latch = Arc::new(ScopeLatch::new(threads));
     let pool = pool();
-    pool.ensure_workers(n_chunks - 1);
+    pool.ensure_workers(threads - 1);
 
-    // The caller keeps the first chunk for itself; the rest go to the pool.
-    let (start0, chunk0) = chunks.remove(0);
-    let f = &f;
-    for (start, chunk) in chunks {
+    // Every participant claims chunks until none are left; a panic ends its
+    // own loop and is parked in the latch.
+    let (claim, f) = (&claim, &f);
+    let work = move || {
+        while let Some((start, chunk)) = claim.next_chunk() {
+            f(start, chunk);
+        }
+    };
+    for _ in 1..threads {
         let latch = Arc::clone(&latch);
         let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-            let result = panic::catch_unwind(AssertUnwindSafe(|| f(start, chunk)));
+            let result = panic::catch_unwind(AssertUnwindSafe(work));
             latch.complete(result.err());
         });
-        // SAFETY: the job borrows `out` and `f`, which outlive this call;
-        // `latch.wait()` below blocks (without panicking) until every job
-        // has run to completion, so no borrow escapes the call. Panics
-        // inside jobs are caught before unwinding past the borrow.
+        // SAFETY: the job borrows `out` (through `claim`) and `f`, which
+        // outlive this call; `latch.wait()` below blocks (without
+        // panicking) until every job has run to completion, so no borrow
+        // escapes the call. Panics inside jobs are caught before unwinding
+        // past the borrow.
         let job: Job = unsafe {
             std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Box<dyn FnOnce() + Send>>(job)
         };
         pool.submit(job);
     }
-    // Run the caller's own chunk inline, then wait for the pool's chunks.
-    let inline_result = panic::catch_unwind(AssertUnwindSafe(|| f(start0, chunk0)));
+    // Claim chunks inline too, then wait for the pool's jobs.
+    let inline_result = panic::catch_unwind(AssertUnwindSafe(work));
     latch.complete(inline_result.err());
     latch.wait();
+}
+
+/// The shared state of one claimed-chunk call: the output buffer, held as a
+/// base pointer for the call's lifetime `'a`, its geometry, and the index
+/// of the next unclaimed chunk. Chunk `i` is rows `i · chunk_rows ..` up to
+/// `rows`.
+struct ChunkClaim<'a> {
+    base: *mut f32,
+    rows: usize,
+    row_len: usize,
+    chunk_rows: usize,
+    n_chunks: usize,
+    next: AtomicUsize,
+    _out: PhantomData<&'a mut [f32]>,
+}
+
+// SAFETY: `base` is the caller's `&'a mut [f32]`, borrowed exclusively for
+// `'a` (the `PhantomData`), so nothing else reaches it meanwhile. Threads
+// touch it only through `next_chunk`, which hands each chunk index to
+// exactly one claimer, and chunks are disjoint, so no element is reached
+// from two threads. The other fields are plain values and an atomic.
+unsafe impl Sync for ChunkClaim<'_> {}
+
+impl<'a> ChunkClaim<'a> {
+    /// `out` (whole rows of `row_len`) cut into chunks of `chunk_rows` rows.
+    fn new(out: &'a mut [f32], row_len: usize, chunk_rows: usize) -> Self {
+        let rows = out.len() / row_len;
+        ChunkClaim {
+            base: out.as_mut_ptr(),
+            rows,
+            row_len,
+            chunk_rows,
+            n_chunks: rows.div_ceil(chunk_rows),
+            next: AtomicUsize::new(0),
+            _out: PhantomData,
+        }
+    }
+
+    /// Claim the next chunk: its first row and its rows of `out`, or `None`
+    /// once every chunk is taken.
+    fn next_chunk(&self) -> Option<(usize, &'a mut [f32])> {
+        // The counter only hands out indices: `fetch_add` is atomic at any
+        // ordering, so each index reaches one claimer, and no data is
+        // published through it — the chunks' writes reach the caller
+        // through the latch's mutex.
+        let i = self.next.fetch_add(1, Ordering::Relaxed); // audit: allow(atomic-ordering) — a claim ticket; the latch orders the writes
+        if i >= self.n_chunks {
+            return None;
+        }
+        let start = i * self.chunk_rows;
+        let len = self.chunk_rows.min(self.rows - start);
+        // SAFETY: `start + len ≤ rows`, so the range lies within the
+        // `rows · row_len` elements behind `base`; index `i` was handed to
+        // this caller alone, and chunks `[i · chunk_rows, + chunk_rows)` are
+        // disjoint, so this is the only live reference to these elements.
+        let chunk = unsafe {
+            std::slice::from_raw_parts_mut(self.base.add(start * self.row_len), len * self.row_len)
+        };
+        Some((start, chunk))
+    }
 }
 
 #[cfg(test)]
@@ -338,8 +424,9 @@ mod tests {
 
     #[test]
     fn results_identical_across_thread_counts() {
-        // Chunk boundaries depend only on the thread count, and each row is
-        // produced by one closure call — outputs must be bitwise equal.
+        // Each row is produced by one closure call, whichever chunk holds it
+        // and whichever thread claims that chunk — outputs must be bitwise
+        // equal.
         let rows = 211;
         let row_len = 13;
         let fill = |out: &mut [f32]| {
@@ -362,10 +449,14 @@ mod tests {
 
     #[test]
     fn aligned_chunks_start_on_multiples() {
-        // Every chunk except possibly the last must start at a multiple of
-        // `align` and span a multiple of `align` rows.
+        // Chunks are claimed at run time, in no fixed order: sorted by
+        // start, every chunk must start at a multiple of `align`, every
+        // chunk except the last must span a multiple of `align` rows, and
+        // together they cover every row exactly once. A call is cut into at
+        // most `CHUNKS_PER_THREAD` chunks per thread, and into at least one
+        // per thread when there are enough aligned rows.
         with_threads(4, || {
-            for (rows, align) in [(103, 8), (9, 8), (64, 8), (17, 5), (8, 8)] {
+            for (rows, align) in [(103, 8), (9, 8), (64, 8), (17, 5), (8, 8), (1000, 6)] {
                 let mut out = vec![0.0f32; rows];
                 let starts = Mutex::new(Vec::new());
                 parallel_row_chunks_aligned(&mut out, rows, 1, align, |start, chunk| {
@@ -386,11 +477,74 @@ mod tests {
                     expect_start += len;
                 }
                 assert_eq!(expect_start, rows, "chunks must tile all rows");
+                let threads = num_threads().min(rows.div_ceil(align));
+                assert!(
+                    (threads..=threads * CHUNKS_PER_THREAD).contains(&starts.len()),
+                    "rows={rows} align={align}: {} chunks on {threads} threads",
+                    starts.len()
+                );
                 for (r, v) in out.iter().enumerate() {
                     assert_eq!(*v, r as f32);
                 }
             }
         });
+    }
+
+    #[test]
+    fn a_stalled_chunk_leaves_the_rest_to_other_threads() {
+        // The chunk at row 0 (claimed first) blocks until every other row
+        // has been written. Under a fixed split its thread would own more
+        // rows than that one chunk and wait for itself forever; with
+        // claimed chunks the other threads take all the rest. The wait is
+        // on a counter, not on a timing guess, with a generous deadline
+        // only so a regression fails instead of hanging.
+        let rows = 211;
+        let row_len = 13;
+        let value = |r: usize, c: usize| ((r * 31 + c) as f32).sqrt() * 0.37;
+        let fill = |out: &mut [f32]| {
+            let written = AtomicUsize::new(0);
+            let claimed_by = Mutex::new(Vec::new());
+            parallel_row_chunks(out, rows, row_len, |start, chunk| {
+                let here = std::thread::current().id();
+                let len = chunk.len() / row_len;
+                if start == 0 {
+                    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+                    while written.load(Ordering::Acquire) < rows - len {
+                        assert!(
+                            std::time::Instant::now() < deadline,
+                            "the stalled chunk's rows were never taken by another thread"
+                        );
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                    }
+                }
+                for (r, row) in chunk.chunks_mut(row_len).enumerate() {
+                    for (c, v) in row.iter_mut().enumerate() {
+                        *v = value(start + r, c);
+                    }
+                }
+                claimed_by.lock().unwrap().push((start, here));
+                written.fetch_add(len, Ordering::Release);
+            });
+            claimed_by.into_inner().unwrap()
+        };
+        let mut serial = vec![0.0f32; rows * row_len];
+        with_threads(1, || fill(&mut serial));
+        for t in [2, 4] {
+            let mut parallel = vec![0.0f32; rows * row_len];
+            let claimed_by = with_threads(t, || fill(&mut parallel));
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&serial), bits(&parallel), "threads={t}");
+            let stalled = claimed_by.iter().find(|(start, _)| *start == 0).unwrap().1;
+            let by_stalled = claimed_by.iter().filter(|(_, id)| *id == stalled).count();
+            assert_eq!(
+                by_stalled, 1,
+                "threads={t}: the stalled thread took only its chunk"
+            );
+            assert!(
+                claimed_by.len() > t,
+                "threads={t}: more chunks than threads"
+            );
+        }
     }
 
     #[test]

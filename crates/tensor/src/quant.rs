@@ -329,9 +329,11 @@ thread_local! {
 
 /// Whether the int8 microkernel may use AVX2. Rides the f32 dispatcher so
 /// [`crate::set_gemm_path`] pins the quantized kernels too (the equivalence
-/// suite relies on this); `BlockedScalar` forces the scalar kernel.
+/// suite relies on this); `BlockedScalar` forces the scalar kernel. Int8 has
+/// no AVX-512 twin: a `BlockedAvx512` path (which resolves only where
+/// avx2+fma are present too) runs the AVX2 kernel.
 fn quant_simd() -> bool {
-    gemm_path() == GemmPath::BlockedSimd
+    gemm_path() != GemmPath::BlockedScalar
 }
 
 /// An int8 weight pack with per-column scales: the quantized sibling of
@@ -516,8 +518,9 @@ fn run_qmicrokernel(simd: bool, pairs: usize, a: &[i16], b: &[i8], acc: &mut [i3
     #[cfg(target_arch = "x86_64")]
     if simd {
         // SAFETY: `simd` is only set when `gemm_path()` resolved to
-        // `BlockedSimd`, which requires `is_x86_feature_detected!` to have
-        // confirmed avx2 on this CPU; slice lengths are asserted inside.
+        // `BlockedSimd` or `BlockedAvx512`, each of which requires
+        // `is_x86_feature_detected!` to have confirmed avx2 on this CPU;
+        // slice lengths are asserted inside.
         unsafe { qmicrokernel_avx2(pairs, a, b, acc) };
         return;
     }

@@ -3,11 +3,13 @@
 //! Pins three properties across adversarial shapes and all three operand
 //! orientations (`A·B`, `Aᵀ·B`, `A·Bᵀ`):
 //!
-//! 1. every blocked path (scalar and SIMD microkernels, packed-B fast path)
-//!    matches an independent f64 triple-loop reference to fma-rounding
-//!    tolerance;
-//! 2. the scalar and SIMD microkernels are **bitwise** identical (both run
-//!    the same sequential per-element fma chain over `k`);
+//! 1. every blocked path (scalar, AVX2 and AVX-512 microkernels, packed-B
+//!    fast path) matches an independent f64 triple-loop reference to
+//!    fma-rounding tolerance;
+//! 2. the three microkernels are **bitwise** identical (all run the same
+//!    sequential per-element fma chain over `k`). A twin this CPU lacks is
+//!    reported on stderr as skipped (its forced path falls back to the best
+//!    one the CPU has), so a run that could not check it says so;
 //! 3. for `k ≤ KC` the auto dispatcher (which may take the small-shape fused
 //!    loop) is bitwise identical to the forced blocked kernels, so engines
 //!    that `assert_eq!` against plain forwards stay exact.
@@ -32,9 +34,34 @@
 
 use gcnp_tensor::gemm::{KC, MC, MR, NR};
 use gcnp_tensor::init::seeded_rng;
-use gcnp_tensor::{set_gemm_path, set_num_threads, GemmPath, Matrix, PackedB};
+use gcnp_tensor::{gemm_path, set_gemm_path, set_num_threads, GemmPath, Matrix, PackedB};
 use proptest::prelude::*;
+use std::io::Write;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
+
+/// Every blocked path, in dispatch order from the narrowest.
+const PATHS: [GemmPath; 3] = [
+    GemmPath::BlockedScalar,
+    GemmPath::BlockedSimd,
+    GemmPath::BlockedAvx512,
+];
+
+/// Force `path`. When this CPU lacks it, the call runs the fallback instead:
+/// say so once per path, straight to stderr past the harness's output
+/// capture, so a passing run still shows which twin it did not check.
+fn force(path: GemmPath) {
+    static SAID: [AtomicBool; 3] = [const { AtomicBool::new(false) }; 3];
+    set_gemm_path(Some(path));
+    let ran = gemm_path();
+    if ran != path && !SAID[path as usize].swap(true, Ordering::Relaxed) {
+        let _ = writeln!(
+            std::io::stderr(),
+            "gemm_equivalence: SKIPPED {path:?} — this CPU lacks it, so its \
+             forced runs took {ran:?}"
+        );
+    }
+}
 
 /// The GEMM path override is process-global; every test that sets it holds
 /// this lock so parallel test threads cannot observe each other's forcing.
@@ -109,7 +136,7 @@ fn check_shape(m: usize, k: usize, n: usize, seed: u64) {
     let tag = format!("{m}x{k}x{n}");
 
     let run = |path: GemmPath| {
-        set_gemm_path(Some(path));
+        force(path);
         let ab = a.matmul(&b);
         let atb = at.matmul_at_b(&b);
         let abt = a.matmul_a_bt(&bt);
@@ -126,17 +153,19 @@ fn check_shape(m: usize, k: usize, n: usize, seed: u64) {
         "{tag}: packed-B fast path must be bitwise identical to per-call pack"
     );
 
-    // Scalar vs SIMD: identical fma chain ⇒ bitwise equal. On CPUs without
-    // avx2+fma the forced SIMD path degrades to scalar and this is trivially
-    // true — the suite still pins the dispatch plumbing.
-    let (v_ab, v_atb, v_abt, v_packed) = run(GemmPath::BlockedSimd);
-    assert_eq!(v_ab, s_ab, "{tag}: SIMD A·B must be bitwise scalar");
-    assert_eq!(v_atb, s_atb, "{tag}: SIMD Aᵀ·B must be bitwise scalar");
-    assert_eq!(v_abt, s_abt, "{tag}: SIMD A·Bᵀ must be bitwise scalar");
-    assert_eq!(
-        v_packed, s_packed,
-        "{tag}: SIMD packed must be bitwise scalar"
-    );
+    // Scalar vs each SIMD twin: identical fma chain ⇒ bitwise equal. A twin
+    // the CPU lacks degrades to the next one down (reported by `force`) and
+    // this is trivially true — the suite still pins the dispatch plumbing.
+    for path in [GemmPath::BlockedSimd, GemmPath::BlockedAvx512] {
+        let (v_ab, v_atb, v_abt, v_packed) = run(path);
+        assert_eq!(v_ab, s_ab, "{tag}: {path:?} A·B must be bitwise scalar");
+        assert_eq!(v_atb, s_atb, "{tag}: {path:?} Aᵀ·B must be bitwise scalar");
+        assert_eq!(v_abt, s_abt, "{tag}: {path:?} A·Bᵀ must be bitwise scalar");
+        assert_eq!(
+            v_packed, s_packed,
+            "{tag}: {path:?} packed must be bitwise scalar"
+        );
+    }
 
     // Auto dispatch (small-shape fused loop allowed) is bitwise identical to
     // the blocked kernels whenever the depth fits one KC slab.
@@ -224,8 +253,8 @@ fn golden_hashes_pin_the_blocked_kernels() {
         let a = Matrix::rand_uniform(m, k, -1.0, 1.0, &mut seeded_rng(1));
         let b = Matrix::rand_uniform(k, n, -1.0, 1.0, &mut seeded_rng(2));
         let pack = PackedB::pack(&b);
-        for path in [GemmPath::BlockedScalar, GemmPath::BlockedSimd] {
-            set_gemm_path(Some(path));
+        for path in PATHS {
+            force(path);
             for threads in [1, 4] {
                 set_num_threads(threads);
                 let got = hash(&a.matmul_packed(&pack));
@@ -240,7 +269,7 @@ fn golden_hashes_pin_the_blocked_kernels() {
 }
 
 /// The row-indexed, column-windowed product against its materialised
-/// reference, under both microkernels. `ids` index `src`. Caller holds the
+/// reference, under every microkernel. `ids` index `src`. Caller holds the
 /// lock.
 fn check_rows_window(src: &Matrix, ids: &[usize], b: &Matrix, col0: usize, pad: usize) {
     let pack = PackedB::pack(b);
@@ -248,8 +277,8 @@ fn check_rows_window(src: &Matrix, ids: &[usize], b: &Matrix, col0: usize, pad: 
     // A NaN with a payload no product produces: any write outside the
     // window, or a window element left unwritten, shows up bit for bit.
     let fill = f32::from_bits(0x7fc0_beef);
-    for path in [GemmPath::BlockedScalar, GemmPath::BlockedSimd] {
-        set_gemm_path(Some(path));
+    for path in PATHS {
+        force(path);
         let want = src.select_rows(ids).matmul_packed(&pack);
         let mut out = Matrix::filled(m, col0 + n + pad, fill);
         src.matmul_packed_rows_into(Some(ids), &pack, &mut out, col0);
@@ -316,8 +345,8 @@ fn indexed_rows_equal_the_rows_of_the_whole_product() {
         for n in [3, 29, 64] {
             let src = Matrix::rand_uniform(m, k, -1.0, 1.0, &mut seeded_rng((k * n) as u64));
             let pack = PackedB::pack(&Matrix::rand_uniform(k, n, -1.0, 1.0, &mut seeded_rng(3)));
-            for path in [GemmPath::BlockedScalar, GemmPath::BlockedSimd] {
-                set_gemm_path(Some(path));
+            for path in PATHS {
+                force(path);
                 for threads in [1, 4] {
                     set_num_threads(threads);
                     let whole = src.matmul_packed(&pack);
@@ -375,8 +404,8 @@ mod strict {
     #[test]
     fn blocked_gemm_output_is_netted() {
         let _forced = ForcedPath::lock();
-        for path in [GemmPath::BlockedScalar, GemmPath::BlockedSimd] {
-            set_gemm_path(Some(path));
+        for path in PATHS {
+            force(path);
             let mut a = Matrix::rand_uniform(MR + 1, 5, -1.0, 1.0, &mut seeded_rng(3));
             let b = Matrix::rand_uniform(5, NR + 2, -1.0, 1.0, &mut seeded_rng(4));
             a.set(2, 3, f32::NAN);
